@@ -247,18 +247,12 @@ def describe(config):
              "alpha=%g d=%d domain=%s mu=%s" % (
                  config.alpha, config.d, config.domain_spec["kind"],
                  config.mu_spec["family"]),
-             "grid: %d cells, %d time panels; dt=%g horizon=%g replicas=%d" % (
+             "grid: %d cells (n_time=%d, recorded only); dt=%g horizon=%g replicas=%d" % (
                  config.n_cells, config.n_time, config.dt, config.horizon,
                  config.replicas),
              "stages (%d):" % len(stages)]
     lines += ["  %d. %s" % (i + 1, s) for i, s in enumerate(stages)]
     return "\n".join(lines)
-
-
-def _fmt(x):
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return "%.17g" % float(x)
 
 
 class _Run:
@@ -279,12 +273,14 @@ class _Run:
             "tolerance": None if tolerance is None else float(tolerance),
         })
 
-    def write_csv(self, name, header, rows):
+    def write_csv(self, name, header, columns):
+        """Write equal-length columns: integers as %d, floats as %.17g."""
+        columns = [np.asarray(c) for c in columns]
+        fmt = ",".join("%d" if c.dtype.kind in "iu" else "%.17g" for c in columns) + "\n"
         path = os.path.join(self.out_dir, name)
         with open(path, "w") as fh:
             fh.write(",".join(header) + "\n")
-            for row in rows:
-                fh.write(",".join(_fmt(v) for v in row) + "\n")
+            fh.writelines(fmt % row for row in zip(*(c.tolist() for c in columns)))
         self.outputs.append(name)
         return path
 
@@ -300,9 +296,8 @@ class _Run:
         return all(c["passed"] for c in self.checks)
 
 
-def _measure_rows(grid, measure):
-    dens = measure.masses / grid.widths
-    return [(grid.nodes[i], measure.masses[i], dens[i]) for i in range(grid.n)]
+def _measure_columns(grid, measure):
+    return grid.nodes, measure.masses, measure.masses / grid.widths
 
 
 def run(config, out_dir=None):
@@ -348,10 +343,9 @@ def run(config, out_dir=None):
             diagnostics.append(series_diagnostics(ser))
             if t == config.t_list[0]:
                 dens = reflected_kernel(ser).density()
-                rows = [(grid.nodes[i], grid.nodes[j], dens[i, j])
-                        for i in range(grid.n) for j in range(grid.n)]
-                runner.write_csv("reflected_kernel_t%g.csv" % t,
-                                 ["x", "y", "density"], rows)
+                runner.write_csv("reflected_kernel_t%g.csv" % t, ["x", "y", "density"],
+                                 [np.repeat(grid.nodes, grid.n),
+                                  np.tile(grid.nodes, grid.n), dens.ravel()])
         runner.write_json("series_diagnostics.json", {"series": diagnostics})
 
     if kind == "excessive":
@@ -360,10 +354,9 @@ def run(config, out_dir=None):
             viol = supermedian_violation(A, lam, exc.values, [0.1, 1.0, 10.0])
             runner.check("supermedian-lam%g" % lam, viol <= 1e-8, viol, 1e-8)
             runner.check("positive-lam%g" % lam, exc.values.min() > 0, exc.values.min())
-            rows = [(grid.nodes[i], domain.boundary_distance(grid.nodes[i]),
-                     exc.values[i]) for i in range(grid.n)]
             runner.write_csv("excessive_lam%g.csv" % lam,
-                             ["x", "boundary_distance", "v"], rows)
+                             ["x", "boundary_distance", "v"],
+                             [grid.nodes, domain.boundary_distance(grid.nodes), exc.values])
             runner.write_json("excessive_radii_lam%g.json" % lam, {
                 "lambda": lam,
                 "radii": exc.radii.tolist(),
@@ -377,14 +370,14 @@ def run(config, out_dir=None):
             config.seed, config.replicas, t_marks=marks, grid=grid,
             burn_in=min(1.0, config.horizon / 10), workers=config.threads)
         top = int(ens.counts_at_marks.max()) + 1
-        rows = []
-        for k, t in enumerate(marks):
-            hist = np.bincount(ens.counts_at_marks[:, k], minlength=top)
-            rows.extend((t, n, hist[n]) for n in range(top))
-        runner.write_csv("reflection_counts.csv", ["t", "n", "paths"], rows)
+        hists = [np.bincount(ens.counts_at_marks[:, k], minlength=top)
+                 for k in range(len(marks))]
+        runner.write_csv("reflection_counts.csv", ["t", "n", "paths"],
+                         [np.repeat(marks, top), np.tile(np.arange(top), len(marks)),
+                          np.concatenate(hists)])
         occ = GridMeasure(grid, np.maximum(ens.occupancy, 0) / ens.occupancy.sum())
         runner.write_csv("occupation.csv", ["x", "mass", "density"],
-                         _measure_rows(grid, occ))
+                         _measure_columns(grid, occ))
         paths = [simulate_ladder(params, domain, mu, _start_point(mu, domain),
                                  min(config.horizon, 50.0), config.dt, config.seed, r)
                  for r in range(min(config.replicas, 50))]
@@ -396,10 +389,12 @@ def run(config, out_dir=None):
             "mean_duration": stats.mean_duration,
         })
         # capped path dump: reflection times and re-entry points
-        dump = [(r, k + 1, path.tau[k], path.R[k])
-                for r, path in enumerate(paths[:10])
-                for k in range(len(path.tau))]
-        runner.write_csv("path_dump.csv", ["replica", "reflection", "tau", "R"], dump)
+        dump = paths[:10]
+        runner.write_csv("path_dump.csv", ["replica", "reflection", "tau", "R"], [
+            np.repeat(np.arange(len(dump)), [len(path.tau) for path in dump]),
+            np.concatenate([np.arange(1, len(path.tau) + 1) for path in dump]),
+            np.concatenate([path.tau for path in dump]),
+            np.concatenate([path.R for path in dump])])
         runner.check("paths-simulated", True, ens.n_paths)
 
     if kind == "chain":
@@ -421,25 +416,25 @@ def run(config, out_dir=None):
         law_g = np.array([law[g].sum() for g in groups])
         tv_emp = total_variation(obs_g / obs_g.sum(), law_g / law_g.sum())
         runner.check("chain-empirical-vs-matrix-tv", tv_emp < 0.05, tv_emp, 0.05)
+        kept, steps = min(2000, chains.shape[0]), chains.shape[1]
         runner.write_csv("chain_samples.csv", ["step", "sample", "x"],
-                         [(k + 1, i, chains[i, k])
-                          for i in range(min(2000, chains.shape[0]))
-                          for k in range(chains.shape[1])])
+                         [np.tile(np.arange(1, steps + 1), kept),
+                          np.repeat(np.arange(kept), steps), chains[:kept].ravel()])
 
     if kind in ("stationary", "full-triangulation"):
         C = chain_kernel(H, mu)
         beta, overlap = dobrushin_coefficient(C, steps=2)
         runner.check("dobrushin-two-step", beta < 1.0, beta, 1.0)
-        p_chain = stationary_p(C)
+        p_chain = stationary_p(C, beta)
         k_cf = kappa_closed_form(p_chain, G)
         k_nv = kappa_generator_nullvector(A)
         measures = {"closed-form": k_cf, "null-vector": k_nv}
         runner.write_csv("p_chain.csv", ["x", "mass", "density"],
-                         _measure_rows(grid, p_chain))
+                         _measure_columns(grid, p_chain))
         runner.write_csv("kappa_closed_form.csv", ["x", "mass", "density"],
-                         _measure_rows(grid, k_cf))
+                         _measure_columns(grid, k_cf))
         runner.write_csv("kappa_null_vector.csv", ["x", "mass", "density"],
-                         _measure_rows(grid, k_nv))
+                         _measure_columns(grid, k_nv))
         if kind == "full-triangulation" and config.replicas > 0:
             ens = simulate_ensemble_blocks(
                 params, domain, mu, _start_law(mu, domain), config.horizon,
@@ -448,7 +443,7 @@ def run(config, out_dir=None):
             k_er = kappa_ergodic(ens, grid)
             measures["ergodic"] = k_er
             runner.write_csv("kappa_ergodic.csv", ["x", "mass", "density"],
-                             _measure_rows(grid, k_er))
+                             _measure_columns(grid, k_er))
         tri = triangulation_report(measures)
         worst = max(tri.values())
         runner.check("triangulation-max-tv", worst <= 0.06, worst, 0.06)

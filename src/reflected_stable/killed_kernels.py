@@ -24,13 +24,15 @@ class GridOperator:
 
     ``entries[i, j]`` maps a grid function f to ``sum_j entries[i, j] f[j]``;
     for kernel-type operators the matrix entry equals the kernel density
-    integrated over cell j.
+    integrated over cell j. ``factors``, when set, is a pair (U, V) with
+    ``entries == U @ V.T``.
     """
 
     grid: object
     entries: np.ndarray
     kind: str
     time: float = None
+    factors: tuple = None
 
     @property
     def n(self):
@@ -73,6 +75,14 @@ def assemble_dirichlet_generator(grid, params):
     return GridOperator(grid=grid, entries=L, kind="generator")
 
 
+def clip_nonnegative(P, what):
+    """Clip a kernel matrix at zero in place; a clip beyond 1e-9 means ``what`` failed."""
+    low = P.min()
+    if low < -1e-9:
+        raise FloatingPointError("%s produced entries below -1e-9 (%g)" % (what, low))
+    return np.clip(P, 0.0, None, out=P)
+
+
 def heat_kernel(L, t):
     """Transition operator exp(t L) of the killed process.
 
@@ -83,11 +93,7 @@ def heat_kernel(L, t):
         raise ValueError("time t must be positive")
     if L.kind != "generator":
         raise ValueError("heat_kernel expects a Dirichlet generator")
-    P = scipy.linalg.expm(t * L.entries)
-    low = P.min()
-    if low < -1e-9:
-        raise FloatingPointError("matrix exponential produced entries below -1e-9 (%g)" % low)
-    np.clip(P, 0.0, None, out=P)
+    P = clip_nonnegative(scipy.linalg.expm(t * L.entries), "matrix exponential")
     return GridOperator(grid=L.grid, entries=P, kind="transition", time=t)
 
 

@@ -61,6 +61,11 @@ class Excursion:
         return np.all(np.isfinite(np.atleast_1d(self.exit_point)))
 
 
+def _require(ok, message):
+    if not ok:
+        raise ValueError(message)
+
+
 @dataclasses.dataclass
 class LadderPath:
     """A simulated trajectory of the reflected process up to a horizon.
@@ -80,20 +85,20 @@ class LadderPath:
         return int(np.searchsorted(self.tau, t, side="right"))
 
     def validate(self, domain):
-        """Check the structural invariants; raises AssertionError on failure."""
-        assert np.all(np.diff(self.tau) > 0), "reflection times must increase strictly"
-        assert np.all(np.isfinite(self.tau)), "recorded reflection times must be finite"
-        assert len(self.tau) == len(self.R)
-        assert np.all(domain.contains(np.asarray(self.R))), "re-entry points must lie in D"
+        """Check the structural invariants; raises ValueError on failure."""
+        _require(np.all(np.diff(self.tau) > 0), "reflection times must increase strictly")
+        _require(np.all(np.isfinite(self.tau)), "recorded reflection times must be finite")
+        _require(len(self.tau) == len(self.R), "one re-entry point is needed per reflection")
+        _require(np.all(domain.contains(np.asarray(self.R))), "re-entry points must lie in D")
         for seg in self.segments:
             if seg.completed:
-                assert not np.any(domain.contains(np.atleast_1d(seg.exit_point))), \
-                    "exit points must lie outside D"
-                assert np.all(domain.contains(np.atleast_1d(seg.entry_point))), \
-                    "re-entry points must lie in D"
+                _require(not np.any(domain.contains(np.atleast_1d(seg.exit_point))),
+                         "exit points must lie outside D")
+                _require(np.all(domain.contains(np.atleast_1d(seg.entry_point))),
+                         "re-entry points must lie in D")
             if seg.positions is not None and len(seg.positions):
                 inside = domain.contains(seg.positions[:-1] if seg.completed else seg.positions)
-                assert np.all(inside), "interior positions must lie in D"
+                _require(np.all(inside), "interior positions must lie in D")
         return True
 
 

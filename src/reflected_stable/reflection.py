@@ -196,9 +196,9 @@ class ReflectionKernel:
         """Partition of the exterior on which z -> mu(z, .) is constant.
 
         Returns a list of (piece, representative z) with pieces covering the
-        complement, or None when no such finite partition exists.
+        complement. The perturbation operator requires it.
         """
-        return None
+        raise NotImplementedError
 
 
 class ConstantKernel(ReflectionKernel):

@@ -90,14 +90,17 @@ def dobrushin_coefficient(op, steps=2):
     return beta, min_overlap
 
 
-def stationary_p(chain, tol=1e-12, max_iter=100000):
+def stationary_p(chain, beta=None, tol=1e-12, max_iter=100000):
     """Stationary law of the reflection chain by power iteration.
 
     Iterates from the uniform start until successive total variation drops
     below ``tol``; verifies the fixed point within twice the tolerance and
     that the empirical per-step rate does not exceed the square root of the
-    measured two-step contraction coefficient (with slack).
+    two-step contraction coefficient ``beta`` (with slack). ``beta`` is
+    measured here when the caller has not already done so.
     """
+    if beta is None:
+        beta, _ = dobrushin_coefficient(chain, steps=2)
     C = chain.entries
     n = chain.grid.n
     p = np.full(n, 1.0 / n)
@@ -113,7 +116,6 @@ def stationary_p(chain, tol=1e-12, max_iter=100000):
         if delta < tol:
             break
     else:
-        beta, _ = dobrushin_coefficient(chain, steps=2)
         raise StationaryError(
             "power iteration did not converge (last delta %.3g, two-step "
             "contraction %.4g)" % (delta, beta)
@@ -121,7 +123,6 @@ def stationary_p(chain, tol=1e-12, max_iter=100000):
     fixed_err = total_variation(p @ C, p)
     if fixed_err > 2 * tol:
         raise StationaryError("fixed point violated: TV=%.3g > 2 tol" % fixed_err)
-    beta, _ = dobrushin_coefficient(chain, steps=2)
     tail_rates = [r for r in rates[-20:] if r > 0]
     if tail_rates:
         rate = float(np.median(tail_rates))

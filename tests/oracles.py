@@ -8,7 +8,7 @@ paths under test.
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.linalg import eigh
+from scipy.linalg import eigh, expm
 from scipy.special import gammaln, hyp2f1
 
 
@@ -72,6 +72,23 @@ class SpectralHeat:
 
     def at(self, t):
         return (self.V * np.exp(t * self.w)) @ self.V.T
+
+
+def series_levels_by_block_expm(L_entries, M_entries, t, levels):
+    """Levels 0..levels-1 of the reflected series from one big exponential.
+
+    The k-fold time convolution of exp(sL) with M is the (0, k) block of
+    the exponential of the block-bidiagonal matrix with L on the diagonal
+    and M above it.
+    """
+    n = L_entries.shape[0]
+    big = np.zeros((levels * n, levels * n))
+    for b in range(levels):
+        big[b * n:(b + 1) * n, b * n:(b + 1) * n] = L_entries
+        if b + 1 < levels:
+            big[b * n:(b + 1) * n, (b + 1) * n:(b + 2) * n] = M_entries
+    top = expm(t * big)[:n]
+    return [top[:, k * n:(k + 1) * n] for k in range(levels)]
 
 
 def chi2_merge(observed, probs, min_expected=5.0):

@@ -1,10 +1,11 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
-from reflected_stable.cli_report import (ConfigError, default_config, describe, main,
-                                         parse_config, run)
+from reflected_stable.cli_report import (ConfigError, _Run, default_config, describe,
+                                         main, parse_config, run)
 
 
 def small_config(**over):
@@ -52,6 +53,38 @@ def test_describe_lists_stages():
     assert text.count("\n  ") == 6
     cfg2 = parse_config(dict(default_config(), kind="chain"))
     assert "stages (3):" in describe(cfg2)
+
+
+def _per_value_csv(header, columns):
+    """Reference CSV text: every value formatted on its own."""
+    def fmt(x):
+        if isinstance(x, (int, np.integer)):
+            return str(int(x))
+        return "%.17g" % float(x)
+
+    lines = [",".join(header)]
+    lines += [",".join(fmt(v) for v in row) for row in zip(*columns)]
+    return "\n".join(lines) + "\n"
+
+
+def test_write_csv_matches_per_value_format(tmp_path):
+    rng = np.random.default_rng(5)
+    floats = rng.standard_normal(200) * 10.0 ** rng.integers(-300, 300, 200)
+    floats[:6] = [0.0, -0.0, 1e-320, np.inf, np.nan, 0.1]
+    tables = {
+        "floats.csv": (["x", "y", "density"],
+                       [floats, np.repeat(floats[:20], 10), np.tile(floats[:10], 20)]),
+        "mixed.csv": (["replica", "t", "n", "paths", "R"],
+                      [np.repeat(np.arange(20), 10), np.repeat([0.1, 2.0], 100),
+                       np.tile(np.arange(10), 20), rng.integers(0, 2 ** 62, 200),
+                       floats[::-1]]),
+        "empty.csv": (["step", "x"], [np.arange(0), np.zeros(0)]),
+    }
+    runner = _Run(parse_config(default_config()), str(tmp_path))
+    for name, (header, columns) in tables.items():
+        path = runner.write_csv(name, header, columns)
+        with open(path, "rb") as fh:
+            assert fh.read() == _per_value_csv(header, columns).encode(), name
 
 
 def test_run_semigroup_check(tmp_path):

@@ -101,6 +101,30 @@ def test_ladder_counts_and_invariants(wb):
     assert len(path.tau) > 10
 
 
+def test_ladder_validate_raises_on_corrupted_paths(wb):
+    import dataclasses
+    path = simulate_ladder(wb.params(1.0), wb.domain, wb.mu("uniform"), 0.0, 10.0, 1e-3,
+                           seed=8, replica=1, store_positions=True)
+    assert len(path.tau) > 3
+    corrupt = [
+        dict(tau=path.tau[::-1]),
+        dict(tau=np.where(np.arange(len(path.tau)) == 1, np.inf, path.tau)),
+        dict(R=path.R[:-1]),
+        dict(R=np.where(np.arange(len(path.R)) == 0, 5.0, path.R)),
+    ]
+    for change in corrupt:
+        with pytest.raises(ValueError):
+            dataclasses.replace(path, **change).validate(wb.domain)
+    seg = next(s for s in path.segments if s.completed)
+    for field, value in (("exit_point", 0.0), ("entry_point", 5.0)):
+        bad = dataclasses.replace(path, segments=[dataclasses.replace(seg, **{field: value})])
+        with pytest.raises(ValueError):
+            bad.validate(wb.domain)
+    moved = dataclasses.replace(seg, positions=np.append(5.0, seg.positions))
+    with pytest.raises(ValueError):
+        dataclasses.replace(path, segments=[moved]).validate(wb.domain)
+
+
 def test_ladder_reproducibility(wb):
     p = wb.params(1.0)
     mu = wb.mu("projection")

@@ -2,15 +2,17 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from reflected_stable.geometry import exterior_shell
-from reflected_stable.killed_kernels import heat_kernel, killing_intensity, resolvent_u
+from reflected_stable.geometry import IntervalUnion, build_grid, exterior_shell
+from reflected_stable.killed_kernels import (GridOperator, assemble_dirichlet_generator,
+                                             heat_kernel, killing_intensity, resolvent_u)
 from reflected_stable.perturbation import (ConservationError, SeriesError,
                                            build_excessive, duhamel_series,
                                            ladder_kernel, ladder_lift,
                                            ladder_supermedian_violation,
-                                           reflected_kernel, supermedian_v,
-                                           supermedian_violation)
-from reflected_stable.reflection import default_probes
+                                           perturbation_matrix, reflected_kernel,
+                                           supermedian_v, supermedian_violation)
+from reflected_stable.reflection import (ReflectionKernel, default_probes,
+                                         make_projection_kernel)
 
 import oracles
 
@@ -34,6 +36,45 @@ def test_perturbation_matrix_dirac_single_column(wb):
     j0 = M.grid.cell_index(np.array([0.3]))[0]
     nz = np.flatnonzero(M.entries.sum(axis=0))
     assert np.array_equal(nz, [j0])
+
+
+def test_perturbation_matrix_requires_z_pieces(wb):
+    class SmoothReturn(ReflectionKernel):
+        domain = wb.domain
+
+    ops = wb.ops(1.0)
+    with pytest.raises(SeriesError, match="SmoothReturn"):
+        perturbation_matrix(ops["grid"], ops["params"], SmoothReturn())
+    M = wb.M(1.0, "uniform")
+    bare = GridOperator(grid=M.grid, entries=M.entries, kind="perturbation")
+    with pytest.raises(SeriesError):
+        duhamel_series(ops["L"], bare, 0.5)
+
+
+UNION = IntervalUnion([[-1.0, -0.2], [0.1, 1.0]])
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
+def test_series_levels_match_block_exponential(wb, alpha):
+    # levels 0-4 against the (0, k) blocks of one block-bidiagonal expm, on
+    # the interval with every return family and on a two-interval union
+    params = wb.params(alpha)
+    cases = [(wb.domain, wb.mu(name)) for name in ("uniform", "dirac", "projection")]
+    cases.append((UNION, make_projection_kernel(UNION, 0.2, 0.1)))
+    for domain, mu in cases:
+        grid = build_grid(domain, 120)
+        L = assemble_dirichlet_generator(grid, params)
+        M = perturbation_matrix(grid, params, mu)
+        U, V = M.factors
+        assert np.abs(U @ V.T - M.entries).max() <= 1e-12 * M.entries.max()
+        assert np.abs(U.sum(axis=1) - killing_intensity(params, domain, grid.nodes)).max() \
+            <= 1e-12 * U.max()
+        for t in (0.1, 2.0):
+            ser = duhamel_series(L, M, t)
+            exact = oracles.series_levels_by_block_expm(L.entries, M.entries, t, 5)
+            for n in range(5):
+                gap = np.abs(ser.terms[n] - exact[n]).max()
+                assert gap <= 1e-10, (domain, type(mu).__name__, t, n, gap)
 
 
 def test_series_level_zero_is_heat_kernel(wb):
