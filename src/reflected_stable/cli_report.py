@@ -21,7 +21,7 @@ import scipy
 import scipy.linalg
 
 from . import __version__
-from .geometry import Ball, Interval, IntervalUnion, build_grid
+from .geometry import DomainError, Interval, IntervalUnion, build_grid
 from .killed_kernels import assemble_dirichlet_generator, green_operator, \
     harmonic_kernel
 from .pathsim import excursion_statistics, reflection_chain, simulate_ensemble_blocks, \
@@ -178,7 +178,10 @@ def build_domain(spec):
         if kind == "interval":
             return Interval(spec["a"], spec["b"])
         if kind == "ball":
-            return Ball(spec["center"], spec["radius"])
+            center = np.atleast_1d(np.asarray(spec["center"], dtype=float))
+            if center.shape != (1,):
+                raise DomainError("the CLI runs d=1: a ball center needs one coordinate")
+            return Interval(center[0] - spec["radius"], center[0] + spec["radius"])
         return IntervalUnion(spec["intervals"])
     except KeyError as exc:
         raise ConfigError("domain.%s" % exc.args[0], "missing") from exc
@@ -475,10 +478,12 @@ def run(config, out_dir=None):
 
 
 def _start_law(mu, domain):
+    """The kernel's fixed law, else uniform on the middle half of the start point's component."""
     if hasattr(mu, "m"):
         return mu.m
-    lo, hi = domain.bounding_box
-    return UniformMeasure(lo + 0.25 * (hi - lo), hi - 0.25 * (hi - lo))
+    x0 = _start_point(mu, domain)
+    a, b = next(iv for iv in domain.intervals if iv[0] < x0 < iv[1])
+    return UniformMeasure(a + 0.25 * (b - a), b - 0.25 * (b - a))
 
 
 def _start_point(mu, domain):

@@ -86,33 +86,8 @@ class Domain:
         raise NotImplementedError
 
 
-class Interval(Domain):
-    """Open interval (a, b)."""
-
-    def __init__(self, a, b):
-        if not (np.isfinite(a) and np.isfinite(b) and a < b):
-            raise DomainError("interval requires finite a < b")
-        self.a, self.b = float(a), float(b)
-        self.intervals = np.array([[self.a, self.b]])
-        self.bounding_box = (self.a, self.b)
-
-    def contains(self, x):
-        x = np.asarray(x, dtype=float)
-        return (x > self.a) & (x < self.b)
-
-    def boundary_distance(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.minimum(np.abs(x - self.a), np.abs(x - self.b))
-
-    def measure(self):
-        return self.b - self.a
-
-    def __repr__(self):
-        return "Interval(%g, %g)" % (self.a, self.b)
-
-
 class IntervalUnion(Domain):
-    """Open union of finitely many disjoint intervals (the grid1d family)."""
+    """Open union of finitely many disjoint intervals: the 1-D domain."""
 
     def __init__(self, intervals):
         arr = np.atleast_2d(np.asarray(intervals, dtype=float))
@@ -126,7 +101,7 @@ class IntervalUnion(Domain):
         if np.any(arr[1:, 0] < arr[:-1, 1]):
             raise DomainError("intervals must be disjoint")
         self.intervals = arr
-        self.bounding_box = (arr[0, 0], arr[-1, 1])
+        self.bounding_box = (float(arr[0, 0]), float(arr[-1, 1]))
 
     def contains(self, x):
         x = np.asarray(x, dtype=float)
@@ -147,16 +122,35 @@ class IntervalUnion(Domain):
         return "IntervalUnion(%s)" % (self.intervals.tolist(),)
 
 
+class Interval(IntervalUnion):
+    """Open interval (a, b): the one-piece IntervalUnion."""
+
+    def __init__(self, a, b):
+        if not (np.isfinite(a) and np.isfinite(b) and a < b):
+            raise DomainError("interval requires finite a < b")
+        self.a, self.b = float(a), float(b)
+        super().__init__([[self.a, self.b]])
+
+    def contains(self, x):
+        # two comparisons instead of the union loop: the per-step hot path
+        x = np.asarray(x, dtype=float)
+        return (x > self.a) & (x < self.b)
+
+    def __repr__(self):
+        return "Interval(%g, %g)" % (self.a, self.b)
+
+
 class Ball(Domain):
-    """Open ball in R^d."""
+    """Open ball in R^d, d >= 2; the 1-D ball is the Interval(c - r, c + r)."""
 
     def __init__(self, center, radius):
         self.center = np.atleast_1d(np.asarray(center, dtype=float))
+        if self.center.size < 2:
+            raise DomainError("a 1-D ball is the interval: use Interval(c - r, c + r)")
         if radius <= 0:
             raise DomainError("ball requires radius > 0")
         self.radius = float(radius)
         self.d = self.center.size
-        self.bounding_box = (self.center - radius, self.center + radius)
 
     def contains(self, x):
         x = np.asarray(x, dtype=float)
@@ -164,11 +158,7 @@ class Ball(Domain):
 
     def boundary_distance(self, x):
         x = np.asarray(x, dtype=float)
-        if x.ndim <= 1 and self.d == 1:
-            r = np.abs(x - self.center[0])
-        else:
-            r = np.linalg.norm(x - self.center, axis=-1)
-        return np.abs(r - self.radius)
+        return np.abs(np.linalg.norm(x - self.center, axis=-1) - self.radius)
 
     def measure(self):
         from scipy.special import gamma
@@ -216,7 +206,7 @@ def exterior_shell(domain, r):
     """
     if r <= 0:
         raise ValueError("shell depth r must be positive")
-    if isinstance(domain, Ball) and domain.d >= 2:
+    if isinstance(domain, Ball):
         return AnnularShell(domain.center, domain.radius, domain.radius + r)
     ivs = _intervals_of(domain)
     near = Region1D([(e - r, e + r) for e in ivs.ravel()])
@@ -224,11 +214,8 @@ def exterior_shell(domain, r):
 
 
 def _intervals_of(domain):
-    if isinstance(domain, (Interval, IntervalUnion)):
+    if isinstance(domain, IntervalUnion):
         return domain.intervals
-    if isinstance(domain, Ball) and domain.d == 1:
-        c, r = domain.center[0], domain.radius
-        return np.array([[c - r, c + r]])
     raise DomainError("operation needs a 1-D domain, got %r" % (domain,))
 
 

@@ -14,7 +14,7 @@ import dataclasses
 import numpy as np
 import scipy.linalg
 
-from .geometry import Region1D, _intervals_of, build_grid, exterior_complement
+from .geometry import Region1D, build_grid, exterior_complement
 from .stable_core import levy_interval_mass
 
 
@@ -121,12 +121,7 @@ class HarmonicKernel:
 
     def nu_vector(self, region):
         """Exact jump-kernel masses nu(x_v, region) at all nodes."""
-        out = np.zeros(self.grid.n)
-        ext = exterior_complement(self.grid.domain)
-        reg = region.intersect(ext)
-        for a, b in reg.pieces:
-            out += levy_interval_mass(self.params, self.grid.nodes, a, b)
-        return out
+        return exterior_nu_vector(self.params, self.grid, region)
 
     def masses(self, region):
         """Vector over nodes of the exit probability into the region.
@@ -136,7 +131,7 @@ class HarmonicKernel:
         """
         if isinstance(region, Region1D):
             for a, b in region.pieces:
-                for da, db in _intervals_of(self.grid.domain):
+                for da, db in self.grid.domain.intervals:
                     if min(b, db) - max(a, da) > 0:
                         raise ValueError(
                             "region piece (%g, %g) enters the domain" % (a, b))
@@ -224,6 +219,14 @@ def exterior_nu_vector(params, grid, g, cutoff_factor=50.0, n_gauss=12):
     return out
 
 
+def _discounted_solve(op, lam, g, params):
+    """Solve ``(lam I - op) x = b``, b the jump-kernel integral of g over the complement."""
+    if lam <= 0:
+        raise ValueError("lambda must be positive")
+    b = exterior_nu_vector(params, op.grid, g)
+    return scipy.linalg.solve(lam * np.eye(op.n) - op.entries, b)
+
+
 def resolvent_u(L, lam, g, params):
     """Expected discounted boundary payoff of the killed process.
 
@@ -231,13 +234,9 @@ def resolvent_u(L, lam, g, params):
     g over the complement; u approximates the expectation of
     ``exp(-lam tau) g(exit point)``.
     """
-    if lam <= 0:
-        raise ValueError("lambda must be positive")
     if L.kind != "generator":
         raise ValueError("resolvent_u expects a Dirichlet generator")
-    b = exterior_nu_vector(params, L.grid, g)
-    n = L.grid.n
-    return scipy.linalg.solve(lam * np.eye(n) - L.entries, b)
+    return _discounted_solve(L, lam, g, params)
 
 
 def default_operators(params, domain, n_cells):

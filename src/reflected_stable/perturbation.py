@@ -15,8 +15,8 @@ import numpy as np
 import scipy.linalg
 
 from .geometry import exterior_shell
-from .killed_kernels import (GridOperator, clip_nonnegative, exterior_nu_vector,
-                             heat_kernel, killing_intensity)
+from .killed_kernels import (GridOperator, _discounted_solve, clip_nonnegative,
+                             exterior_nu_vector, heat_kernel, killing_intensity)
 from .stable_core import levy_interval_mass
 
 # nodes of the fixed Talbot contour; its round-off grows like exp(2J/5) eps
@@ -304,11 +304,7 @@ def supermedian_v(A, lam, g, params):
     the complement; v dominates the killed analogue and is lam-supermedian
     for the reflected kernel.
     """
-    if lam <= 0:
-        raise ValueError("lambda must be positive")
-    b = exterior_nu_vector(params, A.grid, g)
-    nsz = A.grid.n
-    return scipy.linalg.solve(lam * np.eye(nsz) - A.entries, b)
+    return _discounted_solve(A, lam, g, params)
 
 
 def supermedian_violation(A, lam, h, times):

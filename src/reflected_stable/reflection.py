@@ -10,7 +10,7 @@ import dataclasses
 
 import numpy as np
 
-from .geometry import Region1D, exterior_complement, _intervals_of
+from .geometry import Region1D, exterior_complement
 
 
 class KernelError(ValueError):
@@ -24,8 +24,8 @@ class UniformMeasure:
     """Uniform probability measure on a subinterval (a, b)."""
 
     def __init__(self, a, b):
-        if not a < b:
-            raise KernelError("uniform measure needs a < b")
+        if not (np.isfinite(a) and np.isfinite(b) and a < b):
+            raise KernelError("uniform measure needs finite a < b")
         self.a, self.b = float(a), float(b)
 
     def total_mass(self):
@@ -54,6 +54,8 @@ class AtomMeasure:
 
     def __init__(self, points, weights=None):
         self.points = np.atleast_1d(np.asarray(points, dtype=float))
+        if not np.all(np.isfinite(self.points)):
+            raise KernelError("atoms must be finite points")
         if weights is None:
             weights = np.full(self.points.shape[0], 1.0 / self.points.shape[0])
         self.weights = np.asarray(weights, dtype=float)
@@ -210,6 +212,12 @@ class ConstantKernel(ReflectionKernel):
         total = m.total_mass()
         if abs(total - 1.0) > 1e-10:
             raise KernelError("measure not normalized: total mass %.12g" % total)
+        if domain.d == 1:
+            # the complement is closed, so an atom on the boundary is outside
+            outside = m.mass(exterior_complement(domain))
+            if outside > 0:
+                raise KernelError("law puts mass %.6g outside the open domain %r"
+                                  % (outside, domain))
         if witness is None:
             self.witness_H, self.witness_theta = m.default_witness()
         else:
@@ -250,7 +258,7 @@ class ProjectionKernel(ReflectionKernel):
             raise KernelError("projection kernel is implemented for 1-D domains")
         self.domain = domain
         self.depth, self.width = float(depth), float(width)
-        ivs = _intervals_of(domain)
+        ivs = domain.intervals
         min_len = np.min(ivs[:, 1] - ivs[:, 0])
         if not (0 < width and width / 2.0 < depth and depth + width / 2.0 < min_len / 2.0):
             raise KernelError(
@@ -325,8 +333,9 @@ def make_constant_kernel(domain, m, witness=None):
     """Constant return kernel with law ``m`` regardless of the exit point.
 
     ``m`` may be a UniformMeasure, AtomMeasure, GridDensityMeasure, or
-    BallUniformMeasure. The witness defaults to a compact set carrying at
-    least half of the mass of ``m``.
+    BallUniformMeasure. On a 1-D domain ``m`` must carry no mass outside
+    open D (boundary atoms included), else KernelError. The witness defaults
+    to a compact set carrying at least half of the mass of ``m``.
     """
     return ConstantKernel(domain, m, witness=witness)
 
@@ -360,7 +369,8 @@ def default_probes(domain, cutoff_factor=100.0):
     complement; built-in kernel families are constant beyond that by
     construction, which supplies the tail argument.
     """
-    ivs = _intervals_of(domain)
+    ext = exterior_complement(domain)
+    ivs = domain.intervals
     lo, hi = ivs[0, 0], ivs[-1, 1]
     diam = hi - lo
     probes = []
@@ -371,7 +381,6 @@ def default_probes(domain, cutoff_factor=100.0):
     for k in range(len(ivs) - 1):
         a, b = ivs[k, 1], ivs[k + 1, 0]
         probes.extend([a, 0.25 * a + 0.75 * b, 0.5 * (a + b), b])
-    ext = exterior_complement(domain)
     probes = np.array(sorted(set(float(p) for p in probes)))
     return probes[ext.contains(probes)]
 

@@ -174,7 +174,6 @@ def kappa_generator_nullvector(A, tol=1e-12, t_checks=(0.5, 2.0), check_tol=1e-6
         v = w
     kappa = np.abs(v)
     kappa = kappa / kappa.sum()
-    resid = np.abs(kappa @ A.entries).max()
     sv = np.linalg.svd(A.entries, compute_uv=False)
     if sv[-2] < 1e3 * sv[-1] + 1e-12:
         raise StationaryError(
@@ -185,7 +184,6 @@ def kappa_generator_nullvector(A, tol=1e-12, t_checks=(0.5, 2.0), check_tol=1e-6
         P = scipy.linalg.expm(t * A.entries)
         if total_variation(kappa @ P, kappa) > check_tol:
             raise StationaryError("null vector not invariant under exp(tA) at t=%g" % t)
-    _ = resid
     return GridMeasure(grid=A.grid, masses=kappa)
 
 

@@ -4,8 +4,9 @@ import os
 import numpy as np
 import pytest
 
-from reflected_stable.cli_report import (ConfigError, _Run, default_config, describe,
-                                         main, parse_config, run)
+from reflected_stable.cli_report import (KINDS, ConfigError, _Run, _start_law,
+                                         build_domain, build_mu, default_config,
+                                         describe, main, parse_config, run)
 
 
 def small_config(**over):
@@ -155,6 +156,60 @@ def test_byte_identical_reruns_and_threads(tmp_path):
     assert m1["outputs"] == m2["outputs"]
     assert m1["checks"] == m2["checks"]
     assert m1["seed"] == m2["seed"]
+
+
+INTERVAL = {"kind": "interval", "a": -1.0, "b": 1.0}
+UNION = {"kind": "grid1d", "intervals": [[-1.0, -0.2], [0.1, 1.0]]}
+INTERVAL_MUS = {
+    "constant-uniform": {"family": "constant-uniform", "a": -0.5, "b": 0.5},
+    "dirac": {"family": "dirac", "point": 0.3},
+    "projection": {"family": "projection", "depth": 0.3, "width": 0.2},
+}
+SWEEP = {
+    "interval": (INTERVAL, INTERVAL_MUS),
+    "ball": ({"kind": "ball", "center": [0.0], "radius": 1.0}, INTERVAL_MUS),
+    "grid1d": (UNION, {
+        "constant-uniform": {"family": "constant-uniform", "a": 0.3, "b": 0.8},
+        "dirac": {"family": "dirac", "point": 0.5},
+        "projection": {"family": "projection", "depth": 0.2, "width": 0.1},
+    }),
+}
+
+
+@pytest.mark.parametrize("family", sorted(INTERVAL_MUS))
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("domain", sorted(SWEEP))
+def test_config_sweep_runs(domain, kind, family, tmp_path):
+    spec, mus = SWEEP[domain]
+    cfg = parse_config(small_config(kind=kind, domain=spec, mu=mus[family],
+                                    horizon=60.0, out_dir=str(tmp_path)))
+    code, manifest = run(cfg)
+    assert code == 0, [c for c in manifest["checks"] if not c["passed"]]
+
+
+@pytest.mark.parametrize("domain, mu, field", [
+    (UNION, INTERVAL_MUS["constant-uniform"], "mu"),   # uniform over the gap
+    (INTERVAL, {"family": "dirac", "point": 5.0}, "mu"),
+    (INTERVAL, {"family": "dirac", "point": 1.0}, "mu"),   # atom on the boundary
+    (INTERVAL, {"family": "dirac", "point": None}, "mu"),
+    ({"kind": "ball", "center": [0.0, 0.0], "radius": 1.0}, INTERVAL_MUS["dirac"],
+     "domain"),
+])
+def test_unrunnable_domain_or_law_exits_2(domain, mu, field, tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(small_config(domain=domain, mu=mu,
+                                                out_dir=str(tmp_path / "o"))))
+    for kind in KINDS:
+        assert main(["--config", str(cfg_path), "--kind", kind]) == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"].startswith("config field '%s'" % field), err
+
+
+def test_union_start_law_lies_in_domain():
+    domain = build_domain(UNION)
+    mu = build_mu(SWEEP["grid1d"][1]["projection"], domain)
+    starts = _start_law(mu, domain).sample(np.random.default_rng(3), size=10000)
+    assert domain.contains(starts).all()
 
 
 def test_main_cli_flags(tmp_path, capsys):

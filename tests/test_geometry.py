@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reflected_stable.geometry import (Ball, DomainError, Interval, IntervalUnion,
-                                       Region1D, boundary_distance, build_grid,
-                                       exterior_complement, exterior_shell)
+from reflected_stable.geometry import (AnnularShell, Ball, DomainError, Interval,
+                                       IntervalUnion, Region1D, boundary_distance,
+                                       build_grid, exterior_complement, exterior_shell)
 from reflected_stable.stable_core import StableParams, levy_interval_mass
 
 
@@ -37,6 +37,30 @@ def test_union_validation():
     assert U.measure() == pytest.approx(1.6)
     assert not U.contains(0.0)
     assert boundary_distance(U, 0.0) == pytest.approx(0.2)
+
+
+def test_interval_is_the_one_piece_union():
+    D, U = Interval(-1.0, 1.0), IntervalUnion([[-1.0, 1.0]])
+    assert isinstance(D, IntervalUnion)
+    x = np.linspace(-2.0, 2.0, 41)
+    assert np.array_equal(D.contains(x), U.contains(x))
+    assert np.array_equal(D.boundary_distance(x), U.boundary_distance(x))
+    assert np.array_equal(D.intervals, U.intervals)
+    assert D.measure() == U.measure() == 2.0
+    assert D.bounding_box == U.bounding_box == (-1.0, 1.0)
+    assert all(type(v) is float for v in D.bounding_box + U.bounding_box)
+    # the interval keeps its two-comparison contains; tracers wrap each class's own
+    for cls in (Interval, IntervalUnion, Ball):
+        assert "contains" in cls.__dict__
+
+
+def test_ball_needs_two_or_more_dimensions():
+    for center in ([0.0], 0.0):
+        with pytest.raises(DomainError, match=r"Interval\(c - r, c \+ r\)"):
+            Ball(center, 1.0)
+    assert isinstance(exterior_shell(Ball([0.0, 0.0], 1.0), 0.5), AnnularShell)
+    with pytest.raises(DomainError):
+        exterior_complement(Ball([0.0, 0.0], 1.0))
 
 
 @settings(max_examples=60, deadline=None)

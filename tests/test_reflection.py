@@ -25,6 +25,26 @@ def test_constant_kernel_rejects_unnormalized():
         make_constant_kernel(D, GridDensityMeasure(grid, masses))
 
 
+def test_constant_kernel_rejects_mass_outside_open_domain():
+    U = IntervalUnion([[-1.0, -0.2], [0.1, 1.0]])
+    for dom, m in ((U, UniformMeasure(-0.5, 0.5)),   # covers the gap
+                   (D, UniformMeasure(0.5, 1.5)),
+                   (D, AtomMeasure([5.0])),
+                   (D, AtomMeasure([1.0])),          # atom on the boundary
+                   (D, AtomMeasure([0.0, -1.0], [0.5, 0.5]))):
+        with pytest.raises(KernelError, match="outside the open domain"):
+            make_constant_kernel(dom, m)
+    with pytest.raises(KernelError):
+        UniformMeasure(-np.inf, 0.5)
+    with pytest.raises(KernelError):
+        AtomMeasure([np.nan])
+    # boundary contact of measure zero is admissible
+    make_constant_kernel(D, UniformMeasure(-1.0, 1.0))
+    make_constant_kernel(U, UniformMeasure(0.1, 1.0))
+    grid = build_grid(U, 20)
+    make_constant_kernel(U, GridDensityMeasure(grid, np.full(20, 0.05)))
+
+
 def test_dirac_kernel():
     mu = make_constant_kernel(D, AtomMeasure([0.3]))
     assert mu.mass(2.0, Region1D([(0.3, 0.3)])) == 1.0
