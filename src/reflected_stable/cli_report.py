@@ -118,6 +118,10 @@ def default_config():
     }
 
 
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def parse_config(raw):
     """Validate a raw config dict; raises ConfigError naming bad fields."""
     base = default_config()
@@ -136,8 +140,8 @@ def parse_config(raw):
         raise ConfigError("params", "need d and alpha")
     if not (isinstance(pr["d"], int) and pr["d"] >= 1):
         raise ConfigError("params.d", "must be a positive integer")
-    if not (0.0 < pr["alpha"] < 2.0):
-        raise ConfigError("params.alpha", "stability index must lie in (0, 2)")
+    if not (_is_number(pr["alpha"]) and 0.0 < pr["alpha"] < 2.0):
+        raise ConfigError("params.alpha", "stability index must be a number in (0, 2)")
     dom = cfg["domain"]
     if not isinstance(dom, dict) or "kind" not in dom:
         raise ConfigError("domain", "need a kind")
@@ -153,11 +157,12 @@ def parse_config(raw):
         if not isinstance(cfg[field], int) or cfg[field] < low:
             raise ConfigError(field, "must be an integer >= %d" % low)
     for field in ("dt", "horizon"):
-        if not (isinstance(cfg[field], (int, float)) and cfg[field] > 0):
+        if not (_is_number(cfg[field]) and cfg[field] > 0):
             raise ConfigError(field, "must be positive")
     for field in ("lambda_list", "t_list"):
         vals = cfg[field]
-        if not (isinstance(vals, list) and vals and all(v > 0 for v in vals)):
+        if not (isinstance(vals, list) and vals
+                and all(_is_number(v) and v > 0 for v in vals)):
             raise ConfigError(field, "must be a nonempty list of positive numbers")
     if not isinstance(cfg["out_dir"], str) or not cfg["out_dir"]:
         raise ConfigError("out_dir", "must be a nonempty string")
@@ -185,7 +190,7 @@ def build_domain(spec):
         return IntervalUnion(spec["intervals"])
     except KeyError as exc:
         raise ConfigError("domain.%s" % exc.args[0], "missing") from exc
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError("domain", str(exc)) from exc
 
 
@@ -199,7 +204,7 @@ def build_mu(spec, domain):
         return make_projection_kernel(domain, spec["depth"], spec["width"])
     except KeyError as exc:
         raise ConfigError("mu.%s" % exc.args[0], "missing") from exc
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError("mu", str(exc)) from exc
 
 

@@ -245,9 +245,31 @@ class Grid:
         return len(self.nodes)
 
     def cell_index(self, x):
-        """Index of the cell containing each point (nearest cell if outside)."""
+        """Index of the cell containing each point (nearest cell if outside).
+
+        Always equals ``searchsorted(cells[:, 0], x, side="right") - 1``
+        clipped to ``[0, n - 1]``, so nan and +inf land in the last cell and
+        -inf in the first. On a one-interval grid the cells share one width
+        h, and the index is ``floor((x - a) / h)`` corrected by at most one
+        cell against the cell edges, O(1) per point; an interval union keeps
+        the binary search.
+        """
         x = np.asarray(x, dtype=float)
-        idx = np.searchsorted(self.cells[:, 0], x, side="right") - 1
+        if len(self.domain.intervals) > 1:
+            idx = np.searchsorted(self.cells[:, 0], x, side="right") - 1
+            return np.clip(idx, 0, self.n - 1)
+        a, b = self.domain.intervals[0]
+        guess = np.subtract(x, a, out=np.empty(x.shape))
+        with np.errstate(over="ignore"):
+            guess *= self.n / (b - a)
+        # fmin sends nan to the last cell, as the binary search does; the
+        # clamped guess is >= 0, so the integer cast is its floor
+        np.fmin(guess, self.n - 1, out=guess)
+        np.maximum(guess, 0, out=guess)
+        idx = guess.astype(np.intp)
+        idx -= self.cells[:, 0].take(idx) > x
+        # idx is -1 only for x < a, and cells[-1, 1] = b > x keeps it there
+        idx += self.cells[:, 1].take(idx) <= x
         return np.clip(idx, 0, self.n - 1)
 
 

@@ -1,11 +1,13 @@
 """Monte Carlo simulation of the reflected process and its reflection chain.
 
-Random streams are counter-based (Philox) and keyed by (seed, replica,
+Random streams are counter-based (Philox; Salmon et al., SC'11) and keyed
+by tuples of integers. A ladder path keys its excursions by (seed, replica,
 excursion), with a separate sub-stream for the re-entry draw of each
-excursion, so results are bit-identical regardless of chunk sizes, worker
-counts, or scheduling. Batch estimators advance all replicas in lockstep
-from a single keyed stream; their outputs are deterministic functions of
-(seed, n_paths, dt).
+excursion, so it does not depend on internal chunk sizes. The lockstep
+ensemble cuts time into chunks of at most 1024 steps and 2**20 path
+positions, and keys each chunk's increments and re-entries by (seed, block,
+chunk). Every result is thus a deterministic function of its seed, its
+sizes, the time step and the horizon, whatever the worker or thread count.
 """
 
 import dataclasses
@@ -16,6 +18,9 @@ from .stable_core import sample_ball_exit_radius, sample_stable_increment, _unit
 
 
 _MASK = (1 << 64) - 1
+# lockstep ensemble chunks: at most this many steps and path positions
+_CHUNK_STEPS = 1024
+_CHUNK_POSITIONS = 2 ** 20
 
 
 def _splitmix(x):
@@ -278,57 +283,93 @@ def simulate_ensemble(params, domain, mu, start, horizon, dt, seed, n_paths,
                       t_marks=(), grid=None, burn_in=0.0, stream_id=0):
     """Advance many reflected paths in lockstep and aggregate statistics.
 
-    One keyed stream drives all paths, in a fixed order, so the result is a
-    deterministic function of (seed, stream_id, n_paths) and the time step.
+    Time is cut into chunks of at most 1024 steps and at most 2**20 path
+    positions. Chunk c draws all its increments in one call from the stream
+    keyed (seed, 0xE5, stream_id, c) and sums them along time. Each round
+    then finds every path's next exit, draws all of that round's re-entries
+    in one call from the same stream, in path order, and shifts each exited
+    path from its exit step on by (entry - exit point); rounds repeat on the
+    steps after each exit until no path exits again. The start law uses the
+    stream keyed (seed, 0xE5, stream_id), so the result is a deterministic
+    function of (seed, stream_id, n_paths, dt, horizon).
+
     Records reflection counts at the requested marks, the first-reflection
     data of every path, and (when a grid is given) the occupation histogram
     of the time average after ``burn_in``.
     """
-    rng = stream(seed, 0xE5, stream_id)
     n = int(n_paths)
+    tail = () if params.d == 1 else (params.d,)
+    rng = stream(seed, 0xE5, stream_id)
     if hasattr(start, "sample"):
         pos = np.atleast_1d(start.sample(rng, size=n)).astype(float)
     else:
-        pos = np.array(np.broadcast_to(np.asarray(start, float), (n,) if params.d == 1 else (n, params.d)), dtype=float)
+        pos = np.array(np.broadcast_to(np.asarray(start, float), (n,) + tail), dtype=float)
     n_steps = int(np.round(horizon / dt))
     t_marks = np.asarray(sorted(t_marks), dtype=float)
-    mark_steps = set(int(np.round(t / dt)) for t in t_marks)
+    mark_steps = np.round(t_marks / dt).astype(np.int64)
+    # occupation counts the positions at steps k with k * dt >= burn_in
+    n_skip = int(np.count_nonzero(np.arange(n_steps) * dt < burn_in))
     counts = np.zeros(n, dtype=np.int64)
     counts_at = np.zeros((n, len(t_marks)), dtype=np.int64)
-    mark_idx = {int(np.round(t / dt)): k for k, t in enumerate(t_marks)}
-    occupancy = np.zeros(grid.n) if grid is not None else None
-    occ_time = 0.0
+    hist = np.zeros(grid.n, dtype=np.int64) if grid is not None else None
     fe_time = np.full(n, np.nan)
-    fe_pre = np.full(n, np.nan)
-    fe_exit = np.full(n, np.nan)
-    fe_entry = np.full(n, np.nan)
-    for k in range(n_steps):
-        if occupancy is not None and k * dt >= burn_in:
-            occupancy += np.bincount(grid.cell_index(pos), minlength=grid.n)
-            occ_time += dt
-        inc = sample_stable_increment(params, dt, rng, size=n)
-        newpos = pos + inc
-        out = ~domain.contains(newpos)
-        if out.any():
-            z = newpos[out]
-            entries = np.atleast_1d(mu.sample(z, rng, size=int(out.sum())))
-            first = out & (counts == 0)
-            if first.any():
-                sel = first[out]
-                fe_time[first] = (k + 1) * dt
-                fe_pre[first] = pos[first]
-                fe_exit[first] = z[sel]
-                fe_entry[first] = entries[sel]
-            newpos[out] = entries
-            counts[out] += 1
-        pos = newpos
-        if (k + 1) in mark_idx:
-            counts_at[:, mark_idx[k + 1]] = counts
-    if occupancy is not None and occ_time > 0:
-        occupancy = occupancy * dt / (occ_time * n)
+    fe_pre, fe_exit, fe_entry = (np.full((n,) + tail, np.nan) for _ in range(3))
+    chunk_len = min(_CHUNK_STEPS, max(1, _CHUNK_POSITIONS // max(n, 1)))
+    for c, k0 in enumerate(range(0, n_steps, chunk_len)):
+        steps = min(chunk_len, n_steps - k0)
+        crng = stream(seed, 0xE5, stream_id, c)
+        inc = sample_stable_increment(params, dt, crng, size=steps * n)
+        # path[j, s] is path j after step k0 + s; path[:, 0] is the chunk start
+        path = np.empty((n, steps + 1) + tail)
+        path[:, 0] = pos
+        np.cumsum(inc.reshape((n, steps) + tail), axis=1, out=path[:, 1:])
+        del inc
+        path[:, 1:] += pos[:, None]
+        marks = np.flatnonzero((mark_steps > k0) & (mark_steps <= k0 + steps))
+        counts_at[:, marks] = counts[:, None]
+        live, last = np.arange(n), None
+        while live.size:
+            if last is None:
+                lo, out = 1, ~domain.contains(path[:, 1:])
+            else:
+                # re-test only the steps after each path's last exit
+                lo = int(last.min()) + 1
+                if lo > steps:
+                    break
+                out = ~domain.contains(path[live, lo:])
+                out &= np.arange(lo, steps + 1) > last[:, None]
+            hit = out.argmax(axis=1)
+            found = out[np.arange(live.size), hit]
+            live, step = live[found], hit[found] + lo
+            if not live.size:
+                break
+            z = path[live, step]
+            entry = np.asarray(mu.sample(z, crng, size=live.size), dtype=float)
+            first = counts[live] == 0
+            fp = live[first]
+            fe_time[fp] = (k0 + step[first]) * dt
+            fe_pre[fp] = path[fp, step[first] - 1]
+            fe_exit[fp] = z[first]
+            fe_entry[fp] = entry[first]
+            counts[live] += 1
+            for j, s, shift in zip(live.tolist(), step.tolist(), entry - z):
+                path[j, s:] += shift
+            path[live, step] = entry
+            for i in marks:
+                counts_at[live[step <= mark_steps[i] - k0], i] += 1
+            last = step
+        if hist is not None and k0 + steps > n_skip:
+            hist += np.bincount(grid.cell_index(path[:, max(n_skip - k0, 0):steps]).ravel(),
+                                minlength=grid.n)
+        pos = path[:, steps].copy()
+        del path    # free the chunk before the next one is drawn
+    n_kept = n_steps - n_skip
+    occupancy = None
+    if hist is not None:
+        occupancy = hist / (n_kept * n) if n_kept else np.zeros(grid.n)
     return EnsembleResult(
         n_paths=n, dt=dt, horizon=horizon, t_marks=t_marks,
-        counts_at_marks=counts_at, occupancy=occupancy, occupancy_time=occ_time,
+        counts_at_marks=counts_at, occupancy=occupancy, occupancy_time=n_kept * dt,
         first_exit_time=fe_time, first_pre_exit=fe_pre, first_exit_point=fe_exit,
         first_entry=fe_entry, total_reflections=counts,
     )

@@ -76,9 +76,10 @@ def dobrushin_coefficient(op, steps=2):
     """
     P = np.linalg.matrix_power(op.entries, steps)
     n = P.shape[0]
-    # overlap of rows i and j: sum_k min(P[i,k], P[j,k]); vectorized in blocks
+    # overlap of rows i and j: sum_k min(P[i,k], P[j,k]); vectorized in
+    # blocks of rows whose pairwise minima hold at most 2**19 values (4 MB)
     min_overlap = np.inf
-    block = 64
+    block = max(1, 2 ** 19 // (n * n))
     for i0 in range(0, n, block):
         Pi = P[i0 : i0 + block][:, None, :]
         ov = np.minimum(Pi, P[None, :, :]).sum(axis=2)

@@ -246,3 +246,22 @@ def test_main_default_config_print(capsys):
     assert main(["--print-default-config"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["kind"] == "full-triangulation"
+
+
+@pytest.mark.parametrize("over, field, at_parse", [
+    ({"domain": {"kind": "interval", "a": "x", "b": 1.0}}, "domain", False),
+    ({"params": {"d": 1, "alpha": "x"}}, "params.alpha", True),
+    ({"params": {"d": 1, "alpha": None}}, "params.alpha", True),
+    ({"lambda_list": ["a"]}, "lambda_list", True),
+    ({"mu": {"family": "constant-uniform", "a": "x", "b": 0.5}}, "mu", False),
+    ({"domain": {"kind": "ball", "center": [0.0], "radius": "r"}}, "domain", False),
+], ids=["domain.a", "alpha-str", "alpha-null", "lambda_list", "mu.a", "ball.radius"])
+def test_non_numeric_fields_exit_2(over, field, at_parse, tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(small_config(out_dir=str(tmp_path / "o"), **over)))
+    runs = [[], ["--describe"]] if at_parse else [[]]
+    for extra in runs:
+        assert main(["--config", str(cfg_path)] + extra) == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["type"] == "ConfigError"
+        assert err["error"].startswith("config field '%s'" % field), err

@@ -153,3 +153,33 @@ def test_region_ops():
     cells, mids, widths = Region1D([(0.0, 1.0)]).quadrature_cells(4)
     assert np.allclose(widths, 0.25)
     assert np.allclose(mids, [0.125, 0.375, 0.625, 0.875])
+
+
+def _reference_cell_index(grid, x):
+    idx = np.searchsorted(grid.cells[:, 0], x, side="right") - 1
+    return np.clip(idx, 0, grid.n - 1)
+
+
+@pytest.mark.parametrize("n", [1, 7, 400])
+def test_cell_index_matches_binary_search(n):
+    # the O(1) interval index equals the searchsorted reference everywhere,
+    # including cell edges, their float neighbours, outside D, inf and nan
+    rng = np.random.default_rng(n)
+    for a, b in ((-1.0, 1.0), (0.1, 0.7), (1e5, 1e5 + 3.7)):
+        g = build_grid(Interval(a, b), n)
+        edges = np.concatenate([g.cells[:, 0], g.cells[-1:, 1]])
+        x = np.concatenate([
+            rng.uniform(a, b, 5000),
+            edges, np.nextafter(edges, np.inf), np.nextafter(edges, -np.inf),
+            rng.uniform(a - 2.0, a, 100), rng.uniform(b, b + 2.0, 100),
+            [np.inf, -np.inf, np.nan, 1e308, -1e308],
+        ])
+        assert np.array_equal(g.cell_index(x), _reference_cell_index(g, x))
+        x2 = np.stack([x, x[::-1]])
+        assert np.array_equal(g.cell_index(x2), _reference_cell_index(g, x2))
+        assert g.cell_index(np.float64(edges[n // 2])) == _reference_cell_index(g, edges[n // 2])
+    U = IntervalUnion([[-1.0, -0.2], [0.1, 1.0]])
+    g = build_grid(U, max(n, 2))
+    x = np.concatenate([rng.uniform(-1.5, 1.5, 5000), g.cells.ravel(),
+                        np.nextafter(g.cells.ravel(), np.inf), [np.inf, -np.inf, np.nan]])
+    assert np.array_equal(g.cell_index(x), _reference_cell_index(g, x))

@@ -4,15 +4,17 @@ from scipy import stats
 
 from reflected_stable.geometry import IntervalUnion, Region1D, build_grid
 from reflected_stable.killed_kernels import (assemble_dirichlet_generator,
-                                             green_operator, harmonic_kernel,
-                                             heat_kernel)
+                                             default_operators, green_operator,
+                                             harmonic_kernel, heat_kernel)
 from reflected_stable.pathsim import (excursion_statistics, reflection_chain,
                                       sample_first_exit, simulate_ensemble,
                                       simulate_ensemble_blocks,
                                       simulate_killed_excursion, simulate_ladder,
                                       stream, walk_on_spheres_exit)
-from reflected_stable.reflection import UniformMeasure, make_constant_kernel
-from reflected_stable.stationary import chain_kernel
+from reflected_stable.reflection import (UniformMeasure, make_constant_kernel,
+                                         make_projection_kernel)
+from reflected_stable.stationary import (chain_kernel, kappa_closed_form, stationary_p,
+                                         total_variation)
 from reflected_stable.stable_core import StableParams, ball_exit_position
 
 import oracles
@@ -346,3 +348,118 @@ def test_d2_ball_monte_carlo():
     # radial exit law is dimension-free: 1/r^2 ~ Beta(1/2, 1/2)
     res = stats.kstest(1.0 / r ** 2, stats.beta(0.5, 0.5).cdf)
     assert res.pvalue > 0.01
+
+
+UNION = IntervalUnion([[-1.0, -0.2], [0.1, 1.0]])
+_union_ops = {}
+
+
+def _ergodic_case(wb, alpha, mu_name):
+    """(params, domain, return kernel, start law, grid, closed-form kappa)."""
+    if mu_name == "union-projection":
+        if not _union_ops:
+            p = StableParams(1, 1.0)
+            _union_ops.update(zip(("grid", "L", "G", "H"), default_operators(p, UNION, 400)))
+        ops, domain = _union_ops, UNION
+        mu, start = make_projection_kernel(UNION, 0.2, 0.1), UniformMeasure(0.3, 0.8)
+    else:
+        ops, domain, mu = wb.ops(alpha), wb.domain, wb.mu(mu_name)
+        start = mu.m if hasattr(mu, "m") else UniformMeasure(-0.5, 0.5)
+    k_cf = kappa_closed_form(stationary_p(chain_kernel(ops["H"], mu)), ops["G"])
+    return StableParams(1, alpha), domain, mu, start, ops["grid"], k_cf
+
+
+@pytest.mark.parametrize("alpha, mu_name", [
+    (a, m) for a in (0.5, 1.0, 1.5) for m in ("uniform", "dirac", "projection")
+] + [(1.0, "union-projection")])
+def test_chunked_ensemble_occupation_matches_closed_form(wb, alpha, mu_name):
+    # the lockstep ensemble's time average against the closed-form
+    # stationary density, on 20 merged bins, within the CLI's tolerance
+    p, domain, mu, start, grid, k_cf = _ergodic_case(wb, alpha, mu_name)
+    ens = simulate_ensemble_blocks(p, domain, mu, start, 100.0, 1e-3, 2026, 200,
+                                   grid=grid, burn_in=2.0)
+    groups = np.array_split(np.arange(grid.n), 20)
+    emp = np.array([ens.occupancy[g].sum() for g in groups])
+    ref = np.array([k_cf.masses[g].sum() for g in groups])
+    assert emp.sum() == pytest.approx(1.0, abs=1e-12)
+    assert total_variation(emp, ref) <= 0.06
+
+
+def test_chunked_ensemble_invariants(wb):
+    p = wb.params(1.0)
+    mu = wb.mu("projection")
+    grid = wb.ops(1.0)["grid"]
+    dt, n = 1e-3, 200
+    chunk = 1024    # steps per chunk for 200 paths
+    edge1, edge2 = chunk * dt, 2 * chunk * dt
+    marks = [0.5, edge1, edge2, 3.0]
+    ens = simulate_ensemble(p, wb.domain, mu, 0.2, 3.0, dt, 31, n, t_marks=marks,
+                            grid=grid, burn_in=0.7)
+    assert np.array_equal(ens.counts_at_marks[:, -1], ens.total_reflections)
+    assert np.all(np.diff(ens.counts_at_marks, axis=1) >= 0)
+    assert ens.total_reflections.mean() > 1.0
+    assert ens.occupancy.sum() == pytest.approx(1.0, abs=1e-12)
+    done = ens.total_reflections > 0
+    assert np.all(np.isnan(ens.first_exit_time[~done]))
+    assert not np.any(wb.domain.contains(ens.first_exit_point[done]))
+    assert np.all(wb.domain.contains(ens.first_pre_exit[done]))
+    assert np.all(wb.domain.contains(ens.first_entry[done]))
+    steps = ens.first_exit_time[done] / dt
+    assert np.allclose(steps, np.round(steps), rtol=0, atol=1e-6)
+    assert np.all((steps >= 1) & (steps <= 3000.5))
+    # horizons of whole chunks replay the same draws, so their totals are
+    # the counts at the chunk-edge marks of the longer run
+    for k, edge in ((1, edge1), (2, edge2)):
+        short = simulate_ensemble(p, wb.domain, mu, 0.2, edge, dt, 31, n)
+        assert np.array_equal(short.total_reflections, ens.counts_at_marks[:, k])
+        hit = short.total_reflections > 0
+        assert np.array_equal(short.first_entry[hit], ens.first_entry[hit])
+
+
+def test_chunked_ensemble_marks_every_step(wb):
+    # 2**14 paths make 64-step chunks; with a mark at every step, each
+    # path's count first turns positive at its first exit step
+    dt, n, n_steps = 1e-3, 2 ** 14, 150
+    marks = dt * np.arange(1, n_steps + 1)
+    ens = simulate_ensemble(wb.params(1.0), wb.domain, wb.mu("projection"), 0.8,
+                            n_steps * dt, dt, 41, n, t_marks=marks)
+    counts = ens.counts_at_marks
+    assert np.array_equal(counts[:, -1], ens.total_reflections)
+    assert np.all(np.diff(counts, axis=1) >= 0)
+    done = ens.total_reflections > 0
+    first_step = np.argmax(counts[done] > 0, axis=1) + 1
+    assert np.array_equal(first_step, np.round(ens.first_exit_time[done] / dt))
+    assert np.any(first_step == 64) and np.any(first_step == 65)
+
+
+def test_chunked_ensemble_ball():
+    from reflected_stable.geometry import Ball
+    from reflected_stable.reflection import BallUniformMeasure
+    p = StableParams(2, 1.0)
+    B = Ball([0.0, 0.0], 1.0)
+    mu = make_constant_kernel(B, BallUniformMeasure([0.0, 0.0], 0.5))
+    ens = simulate_ensemble(p, B, mu, np.zeros(2), 2.0, 1e-3, 5, 40, t_marks=[2.0])
+    done = ens.total_reflections > 0
+    assert done.mean() > 0.5
+    assert ens.first_exit_point.shape == (40, 2)
+    assert not np.any(B.contains(ens.first_exit_point[done]))
+    assert np.all(B.contains(ens.first_pre_exit[done]))
+    assert np.all(np.linalg.norm(ens.first_entry[done], axis=1) < 0.5)
+    assert np.array_equal(ens.counts_at_marks[:, 0], ens.total_reflections)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0])
+def test_chunked_ensemble_memory_is_bounded(wb, alpha):
+    # a chunk holds at most 2**20 positions, so 1e5 paths need no full
+    # 1024-step block (about 0.8 GB per array)
+    import tracemalloc
+    grid = wb.ops(1.0)["grid"]
+    tracemalloc.start()
+    try:
+        ens = simulate_ensemble(wb.params(alpha), wb.domain, wb.mu("uniform"), 0.0, 0.1,
+                                1e-3, 17, 10 ** 5, grid=grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ens.total_reflections.sum() > 0
+    assert peak < 64 * 2 ** 20
