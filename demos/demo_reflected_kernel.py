@@ -23,7 +23,7 @@ A = full_generator(L, M)
 print("full generator row sums: max |.| = %.2e" % np.abs(A.row_sums()).max())
 
 t = 0.5
-ser = duhamel_series(L, M, t, n_time=64)
+ser = duhamel_series(L, M, t)
 print()
 print("series at t=%.1f: %d levels, tail bound %.1e" % (t, ser.truncation_N,
                                                         ser.tail_bound))

@@ -12,6 +12,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -61,7 +62,6 @@ class ExperimentConfig:
     domain_spec: dict
     mu_spec: dict
     n_cells: int
-    n_time: int
     dt: float
     horizon: float
     replicas: int
@@ -80,7 +80,6 @@ class ExperimentConfig:
             "domain": self.domain_spec,
             "mu": self.mu_spec,
             "n_cells": self.n_cells,
-            "n_time": self.n_time,
             "dt": self.dt,
             "horizon": self.horizon,
             "replicas": self.replicas,
@@ -105,7 +104,6 @@ def default_config():
         "domain": {"kind": "interval", "a": -1.0, "b": 1.0},
         "mu": {"family": "constant-uniform", "a": -0.5, "b": 0.5},
         "n_cells": 400,
-        "n_time": 64,
         "dt": 1e-3,
         "horizon": 200.0,
         "replicas": 200,
@@ -119,7 +117,8 @@ def default_config():
 
 
 def _is_number(value):
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
 
 
 def parse_config(raw):
@@ -152,23 +151,25 @@ def parse_config(raw):
         raise ConfigError("mu", "need a family")
     if mu["family"] not in ("constant-uniform", "dirac", "projection"):
         raise ConfigError("mu.family", "must be constant-uniform, dirac, or projection")
-    for field, low in (("n_cells", 4), ("n_time", 8), ("replicas", 0),
+    for field, low in (("n_cells", 4), ("replicas", 0),
                        ("threads", 1), ("chain_steps", 1), ("chain_samples", 100)):
         if not isinstance(cfg[field], int) or cfg[field] < low:
             raise ConfigError(field, "must be an integer >= %d" % low)
     for field in ("dt", "horizon"):
         if not (_is_number(cfg[field]) and cfg[field] > 0):
-            raise ConfigError(field, "must be positive")
+            raise ConfigError(field, "must be a positive finite number")
     for field in ("lambda_list", "t_list"):
         vals = cfg[field]
         if not (isinstance(vals, list) and vals
                 and all(_is_number(v) and v > 0 for v in vals)):
-            raise ConfigError(field, "must be a nonempty list of positive numbers")
+            raise ConfigError(field, "must be a nonempty list of positive finite numbers")
+    if cfg["kind"] == "simulate" and max(cfg["t_list"]) > cfg["horizon"]:
+        raise ConfigError("t_list", "simulate marks must not exceed the horizon")
     if not isinstance(cfg["out_dir"], str) or not cfg["out_dir"]:
         raise ConfigError("out_dir", "must be a nonempty string")
     return ExperimentConfig(
         kind=cfg["kind"], seed=cfg["seed"], d=pr["d"], alpha=float(pr["alpha"]),
-        domain_spec=dom, mu_spec=mu, n_cells=cfg["n_cells"], n_time=cfg["n_time"],
+        domain_spec=dom, mu_spec=mu, n_cells=cfg["n_cells"],
         dt=float(cfg["dt"]), horizon=float(cfg["horizon"]), replicas=cfg["replicas"],
         lambda_list=[float(v) for v in cfg["lambda_list"]],
         t_list=[float(v) for v in cfg["t_list"]], out_dir=cfg["out_dir"],
@@ -255,9 +256,8 @@ def describe(config):
              "alpha=%g d=%d domain=%s mu=%s" % (
                  config.alpha, config.d, config.domain_spec["kind"],
                  config.mu_spec["family"]),
-             "grid: %d cells (n_time=%d, recorded only); dt=%g horizon=%g replicas=%d" % (
-                 config.n_cells, config.n_time, config.dt, config.horizon,
-                 config.replicas),
+             "grid: %d cells; dt=%g horizon=%g replicas=%d" % (
+                 config.n_cells, config.dt, config.horizon, config.replicas),
              "stages (%d):" % len(stages)]
     lines += ["  %d. %s" % (i + 1, s) for i, s in enumerate(stages)]
     return "\n".join(lines)
@@ -339,7 +339,7 @@ def run(config, out_dir=None):
         runner.check("concentration-witness", rep.passed, rep.theta_hat)
         diagnostics = []
         for t in config.t_list:
-            ser = duhamel_series(L, M, t, n_time=config.n_time)
+            ser = duhamel_series(L, M, t)
             K = ser.sum()
             rs = K.sum(axis=1)
             dev = float(np.abs(rs - 1.0).max())

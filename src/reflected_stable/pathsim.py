@@ -1,26 +1,35 @@
 """Monte Carlo simulation of the reflected process and its reflection chain.
 
+Every killed path is stepped by one jump-Euler routine, ``_advance``: it
+draws a chunk of increments for many paths in one call, sums them along
+time and finds each path's first exit. The lockstep ensemble, single
+excursions and first-exit batches differ only in their chunk sizes and in
+what they do at an exit. Exact exit positions come from walk-on-spheres
+(``stable_core.walk_on_spheres_exit``, re-exported here).
+
 Random streams are counter-based (Philox; Salmon et al., SC'11) and keyed
 by tuples of integers. A ladder path keys its excursions by (seed, replica,
 excursion), with a separate sub-stream for the re-entry draw of each
-excursion, so it does not depend on internal chunk sizes. The lockstep
-ensemble cuts time into chunks of at most 1024 steps and 2**20 path
-positions, and keys each chunk's increments and re-entries by (seed, block,
-chunk). Every result is thus a deterministic function of its seed, its
-sizes, the time step and the horizon, whatever the worker or thread count.
+excursion. The lockstep ensemble cuts time into chunks of at most 1024
+steps and 2**20 path positions, and keys each chunk's increments and
+re-entries by (seed, block, chunk). Every result is thus a deterministic
+function of its seed, its sizes, the time step and the horizon, whatever
+the worker or thread count.
 """
 
 import dataclasses
 
 import numpy as np
 
-from .stable_core import sample_ball_exit_radius, sample_stable_increment, _unit_direction
+from .stable_core import sample_stable_increment, walk_on_spheres_exit
 
 
 _MASK = (1 << 64) - 1
-# lockstep ensemble chunks: at most this many steps and path positions
+# chunks of jump-Euler steps: at most this many steps and path positions
 _CHUNK_STEPS = 1024
 _CHUNK_POSITIONS = 2 ** 20
+# a killed path still in D after this many steps raises
+_MAX_STEPS = 10 ** 8
 
 
 def _splitmix(x):
@@ -48,9 +57,8 @@ def stream(seed, *ids):
 class Excursion:
     """One killed excursion: start, exit data, and the following re-entry.
 
-    ``duration`` is the jump-Euler exit time (nan in exact mode, which has
-    no time discretization); ``entry_point`` is nan when the horizon ended
-    the path before this excursion finished.
+    ``duration`` is the jump-Euler exit time; ``entry_point`` is nan when
+    the horizon ended the path before this excursion finished.
     """
 
     start: float
@@ -107,54 +115,64 @@ class LadderPath:
         return True
 
 
-def simulate_killed_excursion(params, domain, start, dt, rng, exact=False,
-                              store_positions=False, chunk=1024, max_steps=10 ** 8):
+def _start_positions(params, start, n, rng):
+    """n start positions: draws from a start law, else copies of one point."""
+    if hasattr(start, "sample"):
+        return np.atleast_1d(start.sample(rng, size=n)).astype(float)
+    tail = () if params.d == 1 else (params.d,)
+    return np.array(np.broadcast_to(np.asarray(start, float), (n,) + tail), dtype=float)
+
+
+def _advance(params, domain, pos, dt, rng, steps):
+    """Jump-Euler steps for a batch of killed paths, drawn in one call.
+
+    Draws ``steps * n`` increments (path by path) and sums them along time
+    from the n start positions ``pos``. Returns ``path``, where
+    ``path[j, s]`` is path j after s steps and ``path[:, 0]`` is ``pos``,
+    and each path's first exit step in 1..steps (0 where it stays in D).
+    """
+    n, tail = len(pos), pos.shape[1:]
+    inc = sample_stable_increment(params, dt, rng, size=steps * n)
+    path = np.empty((n, steps + 1) + tail)
+    path[:, 0] = pos
+    np.cumsum(inc.reshape((n, steps) + tail), axis=1, out=path[:, 1:])
+    del inc
+    path[:, 1:] += pos[:, None]
+    out = ~domain.contains(path[:, 1:])
+    hit = out.argmax(axis=1)
+    return path, np.where(out[np.arange(n), hit], hit + 1, 0)
+
+
+def simulate_killed_excursion(params, domain, start, dt, rng, store_positions=False):
     """One excursion of the process killed at the first exit from D.
 
-    In jump-Euler mode, increments over ``dt`` are added until the path
+    Increments over ``dt`` are added, 1024 steps per draw, until the path
     leaves D; the recorded exit time overshoots the true one by at most one
-    step and the pre-exit position stands in for the left limit. In exact
-    mode the exit position is drawn by walk-on-spheres (no time recorded).
+    step and the pre-exit position stands in for the left limit.
     """
     if not np.all(domain.contains(np.atleast_1d(start))):
         raise ValueError("start must lie in D")
-    if exact:
-        z = walk_on_spheres_exit(params, domain, start, rng)
-        return Excursion(start=start, duration=np.nan, n_steps=0, pre_exit=np.nan,
-                         exit_point=z, entry_point=np.nan)
     if dt <= 0:
         raise ValueError("dt must be positive")
-    pos = start
-    stored = [np.atleast_1d(start)] if store_positions else None
-    steps = 0
-    while steps < max_steps:
-        inc = sample_stable_increment(params, dt, rng, size=chunk)
-        if params.d == 1:
-            path = pos + np.cumsum(inc)
-        else:
-            path = pos + np.cumsum(inc, axis=0)
-        outside = ~domain.contains(path)
-        hit = np.argmax(outside) if outside.any() else -1
-        if hit >= 0:
-            exit_point = path[hit]
-            pre = path[hit - 1] if hit > 0 else pos
-            steps += hit + 1
-            if store_positions:
-                stored.append(path[: hit + 1])
+    pos = np.asarray(start, dtype=float)[None]
+    stored = [pos] if store_positions else None
+    for k0 in range(0, _MAX_STEPS, _CHUNK_STEPS):
+        path, hit = _advance(params, domain, pos, dt, rng, _CHUNK_STEPS)
+        path, hit = path[0], int(hit[0])
+        if store_positions:
+            stored.append(path[1:hit + 1] if hit else path[1:])
+        if hit:
             return Excursion(
                 start=start,
-                duration=steps * dt,
-                n_steps=steps,
-                pre_exit=pre,
-                exit_point=exit_point,
+                duration=(k0 + hit) * dt,
+                n_steps=k0 + hit,
+                pre_exit=path[hit - 1],
+                exit_point=path[hit],
                 entry_point=np.nan,
                 positions=np.concatenate(stored) if store_positions else None,
             )
-        pos = path[-1]
-        steps += chunk
-        if store_positions:
-            stored.append(path)
-    raise RuntimeError("excursion did not exit within %d steps" % max_steps)
+        pos = path[None, -1]
+    raise RuntimeError("excursion did not exit within %d steps" % _MAX_STEPS)
 
 
 def simulate_ladder(params, domain, mu, start, horizon, dt, seed, replica=0,
@@ -198,47 +216,6 @@ def simulate_ladder(params, domain, mu, start, horizon, dt, seed, replica=0,
         raise RuntimeError("excursion cap exceeded before the horizon")
     return LadderPath(horizon=horizon, start=start, segments=segments,
                       tau=np.asarray(tau), R=np.asarray(refl))
-
-
-def walk_on_spheres_exit(params, domain, start, rng, size=None, max_iter=10 ** 6,
-                         return_iterations=False):
-    """Exact exit-position sampling by iterated maximal-ball exits.
-
-    From the current point, sample the exit of the maximal inscribed
-    centered ball; continue while the landing point is still in D (it may
-    land in another component of D). Terminates almost surely; the optional
-    iteration counts let callers report the expected number of steps.
-    """
-    d = params.d
-    scalar = size is None
-    n = 1 if scalar else int(size)
-    shape = (n,) if d == 1 else (n, d)
-    pos = np.array(np.broadcast_to(np.asarray(start, dtype=float), shape))
-    if not np.all(domain.contains(pos)):
-        raise ValueError("start must lie in D")
-    iters = np.zeros(n, dtype=np.int64)
-    active = np.ones(n, dtype=bool)
-    for _ in range(max_iter):
-        idx = np.flatnonzero(active)
-        if idx.size == 0:
-            break
-        cur = pos[idx]
-        radius = domain.boundary_distance(cur)
-        rho = sample_ball_exit_radius(params, rng, size=idx.size)
-        direction = _unit_direction(d, rng, idx.size)
-        if d == 1:
-            cur = cur + radius * rho * direction
-        else:
-            cur = cur + (radius * rho)[:, None] * direction
-        pos[idx] = cur
-        iters[idx] += 1
-        active[idx] = domain.contains(cur)
-    else:
-        raise RuntimeError("walk-on-spheres iteration cap exceeded (geometry bug?)")
-    out = pos[0] if scalar else pos
-    if return_iterations:
-        return out, (int(iters[0]) if scalar else iters)
-    return out
 
 
 def reflection_chain(params, domain, mu, start, n_steps, rng, size=None):
@@ -293,20 +270,19 @@ def simulate_ensemble(params, domain, mu, start, horizon, dt, seed, n_paths,
     stream keyed (seed, 0xE5, stream_id), so the result is a deterministic
     function of (seed, stream_id, n_paths, dt, horizon).
 
-    Records reflection counts at the requested marks, the first-reflection
-    data of every path, and (when a grid is given) the occupation histogram
-    of the time average after ``burn_in``.
+    Records reflection counts at the requested marks (a mark past the
+    horizon raises ValueError), the first-reflection data of every path,
+    and (when a grid is given) the occupation histogram of the time average
+    after ``burn_in``.
     """
     n = int(n_paths)
     tail = () if params.d == 1 else (params.d,)
-    rng = stream(seed, 0xE5, stream_id)
-    if hasattr(start, "sample"):
-        pos = np.atleast_1d(start.sample(rng, size=n)).astype(float)
-    else:
-        pos = np.array(np.broadcast_to(np.asarray(start, float), (n,) + tail), dtype=float)
     n_steps = int(np.round(horizon / dt))
     t_marks = np.asarray(sorted(t_marks), dtype=float)
     mark_steps = np.round(t_marks / dt).astype(np.int64)
+    if np.any(mark_steps > n_steps):
+        raise ValueError("t_marks must not lie past the horizon")
+    pos = _start_positions(params, start, n, stream(seed, 0xE5, stream_id))
     # occupation counts the positions at steps k with k * dt >= burn_in
     n_skip = int(np.count_nonzero(np.arange(n_steps) * dt < burn_in))
     counts = np.zeros(n, dtype=np.int64)
@@ -318,31 +294,13 @@ def simulate_ensemble(params, domain, mu, start, horizon, dt, seed, n_paths,
     for c, k0 in enumerate(range(0, n_steps, chunk_len)):
         steps = min(chunk_len, n_steps - k0)
         crng = stream(seed, 0xE5, stream_id, c)
-        inc = sample_stable_increment(params, dt, crng, size=steps * n)
         # path[j, s] is path j after step k0 + s; path[:, 0] is the chunk start
-        path = np.empty((n, steps + 1) + tail)
-        path[:, 0] = pos
-        np.cumsum(inc.reshape((n, steps) + tail), axis=1, out=path[:, 1:])
-        del inc
-        path[:, 1:] += pos[:, None]
+        path, exits = _advance(params, domain, pos, dt, crng, steps)
         marks = np.flatnonzero((mark_steps > k0) & (mark_steps <= k0 + steps))
         counts_at[:, marks] = counts[:, None]
-        live, last = np.arange(n), None
+        live = np.flatnonzero(exits)
+        step = exits[live]
         while live.size:
-            if last is None:
-                lo, out = 1, ~domain.contains(path[:, 1:])
-            else:
-                # re-test only the steps after each path's last exit
-                lo = int(last.min()) + 1
-                if lo > steps:
-                    break
-                out = ~domain.contains(path[live, lo:])
-                out &= np.arange(lo, steps + 1) > last[:, None]
-            hit = out.argmax(axis=1)
-            found = out[np.arange(live.size), hit]
-            live, step = live[found], hit[found] + lo
-            if not live.size:
-                break
             z = path[live, step]
             entry = np.asarray(mu.sample(z, crng, size=live.size), dtype=float)
             first = counts[live] == 0
@@ -357,7 +315,15 @@ def simulate_ensemble(params, domain, mu, start, horizon, dt, seed, n_paths,
             path[live, step] = entry
             for i in marks:
                 counts_at[live[step <= mark_steps[i] - k0], i] += 1
-            last = step
+            # re-test only the steps after each path's last exit
+            lo = int(step.min()) + 1
+            if lo > steps:
+                break
+            out = ~domain.contains(path[live, lo:])
+            out &= np.arange(lo, steps + 1) > step[:, None]
+            hit = out.argmax(axis=1)
+            found = out[np.arange(live.size), hit]
+            live, step = live[found], hit[found] + lo
         if hist is not None and k0 + steps > n_skip:
             hist += np.bincount(grid.cell_index(path[:, max(n_skip - k0, 0):steps]).ravel(),
                                 minlength=grid.n)
@@ -416,41 +382,31 @@ def simulate_ensemble_blocks(params, domain, mu, start, horizon, dt, seed, n_pat
     )
 
 
-def sample_first_exit(params, domain, start, dt, seed, n_paths, max_steps=10 ** 7):
+def sample_first_exit(params, domain, start, dt, seed, n_paths):
     """First-exit data (time, pre-exit, exit point) for a batch of killed paths.
 
-    Lockstep jump-Euler with compaction of the surviving paths; the draw
-    order is fixed by (seed, n_paths), independent of scheduling.
+    The surviving paths advance together in chunks of at most 1024 steps and
+    2**20 path positions, all drawn after the start law from the stream
+    keyed (seed, 0xF1, 0); a path leaves the batch at its first exit.
     """
     rng = stream(seed, 0xF1, 0)
     n = int(n_paths)
-    if hasattr(start, "sample"):
-        pos = np.atleast_1d(start.sample(rng, size=n)).astype(float)
-    elif params.d == 1:
-        pos = np.array(np.broadcast_to(np.asarray(start, float), (n,)), dtype=float)
-    else:
-        pos = np.array(np.broadcast_to(np.asarray(start, float), (n, params.d)), dtype=float)
-    alive = np.arange(n)
+    pos = _start_positions(params, start, n, rng)
     exit_time = np.empty(n)
-    pre_exit = np.empty(n) if params.d == 1 else np.empty((n, params.d))
-    exit_point = np.empty_like(pre_exit)
-    k = 0
-    while alive.size and k < max_steps:
-        inc = sample_stable_increment(params, dt, rng, size=alive.size)
-        newpos = pos[alive] + inc
-        out = ~domain.contains(newpos)
-        if out.any():
-            gone = alive[out]
-            exit_time[gone] = (k + 1) * dt
-            pre_exit[gone] = pos[gone]
-            exit_point[gone] = newpos[out]
-            alive = alive[~out]
-            pos[alive] = newpos[~out]
-        else:
-            pos[alive] = newpos
-        k += 1
-    if alive.size:
-        raise RuntimeError("some paths did not exit within %d steps" % max_steps)
+    pre_exit, exit_point = np.empty_like(pos), np.empty_like(pos)
+    alive, k0 = np.arange(n), 0
+    while alive.size:
+        if k0 >= _MAX_STEPS:
+            raise RuntimeError("some paths did not exit within %d steps" % _MAX_STEPS)
+        steps = min(_CHUNK_STEPS, max(1, _CHUNK_POSITIONS // alive.size))
+        path, hit = _advance(params, domain, pos, dt, rng, steps)
+        rows = np.flatnonzero(hit)
+        done, step = alive[rows], hit[rows]
+        exit_time[done] = (k0 + step) * dt
+        pre_exit[done] = path[rows, step - 1]
+        exit_point[done] = path[rows, step]
+        alive, pos = alive[hit == 0], path[hit == 0, -1]
+        k0 += steps
     return exit_time, pre_exit, exit_point
 
 

@@ -87,7 +87,6 @@ class DuhamelSeries:
 
     grid: object
     t: float
-    n_time: int
     terms: list
     level_masses: np.ndarray
     truncation_N: int
@@ -135,7 +134,7 @@ def _talbot_levels(L, U, V, t):
         P = P @ F
 
 
-def duhamel_series(L, M, t, n_time=64, tail_tol=1e-6, max_levels=128, drop_tol=1e-14):
+def duhamel_series(L, M, t, tail_tol=1e-6, max_levels=128, drop_tol=1e-14):
     """Build the series level terms at time t on a Laplace contour.
 
     Level 0 is the killed heat kernel ``exp(tL)``. With the return operator
@@ -145,12 +144,8 @@ def duhamel_series(L, M, t, n_time=64, tail_tol=1e-6, max_levels=128, drop_tol=1
     exponential; entries are clipped at zero, and a clip beyond 1e-9
     raises. Levels are kept until their row mass drops below ``drop_tol``
     (at most ``max_levels`` levels); ``tail_tol`` bounds the reported
-    truncation tail, and a non-decaying level profile raises. ``n_time``
-    no longer sets a time resolution: it is validated (at least 8) and
-    recorded in the diagnostics.
+    truncation tail, and a non-decaying level profile raises.
     """
-    if n_time < 8:
-        raise ValueError("need at least 8 time panels")
     if t <= 0:
         raise ValueError("time must be positive")
     if M.factors is None:
@@ -185,7 +180,6 @@ def duhamel_series(L, M, t, n_time=64, tail_tol=1e-6, max_levels=128, drop_tol=1
     return DuhamelSeries(
         grid=grid,
         t=t,
-        n_time=int(n_time),
         terms=terms,
         level_masses=masses,
         truncation_N=N,
@@ -224,7 +218,6 @@ def series_diagnostics(series):
     """JSON-ready summary: per-level masses, fitted envelope, tail bound."""
     return {
         "t": series.t,
-        "n_time": series.n_time,
         "levels": series.truncation_N,
         "level_masses": [float(m) for m in series.level_masses],
         "fit_c": series.fit_c,

@@ -1,14 +1,18 @@
 """Parameters, jump kernel, and exact samplers for the isotropic stable process.
 
-All samplers take an explicit ``numpy.random.Generator`` and are pure given
-that stream, so callers may run many workers as long as each worker owns its
-own generator.
+Exit positions are sampled exactly by walk-on-spheres:
+``walk_on_spheres_exit`` is the one iterated ball-exit loop, for any domain,
+and ``ball_exit_position`` runs it on a ball. All samplers take an explicit
+``numpy.random.Generator`` and are pure given that stream, so callers may
+run many workers as long as each worker owns its own generator.
 """
 
 import dataclasses
 
 import numpy as np
 from scipy.special import betaincinv, gamma as _gamma
+
+from .geometry import Ball, Interval
 
 
 class StableParamsError(ValueError):
@@ -167,48 +171,67 @@ def _unit_direction(d, rng, n):
     return g / np.linalg.norm(g, axis=1, keepdims=True)
 
 
+def walk_on_spheres_exit(params, domain, start, rng, size=None, max_iter=10 ** 6,
+                         return_iterations=False):
+    """Exact exit-position sampling by iterated maximal-ball exits.
+
+    From the current point, sample the exit of the maximal inscribed
+    centered ball; continue while the landing point is still in D (it may
+    land in another component of D). Terminates almost surely; the optional
+    iteration counts let callers report the expected number of steps.
+    """
+    d = params.d
+    scalar = size is None
+    n = 1 if scalar else int(size)
+    shape = (n,) if d == 1 else (n, d)
+    pos = np.array(np.broadcast_to(np.asarray(start, dtype=float), shape))
+    if not np.all(domain.contains(pos)):
+        raise ValueError("start must lie in D")
+    iters = np.zeros(n, dtype=np.int64)
+    active = np.ones(n, dtype=bool)
+    for _ in range(max_iter):
+        idx = np.flatnonzero(active)
+        if idx.size == 0:
+            break
+        cur = pos[idx]
+        radius = domain.boundary_distance(cur)
+        rho = sample_ball_exit_radius(params, rng, size=idx.size)
+        direction = _unit_direction(d, rng, idx.size)
+        if d == 1:
+            cur = cur + radius * rho * direction
+        else:
+            cur = cur + (radius * rho)[:, None] * direction
+        pos[idx] = cur
+        iters[idx] += 1
+        active[idx] = domain.contains(cur)
+    else:
+        raise RuntimeError("walk-on-spheres iteration cap exceeded (geometry bug?)")
+    out = pos[0] if scalar else pos
+    if return_iterations:
+        return out, (int(iters[0]) if scalar else iters)
+    return out
+
+
 def ball_exit_position(params, center, radius, start, rng, size=None):
     """Exact sample of the stable exit position from an open ball.
 
     For a start at the center the exit point is ``radius * rho * direction``
     with the closed-form radial law and a uniform direction. For other
-    interior starts the exit law is realised by iterating exits from maximal
-    centered sub-balls (strong Markov property), which terminates almost
+    interior starts the exit law is realised by walk-on-spheres on the ball
+    (the interval ``(c - r, c + r)`` when d=1), which terminates almost
     surely. The returned points lie strictly outside the closed ball.
     """
-    d = params.d
     center = np.atleast_1d(np.asarray(center, dtype=float))
     start = np.atleast_1d(np.asarray(start, dtype=float))
     if radius <= 0:
         raise ValueError("radius must be positive")
-    gap = radius - np.linalg.norm(start - center)
-    if gap <= 0:
+    if radius - np.linalg.norm(start - center) <= 0:
         raise ValueError("start must lie strictly inside the ball")
-    n = 1 if size is None else int(size)
-    pos = np.tile(start, (n, 1))
-    active = np.ones(n, dtype=bool)
-    # distance to the sphere bounds the centered sub-ball radius at each step
-    for _ in range(1000000):
-        idx = np.flatnonzero(active)
-        if idx.size == 0:
-            break
-        cur = pos[idx]
-        sub_r = radius - np.linalg.norm(cur - center, axis=1)
-        rho = sample_ball_exit_radius(params, rng, size=idx.size)
-        direction = _unit_direction(d, rng, idx.size)
-        if d == 1:
-            step = (sub_r * rho * direction)[:, None]
-        else:
-            step = (sub_r * rho)[:, None] * direction
-        cur = cur + step
-        pos[idx] = cur
-        active[idx] = np.linalg.norm(cur - center, axis=1) < radius
+    if params.d == 1:
+        domain, start = Interval(center[0] - radius, center[0] + radius), start[0]
     else:
-        raise RuntimeError("ball exit iteration cap exceeded (geometry bug?)")
-    if d == 1:
-        out = pos[:, 0]
-        return out[0] if size is None else out
-    return pos[0] if size is None else pos
+        domain = Ball(center, radius)
+    return walk_on_spheres_exit(params, domain, start, rng, size=size)
 
 
 def ball_mean_exit_time(params, radius, start_offset):

@@ -15,7 +15,6 @@ from reflected_stable.stable_core import StableParams
 
 DOMAIN = Interval(-1.0, 1.0)
 N_CELLS = 400
-N_TIME = 64
 
 _ops_cache = {}
 _series_cache = {}
@@ -61,12 +60,11 @@ class Workbench:
             _ops_cache[key] = full_generator(ops["L"], self.M(alpha, mu_name, n_cells))
         return _ops_cache[key]
 
-    def series(self, alpha, mu_name, t, n_time=N_TIME):
-        key = (alpha, mu_name, float(t), n_time)
+    def series(self, alpha, mu_name, t):
+        key = (alpha, mu_name, float(t))
         if key not in _series_cache:
             ops = self.ops(alpha)
-            _series_cache[key] = duhamel_series(ops["L"], self.M(alpha, mu_name),
-                                                t, n_time=n_time)
+            _series_cache[key] = duhamel_series(ops["L"], self.M(alpha, mu_name), t)
         return _series_cache[key]
 
 

@@ -3,13 +3,17 @@
 Everything here is derived from textbook formulas for the stable process
 on balls/intervals (exit law, Green function) or from generic numerics
 (spectral heat kernels, adaptive quadrature), independently of the code
-paths under test.
+paths under test. The one exception is ``first_exit_per_step``, the plain
+one-step-at-a-time jump-Euler loop that the chunked first-exit sampler is
+checked against.
 """
 
 import numpy as np
 from scipy.integrate import quad
 from scipy.linalg import eigh, expm
 from scipy.special import gammaln, hyp2f1
+
+from reflected_stable.stable_core import sample_stable_increment
 
 
 def gamma_abs_logpath(x):
@@ -110,3 +114,30 @@ def chi2_merge(observed, probs, min_expected=5.0):
     exp_m = np.asarray(exp_m, dtype=float)
     exp_m *= obs_m.sum() / exp_m.sum()
     return obs_m, exp_m
+
+
+def first_exit_per_step(params, domain, start, dt, rng, n_paths):
+    """First-exit (time, pre-exit, exit point) of killed jump-Euler paths.
+
+    The reference loop: one increment per surviving path and step, drawn
+    from ``rng``, with exited paths dropped after each step.
+    """
+    n = int(n_paths)
+    shape = (n,) if params.d == 1 else (n, params.d)
+    pos = np.array(np.broadcast_to(np.asarray(start, float), shape), dtype=float)
+    alive = np.arange(n)
+    exit_time = np.empty(n)
+    pre_exit = np.empty(shape)
+    exit_point = np.empty(shape)
+    k = 0
+    while alive.size:
+        newpos = pos[alive] + sample_stable_increment(params, dt, rng, size=alive.size)
+        out = ~domain.contains(newpos)
+        gone = alive[out]
+        exit_time[gone] = (k + 1) * dt
+        pre_exit[gone] = pos[gone]
+        exit_point[gone] = newpos[out]
+        alive = alive[~out]
+        pos[alive] = newpos[~out]
+        k += 1
+    return exit_time, pre_exit, exit_point

@@ -255,7 +255,16 @@ def test_main_default_config_print(capsys):
     ({"lambda_list": ["a"]}, "lambda_list", True),
     ({"mu": {"family": "constant-uniform", "a": "x", "b": 0.5}}, "mu", False),
     ({"domain": {"kind": "ball", "center": [0.0], "radius": "r"}}, "domain", False),
-], ids=["domain.a", "alpha-str", "alpha-null", "lambda_list", "mu.a", "ball.radius"])
+    ({"horizon": float("inf")}, "horizon", True),
+    ({"dt": float("inf")}, "dt", True),
+    ({"t_list": [0.1, float("inf")]}, "t_list", True),
+    ({"lambda_list": [float("inf")]}, "lambda_list", True),
+    ({"n_time": 64}, "n_time", True),   # removed field: unknown
+    ({"kind": "simulate", "horizon": 4.0, "t_list": [0.5, 5.0], "replicas": 50},
+     "t_list", True),   # a mark past the horizon
+], ids=["domain.a", "alpha-str", "alpha-null", "lambda_list", "mu.a", "ball.radius",
+        "horizon-inf", "dt-inf", "t_list-inf", "lambda_list-inf", "n_time",
+        "t_list-past-horizon"])
 def test_non_numeric_fields_exit_2(over, field, at_parse, tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(small_config(out_dir=str(tmp_path / "o"), **over)))

@@ -43,14 +43,10 @@ def test_killed_excursion_records(wb):
 
 
 def test_killed_excursion_chunk_invariance(wb):
-    # same stream, same draws: chunking only re-bases the float summation,
-    # so the trajectory agrees to roundoff and the step count exactly
+    # same stream, same draws, same excursion
     p = wb.params(1.0)
-    a = simulate_killed_excursion(p, wb.domain, 0.0, 1e-3, stream(9, 1), chunk=64)
-    b = simulate_killed_excursion(p, wb.domain, 0.0, 1e-3, stream(9, 1), chunk=4096)
-    assert a.n_steps == b.n_steps
-    assert a.exit_point == pytest.approx(b.exit_point, abs=1e-9)
-    c = simulate_killed_excursion(p, wb.domain, 0.0, 1e-3, stream(9, 1), chunk=64)
+    a = simulate_killed_excursion(p, wb.domain, 0.0, 1e-3, stream(9, 1))
+    c = simulate_killed_excursion(p, wb.domain, 0.0, 1e-3, stream(9, 1))
     assert a.exit_point == c.exit_point and a.duration == c.duration
 
 
@@ -62,14 +58,61 @@ def test_mean_exit_time_jump_euler(wb):
 
 
 def test_exact_mode_exit_matches_poisson_kernel(wb):
-    # exact-mode excursions from the center reproduce the closed-form exit law
+    # exact exits from the center reproduce the closed-form exit law
     p = wb.params(1.0)
     rng = stream(31, 2)
-    z = np.array([simulate_killed_excursion(p, wb.domain, 0.0, 1e-3, rng,
-                                            exact=True).exit_point
-                  for _ in range(4000)])
+    z = np.array([walk_on_spheres_exit(p, wb.domain, 0.0, rng) for _ in range(4000)])
     tail = np.mean(np.abs(z) > 2.0)
     assert tail == pytest.approx(1.0 / 3.0, abs=4 * np.sqrt(2.0 / 9.0 / len(z)))
+
+
+FIRST_EXIT_CASES = {
+    "a0.5": (0.5, "interval", 0.0),
+    "a1": (1.0, "interval", 0.0),
+    "a1.5": (1.5, "interval", 0.0),
+    "a1-union": (1.0, "union", 0.5),
+    "a1-d2-ball": (1.0, "ball", np.zeros(2)),
+}
+
+
+@pytest.mark.parametrize("case", list(FIRST_EXIT_CASES))
+def test_chunked_first_exit_matches_per_step_reference(wb, case):
+    # the chunked sampler against the one-step-at-a-time loop: the same
+    # exit laws (two-sample KS on times and exit points), and the
+    # structural invariants of every sampled path
+    from reflected_stable.geometry import Ball
+    alpha, kind, start = FIRST_EXIT_CASES[case]
+    domain = {"interval": wb.domain, "union": IntervalUnion([[-1.0, -0.2], [0.1, 1.0]]),
+              "ball": Ball([0.0, 0.0], 1.0)}[kind]
+    p = StableParams(np.ndim(start) + 1, alpha)
+    seed = 4100 + list(FIRST_EXIT_CASES).index(case)
+    dt, n = 1e-3, 10 ** 4
+    et, pre, ex = sample_first_exit(p, domain, start, dt, seed, n)
+    et_ref, _, ex_ref = oracles.first_exit_per_step(p, domain, start, dt,
+                                                    stream(seed, 1), n)
+    assert not np.any(domain.contains(ex))
+    assert np.all(domain.contains(pre))
+    steps = et / dt
+    assert np.all(steps >= 1) and np.allclose(steps, np.round(steps), rtol=0, atol=1e-6)
+    if p.d == 1:
+        points, points_ref = np.clip(ex, -10, 10), np.clip(ex_ref, -10, 10)
+    else:
+        points, points_ref = (np.minimum(np.linalg.norm(z, axis=1), 10) for z in (ex, ex_ref))
+    assert stats.ks_2samp(et, et_ref).pvalue > 0.001
+    assert stats.ks_2samp(points, points_ref).pvalue > 0.001
+
+
+def test_single_path_first_exit_is_the_killed_excursion(wb):
+    # one path steps in 1024-step chunks from the stream keyed
+    # (seed, 0xF1, 0), exactly as an excursion drawn from that stream
+    p = wb.params(1.0)
+    n_steps = []
+    for seed in range(16):
+        et, pre, ex = sample_first_exit(p, wb.domain, 0.3, 1e-3, seed, 1)
+        exc = simulate_killed_excursion(p, wb.domain, 0.3, 1e-3, stream(seed, 0xF1, 0))
+        assert (et[0], pre[0], ex[0]) == (exc.duration, exc.pre_exit, exc.exit_point)
+        n_steps.append(exc.n_steps)
+    assert max(n_steps) > 1024     # some exits come after the first chunk
 
 
 def test_exact_vs_euler_exit_laws(wb):
@@ -432,6 +475,15 @@ def test_chunked_ensemble_marks_every_step(wb):
     assert np.any(first_step == 64) and np.any(first_step == 65)
 
 
+def test_ensemble_rejects_marks_past_the_horizon(wb):
+    # a mark past the horizon has no count to report
+    args = (wb.params(1.0), wb.domain, wb.mu("uniform"), 0.0, 2.0, 1e-3, 3, 20)
+    with pytest.raises(ValueError):
+        simulate_ensemble(*args, t_marks=[1.0, 5.0])
+    ens = simulate_ensemble(*args, t_marks=[1.0, 2.0])
+    assert np.array_equal(ens.counts_at_marks[:, 1], ens.total_reflections)
+
+
 def test_chunked_ensemble_ball():
     from reflected_stable.geometry import Ball
     from reflected_stable.reflection import BallUniformMeasure
@@ -448,18 +500,28 @@ def test_chunked_ensemble_ball():
     assert np.array_equal(ens.counts_at_marks[:, 0], ens.total_reflections)
 
 
-@pytest.mark.parametrize("alpha", [0.5, 1.0])
-def test_chunked_ensemble_memory_is_bounded(wb, alpha):
+@pytest.mark.parametrize("alpha, sampler", [
+    pytest.param(0.5, "ensemble", id="0.5"),
+    pytest.param(1.0, "ensemble", id="1.0"),
+    pytest.param(1.0, "first-exit", id="first-exit"),
+])
+def test_chunked_ensemble_memory_is_bounded(wb, alpha, sampler):
     # a chunk holds at most 2**20 positions, so 1e5 paths need no full
     # 1024-step block (about 0.8 GB per array)
     import tracemalloc
     grid = wb.ops(1.0)["grid"]
     tracemalloc.start()
     try:
-        ens = simulate_ensemble(wb.params(alpha), wb.domain, wb.mu("uniform"), 0.0, 0.1,
-                                1e-3, 17, 10 ** 5, grid=grid)
+        if sampler == "ensemble":
+            ens = simulate_ensemble(wb.params(alpha), wb.domain, wb.mu("uniform"), 0.0,
+                                    0.1, 1e-3, 17, 10 ** 5, grid=grid)
+            exited = ens.total_reflections.sum() > 0
+        else:
+            et, _, _ = sample_first_exit(wb.params(alpha), wb.domain, 0.0, 1e-3, 17,
+                                         10 ** 5)
+            exited = np.all(et > 0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert ens.total_reflections.sum() > 0
+    assert exited
     assert peak < 64 * 2 ** 20
