@@ -1,9 +1,10 @@
 """Simulating the reflected process path by path and in ensembles.
 
 A path alternates killed excursions with re-entries drawn from the return
-kernel; the pair (reflection count, position) is the natural state. The
-per-path API keeps full excursion records; the lockstep ensemble gives
-fast aggregate laws.
+kernel; the pair (reflection count, position) is the natural state. One
+lockstep ensemble simulates every path and records each reflection; ladder
+paths are cut from those records, and the ensemble's aggregates give fast
+laws.
 """
 
 import numpy as np
@@ -19,7 +20,7 @@ m = UniformMeasure(-0.5, 0.5)
 mu = make_constant_kernel(D, m)
 
 print("== one path ==")
-path = simulate_ladder(p, D, mu, 0.0, 10.0, 1e-3, seed=11, replica=0)
+path = simulate_ladder(p, D, mu, 0.0, 10.0, 1e-3, seed=11, n_paths=1)[0]
 print("horizon 10: %d reflections; first few reflection times:" % len(path.tau))
 print("  ", np.round(path.tau[:5], 3))
 print("  re-entry points:", np.round(path.R[:5], 3))
@@ -27,8 +28,7 @@ print("reflection count at t=5: %d" % path.count_at(5.0))
 
 print()
 print("== excursion statistics (constant return law) ==")
-paths = [simulate_ladder(p, D, mu, float(m.sample(stream(100, r))), 8.0, 1e-3,
-                         seed=101, replica=r) for r in range(400)]
+paths = simulate_ladder(p, D, mu, m, 8.0, 1e-3, seed=101, n_paths=400)
 st = excursion_statistics(paths)
 print("%d completed excursions; mean duration %.3f" % (st.n_completed,
                                                        st.mean_duration))

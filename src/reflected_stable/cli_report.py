@@ -165,6 +165,8 @@ def parse_config(raw):
             raise ConfigError(field, "must be a nonempty list of positive finite numbers")
     if cfg["kind"] == "simulate" and max(cfg["t_list"]) > cfg["horizon"]:
         raise ConfigError("t_list", "simulate marks must not exceed the horizon")
+    if cfg["kind"] == "simulate" and cfg["replicas"] < 1:
+        raise ConfigError("replicas", "simulate needs at least one replica")
     if not isinstance(cfg["out_dir"], str) or not cfg["out_dir"]:
         raise ConfigError("out_dir", "must be a nonempty string")
     return ExperimentConfig(
@@ -386,16 +388,19 @@ def run(config, out_dir=None):
         occ = GridMeasure(grid, np.maximum(ens.occupancy, 0) / ens.occupancy.sum())
         runner.write_csv("occupation.csv", ["x", "mass", "density"],
                          _measure_columns(grid, occ))
-        paths = [simulate_ladder(params, domain, mu, _start_point(mu, domain),
-                                 min(config.horizon, 50.0), config.dt, config.seed, r)
-                 for r in range(min(config.replicas, 50))]
-        stats = excursion_statistics(paths, min_completed=20)
-        runner.write_json("excursion_stats.json", {
-            "n_paths": stats.n_paths,
-            "n_completed": stats.n_completed,
-            "lag1_autocorrelation": stats.lag1_autocorrelation,
-            "mean_duration": stats.mean_duration,
-        })
+        paths = simulate_ladder(params, domain, mu, _start_point(mu, domain),
+                                min(config.horizon, 50.0), config.dt, config.seed,
+                                min(config.replicas, 50))
+        n_completed = sum(len(path.tau) for path in paths)
+        runner.check("excursions-completed", n_completed >= 20, n_completed, 20)
+        if n_completed >= 20:
+            stats = excursion_statistics(paths, min_completed=20)
+            runner.write_json("excursion_stats.json", {
+                "n_paths": stats.n_paths,
+                "n_completed": stats.n_completed,
+                "lag1_autocorrelation": stats.lag1_autocorrelation,
+                "mean_duration": stats.mean_duration,
+            })
         # capped path dump: reflection times and re-entry points
         dump = paths[:10]
         runner.write_csv("path_dump.csv", ["replica", "reflection", "tau", "R"], [

@@ -4,17 +4,18 @@ Every killed path is stepped by one jump-Euler routine, ``_advance``: it
 draws a chunk of increments for many paths in one call, sums them along
 time and finds each path's first exit. The lockstep ensemble, single
 excursions and first-exit batches differ only in their chunk sizes and in
-what they do at an exit. Exact exit positions come from walk-on-spheres
+what they do at an exit. Reflected paths have one simulator, the lockstep
+ensemble: it records every reflection of every path, and ladder paths are
+cut from those records. Exact exit positions come from walk-on-spheres
 (``stable_core.walk_on_spheres_exit``, re-exported here).
 
 Random streams are counter-based (Philox; Salmon et al., SC'11) and keyed
-by tuples of integers. A ladder path keys its excursions by (seed, replica,
-excursion), with a separate sub-stream for the re-entry draw of each
-excursion. The lockstep ensemble cuts time into chunks of at most 1024
-steps and 2**20 path positions, and keys each chunk's increments and
-re-entries by (seed, block, chunk). Every result is thus a deterministic
-function of its seed, its sizes, the time step and the horizon, whatever
-the worker or thread count.
+by tuples of integers. The lockstep ensemble cuts time into chunks of at
+most 1024 steps and 2**20 path positions, and keys each chunk's increments
+and re-entries by (seed, stream id, chunk): ladder paths use stream id 0,
+the blocks of ``simulate_ensemble_blocks`` ids 1, 2, .... Every result is
+thus a deterministic function of its seed, its sizes, the time step and
+the horizon, whatever the worker or thread count.
 """
 
 import dataclasses
@@ -55,10 +56,9 @@ def stream(seed, *ids):
 
 @dataclasses.dataclass
 class Excursion:
-    """One killed excursion: start, exit data, and the following re-entry.
+    """One killed excursion: start and exit data.
 
-    ``duration`` is the jump-Euler exit time; ``entry_point`` is nan when
-    the horizon ended the path before this excursion finished.
+    ``duration`` is the jump-Euler exit time.
     """
 
     start: float
@@ -66,7 +66,6 @@ class Excursion:
     n_steps: int
     pre_exit: float
     exit_point: float
-    entry_point: float
     positions: np.ndarray = None
 
     @property
@@ -81,17 +80,18 @@ def _require(ok, message):
 
 @dataclasses.dataclass
 class LadderPath:
-    """A simulated trajectory of the reflected process up to a horizon.
+    """The reflections of one simulated path of the reflected process.
 
-    ``tau`` holds the cumulative reflection times and ``R`` the positions
-    right after each reflection; the reflection count at time t is the
+    Reflection k happens at time ``tau[k]``: ``pre_exit[k]`` is the last
+    position in D before it, ``exit_point[k]`` the first outside D and
+    ``R[k]`` the re-entry point. The reflection count at time t is the
     number of entries of ``tau`` not exceeding t.
     """
 
     horizon: float
-    start: float
-    segments: list
     tau: np.ndarray
+    pre_exit: np.ndarray
+    exit_point: np.ndarray
     R: np.ndarray
 
     def count_at(self, t):
@@ -101,26 +101,24 @@ class LadderPath:
         """Check the structural invariants; raises ValueError on failure."""
         _require(np.all(np.diff(self.tau) > 0), "reflection times must increase strictly")
         _require(np.all(np.isfinite(self.tau)), "recorded reflection times must be finite")
-        _require(len(self.tau) == len(self.R), "one re-entry point is needed per reflection")
-        _require(np.all(domain.contains(np.asarray(self.R))), "re-entry points must lie in D")
-        for seg in self.segments:
-            if seg.completed:
-                _require(not np.any(domain.contains(np.atleast_1d(seg.exit_point))),
-                         "exit points must lie outside D")
-                _require(np.all(domain.contains(np.atleast_1d(seg.entry_point))),
-                         "re-entry points must lie in D")
-            if seg.positions is not None and len(seg.positions):
-                inside = domain.contains(seg.positions[:-1] if seg.completed else seg.positions)
-                _require(np.all(inside), "interior positions must lie in D")
+        _require(len(self.tau) == len(self.pre_exit) == len(self.exit_point) == len(self.R),
+                 "one pre-exit, exit and re-entry point is needed per reflection")
+        _require(np.all(domain.contains(self.pre_exit)), "pre-exit points must lie in D")
+        _require(not np.any(domain.contains(self.exit_point)), "exit points must lie outside D")
+        _require(np.all(domain.contains(self.R)), "re-entry points must lie in D")
         return True
 
 
-def _start_positions(params, start, n, rng):
-    """n start positions: draws from a start law, else copies of one point."""
+def _start_positions(params, domain, start, n, rng):
+    """n start positions in D: draws from a start law, else copies of one point."""
     if hasattr(start, "sample"):
-        return np.atleast_1d(start.sample(rng, size=n)).astype(float)
-    tail = () if params.d == 1 else (params.d,)
-    return np.array(np.broadcast_to(np.asarray(start, float), (n,) + tail), dtype=float)
+        pos = np.atleast_1d(start.sample(rng, size=n)).astype(float)
+    else:
+        tail = () if params.d == 1 else (params.d,)
+        pos = np.array(np.broadcast_to(np.asarray(start, float), (n,) + tail), dtype=float)
+    if not np.all(domain.contains(pos)):
+        raise ValueError("start must lie in D")
+    return pos
 
 
 def _advance(params, domain, pos, dt, rng, steps):
@@ -168,54 +166,24 @@ def simulate_killed_excursion(params, domain, start, dt, rng, store_positions=Fa
                 n_steps=k0 + hit,
                 pre_exit=path[hit - 1],
                 exit_point=path[hit],
-                entry_point=np.nan,
                 positions=np.concatenate(stored) if store_positions else None,
             )
         pos = path[None, -1]
     raise RuntimeError("excursion did not exit within %d steps" % _MAX_STEPS)
 
 
-def simulate_ladder(params, domain, mu, start, horizon, dt, seed, replica=0,
-                    store_positions=False):
-    """Simulate the reflected process as concatenated killed excursions.
+def simulate_ladder(params, domain, mu, start, horizon, dt, seed, n_paths):
+    """n_paths ladder paths of the reflected process up to the horizon.
 
-    Each excursion draws from the stream keyed (seed, replica, excursion);
-    its re-entry point uses a separate sub-stream, so the realized path is
-    independent of internal chunk sizes. The path stops at the horizon; the
-    final (unfinished) excursion is kept without exit data.
+    One ``simulate_ensemble`` run on stream id 0 (``start`` is a point or a
+    start law); each path is cut from its reflection records.
     """
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
-    segments = []
-    tau, refl = [], []
-    clock = 0.0
-    pos = start
-    for exc_idx in range(10 ** 7):
-        rng = stream(seed, replica, exc_idx, 0)
-        exc = simulate_killed_excursion(params, domain, pos, dt, rng,
-                                        store_positions=store_positions)
-        if clock + exc.duration > horizon:
-            # truncate at the horizon: no exit happened before it
-            keep = int(np.floor((horizon - clock) / dt))
-            trimmed = Excursion(
-                start=pos, duration=np.nan, n_steps=keep, pre_exit=np.nan,
-                exit_point=np.nan, entry_point=np.nan,
-                positions=exc.positions[: keep + 1] if store_positions else None,
-            )
-            segments.append(trimmed)
-            break
-        entry_rng = stream(seed, replica, exc_idx, 1)
-        entry = mu.sample(exc.exit_point, entry_rng)
-        exc.entry_point = entry
-        segments.append(exc)
-        clock += exc.duration
-        tau.append(clock)
-        refl.append(entry)
-        pos = entry
-    else:
-        raise RuntimeError("excursion cap exceeded before the horizon")
-    return LadderPath(horizon=horizon, start=start, segments=segments,
-                      tau=np.asarray(tau), R=np.asarray(refl))
+    ens = simulate_ensemble(params, domain, mu, start, horizon, dt, seed, n_paths,
+                            stream_id=0)
+    cuts = ens.offsets
+    return [LadderPath(horizon=horizon, tau=ens.tau[a:b], pre_exit=ens.pre_exit[a:b],
+                       exit_point=ens.exit_point[a:b], R=ens.entry[a:b])
+            for a, b in zip(cuts[:-1].tolist(), cuts[1:].tolist())]
 
 
 def reflection_chain(params, domain, mu, start, n_steps, rng, size=None):
@@ -240,7 +208,14 @@ def reflection_chain(params, domain, mu, start, n_steps, rng, size=None):
 
 @dataclasses.dataclass
 class EnsembleResult:
-    """Aggregates from a lockstep batch of reflected paths."""
+    """Aggregates and reflection records from a lockstep batch of reflected paths.
+
+    The records are grouped by path: reflection k of path j is record
+    ``offsets[j] + k``, with its time ``tau``, the last position in D before
+    it ``pre_exit``, the first position outside D ``exit_point`` and the
+    re-entry point ``entry``. The ``first_*`` arrays read each path's first
+    record (nan where the path never reflected).
+    """
 
     n_paths: int
     dt: float
@@ -249,11 +224,26 @@ class EnsembleResult:
     counts_at_marks: np.ndarray      # (n_paths, len(t_marks)) reflection counts
     occupancy: np.ndarray            # cell masses of the time average, or None
     occupancy_time: float
-    first_exit_time: np.ndarray
-    first_pre_exit: np.ndarray
-    first_exit_point: np.ndarray
-    first_entry: np.ndarray
-    total_reflections: np.ndarray
+    offsets: np.ndarray              # (n_paths + 1,) record index of each path's start
+    tau: np.ndarray
+    pre_exit: np.ndarray
+    exit_point: np.ndarray
+    entry: np.ndarray
+
+    @property
+    def total_reflections(self):
+        return np.diff(self.offsets)
+
+    def _first(self, records):
+        out = np.full((self.n_paths,) + records.shape[1:], np.nan)
+        hit = self.total_reflections > 0
+        out[hit] = records[self.offsets[:-1][hit]]
+        return out
+
+    first_exit_time = property(lambda self: self._first(self.tau))
+    first_pre_exit = property(lambda self: self._first(self.pre_exit))
+    first_exit_point = property(lambda self: self._first(self.exit_point))
+    first_entry = property(lambda self: self._first(self.entry))
 
 
 def simulate_ensemble(params, domain, mu, start, horizon, dt, seed, n_paths,
@@ -270,10 +260,10 @@ def simulate_ensemble(params, domain, mu, start, horizon, dt, seed, n_paths,
     stream keyed (seed, 0xE5, stream_id), so the result is a deterministic
     function of (seed, stream_id, n_paths, dt, horizon).
 
-    Records reflection counts at the requested marks (a mark past the
-    horizon raises ValueError), the first-reflection data of every path,
-    and (when a grid is given) the occupation histogram of the time average
-    after ``burn_in``.
+    Records every reflection of every path (time, pre-exit, exit and
+    re-entry point; no extra draws), reflection counts at the requested
+    marks (a mark past the horizon raises ValueError), and (when a grid is
+    given) the occupation histogram of the time average after ``burn_in``.
     """
     n = int(n_paths)
     tail = () if params.d == 1 else (params.d,)
@@ -282,14 +272,15 @@ def simulate_ensemble(params, domain, mu, start, horizon, dt, seed, n_paths,
     mark_steps = np.round(t_marks / dt).astype(np.int64)
     if np.any(mark_steps > n_steps):
         raise ValueError("t_marks must not lie past the horizon")
-    pos = _start_positions(params, start, n, stream(seed, 0xE5, stream_id))
+    pos = _start_positions(params, domain, start, n, stream(seed, 0xE5, stream_id))
     # occupation counts the positions at steps k with k * dt >= burn_in
     n_skip = int(np.count_nonzero(np.arange(n_steps) * dt < burn_in))
     counts = np.zeros(n, dtype=np.int64)
     counts_at = np.zeros((n, len(t_marks)), dtype=np.int64)
     hist = np.zeros(grid.n, dtype=np.int64) if grid is not None else None
-    fe_time = np.full(n, np.nan)
-    fe_pre, fe_exit, fe_entry = (np.full((n,) + tail, np.nan) for _ in range(3))
+    # one entry per round: (paths, exit steps, pre-exit, exit and entry points)
+    empty = np.empty((0,) + tail)
+    rounds = [(np.empty(0, np.int64), np.empty(0, np.int64), empty, empty, empty)]
     chunk_len = min(_CHUNK_STEPS, max(1, _CHUNK_POSITIONS // max(n, 1)))
     for c, k0 in enumerate(range(0, n_steps, chunk_len)):
         steps = min(chunk_len, n_steps - k0)
@@ -303,12 +294,7 @@ def simulate_ensemble(params, domain, mu, start, horizon, dt, seed, n_paths,
         while live.size:
             z = path[live, step]
             entry = np.asarray(mu.sample(z, crng, size=live.size), dtype=float)
-            first = counts[live] == 0
-            fp = live[first]
-            fe_time[fp] = (k0 + step[first]) * dt
-            fe_pre[fp] = path[fp, step[first] - 1]
-            fe_exit[fp] = z[first]
-            fe_entry[fp] = entry[first]
+            rounds.append((live, k0 + step, path[live, step - 1], z, entry))
             counts[live] += 1
             for j, s, shift in zip(live.tolist(), step.tolist(), entry - z):
                 path[j, s:] += shift
@@ -333,11 +319,15 @@ def simulate_ensemble(params, domain, mu, start, horizon, dt, seed, n_paths,
     occupancy = None
     if hist is not None:
         occupancy = hist / (n_kept * n) if n_kept else np.zeros(grid.n)
+    # rounds come in time order, so a stable sort by path keeps each path's
+    # reflections in time order
+    who, steps_at, pre, z, entry = (np.concatenate(col) for col in zip(*rounds))
+    order = np.argsort(who, kind="stable")
     return EnsembleResult(
         n_paths=n, dt=dt, horizon=horizon, t_marks=t_marks,
         counts_at_marks=counts_at, occupancy=occupancy, occupancy_time=n_kept * dt,
-        first_exit_time=fe_time, first_pre_exit=fe_pre, first_exit_point=fe_exit,
-        first_entry=fe_entry, total_reflections=counts,
+        offsets=np.concatenate(([0], np.cumsum(counts))), tau=steps_at[order] * dt,
+        pre_exit=pre[order], exit_point=z[order], entry=entry[order],
     )
 
 
@@ -346,8 +336,12 @@ def simulate_ensemble_blocks(params, domain, mu, start, horizon, dt, seed, n_pat
     """Block-decomposed ensemble with deterministic merging.
 
     Replicas are grouped into fixed-size blocks, each driven by its own
-    keyed stream; blocks may run on any number of workers and the merged
-    result is bit-identical regardless of the worker count.
+    keyed stream (ids 1, 2, ...); blocks may run on any number of workers
+    and the merged result, reflection records included, is bit-identical
+    regardless of the worker count. The thread pool stays because numpy
+    releases the GIL for much of the chunk work, so blocks overlap: on the
+    default ensemble (200 paths, horizon 200, 2 cores) 2 workers took
+    1.71-2.03 s against 2.14-2.38 s for 1.
     """
     sizes = [block] * (int(n_paths) // block)
     if int(n_paths) % block:
@@ -366,8 +360,8 @@ def simulate_ensemble_blocks(params, domain, mu, start, horizon, dt, seed, n_pat
         results = [run(b) for b in range(len(sizes))]
     counts_at = np.concatenate([r.counts_at_marks for r in results], axis=0)
     total = np.concatenate([r.total_reflections for r in results])
-    fe = {name: np.concatenate([getattr(r, name) for r in results])
-          for name in ("first_exit_time", "first_pre_exit", "first_exit_point", "first_entry")}
+    records = {name: np.concatenate([getattr(r, name) for r in results])
+               for name in ("tau", "pre_exit", "exit_point", "entry")}
     occupancy = None
     occ_time = results[0].occupancy_time
     if grid is not None:
@@ -376,9 +370,7 @@ def simulate_ensemble_blocks(params, domain, mu, start, horizon, dt, seed, n_pat
         n_paths=int(n_paths), dt=dt, horizon=horizon,
         t_marks=np.asarray(sorted(t_marks), dtype=float),
         counts_at_marks=counts_at, occupancy=occupancy, occupancy_time=occ_time,
-        first_exit_time=fe["first_exit_time"], first_pre_exit=fe["first_pre_exit"],
-        first_exit_point=fe["first_exit_point"], first_entry=fe["first_entry"],
-        total_reflections=total,
+        offsets=np.concatenate(([0], np.cumsum(total))), **records,
     )
 
 
@@ -391,7 +383,7 @@ def sample_first_exit(params, domain, start, dt, seed, n_paths):
     """
     rng = stream(seed, 0xF1, 0)
     n = int(n_paths)
-    pos = _start_positions(params, start, n, rng)
+    pos = _start_positions(params, domain, start, n, rng)
     exit_time = np.empty(n)
     pre_exit, exit_point = np.empty_like(pos), np.empty_like(pos)
     alive, k0 = np.arange(n), 0
@@ -433,10 +425,7 @@ def excursion_statistics(paths, min_completed=100):
     paths and the duration samples per excursion index; under a constant
     return law these are uncorrelated and identically distributed.
     """
-    per_path = []
-    for p in paths:
-        durs = [s.duration for s in p.segments if s.completed and np.isfinite(s.duration)]
-        per_path.append(np.asarray(durs))
+    per_path = [np.diff(p.tau, prepend=0.0) for p in paths]
     total = int(sum(len(d) for d in per_path))
     if total < min_completed:
         raise ValueError("insufficient data: %d completed excursions < %d" % (total, min_completed))

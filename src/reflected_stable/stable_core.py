@@ -14,6 +14,9 @@ from scipy.special import betaincinv, gamma as _gamma
 
 from .geometry import Ball, Interval
 
+# a walk-on-spheres batch still in D after this many ball exits raises
+_MAX_WOS_ITER = 10 ** 6
+
 
 class StableParamsError(ValueError):
     """Invalid dimension or stability index."""
@@ -171,8 +174,7 @@ def _unit_direction(d, rng, n):
     return g / np.linalg.norm(g, axis=1, keepdims=True)
 
 
-def walk_on_spheres_exit(params, domain, start, rng, size=None, max_iter=10 ** 6,
-                         return_iterations=False):
+def walk_on_spheres_exit(params, domain, start, rng, size=None, return_iterations=False):
     """Exact exit-position sampling by iterated maximal-ball exits.
 
     From the current point, sample the exit of the maximal inscribed
@@ -189,7 +191,7 @@ def walk_on_spheres_exit(params, domain, start, rng, size=None, max_iter=10 ** 6
         raise ValueError("start must lie in D")
     iters = np.zeros(n, dtype=np.int64)
     active = np.ones(n, dtype=bool)
-    for _ in range(max_iter):
+    for _ in range(_MAX_WOS_ITER):
         idx = np.flatnonzero(active)
         if idx.size == 0:
             break

@@ -72,7 +72,8 @@ def dobrushin_coefficient(op, steps=2):
 
     Returns (beta, min_overlap): beta is the maximal pairwise total
     variation of rows of the matrix power (in the half-l1 metric), and
-    min_overlap the minimal pairwise overlap mass, so beta = 1 - min_overlap.
+    min_overlap the minimal pairwise overlap mass, so beta = 1 - min_overlap
+    (clamped at 0).
     """
     P = np.linalg.matrix_power(op.entries, steps)
     n = P.shape[0]
@@ -87,7 +88,8 @@ def dobrushin_coefficient(op, steps=2):
         for r in range(ov.shape[0]):
             ov[r, i0 + r] = np.inf
         min_overlap = min(min_overlap, float(ov.min()))
-    beta = 1.0 - min_overlap
+    # round-off can push the overlap of identical rows just past 1
+    beta = max(0.0, 1.0 - min_overlap)
     return beta, min_overlap
 
 
@@ -188,51 +190,22 @@ def kappa_generator_nullvector(A, tol=1e-12, t_checks=(0.5, 2.0), check_tol=1e-6
     return GridMeasure(grid=A.grid, masses=kappa)
 
 
-def kappa_ergodic(source, grid, burn_in=0.0, min_mean_reflections=50):
-    """Stationary density from time averages of simulated paths.
+def kappa_ergodic(ens, grid, min_mean_reflections=50):
+    """Stationary density from the time-averaged occupation of an ensemble.
 
-    ``source`` is either an EnsembleResult with an occupation histogram on
-    the right grid, or an iterable of LadderPath objects carrying stored
-    positions (jump-Euler mode). Requires enough reflections per path for
-    the averages to mix.
+    ``ens`` is an EnsembleResult run with an occupation histogram on the
+    right grid (its burn-in was applied by the simulation). Requires enough
+    reflections per path for the averages to mix.
     """
-    if hasattr(source, "occupancy"):
-        if source.occupancy is None:
-            raise ValueError("ensemble was run without a grid/occupancy")
-        if source.total_reflections.mean() < min_mean_reflections:
-            raise StationaryError(
-                "insufficient horizon: %.1f reflections per path on average"
-                % source.total_reflections.mean()
-            )
-        masses = np.maximum(source.occupancy, 0.0)
-        return GridMeasure(grid=grid, masses=masses / masses.sum())
-    hist = np.zeros(grid.n)
-    n_paths = 0
-    total_refl = 0
-    for path in source:
-        n_paths += 1
-        total_refl += len(path.tau)
-        clock = 0.0
-        for seg in path.segments:
-            if seg.positions is None:
-                raise ValueError("paths must be simulated with store_positions=True")
-            pos = seg.positions[:-1] if seg.completed else seg.positions
-            n_steps = len(pos)
-            dt_seg = (seg.duration / seg.n_steps) if seg.completed else (
-                (path.horizon - clock) / max(n_steps, 1))
-            times = clock + dt_seg * np.arange(n_steps)
-            keep = times >= burn_in
-            if keep.any():
-                hist += np.bincount(grid.cell_index(pos[keep]), minlength=grid.n) * dt_seg
-            clock = times[-1] + dt_seg if n_steps else clock
-    if n_paths == 0:
-        raise ValueError("no paths supplied")
-    if total_refl / n_paths < min_mean_reflections:
+    if ens.occupancy is None:
+        raise ValueError("ensemble was run without a grid/occupancy")
+    if ens.total_reflections.mean() < min_mean_reflections:
         raise StationaryError(
             "insufficient horizon: %.1f reflections per path on average"
-            % (total_refl / n_paths)
+            % ens.total_reflections.mean()
         )
-    return GridMeasure(grid=grid, masses=hist / hist.sum())
+    masses = np.maximum(ens.occupancy, 0.0)
+    return GridMeasure(grid=grid, masses=masses / masses.sum())
 
 
 def triangulation_report(measures):

@@ -258,9 +258,7 @@ def test_criterion_12_independence(wb):
     p = wb.params(1.0)
     m = UniformMeasure(-0.5, 0.5)
     mu = make_constant_kernel(wb.domain, m)
-    paths = [simulate_ladder(p, wb.domain, mu, float(m.sample(stream(660, r))),
-                             8.0, 1e-3, seed=661, replica=r)
-             for r in range(1500)]
+    paths = simulate_ladder(p, wb.domain, mu, m, 8.0, 1e-3, seed=661, n_paths=1500)
     st_ = excursion_statistics(paths)
     ac_ok = abs(st_.lag1_autocorrelation) < 4.0 / np.sqrt(st_.lag1_pairs)
     d1, d5 = st_.duration_sample(1), st_.duration_sample(5)

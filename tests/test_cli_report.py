@@ -205,6 +205,19 @@ def test_unrunnable_domain_or_law_exits_2(domain, mu, field, tmp_path, capsys):
         assert err["error"].startswith("config field '%s'" % field), err
 
 
+def test_identical_chain_rows_give_zero_contraction(tmp_path):
+    # a constant return law makes all chain rows one law, so round-off can
+    # push the two-step overlap past 1; beta must stay >= 0 and stationary_p
+    # must not take the square root of a negative number
+    cfg = parse_config(dict(default_config(), kind="stationary", seed=1, n_cells=24,
+                            domain={"kind": "grid1d", "intervals": [[-1.0, 0.0], [0.0, 1.0]]},
+                            out_dir=str(tmp_path)))
+    code, _ = run(cfg)
+    assert code == 0
+    beta = json.loads((tmp_path / "triangulation.json").read_text())["dobrushin_two_step"]
+    assert 0.0 <= beta < 1e-12
+
+
 def test_union_start_law_lies_in_domain():
     domain = build_domain(UNION)
     mu = build_mu(SWEEP["grid1d"][1]["projection"], domain)
@@ -223,6 +236,17 @@ def test_main_cli_flags(tmp_path, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "PASS" in out and "status: pass" in out
+    # too short a horizon for the excursion statistics: a failed check, not a crash
+    cfg_path.write_text(json.dumps(small_config(kind="simulate", horizon=0.3, replicas=10,
+                                                t_list=[0.1], out_dir=str(tmp_path / "s"))))
+    assert main(["--config", str(cfg_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert any(line.split() == ["excursions-completed", "FAIL"]
+               for line in captured.out.splitlines())
+    manifest = json.loads((tmp_path / "s" / "manifest.json").read_text())
+    check = next(c for c in manifest["checks"] if c["name"] == "excursions-completed")
+    assert check["value"] < 20 and check["tolerance"] == 20
 
 
 def test_main_config_errors_exit_2(tmp_path, capsys):
@@ -262,9 +286,10 @@ def test_main_default_config_print(capsys):
     ({"n_time": 64}, "n_time", True),   # removed field: unknown
     ({"kind": "simulate", "horizon": 4.0, "t_list": [0.5, 5.0], "replicas": 50},
      "t_list", True),   # a mark past the horizon
+    ({"kind": "simulate", "replicas": 0}, "replicas", True),
 ], ids=["domain.a", "alpha-str", "alpha-null", "lambda_list", "mu.a", "ball.radius",
         "horizon-inf", "dt-inf", "t_list-inf", "lambda_list-inf", "n_time",
-        "t_list-past-horizon"])
+        "t_list-past-horizon", "simulate-replicas-0"])
 def test_non_numeric_fields_exit_2(over, field, at_parse, tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(small_config(out_dir=str(tmp_path / "o"), **over)))

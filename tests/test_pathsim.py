@@ -137,47 +137,47 @@ def test_exact_vs_euler_exit_laws(wb):
 def test_ladder_counts_and_invariants(wb):
     p = wb.params(1.0)
     mu = wb.mu("uniform")
-    path = simulate_ladder(p, wb.domain, mu, 0.0, 30.0, 1e-3, seed=8, replica=0,
-                           store_positions=True)
+    path = simulate_ladder(p, wb.domain, mu, 0.0, 30.0, 1e-3, seed=8, n_paths=1)[0]
     assert path.validate(wb.domain)
     assert path.count_at(0.0) == 0
     counts = [path.count_at(t) for t in np.linspace(0.0, 30.0, 50)]
     assert all(b >= a for a, b in zip(counts, counts[1:]))
     assert len(path.tau) > 10
+    with pytest.raises(ValueError):
+        simulate_ladder(p, wb.domain, mu, 1.5, 1.0, 1e-3, seed=8, n_paths=2)
+    with pytest.raises(ValueError):
+        simulate_ensemble(p, wb.domain, mu, UniformMeasure(0.5, 1.5), 1.0, 1e-3, 8, 20)
 
 
 def test_ladder_validate_raises_on_corrupted_paths(wb):
     import dataclasses
     path = simulate_ladder(wb.params(1.0), wb.domain, wb.mu("uniform"), 0.0, 10.0, 1e-3,
-                           seed=8, replica=1, store_positions=True)
+                           seed=8, n_paths=2)[1]
     assert len(path.tau) > 3
+    assert path.validate(wb.domain)
+    first = np.arange(len(path.tau)) == 0
     corrupt = [
         dict(tau=path.tau[::-1]),
         dict(tau=np.where(np.arange(len(path.tau)) == 1, np.inf, path.tau)),
         dict(R=path.R[:-1]),
-        dict(R=np.where(np.arange(len(path.R)) == 0, 5.0, path.R)),
+        dict(R=np.where(first, 5.0, path.R)),
+        dict(exit_point=np.where(first, 0.0, path.exit_point)),
+        dict(pre_exit=np.where(first, 5.0, path.pre_exit)),
+        dict(pre_exit=path.pre_exit[:-1]),
     ]
     for change in corrupt:
         with pytest.raises(ValueError):
             dataclasses.replace(path, **change).validate(wb.domain)
-    seg = next(s for s in path.segments if s.completed)
-    for field, value in (("exit_point", 0.0), ("entry_point", 5.0)):
-        bad = dataclasses.replace(path, segments=[dataclasses.replace(seg, **{field: value})])
-        with pytest.raises(ValueError):
-            bad.validate(wb.domain)
-    moved = dataclasses.replace(seg, positions=np.append(5.0, seg.positions))
-    with pytest.raises(ValueError):
-        dataclasses.replace(path, segments=[moved]).validate(wb.domain)
 
 
 def test_ladder_reproducibility(wb):
     p = wb.params(1.0)
     mu = wb.mu("projection")
-    a = simulate_ladder(p, wb.domain, mu, 0.1, 10.0, 1e-3, seed=4, replica=7)
-    b = simulate_ladder(p, wb.domain, mu, 0.1, 10.0, 1e-3, seed=4, replica=7)
-    assert np.array_equal(a.tau, b.tau) and np.array_equal(a.R, b.R)
-    c = simulate_ladder(p, wb.domain, mu, 0.1, 10.0, 1e-3, seed=4, replica=8)
-    assert not np.array_equal(a.tau, c.tau)
+    a = simulate_ladder(p, wb.domain, mu, 0.1, 10.0, 1e-3, seed=4, n_paths=9)
+    b = simulate_ladder(p, wb.domain, mu, 0.1, 10.0, 1e-3, seed=4, n_paths=9)
+    for pa, pb in zip(a, b):
+        assert np.array_equal(pa.tau, pb.tau) and np.array_equal(pa.R, pb.R)
+    assert not np.array_equal(a[7].tau, a[8].tau)
 
 
 def test_first_entry_histogram_matches_chain_kernel(wb):
@@ -323,9 +323,7 @@ def test_excursion_statistics_independence(wb):
     p = wb.params(1.0)
     m = UniformMeasure(-0.5, 0.5)
     mu = make_constant_kernel(wb.domain, m)
-    paths = [simulate_ladder(p, wb.domain, mu, float(m.sample(stream(1000, r))),
-                             8.0, 1e-3, seed=2000, replica=r)
-             for r in range(1200)]
+    paths = simulate_ladder(p, wb.domain, mu, m, 8.0, 1e-3, seed=2000, n_paths=1200)
     st_ = excursion_statistics(paths)
     assert st_.n_completed > 5000
     bound = 4.0 / np.sqrt(st_.lag1_pairs)
@@ -372,6 +370,9 @@ def test_ensemble_blocks_worker_invariance(wb):
     assert np.array_equal(a.counts_at_marks, b.counts_at_marks)
     assert np.array_equal(a.occupancy, b.occupancy)
     assert np.array_equal(a.first_entry, b.first_entry, equal_nan=True)
+    assert np.array_equal(a.offsets, b.offsets)
+    for name in ("tau", "pre_exit", "exit_point", "entry"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
 
 def test_d2_ball_monte_carlo():

@@ -152,14 +152,12 @@ def test_kappa_ergodic_requires_enough_reflections(wb):
 
 
 def test_kappa_ergodic_from_paths(wb):
-    from reflected_stable.pathsim import simulate_ladder
     ops = wb.ops(1.0)
     grid = ops["grid"]
     mu = wb.mu("uniform")
-    paths = (simulate_ladder(wb.params(1.0), wb.domain, mu, 0.0, 60.0, 1e-3,
-                             seed=909, replica=r, store_positions=True)
-             for r in range(40))
-    k_er = kappa_ergodic(paths, grid, burn_in=1.0)
+    ens = simulate_ensemble_blocks(wb.params(1.0), wb.domain, mu, 0.0, 60.0, 1e-3,
+                                   909, 40, grid=grid, burn_in=1.0)
+    k_er = kappa_ergodic(ens, grid)
     p_hat = stationary_p(chain_kernel(ops["H"], mu))
     k_cf = kappa_closed_form(p_hat, ops["G"])
     assert k_er.tv(k_cf) <= 0.08
