@@ -1,11 +1,11 @@
 """Batch front end: JSON configs, experiment orchestration, and reports.
 
-Experiments are described by a single JSON document and run to CSV/JSON
-artifacts plus a manifest. Exit codes: 0 all checks passed, 1 at least one
-numeric check failed, 2 invalid configuration. Reruns with the same config
-and seed produce byte-identical result files regardless of the worker
-count (the manifest additionally records wall time, so it is excluded from
-byte comparisons).
+Experiments are described by a single JSON document and run to CSV, JSON
+and .npy artifacts plus a manifest. Exit codes: 0 all checks passed, 1 at
+least one numeric check failed, 2 invalid configuration. Reruns with the
+same config and seed produce byte-identical result files regardless of the
+worker count (the manifest additionally records wall time, so it is
+excluded from byte comparisons).
 """
 
 import argparse
@@ -28,8 +28,7 @@ from .killed_kernels import assemble_dirichlet_generator, green_operator, \
 from .pathsim import excursion_statistics, reflection_chain, simulate_ensemble_blocks, \
     simulate_ladder, stream
 from .perturbation import (build_excessive, duhamel_series, full_generator,
-                           perturbation_matrix, reflected_kernel, series_diagnostics,
-                           supermedian_violation)
+                           perturbation_matrix, series_diagnostics, supermedian_violation)
 from .reflection import (AtomMeasure, UniformMeasure, default_probes,
                          make_constant_kernel, make_projection_kernel,
                          validate_concentration)
@@ -41,6 +40,11 @@ from .stationary import (GridMeasure, chain_kernel, dobrushin_coefficient,
 
 KINDS = ("semigroup-check", "excessive", "simulate", "chain", "stationary",
          "full-triangulation")
+# keys each domain kind and return-law family takes besides "kind"/"family"
+DOMAIN_KEYS = {"interval": ("a", "b"), "ball": ("center", "radius"),
+               "grid1d": ("intervals",)}
+MU_KEYS = {"constant-uniform": ("a", "b"), "dirac": ("point",),
+           "projection": ("depth", "width")}
 
 
 class ConfigError(ValueError):
@@ -141,16 +145,16 @@ def parse_config(raw):
         raise ConfigError("params.d", "must be a positive integer")
     if not (_is_number(pr["alpha"]) and 0.0 < pr["alpha"] < 2.0):
         raise ConfigError("params.alpha", "stability index must be a number in (0, 2)")
-    dom = cfg["domain"]
-    if not isinstance(dom, dict) or "kind" not in dom:
-        raise ConfigError("domain", "need a kind")
-    if dom["kind"] not in ("interval", "ball", "grid1d"):
-        raise ConfigError("domain.kind", "must be interval, ball, or grid1d")
-    mu = cfg["mu"]
-    if not isinstance(mu, dict) or "family" not in mu:
-        raise ConfigError("mu", "need a family")
-    if mu["family"] not in ("constant-uniform", "dirac", "projection"):
-        raise ConfigError("mu.family", "must be constant-uniform, dirac, or projection")
+    dom, mu = cfg["domain"], cfg["mu"]
+    for field, spec, tag, table in (("domain", dom, "kind", DOMAIN_KEYS),
+                                    ("mu", mu, "family", MU_KEYS)):
+        if not isinstance(spec, dict) or tag not in spec:
+            raise ConfigError(field, "need a %s" % tag)
+        if spec[tag] not in table:
+            raise ConfigError("%s.%s" % (field, tag), "must be one of %s" % (tuple(table),))
+        unknown = set(spec) - {tag} - set(table[spec[tag]])
+        if unknown:
+            raise ConfigError("%s.%s" % (field, sorted(unknown)[0]), "unknown field")
     for field, low in (("n_cells", 4), ("replicas", 0),
                        ("threads", 1), ("chain_steps", 1), ("chain_samples", 100)):
         if not isinstance(cfg[field], int) or cfg[field] < low:
@@ -167,6 +171,11 @@ def parse_config(raw):
         raise ConfigError("t_list", "simulate marks must not exceed the horizon")
     if cfg["kind"] == "simulate" and cfg["replicas"] < 1:
         raise ConfigError("replicas", "simulate needs at least one replica")
+    simulates = cfg["kind"] == "simulate" or (
+        cfg["kind"] == "full-triangulation" and cfg["replicas"] > 0)
+    if simulates and cfg["dt"] > cfg["horizon"] / 2:
+        # one step would fall wholly in the burn-in and leave no occupation
+        raise ConfigError("dt", "must be at most horizon / 2, so paths take two steps")
     if not isinstance(cfg["out_dir"], str) or not cfg["out_dir"]:
         raise ConfigError("out_dir", "must be a nonempty string")
     return ExperimentConfig(
@@ -273,7 +282,10 @@ class _Run:
         self.out_dir = out_dir
         self.checks = []
         self.outputs = []
-        os.makedirs(out_dir, exist_ok=True)
+        try:
+            os.makedirs(out_dir, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError("out_dir", "cannot be made a directory: %s" % exc) from exc
 
     def check(self, name, passed, value=None, tolerance=None):
         self.checks.append({
@@ -291,6 +303,13 @@ class _Run:
         with open(path, "w") as fh:
             fh.write(",".join(header) + "\n")
             fh.writelines(fmt % row for row in zip(*(c.tolist() for c in columns)))
+        self.outputs.append(name)
+        return path
+
+    def write_npy(self, name, array):
+        """Write one array in NumPy's binary .npy format (load it with np.load)."""
+        path = os.path.join(self.out_dir, name)
+        np.save(path, array)
         self.outputs.append(name)
         return path
 
@@ -352,10 +371,10 @@ def run(config, out_dir=None):
             runner.check("gamma-below-1-t%g" % t, ser.fit_gamma < 1.0, ser.fit_gamma, 1.0)
             diagnostics.append(series_diagnostics(ser))
             if t == config.t_list[0]:
-                dens = reflected_kernel(ser).density()
-                runner.write_csv("reflected_kernel_t%g.csv" % t, ["x", "y", "density"],
-                                 [np.repeat(grid.nodes, grid.n),
-                                  np.tile(grid.nodes, grid.n), dens.ravel()])
+                # density[i, j] of moving from node i to node j in time t
+                runner.write_npy("reflected_kernel_t%g.npy" % t, K / grid.widths)
+                runner.write_csv("reflected_kernel_nodes.csv", ["x", "width"],
+                                 [grid.nodes, grid.widths])
         runner.write_json("series_diagnostics.json", {"series": diagnostics})
 
     if kind == "excessive":

@@ -16,7 +16,8 @@ import scipy.linalg
 
 from .geometry import exterior_shell
 from .killed_kernels import (GridOperator, _discounted_solve, clip_nonnegative,
-                             exterior_nu_vector, heat_kernel, killing_intensity)
+                             exterior_nu_vector, generator_spectrum, heat_kernel,
+                             killing_intensity)
 from .stable_core import levy_interval_mass
 
 # nodes of the fixed Talbot contour; its round-off grows like exp(2J/5) eps
@@ -105,11 +106,16 @@ def _talbot_levels(L, U, V, t):
     ``R = (s - L)^-1`` and ``F = V^T R U`` (r x r). It is summed over the
     nodes ``s(theta) = rho theta (cot theta + i)``, ``rho = 2J / (5t)``, of the
     fixed Talbot rule (Abate & Valko 2004); conjugate nodes are folded into
-    the real part. Each node costs one complex LU of ``s - L``; each level
-    after that costs one ``(n x 2rJ) @ (2rJ x n)`` product.
+    the real part. The generator's spectrum gives
+    ``R = W^-1/2 Q diag(1/(s - lam)) Q^T W^1/2``, so with ``Ut = Q^T W^1/2 U``
+    and ``Vt = Q^T W^-1/2 V`` taken once, ``F = Vt^T diag(1/(s - lam)) Ut``
+    costs O(nr^2) per node, and ``R U`` and ``V^T R`` at every node come
+    from one real product with Q. Each level then costs one
+    ``(n x 2rJ) @ (2rJ x n)`` product.
     """
     J = _TALBOT_NODES
-    n = L.shape[0]
+    lam, Q, sw = generator_spectrum(L)
+    n, r = U.shape
     rho = 2.0 * J / (5.0 * t)
     theta = np.pi * np.arange(1, J) / J
     cot = 1.0 / np.tan(theta)
@@ -117,20 +123,20 @@ def _talbot_levels(L, U, V, t):
     sigma = np.concatenate([[0.0], theta + (theta * cot - 1.0) * cot])
     w = (rho / J) * np.exp(t * s) * (1.0 + 1j * sigma)
     w[0] *= 0.5
-    left, right, F = [], [], []
-    for s_k, w_k in zip(s, w):
-        lu = scipy.linalg.lu_factor(s_k * np.eye(n) - L, check_finite=False)
-        RU = scipy.linalg.lu_solve(lu, U, check_finite=False)
-        left.append(w_k * RU)
-        right.append(scipy.linalg.lu_solve(lu, V, trans=1, check_finite=False).T)
-        F.append(V.T @ RU)
-    P = np.stack(left)  # node k: w_k R U F**(level-1)
-    F = np.stack(F)
-    Q = np.concatenate(right)  # node k: V^T R, stacked over nodes
-    Q = np.concatenate([Q.real, Q.imag])
-    while True:
+    Ut = Q.T @ (sw[:, None] * U)
+    Vt = Q.T @ (V / sw[:, None])
+    D = 1.0 / (s[None, :] - lam[:, None])  # (n, J): diag of Q^T W^1/2 R W^-1/2 Q
+    F = np.einsum("ia,ik,ib->kab", Vt, D, Ut)
+    # column (k, a) of Q @ (D_k UVt): R U (first r) and (V^T R)^T (last r)
+    UVt = D[:, :, None] * np.concatenate([Ut, Vt], axis=1)[:, None, :]
+    QUV = (Q @ UVt.reshape(n, -1).view(np.float64)).view(np.complex128)
+    QUV = QUV.reshape(n, J, 2 * r)
+    P = (w[:, None, None] * QUV[:, :, :r].transpose(1, 0, 2)) / sw[:, None]
+    right = (sw[:, None] * QUV[:, :, r:].reshape(n, J * r)).T  # node k: V^T R
+    right = np.concatenate([right.real, right.imag])
+    while True:  # P[k] = w_k R U F**(level-1) at node k
         flat = P.transpose(1, 0, 2).reshape(n, -1)
-        yield np.concatenate([flat.real, -flat.imag], axis=1) @ Q
+        yield np.concatenate([flat.real, -flat.imag], axis=1) @ right
         P = P @ F
 
 
@@ -141,10 +147,14 @@ def duhamel_series(L, M, t, tail_tol=1e-6, max_levels=128, drop_tol=1e-14):
     factored as ``M = U V^T`` (see ``perturbation_matrix``), every level
     n >= 1 is inverted from its Laplace transform on a fixed Talbot contour
     of ``_TALBOT_NODES`` nodes, to about 1e-13 of the exact block
-    exponential; entries are clipped at zero, and a clip beyond 1e-9
-    raises. Levels are kept until their row mass drops below ``drop_tol``
-    (at most ``max_levels`` levels); ``tail_tol`` bounds the reported
-    truncation tail, and a non-decaying level profile raises.
+    exponential. Both come from the eigendecomposition that the generator
+    carries (see ``assemble_dirichlet_generator``), so no step factors or
+    exponentiates a matrix. Entries are clipped at zero, and a clip beyond
+    1e-9 raises. Levels are kept until their row mass drops below
+    ``drop_tol`` (at most ``max_levels`` levels); ``tail_tol`` bounds the
+    reported truncation tail, and a non-decaying level profile raises. With
+    fewer than two positive level masses past level 0 there is no decay
+    profile to fit, and the envelope is read off the levels at hand.
     """
     if t <= 0:
         raise ValueError("time must be positive")
@@ -153,7 +163,7 @@ def duhamel_series(L, M, t, tail_tol=1e-6, max_levels=128, drop_tol=1e-14):
                           "build it with perturbation_matrix")
     grid = L.grid
     terms = [heat_kernel(L, t).entries]
-    for term in _talbot_levels(L.entries, *M.factors, t):
+    for term in _talbot_levels(L, *M.factors, t):
         if len(terms) >= max_levels or term.sum(axis=1).max() < drop_tol:
             break
         terms.append(clip_nonnegative(term, "level %d of the series" % len(terms)))
@@ -167,14 +177,18 @@ def duhamel_series(L, M, t, tail_tol=1e-6, max_levels=128, drop_tol=1e-14):
     decaying = masses[1:] < masses[:-1]
     if N >= 2 and not decaying[-1]:
         raise SeriesError("level masses still growing at level %d" % N)
-    ns = np.arange(1, N + 1)
     pos = masses[1:] > 0
-    slope, _ = np.polyfit(ns[pos], np.log(masses[1:][pos]), 1)
-    gamma_fit = float(np.exp(slope))
+    if np.count_nonzero(pos) >= 2:
+        slope, _ = np.polyfit(np.arange(1, N + 1)[pos], np.log(masses[1:][pos]), 1)
+        gamma_fit = float(np.exp(slope))
+    else:
+        # no decay profile to fit: c = 1 (masses[0] <= 1) and gamma = the
+        # mass of the one level past level 0, if any
+        gamma_fit = float(masses[1:].max(initial=0.0))
     if gamma_fit >= 1.0:
         raise SeriesError("fitted level decay gamma=%.4g >= 1" % gamma_fit)
     c_fit = max(1.0, float(np.max(masses / gamma_fit ** np.arange(N + 1))))
-    gamma_loc = float(masses[-1] / masses[-2]) if masses[-2] > 0 else 0.0
+    gamma_loc = float(masses[-1] / masses[-2]) if N >= 1 and masses[-2] > 0 else 0.0
     gamma_loc = min(gamma_loc, 0.999)
     tail = float(masses[-1] * gamma_loc / (1.0 - gamma_loc))
     return DuhamelSeries(

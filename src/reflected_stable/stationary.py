@@ -30,6 +30,8 @@ class GridMeasure:
         self.masses = np.asarray(self.masses, dtype=float)
         if self.masses.shape != (self.grid.n,):
             raise ValueError("masses must have one entry per cell")
+        if not np.all(np.isfinite(self.masses)):
+            raise ValueError("cell masses must be finite")
         if np.any(self.masses < -1e-12):
             raise ValueError("cell masses must be nonnegative")
         total = self.masses.sum()

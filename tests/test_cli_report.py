@@ -287,9 +287,19 @@ def test_main_default_config_print(capsys):
     ({"kind": "simulate", "horizon": 4.0, "t_list": [0.5, 5.0], "replicas": 50},
      "t_list", True),   # a mark past the horizon
     ({"kind": "simulate", "replicas": 0}, "replicas", True),
+    ({"kind": "simulate", "n_cells": 24, "dt": 5.0, "horizon": 2.0, "t_list": [0.5],
+      "replicas": 10}, "dt", True),   # no step left after the burn-in
+    ({"kind": "full-triangulation", "dt": 20.0, "horizon": 30.0}, "dt", True),
+    ({"mu": {"family": "dirac", "point": 0.0, "bogus": 1}}, "mu.bogus", True),
+    ({"domain": {"kind": "interval", "a": -1.0, "b": 1.0, "bogus": 1}}, "domain.bogus",
+     True),
+    ({"domain": {"kind": "ball", "center": [0.0], "radius": 1.0, "a": 0.0}}, "domain.a",
+     True),   # a key of another domain kind
 ], ids=["domain.a", "alpha-str", "alpha-null", "lambda_list", "mu.a", "ball.radius",
         "horizon-inf", "dt-inf", "t_list-inf", "lambda_list-inf", "n_time",
-        "t_list-past-horizon", "simulate-replicas-0"])
+        "t_list-past-horizon", "simulate-replicas-0", "simulate-dt-past-horizon",
+        "triangulation-dt-past-half-horizon", "mu-unknown-key", "domain-unknown-key",
+        "ball-interval-key"])
 def test_non_numeric_fields_exit_2(over, field, at_parse, tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(small_config(out_dir=str(tmp_path / "o"), **over)))
@@ -299,3 +309,50 @@ def test_non_numeric_fields_exit_2(over, field, at_parse, tmp_path, capsys):
         err = json.loads(capsys.readouterr().err.strip())
         assert err["type"] == "ConfigError"
         assert err["error"].startswith("config field '%s'" % field), err
+
+
+def test_out_dir_naming_a_file_exits_2(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory")
+    cfg_path.write_text(json.dumps(small_config(kind="stationary", n_cells=24,
+                                                out_dir=str(taken))))
+    assert main(["--config", str(cfg_path)]) == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["type"] == "ConfigError"
+    assert err["error"].startswith("config field 'out_dir'"), err
+    assert taken.read_text() == "not a directory"
+
+
+def test_series_with_no_level_above_drop_tol_fails_its_check(tmp_path, capsys):
+    # at t = 1e6 every level's mass lies below drop_tol: there is no decay
+    # profile to fit, and the run fails its conservation check, not a crash
+    out = tmp_path / "o"
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(small_config(kind="semigroup-check", n_cells=24,
+                                                t_list=[1e6], out_dir=str(out))))
+    assert main(["--config", str(cfg_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert ["conservation-t1e+06", "FAIL"] in [line.split()
+                                               for line in captured.out.splitlines()]
+    manifest = json.loads((out / "manifest.json").read_text())
+    failed = {c["name"] for c in manifest["checks"] if not c["passed"]}
+    assert "conservation-t1e+06" in failed
+    for name in manifest["outputs"]:
+        assert (out / name).is_file()
+
+
+def test_reflected_kernel_written_as_npy(tmp_path):
+    cfg = parse_config(small_config(kind="semigroup-check", n_cells=24, t_list=[0.3, 1.0],
+                                    out_dir=str(tmp_path)))
+    code, manifest = run(cfg)
+    assert code == 0
+    assert "reflected_kernel_t0.3.npy" in manifest["outputs"]
+    assert "reflected_kernel_t1.npy" not in manifest["outputs"]
+    density = np.load(tmp_path / "reflected_kernel_t0.3.npy")
+    x, width = np.loadtxt(tmp_path / "reflected_kernel_nodes.csv", delimiter=",",
+                          skiprows=1, unpack=True)
+    assert density.shape == (24, 24) and x.shape == width.shape == (24,)
+    # rows of the cell masses are transition laws
+    assert np.abs((density * width).sum(axis=1) - 1.0).max() < 1e-4

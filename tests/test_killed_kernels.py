@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy import stats
 
 from reflected_stable.geometry import IntervalUnion, Region1D, build_grid, exterior_shell
@@ -8,7 +9,7 @@ from reflected_stable.killed_kernels import (assemble_dirichlet_generator,
                                              heat_kernel, killing_intensity,
                                              resolvent_u)
 from reflected_stable.pathsim import sample_first_exit, stream, walk_on_spheres_exit
-from reflected_stable.stable_core import StableParams, ball_mean_exit_time
+from reflected_stable.stable_core import StableParams, ball_mean_exit_time, levy_interval_mass
 
 import oracles
 
@@ -242,3 +243,45 @@ def test_union_domain_generator_and_green():
     assert G.entries.min() > -1e-12
     kappa = killing_intensity(p, U, grid.nodes)
     assert np.abs(L.row_sums() + kappa).max() < 1e-10 * kappa.max()
+
+
+UNION = IntervalUnion([[-1.0, -0.2], [0.1, 1.0]])
+
+
+def _generator(wb, domain, alpha):
+    if domain is None:
+        return wb.ops(alpha)["L"]
+    return assemble_dirichlet_generator(build_grid(domain, 240), wb.params(alpha))
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
+@pytest.mark.parametrize("domain", [None, UNION], ids=["interval", "union"])
+def test_spectral_kernels_match_expm_and_solve(wb, domain, alpha):
+    # the eigendecomposition route against independent dense routes
+    L = _generator(wb, domain, alpha)
+    for t in (0.1, 2.0):
+        P = heat_kernel(L, t)
+        assert np.abs(P.entries - scipy.linalg.expm(t * L.entries)).max() < 1e-10
+    G = green_operator(L)
+    exact = scipy.linalg.solve(L.entries, -np.eye(L.n))
+    assert np.abs(G.entries - exact).max() < 1e-10 * np.abs(exact).max()
+
+
+@pytest.mark.parametrize("domain", [None, UNION], ids=["interval", "union"])
+def test_generator_is_width_symmetric(wb, domain):
+    for alpha in (0.5, 1.0, 1.5):
+        L = _generator(wb, domain, alpha)
+        B = L.grid.widths[:, None] * L.entries
+        assert np.abs(B - B.T).max() <= 1e-15 * np.abs(B).max()
+
+
+def test_union_generator_stays_near_cell_integrals(wb):
+    # symmetrizing moves the union's entries by less than 1e-7 of their row's largest
+    for alpha in (0.5, 1.0, 1.5):
+        p = wb.params(alpha)
+        L = _generator(wb, UNION, alpha)
+        grid = L.grid
+        for i in range(grid.n):
+            mask = np.arange(grid.n) != i
+            raw = levy_interval_mass(p, grid.nodes[i], grid.cells[mask, 0], grid.cells[mask, 1])
+            assert np.abs(L.entries[i, mask] - raw).max() <= 1e-7 * raw.max(), (alpha, i)

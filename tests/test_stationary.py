@@ -20,6 +20,16 @@ def test_grid_measure_validation(wb):
     assert m.tv(m) == 0.0
 
 
+def test_grid_measure_rejects_non_finite_masses(wb):
+    # an empty occupation normalized by its zero total
+    grid = wb.ops(1.0)["grid"]
+    for bad in (np.nan, np.inf):
+        masses = np.full(grid.n, 1.0 / grid.n)
+        masses[3] = bad
+        with pytest.raises(ValueError, match="finite"):
+            GridMeasure(grid, masses)
+
+
 def test_chain_kernel_rows(wb):
     ops = wb.ops(1.0)
     grid = ops["grid"]
