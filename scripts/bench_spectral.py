@@ -9,7 +9,7 @@ Usage, from the root of a checkout:
 Each side is ``label=checkout_root``; its ``src/`` is imported in a fresh
 child process with one BLAS thread. The setup is the interval (-1, 1),
 alpha = 1, the projection return kernel (depth 0.2, width 0.1) and t = 0.1.
-For each n in ``--cells`` the child times, ``--repeats`` times each:
+For each n in CELLS the child times, REPEATS times each:
 ``assemble_dirichlet_generator``, ``duhamel_series``, ``heat_kernel`` and
 ``green_operator``. The JSON file holds the median of each, and the run
 record: core count, BLAS thread count and library versions. Sides run in
@@ -26,9 +26,11 @@ import sys
 import time
 
 LAYERS = ("assemble", "series", "heat_kernel", "green")
+CELLS = (400, 800, 1600)
+REPEATS = 3
 
 
-def child(root, cells, repeats):
+def child(root):
     """Time the layers of one checkout; print one JSON object."""
     sys.path.insert(0, os.path.join(root, "src"))
     import numpy as np
@@ -45,11 +47,11 @@ def child(root, cells, repeats):
     domain = Interval(-1.0, 1.0)
     mu = make_projection_kernel(domain, 0.2, 0.1)
     times = {}
-    for n in cells:
+    for n in CELLS:
         grid = build_grid(domain, n)
         M = perturbation_matrix(grid, params, mu)
         runs = {layer: [] for layer in LAYERS}
-        for _ in range(repeats):
+        for _ in range(REPEATS):
             steps = (("assemble", lambda: assemble_dirichlet_generator(grid, params)),
                      ("series", lambda: duhamel_series(L, M, 0.1)),
                      ("heat_kernel", lambda: heat_kernel(L, 0.1)),
@@ -71,13 +73,11 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--side", action="append", required=True,
                         help="label=checkout_root; repeat for each side")
-    parser.add_argument("--cells", type=int, nargs="+", default=[400, 800, 1600])
-    parser.add_argument("--repeats", type=int, default=3)
     parser.add_argument("--out", default="BENCH_spectral.json")
     parser.add_argument("--child", help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.child:
-        child(args.child, args.cells, args.repeats)
+        child(args.child)
         return
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                MKL_NUM_THREADS="1")
@@ -85,14 +85,13 @@ def main():
     for spec in args.side:
         label, root = spec.split("=", 1)
         cmd = [sys.executable, os.path.abspath(__file__), "--side", spec,
-               "--child", os.path.abspath(root), "--repeats", str(args.repeats),
-               "--cells"] + [str(n) for n in args.cells]
+               "--child", os.path.abspath(root)]
         out = subprocess.run(cmd, env=env, check=True, capture_output=True, text=True)
         sides[label] = json.loads(out.stdout.strip().splitlines()[-1])
         print(label, json.dumps(sides[label]["times_s"]), flush=True)
     record = {
         "setup": "interval(-1, 1), alpha 1, projection(0.2, 0.1), t = 0.1",
-        "statistic": "median of %d runs, seconds" % args.repeats,
+        "statistic": "median of %d runs, seconds" % REPEATS,
         "nproc": os.cpu_count(),
         "blas_threads": 1,
         "python": platform.python_version(),

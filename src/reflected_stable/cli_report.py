@@ -368,7 +368,8 @@ def run(config, out_dir=None):
             expA = scipy.linalg.expm(t * A.entries)
             gap = float(np.abs(K - expA).max())
             runner.check("series-vs-exponential-t%g" % t, gap <= 1e-3, gap, 1e-3)
-            runner.check("gamma-below-1-t%g" % t, ser.fit_gamma < 1.0, ser.fit_gamma, 1.0)
+            runner.check("gamma-below-1-t%g" % t,
+                         ser.fit_gamma is not None and ser.fit_gamma < 1.0, ser.fit_gamma, 1.0)
             diagnostics.append(series_diagnostics(ser))
             if t == config.t_list[0]:
                 # density[i, j] of moving from node i to node j in time t

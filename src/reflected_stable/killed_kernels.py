@@ -28,8 +28,10 @@ class GridOperator:
     for kernel-type operators the matrix entry equals the kernel density
     integrated over cell j. ``factors``, when set, is a pair (U, V) with
     ``entries == U @ V.T``. ``spectrum``, set on an assembled generator, is
-    a pair (lam, Q) with ``W^1/2 entries W^-1/2 == Q diag(lam) Q^T``, W the
-    diagonal of cell widths and Q orthogonal.
+    a triple (lam, Q, of) with ``W^1/2 of W^-1/2 == Q diag(lam) Q^T``, W the
+    diagonal of cell widths and Q orthogonal; ``of`` is the read-only array
+    the spectrum was taken of, and the spectrum is used only while it is
+    still ``entries`` (so ``dataclasses.replace(L, entries=...)`` drops it).
     """
 
     grid: object
@@ -71,7 +73,7 @@ def assemble_dirichlet_generator(grid, params):
     makes every row sum to minus the (exact) killing intensity at the node.
     L is thus self-adjoint for the inner product weighted by W = diag(w),
     and one ``eigh`` of the symmetric ``W^1/2 L W^-1/2`` is kept on the
-    result as ``spectrum`` (see GridOperator).
+    result as ``spectrum`` (see GridOperator); the entries are read-only.
     """
     if grid.domain.d != 1:
         raise ValueError("grid generators are implemented for d=1 only")
@@ -88,8 +90,9 @@ def assemble_dirichlet_generator(grid, params):
     np.fill_diagonal(L, diag)
     S = B / np.sqrt(np.outer(w, w))
     np.fill_diagonal(S, diag)
+    L.setflags(write=False)
     return GridOperator(grid=grid, entries=L, kind="generator",
-                        spectrum=np.linalg.eigh(S))
+                        spectrum=(*np.linalg.eigh(S), L))
 
 
 def clip_nonnegative(P, what):
@@ -102,9 +105,9 @@ def clip_nonnegative(P, what):
 
 def generator_spectrum(L):
     """(lam, Q, sqrt(w)) of an assembled generator; see GridOperator.spectrum."""
-    if L.kind != "generator" or L.spectrum is None:
+    if L.kind != "generator" or L.spectrum is None or L.spectrum[2] is not L.entries:
         raise ValueError("expected a Dirichlet generator from assemble_dirichlet_generator")
-    lam, Q = L.spectrum
+    lam, Q, _ = L.spectrum
     return lam, Q, np.sqrt(L.grid.widths)
 
 

@@ -83,7 +83,8 @@ class DuhamelSeries:
     ``terms[n]`` is the operator carrying mass that has reflected exactly n
     times by time t. ``tail_bound`` estimates the total mass of all dropped
     levels; ``fit_c``/``fit_gamma`` are the fitted geometric envelope of the
-    per-level masses.
+    per-level masses. All three are None when the level masses give no
+    decay profile to fit.
     """
 
     grid: object
@@ -154,7 +155,7 @@ def duhamel_series(L, M, t, tail_tol=1e-6, max_levels=128, drop_tol=1e-14):
     ``drop_tol`` (at most ``max_levels`` levels); ``tail_tol`` bounds the
     reported truncation tail, and a non-decaying level profile raises. With
     fewer than two positive level masses past level 0 there is no decay
-    profile to fit, and the envelope is read off the levels at hand.
+    profile to fit: the envelope and the tail are then not estimated (None).
     """
     if t <= 0:
         raise ValueError("time must be positive")
@@ -178,19 +179,16 @@ def duhamel_series(L, M, t, tail_tol=1e-6, max_levels=128, drop_tol=1e-14):
     if N >= 2 and not decaying[-1]:
         raise SeriesError("level masses still growing at level %d" % N)
     pos = masses[1:] > 0
+    c_fit = gamma_fit = tail = None
     if np.count_nonzero(pos) >= 2:
         slope, _ = np.polyfit(np.arange(1, N + 1)[pos], np.log(masses[1:][pos]), 1)
         gamma_fit = float(np.exp(slope))
-    else:
-        # no decay profile to fit: c = 1 (masses[0] <= 1) and gamma = the
-        # mass of the one level past level 0, if any
-        gamma_fit = float(masses[1:].max(initial=0.0))
-    if gamma_fit >= 1.0:
-        raise SeriesError("fitted level decay gamma=%.4g >= 1" % gamma_fit)
-    c_fit = max(1.0, float(np.max(masses / gamma_fit ** np.arange(N + 1))))
-    gamma_loc = float(masses[-1] / masses[-2]) if N >= 1 and masses[-2] > 0 else 0.0
-    gamma_loc = min(gamma_loc, 0.999)
-    tail = float(masses[-1] * gamma_loc / (1.0 - gamma_loc))
+        if gamma_fit >= 1.0:
+            raise SeriesError("fitted level decay gamma=%.4g >= 1" % gamma_fit)
+        c_fit = max(1.0, float(np.max(masses / gamma_fit ** np.arange(N + 1))))
+        gamma_loc = float(masses[-1] / masses[-2]) if masses[-2] > 0 else 0.0
+        gamma_loc = min(gamma_loc, 0.999)
+        tail = float(masses[-1] * gamma_loc / (1.0 - gamma_loc))
     return DuhamelSeries(
         grid=grid,
         t=t,
@@ -207,11 +205,12 @@ def reflected_kernel(series, tol=1e-4):
     """Sum the series levels into the reflected transition operator.
 
     Row sums must equal one within ``tol`` plus the recorded truncation
-    tail; a violation raises with a diagnostic report attached.
+    tail (none when the tail was not estimated); a violation raises with a
+    diagnostic report attached.
     """
     K = series.sum()
     rs = K.sum(axis=1)
-    low = 1.0 - tol - series.tail_bound
+    low = 1.0 - tol - (series.tail_bound or 0.0)
     high = 1.0 + tol
     if rs.min() < low or rs.max() > high:
         report = {
@@ -293,6 +292,8 @@ class LadderKernel:
 
 def ladder_kernel(series, m_levels):
     """Ladder lift of the series; requires enough levels for the tail."""
+    if series.tail_bound is None:
+        raise ValueError("the series carries no tail estimate to lift")
     if m_levels < series.truncation_N:
         raise ValueError(
             "m_levels=%d too small for the series truncation N=%d"

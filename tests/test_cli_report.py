@@ -338,9 +338,12 @@ def test_series_with_no_level_above_drop_tol_fails_its_check(tmp_path, capsys):
                                                for line in captured.out.splitlines()]
     manifest = json.loads((out / "manifest.json").read_text())
     failed = {c["name"] for c in manifest["checks"] if not c["passed"]}
-    assert "conservation-t1e+06" in failed
+    assert {"conservation-t1e+06", "gamma-below-1-t1e+06"} <= failed
     for name in manifest["outputs"]:
         assert (out / name).is_file()
+    # an envelope that was not fitted is reported as null, not made up
+    diag = json.loads((out / "series_diagnostics.json").read_text())["series"][0]
+    assert diag["fit_c"] is None and diag["fit_gamma"] is None and diag["tail_bound"] is None
 
 
 def test_reflected_kernel_written_as_npy(tmp_path):

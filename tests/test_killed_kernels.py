@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -285,3 +287,13 @@ def test_union_generator_stays_near_cell_integrals(wb):
             mask = np.arange(grid.n) != i
             raw = levy_interval_mass(p, grid.nodes[i], grid.cells[mask, 0], grid.cells[mask, 1])
             assert np.abs(L.entries[i, mask] - raw).max() <= 1e-7 * raw.max(), (alpha, i)
+
+
+def test_spectrum_is_tied_to_the_entries(wb):
+    L = wb.ops(1.0)["L"]
+    with pytest.raises(ValueError):
+        L.entries[0, 0] = 0.0
+    moved = dataclasses.replace(L, entries=2.0 * L.entries)
+    for use in (lambda: heat_kernel(moved, 0.1), lambda: green_operator(moved)):
+        with pytest.raises(ValueError):
+            use()

@@ -176,6 +176,18 @@ def test_series_rejects_bad_inputs(wb):
         duhamel_series(ops["L"], M, 2.0, max_levels=6)
 
 
+def test_series_without_decay_profile_leaves_envelope_unfitted(wb):
+    # at t = 1e6 no level past level 0 reaches drop_tol: nothing to fit, and
+    # no tail is credited, so the lost mass fails conservation
+    ser = duhamel_series(wb.ops(1.0)["L"], wb.M(1.0, "uniform"), 1e6)
+    assert ser.truncation_N == 0
+    assert ser.fit_c is None and ser.fit_gamma is None and ser.tail_bound is None
+    with pytest.raises(ConservationError):
+        reflected_kernel(ser)
+    with pytest.raises(ValueError):
+        ladder_kernel(ser, 4)
+
+
 def test_reflected_kernel_conservation_error_report(wb):
     ser = wb.series(1.0, "uniform", 0.5)
     import dataclasses
