@@ -1,17 +1,22 @@
 """Batch front end: JSON configs, experiment orchestration, and reports.
 
 Experiments are described by a single JSON document and run to CSV, JSON
-and .npy artifacts plus a manifest. Exit codes: 0 all checks passed, 1 at
-least one numeric check failed, 2 invalid configuration. Reruns with the
-same config and seed produce byte-identical result files regardless of the
-worker count (the manifest additionally records wall time, so it is
-excluded from byte comparisons).
+and .npy artifacts plus a manifest. Each kind is a fixed sequence of
+stages, held in one table (``KIND_STAGES``): ``--describe`` prints it, and
+``run`` runs it and records each stage's wall time in the manifest. Exit
+codes: 0 all checks passed, 1 at least one numeric check failed, 2 invalid
+configuration, 3 a stage raised (the error JSON on stderr names the stage).
+Reruns with the same config and seed produce byte-identical result files
+regardless of the worker count (the manifest additionally records wall
+times, so it is excluded from byte comparisons).
 """
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
+import logging
 import math
 import os
 import sys
@@ -37,9 +42,8 @@ from .stationary import (GridMeasure, chain_kernel, dobrushin_coefficient,
                          kappa_closed_form, kappa_ergodic, kappa_generator_nullvector,
                          stationary_p, total_variation, triangulation_report)
 
+logger = logging.getLogger(__name__)
 
-KINDS = ("semigroup-check", "excessive", "simulate", "chain", "stationary",
-         "full-triangulation")
 # keys each domain kind and return-law family takes besides "kind"/"family"
 DOMAIN_KEYS = {"interval": ("a", "b"), "ball": ("center", "radius"),
                "grid1d": ("intervals",)}
@@ -77,23 +81,10 @@ class ExperimentConfig:
     chain_samples: int
 
     def to_dict(self):
-        return {
-            "kind": self.kind,
-            "seed": self.seed,
-            "params": {"d": self.d, "alpha": self.alpha},
-            "domain": self.domain_spec,
-            "mu": self.mu_spec,
-            "n_cells": self.n_cells,
-            "dt": self.dt,
-            "horizon": self.horizon,
-            "replicas": self.replicas,
-            "lambda_list": self.lambda_list,
-            "t_list": self.t_list,
-            "out_dir": self.out_dir,
-            "threads": self.threads,
-            "chain_steps": self.chain_steps,
-            "chain_samples": self.chain_samples,
-        }
+        out = dataclasses.asdict(self)
+        out["params"] = {"d": out.pop("d"), "alpha": out.pop("alpha")}
+        out["domain"], out["mu"] = out.pop("domain_spec"), out.pop("mu_spec")
+        return out
 
     def hash(self):
         payload = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
@@ -141,8 +132,8 @@ def parse_config(raw):
     pr = cfg["params"]
     if not isinstance(pr, dict) or "d" not in pr or "alpha" not in pr:
         raise ConfigError("params", "need d and alpha")
-    if not (isinstance(pr["d"], int) and pr["d"] >= 1):
-        raise ConfigError("params.d", "must be a positive integer")
+    if not (isinstance(pr["d"], int) and pr["d"] == 1):
+        raise ConfigError("params.d", "the CLI runs d = 1")
     if not (_is_number(pr["alpha"]) and 0.0 < pr["alpha"] < 2.0):
         raise ConfigError("params.alpha", "stability index must be a number in (0, 2)")
     dom, mu = cfg["domain"], cfg["mu"]
@@ -155,8 +146,10 @@ def parse_config(raw):
         unknown = set(spec) - {tag} - set(table[spec[tag]])
         if unknown:
             raise ConfigError("%s.%s" % (field, sorted(unknown)[0]), "unknown field")
+    # chain_samples: on the chain check's 20 bins E TV <= sqrt(20 / N) / 2,
+    # which stays within its 0.05 tolerance from N = 2000 on
     for field, low in (("n_cells", 4), ("replicas", 0),
-                       ("threads", 1), ("chain_steps", 1), ("chain_samples", 100)):
+                       ("threads", 1), ("chain_steps", 1), ("chain_samples", 2000)):
         if not isinstance(cfg[field], int) or cfg[field] < low:
             raise ConfigError(field, "must be an integer >= %d" % low)
     for field in ("dt", "horizon"):
@@ -179,14 +172,12 @@ def parse_config(raw):
     if not isinstance(cfg["out_dir"], str) or not cfg["out_dir"]:
         raise ConfigError("out_dir", "must be a nonempty string")
     return ExperimentConfig(
-        kind=cfg["kind"], seed=cfg["seed"], d=pr["d"], alpha=float(pr["alpha"]),
-        domain_spec=dom, mu_spec=mu, n_cells=cfg["n_cells"],
-        dt=float(cfg["dt"]), horizon=float(cfg["horizon"]), replicas=cfg["replicas"],
+        d=pr["d"], alpha=float(pr["alpha"]), domain_spec=dom, mu_spec=mu,
+        dt=float(cfg["dt"]), horizon=float(cfg["horizon"]),
         lambda_list=[float(v) for v in cfg["lambda_list"]],
-        t_list=[float(v) for v in cfg["t_list"]], out_dir=cfg["out_dir"],
-        threads=cfg["threads"], chain_steps=cfg["chain_steps"],
-        chain_samples=cfg["chain_samples"],
-    )
+        t_list=[float(v) for v in cfg["t_list"]],
+        **{k: cfg[k] for k in ("kind", "seed", "n_cells", "replicas", "out_dir", "threads",
+                               "chain_steps", "chain_samples")})
 
 
 def build_domain(spec):
@@ -220,62 +211,8 @@ def build_mu(spec, domain):
         raise ConfigError("mu", str(exc)) from exc
 
 
-_STAGES = {
-    "semigroup-check": [
-        "build grid and killed-process operators",
-        "build return kernel and validate the concentration bound",
-        "perturbation series at each t: conservation, exponential match, level decay",
-    ],
-    "excessive": [
-        "build grid and killed-process operators",
-        "build return kernel and full generator",
-        "shell-sum supermedian construction at each lambda",
-    ],
-    "simulate": [
-        "build grid and killed-process operators",
-        "build return kernel",
-        "ensemble simulation: reflection counts and occupation",
-        "per-path excursion statistics",
-    ],
-    "chain": [
-        "build grid and killed-process operators",
-        "build return kernel and chain kernel",
-        "exact reflection chain sampling and matrix-law comparison",
-    ],
-    "stationary": [
-        "build grid and killed-process operators",
-        "build return kernel and chain kernel",
-        "stationary chain law by power iteration",
-        "closed-form and null-vector stationary densities",
-    ],
-    "full-triangulation": [
-        "build grid and killed-process operators",
-        "build return kernel and validate the concentration bound",
-        "perturbation series: conservation and exponential match",
-        "chain kernel, contraction coefficient, stationary chain law",
-        "closed-form and null-vector stationary densities",
-        "ergodic Monte Carlo and triangulation report",
-    ],
-}
-
-
-def describe(config):
-    """Human-readable plan of the resolved experiment, without running it."""
-    stages = _STAGES[config.kind]
-    lines = ["experiment: %s" % config.kind,
-             "seed: %d" % config.seed,
-             "alpha=%g d=%d domain=%s mu=%s" % (
-                 config.alpha, config.d, config.domain_spec["kind"],
-                 config.mu_spec["family"]),
-             "grid: %d cells; dt=%g horizon=%g replicas=%d" % (
-                 config.n_cells, config.dt, config.horizon, config.replicas),
-             "stages (%d):" % len(stages)]
-    lines += ["  %d. %s" % (i + 1, s) for i, s in enumerate(stages)]
-    return "\n".join(lines)
-
-
 class _Run:
-    """Collects checks and output files for one experiment run."""
+    """One experiment run: its config, checks, output files and grid operators."""
 
     def __init__(self, config, out_dir):
         self.config = config
@@ -287,6 +224,16 @@ class _Run:
         except OSError as exc:
             raise ConfigError("out_dir", "cannot be made a directory: %s" % exc) from exc
 
+    # built on first read, so a run builds only the operators its stages use: the
+    # killed generator L, its Green operator G and harmonic kernel H, the return
+    # kernel's perturbation M, the full generator A and the chain kernel C
+    L = functools.cached_property(lambda r: assemble_dirichlet_generator(r.grid, r.params))
+    G = functools.cached_property(lambda r: green_operator(r.L))
+    H = functools.cached_property(lambda r: harmonic_kernel(r.G, r.params))
+    M = functools.cached_property(lambda r: perturbation_matrix(r.grid, r.params, r.mu))
+    A = functools.cached_property(lambda r: full_generator(r.L, r.M))
+    C = functools.cached_property(lambda r: chain_kernel(r.H, r.mu))
+
     def check(self, name, passed, value=None, tolerance=None):
         self.checks.append({
             "name": name,
@@ -295,197 +242,250 @@ class _Run:
             "tolerance": None if tolerance is None else float(tolerance),
         })
 
+    def _output(self, name):
+        self.outputs.append(name)
+        return os.path.join(self.out_dir, name)
+
     def write_csv(self, name, header, columns):
         """Write equal-length columns: integers as %d, floats as %.17g."""
         columns = [np.asarray(c) for c in columns]
         fmt = ",".join("%d" if c.dtype.kind in "iu" else "%.17g" for c in columns) + "\n"
-        path = os.path.join(self.out_dir, name)
+        path = self._output(name)
         with open(path, "w") as fh:
             fh.write(",".join(header) + "\n")
             fh.writelines(fmt % row for row in zip(*(c.tolist() for c in columns)))
-        self.outputs.append(name)
         return path
+
+    def write_measure(self, name, measure):
+        """Write a grid measure's nodes, cell masses and densities."""
+        grid = measure.grid
+        return self.write_csv(name, ["x", "mass", "density"],
+                              [grid.nodes, measure.masses, measure.masses / grid.widths])
 
     def write_npy(self, name, array):
         """Write one array in NumPy's binary .npy format (load it with np.load)."""
-        path = os.path.join(self.out_dir, name)
-        np.save(path, array)
-        self.outputs.append(name)
-        return path
+        np.save(self._output(name), array)
 
     def write_json(self, name, payload):
-        path = os.path.join(self.out_dir, name)
-        with open(path, "w") as fh:
+        with open(self._output(name), "w") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True, default=float)
             fh.write("\n")
-        self.outputs.append(name)
-        return path
-
-    def all_passed(self):
-        return all(c["passed"] for c in self.checks)
 
 
-def _measure_columns(grid, measure):
-    return grid.nodes, measure.masses, measure.masses / grid.widths
+# Stages: each takes the _Run and leaves what a later stage reads as an attribute
+# of it; a stage's one-line docstring is its name.
+
+def _setup(run):
+    """domain, return kernel and grid"""
+    config = run.config
+    run.params = StableParams(config.d, config.alpha)
+    run.domain = build_domain(config.domain_spec)
+    run.mu = build_mu(config.mu_spec, run.domain)
+    run.grid = build_grid(run.domain, config.n_cells)
+
+
+def _concentration(run):
+    """concentration bound of the return kernel"""
+    rep = validate_concentration(run.mu, default_probes(run.domain))
+    run.check("concentration-witness", rep.passed, rep.theta_hat)
+
+
+def _series(run):
+    """perturbation series at each t: conservation, exponential match, level decay"""
+    diagnostics = []
+    for t in run.config.t_list:
+        ser = duhamel_series(run.L, run.M, t)
+        K = ser.sum()
+        dev = float(np.abs(K.sum(axis=1) - 1.0).max())
+        run.check("conservation-t%g" % t, dev <= 1e-4, dev, 1e-4)
+        gap = float(np.abs(K - scipy.linalg.expm(t * run.A.entries)).max())
+        run.check("series-vs-exponential-t%g" % t, gap <= 1e-3, gap, 1e-3)
+        run.check("gamma-below-1-t%g" % t,
+                  ser.fit_gamma is not None and ser.fit_gamma < 1.0, ser.fit_gamma, 1.0)
+        diagnostics.append(series_diagnostics(ser))
+        if t == run.config.t_list[0]:
+            # density[i, j] of moving from node i to node j in time t
+            run.write_npy("reflected_kernel_t%g.npy" % t, K / run.grid.widths)
+            run.write_csv("reflected_kernel_nodes.csv", ["x", "width"],
+                          [run.grid.nodes, run.grid.widths])
+    run.write_json("series_diagnostics.json", {"series": diagnostics})
+
+
+def _excessive(run):
+    """shell-sum supermedian construction at each lambda"""
+    grid = run.grid
+    for lam in run.config.lambda_list:
+        exc = build_excessive(run.A, lam, run.params, n_max=6)
+        viol = supermedian_violation(run.A, lam, exc.values, [0.1, 1.0, 10.0])
+        run.check("supermedian-lam%g" % lam, viol <= 1e-8, viol, 1e-8)
+        run.check("positive-lam%g" % lam, exc.values.min() > 0, exc.values.min())
+        run.write_csv("excessive_lam%g.csv" % lam, ["x", "boundary_distance", "v"],
+                      [grid.nodes, run.domain.boundary_distance(grid.nodes), exc.values])
+        run.write_json("excessive_radii_lam%g.json" % lam, {
+            "lambda": lam, "radii": exc.radii.tolist(), "thresholds": exc.thresholds.tolist()})
+
+
+def _ensemble(run):
+    """ensemble simulation: reflection counts and occupation"""
+    config, grid = run.config, run.grid
+    marks = sorted(set(config.t_list))
+    ens = simulate_ensemble_blocks(
+        run.params, run.domain, run.mu, _start_law(run.mu, run.domain), config.horizon,
+        config.dt, config.seed, config.replicas, t_marks=marks, grid=grid,
+        burn_in=min(1.0, config.horizon / 10), workers=config.threads)
+    top = int(ens.counts_at_marks.max()) + 1
+    hists = [np.bincount(counts, minlength=top) for counts in ens.counts_at_marks.T]
+    run.write_csv("reflection_counts.csv", ["t", "n", "paths"],
+                  [np.repeat(marks, top), np.tile(np.arange(top), len(marks)),
+                   np.concatenate(hists)])
+    occ = GridMeasure(grid, np.maximum(ens.occupancy, 0) / ens.occupancy.sum())
+    run.write_measure("occupation.csv", occ)
+    run.n_paths = ens.n_paths
+
+
+def _excursions(run):
+    """ladder paths: excursion statistics and path dump"""
+    config = run.config
+    paths = simulate_ladder(run.params, run.domain, run.mu,
+                            _start_point(run.domain), min(config.horizon, 50.0),
+                            config.dt, config.seed, min(config.replicas, 50))
+    n_completed = sum(len(path.tau) for path in paths)
+    run.check("excursions-completed", n_completed >= 20, n_completed, 20)
+    if n_completed >= 20:
+        stats = excursion_statistics(paths, min_completed=20)
+        run.write_json("excursion_stats.json", {
+            "n_paths": stats.n_paths, "n_completed": stats.n_completed,
+            "lag1_autocorrelation": stats.lag1_autocorrelation,
+            "mean_duration": stats.mean_duration})
+    # capped path dump: reflection times and re-entry points
+    dump = paths[:10]
+    run.write_csv("path_dump.csv", ["replica", "reflection", "tau", "R"], [
+        np.repeat(np.arange(len(dump)), [len(path.tau) for path in dump]),
+        np.concatenate([np.arange(1, len(path.tau) + 1) for path in dump]),
+        np.concatenate([path.tau for path in dump]),
+        np.concatenate([path.R for path in dump])])
+    run.check("paths-simulated", True, run.n_paths)
+
+
+def _contraction(run):
+    """chain kernel and its two-step contraction coefficient"""
+    run.beta, run.overlap = dobrushin_coefficient(run.C, steps=2)
+    run.check("dobrushin-two-step", run.beta < 1.0, run.beta, 1.0)
+
+
+def _chain_samples(run):
+    """exact reflection chain sampling and matrix-law comparison"""
+    config, grid = run.config, run.grid
+    x0 = _start_point(run.domain)
+    chains = reflection_chain(run.params, run.domain, run.mu, x0, config.chain_steps,
+                              stream(config.seed, 0xC4), size=config.chain_samples)
+    law = np.zeros(grid.n)
+    law[grid.cell_index(np.atleast_1d(x0))[0]] = 1.0
+    for _ in range(config.chain_steps):
+        law = law @ run.C.entries
+    obs = np.bincount(grid.cell_index(chains[:, -1]), minlength=grid.n)
+    # compare on 20 merged bins so sampling noise stays below tolerance
+    groups = np.array_split(np.arange(grid.n), 20)
+    obs_g = np.array([obs[g].sum() for g in groups], dtype=float)
+    law_g = np.array([law[g].sum() for g in groups])
+    tv_emp = total_variation(obs_g / obs_g.sum(), law_g / law_g.sum())
+    run.check("chain-empirical-vs-matrix-tv", tv_emp < 0.05, tv_emp, 0.05)
+    kept, steps = chains[:2000], chains.shape[1]
+    run.write_csv("chain_samples.csv", ["step", "sample", "x"],
+                  [np.tile(np.arange(1, steps + 1), len(kept)),
+                   np.repeat(np.arange(len(kept)), steps), kept.ravel()])
+
+
+def _densities(run):
+    """stationary chain law, closed-form and null-vector stationary densities"""
+    p_chain = stationary_p(run.C, run.beta)
+    run.measures = {"closed-form": kappa_closed_form(p_chain, run.G),
+                    "null-vector": kappa_generator_nullvector(run.A)}
+    run.write_measure("p_chain.csv", p_chain)
+    run.write_measure("kappa_closed_form.csv", run.measures["closed-form"])
+    run.write_measure("kappa_null_vector.csv", run.measures["null-vector"])
+
+
+def _triangulation(run):
+    """triangulation report of the stationary densities"""
+    tri = triangulation_report(run.measures)
+    worst = max(tri.values())
+    run.check("triangulation-max-tv", worst <= 0.06, worst, 0.06)
+    run.write_json("triangulation.json", {
+        "pairwise_tv": tri, "dobrushin_two_step": run.beta, "min_row_overlap": run.overlap})
+
+
+_ERGODIC_REFLECTIONS = 50   # mean reflections per path for the time average to mix
+
+
+def _ergodic_triangulation(run):
+    """ergodic Monte Carlo (when replicas > 0) and triangulation report"""
+    config = run.config
+    if config.replicas > 0:
+        ens = simulate_ensemble_blocks(
+            run.params, run.domain, run.mu, _start_law(run.mu, run.domain),
+            config.horizon, config.dt, config.seed, config.replicas, grid=run.grid,
+            burn_in=min(2.0, config.horizon / 10), workers=config.threads)
+        reflections = ens.total_reflections.mean()
+        if reflections < _ERGODIC_REFLECTIONS:
+            # too short a horizon: fail a check and triangulate the grid legs
+            run.check("ergodic-reflections", False, reflections, _ERGODIC_REFLECTIONS)
+        else:
+            run.measures["ergodic"] = kappa_ergodic(ens, run.grid, _ERGODIC_REFLECTIONS)
+            run.write_measure("kappa_ergodic.csv", run.measures["ergodic"])
+    _triangulation(run)
+
+
+KIND_STAGES = {
+    "semigroup-check": (_setup, _concentration, _series),
+    "excessive": (_setup, _excessive),
+    "simulate": (_setup, _ensemble, _excursions),
+    "chain": (_setup, _contraction, _chain_samples),
+    "stationary": (_setup, _contraction, _densities, _triangulation),
+    "full-triangulation": (_setup, _concentration, _series, _contraction, _densities,
+                           _ergodic_triangulation),
+}
+KINDS = tuple(KIND_STAGES)
+
+
+def describe(config):
+    """Human-readable plan of the resolved experiment, without running it."""
+    stages = KIND_STAGES[config.kind]
+    lines = ["experiment: %s" % config.kind,
+             "seed: %d" % config.seed,
+             "alpha=%g d=%d domain=%s mu=%s" % (
+                 config.alpha, config.d, config.domain_spec["kind"],
+                 config.mu_spec["family"]),
+             "grid: %d cells; dt=%g horizon=%g replicas=%d" % (
+                 config.n_cells, config.dt, config.horizon, config.replicas),
+             "stages (%d):" % len(stages)]
+    lines += ["  %d. %s" % (i + 1, stage.__doc__) for i, stage in enumerate(stages)]
+    return "\n".join(lines)
 
 
 def run(config, out_dir=None):
-    """Execute the experiment; returns (exit_code, manifest dict).
+    """Run the kind's stages in order; returns (exit_code, manifest dict).
 
-    Writes result CSV/JSON files and a manifest referencing every output.
-    Exit code 0 when all checks pass, 1 otherwise.
+    Writes the result files and a manifest listing them, its checks and each
+    stage's wall time; each stage also logs one DEBUG record. An exception
+    leaves a stage with the stage's name as its ``stage`` attribute. Exit
+    code 0 when all checks pass, 1 otherwise.
     """
-    t_start = time.time()
-    out_dir = out_dir or config.out_dir
-    runner = _Run(config, out_dir)
-    params = StableParams(config.d, config.alpha)
-    domain = build_domain(config.domain_spec)
-    if domain.d != params.d:
-        raise ConfigError("domain", "dimension does not match params.d")
-    mu = build_mu(config.mu_spec, domain)
-
-    if config.d != 1:
-        raise ConfigError("params.d", "grid experiments require d=1 "
-                          "(Monte Carlo helpers support d>=2 as a library)")
-    grid = build_grid(domain, config.n_cells)
-    L = assemble_dirichlet_generator(grid, params)
-    G = green_operator(L)
-    H = harmonic_kernel(G, params)
-    M = perturbation_matrix(grid, params, mu)
-    A = full_generator(L, M)
-
-    kind = config.kind
-    if kind in ("semigroup-check", "full-triangulation"):
-        rep = validate_concentration(mu, default_probes(domain))
-        runner.check("concentration-witness", rep.passed, rep.theta_hat)
-        diagnostics = []
-        for t in config.t_list:
-            ser = duhamel_series(L, M, t)
-            K = ser.sum()
-            rs = K.sum(axis=1)
-            dev = float(np.abs(rs - 1.0).max())
-            runner.check("conservation-t%g" % t, dev <= 1e-4, dev, 1e-4)
-            expA = scipy.linalg.expm(t * A.entries)
-            gap = float(np.abs(K - expA).max())
-            runner.check("series-vs-exponential-t%g" % t, gap <= 1e-3, gap, 1e-3)
-            runner.check("gamma-below-1-t%g" % t,
-                         ser.fit_gamma is not None and ser.fit_gamma < 1.0, ser.fit_gamma, 1.0)
-            diagnostics.append(series_diagnostics(ser))
-            if t == config.t_list[0]:
-                # density[i, j] of moving from node i to node j in time t
-                runner.write_npy("reflected_kernel_t%g.npy" % t, K / grid.widths)
-                runner.write_csv("reflected_kernel_nodes.csv", ["x", "width"],
-                                 [grid.nodes, grid.widths])
-        runner.write_json("series_diagnostics.json", {"series": diagnostics})
-
-    if kind == "excessive":
-        for lam in config.lambda_list:
-            exc = build_excessive(A, lam, params, n_max=6)
-            viol = supermedian_violation(A, lam, exc.values, [0.1, 1.0, 10.0])
-            runner.check("supermedian-lam%g" % lam, viol <= 1e-8, viol, 1e-8)
-            runner.check("positive-lam%g" % lam, exc.values.min() > 0, exc.values.min())
-            runner.write_csv("excessive_lam%g.csv" % lam,
-                             ["x", "boundary_distance", "v"],
-                             [grid.nodes, domain.boundary_distance(grid.nodes), exc.values])
-            runner.write_json("excessive_radii_lam%g.json" % lam, {
-                "lambda": lam,
-                "radii": exc.radii.tolist(),
-                "thresholds": exc.thresholds.tolist(),
-            })
-
-    if kind == "simulate":
-        marks = sorted(set(config.t_list))
-        ens = simulate_ensemble_blocks(
-            params, domain, mu, _start_law(mu, domain), config.horizon, config.dt,
-            config.seed, config.replicas, t_marks=marks, grid=grid,
-            burn_in=min(1.0, config.horizon / 10), workers=config.threads)
-        top = int(ens.counts_at_marks.max()) + 1
-        hists = [np.bincount(ens.counts_at_marks[:, k], minlength=top)
-                 for k in range(len(marks))]
-        runner.write_csv("reflection_counts.csv", ["t", "n", "paths"],
-                         [np.repeat(marks, top), np.tile(np.arange(top), len(marks)),
-                          np.concatenate(hists)])
-        occ = GridMeasure(grid, np.maximum(ens.occupancy, 0) / ens.occupancy.sum())
-        runner.write_csv("occupation.csv", ["x", "mass", "density"],
-                         _measure_columns(grid, occ))
-        paths = simulate_ladder(params, domain, mu, _start_point(mu, domain),
-                                min(config.horizon, 50.0), config.dt, config.seed,
-                                min(config.replicas, 50))
-        n_completed = sum(len(path.tau) for path in paths)
-        runner.check("excursions-completed", n_completed >= 20, n_completed, 20)
-        if n_completed >= 20:
-            stats = excursion_statistics(paths, min_completed=20)
-            runner.write_json("excursion_stats.json", {
-                "n_paths": stats.n_paths,
-                "n_completed": stats.n_completed,
-                "lag1_autocorrelation": stats.lag1_autocorrelation,
-                "mean_duration": stats.mean_duration,
-            })
-        # capped path dump: reflection times and re-entry points
-        dump = paths[:10]
-        runner.write_csv("path_dump.csv", ["replica", "reflection", "tau", "R"], [
-            np.repeat(np.arange(len(dump)), [len(path.tau) for path in dump]),
-            np.concatenate([np.arange(1, len(path.tau) + 1) for path in dump]),
-            np.concatenate([path.tau for path in dump]),
-            np.concatenate([path.R for path in dump])])
-        runner.check("paths-simulated", True, ens.n_paths)
-
-    if kind == "chain":
-        C = chain_kernel(H, mu)
-        beta, _ = dobrushin_coefficient(C, steps=2)
-        runner.check("dobrushin-two-step", beta < 1.0, beta, 1.0)
-        rng = stream(config.seed, 0xC4)
-        x0 = _start_point(mu, domain)
-        chains = reflection_chain(params, domain, mu, x0, config.chain_steps, rng,
-                                  size=config.chain_samples)
-        law = np.zeros(grid.n)
-        law[grid.cell_index(np.atleast_1d(x0))[0]] = 1.0
-        for _ in range(config.chain_steps):
-            law = law @ C.entries
-        obs = np.bincount(grid.cell_index(chains[:, -1]), minlength=grid.n)
-        # compare on 20 merged bins so sampling noise stays below tolerance
-        groups = np.array_split(np.arange(grid.n), 20)
-        obs_g = np.array([obs[g].sum() for g in groups], dtype=float)
-        law_g = np.array([law[g].sum() for g in groups])
-        tv_emp = total_variation(obs_g / obs_g.sum(), law_g / law_g.sum())
-        runner.check("chain-empirical-vs-matrix-tv", tv_emp < 0.05, tv_emp, 0.05)
-        kept, steps = min(2000, chains.shape[0]), chains.shape[1]
-        runner.write_csv("chain_samples.csv", ["step", "sample", "x"],
-                         [np.tile(np.arange(1, steps + 1), kept),
-                          np.repeat(np.arange(kept), steps), chains[:kept].ravel()])
-
-    if kind in ("stationary", "full-triangulation"):
-        C = chain_kernel(H, mu)
-        beta, overlap = dobrushin_coefficient(C, steps=2)
-        runner.check("dobrushin-two-step", beta < 1.0, beta, 1.0)
-        p_chain = stationary_p(C, beta)
-        k_cf = kappa_closed_form(p_chain, G)
-        k_nv = kappa_generator_nullvector(A)
-        measures = {"closed-form": k_cf, "null-vector": k_nv}
-        runner.write_csv("p_chain.csv", ["x", "mass", "density"],
-                         _measure_columns(grid, p_chain))
-        runner.write_csv("kappa_closed_form.csv", ["x", "mass", "density"],
-                         _measure_columns(grid, k_cf))
-        runner.write_csv("kappa_null_vector.csv", ["x", "mass", "density"],
-                         _measure_columns(grid, k_nv))
-        if kind == "full-triangulation" and config.replicas > 0:
-            ens = simulate_ensemble_blocks(
-                params, domain, mu, _start_law(mu, domain), config.horizon,
-                config.dt, config.seed, config.replicas, grid=grid,
-                burn_in=min(2.0, config.horizon / 10), workers=config.threads)
-            k_er = kappa_ergodic(ens, grid)
-            measures["ergodic"] = k_er
-            runner.write_csv("kappa_ergodic.csv", ["x", "mass", "density"],
-                             _measure_columns(grid, k_er))
-        tri = triangulation_report(measures)
-        worst = max(tri.values())
-        runner.check("triangulation-max-tv", worst <= 0.06, worst, 0.06)
-        runner.write_json("triangulation.json", {
-            "pairwise_tv": tri,
-            "dobrushin_two_step": beta,
-            "min_row_overlap": overlap,
-        })
-
+    t_start = time.perf_counter()
+    runner = _Run(config, out_dir or config.out_dir)
+    stages = []
+    for stage in KIND_STAGES[config.kind]:
+        name = stage.__doc__
+        t0 = time.perf_counter()
+        try:
+            stage(runner)
+        except Exception as exc:
+            exc.stage = name
+            raise
+        wall_s = time.perf_counter() - t0
+        stages.append({"name": name, "wall_s": wall_s})
+        logger.debug("stage %r: %.3f s", name, wall_s)
+    passed = all(c["passed"] for c in runner.checks)
     manifest = {
         "config": config.to_dict(),
         "config_hash": config.hash(),
@@ -498,25 +498,26 @@ def run(config, out_dir=None):
         },
         "outputs": runner.outputs,
         "checks": runner.checks,
-        "status": "pass" if runner.all_passed() else "fail",
-        "wall_time_s": time.time() - t_start,
+        "stages": stages,
+        "status": "pass" if passed else "fail",
+        "wall_time_s": time.perf_counter() - t_start,
     }
-    with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
+    with open(os.path.join(runner.out_dir, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True, default=float)
         fh.write("\n")
-    return (0 if runner.all_passed() else 1), manifest
+    return (0 if passed else 1), manifest
 
 
 def _start_law(mu, domain):
     """The kernel's fixed law, else uniform on the middle half of the start point's component."""
     if hasattr(mu, "m"):
         return mu.m
-    x0 = _start_point(mu, domain)
+    x0 = _start_point(domain)
     a, b = next(iv for iv in domain.intervals if iv[0] < x0 < iv[1])
     return UniformMeasure(a + 0.25 * (b - a), b - 0.25 * (b - a))
 
 
-def _start_point(mu, domain):
+def _start_point(domain):
     lo, hi = domain.bounding_box
     mid = 0.5 * (lo + hi)
     if domain.contains(np.atleast_1d(mid)).all():
@@ -563,13 +564,10 @@ def main(argv=None):
         return 0
     try:
         code, manifest = run(config)
-    except ConfigError as exc:
-        print(json.dumps({"error": str(exc), "type": "ConfigError"}), file=sys.stderr)
-        return 2
-    except Exception as exc:  # noqa: BLE001 - report module failures as JSON
-        print(json.dumps({"error": str(exc), "type": type(exc).__name__}),
-              file=sys.stderr)
-        return 1
+    except Exception as exc:  # noqa: BLE001 - report the failure and its stage as JSON
+        print(json.dumps({"error": str(exc), "type": type(exc).__name__,
+                          "stage": getattr(exc, "stage", None)}), file=sys.stderr)
+        return 2 if isinstance(exc, ConfigError) else 3
     for c in manifest["checks"]:
         print("%-40s %s" % (c["name"], "PASS" if c["passed"] else "FAIL"))
     print("status: %s (%d outputs in %s)" % (

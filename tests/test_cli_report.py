@@ -1,9 +1,11 @@
 import json
+import logging
 import os
 
 import numpy as np
 import pytest
 
+from reflected_stable import cli_report
 from reflected_stable.cli_report import (KINDS, ConfigError, _Run, _start_law,
                                          build_domain, build_mu, default_config,
                                          describe, main, parse_config, run)
@@ -45,6 +47,10 @@ def test_validation_errors_name_fields():
     with pytest.raises(ConfigError) as e:
         parse_config(dict(default_config(), bogus=1))
     assert e.value.field == "bogus"
+    # below 2000 samples the 20-bin chain check's noise floor reaches its tolerance
+    with pytest.raises(ConfigError) as e:
+        parse_config(dict(default_config(), chain_samples=1999))
+    assert e.value.field == "chain_samples"
 
 
 def test_describe_lists_stages():
@@ -54,6 +60,11 @@ def test_describe_lists_stages():
     assert text.count("\n  ") == 6
     cfg2 = parse_config(dict(default_config(), kind="chain"))
     assert "stages (3):" in describe(cfg2)
+
+
+def _described_stages(config):
+    return [line.split(". ", 1)[1] for line in describe(config).splitlines()
+            if line.startswith("  ")]
 
 
 def _per_value_csv(header, columns):
@@ -185,6 +196,8 @@ def test_config_sweep_runs(domain, kind, family, tmp_path):
                                     horizon=60.0, out_dir=str(tmp_path)))
     code, manifest = run(cfg)
     assert code == 0, [c for c in manifest["checks"] if not c["passed"]]
+    # the stages run are the stages described
+    assert [s["name"] for s in manifest["stages"]] == _described_stages(cfg)
 
 
 @pytest.mark.parametrize("domain, mu, field", [
@@ -247,6 +260,64 @@ def test_main_cli_flags(tmp_path, capsys):
     manifest = json.loads((tmp_path / "s" / "manifest.json").read_text())
     check = next(c for c in manifest["checks"] if c["name"] == "excursions-completed")
     assert check["value"] < 20 and check["tolerance"] == 20
+    # too short a horizon for the ergodic leg: a failed check, and the two grid
+    # legs are still triangulated
+    out = tmp_path / "f"
+    cfg_path.write_text(json.dumps(small_config(kind="full-triangulation", n_cells=24,
+                                                horizon=4.0, replicas=10,
+                                                out_dir=str(out))))
+    assert main(["--config", str(cfg_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert ["ergodic-reflections", "FAIL"] in [line.split()
+                                               for line in captured.out.splitlines()]
+    manifest = json.loads((out / "manifest.json").read_text())
+    check = next(c for c in manifest["checks"] if c["name"] == "ergodic-reflections")
+    assert check["value"] < 50 and check["tolerance"] == 50
+    assert "kappa_ergodic.csv" not in manifest["outputs"]
+    assert not (out / "kappa_ergodic.csv").exists()
+    tri = json.loads((out / "triangulation.json").read_text())
+    assert list(tri["pairwise_tv"]) == ["closed-form|null-vector"]
+
+
+def test_exit_codes(tmp_path, capsys, monkeypatch):
+    def exit_code(**over):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(small_config(
+            kind="semigroup-check", n_cells=24, out_dir=str(tmp_path / "o"), **over)))
+        code = main(["--config", str(cfg_path)])
+        return code, capsys.readouterr().err
+
+    assert exit_code(t_list=[0.3]) == (0, "")
+    assert exit_code(t_list=[1e6]) == (1, "")      # a failed conservation check
+    code, err = exit_code(mu={"family": "dirac", "point": 5.0})
+    assert code == 2 and json.loads(err)["type"] == "ConfigError"
+
+    def broken_series(*args, **kwargs):
+        raise RuntimeError("series diverged")
+
+    monkeypatch.setattr(cli_report, "duhamel_series", broken_series)
+    code, err = exit_code(t_list=[0.3])
+    assert code == 3
+    assert json.loads(err) == {"error": "series diverged", "type": "RuntimeError",
+                               "stage": cli_report._series.__doc__}
+    assert cli_report._series.__doc__ in _described_stages(
+        parse_config(small_config(kind="semigroup-check")))
+
+
+def test_stages_log_at_debug_only(tmp_path, caplog):
+    cfg = parse_config(small_config(kind="chain", n_cells=24, out_dir=str(tmp_path)))
+    code, manifest = run(cfg)
+    assert code == 0 and not caplog.records
+    caplog.set_level(logging.DEBUG, logger="reflected_stable")
+    code, manifest = run(cfg)
+    assert code == 0
+    records = [r for r in caplog.records if r.name == "reflected_stable.cli_report"]
+    assert [r.levelno for r in records] == [logging.DEBUG] * len(manifest["stages"])
+    for record, stage in zip(records, manifest["stages"]):
+        assert stage["name"] in record.getMessage()
+    assert all(s["wall_s"] >= 0 for s in manifest["stages"])
+    assert sum(s["wall_s"] for s in manifest["stages"]) <= manifest["wall_time_s"]
 
 
 def test_main_config_errors_exit_2(tmp_path, capsys):
@@ -276,6 +347,7 @@ def test_main_default_config_print(capsys):
     ({"domain": {"kind": "interval", "a": "x", "b": 1.0}}, "domain", False),
     ({"params": {"d": 1, "alpha": "x"}}, "params.alpha", True),
     ({"params": {"d": 1, "alpha": None}}, "params.alpha", True),
+    ({"params": {"d": 2, "alpha": 1.0}}, "params.d", True),   # the CLI runs d = 1
     ({"lambda_list": ["a"]}, "lambda_list", True),
     ({"mu": {"family": "constant-uniform", "a": "x", "b": 0.5}}, "mu", False),
     ({"domain": {"kind": "ball", "center": [0.0], "radius": "r"}}, "domain", False),
@@ -295,7 +367,7 @@ def test_main_default_config_print(capsys):
      True),
     ({"domain": {"kind": "ball", "center": [0.0], "radius": 1.0, "a": 0.0}}, "domain.a",
      True),   # a key of another domain kind
-], ids=["domain.a", "alpha-str", "alpha-null", "lambda_list", "mu.a", "ball.radius",
+], ids=["domain.a", "alpha-str", "alpha-null", "d-2", "lambda_list", "mu.a", "ball.radius",
         "horizon-inf", "dt-inf", "t_list-inf", "lambda_list-inf", "n_time",
         "t_list-past-horizon", "simulate-replicas-0", "simulate-dt-past-horizon",
         "triangulation-dt-past-half-horizon", "mu-unknown-key", "domain-unknown-key",
