@@ -26,7 +26,7 @@ for name, mu in (("uniform", make_constant_kernel(D, UniformMeasure(-0.5, 0.5)))
                  ("projection", make_projection_kernel(D, 0.3, 0.2))):
     print("== return law: %s ==" % name)
     C = chain_kernel(H, mu)
-    beta, overlap = dobrushin_coefficient(C, steps=2)
+    beta, overlap = dobrushin_coefficient(C)
     print("two-step contraction coefficient %.3f (row overlap %.3f)"
           % (beta, overlap))
     p_hat = stationary_p(C)

@@ -50,9 +50,9 @@ class Region1D:
     def length(self):
         return float(np.sum(self.pieces[:, 1] - self.pieces[:, 0])) if len(self.pieces) else 0.0
 
-    def is_subset_of(self, other, tol=0.0):
+    def is_subset_of(self, other):
         for a, b in self.pieces:
-            if not np.any((other.pieces[:, 0] <= a + tol) & (other.pieces[:, 1] >= b - tol)):
+            if not np.any((other.pieces[:, 0] <= a) & (other.pieces[:, 1] >= b)):
                 return False
         return True
 

@@ -5,16 +5,15 @@ the self-cell principal value is dropped (it cancels against constants and
 linear functions by symmetry), giving consistency order ``h**(2-alpha)``
 with a provably Metzler sign structure. The assembled generator is
 self-adjoint in the cell-width inner product, and one symmetric
-eigendecomposition taken at assembly gives both the heat kernels (the
-exponential of each eigenvalue) and the Green operator (minus the inverse
-of each eigenvalue). Exit-related quantities follow by composing these with
-exact exterior integrals of the jump kernel.
+eigendecomposition taken at assembly gives the heat kernels (exp(t lam_k)),
+the Green operator (-1/lam_k) and the resolvents (1/(lam - lam_k)) from the
+generator's eigenvalues lam_k. Exit-related quantities follow by composing
+these with exact exterior integrals of the jump kernel.
 """
 
 import dataclasses
 
 import numpy as np
-import scipy.linalg
 
 from .geometry import Region1D, build_grid, exterior_complement
 from .stable_core import levy_interval_mass
@@ -207,14 +206,14 @@ def _graded_edges(lo, hi, toward_lo, scale):
     return lo + offs if toward_lo else hi - offs[::-1]
 
 
-def exterior_nu_vector(params, grid, g, cutoff_factor=50.0, n_gauss=12):
+def exterior_nu_vector(params, grid, g):
     """Vector of integrals of nu(x_i, z) g(z) over the complement of D.
 
     ``g`` may be 1 (or None) for the constant function, a Region1D for an
     indicator, or a callable. Indicators and constants use exact
-    antiderivatives; callables use graded Gauss panels near the boundary
-    plus an analytic power-law tail on which g is frozen at its value at
-    the cutoff.
+    antiderivatives; callables use 12-point Gauss panels graded toward the
+    boundary out to 50 domain diameters, plus an analytic power-law tail
+    beyond on which g is frozen at its value at that cutoff.
     """
     nodes = grid.nodes
     domain = grid.domain
@@ -230,8 +229,8 @@ def exterior_nu_vector(params, grid, g, cutoff_factor=50.0, n_gauss=12):
         raise TypeError("g must be 1, a Region1D, or callable")
     lo_d, hi_d = domain.bounding_box
     diam = hi_d - lo_d
-    cutoff = cutoff_factor * diam
-    gl_x, gl_w = np.polynomial.legendre.leggauss(n_gauss)
+    cutoff = 50.0 * diam
+    gl_x, gl_w = np.polynomial.legendre.leggauss(12)
     out = np.zeros(grid.n)
     for a, b in exterior_complement(domain).pieces:
         if np.isinf(a):
@@ -258,24 +257,19 @@ def exterior_nu_vector(params, grid, g, cutoff_factor=50.0, n_gauss=12):
     return out
 
 
-def _discounted_solve(op, lam, g, params):
-    """Solve ``(lam I - op) x = b``, b the jump-kernel integral of g over the complement."""
-    if lam <= 0:
-        raise ValueError("lambda must be positive")
-    b = exterior_nu_vector(params, op.grid, g)
-    return scipy.linalg.solve(lam * np.eye(op.n) - op.entries, b)
-
-
 def resolvent_u(L, lam, g, params):
     """Expected discounted boundary payoff of the killed process.
 
     Solves ``(lam I - L) u = b`` where b integrates the jump kernel against
     g over the complement; u approximates the expectation of
-    ``exp(-lam tau) g(exit point)``.
+    ``exp(-lam tau) g(exit point)``. Read off the generator's spectrum:
+    ``u = W^-1/2 Q diag(1/(lam - lam_k)) Q^T W^1/2 b``.
     """
-    if L.kind != "generator":
-        raise ValueError("resolvent_u expects a Dirichlet generator")
-    return _discounted_solve(L, lam, g, params)
+    if lam <= 0:
+        raise ValueError("lambda must be positive")
+    lam_k, Q, sw = generator_spectrum(L)
+    b = exterior_nu_vector(params, L.grid, g)
+    return Q @ ((Q.T @ (sw * b)) / (lam - lam_k)) / sw
 
 
 def default_operators(params, domain, n_cells):

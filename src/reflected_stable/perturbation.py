@@ -15,9 +15,8 @@ import numpy as np
 import scipy.linalg
 
 from .geometry import exterior_shell
-from .killed_kernels import (GridOperator, _discounted_solve, clip_nonnegative,
-                             exterior_nu_vector, generator_spectrum, heat_kernel,
-                             killing_intensity)
+from .killed_kernels import (GridOperator, clip_nonnegative, exterior_nu_vector,
+                             generator_spectrum, heat_kernel, killing_intensity)
 from .stable_core import levy_interval_mass
 
 # nodes of the fixed Talbot contour; its round-off grows like exp(2J/5) eps
@@ -36,7 +35,7 @@ class ConservationError(RuntimeError):
         self.report = report
 
 
-def perturbation_matrix(grid, params, mu, row_sum_tol=1e-6):
+def perturbation_matrix(grid, params, mu):
     """Jump-and-return operator: integrate the jump kernel against mu.
 
     Entry (i, j) is the rate of jumping from node i out of D and re-entering
@@ -44,7 +43,7 @@ def perturbation_matrix(grid, params, mu, row_sum_tol=1e-6):
     the operator is exactly ``U @ V.T``: each piece contributes a column of
     U (the jump mass from every node into the piece) and the matching
     column of V (the re-entry law from the piece). The factors are kept on
-    the result. Row sums are checked against the exact killing intensity.
+    the result. Row sums must match the exact killing intensity to 1e-6.
     """
     try:
         pieces = mu.z_pieces()
@@ -61,7 +60,7 @@ def perturbation_matrix(grid, params, mu, row_sum_tol=1e-6):
     M = U @ V.T
     kappa = killing_intensity(params, grid.domain, nodes)
     err = np.abs(M.sum(axis=1) - kappa)
-    if err.max() > row_sum_tol * max(1.0, kappa.max()):
+    if err.max() > 1e-6 * max(1.0, kappa.max()):
         raise SeriesError(
             "perturbation matrix row sums deviate from the killing intensity "
             "by %.3g (tail tolerance unmet)" % err.max()
@@ -141,7 +140,7 @@ def _talbot_levels(L, U, V, t):
         P = P @ F
 
 
-def duhamel_series(L, M, t, tail_tol=1e-6, max_levels=128, drop_tol=1e-14):
+def duhamel_series(L, M, t, max_levels=128):
     """Build the series level terms at time t on a Laplace contour.
 
     Level 0 is the killed heat kernel ``exp(tL)``. With the return operator
@@ -151,11 +150,11 @@ def duhamel_series(L, M, t, tail_tol=1e-6, max_levels=128, drop_tol=1e-14):
     exponential. Both come from the eigendecomposition that the generator
     carries (see ``assemble_dirichlet_generator``), so no step factors or
     exponentiates a matrix. Entries are clipped at zero, and a clip beyond
-    1e-9 raises. Levels are kept until their row mass drops below
-    ``drop_tol`` (at most ``max_levels`` levels); ``tail_tol`` bounds the
-    reported truncation tail, and a non-decaying level profile raises. With
-    fewer than two positive level masses past level 0 there is no decay
-    profile to fit: the envelope and the tail are then not estimated (None).
+    1e-9 raises. Levels are kept until their row mass drops below 1e-14 (at
+    most ``max_levels`` levels); a last kept level above 1e-6 at the cap, or
+    a non-decaying level profile, raises. With fewer than two positive level
+    masses past level 0 there is no decay profile to fit: the envelope and
+    the tail are then not estimated (None).
     """
     if t <= 0:
         raise ValueError("time must be positive")
@@ -165,12 +164,12 @@ def duhamel_series(L, M, t, tail_tol=1e-6, max_levels=128, drop_tol=1e-14):
     grid = L.grid
     terms = [heat_kernel(L, t).entries]
     for term in _talbot_levels(L, *M.factors, t):
-        if len(terms) >= max_levels or term.sum(axis=1).max() < drop_tol:
+        if len(terms) >= max_levels or term.sum(axis=1).max() < 1e-14:
             break
         terms.append(clip_nonnegative(term, "level %d of the series" % len(terms)))
     masses = np.array([term.sum(axis=1).max() for term in terms])
     N = len(terms) - 1
-    if N >= max_levels - 1 and masses[-1] > tail_tol:
+    if N >= max_levels - 1 and masses[-1] > 1e-6:
         raise SeriesError(
             "level masses did not decay below tolerance within %d levels; "
             "the return kernel may lack uniform concentration, or the discretization failed" % max_levels
@@ -201,23 +200,23 @@ def duhamel_series(L, M, t, tail_tol=1e-6, max_levels=128, drop_tol=1e-14):
     )
 
 
-def reflected_kernel(series, tol=1e-4):
+def reflected_kernel(series):
     """Sum the series levels into the reflected transition operator.
 
-    Row sums must equal one within ``tol`` plus the recorded truncation
+    Row sums must equal one within 1e-4 plus the recorded truncation
     tail (none when the tail was not estimated); a violation raises with a
     diagnostic report attached.
     """
     K = series.sum()
     rs = K.sum(axis=1)
-    low = 1.0 - tol - (series.tail_bound or 0.0)
-    high = 1.0 + tol
+    low = 1.0 - 1e-4 - (series.tail_bound or 0.0)
+    high = 1.0 + 1e-4
     if rs.min() < low or rs.max() > high:
         report = {
             "row_sum_min": float(rs.min()),
             "row_sum_max": float(rs.max()),
             "tail_bound": series.tail_bound,
-            "tolerance": tol,
+            "tolerance": 1e-4,
             "worst_rows": np.argsort(np.abs(rs - 1.0))[-5:].tolist(),
         }
         raise ConservationError(
@@ -305,6 +304,15 @@ def ladder_kernel(series, m_levels):
 # ---------------------------------------------------------------------------
 # supermedian machinery
 
+def _discounted_solver(A, lam, params):
+    """Map g to the solution of ``(lam I - A) v = b``, b the jump-kernel
+    integral of g over the complement; ``lam I - A`` is factored once."""
+    if lam <= 0:
+        raise ValueError("lambda must be positive")
+    lu = scipy.linalg.lu_factor(lam * np.eye(A.n) - A.entries)
+    return lambda g: scipy.linalg.lu_solve(lu, exterior_nu_vector(params, A.grid, g))
+
+
 def supermedian_v(A, lam, g, params):
     """Discounted occupation of the boundary payoff under the reflected flow.
 
@@ -312,7 +320,7 @@ def supermedian_v(A, lam, g, params):
     the complement; v dominates the killed analogue and is lam-supermedian
     for the reflected kernel.
     """
-    return _discounted_solve(A, lam, g, params)
+    return _discounted_solver(A, lam, params)(g)
 
 
 def supermedian_violation(A, lam, h, times):
@@ -335,23 +343,23 @@ class ExcessiveFunction:
     lam: float
 
 
-def build_excessive(A, lam, params, n_max=6, r_floor_factor=1e-9, bisect_tol=1e-3):
+def build_excessive(A, lam, params, n_max=6, r_floor_factor=1e-9):
     """Construct the boundary-exploding supermedian function.
 
     For an exhaustion of the grid by boundary-distance thresholds, find
     decreasing shell depths so the shell payoff is at most 2**-n on the n-th
-    compact, then sum the shell indicators. The result is strictly positive,
-    finite, lam-supermedian, and largest near the boundary.
+    compact (bisected to 1e-3 relative), then sum the shell indicators. The
+    result is strictly positive, finite, lam-supermedian, and largest near
+    the boundary.
     """
     grid = A.grid
     domain = grid.domain
     delta = domain.boundary_distance(grid.nodes)
     dmax = delta.max()
-    lu = scipy.linalg.lu_factor(lam * np.eye(grid.n) - A.entries)
+    solve = _discounted_solver(A, lam, params)
 
     def v_of(r):
-        b = exterior_nu_vector(params, grid, exterior_shell(domain, r))
-        return scipy.linalg.lu_solve(lu, b)
+        return solve(exterior_shell(domain, r))
 
     lo_b, hi_b = domain.bounding_box
     diam = hi_b - lo_b
@@ -377,7 +385,7 @@ def build_excessive(A, lam, params, n_max=6, r_floor_factor=1e-9, bisect_tol=1e-
         if worst(hi) <= target:
             r_n = hi
         else:
-            while hi - lo > bisect_tol * hi:
+            while hi - lo > 1e-3 * hi:
                 mid = 0.5 * (lo + hi)
                 if worst(mid) <= target:
                     lo = mid
@@ -398,27 +406,26 @@ def build_excessive(A, lam, params, n_max=6, r_floor_factor=1e-9, bisect_tol=1e-
     )
 
 
-def ladder_lift(h, alpha_lift, m_levels, A=None, lam=None,
-                check_times=(0.1, 1.0, 10.0), check_tol=1e-8):
+def ladder_lift(h, alpha_lift, m_levels, A=None, lam=None):
     """Geometric lift of a grid function to the ladder: level m carries
     ``alpha_lift**m`` times the function.
 
-    When the full generator and a rate are supplied, the input is first
-    verified to satisfy the discounted-domination inequality; a failing
-    input raises.
+    When the full generator is supplied, the input is first verified to
+    satisfy the discounted-domination inequality at t = 0.1, 1 and 10 (rate
+    ``lam``, default 0) to within 1e-8; a failing input raises.
     """
     if not (0.0 < alpha_lift <= 1.0):
         raise ValueError("alpha_lift must lie in (0, 1]")
     h = np.asarray(h, dtype=float)
     if A is not None:
-        viol = supermedian_violation(A, 0.0 if lam is None else lam, h, check_times)
-        if viol > check_tol:
+        viol = supermedian_violation(A, 0.0 if lam is None else lam, h, (0.1, 1.0, 10.0))
+        if viol > 1e-8:
             raise ValueError(
                 "input fails its supermedian check (violation %.3g)" % viol)
     return alpha_lift ** np.arange(m_levels + 1)[:, None] * h[None, :]
 
 
-def ladder_supermedian_violation(ladder, lam, lifted, h_sup_check=None):
+def ladder_supermedian_violation(ladder, lam, lifted):
     """Worst violation of the discounted ladder inequality, net of tail slack.
 
     Returns ``max(exp(-lam t) K_ladder F - F) - slack`` where the slack

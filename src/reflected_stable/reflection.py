@@ -206,7 +206,7 @@ class ReflectionKernel:
 class ConstantKernel(ReflectionKernel):
     """Kernel ignoring the exit point: mu(z, .) = m for every z."""
 
-    def __init__(self, domain, m, witness=None):
+    def __init__(self, domain, m):
         self.domain = domain
         self.m = m
         total = m.total_mass()
@@ -218,10 +218,7 @@ class ConstantKernel(ReflectionKernel):
             if outside > 0:
                 raise KernelError("law puts mass %.6g outside the open domain %r"
                                   % (outside, domain))
-        if witness is None:
-            self.witness_H, self.witness_theta = m.default_witness()
-        else:
-            self.witness_H, self.witness_theta = witness
+        self.witness_H, self.witness_theta = m.default_witness()
         if self.witness_theta <= 0:
             raise KernelError("witness mass must be positive")
 
@@ -329,15 +326,15 @@ class ProjectionKernel(ReflectionKernel):
         return out
 
 
-def make_constant_kernel(domain, m, witness=None):
+def make_constant_kernel(domain, m):
     """Constant return kernel with law ``m`` regardless of the exit point.
 
     ``m`` may be a UniformMeasure, AtomMeasure, GridDensityMeasure, or
     BallUniformMeasure. On a 1-D domain ``m`` must carry no mass outside
-    open D (boundary atoms included), else KernelError. The witness defaults
-    to a compact set carrying at least half of the mass of ``m``.
+    open D (boundary atoms included), else KernelError. The witness is the
+    measure's own: a compact set carrying at least half of the mass of ``m``.
     """
-    return ConstantKernel(domain, m, witness=witness)
+    return ConstantKernel(domain, m)
 
 
 def make_projection_kernel(domain, depth, width):
@@ -362,12 +359,12 @@ class ConcentrationReport:
             status, self.theta_hat, self.witness_theta, len(self.violations))
 
 
-def default_probes(domain, cutoff_factor=100.0):
+def default_probes(domain):
     """Exterior probe points: near-boundary, shell, gap, and far points.
 
-    Probes reach ``cutoff_factor`` times the domain diameter into the
-    complement; built-in kernel families are constant beyond that by
-    construction, which supplies the tail argument.
+    Probes reach 100 times the domain diameter into the complement;
+    built-in kernel families are constant beyond that by construction,
+    which supplies the tail argument.
     """
     ext = exterior_complement(domain)
     ivs = domain.intervals
@@ -376,7 +373,7 @@ def default_probes(domain, cutoff_factor=100.0):
     probes = []
     for e in ivs.ravel():
         probes.extend([e, e - 1e-9 * diam, e + 1e-9 * diam])
-    for f in (0.01, 0.1, 0.5, 1.0, 10.0, cutoff_factor):
+    for f in (0.01, 0.1, 0.5, 1.0, 10.0, 100.0):
         probes.extend([lo - f * diam, hi + f * diam])
     for k in range(len(ivs) - 1):
         a, b = ivs[k, 1], ivs[k + 1, 0]

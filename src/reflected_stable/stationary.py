@@ -15,6 +15,10 @@ from .killed_kernels import GridOperator
 from .perturbation import perturbation_matrix
 
 
+# mean reflections per path for an ensemble's time average to mix
+_ERGODIC_REFLECTIONS = 50
+
+
 class StationaryError(RuntimeError):
     """Stationary computation failed to converge or validate."""
 
@@ -69,15 +73,15 @@ def chain_kernel(harmonic, mu):
     return GridOperator(grid=grid, entries=C, kind="chain-kernel")
 
 
-def dobrushin_coefficient(op, steps=2):
-    """Contraction coefficient of the given power of a stochastic matrix.
+def dobrushin_coefficient(op):
+    """Contraction coefficient of the square of a stochastic matrix.
 
     Returns (beta, min_overlap): beta is the maximal pairwise total
-    variation of rows of the matrix power (in the half-l1 metric), and
+    variation of rows of the two-step matrix (in the half-l1 metric), and
     min_overlap the minimal pairwise overlap mass, so beta = 1 - min_overlap
     (clamped at 0).
     """
-    P = np.linalg.matrix_power(op.entries, steps)
+    P = op.entries @ op.entries
     n = P.shape[0]
     # overlap of rows i and j: sum_k min(P[i,k], P[j,k]); vectorized in
     # blocks of rows whose pairwise minima hold at most 2**19 values (4 MB)
@@ -95,30 +99,30 @@ def dobrushin_coefficient(op, steps=2):
     return beta, min_overlap
 
 
-def stationary_p(chain, beta=None, tol=1e-12, max_iter=100000):
+def stationary_p(chain, beta=None):
     """Stationary law of the reflection chain by power iteration.
 
-    Iterates from the uniform start until successive total variation drops
-    below ``tol``; verifies the fixed point within twice the tolerance and
-    that the empirical per-step rate does not exceed the square root of the
-    two-step contraction coefficient ``beta`` (with slack). ``beta`` is
+    Iterates from the uniform start, at most 100000 times, until successive
+    total variation drops below 1e-12; verifies the fixed point within 2e-12
+    and that the empirical per-step rate does not exceed the square root of
+    the two-step contraction coefficient ``beta`` (with slack). ``beta`` is
     measured here when the caller has not already done so.
     """
     if beta is None:
-        beta, _ = dobrushin_coefficient(chain, steps=2)
+        beta, _ = dobrushin_coefficient(chain)
     C = chain.entries
     n = chain.grid.n
     p = np.full(n, 1.0 / n)
     rates = []
     prev_delta = None
-    for _ in range(max_iter):
+    for _ in range(100000):
         nxt = p @ C
         delta = total_variation(nxt, p)
         if prev_delta and prev_delta > 0:
             rates.append(delta / prev_delta)
         prev_delta = delta
         p = nxt
-        if delta < tol:
+        if delta < 1e-12:
             break
     else:
         raise StationaryError(
@@ -126,8 +130,8 @@ def stationary_p(chain, beta=None, tol=1e-12, max_iter=100000):
             "contraction %.4g)" % (delta, beta)
         )
     fixed_err = total_variation(p @ C, p)
-    if fixed_err > 2 * tol:
-        raise StationaryError("fixed point violated: TV=%.3g > 2 tol" % fixed_err)
+    if fixed_err > 2e-12:
+        raise StationaryError("fixed point violated: TV=%.3g > 2e-12" % fixed_err)
     tail_rates = [r for r in rates[-20:] if r > 0]
     if tail_rates:
         rate = float(np.median(tail_rates))
@@ -155,13 +159,13 @@ def kappa_closed_form(p_or_m, green):
     return GridMeasure(grid=green.grid, masses=w / total)
 
 
-def kappa_generator_nullvector(A, tol=1e-12, t_checks=(0.5, 2.0), check_tol=1e-6):
+def kappa_generator_nullvector(A):
     """Stationary density as the normalized left null vector of the full
-    generator, by shifted inverse iteration.
+    generator, by shifted inverse iteration (to 1e-12 in total variation).
 
     Verifies the null space is one-dimensional (second-smallest singular
-    value bounded away from zero) and that the vector is invariant under
-    the transition operators at the given times.
+    value bounded away from zero) and that the vector is invariant, to 1e-6
+    in total variation, under the transition operators at t = 0.5 and 2.
     """
     if A.kind != "full-generator":
         raise ValueError("expected the full generator")
@@ -173,7 +177,7 @@ def kappa_generator_nullvector(A, tol=1e-12, t_checks=(0.5, 2.0), check_tol=1e-6
     for _ in range(200):
         w = scipy.linalg.lu_solve(lu, v)
         w = w / np.abs(w).sum()
-        if total_variation(np.abs(w), np.abs(v)) < tol:
+        if total_variation(np.abs(w), np.abs(v)) < 1e-12:
             v = w
             break
         v = w
@@ -185,23 +189,23 @@ def kappa_generator_nullvector(A, tol=1e-12, t_checks=(0.5, 2.0), check_tol=1e-6
             "null space of the generator is not clearly one-dimensional "
             "(trailing singular values %.3g, %.3g)" % (sv[-2], sv[-1])
         )
-    for t in t_checks:
+    for t in (0.5, 2.0):
         P = scipy.linalg.expm(t * A.entries)
-        if total_variation(kappa @ P, kappa) > check_tol:
+        if total_variation(kappa @ P, kappa) > 1e-6:
             raise StationaryError("null vector not invariant under exp(tA) at t=%g" % t)
     return GridMeasure(grid=A.grid, masses=kappa)
 
 
-def kappa_ergodic(ens, grid, min_mean_reflections=50):
+def kappa_ergodic(ens, grid):
     """Stationary density from the time-averaged occupation of an ensemble.
 
     ``ens`` is an EnsembleResult run with an occupation histogram on the
-    right grid (its burn-in was applied by the simulation). Requires enough
-    reflections per path for the averages to mix.
+    right grid (its burn-in was applied by the simulation). Requires at
+    least 50 reflections per path on average, for the averages to mix.
     """
     if ens.occupancy is None:
         raise ValueError("ensemble was run without a grid/occupancy")
-    if ens.total_reflections.mean() < min_mean_reflections:
+    if ens.total_reflections.mean() < _ERGODIC_REFLECTIONS:
         raise StationaryError(
             "insufficient horizon: %.1f reflections per path on average"
             % ens.total_reflections.mean()

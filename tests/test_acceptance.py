@@ -278,7 +278,7 @@ def test_criterion_13_dobrushin(wb):
     details = []
     for name in ("uniform", "dirac", "projection"):
         C = chain_kernel(ops["H"], wb.mu(name))
-        beta, _ = dobrushin_coefficient(C, steps=2)
+        beta, _ = dobrushin_coefficient(C)
         ok = ok and beta < 1.0
         p_hat = stationary_p(C)
         law = np.zeros(ops["grid"].n)

@@ -1,0 +1,99 @@
+"""Property test of the CLI contract on configs drawn from a fixed menu.
+
+Every run of ``main`` must exit 0, exit 1 with a FAIL line for a named
+check, or exit 2 with a ConfigError naming a field; exit 3 (a stage
+raised) fails the test. Configs are tiny, and at most one field is
+replaced by an invalid value or joined by an unknown key.
+"""
+
+import contextlib
+import io
+import json
+import os
+import tempfile
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from reflected_stable.cli_report import KINDS, default_config, main
+
+# each domain with an in-domain law of every family; unions whose pieces
+# touch (such as [[-1, 0], [0, 1]]) stay out, because walk-on-spheres takes
+# 10-17 s per chain run there
+DOMAINS = {
+    "interval": ({"kind": "interval", "a": -1.0, "b": 1.0}, (
+        {"family": "constant-uniform", "a": -0.5, "b": 0.5},
+        {"family": "dirac", "point": 0.3},
+        {"family": "projection", "depth": 0.3, "width": 0.2})),
+    "short": ({"kind": "interval", "a": 0.0, "b": 0.3}, (
+        {"family": "constant-uniform", "a": 0.1, "b": 0.2},
+        {"family": "dirac", "point": 0.15},
+        {"family": "projection", "depth": 0.05, "width": 0.04})),
+    "ball": ({"kind": "ball", "center": [0.5], "radius": 2.0}, (
+        {"family": "constant-uniform", "a": 0.0, "b": 1.0},
+        {"family": "dirac", "point": 0.5},
+        {"family": "projection", "depth": 0.5, "width": 0.4})),
+    "union": ({"kind": "grid1d", "intervals": [[-1.0, -0.2], [0.1, 1.0]]}, (
+        {"family": "constant-uniform", "a": 0.3, "b": 0.8},
+        {"family": "dirac", "point": 0.5},
+        {"family": "projection", "depth": 0.2, "width": 0.1})),
+}
+INVALID = ("x", None, float("inf"), -2.5)
+
+
+@st.composite
+def configs(draw):
+    """(raw config, unknown key or None) from the menu, perhaps made invalid."""
+    domain, laws = DOMAINS[draw(st.sampled_from(sorted(DOMAINS)))]
+    raw = dict(
+        default_config(), kind=draw(st.sampled_from(KINDS)), seed=draw(st.integers(0, 1000)),
+        params={"d": 1, "alpha": draw(st.sampled_from([0.5, 1.0, 1.5, 1.9]))},
+        domain=dict(domain), mu=dict(draw(st.sampled_from(laws))),
+        n_cells=draw(st.integers(4, 40)), dt=draw(st.sampled_from([1e-3, 1e-2, 0.1])),
+        horizon=draw(st.sampled_from([0.5, 2.0, 5.0])),
+        replicas=draw(st.sampled_from([0, 1, 3, 20])),
+        t_list=draw(st.lists(st.sampled_from([1e-6, 0.01, 0.3, 1.0, 20.0, 50.0]),
+                             min_size=1, max_size=2)),
+        lambda_list=draw(st.lists(st.sampled_from([1e-6, 0.1, 1.0, 100.0]),
+                                  min_size=1, max_size=2)),
+        threads=draw(st.sampled_from([1, 2])), chain_samples=2000)
+    change = draw(st.sampled_from(["none", "value", "unknown key"]))
+    if change == "none":
+        return raw, None
+    owner = draw(st.sampled_from([None, "params", "domain", "mu"]))
+    target = raw if owner is None else raw[owner]
+    if change == "unknown key":
+        target["bogus"] = 1
+        return raw, "bogus" if owner is None else owner + ".bogus"
+    # out_dir stays valid: any string names a directory to write in
+    field = draw(st.sampled_from(sorted(set(target) - {"out_dir"})))
+    target[field] = draw(st.sampled_from(INVALID))
+    return raw, None
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(configs())
+def test_cli_runs_fails_a_check_or_names_a_field(drawn):
+    raw, unknown = drawn
+    with tempfile.TemporaryDirectory() as tmp:
+        raw["out_dir"] = os.path.join(tmp, "out")
+        cfg_path = os.path.join(tmp, "cfg.json")
+        with open(cfg_path, "w") as fh:
+            json.dump(raw, fh)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["--config", cfg_path])
+    lines = [line.split() for line in out.getvalue().splitlines()]
+    if unknown is not None:
+        assert code == 2
+    if code == 0:
+        assert err.getvalue() == "" and ["status:", "pass"] in [line[:2] for line in lines]
+    elif code == 1:
+        assert err.getvalue() == ""
+        assert any(len(line) == 2 and line[1] == "FAIL" for line in lines), out.getvalue()
+    else:
+        assert code == 2, err.getvalue()
+        payload = json.loads(err.getvalue())
+        assert payload["type"] == "ConfigError", payload
+        named = "config field '%s'" % unknown if unknown else "config field '"
+        assert payload["error"].startswith(named), payload

@@ -343,40 +343,44 @@ def test_main_default_config_print(capsys):
     assert payload["kind"] == "full-triangulation"
 
 
-@pytest.mark.parametrize("over, field, at_parse", [
-    ({"domain": {"kind": "interval", "a": "x", "b": 1.0}}, "domain", False),
-    ({"params": {"d": 1, "alpha": "x"}}, "params.alpha", True),
-    ({"params": {"d": 1, "alpha": None}}, "params.alpha", True),
-    ({"params": {"d": 2, "alpha": 1.0}}, "params.d", True),   # the CLI runs d = 1
-    ({"lambda_list": ["a"]}, "lambda_list", True),
-    ({"mu": {"family": "constant-uniform", "a": "x", "b": 0.5}}, "mu", False),
-    ({"domain": {"kind": "ball", "center": [0.0], "radius": "r"}}, "domain", False),
-    ({"horizon": float("inf")}, "horizon", True),
-    ({"dt": float("inf")}, "dt", True),
-    ({"t_list": [0.1, float("inf")]}, "t_list", True),
-    ({"lambda_list": [float("inf")]}, "lambda_list", True),
-    ({"n_time": 64}, "n_time", True),   # removed field: unknown
+@pytest.mark.parametrize("over, field", [
+    ({"domain": {"kind": "interval", "a": "x", "b": 1.0}}, "domain"),
+    ({"params": {"d": 1, "alpha": "x"}}, "params.alpha"),
+    ({"params": {"d": 1, "alpha": None}}, "params.alpha"),
+    ({"params": {"d": 2, "alpha": 1.0}}, "params.d"),   # the CLI runs d = 1
+    ({"lambda_list": ["a"]}, "lambda_list"),
+    ({"mu": {"family": "constant-uniform", "a": "x", "b": 0.5}}, "mu"),
+    ({"domain": {"kind": "ball", "center": [0.0], "radius": "r"}}, "domain"),
+    ({"horizon": float("inf")}, "horizon"),
+    ({"dt": float("inf")}, "dt"),
+    ({"t_list": [0.1, float("inf")]}, "t_list"),
+    ({"lambda_list": [float("inf")]}, "lambda_list"),
+    ({"n_time": 64}, "n_time"),   # removed field: unknown
     ({"kind": "simulate", "horizon": 4.0, "t_list": [0.5, 5.0], "replicas": 50},
-     "t_list", True),   # a mark past the horizon
-    ({"kind": "simulate", "replicas": 0}, "replicas", True),
+     "t_list"),   # a mark past the horizon
+    ({"kind": "simulate", "replicas": 0}, "replicas"),
     ({"kind": "simulate", "n_cells": 24, "dt": 5.0, "horizon": 2.0, "t_list": [0.5],
-      "replicas": 10}, "dt", True),   # no step left after the burn-in
-    ({"kind": "full-triangulation", "dt": 20.0, "horizon": 30.0}, "dt", True),
-    ({"mu": {"family": "dirac", "point": 0.0, "bogus": 1}}, "mu.bogus", True),
-    ({"domain": {"kind": "interval", "a": -1.0, "b": 1.0, "bogus": 1}}, "domain.bogus",
-     True),
-    ({"domain": {"kind": "ball", "center": [0.0], "radius": 1.0, "a": 0.0}}, "domain.a",
-     True),   # a key of another domain kind
+      "replicas": 10}, "dt"),   # no step left after the burn-in
+    ({"kind": "full-triangulation", "dt": 20.0, "horizon": 30.0}, "dt"),
+    ({"mu": {"family": "dirac", "point": 0.0, "bogus": 1}}, "mu.bogus"),
+    ({"params": {"d": 1, "alpha": 1.0, "bogus": 1}}, "params.bogus"),
+    ({"n_cells": 4, "mu": {"family": "dirac", "point": 0.5}, "domain": {
+        "kind": "grid1d", "intervals": [[0, 1], [2, 3], [4, 5], [6, 7], [8, 9]]}},
+     "n_cells"),   # fewer cells than intervals
+    ({"domain": {"kind": "interval", "a": -1.0, "b": 1.0, "bogus": 1}}, "domain.bogus"),
+    ({"domain": {"kind": "ball", "center": [0.0], "radius": 1.0, "a": 0.0}},
+     "domain.a"),   # a key of another domain kind
 ], ids=["domain.a", "alpha-str", "alpha-null", "d-2", "lambda_list", "mu.a", "ball.radius",
         "horizon-inf", "dt-inf", "t_list-inf", "lambda_list-inf", "n_time",
         "t_list-past-horizon", "simulate-replicas-0", "simulate-dt-past-horizon",
-        "triangulation-dt-past-half-horizon", "mu-unknown-key", "domain-unknown-key",
-        "ball-interval-key"])
-def test_non_numeric_fields_exit_2(over, field, at_parse, tmp_path, capsys):
+        "triangulation-dt-past-half-horizon", "mu-unknown-key", "params-unknown-key",
+        "cells-below-intervals", "domain-unknown-key", "ball-interval-key"])
+def test_non_numeric_fields_exit_2(over, field, tmp_path, capsys):
+    # parse_config builds the domain and the return kernel, so --describe
+    # rejects every one of these as run does
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(small_config(out_dir=str(tmp_path / "o"), **over)))
-    runs = [[], ["--describe"]] if at_parse else [[]]
-    for extra in runs:
+    for extra in ([], ["--describe"]):
         assert main(["--config", str(cfg_path)] + extra) == 2
         err = json.loads(capsys.readouterr().err.strip())
         assert err["type"] == "ConfigError"
@@ -416,6 +420,37 @@ def test_series_with_no_level_above_drop_tol_fails_its_check(tmp_path, capsys):
     # an envelope that was not fitted is reported as null, not made up
     diag = json.loads((out / "series_diagnostics.json").read_text())["series"][0]
     assert diag["fit_c"] is None and diag["fit_gamma"] is None and diag["tail_bound"] is None
+
+
+@pytest.mark.parametrize("over, check", [
+    ({"kind": "semigroup-check", "t_list": [20.0]}, "series-t20"),
+    ({"kind": "excessive", "lambda_list": [1e-6]}, "excessive-lam1e-06"),
+    ({"kind": "semigroup-check", "params": {"d": 1, "alpha": 0.5},
+      "domain": {"kind": "ball", "center": [0.5], "radius": 2.0}, "n_cells": 4,
+      "mu": {"family": "projection", "depth": 0.05, "width": 0.02}, "t_list": [50.0]},
+     "series-t50"),
+    ({"kind": "semigroup-check", "params": {"d": 1, "alpha": 1.9},
+      "domain": {"kind": "grid1d", "intervals": [[0.0, 0.1], [0.2, 5.0]]}, "n_cells": 16,
+      "mu": {"family": "projection", "depth": 0.01, "width": 0.01}, "t_list": [50.0]},
+     "series-t50"),
+], ids=["level-clip", "shell-below-floor", "level-decay-above-1", "no-decay-in-128-levels"])
+def test_failed_series_or_excessive_construction_exits_1(over, check, tmp_path, capsys):
+    # the library raises; the CLI fails the named check with a null value,
+    # writes no output for that t or lambda, and still writes its manifest
+    out = tmp_path / "o"
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(dict(default_config(), seed=1, out_dir=str(out), **over)))
+    assert main(["--config", str(cfg_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert [check, "FAIL"] in [line.split() for line in captured.out.splitlines()]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert [c for c in manifest["checks"] if c["name"] == check] == [
+        {"name": check, "passed": False, "value": None, "tolerance": None}]
+    entry = check.split("-", 1)[1]
+    assert not [name for name in manifest["outputs"] if entry in name]
+    for name in manifest["outputs"]:
+        assert (out / name).is_file()
 
 
 def test_reflected_kernel_written_as_npy(tmp_path):

@@ -50,7 +50,7 @@ def test_chain_two_step_dobrushin_bound(wb):
     # the minimal measured overlap bounds every pair
     ops = wb.ops(1.0)
     C = chain_kernel(ops["H"], wb.mu("projection"))
-    beta, overlap = dobrushin_coefficient(C, steps=2)
+    beta, overlap = dobrushin_coefficient(C)
     P2 = C.entries @ C.entries
     worst_l1 = 0.0
     for i in range(0, P2.shape[0], 37):
@@ -178,7 +178,7 @@ def test_geometric_chain_convergence(wb):
     ops = wb.ops(1.0)
     grid = ops["grid"]
     C = chain_kernel(ops["H"], wb.mu("projection"))
-    beta, _ = dobrushin_coefficient(C, steps=2)
+    beta, _ = dobrushin_coefficient(C)
     p_hat = stationary_p(C)
     law = np.zeros(grid.n)
     law[0] = 1.0
