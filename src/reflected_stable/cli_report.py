@@ -82,9 +82,11 @@ class ExperimentConfig:
     threads: int
     chain_steps: int
     chain_samples: int
-    # built from the two specs by parse_config; the JSON form holds the specs
-    domain: object = dataclasses.field(default=None, repr=False, compare=False)
-    mu: object = dataclasses.field(default=None, repr=False, compare=False)
+
+    # derived from the specs on first read, never set: the JSON form holds the specs
+    domain = functools.cached_property(lambda c: build_domain(c.domain_spec))
+    mu = functools.cached_property(lambda c: build_mu(c.mu_spec, c.domain))
+    grid = functools.cached_property(lambda c: build_grid(c.domain, c.n_cells))
 
     def to_dict(self):
         out = dataclasses.asdict(self)
@@ -155,16 +157,12 @@ def parse_config(raw):
         unknown = set(spec) - {tag} - set(table[spec[tag]])
         if unknown:
             raise ConfigError("%s.%s" % (field, sorted(unknown)[0]), "unknown field")
-    domain = build_domain(dom)
-    kernel = build_mu(mu, domain)
     # chain_samples: on the chain check's 20 bins E TV <= sqrt(20 / N) / 2,
     # which stays within its 0.05 tolerance from N = 2000 on
     for field, low in (("n_cells", 4), ("replicas", 0),
                        ("threads", 1), ("chain_steps", 1), ("chain_samples", 2000)):
         if not isinstance(cfg[field], int) or cfg[field] < low:
             raise ConfigError(field, "must be an integer >= %d" % low)
-    if cfg["n_cells"] < len(domain.intervals):
-        raise ConfigError("n_cells", "needs at least one cell per domain interval")
     for field in ("dt", "horizon"):
         if not (_is_number(cfg[field]) and cfg[field] > 0):
             raise ConfigError(field, "must be a positive finite number")
@@ -184,13 +182,21 @@ def parse_config(raw):
         raise ConfigError("dt", "must be at most horizon / 2, so paths take two steps")
     if not isinstance(cfg["out_dir"], str) or not cfg["out_dir"]:
         raise ConfigError("out_dir", "must be a nonempty string")
-    return ExperimentConfig(
+    config = ExperimentConfig(
         d=pr["d"], alpha=float(pr["alpha"]), domain_spec=dom, mu_spec=mu,
         dt=float(cfg["dt"]), horizon=float(cfg["horizon"]),
         lambda_list=[float(v) for v in cfg["lambda_list"]],
-        t_list=[float(v) for v in cfg["t_list"]], domain=domain, mu=kernel,
+        t_list=[float(v) for v in cfg["t_list"]],
         **{k: cfg[k] for k in ("kind", "seed", "n_cells", "replicas", "out_dir", "threads",
                                "chain_steps", "chain_samples")})
+    # build the domain, return kernel and grid here, once, so that a value only
+    # they reject fails at parse time as it would under run
+    config.mu  # reading it builds the domain and the kernel, or raises ConfigError
+    try:
+        config.grid
+    except ValueError as exc:
+        raise ConfigError("n_cells", str(exc)) from exc
+    return config
 
 
 def build_domain(spec):
@@ -292,8 +298,7 @@ def _setup(run):
     """domain, return kernel and grid"""
     config = run.config
     run.params = StableParams(config.d, config.alpha)
-    run.domain, run.mu = config.domain, config.mu
-    run.grid = build_grid(run.domain, config.n_cells)
+    run.domain, run.mu, run.grid = config.domain, config.mu, config.grid
 
 
 def _concentration(run):
@@ -305,9 +310,10 @@ def _concentration(run):
 def _series(run):
     """perturbation series at each t: conservation, exponential match, level decay"""
     diagnostics = []
+    L, M = run.L, run.M
     for t in run.config.t_list:
         try:
-            ser = duhamel_series(run.L, run.M, t)
+            ser = duhamel_series(L, M, t)
         except (SeriesError, FloatingPointError) as exc:
             logger.debug("series at t=%g failed: %s", t, exc)
             run.check("series-t%g" % t, False)
@@ -330,15 +336,15 @@ def _series(run):
 
 def _excessive(run):
     """shell-sum supermedian construction at each lambda"""
-    grid = run.grid
+    grid, A = run.grid, run.A
     for lam in run.config.lambda_list:
         try:
-            exc = build_excessive(run.A, lam, run.params, n_max=6)
+            exc = build_excessive(A, lam, run.params, n_max=6)
         except (SeriesError, FloatingPointError) as err:
             logger.debug("excessive construction at lambda=%g failed: %s", lam, err)
             run.check("excessive-lam%g" % lam, False)
             continue
-        viol = supermedian_violation(run.A, lam, exc.values, [0.1, 1.0, 10.0])
+        viol = supermedian_violation(A, lam, exc.values, [0.1, 1.0, 10.0])
         run.check("supermedian-lam%g" % lam, viol <= 1e-8, viol, 1e-8)
         run.check("positive-lam%g" % lam, exc.values.min() > 0, exc.values.min())
         run.write_csv("excessive_lam%g.csv" % lam, ["x", "boundary_distance", "v"],

@@ -453,6 +453,33 @@ def test_failed_series_or_excessive_construction_exits_1(over, check, tmp_path, 
         assert (out / name).is_file()
 
 
+@pytest.mark.parametrize("kind, stage", [
+    ("semigroup-check", cli_report._series), ("excessive", cli_report._excessive),
+    ("full-triangulation", cli_report._series)])
+def test_failed_perturbation_exits_3_naming_its_stage(kind, stage, tmp_path, capsys,
+                                                      monkeypatch):
+    # only the series or excessive construction fails a named check: an operator
+    # the stage reads before it, here M, fails the stage once, under one exit code
+    calls = []
+
+    def broken_perturbation(*args):
+        calls.append(args)
+        raise cli_report.SeriesError("return-kernel row sums miss the killing intensity")
+
+    monkeypatch.setattr(cli_report, "perturbation_matrix", broken_perturbation)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(small_config(
+        kind=kind, n_cells=24, replicas=0, t_list=[0.1, 0.5], lambda_list=[0.1, 1.0],
+        out_dir=str(tmp_path / "o"))))
+    assert main(["--config", str(cfg_path)]) == 3
+    captured = capsys.readouterr()
+    assert json.loads(captured.err) == {
+        "error": "return-kernel row sums miss the killing intensity",
+        "type": "SeriesError", "stage": stage.__doc__}
+    assert "FAIL" not in captured.out
+    assert len(calls) == 1
+
+
 def test_reflected_kernel_written_as_npy(tmp_path):
     cfg = parse_config(small_config(kind="semigroup-check", n_cells=24, t_list=[0.3, 1.0],
                                     out_dir=str(tmp_path)))
