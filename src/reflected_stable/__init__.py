@@ -8,9 +8,9 @@ __version__ = "0.1.0"
 from .stable_core import (StableParams, ball_exit_position, ball_mean_exit_time,
                           levy_constant, levy_density, sample_stable_increment)
 from .geometry import (Ball, Domain, Grid, Interval, IntervalUnion, Region1D,
-                       boundary_distance, build_grid, exterior_shell)
-from .reflection import (AtomMeasure, GridDensityMeasure, ReflectionKernel,
-                         UniformMeasure, default_probes, make_constant_kernel,
+                       build_grid, exterior_shell)
+from .reflection import (AtomMeasure, ReflectionKernel, UniformMeasure,
+                         default_probes, make_constant_kernel,
                          make_projection_kernel, validate_concentration)
 from .killed_kernels import (GridOperator, assemble_dirichlet_generator,
                              green_operator, harmonic_kernel, heat_kernel,

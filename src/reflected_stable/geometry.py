@@ -56,17 +56,6 @@ class Region1D:
                 return False
         return True
 
-    def quadrature_cells(self, n_per_piece):
-        """Split each finite piece uniformly; returns (cells, midpoints, widths)."""
-        cells = []
-        for a, b in self.pieces:
-            if np.isinf(a) or np.isinf(b):
-                raise ValueError("cannot subdivide an unbounded piece")
-            edges = np.linspace(a, b, n_per_piece + 1)
-            cells.extend(zip(edges[:-1], edges[1:]))
-        cells = np.array(cells)
-        return cells, cells.mean(axis=1), cells[:, 1] - cells[:, 0]
-
     def __repr__(self):
         return "Region1D(%s)" % (self.pieces.tolist(),)
 
@@ -80,6 +69,7 @@ class Domain:
         raise NotImplementedError
 
     def boundary_distance(self, x):
+        """Euclidean distance from x to the boundary: zero exactly on it, positive elsewhere."""
         raise NotImplementedError
 
     def measure(self):
@@ -178,14 +168,6 @@ class AnnularShell:
     def contains(self, x):
         r = np.linalg.norm(np.atleast_2d(np.asarray(x, float)) - self.center, axis=-1)
         return (r >= self.r_inner) & (r <= self.r_outer)
-
-
-def boundary_distance(domain, x):
-    """Euclidean distance from ``x`` to the boundary of the domain.
-
-    Zero exactly on the boundary, positive elsewhere (inside or outside).
-    """
-    return domain.boundary_distance(x)
 
 
 def exterior_complement(domain):

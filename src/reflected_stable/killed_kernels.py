@@ -53,12 +53,12 @@ class GridOperator:
 
 
 def killing_intensity(params, domain, x):
-    """Exact rate of jumping from x in D to the complement of D (d=1)."""
+    """Exact rate of jumping from x in D to the complement of D (d=1), as an array."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     out = np.zeros_like(x)
     for a, b in exterior_complement(domain).pieces:
         out += levy_interval_mass(params, x, a, b)
-    return out if out.size > 1 else float(out[0])
+    return out
 
 
 def assemble_dirichlet_generator(grid, params):
@@ -191,69 +191,24 @@ def harmonic_kernel(green, params):
 
 
 # ---------------------------------------------------------------------------
-# exterior integrals of the jump kernel against a bounded function g
-
-def _graded_edges(lo, hi, toward_lo, scale):
-    """Panel edges on [lo, hi], geometrically refined toward one end."""
-    width = hi - lo
-    offs = [0.0]
-    g = min(1e-4 * scale, width / 4.0)
-    while g < width:
-        offs.append(g)
-        g *= 1.7
-    offs.append(width)
-    offs = np.unique(np.clip(offs, 0.0, width))
-    return lo + offs if toward_lo else hi - offs[::-1]
-
+# exterior integrals of the jump kernel against a payoff g
 
 def exterior_nu_vector(params, grid, g):
     """Vector of integrals of nu(x_i, z) g(z) over the complement of D.
 
-    ``g`` may be 1 (or None) for the constant function, a Region1D for an
-    indicator, or a callable. Indicators and constants use exact
-    antiderivatives; callables use 12-point Gauss panels graded toward the
-    boundary out to 50 domain diameters, plus an analytic power-law tail
-    beyond on which g is frozen at its value at that cutoff.
+    ``g`` is 1 (or None) for the constant function or a Region1D for an
+    indicator; both use exact antiderivatives. Anything else raises
+    TypeError.
     """
     nodes = grid.nodes
     domain = grid.domain
     if g is None or (isinstance(g, (int, float)) and float(g) == 1.0):
         return killing_intensity(params, domain, nodes)
-    if isinstance(g, Region1D):
-        out = np.zeros(grid.n)
-        ext = exterior_complement(domain)
-        for a, b in g.intersect(ext).pieces:
-            out += levy_interval_mass(params, nodes, a, b)
-        return out
-    if not callable(g):
-        raise TypeError("g must be 1, a Region1D, or callable")
-    lo_d, hi_d = domain.bounding_box
-    diam = hi_d - lo_d
-    cutoff = 50.0 * diam
-    gl_x, gl_w = np.polynomial.legendre.leggauss(12)
+    if not isinstance(g, Region1D):
+        raise TypeError("g must be 1 or a Region1D")
     out = np.zeros(grid.n)
-    for a, b in exterior_complement(domain).pieces:
-        if np.isinf(a):
-            edges = _graded_edges(b - cutoff, b, toward_lo=False, scale=diam)
-            far_rep = b - cutoff
-            tail = levy_interval_mass(params, nodes, -np.inf, b - cutoff) * g(far_rep)
-            out += tail
-        elif np.isinf(b):
-            edges = _graded_edges(a, a + cutoff, toward_lo=True, scale=diam)
-            far_rep = a + cutoff
-            tail = levy_interval_mass(params, nodes, a + cutoff, np.inf) * g(far_rep)
-            out += tail
-        else:
-            mid = 0.5 * (a + b)
-            e1 = _graded_edges(a, mid, toward_lo=True, scale=b - a)
-            e2 = _graded_edges(mid, b, toward_lo=False, scale=b - a)
-            edges = np.unique(np.concatenate([e1, e2]))
-        for plo, phi in zip(edges[:-1], edges[1:]):
-            zq = 0.5 * (phi - plo) * gl_x + 0.5 * (phi + plo)
-            wq = 0.5 * (phi - plo) * gl_w
-            gz = np.array([g(z) for z in zq], dtype=float)
-            dist = np.abs(nodes[:, None] - zq[None, :])
-            out += (params.c_levy * dist ** (-1.0 - params.alpha)) @ (wq * gz)
+    for a, b in g.intersect(exterior_complement(domain)).pieces:
+        out += levy_interval_mass(params, nodes, a, b)
     return out
 
 

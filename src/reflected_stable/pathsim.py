@@ -68,10 +68,6 @@ class Excursion:
     exit_point: float
     positions: np.ndarray = None
 
-    @property
-    def completed(self):
-        return np.all(np.isfinite(np.atleast_1d(self.exit_point)))
-
 
 def _require(ok, message):
     if not ok:
@@ -112,7 +108,7 @@ class LadderPath:
 def _start_positions(params, domain, start, n, rng):
     """n start positions in D: draws from a start law, else copies of one point."""
     if hasattr(start, "sample"):
-        pos = np.atleast_1d(start.sample(rng, size=n)).astype(float)
+        pos = start.sample(rng, size=n).astype(float)
     else:
         tail = () if params.d == 1 else (params.d,)
         pos = np.array(np.broadcast_to(np.asarray(start, float), (n,) + tail), dtype=float)
@@ -186,24 +182,23 @@ def simulate_ladder(params, domain, mu, start, horizon, dt, seed, n_paths):
             for a, b in zip(cuts[:-1].tolist(), cuts[1:].tolist())]
 
 
-def reflection_chain(params, domain, mu, start, n_steps, rng, size=None):
-    """Markov chain of post-reflection positions, free of time discretization.
+def reflection_chain(params, domain, mu, start, n_steps, rng, size):
+    """``size`` Markov chains of post-reflection positions, free of time discretization.
 
     Each step exits D exactly (walk-on-spheres composed of closed-form ball
     exits) and re-enters through the return kernel. Returns the positions
-    after reflections 1..n_steps, shape (n_steps,) or (size, n_steps).
+    after reflections 1..n_steps, shape (size, n_steps).
     """
-    scalar = size is None
-    n = 1 if scalar else int(size)
+    n = int(size)
     if params.d != 1:
         raise NotImplementedError("reflection chains are implemented for d=1")
     x = np.array(np.broadcast_to(np.asarray(start, float), (n,)), dtype=float)
     out = np.empty((n, int(n_steps)))
     for k in range(int(n_steps)):
         z = walk_on_spheres_exit(params, domain, x, rng, size=n)
-        x = np.atleast_1d(mu.sample(z, rng, size=n))
+        x = mu.sample(z, rng, size=n)
         out[:, k] = x
-    return out[0] if scalar else out
+    return out
 
 
 @dataclasses.dataclass
@@ -423,17 +418,23 @@ def excursion_statistics(paths, min_completed=100):
 
     Reports the pooled lag-1 autocorrelation of consecutive durations within
     paths and the duration samples per excursion index; under a constant
-    return law these are uncorrelated and identically distributed.
+    return law these are uncorrelated and identically distributed. A pair
+    of consecutive durations is kept only when the second excursion began
+    by half the path's horizon: a fixed window, so a long first excursion
+    does not shorten the time left for the second, which would bias the
+    correlation negative. ``lag1_pairs`` counts the kept pairs.
     """
     per_path = [np.diff(p.tau, prepend=0.0) for p in paths]
+    # pair k is (d[k], d[k + 1]); the second excursion began at tau[k]
+    kept = [p.tau[:-1] <= 0.5 * p.horizon for p in paths]
     total = int(sum(len(d) for d in per_path))
     if total < min_completed:
         raise ValueError("insufficient data: %d completed excursions < %d" % (total, min_completed))
     max_len = max(len(d) for d in per_path)
     by_index = [np.concatenate([d[i:i + 1] for d in per_path if len(d) > i])
                 for i in range(max_len)]
-    first = np.concatenate([d[:-1] for d in per_path if len(d) >= 2])
-    second = np.concatenate([d[1:] for d in per_path if len(d) >= 2])
+    first = np.concatenate([d[:-1][k] for d, k in zip(per_path, kept)])
+    second = np.concatenate([d[1:][k] for d, k in zip(per_path, kept)])
     if len(first) >= 2 and first.std() > 0 and second.std() > 0:
         ac = float(np.corrcoef(first, second)[0, 1])
     else:

@@ -40,7 +40,7 @@ class UniformMeasure:
         hi = np.clip(grid.cells[:, 1], self.a, self.b)
         return np.maximum(hi - lo, 0.0) / (self.b - self.a)
 
-    def sample(self, rng, size=None):
+    def sample(self, rng, size):
         return rng.uniform(self.a, self.b, size=size)
 
     def default_witness(self):
@@ -73,64 +73,12 @@ class AtomMeasure:
         np.add.at(out, grid.cell_index(self.points), self.weights)
         return out
 
-    def sample(self, rng, size=None):
-        n = 1 if size is None else int(size)
-        idx = rng.choice(len(self.points), size=n, p=self.weights / self.weights.sum())
-        out = self.points[idx]
-        return out[0] if size is None else out
+    def sample(self, rng, size):
+        idx = rng.choice(len(self.points), size=size, p=self.weights / self.weights.sum())
+        return self.points[idx]
 
     def default_witness(self):
         return Region1D([(p, p) for p in self.points]), float(self.weights.sum())
-
-
-class GridDensityMeasure:
-    """Measure given by cell masses on a grid."""
-
-    def __init__(self, grid, masses):
-        self.grid = grid
-        self.masses = np.asarray(masses, dtype=float)
-        if self.masses.shape != (grid.n,):
-            raise KernelError("masses must match the grid size")
-        if np.any(self.masses < 0):
-            raise KernelError("cell masses must be nonnegative")
-
-    def total_mass(self):
-        return float(self.masses.sum())
-
-    def mass(self, region):
-        # fraction of each cell covered by the region, assuming the density
-        # is constant within cells
-        covered = np.zeros(self.grid.n)
-        for a, b in region.pieces:
-            lo = np.clip(a, self.grid.cells[:, 0], self.grid.cells[:, 1])
-            hi = np.clip(b, self.grid.cells[:, 0], self.grid.cells[:, 1])
-            covered += np.maximum(hi - lo, 0.0) / self.grid.widths
-        return float(np.sum(self.masses * np.minimum(covered, 1.0)))
-
-    def cell_masses(self, grid):
-        if grid is self.grid:
-            return self.masses.copy()
-        out = np.array([self.mass(Region1D([c])) for c in grid.cells])
-        return out
-
-    def sample(self, rng, size=None):
-        n = 1 if size is None else int(size)
-        idx = rng.choice(self.grid.n, size=n, p=self.masses / self.masses.sum())
-        out = self.grid.cells[idx, 0] + rng.random(size=n) * self.grid.widths[idx]
-        return out[0] if size is None else out
-
-    def default_witness(self):
-        order = np.argsort(self.masses)[::-1]
-        cum = np.cumsum(self.masses[order])
-        take = order[: int(np.searchsorted(cum, 0.5) + 1)]
-        eps = 1e-9 * self.grid.h
-        pieces = []
-        for a, b in self.grid.cells[take]:
-            da = self.grid.domain.boundary_distance(a)
-            db = self.grid.domain.boundary_distance(b)
-            pieces.append((a + (eps if da == 0 else 0.0), b - (eps if db == 0 else 0.0)))
-        h = Region1D(pieces)
-        return h, self.mass(h)
 
 
 class BallUniformMeasure:
@@ -149,13 +97,11 @@ class BallUniformMeasure:
         r_hi = max(0.0, min(r_hi, self.radius))
         return (r_hi ** self.d - r_lo ** self.d) / self.radius ** self.d
 
-    def sample(self, rng, size=None):
-        n = 1 if size is None else int(size)
-        g = rng.standard_normal(size=(n, self.d))
+    def sample(self, rng, size):
+        g = rng.standard_normal(size=(size, self.d))
         u = g / np.linalg.norm(g, axis=1, keepdims=True)
-        r = self.radius * rng.random(size=n) ** (1.0 / self.d)
-        out = self.center + r[:, None] * u
-        return out[0] if size is None else out
+        r = self.radius * rng.random(size=size) ** (1.0 / self.d)
+        return self.center + r[:, None] * u
 
     def default_witness(self):
         # central ball of half radius
@@ -187,7 +133,7 @@ class ReflectionKernel:
     def cell_masses(self, z, grid):
         raise NotImplementedError
 
-    def sample(self, z, rng, size=None):
+    def sample(self, z, rng, size):
         raise NotImplementedError
 
     def average(self, z, grid, values):
@@ -228,10 +174,7 @@ class ConstantKernel(ReflectionKernel):
     def cell_masses(self, z, grid):
         return self.m.cell_masses(grid)
 
-    def sample(self, z, rng, size=None):
-        if size is None and np.ndim(z) >= 1 and self.domain.d == 1:
-            size = np.shape(z)[0]
-            return self.m.sample(rng, size=size)
+    def sample(self, z, rng, size):
         return self.m.sample(rng, size=size)
 
     def z_pieces(self):
@@ -302,14 +245,9 @@ class ProjectionKernel(ReflectionKernel):
         ) / self.width
         return cover[0] if np.ndim(z) == 0 else cover
 
-    def sample(self, z, rng, size=None):
-        scalar = np.ndim(z) == 0 and size is None
+    def sample(self, z, rng, size):
         lo, hi = self._insertion(z)
-        if size is not None and lo.size == 1:
-            lo = np.repeat(lo, size)
-            hi = np.repeat(hi, size)
-        out = rng.uniform(lo, hi)
-        return float(out[0]) if scalar else out
+        return rng.uniform(lo, hi, size=size)
 
     def z_pieces(self):
         ext = exterior_complement(self.domain)
@@ -329,10 +267,10 @@ class ProjectionKernel(ReflectionKernel):
 def make_constant_kernel(domain, m):
     """Constant return kernel with law ``m`` regardless of the exit point.
 
-    ``m`` may be a UniformMeasure, AtomMeasure, GridDensityMeasure, or
-    BallUniformMeasure. On a 1-D domain ``m`` must carry no mass outside
-    open D (boundary atoms included), else KernelError. The witness is the
-    measure's own: a compact set carrying at least half of the mass of ``m``.
+    ``m`` may be a UniformMeasure, AtomMeasure or BallUniformMeasure. On a
+    1-D domain ``m`` must carry no mass outside open D (boundary atoms
+    included), else KernelError. The witness is the measure's own: a
+    compact set carrying at least half of the mass of ``m``.
     """
     return ConstantKernel(domain, m)
 
@@ -352,11 +290,6 @@ class ConcentrationReport:
     H: Region1D
     passed: bool
     violations: list
-
-    def __str__(self):
-        status = "PASS" if self.passed else "FAIL"
-        return "concentration check %s: theta_hat=%.6g (claimed %.6g), %d violations" % (
-            status, self.theta_hat, self.witness_theta, len(self.violations))
 
 
 def default_probes(domain):

@@ -113,8 +113,8 @@ def levy_interval_mass(params, x, a, b):
     return scale * (near - far)
 
 
-def sample_stable_increment(params, dt, rng, size=None):
-    """One increment of the isotropic stable process over time ``dt``.
+def sample_stable_increment(params, dt, rng, size):
+    """``size`` increments of the isotropic stable process over time ``dt``.
 
     The law has characteristic function ``exp(-dt * |xi|**alpha)``; by
     self-similarity the output equals ``dt**(1/alpha)`` times a unit-time
@@ -122,11 +122,11 @@ def sample_stable_increment(params, dt, rng, size=None):
     used (with a dedicated Cauchy branch at alpha=1); for d>=2 the increment
     is built as Brownian motion subordinated by a one-sided stable time.
 
-    Returns a scalar/(size,) array for d=1, a (d,)/(size, d) array otherwise.
+    Returns a (size,) array for d=1, a (size, d) array otherwise.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    n = 1 if size is None else int(size)
+    n = int(size)
     al = params.alpha
     if params.d == 1:
         u = rng.uniform(-np.pi / 2.0, np.pi / 2.0, size=n)
@@ -137,12 +137,10 @@ def sample_stable_increment(params, dt, rng, size=None):
             x = (np.sin(al * u) / np.cos(u) ** (1.0 / al)) * (
                 np.cos((1.0 - al) * u) / e
             ) ** ((1.0 - al) / al)
-        out = dt ** (1.0 / al) * x
-        return out[0] if size is None else out
+        return dt ** (1.0 / al) * x
     s = _one_sided_stable(al / 2.0, rng, n) * dt ** (2.0 / al)
     g = rng.standard_normal(size=(n, params.d))
-    out = np.sqrt(2.0 * s)[:, None] * g
-    return out[0] if size is None else out
+    return np.sqrt(2.0 * s)[:, None] * g
 
 
 def _one_sided_stable(rho, rng, n):
@@ -153,18 +151,16 @@ def _one_sided_stable(rho, rng, n):
     return (np.sin(th) / np.cos(u) ** (1.0 / rho)) * (np.cos(u - th) / e) ** ((1.0 - rho) / rho)
 
 
-def sample_ball_exit_radius(params, rng, size=None):
+def sample_ball_exit_radius(params, rng, size):
     """Exit radii (in units of the ball radius) for a start at the center.
 
     The squared reciprocal radius is Beta(alpha/2, 1-alpha/2) distributed;
     sampling inverts the regularized incomplete beta function, so the draw
     is an exact inverse transform of one uniform.
     """
-    n = 1 if size is None else int(size)
     al = params.alpha
-    t = betaincinv(al / 2.0, 1.0 - al / 2.0, rng.random(size=n))
-    rho = 1.0 / np.sqrt(t)
-    return rho[0] if size is None else rho
+    t = betaincinv(al / 2.0, 1.0 - al / 2.0, rng.random(size=int(size)))
+    return 1.0 / np.sqrt(t)
 
 
 def _unit_direction(d, rng, n):
@@ -174,17 +170,17 @@ def _unit_direction(d, rng, n):
     return g / np.linalg.norm(g, axis=1, keepdims=True)
 
 
-def walk_on_spheres_exit(params, domain, start, rng, size=None, return_iterations=False):
+def walk_on_spheres_exit(params, domain, start, rng, size, return_iterations=False):
     """Exact exit-position sampling by iterated maximal-ball exits.
 
     From the current point, sample the exit of the maximal inscribed
     centered ball; continue while the landing point is still in D (it may
-    land in another component of D). Terminates almost surely; the optional
-    iteration counts let callers report the expected number of steps.
+    land in another component of D). Terminates almost surely. Returns
+    ``size`` exit points, shape (size,) for d=1 and (size, d) otherwise, and
+    with ``return_iterations`` each point's number of ball exits.
     """
     d = params.d
-    scalar = size is None
-    n = 1 if scalar else int(size)
+    n = int(size)
     shape = (n,) if d == 1 else (n, d)
     pos = np.array(np.broadcast_to(np.asarray(start, dtype=float), shape))
     if not np.all(domain.contains(pos)):
@@ -208,13 +204,12 @@ def walk_on_spheres_exit(params, domain, start, rng, size=None, return_iteration
         active[idx] = domain.contains(cur)
     else:
         raise RuntimeError("walk-on-spheres iteration cap exceeded (geometry bug?)")
-    out = pos[0] if scalar else pos
     if return_iterations:
-        return out, (int(iters[0]) if scalar else iters)
-    return out
+        return pos, iters
+    return pos
 
 
-def ball_exit_position(params, center, radius, start, rng, size=None):
+def ball_exit_position(params, center, radius, start, rng, size):
     """Exact sample of the stable exit position from an open ball.
 
     For a start at the center the exit point is ``radius * rho * direction``

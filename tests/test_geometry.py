@@ -4,16 +4,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reflected_stable.geometry import (AnnularShell, Ball, DomainError, Interval,
-                                       IntervalUnion, Region1D, boundary_distance,
-                                       build_grid, exterior_complement, exterior_shell)
+                                       IntervalUnion, Region1D, build_grid,
+                                       exterior_complement, exterior_shell)
 from reflected_stable.stable_core import StableParams, levy_interval_mass
 
 
 def test_interval_basics():
     D = Interval(-1.0, 1.0)
-    assert boundary_distance(D, 0.0) == 1.0
-    assert boundary_distance(D, 0.9) == pytest.approx(0.1)
-    assert boundary_distance(D, -3.0) == 2.0
+    assert D.boundary_distance(0.0) == 1.0
+    assert D.boundary_distance(0.9) == pytest.approx(0.1)
+    assert D.boundary_distance(-3.0) == 2.0
     assert D.contains(0.999) and not D.contains(1.0)
     with pytest.raises(DomainError):
         Interval(1.0, 1.0)
@@ -21,8 +21,8 @@ def test_interval_basics():
 
 def test_ball_distance_d2():
     B = Ball([0.0, 0.0], 1.0)
-    assert boundary_distance(B, np.array([2.0, 0.0])) == pytest.approx(1.0)
-    assert boundary_distance(B, np.array([0.0, 0.0])) == pytest.approx(1.0)
+    assert B.boundary_distance(np.array([2.0, 0.0])) == pytest.approx(1.0)
+    assert B.boundary_distance(np.array([0.0, 0.0])) == pytest.approx(1.0)
     assert B.contains(np.array([0.3, 0.3])).all()
     with pytest.raises(DomainError):
         Ball([0.0, 0.0], 0.0)
@@ -36,7 +36,7 @@ def test_union_validation():
     U = IntervalUnion([[-1.0, -0.2], [0.2, 1.0]])
     assert U.measure() == pytest.approx(1.6)
     assert not U.contains(0.0)
-    assert boundary_distance(U, 0.0) == pytest.approx(0.2)
+    assert U.boundary_distance(0.0) == pytest.approx(0.2)
 
 
 def test_interval_is_the_one_piece_union():
@@ -67,11 +67,11 @@ def test_ball_needs_two_or_more_dimensions():
 @given(st.floats(-0.999, 0.999))
 def test_boundary_distance_zero_iff_boundary(x):
     D = Interval(-1.0, 1.0)
-    assert boundary_distance(D, x) > 0
+    assert D.boundary_distance(x) > 0
     for e in (-1.0, 1.0):
-        assert boundary_distance(D, e) == 0.0
-        assert boundary_distance(D, e + 1e-12) > 0
-        assert boundary_distance(D, e - 1e-12) > 0
+        assert D.boundary_distance(e) == 0.0
+        assert D.boundary_distance(e + 1e-12) > 0
+        assert D.boundary_distance(e - 1e-12) > 0
 
 
 def test_exterior_shell_interval():
@@ -137,6 +137,15 @@ def test_build_grid_union_tiles_exactly():
     assert np.all(U.contains(g.nodes))
 
 
+def test_build_grid_over_allotment_gives_each_component_a_cell():
+    # floors to counts [1, 1, 2] for 3 cells; the fix-up takes one back from
+    # the long component, leaving one cell per component
+    U = IntervalUnion([[0.0, 0.01], [0.02, 0.03], [0.1, 10.1]])
+    g = build_grid(U, 3)
+    assert np.array_equal(g.cells, U.intervals)
+    assert g.widths.sum() == pytest.approx(U.measure(), rel=1e-14)
+
+
 def test_cell_index_roundtrip():
     U = IntervalUnion([[-1.0, -0.2], [0.2, 1.0]])
     g = build_grid(U, 16)
@@ -150,9 +159,6 @@ def test_region_ops():
     assert r.length() == pytest.approx(3.0)
     inter = r.intersect(Region1D([(1.5, 3.5)]))
     assert inter.length() == pytest.approx(1.0)
-    cells, mids, widths = Region1D([(0.0, 1.0)]).quadrature_cells(4)
-    assert np.allclose(widths, 0.25)
-    assert np.allclose(mids, [0.125, 0.375, 0.625, 0.875])
 
 
 def _reference_cell_index(grid, x):

@@ -153,25 +153,6 @@ def test_harmonic_rejects_interior_region(wb):
     assert ops["H"].masses(Region1D([(1.0, 1.5)])).max() > 0
 
 
-def test_exterior_nu_vector_callable_matches_adaptive_quadrature(wb):
-    # generic panel-quadrature path for smooth g against scipy's adaptive
-    # quadrature, node by node; and against the exact path for g = 1
-    from scipy.integrate import quad
-    ops = wb.ops(1.0)
-    grid = ops["grid"]
-    p = ops["params"]
-    g = lambda z: np.exp(-abs(z))
-    b = exterior_nu_vector(p, grid, g)
-    for i in (0, 57, 200, 399):
-        x = grid.nodes[i]
-        left = quad(lambda z: p.c_levy * abs(x - z) ** -2 * g(z), -np.inf, -1.0)[0]
-        right = quad(lambda z: p.c_levy * abs(x - z) ** -2 * g(z), 1.0, np.inf)[0]
-        assert b[i] == pytest.approx(left + right, rel=1e-7)
-    kappa = killing_intensity(p, wb.domain, grid.nodes)
-    ones = exterior_nu_vector(p, grid, lambda z: 1.0)
-    assert np.abs(ones - kappa).max() < 1e-6 * kappa.max()
-
-
 def test_resolvent_u_discount_below_one(wb):
     ops = wb.ops(1.0)
     for lam in (0.1, 1.0):
@@ -199,6 +180,9 @@ def test_resolvent_u_shell_boundary_trend(wb):
     assert u8[0] > u[0]
     with pytest.raises(ValueError):
         resolvent_u(ops["L"], -1.0, sh, ops["params"])
+    # payoffs are 1 or a Region1D; a callable raises
+    with pytest.raises(TypeError):
+        resolvent_u(ops["L"], 0.1, lambda z: 1.0, ops["params"])
 
 
 def test_resolvent_matches_monte_carlo_discount(wb):

@@ -32,7 +32,6 @@ def test_killed_excursion_records(wb):
     p = wb.params(1.0)
     rng = stream(5, 0)
     exc = simulate_killed_excursion(p, wb.domain, 0.2, 1e-3, rng, store_positions=True)
-    assert exc.completed
     assert not wb.domain.contains(exc.exit_point)
     assert wb.domain.contains(exc.pre_exit)
     assert exc.duration == pytest.approx(exc.n_steps * 1e-3)
@@ -61,7 +60,8 @@ def test_exact_mode_exit_matches_poisson_kernel(wb):
     # exact exits from the center reproduce the closed-form exit law
     p = wb.params(1.0)
     rng = stream(31, 2)
-    z = np.array([walk_on_spheres_exit(p, wb.domain, 0.0, rng) for _ in range(4000)])
+    z = np.array([walk_on_spheres_exit(p, wb.domain, 0.0, rng, size=1)[0]
+                  for _ in range(4000)])
     tail = np.mean(np.abs(z) > 2.0)
     assert tail == pytest.approx(1.0 / 3.0, abs=4 * np.sqrt(2.0 / 9.0 / len(z)))
 
@@ -241,7 +241,7 @@ def test_pre_reflection_joint_law(wb):
                                         store_positions=True)
         if exc.n_steps <= k:
             continue
-        r1 = mu.sample(exc.exit_point, rng)
+        r1 = mu.sample(exc.exit_point, rng, size=1)[0]
         if -0.5 <= exc.positions[k] <= 0.0 and 0.0 <= r1 <= 0.5:
             hits += 1
     emp = hits / n
@@ -347,7 +347,7 @@ def test_occupation_identity(wb):
     n = 4000
     acc = 0.0
     for _ in range(n):
-        exc = simulate_killed_excursion(p, wb.domain, float(m.sample(rng)), 1e-3,
+        exc = simulate_killed_excursion(p, wb.domain, m.sample(rng, size=1)[0], 1e-3,
                                         rng, store_positions=True)
         inside = (exc.positions[:-1] >= 0.0) & (exc.positions[:-1] <= 0.5)
         acc += inside.sum() * 1e-3

@@ -1,18 +1,22 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
 
 from reflected_stable.geometry import IntervalUnion, build_grid, exterior_shell
 from reflected_stable.killed_kernels import (GridOperator, assemble_dirichlet_generator,
-                                             heat_kernel, killing_intensity, resolvent_u)
+                                             green_operator, harmonic_kernel, heat_kernel,
+                                             killing_intensity, resolvent_u)
 from reflected_stable.perturbation import (ConservationError, SeriesError,
                                            build_excessive, duhamel_series,
                                            ladder_kernel, ladder_lift,
                                            ladder_supermedian_violation,
                                            perturbation_matrix, reflected_kernel,
                                            supermedian_v, supermedian_violation)
-from reflected_stable.reflection import (ReflectionKernel, default_probes,
-                                         make_projection_kernel)
+from reflected_stable.reflection import (ReflectionKernel, UniformMeasure, default_probes,
+                                         make_constant_kernel, make_projection_kernel)
+from reflected_stable.stationary import chain_kernel
 
 import oracles
 
@@ -49,6 +53,26 @@ def test_perturbation_matrix_requires_z_pieces(wb):
     bare = GridOperator(grid=M.grid, entries=M.entries, kind="perturbation")
     with pytest.raises(SeriesError):
         duhamel_series(ops["L"], bare, 0.5)
+
+
+def test_one_cell_grid_builds_operators_and_series(wb):
+    # on one cell every jump out returns to it, so the reflection count is
+    # Poisson with the killing intensity at the node as its rate
+    p, D = wb.params(1.0), wb.domain
+    grid = build_grid(D, 1)
+    L = assemble_dirichlet_generator(grid, p)
+    kappa = killing_intensity(p, D, grid.nodes)
+    for mu in (make_projection_kernel(D, 0.2, 0.1),
+               make_constant_kernel(D, UniformMeasure(-0.5, 0.5))):
+        M = perturbation_matrix(grid, p, mu)
+        assert M.entries[0, 0] == pytest.approx(kappa[0], rel=1e-13)
+        C = chain_kernel(harmonic_kernel(green_operator(L), p), mu)
+        assert C.entries[0, 0] == pytest.approx(1.0, rel=1e-12)
+        series = duhamel_series(L, M, 0.5)
+        rate = 0.5 * kappa[0]
+        poisson = [np.exp(-rate) * rate ** k / math.factorial(k)
+                   for k in range(series.truncation_N)]
+        assert np.allclose(series.level_masses[:len(poisson)], poisson, rtol=1e-9, atol=1e-15)
 
 
 UNION = IntervalUnion([[-1.0, -0.2], [0.1, 1.0]])

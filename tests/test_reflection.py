@@ -3,10 +3,9 @@ import pytest
 from scipy import stats
 
 from reflected_stable.geometry import Interval, IntervalUnion, Region1D, build_grid
-from reflected_stable.reflection import (AtomMeasure, GridDensityMeasure, KernelError,
-                                         UniformMeasure, default_probes,
-                                         make_constant_kernel, make_projection_kernel,
-                                         validate_concentration)
+from reflected_stable.reflection import (AtomMeasure, KernelError, UniformMeasure,
+                                         default_probes, make_constant_kernel,
+                                         make_projection_kernel, validate_concentration)
 
 D = Interval(-1.0, 1.0)
 
@@ -19,10 +18,8 @@ def test_constant_kernel_masses_ignore_z():
 
 
 def test_constant_kernel_rejects_unnormalized():
-    grid = build_grid(D, 10)
-    masses = np.full(10, 0.09)  # sums to 0.9
     with pytest.raises(KernelError):
-        make_constant_kernel(D, GridDensityMeasure(grid, masses))
+        make_constant_kernel(D, AtomMeasure([0.1, 0.2], [0.45, 0.45]))  # sums to 0.9
 
 
 def test_constant_kernel_rejects_mass_outside_open_domain():
@@ -41,8 +38,6 @@ def test_constant_kernel_rejects_mass_outside_open_domain():
     # boundary contact of measure zero is admissible
     make_constant_kernel(D, UniformMeasure(-1.0, 1.0))
     make_constant_kernel(U, UniformMeasure(0.1, 1.0))
-    grid = build_grid(U, 20)
-    make_constant_kernel(U, GridDensityMeasure(grid, np.full(20, 0.05)))
 
 
 def test_dirac_kernel():
@@ -72,7 +67,7 @@ def test_sampler_matches_evaluator_chi2():
         ("projection", make_projection_kernel(D, 0.3, 0.2)),
     ]:
         for z in (1.0, 1.2, -1.7, 5.0, -50.0):
-            x = np.atleast_1d(mu.sample(z, rng, size=10 ** 5))
+            x = mu.sample(z, rng, size=10 ** 5)
             masses = mu.cell_masses(z, grid)
             obs = np.bincount(grid.cell_index(x), minlength=grid.n)
             keep = masses > 0
@@ -144,14 +139,3 @@ def test_validate_concentration_rejects_interior_probes():
         validate_concentration(mu, np.array([0.0]))
     with pytest.raises(ValueError):
         validate_concentration(mu, np.array([]))
-
-
-def test_grid_density_measure_witness():
-    grid = build_grid(D, 40)
-    masses = np.zeros(40)
-    masses[10:30] = 1.0 / 20
-    m = GridDensityMeasure(grid, masses)
-    mu = make_constant_kernel(D, m)
-    assert mu.witness_theta >= 0.5 - 1e-9
-    rep = validate_concentration(mu, default_probes(D))
-    assert rep.passed

@@ -195,7 +195,7 @@ def test_ball_exit_rejects_outside_start():
     rng = np.random.default_rng(0)
     for bad in (1.0, 1.5):
         with pytest.raises(ValueError):
-            ball_exit_position(p, 0.0, 1.0, bad, rng)
+            ball_exit_position(p, 0.0, 1.0, bad, rng, size=1)
 
 
 def test_mean_exit_time_closed_values():
