@@ -10,10 +10,12 @@ Each side is ``label=checkout_root``; its ``src/`` is imported in a fresh
 child process with one BLAS thread. The setup is the interval (-1, 1),
 alpha = 1, the projection return kernel (depth 0.2, width 0.1) and t = 0.1.
 For each n in CELLS the child times, REPEATS times each:
-``assemble_dirichlet_generator``, ``duhamel_series``, ``heat_kernel`` and
-``green_operator``. The JSON file holds the median of each, and the run
-record: core count, BLAS thread count and library versions. Sides run in
-the order given, one after the other.
+``assemble_dirichlet_generator``, ``duhamel_series``, ``heat_kernel``,
+``green_operator``, ``chain_kernel`` (the reflection chain C = G M, the
+Green solve's harmonic kernel composed with the return kernel) and
+``dobrushin_coefficient`` of C. The JSON file holds the median of each,
+and the run record: core count, BLAS thread count and library versions.
+Sides run in the order given, one after the other.
 """
 
 import argparse
@@ -25,7 +27,7 @@ import subprocess
 import sys
 import time
 
-LAYERS = ("assemble", "series", "heat_kernel", "green")
+LAYERS = ("assemble", "series", "heat_kernel", "green", "chain_kernel", "dobrushin")
 CELLS = (400, 800, 1600)
 REPEATS = 3
 
@@ -39,9 +41,11 @@ def child(root):
     from reflected_stable import StableParams
     from reflected_stable.geometry import Interval, build_grid
     from reflected_stable.killed_kernels import (assemble_dirichlet_generator,
-                                                 green_operator, heat_kernel)
+                                                 green_operator, harmonic_kernel,
+                                                 heat_kernel)
     from reflected_stable.perturbation import duhamel_series, perturbation_matrix
     from reflected_stable.reflection import make_projection_kernel
+    from reflected_stable.stationary import chain_kernel, dobrushin_coefficient
 
     params = StableParams(1, 1.0)
     domain = Interval(-1.0, 1.0)
@@ -52,16 +56,20 @@ def child(root):
         M = perturbation_matrix(grid, params, mu)
         runs = {layer: [] for layer in LAYERS}
         for _ in range(REPEATS):
+            ops = {}    # the outputs that later layers read
             steps = (("assemble", lambda: assemble_dirichlet_generator(grid, params)),
-                     ("series", lambda: duhamel_series(L, M, 0.1)),
-                     ("heat_kernel", lambda: heat_kernel(L, 0.1)),
-                     ("green", lambda: green_operator(L)))
+                     ("series", lambda: duhamel_series(ops["assemble"], M, 0.1)),
+                     ("heat_kernel", lambda: heat_kernel(ops["assemble"], 0.1)),
+                     ("green", lambda: green_operator(ops["assemble"])),
+                     ("chain_kernel",
+                      lambda: chain_kernel(harmonic_kernel(ops["green"], params), mu)),
+                     ("dobrushin", lambda: dobrushin_coefficient(ops["chain_kernel"])))
             for layer, fn in steps:
                 start = time.perf_counter()
                 out = fn()
                 runs[layer].append(time.perf_counter() - start)
-                if layer == "assemble":
-                    L = out
+                if layer in ("assemble", "green", "chain_kernel"):
+                    ops[layer] = out
                 del out
         times[str(n)] = {layer: statistics.median(v) for layer, v in runs.items()}
     print(json.dumps({"times_s": times, "numpy": np.__version__,

@@ -6,8 +6,8 @@ densities."""
 __version__ = "0.1.0"
 
 from .stable_core import (StableParams, ball_exit_position, ball_mean_exit_time,
-                          levy_constant, levy_density, sample_stable_increment)
-from .geometry import (Ball, Domain, Grid, Interval, IntervalUnion, Region1D,
+                          levy_constant, sample_stable_increment)
+from .geometry import (Ball, Grid, Interval, IntervalUnion, Region1D,
                        build_grid, exterior_shell)
 from .reflection import (AtomMeasure, ReflectionKernel, UniformMeasure,
                          default_probes, make_constant_kernel,

@@ -124,8 +124,14 @@ def _is_number(value):
             and math.isfinite(value))
 
 
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def parse_config(raw):
     """Validate a raw config dict; raises ConfigError naming bad fields."""
+    if not isinstance(raw, dict):
+        raise ConfigError("config", "must be a JSON object")
     base = default_config()
     unknown = set(raw) - set(base)
     if unknown:
@@ -133,7 +139,7 @@ def parse_config(raw):
     cfg = dict(base, **raw)
     if "seed" not in raw:
         raise ConfigError("seed", "mandatory field is missing")
-    if not isinstance(cfg["seed"], int):
+    if not _is_int(cfg["seed"]):
         raise ConfigError("seed", "must be an integer")
     if cfg["kind"] not in KINDS:
         raise ConfigError("kind", "must be one of %s" % (KINDS,))
@@ -143,7 +149,7 @@ def parse_config(raw):
     unknown = set(pr) - {"d", "alpha"}
     if unknown:
         raise ConfigError("params.%s" % sorted(unknown)[0], "unknown field")
-    if not (isinstance(pr["d"], int) and pr["d"] == 1):
+    if not (_is_int(pr["d"]) and pr["d"] == 1):
         raise ConfigError("params.d", "the CLI runs d = 1")
     if not (_is_number(pr["alpha"]) and 0.0 < pr["alpha"] < 2.0):
         raise ConfigError("params.alpha", "stability index must be a number in (0, 2)")
@@ -152,7 +158,7 @@ def parse_config(raw):
                                     ("mu", mu, "family", MU_KEYS)):
         if not isinstance(spec, dict) or tag not in spec:
             raise ConfigError(field, "need a %s" % tag)
-        if spec[tag] not in table:
+        if not isinstance(spec[tag], str) or spec[tag] not in table:
             raise ConfigError("%s.%s" % (field, tag), "must be one of %s" % (tuple(table),))
         unknown = set(spec) - {tag} - set(table[spec[tag]])
         if unknown:
@@ -161,7 +167,7 @@ def parse_config(raw):
     # which stays within its 0.05 tolerance from N = 2000 on
     for field, low in (("n_cells", 4), ("replicas", 0),
                        ("threads", 1), ("chain_steps", 1), ("chain_samples", 2000)):
-        if not isinstance(cfg[field], int) or cfg[field] < low:
+        if not _is_int(cfg[field]) or cfg[field] < low:
             raise ConfigError(field, "must be an integer >= %d" % low)
     for field in ("dt", "horizon"):
         if not (_is_number(cfg[field]) and cfg[field] > 0):
@@ -573,11 +579,11 @@ def main(argv=None):
                 raw = json.load(fh)
         else:
             raw = default_config()
-        for field, val in (("kind", args.kind), ("seed", args.seed),
-                           ("out_dir", args.out), ("threads", args.threads)):
-            if val is not None:
-                raw[field] = val
-        config = parse_config(raw)
+        overrides = {field: val for field, val in (
+            ("kind", args.kind), ("seed", args.seed), ("out_dir", args.out),
+            ("threads", args.threads)) if val is not None}
+        # parse_config rejects a config that is not an object
+        config = parse_config(dict(raw, **overrides) if isinstance(raw, dict) else raw)
     except (ConfigError, OSError, json.JSONDecodeError) as exc:
         print(json.dumps({"error": str(exc), "type": type(exc).__name__}),
               file=sys.stderr)

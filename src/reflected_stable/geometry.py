@@ -50,34 +50,18 @@ class Region1D:
     def length(self):
         return float(np.sum(self.pieces[:, 1] - self.pieces[:, 0])) if len(self.pieces) else 0.0
 
-    def is_subset_of(self, other):
-        for a, b in self.pieces:
-            if not np.any((other.pieces[:, 0] <= a) & (other.pieces[:, 1] >= b)):
-                return False
-        return True
-
     def __repr__(self):
         return "Region1D(%s)" % (self.pieces.tolist(),)
 
 
-class Domain:
-    """Base class: a nonempty open bounded set."""
+class IntervalUnion:
+    """Open union of finitely many intervals with disjoint closures: the 1-D domain.
+
+    Pieces that share an endpoint are rejected: D lies on both sides of
+    that point, so the union is not a Lipschitz set.
+    """
 
     d = 1
-
-    def contains(self, x):
-        raise NotImplementedError
-
-    def boundary_distance(self, x):
-        """Euclidean distance from x to the boundary: zero exactly on it, positive elsewhere."""
-        raise NotImplementedError
-
-    def measure(self):
-        raise NotImplementedError
-
-
-class IntervalUnion(Domain):
-    """Open union of finitely many disjoint intervals: the 1-D domain."""
 
     def __init__(self, intervals):
         arr = np.atleast_2d(np.asarray(intervals, dtype=float))
@@ -88,8 +72,8 @@ class IntervalUnion(Domain):
         arr = arr[np.argsort(arr[:, 0])]
         if np.any(arr[:, 0] >= arr[:, 1]):
             raise DomainError("each interval needs positive length")
-        if np.any(arr[1:, 0] < arr[:-1, 1]):
-            raise DomainError("intervals must be disjoint")
+        if np.any(arr[1:, 0] <= arr[:-1, 1]):
+            raise DomainError("intervals must be disjoint and must not share an endpoint")
         self.intervals = arr
         self.bounding_box = (float(arr[0, 0]), float(arr[-1, 1]))
 
@@ -101,12 +85,10 @@ class IntervalUnion(Domain):
         return out
 
     def boundary_distance(self, x):
+        """Euclidean distance from x to the boundary: zero exactly on it, positive elsewhere."""
         x = np.asarray(x, dtype=float)
         endpoints = self.intervals.ravel()
         return np.min(np.abs(x[..., None] - endpoints), axis=-1)
-
-    def measure(self):
-        return float(np.sum(self.intervals[:, 1] - self.intervals[:, 0]))
 
     def __repr__(self):
         return "IntervalUnion(%s)" % (self.intervals.tolist(),)
@@ -130,7 +112,7 @@ class Interval(IntervalUnion):
         return "Interval(%g, %g)" % (self.a, self.b)
 
 
-class Ball(Domain):
+class Ball:
     """Open ball in R^d, d >= 2; the 1-D ball is the Interval(c - r, c + r)."""
 
     def __init__(self, center, radius):
@@ -149,10 +131,6 @@ class Ball(Domain):
     def boundary_distance(self, x):
         x = np.asarray(x, dtype=float)
         return np.abs(np.linalg.norm(x - self.center, axis=-1) - self.radius)
-
-    def measure(self):
-        from scipy.special import gamma
-        return float(np.pi ** (self.d / 2.0) / gamma(self.d / 2.0 + 1.0) * self.radius ** self.d)
 
     def __repr__(self):
         return "Ball(%s, %g)" % (self.center.tolist(), self.radius)
@@ -207,7 +185,7 @@ class Grid:
 
     Attributes
     ----------
-    domain : Domain
+    domain : IntervalUnion
     cells : ndarray, shape (n, 2)
     nodes : ndarray, shape (n,)
         Cell midpoints.
@@ -216,7 +194,7 @@ class Grid:
         Maximal cell width.
     """
 
-    domain: Domain
+    domain: IntervalUnion
     cells: np.ndarray
     nodes: np.ndarray
     widths: np.ndarray

@@ -47,10 +47,6 @@ class GridOperator:
     def row_sums(self):
         return self.entries.sum(axis=1)
 
-    def density(self):
-        """Kernel density values at node pairs: entries divided by cell widths."""
-        return self.entries / self.grid.widths[None, :]
-
 
 def killing_intensity(params, domain, x):
     """Exact rate of jumping from x in D to the complement of D (d=1), as an array."""

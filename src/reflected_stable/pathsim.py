@@ -69,11 +69,6 @@ class Excursion:
     positions: np.ndarray = None
 
 
-def _require(ok, message):
-    if not ok:
-        raise ValueError(message)
-
-
 @dataclasses.dataclass
 class LadderPath:
     """The reflections of one simulated path of the reflected process.
@@ -92,17 +87,6 @@ class LadderPath:
 
     def count_at(self, t):
         return int(np.searchsorted(self.tau, t, side="right"))
-
-    def validate(self, domain):
-        """Check the structural invariants; raises ValueError on failure."""
-        _require(np.all(np.diff(self.tau) > 0), "reflection times must increase strictly")
-        _require(np.all(np.isfinite(self.tau)), "recorded reflection times must be finite")
-        _require(len(self.tau) == len(self.pre_exit) == len(self.exit_point) == len(self.R),
-                 "one pre-exit, exit and re-entry point is needed per reflection")
-        _require(np.all(domain.contains(self.pre_exit)), "pre-exit points must lie in D")
-        _require(not np.any(domain.contains(self.exit_point)), "exit points must lie outside D")
-        _require(np.all(domain.contains(self.R)), "re-entry points must lie in D")
-        return True
 
 
 def _start_positions(params, domain, start, n, rng):
@@ -208,8 +192,7 @@ class EnsembleResult:
     The records are grouped by path: reflection k of path j is record
     ``offsets[j] + k``, with its time ``tau``, the last position in D before
     it ``pre_exit``, the first position outside D ``exit_point`` and the
-    re-entry point ``entry``. The ``first_*`` arrays read each path's first
-    record (nan where the path never reflected).
+    re-entry point ``entry``.
     """
 
     n_paths: int
@@ -228,17 +211,6 @@ class EnsembleResult:
     @property
     def total_reflections(self):
         return np.diff(self.offsets)
-
-    def _first(self, records):
-        out = np.full((self.n_paths,) + records.shape[1:], np.nan)
-        hit = self.total_reflections > 0
-        out[hit] = records[self.offsets[:-1][hit]]
-        return out
-
-    first_exit_time = property(lambda self: self._first(self.tau))
-    first_pre_exit = property(lambda self: self._first(self.pre_exit))
-    first_exit_point = property(lambda self: self._first(self.exit_point))
-    first_entry = property(lambda self: self._first(self.entry))
 
 
 def simulate_ensemble(params, domain, mu, start, horizon, dt, seed, n_paths,

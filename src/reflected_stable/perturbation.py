@@ -242,9 +242,9 @@ def series_diagnostics(series):
 class LadderKernel:
     """Upper-triangular block operator over reflection-count levels.
 
-    Block (m, n) propagates mass from level m to level n >= m and equals the
-    series term of order n - m; levels beyond ``m_levels`` are truncated and
-    their mass is covered by the recorded tail bound.
+    ``apply`` moves mass from level m to level n >= m by the series term of
+    order n - m; levels beyond ``m_levels`` are truncated and their mass is
+    covered by the recorded tail bound.
     """
 
     series: DuhamelSeries
@@ -258,15 +258,6 @@ class LadderKernel:
     def tail_bound(self):
         return self.series.tail_bound
 
-    def block(self, m, n):
-        d = n - m
-        size = self.series.grid.n
-        if d < 0 or n > self.m_levels:
-            return np.zeros((size, size))
-        if d > self.series.truncation_N:
-            return np.zeros((size, size))
-        return self.series.terms[d]
-
     def apply(self, ladder_values):
         """Apply the operator to a ladder function given as (m_levels+1, n)."""
         F = np.asarray(ladder_values, dtype=float)
@@ -278,11 +269,6 @@ class LadderKernel:
             for j in range(top + 1):
                 out[m] += self.series.terms[j] @ F[m + j]
         return out
-
-    def level_mass_from(self, m):
-        """Row masses of every reachable block, as (levels, nodes)."""
-        top = min(self.m_levels - m, self.series.truncation_N)
-        return np.array([self.series.terms[j].sum(axis=1) for j in range(top + 1)])
 
     def counts_law(self, start_index):
         """Distribution of the level at time t from (0, node): truncated."""

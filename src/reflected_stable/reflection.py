@@ -116,7 +116,7 @@ class ReflectionKernel:
 
     Attributes
     ----------
-    domain : Domain
+    domain : IntervalUnion or Ball
     witness_H : Region1D
         Compact witness set for the concentration bound.
     witness_theta : float

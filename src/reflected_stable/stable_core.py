@@ -67,23 +67,6 @@ def levy_constant(d, alpha):
     )
 
 
-def levy_density(params, x, y):
-    """Jump density ``c_levy * |x-y|**(-d-alpha)``; symmetric in (x, y).
-
-    ``x`` and ``y`` are scalars for d=1, else arrays whose last axis has
-    length d. Raises on coincident points (the kernel is singular there).
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if params.d == 1 and x.ndim == y.ndim and (x.ndim == 0 or x.shape[-1] != params.d):
-        r = np.abs(x - y)
-    else:
-        r = np.linalg.norm(x - y, axis=-1)
-    if np.any(r == 0.0):
-        raise ValueError("levy_density is singular at x == y")
-    return params.c_levy * r ** (-params.d - params.alpha)
-
-
 def levy_interval_mass(params, x, a, b):
     """Exact ``integral of c|x-z|**(-1-alpha) dz`` over (a, b), d=1 only.
 

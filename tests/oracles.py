@@ -5,7 +5,9 @@ on balls/intervals (exit law, Green function) or from generic numerics
 (spectral heat kernels, adaptive quadrature), independently of the code
 paths under test. The one exception is ``first_exit_per_step``, the plain
 one-step-at-a-time jump-Euler loop that the chunked first-exit sampler is
-checked against.
+checked against. The last three functions read or check simulator records
+directly from their definitions: region inclusion, the invariants of a
+ladder path and each path's first reflection record.
 """
 
 import numpy as np
@@ -141,3 +143,35 @@ def first_exit_per_step(params, domain, start, dt, rng, n_paths):
         pos[alive] = newpos[~out]
         k += 1
     return exit_time, pre_exit, exit_point
+
+
+def is_subset(small, big):
+    """Whether each piece of the Region1D ``small`` lies in one piece of ``big``."""
+    return all(np.any((big.pieces[:, 0] <= a) & (big.pieces[:, 1] >= b))
+               for a, b in small.pieces)
+
+
+def _require(ok, message):
+    if not ok:
+        raise ValueError(message)
+
+
+def validate_ladder(path, domain):
+    """Check a LadderPath's structural invariants; raises ValueError on failure."""
+    _require(np.all(np.diff(path.tau) > 0), "reflection times must increase strictly")
+    _require(np.all(np.isfinite(path.tau)), "recorded reflection times must be finite")
+    _require(len(path.tau) == len(path.pre_exit) == len(path.exit_point) == len(path.R),
+             "one pre-exit, exit and re-entry point is needed per reflection")
+    _require(np.all(domain.contains(path.pre_exit)), "pre-exit points must lie in D")
+    _require(not np.any(domain.contains(path.exit_point)), "exit points must lie outside D")
+    _require(np.all(domain.contains(path.R)), "re-entry points must lie in D")
+    return True
+
+
+def first_records(ens, records):
+    """Each path's first entry of an EnsembleResult record array such as
+    ``ens.tau`` or ``ens.entry``; nan where the path never reflected."""
+    out = np.full((ens.n_paths,) + records.shape[1:], np.nan)
+    hit = ens.total_reflections > 0
+    out[hit] = records[ens.offsets[:-1][hit]]
+    return out

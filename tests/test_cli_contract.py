@@ -18,8 +18,8 @@ from hypothesis import strategies as st
 from reflected_stable.cli_report import KINDS, default_config, main
 
 # each domain with an in-domain law of every family; unions whose pieces
-# touch (such as [[-1, 0], [0, 1]]) stay out, because walk-on-spheres takes
-# 10-17 s per chain run there
+# touch (such as [[-1, 0], [0, 1]]) are not Lipschitz sets and exit 2, a
+# row of test_non_numeric_fields_exit_2
 DOMAINS = {
     "interval": ({"kind": "interval", "a": -1.0, "b": 1.0}, (
         {"family": "constant-uniform", "a": -0.5, "b": 0.5},

@@ -222,8 +222,7 @@ def test_identical_chain_rows_give_zero_contraction(tmp_path):
     # a constant return law makes all chain rows one law, so round-off can
     # push the two-step overlap past 1; beta must stay >= 0 and stationary_p
     # must not take the square root of a negative number
-    cfg = parse_config(dict(default_config(), kind="stationary", seed=1, n_cells=24,
-                            domain={"kind": "grid1d", "intervals": [[-1.0, 0.0], [0.0, 1.0]]},
+    cfg = parse_config(dict(default_config(), kind="stationary", seed=1, n_cells=40,
                             out_dir=str(tmp_path)))
     code, _ = run(cfg)
     assert code == 0
@@ -370,11 +369,22 @@ def test_main_default_config_print(capsys):
     ({"domain": {"kind": "interval", "a": -1.0, "b": 1.0, "bogus": 1}}, "domain.bogus"),
     ({"domain": {"kind": "ball", "center": [0.0], "radius": 1.0, "a": 0.0}},
      "domain.a"),   # a key of another domain kind
+    ({"domain": {"kind": "grid1d", "intervals": [[-1.0, 0.0], [0.0, 1.0]]}},
+     "domain"),   # pieces that share an endpoint: not a Lipschitz set
+    ({"seed": True}, "seed"),
+    ({"params": {"d": True, "alpha": 1.0}}, "params.d"),
+    ({"replicas": True}, "replicas"),
+    ({"threads": True}, "threads"),
+    ({"chain_steps": True}, "chain_steps"),
+    ({"domain": {"kind": ["interval"], "a": -1.0, "b": 1.0}}, "domain.kind"),
+    ({"mu": {"family": {"constant-uniform": 1}, "a": -0.5, "b": 0.5}}, "mu.family"),
 ], ids=["domain.a", "alpha-str", "alpha-null", "d-2", "lambda_list", "mu.a", "ball.radius",
         "horizon-inf", "dt-inf", "t_list-inf", "lambda_list-inf", "n_time",
         "t_list-past-horizon", "simulate-replicas-0", "simulate-dt-past-horizon",
         "triangulation-dt-past-half-horizon", "mu-unknown-key", "params-unknown-key",
-        "cells-below-intervals", "domain-unknown-key", "ball-interval-key"])
+        "cells-below-intervals", "domain-unknown-key", "ball-interval-key",
+        "touching-union", "seed-bool", "d-bool", "replicas-bool", "threads-bool",
+        "chain_steps-bool", "domain-kind-list", "mu-family-object"])
 def test_non_numeric_fields_exit_2(over, field, tmp_path, capsys):
     # parse_config builds the domain and the return kernel, so --describe
     # rejects every one of these as run does
@@ -385,6 +395,17 @@ def test_non_numeric_fields_exit_2(over, field, tmp_path, capsys):
         err = json.loads(capsys.readouterr().err.strip())
         assert err["type"] == "ConfigError"
         assert err["error"].startswith("config field '%s'" % field), err
+
+
+@pytest.mark.parametrize("text", ["5", "null", "[[1]]", '"abc"'])
+def test_config_that_is_not_an_object_exits_2(text, tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(text)
+    for extra in ([], ["--describe"], ["--seed", "3"]):
+        assert main(["--config", str(cfg_path)] + extra) == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err == {"error": "config field 'config': must be a JSON object",
+                       "type": "ConfigError"}
 
 
 def test_out_dir_naming_a_file_exits_2(tmp_path, capsys):

@@ -8,6 +8,8 @@ from reflected_stable.geometry import (AnnularShell, Ball, DomainError, Interval
                                        exterior_complement, exterior_shell)
 from reflected_stable.stable_core import StableParams, levy_interval_mass
 
+import oracles
+
 
 def test_interval_basics():
     D = Interval(-1.0, 1.0)
@@ -34,9 +36,16 @@ def test_union_validation():
     with pytest.raises(DomainError):
         IntervalUnion([[0.0, 0.0]])
     U = IntervalUnion([[-1.0, -0.2], [0.2, 1.0]])
-    assert U.measure() == pytest.approx(1.6)
+    assert np.diff(U.intervals).sum() == pytest.approx(1.6)
     assert not U.contains(0.0)
     assert U.boundary_distance(0.0) == pytest.approx(0.2)
+
+
+def test_union_rejects_pieces_that_share_an_endpoint():
+    # D lies on both sides of the shared point 0, so the union is not Lipschitz
+    for pieces in ([[-1.0, 0.0], [0.0, 1.0]], [[0.0, 1.0], [-1.0, 0.0]]):
+        with pytest.raises(DomainError, match="share an endpoint"):
+            IntervalUnion(pieces)
 
 
 def test_interval_is_the_one_piece_union():
@@ -46,7 +55,7 @@ def test_interval_is_the_one_piece_union():
     assert np.array_equal(D.contains(x), U.contains(x))
     assert np.array_equal(D.boundary_distance(x), U.boundary_distance(x))
     assert np.array_equal(D.intervals, U.intervals)
-    assert D.measure() == U.measure() == 2.0
+    assert np.diff(D.intervals).sum() == 2.0
     assert D.bounding_box == U.bounding_box == (-1.0, 1.0)
     assert all(type(v) is float for v in D.bounding_box + U.bounding_box)
     # the interval keeps its two-comparison contains; tracers wrap each class's own
@@ -85,7 +94,7 @@ def test_exterior_shell_monotone():
     D = IntervalUnion([[-1.0, -0.2], [0.2, 1.0]])
     small = exterior_shell(D, 0.05)
     big = exterior_shell(D, 0.3)
-    assert small.is_subset_of(big)
+    assert oracles.is_subset(small, big)
     # shells never meet D
     xs = np.linspace(-2, 2, 2001)
     assert not np.any(big.contains(xs) & D.contains(xs))
@@ -96,7 +105,7 @@ def test_gap_shell_saturates():
     D = IntervalUnion([[-1.0, -0.2], [0.2, 1.0]])
     sh = exterior_shell(D, 0.3)
     gap = Region1D([(-0.2, 0.2)])
-    assert gap.is_subset_of(sh)
+    assert oracles.is_subset(gap, sh)
 
 
 def test_shell_levy_mass_closed_form():
@@ -121,7 +130,7 @@ def test_build_grid_uniform():
     g = build_grid(D, 4)
     assert np.allclose(g.widths, 0.5)
     assert np.allclose(g.nodes, [-0.75, -0.25, 0.25, 0.75])
-    assert g.widths.sum() == pytest.approx(D.measure())
+    assert g.widths.sum() == pytest.approx(np.diff(D.intervals).sum())
     g2 = build_grid(D, 8)
     assert g2.h == pytest.approx(g.h / 2.0)
 
@@ -130,7 +139,7 @@ def test_build_grid_union_tiles_exactly():
     U = IntervalUnion([[-1.0, -0.2], [0.2, 1.4]])
     g = build_grid(U, 33)
     assert g.n == 33
-    assert g.widths.sum() == pytest.approx(U.measure(), rel=1e-14)
+    assert g.widths.sum() == pytest.approx(np.diff(U.intervals).sum(), rel=1e-14)
     # node i lies in cell i
     assert np.all((g.nodes > g.cells[:, 0]) & (g.nodes < g.cells[:, 1]))
     # cells nest inside the components
@@ -143,7 +152,7 @@ def test_build_grid_over_allotment_gives_each_component_a_cell():
     U = IntervalUnion([[0.0, 0.01], [0.02, 0.03], [0.1, 10.1]])
     g = build_grid(U, 3)
     assert np.array_equal(g.cells, U.intervals)
-    assert g.widths.sum() == pytest.approx(U.measure(), rel=1e-14)
+    assert g.widths.sum() == pytest.approx(np.diff(U.intervals).sum(), rel=1e-14)
 
 
 def test_cell_index_roundtrip():

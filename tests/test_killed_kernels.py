@@ -57,7 +57,7 @@ def test_heat_kernel_semigroup_and_monotone(wb):
 def test_heat_kernel_symmetry(wb):
     ops = wb.ops(1.5)
     P = heat_kernel(ops["L"], 0.3)
-    dens = P.density()
+    dens = P.entries / P.grid.widths
     assert np.abs(dens - dens.T).max() < 1e-8
 
 
@@ -77,7 +77,7 @@ def test_green_row_sum_mean_exit_time(wb):
 
 def test_green_symmetry(wb):
     ops = wb.ops(1.0)
-    dens = ops["G"].density()
+    dens = ops["G"].entries / ops["grid"].widths
     assert np.abs(dens - dens.T).max() < 1e-8
 
 
@@ -88,7 +88,7 @@ def test_green_pointwise_vs_closed_form(wb):
     # consistency order instead (see the convergence-rate test)
     ops = wb.ops(1.0)
     grid = ops["grid"]
-    dens = ops["G"].density()
+    dens = ops["G"].entries / ops["grid"].widths
     nodes = grid.nodes
     sel = (np.abs(nodes[:, None] - nodes[None, :]) > 0.1) \
         & (np.abs(nodes[:, None]) < 0.95) & (np.abs(nodes[None, :]) < 0.95)
@@ -102,7 +102,7 @@ def test_green_pointwise_error_shrinks_under_refinement(wb, alpha):
     def bulk_err(n):
         ops = wb.ops(alpha, n_cells=n)
         nodes = ops["grid"].nodes
-        dens = ops["G"].density()
+        dens = ops["G"].entries / ops["grid"].widths
         sel = (np.abs(nodes[:, None] - nodes[None, :]) > 0.1) \
             & (np.abs(nodes[:, None]) < 0.95) & (np.abs(nodes[None, :]) < 0.95)
         exact = oracles.interval_green(alpha, nodes[:, None],

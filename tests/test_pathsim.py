@@ -138,7 +138,7 @@ def test_ladder_counts_and_invariants(wb):
     p = wb.params(1.0)
     mu = wb.mu("uniform")
     path = simulate_ladder(p, wb.domain, mu, 0.0, 30.0, 1e-3, seed=8, n_paths=1)[0]
-    assert path.validate(wb.domain)
+    assert oracles.validate_ladder(path, wb.domain)
     assert path.count_at(0.0) == 0
     counts = [path.count_at(t) for t in np.linspace(0.0, 30.0, 50)]
     assert all(b >= a for a, b in zip(counts, counts[1:]))
@@ -154,7 +154,7 @@ def test_ladder_validate_raises_on_corrupted_paths(wb):
     path = simulate_ladder(wb.params(1.0), wb.domain, wb.mu("uniform"), 0.0, 10.0, 1e-3,
                            seed=8, n_paths=2)[1]
     assert len(path.tau) > 3
-    assert path.validate(wb.domain)
+    assert oracles.validate_ladder(path, wb.domain)
     first = np.arange(len(path.tau)) == 0
     corrupt = [
         dict(tau=path.tau[::-1]),
@@ -167,7 +167,7 @@ def test_ladder_validate_raises_on_corrupted_paths(wb):
     ]
     for change in corrupt:
         with pytest.raises(ValueError):
-            dataclasses.replace(path, **change).validate(wb.domain)
+            oracles.validate_ladder(dataclasses.replace(path, **change), wb.domain)
 
 
 def test_ladder_reproducibility(wb):
@@ -187,7 +187,7 @@ def test_first_entry_histogram_matches_chain_kernel(wb):
     grid = wb.ops(1.0)["grid"]
     C = chain_kernel(wb.ops(1.0)["H"], mu)
     ens = simulate_ensemble(p, wb.domain, mu, 0.0, 6.0, 1e-3, 21, 20000)
-    r1 = ens.first_entry
+    r1 = oracles.first_records(ens, ens.entry)
     # a handful of paths may not reflect within the horizon (P ~ 1e-3)
     finite = np.isfinite(r1)
     assert (~finite).mean() < 5e-3
@@ -369,7 +369,8 @@ def test_ensemble_blocks_worker_invariance(wb):
                                  workers=3, **kw)
     assert np.array_equal(a.counts_at_marks, b.counts_at_marks)
     assert np.array_equal(a.occupancy, b.occupancy)
-    assert np.array_equal(a.first_entry, b.first_entry, equal_nan=True)
+    assert np.array_equal(oracles.first_records(a, a.entry), oracles.first_records(b, b.entry),
+                          equal_nan=True)
     assert np.array_equal(a.offsets, b.offsets)
     for name in ("tau", "pre_exit", "exit_point", "entry"):
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
@@ -444,11 +445,13 @@ def test_chunked_ensemble_invariants(wb):
     assert ens.total_reflections.mean() > 1.0
     assert ens.occupancy.sum() == pytest.approx(1.0, abs=1e-12)
     done = ens.total_reflections > 0
-    assert np.all(np.isnan(ens.first_exit_time[~done]))
-    assert not np.any(wb.domain.contains(ens.first_exit_point[done]))
-    assert np.all(wb.domain.contains(ens.first_pre_exit[done]))
-    assert np.all(wb.domain.contains(ens.first_entry[done]))
-    steps = ens.first_exit_time[done] / dt
+    tau, pre, ex, entry = (oracles.first_records(ens, r)
+                           for r in (ens.tau, ens.pre_exit, ens.exit_point, ens.entry))
+    assert np.all(np.isnan(tau[~done]))
+    assert not np.any(wb.domain.contains(ex[done]))
+    assert np.all(wb.domain.contains(pre[done]))
+    assert np.all(wb.domain.contains(entry[done]))
+    steps = tau[done] / dt
     assert np.allclose(steps, np.round(steps), rtol=0, atol=1e-6)
     assert np.all((steps >= 1) & (steps <= 3000.5))
     # horizons of whole chunks replay the same draws, so their totals are
@@ -457,7 +460,7 @@ def test_chunked_ensemble_invariants(wb):
         short = simulate_ensemble(p, wb.domain, mu, 0.2, edge, dt, 31, n)
         assert np.array_equal(short.total_reflections, ens.counts_at_marks[:, k])
         hit = short.total_reflections > 0
-        assert np.array_equal(short.first_entry[hit], ens.first_entry[hit])
+        assert np.array_equal(oracles.first_records(short, short.entry)[hit], entry[hit])
 
 
 def test_chunked_ensemble_marks_every_step(wb):
@@ -472,7 +475,7 @@ def test_chunked_ensemble_marks_every_step(wb):
     assert np.all(np.diff(counts, axis=1) >= 0)
     done = ens.total_reflections > 0
     first_step = np.argmax(counts[done] > 0, axis=1) + 1
-    assert np.array_equal(first_step, np.round(ens.first_exit_time[done] / dt))
+    assert np.array_equal(first_step, np.round(oracles.first_records(ens, ens.tau)[done] / dt))
     assert np.any(first_step == 64) and np.any(first_step == 65)
 
 
@@ -494,10 +497,12 @@ def test_chunked_ensemble_ball():
     ens = simulate_ensemble(p, B, mu, np.zeros(2), 2.0, 1e-3, 5, 40, t_marks=[2.0])
     done = ens.total_reflections > 0
     assert done.mean() > 0.5
-    assert ens.first_exit_point.shape == (40, 2)
-    assert not np.any(B.contains(ens.first_exit_point[done]))
-    assert np.all(B.contains(ens.first_pre_exit[done]))
-    assert np.all(np.linalg.norm(ens.first_entry[done], axis=1) < 0.5)
+    pre, ex, entry = (oracles.first_records(ens, r)
+                      for r in (ens.pre_exit, ens.exit_point, ens.entry))
+    assert ex.shape == (40, 2)
+    assert not np.any(B.contains(ex[done]))
+    assert np.all(B.contains(pre[done]))
+    assert np.all(np.linalg.norm(entry[done], axis=1) < 0.5)
     assert np.array_equal(ens.counts_at_marks[:, 0], ens.total_reflections)
 
 

@@ -1,14 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from scipy import stats
 from scipy.integrate import quad
 
 from reflected_stable.stable_core import (StableParams, StableParamsError,
                                           ball_exit_position, ball_mean_exit_time,
-                                          levy_constant, levy_density,
-                                          levy_interval_mass, sample_ball_exit_radius,
+                                          levy_constant, levy_interval_mass,
+                                          sample_ball_exit_radius,
                                           sample_stable_increment)
 
 import oracles
@@ -42,26 +40,6 @@ def test_levy_constant_rejects_bad_alpha():
             levy_constant(1, bad)
     with pytest.raises(StableParamsError):
         StableParams(1, 2.0)
-
-
-def test_levy_density_value():
-    p = StableParams(1, 1.0)
-    assert levy_density(p, 0.0, 2.0) == pytest.approx(1.0 / (4.0 * np.pi), rel=1e-14)
-
-
-def test_levy_density_singular_at_diagonal():
-    p = StableParams(1, 1.0)
-    with pytest.raises(ValueError):
-        levy_density(p, 0.3, 0.3)
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.floats(-50, 50), st.floats(-50, 50), st.sampled_from([0.5, 1.0, 1.7]))
-def test_levy_density_symmetric(x, y, alpha):
-    if abs(x - y) < 1e-6:
-        return
-    p = StableParams(1, alpha)
-    assert levy_density(p, x, y) == pytest.approx(levy_density(p, y, x), rel=1e-13)
 
 
 @pytest.mark.parametrize("alpha,rho", [(0.5, 1.0), (1.0, 0.7), (1.5, 2.0)])
