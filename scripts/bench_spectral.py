@@ -12,9 +12,11 @@ alpha = 1, the projection return kernel (depth 0.2, width 0.1) and t = 0.1.
 For each n in CELLS the child times, REPEATS times each:
 ``assemble_dirichlet_generator``, ``duhamel_series``, ``heat_kernel``,
 ``green_operator``, ``chain_kernel`` (the reflection chain C = G M, the
-Green solve's harmonic kernel composed with the return kernel) and
-``dobrushin_coefficient`` of C. The JSON file holds the median of each,
-and the run record: core count, BLAS thread count and library versions.
+Green solve's harmonic kernel composed with the return kernel),
+``dobrushin_coefficient`` of C and ``kappa_generator_nullvector`` of the
+full generator L + M (its assembly included). The JSON file holds the
+median of each, and the run record: core count, BLAS thread count and
+library versions.
 Sides run in the order given, one after the other.
 """
 
@@ -27,7 +29,8 @@ import subprocess
 import sys
 import time
 
-LAYERS = ("assemble", "series", "heat_kernel", "green", "chain_kernel", "dobrushin")
+LAYERS = ("assemble", "series", "heat_kernel", "green", "chain_kernel", "dobrushin",
+          "nullvector")
 CELLS = (400, 800, 1600)
 REPEATS = 3
 
@@ -43,9 +46,11 @@ def child(root):
     from reflected_stable.killed_kernels import (assemble_dirichlet_generator,
                                                  green_operator, harmonic_kernel,
                                                  heat_kernel)
-    from reflected_stable.perturbation import duhamel_series, perturbation_matrix
+    from reflected_stable.perturbation import (duhamel_series, full_generator,
+                                               perturbation_matrix)
     from reflected_stable.reflection import make_projection_kernel
-    from reflected_stable.stationary import chain_kernel, dobrushin_coefficient
+    from reflected_stable.stationary import (chain_kernel, dobrushin_coefficient,
+                                             kappa_generator_nullvector)
 
     params = StableParams(1, 1.0)
     domain = Interval(-1.0, 1.0)
@@ -63,7 +68,9 @@ def child(root):
                      ("green", lambda: green_operator(ops["assemble"])),
                      ("chain_kernel",
                       lambda: chain_kernel(harmonic_kernel(ops["green"], params), mu)),
-                     ("dobrushin", lambda: dobrushin_coefficient(ops["chain_kernel"])))
+                     ("dobrushin", lambda: dobrushin_coefficient(ops["chain_kernel"])),
+                     ("nullvector", lambda: kappa_generator_nullvector(
+                         full_generator(ops["assemble"], M))))
             for layer, fn in steps:
                 start = time.perf_counter()
                 out = fn()

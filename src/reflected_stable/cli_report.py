@@ -32,8 +32,8 @@ from . import __version__
 from .geometry import DomainError, Interval, IntervalUnion, build_grid
 from .killed_kernels import assemble_dirichlet_generator, green_operator, \
     harmonic_kernel
-from .pathsim import excursion_statistics, reflection_chain, simulate_ensemble_blocks, \
-    simulate_ladder, stream
+from .pathsim import excursion_statistics, ladder_paths, reflection_chain, \
+    simulate_ensemble_blocks, stream
 from .perturbation import (SeriesError, build_excessive, duhamel_series, full_generator,
                            perturbation_matrix, series_diagnostics, supermedian_violation)
 from .reflection import (AtomMeasure, UniformMeasure, default_probes,
@@ -46,12 +46,6 @@ from .stationary import (_ERGODIC_REFLECTIONS, GridMeasure, chain_kernel,
                          triangulation_report)
 
 logger = logging.getLogger(__name__)
-
-# keys each domain kind and return-law family takes besides "kind"/"family"
-DOMAIN_KEYS = {"interval": ("a", "b"), "ball": ("center", "radius"),
-               "grid1d": ("intervals",)}
-MU_KEYS = {"constant-uniform": ("a", "b"), "dirac": ("point",),
-           "projection": ("depth", "width")}
 
 
 class ConfigError(ValueError):
@@ -128,6 +122,21 @@ def _is_int(value):
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_numbers(value):
+    return all(map(_is_numbers, value)) if isinstance(value, list) else _is_number(value)
+
+
+# (test, description) of the value a domain or law key takes
+_NUMBER = (_is_number, "a finite number")
+_NUMBERS = (_is_numbers, "a finite number or a list (of lists) of finite numbers")
+# keys each domain kind and return-law family takes besides "kind"/"family"
+DOMAIN_KEYS = {"interval": {"a": _NUMBER, "b": _NUMBER},
+               "ball": {"center": _NUMBERS, "radius": _NUMBER},
+               "grid1d": {"intervals": _NUMBERS}}
+MU_KEYS = {"constant-uniform": {"a": _NUMBER, "b": _NUMBER}, "dirac": {"point": _NUMBER},
+           "projection": {"depth": _NUMBER, "width": _NUMBER}}
+
+
 def parse_config(raw):
     """Validate a raw config dict; raises ConfigError naming bad fields."""
     if not isinstance(raw, dict):
@@ -163,6 +172,9 @@ def parse_config(raw):
         unknown = set(spec) - {tag} - set(table[spec[tag]])
         if unknown:
             raise ConfigError("%s.%s" % (field, sorted(unknown)[0]), "unknown field")
+        for key, (valid, what) in table[spec[tag]].items():
+            if not valid(spec.get(key)):
+                raise ConfigError("%s.%s" % (field, key), "must be %s" % what)
     # chain_samples: on the chain check's 20 bins E TV <= sqrt(20 / N) / 2,
     # which stays within its 0.05 tolerance from N = 2000 on
     for field, low in (("n_cells", 4), ("replicas", 0),
@@ -177,15 +189,6 @@ def parse_config(raw):
         if not (isinstance(vals, list) and vals
                 and all(_is_number(v) and v > 0 for v in vals)):
             raise ConfigError(field, "must be a nonempty list of positive finite numbers")
-    if cfg["kind"] == "simulate" and max(cfg["t_list"]) > cfg["horizon"]:
-        raise ConfigError("t_list", "simulate marks must not exceed the horizon")
-    if cfg["kind"] == "simulate" and cfg["replicas"] < 1:
-        raise ConfigError("replicas", "simulate needs at least one replica")
-    simulates = cfg["kind"] == "simulate" or (
-        cfg["kind"] == "full-triangulation" and cfg["replicas"] > 0)
-    if simulates and cfg["dt"] > cfg["horizon"] / 2:
-        # one step would fall wholly in the burn-in and leave no occupation
-        raise ConfigError("dt", "must be at most horizon / 2, so paths take two steps")
     if not isinstance(cfg["out_dir"], str) or not cfg["out_dir"]:
         raise ConfigError("out_dir", "must be a nonempty string")
     config = ExperimentConfig(
@@ -196,8 +199,17 @@ def parse_config(raw):
         **{k: cfg[k] for k in ("kind", "seed", "n_cells", "replicas", "out_dir", "threads",
                                "chain_steps", "chain_samples")})
     # build the domain, return kernel and grid here, once, so that a value only
-    # they reject fails at parse time as it would under run
+    # they reject fails at parse time as it would under run, before cross-field checks
     config.mu  # reading it builds the domain and the kernel, or raises ConfigError
+    if cfg["kind"] == "simulate" and max(cfg["t_list"]) > cfg["horizon"]:
+        raise ConfigError("t_list", "simulate marks must not exceed the horizon")
+    if cfg["kind"] == "simulate" and cfg["replicas"] < 1:
+        raise ConfigError("replicas", "simulate needs at least one replica")
+    simulates = cfg["kind"] == "simulate" or (
+        cfg["kind"] == "full-triangulation" and cfg["replicas"] > 0)
+    if simulates and cfg["dt"] > cfg["horizon"] / 2:
+        # one step would fall wholly in the burn-in and leave no occupation
+        raise ConfigError("dt", "must be at most horizon / 2, so paths take two steps")
     try:
         config.grid
     except ValueError as exc:
@@ -216,9 +228,7 @@ def build_domain(spec):
                 raise DomainError("the CLI runs d=1: a ball center needs one coordinate")
             return Interval(center[0] - spec["radius"], center[0] + spec["radius"])
         return IntervalUnion(spec["intervals"])
-    except KeyError as exc:
-        raise ConfigError("domain.%s" % exc.args[0], "missing") from exc
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError("domain", str(exc)) from exc
 
 
@@ -230,9 +240,7 @@ def build_mu(spec, domain):
         if fam == "dirac":
             return make_constant_kernel(domain, AtomMeasure([spec["point"]]))
         return make_projection_kernel(domain, spec["depth"], spec["width"])
-    except KeyError as exc:
-        raise ConfigError("mu.%s" % exc.args[0], "missing") from exc
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError("mu", str(exc)) from exc
 
 
@@ -374,14 +382,12 @@ def _ensemble(run):
                    np.concatenate(hists)])
     occ = GridMeasure(grid, np.maximum(ens.occupancy, 0) / ens.occupancy.sum())
     run.write_measure("occupation.csv", occ)
+    run.ens = ens
 
 
 def _excursions(run):
     """ladder paths: excursion statistics and path dump"""
-    config = run.config
-    paths = simulate_ladder(run.params, run.domain, run.mu,
-                            _start_point(run.domain), min(config.horizon, 50.0),
-                            config.dt, config.seed, min(config.replicas, 50))
+    paths = ladder_paths(run.ens)
     n_completed = sum(len(path.tau) for path in paths)
     run.check("excursions-completed", n_completed >= 20, n_completed, 20)
     if n_completed >= 20:
@@ -390,7 +396,7 @@ def _excursions(run):
             "n_paths": stats.n_paths, "n_completed": stats.n_completed,
             "lag1_autocorrelation": stats.lag1_autocorrelation,
             "mean_duration": stats.mean_duration})
-    # capped path dump: reflection times and re-entry points
+    # path dump of the first 10 paths: reflection times and re-entry points
     dump = paths[:10]
     run.write_csv("path_dump.csv", ["replica", "reflection", "tau", "R"], [
         np.repeat(np.arange(len(dump)), [len(path.tau) for path in dump]),

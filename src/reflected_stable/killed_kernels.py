@@ -36,7 +36,6 @@ class GridOperator:
     grid: object
     entries: np.ndarray
     kind: str
-    time: float = None
     factors: tuple = None
     spectrum: tuple = None
 
@@ -106,14 +105,14 @@ def generator_spectrum(L):
     return lam, Q, np.sqrt(L.grid.widths)
 
 
-def _spectral_function(L, f_half, kind, time=None):
+def _spectral_function(L, f_half, kind):
     """``W^-1/2 Q diag(f) Q^T W^1/2`` with ``f = f_half**2``, as X X^T for X = Q diag(f_half)."""
     lam, Q, sw = generator_spectrum(L)
     X = Q * f_half(lam)
     P = X @ X.T
     P *= sw[None, :]
     P /= sw[:, None]
-    return GridOperator(grid=L.grid, entries=P, kind=kind, time=time)
+    return GridOperator(grid=L.grid, entries=P, kind=kind)
 
 
 def heat_kernel(L, t):
@@ -125,7 +124,7 @@ def heat_kernel(L, t):
     """
     if t <= 0:
         raise ValueError("time t must be positive")
-    P = _spectral_function(L, lambda lam: np.exp(0.5 * t * lam), "transition", t)
+    P = _spectral_function(L, lambda lam: np.exp(0.5 * t * lam), "transition")
     clip_nonnegative(P.entries, "matrix exponential")
     return P
 

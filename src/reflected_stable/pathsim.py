@@ -56,12 +56,11 @@ def stream(seed, *ids):
 
 @dataclasses.dataclass
 class Excursion:
-    """One killed excursion: start and exit data.
+    """One killed excursion: exit data.
 
     ``duration`` is the jump-Euler exit time.
     """
 
-    start: float
     duration: float
     n_steps: int
     pre_exit: float
@@ -141,7 +140,6 @@ def simulate_killed_excursion(params, domain, start, dt, rng, store_positions=Fa
             stored.append(path[1:hit + 1] if hit else path[1:])
         if hit:
             return Excursion(
-                start=start,
                 duration=(k0 + hit) * dt,
                 n_steps=k0 + hit,
                 pre_exit=path[hit - 1],
@@ -156,12 +154,16 @@ def simulate_ladder(params, domain, mu, start, horizon, dt, seed, n_paths):
     """n_paths ladder paths of the reflected process up to the horizon.
 
     One ``simulate_ensemble`` run on stream id 0 (``start`` is a point or a
-    start law); each path is cut from its reflection records.
+    start law), cut into paths by ``ladder_paths``.
     """
-    ens = simulate_ensemble(params, domain, mu, start, horizon, dt, seed, n_paths,
-                            stream_id=0)
+    return ladder_paths(simulate_ensemble(params, domain, mu, start, horizon, dt, seed,
+                                          n_paths, stream_id=0))
+
+
+def ladder_paths(ens):
+    """The paths of an EnsembleResult as LadderPaths, cut from its reflection records."""
     cuts = ens.offsets
-    return [LadderPath(horizon=horizon, tau=ens.tau[a:b], pre_exit=ens.pre_exit[a:b],
+    return [LadderPath(horizon=ens.horizon, tau=ens.tau[a:b], pre_exit=ens.pre_exit[a:b],
                        exit_point=ens.exit_point[a:b], R=ens.entry[a:b])
             for a, b in zip(cuts[:-1].tolist(), cuts[1:].tolist())]
 
@@ -198,10 +200,8 @@ class EnsembleResult:
     n_paths: int
     dt: float
     horizon: float
-    t_marks: np.ndarray
-    counts_at_marks: np.ndarray      # (n_paths, len(t_marks)) reflection counts
+    counts_at_marks: np.ndarray      # (n_paths, marks) reflection counts at sorted marks
     occupancy: np.ndarray            # cell masses of the time average, or None
-    occupancy_time: float
     offsets: np.ndarray              # (n_paths + 1,) record index of each path's start
     tau: np.ndarray
     pre_exit: np.ndarray
@@ -291,8 +291,7 @@ def simulate_ensemble(params, domain, mu, start, horizon, dt, seed, n_paths,
     who, steps_at, pre, z, entry = (np.concatenate(col) for col in zip(*rounds))
     order = np.argsort(who, kind="stable")
     return EnsembleResult(
-        n_paths=n, dt=dt, horizon=horizon, t_marks=t_marks,
-        counts_at_marks=counts_at, occupancy=occupancy, occupancy_time=n_kept * dt,
+        n_paths=n, dt=dt, horizon=horizon, counts_at_marks=counts_at, occupancy=occupancy,
         offsets=np.concatenate(([0], np.cumsum(counts))), tau=steps_at[order] * dt,
         pre_exit=pre[order], exit_point=z[order], entry=entry[order],
     )
@@ -330,14 +329,11 @@ def simulate_ensemble_blocks(params, domain, mu, start, horizon, dt, seed, n_pat
     records = {name: np.concatenate([getattr(r, name) for r in results])
                for name in ("tau", "pre_exit", "exit_point", "entry")}
     occupancy = None
-    occ_time = results[0].occupancy_time
     if grid is not None:
         occupancy = sum(r.occupancy * r.n_paths for r in results) / int(n_paths)
     return EnsembleResult(
-        n_paths=int(n_paths), dt=dt, horizon=horizon,
-        t_marks=np.asarray(sorted(t_marks), dtype=float),
-        counts_at_marks=counts_at, occupancy=occupancy, occupancy_time=occ_time,
-        offsets=np.concatenate(([0], np.cumsum(total))), **records,
+        n_paths=int(n_paths), dt=dt, horizon=horizon, counts_at_marks=counts_at,
+        occupancy=occupancy, offsets=np.concatenate(([0], np.cumsum(total))), **records,
     )
 
 

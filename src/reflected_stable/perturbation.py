@@ -223,7 +223,7 @@ def reflected_kernel(series):
             "conservation violated: row sums in [%.6g, %.6g]" % (rs.min(), rs.max()),
             report,
         )
-    return GridOperator(grid=series.grid, entries=K, kind="reflected", time=series.t)
+    return GridOperator(grid=series.grid, entries=K, kind="reflected")
 
 
 def series_diagnostics(series):
@@ -326,7 +326,6 @@ class ExcessiveFunction:
     radii: np.ndarray
     summands: np.ndarray
     thresholds: np.ndarray
-    lam: float
 
 
 def build_excessive(A, lam, params, n_max=6, r_floor_factor=1e-9):
@@ -388,7 +387,6 @@ def build_excessive(A, lam, params, n_max=6, r_floor_factor=1e-9):
         radii=np.array(radii),
         summands=summands,
         thresholds=np.array(thresholds),
-        lam=lam,
     )
 
 

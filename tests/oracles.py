@@ -5,9 +5,11 @@ on balls/intervals (exit law, Green function) or from generic numerics
 (spectral heat kernels, adaptive quadrature), independently of the code
 paths under test. The one exception is ``first_exit_per_step``, the plain
 one-step-at-a-time jump-Euler loop that the chunked first-exit sampler is
-checked against. The last three functions read or check simulator records
-directly from their definitions: region inclusion, the invariants of a
-ladder path and each path's first reflection record.
+checked against. ``nullvector_reference_checks`` certifies a stationary
+vector of a generator by a full SVD and matrix exponentials. The last three
+functions read or check simulator records directly from their definitions:
+region inclusion, the invariants of a ladder path and each path's first
+reflection record.
 """
 
 import numpy as np
@@ -143,6 +145,19 @@ def first_exit_per_step(params, domain, start, dt, rng, n_paths):
         pos[alive] = newpos[~out]
         k += 1
     return exit_time, pre_exit, exit_point
+
+
+def nullvector_reference_checks(A_entries, kappa):
+    """The dense certificate of a generator's stationary vector ``kappa``.
+
+    Returns (sv, tvs): ``sv`` holds the two smallest singular values of A,
+    second-smallest first (the null space is clearly one-dimensional when
+    the first is 1e3 times the second), and ``tvs`` the total variation of
+    kappa exp(tA) from kappa at t = 0.5 and 2.
+    """
+    sv = np.linalg.svd(A_entries, compute_uv=False)
+    tvs = [0.5 * np.abs(kappa @ expm(t * A_entries) - kappa).sum() for t in (0.5, 2.0)]
+    return sv[-2:], tvs
 
 
 def is_subset(small, big):

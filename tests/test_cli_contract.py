@@ -3,7 +3,8 @@
 Every run of ``main`` must exit 0, exit 1 with a FAIL line for a named
 check, or exit 2 with a ConfigError naming a field; exit 3 (a stage
 raised) fails the test. Configs are tiny, and at most one field is
-replaced by an invalid value or joined by an unknown key.
+replaced by an invalid value, joined by an unknown key, or (a numeric
+field) replaced by a boolean or a string, which must exit 2 naming it.
 """
 
 import contextlib
@@ -15,11 +16,9 @@ import tempfile
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reflected_stable.cli_report import KINDS, default_config, main
+from reflected_stable.cli_report import DOMAIN_KEYS, KINDS, MU_KEYS, default_config, main
 
-# each domain with an in-domain law of every family; unions whose pieces
-# touch (such as [[-1, 0], [0, 1]]) are not Lipschitz sets and exit 2, a
-# row of test_non_numeric_fields_exit_2
+# each domain with an in-domain law of every family
 DOMAINS = {
     "interval": ({"kind": "interval", "a": -1.0, "b": 1.0}, (
         {"family": "constant-uniform", "a": -0.5, "b": 0.5},
@@ -37,13 +36,33 @@ DOMAINS = {
         {"family": "constant-uniform", "a": 0.3, "b": 0.8},
         {"family": "dirac", "point": 0.5},
         {"family": "projection", "depth": 0.2, "width": 0.1})),
+    # pieces that share an endpoint: not a Lipschitz set, so every run exits
+    # 2 naming the domain
+    "touching": ({"kind": "grid1d", "intervals": [[-1.0, 0.0], [0.0, 1.0]]}, (
+        {"family": "constant-uniform", "a": 0.3, "b": 0.8},
+        {"family": "dirac", "point": 0.5},
+        {"family": "projection", "depth": 0.2, "width": 0.1})),
 }
 INVALID = ("x", None, float("inf"), -2.5)
+NOT_NUMBERS = (True, False, "x")
+
+
+def numeric_keys(raw, owner):
+    """The keys of a config (owner None) or of one of its sections that hold numbers."""
+    if owner == "params":
+        return ["alpha", "d"]
+    if owner == "domain":
+        return sorted(DOMAIN_KEYS[raw["domain"]["kind"]])
+    if owner == "mu":
+        return sorted(MU_KEYS[raw["mu"]["family"]])
+    return sorted(k for k, v in raw.items()
+                  if isinstance(v, (int, float)) and not isinstance(v, bool))
 
 
 @st.composite
 def configs(draw):
-    """(raw config, unknown key or None) from the menu, perhaps made invalid."""
+    """(raw config, the field it must exit 2 naming or None) from the menu,
+    perhaps made invalid."""
     domain, laws = DOMAINS[draw(st.sampled_from(sorted(DOMAINS)))]
     raw = dict(
         default_config(), kind=draw(st.sampled_from(KINDS)), seed=draw(st.integers(0, 1000)),
@@ -57,14 +76,20 @@ def configs(draw):
         lambda_list=draw(st.lists(st.sampled_from([1e-6, 0.1, 1.0, 100.0]),
                                   min_size=1, max_size=2)),
         threads=draw(st.sampled_from([1, 2])), chain_samples=2000)
-    change = draw(st.sampled_from(["none", "value", "unknown key"]))
+    expected = "domain" if domain is DOMAINS["touching"][0] else None
+    change = draw(st.sampled_from(["none", "value", "unknown key", "not a number"]))
     if change == "none":
-        return raw, None
+        return raw, expected
     owner = draw(st.sampled_from([None, "params", "domain", "mu"]))
     target = raw if owner is None else raw[owner]
+    prefix = "" if owner is None else owner + "."
     if change == "unknown key":
         target["bogus"] = 1
-        return raw, "bogus" if owner is None else owner + ".bogus"
+        return raw, prefix + "bogus"
+    if change == "not a number":
+        key = draw(st.sampled_from(numeric_keys(raw, owner)))
+        target[key] = draw(st.sampled_from(NOT_NUMBERS))
+        return raw, prefix + key
     # out_dir stays valid: any string names a directory to write in
     field = draw(st.sampled_from(sorted(set(target) - {"out_dir"})))
     target[field] = draw(st.sampled_from(INVALID))
@@ -74,7 +99,7 @@ def configs(draw):
 @settings(max_examples=60, derandomize=True, deadline=None, database=None)
 @given(configs())
 def test_cli_runs_fails_a_check_or_names_a_field(drawn):
-    raw, unknown = drawn
+    raw, named = drawn
     with tempfile.TemporaryDirectory() as tmp:
         raw["out_dir"] = os.path.join(tmp, "out")
         cfg_path = os.path.join(tmp, "cfg.json")
@@ -84,7 +109,7 @@ def test_cli_runs_fails_a_check_or_names_a_field(drawn):
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(["--config", cfg_path])
     lines = [line.split() for line in out.getvalue().splitlines()]
-    if unknown is not None:
+    if named is not None:
         assert code == 2
     if code == 0:
         assert err.getvalue() == "" and ["status:", "pass"] in [line[:2] for line in lines]
@@ -95,5 +120,5 @@ def test_cli_runs_fails_a_check_or_names_a_field(drawn):
         assert code == 2, err.getvalue()
         payload = json.loads(err.getvalue())
         assert payload["type"] == "ConfigError", payload
-        named = "config field '%s'" % unknown if unknown else "config field '"
-        assert payload["error"].startswith(named), payload
+        prefix = "config field '%s'" % named if named else "config field '"
+        assert payload["error"].startswith(prefix), payload

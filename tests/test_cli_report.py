@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from reflected_stable import cli_report
+from reflected_stable import cli_report, pathsim
 from reflected_stable.cli_report import (KINDS, ConfigError, _Run, _start_law,
                                          build_domain, build_mu, default_config,
                                          describe, main, parse_config, run)
@@ -135,6 +135,26 @@ def test_run_simulate_and_chain(tmp_path):
     assert "chain_samples.csv" in man2["outputs"]
 
 
+def test_simulate_runs_one_ensemble(tmp_path, monkeypatch):
+    # the excursion statistics come from the ensemble stage's reflection
+    # records: simulate_ensemble runs once per block, on the block streams
+    stream_ids = []
+    simulate_ensemble = pathsim.simulate_ensemble
+
+    def recorded(*args, **kwargs):
+        stream_ids.append(kwargs["stream_id"])
+        return simulate_ensemble(*args, **kwargs)
+
+    monkeypatch.setattr(pathsim, "simulate_ensemble", recorded)
+    cfg = parse_config(small_config(kind="simulate", replicas=60, horizon=20.0,
+                                    out_dir=str(tmp_path)))
+    code, _ = run(cfg)
+    assert code == 0
+    assert stream_ids == [1, 2]   # blocks of 50 and 10 paths
+    stats = json.loads((tmp_path / "excursion_stats.json").read_text())
+    assert stats["n_paths"] == 60
+
+
 def test_run_excessive(tmp_path):
     cfg = parse_config(small_config(kind="excessive", lambda_list=[1.0],
                                     out_dir=str(tmp_path)))
@@ -204,7 +224,7 @@ def test_config_sweep_runs(domain, kind, family, tmp_path):
     (UNION, INTERVAL_MUS["constant-uniform"], "mu"),   # uniform over the gap
     (INTERVAL, {"family": "dirac", "point": 5.0}, "mu"),
     (INTERVAL, {"family": "dirac", "point": 1.0}, "mu"),   # atom on the boundary
-    (INTERVAL, {"family": "dirac", "point": None}, "mu"),
+    (INTERVAL, {"family": "dirac", "point": None}, "mu.point"),
     ({"kind": "ball", "center": [0.0, 0.0], "radius": 1.0}, INTERVAL_MUS["dirac"],
      "domain"),
 ])
@@ -343,13 +363,13 @@ def test_main_default_config_print(capsys):
 
 
 @pytest.mark.parametrize("over, field", [
-    ({"domain": {"kind": "interval", "a": "x", "b": 1.0}}, "domain"),
+    ({"domain": {"kind": "interval", "a": "x", "b": 1.0}}, "domain.a"),
     ({"params": {"d": 1, "alpha": "x"}}, "params.alpha"),
     ({"params": {"d": 1, "alpha": None}}, "params.alpha"),
     ({"params": {"d": 2, "alpha": 1.0}}, "params.d"),   # the CLI runs d = 1
     ({"lambda_list": ["a"]}, "lambda_list"),
-    ({"mu": {"family": "constant-uniform", "a": "x", "b": 0.5}}, "mu"),
-    ({"domain": {"kind": "ball", "center": [0.0], "radius": "r"}}, "domain"),
+    ({"mu": {"family": "constant-uniform", "a": "x", "b": 0.5}}, "mu.a"),
+    ({"domain": {"kind": "ball", "center": [0.0], "radius": "r"}}, "domain.radius"),
     ({"horizon": float("inf")}, "horizon"),
     ({"dt": float("inf")}, "dt"),
     ({"t_list": [0.1, float("inf")]}, "t_list"),
@@ -378,13 +398,22 @@ def test_main_default_config_print(capsys):
     ({"chain_steps": True}, "chain_steps"),
     ({"domain": {"kind": ["interval"], "a": -1.0, "b": 1.0}}, "domain.kind"),
     ({"mu": {"family": {"constant-uniform": 1}, "a": -0.5, "b": 0.5}}, "mu.family"),
+    # booleans in float fields
+    ({"domain": {"kind": "grid1d", "intervals": [[-1.0, True], [2.0, 3.0]]},
+      "mu": {"family": "dirac", "point": 2.5}}, "domain.intervals"),
+    ({"domain": {"kind": "ball", "center": [0.0], "radius": True}}, "domain.radius"),
+    ({"domain": {"kind": "ball", "center": [False], "radius": 1.0}}, "domain.center"),
+    ({"mu": {"family": "constant-uniform", "a": False, "b": 0.5}}, "mu.a"),
+    ({"domain": {"kind": "interval", "a": 0.0, "b": 2.0},
+      "mu": {"family": "dirac", "point": True}}, "mu.point"),
 ], ids=["domain.a", "alpha-str", "alpha-null", "d-2", "lambda_list", "mu.a", "ball.radius",
         "horizon-inf", "dt-inf", "t_list-inf", "lambda_list-inf", "n_time",
         "t_list-past-horizon", "simulate-replicas-0", "simulate-dt-past-horizon",
         "triangulation-dt-past-half-horizon", "mu-unknown-key", "params-unknown-key",
         "cells-below-intervals", "domain-unknown-key", "ball-interval-key",
         "touching-union", "seed-bool", "d-bool", "replicas-bool", "threads-bool",
-        "chain_steps-bool", "domain-kind-list", "mu-family-object"])
+        "chain_steps-bool", "domain-kind-list", "mu-family-object", "intervals-bool",
+        "radius-bool", "center-bool", "mu.a-bool", "point-bool"])
 def test_non_numeric_fields_exit_2(over, field, tmp_path, capsys):
     # parse_config builds the domain and the return kernel, so --describe
     # rejects every one of these as run does

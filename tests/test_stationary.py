@@ -1,13 +1,22 @@
+import logging
+
 import numpy as np
 import pytest
 
+from reflected_stable.geometry import Interval, IntervalUnion, build_grid
+from reflected_stable.killed_kernels import GridOperator, assemble_dirichlet_generator
 from reflected_stable.pathsim import reflection_chain, simulate_ensemble_blocks, stream
-from reflected_stable.reflection import UniformMeasure
+from reflected_stable.perturbation import full_generator, perturbation_matrix
+from reflected_stable.reflection import (AtomMeasure, UniformMeasure, make_constant_kernel,
+                                         make_projection_kernel)
+from reflected_stable.stable_core import StableParams
 from reflected_stable.stationary import (GridMeasure, StationaryError, chain_kernel,
                                          dobrushin_coefficient, kappa_closed_form,
                                          kappa_ergodic, kappa_generator_nullvector,
                                          stationary_p, total_variation,
                                          triangulation_report)
+
+import oracles
 
 
 def test_grid_measure_validation(wb):
@@ -116,6 +125,59 @@ def test_kappa_nullvector_dirac_green_row(wb):
     k_nv = kappa_generator_nullvector(wb.A(1.0, "dirac"))
     row = ops["G"].entries[grid.cell_index(np.array([0.3]))[0]]
     assert total_variation(k_nv.masses, row / row.sum()) <= 0.01
+
+
+# each domain with a constant-uniform, a dirac and a projection law in it
+NULLVECTOR_DOMAINS = {
+    "interval": (Interval(-1.0, 1.0), (UniformMeasure(-0.5, 0.5), AtomMeasure([0.3]),
+                                       (0.3, 0.2))),
+    "union": (IntervalUnion([[-1.0, -0.2], [0.1, 1.0]]),
+              (UniformMeasure(0.3, 0.8), AtomMeasure([0.5]), (0.2, 0.1))),
+}
+
+
+def small_full_generator(alpha, domain_name, law_index, n_cells=60):
+    domain, laws = NULLVECTOR_DOMAINS[domain_name]
+    law = laws[law_index]
+    mu = (make_projection_kernel(domain, *law) if isinstance(law, tuple)
+          else make_constant_kernel(domain, law))
+    params = StableParams(1, alpha)
+    grid = build_grid(domain, n_cells)
+    return full_generator(assemble_dirichlet_generator(grid, params),
+                          perturbation_matrix(grid, params, mu))
+
+
+@pytest.mark.parametrize("law_index", [0, 1, 2], ids=["uniform", "dirac", "projection"])
+@pytest.mark.parametrize("domain_name", sorted(NULLVECTOR_DOMAINS))
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
+def test_kappa_nullvector_checks_agree_with_dense_reference(alpha, domain_name, law_index,
+                                                            caplog):
+    # the three checks pass, and so does the dense certificate they replace:
+    # a clear singular-value gap and invariance under exp(tA) at t = 0.5, 2
+    A = small_full_generator(alpha, domain_name, law_index)
+    caplog.set_level(logging.DEBUG, logger="reflected_stable")
+    kappa = kappa_generator_nullvector(A).masses
+    (steps, ratio, off_min, residual), = [
+        r.args for r in caplog.records if r.name == "reflected_stable.stationary"]
+    assert steps >= 2 and ratio <= 1e-3 and off_min > 0 and residual <= 1e-6
+    sv, tvs = oracles.nullvector_reference_checks(A.entries, kappa)
+    assert sv[0] >= 1e3 * sv[1] + 1e-12
+    assert max(tvs) <= 1e-6
+
+
+@pytest.mark.parametrize("coupling, match", [(0.0, "irreducible"), (1e-8, "spectral gap")])
+def test_kappa_nullvector_rejects_decoupled_generators(coupling, match):
+    # scale the rates between the union's two pieces; the diagonal keeps the
+    # rows summing to 0. With no coupling the null space is two-dimensional;
+    # a weak one leaves it one-dimensional but with no clear spectral gap
+    A = small_full_generator(1.0, "union", 2)
+    left = A.grid.nodes < 0
+    entries = np.where(left[:, None] != left[None, :], coupling * A.entries, A.entries)
+    np.fill_diagonal(entries, 0.0)
+    np.fill_diagonal(entries, -entries.sum(axis=1))
+    weak = GridOperator(grid=A.grid, entries=entries, kind="full-generator")
+    with pytest.raises(StationaryError, match=match):
+        kappa_generator_nullvector(weak)
 
 
 def test_kappa_invariant_under_series_kernel(wb):
