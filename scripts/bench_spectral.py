@@ -11,9 +11,9 @@ child process with one BLAS thread. The setup is the interval (-1, 1),
 alpha = 1, the projection return kernel (depth 0.2, width 0.1) and t = 0.1.
 For each n in CELLS the child times, REPEATS times each:
 ``assemble_dirichlet_generator``, ``duhamel_series``, ``heat_kernel``,
-``green_operator``, ``chain_kernel`` (the reflection chain C = G M, the
-Green solve's harmonic kernel composed with the return kernel),
-``dobrushin_coefficient`` of C and ``kappa_generator_nullvector`` of the
+``green_operator``, ``chain_kernel`` (the reflection chain C = (G U) V^T,
+the Green solve's harmonic kernel composed with the return kernel
+M = U V^T), ``dobrushin_coefficient`` of C and ``kappa_generator_nullvector`` of the
 full generator L + M (its assembly included). The JSON file holds the
 median of each, and the run record: core count, BLAS thread count and
 library versions.

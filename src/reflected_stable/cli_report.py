@@ -40,10 +40,10 @@ from .reflection import (AtomMeasure, UniformMeasure, default_probes,
                          make_constant_kernel, make_projection_kernel,
                          validate_concentration)
 from .stable_core import StableParams
-from .stationary import (_ERGODIC_REFLECTIONS, GridMeasure, chain_kernel,
-                         dobrushin_coefficient, kappa_closed_form, kappa_ergodic,
-                         kappa_generator_nullvector, stationary_p, total_variation,
-                         triangulation_report)
+from .stationary import (_ERGODIC_REFLECTIONS, GridMeasure, chain_directions,
+                         chain_kernel, dobrushin_coefficient, kappa_closed_form,
+                         kappa_ergodic, kappa_generator_nullvector, stationary_p,
+                         total_variation, triangulation_report)
 
 logger = logging.getLogger(__name__)
 
@@ -306,7 +306,8 @@ class _Run:
 
 
 # Stages: each takes the _Run and leaves what a later stage reads as an attribute
-# of it; a stage's one-line docstring is its name.
+# of it; a stage's one-line docstring is its name. A stage may return a dict of
+# diagnostics, which its manifest entry records.
 
 def _setup(run):
     """domain, return kernel and grid"""
@@ -409,6 +410,8 @@ def _contraction(run):
     """chain kernel and its two-step contraction coefficient"""
     run.beta, run.overlap = dobrushin_coefficient(run.C)
     run.check("dobrushin-two-step", run.beta < 1.0, run.beta, 1.0)
+    return {"beta": run.beta, "min_overlap": run.overlap,
+            "m": chain_directions(run.C).shape[1]}
 
 
 def _chain_samples(run):
@@ -419,8 +422,9 @@ def _chain_samples(run):
                               stream(config.seed, 0xC4), size=config.chain_samples)
     law = np.zeros(grid.n)
     law[grid.cell_index(np.atleast_1d(x0))[0]] = 1.0
+    B, V = run.C.factors
     for _ in range(config.chain_steps):
-        law = law @ run.C.entries
+        law = (law @ B) @ V.T
     obs = np.bincount(grid.cell_index(chains[:, -1]), minlength=grid.n)
     # compare on 20 merged bins so sampling noise stays below tolerance
     groups = np.array_split(np.arange(grid.n), 20)
@@ -502,9 +506,10 @@ def run(config):
     """Run the kind's stages in order; returns (exit_code, manifest dict).
 
     Writes the result files into ``config.out_dir`` and a manifest listing
-    them, its checks and each stage's wall time; each stage also logs one
-    DEBUG record. An exception leaves a stage with the stage's name as its
-    ``stage`` attribute. Exit code 0 when all checks pass, 1 otherwise.
+    them, its checks and each stage's wall time (with the diagnostics a
+    stage returns); each stage also logs one DEBUG record. An exception
+    leaves a stage with the stage's name as its ``stage`` attribute. Exit
+    code 0 when all checks pass, 1 otherwise.
     """
     t_start = time.perf_counter()
     runner = _Run(config, config.out_dir)
@@ -513,12 +518,14 @@ def run(config):
         name = stage.__doc__
         t0 = time.perf_counter()
         try:
-            stage(runner)
+            diagnostics = stage(runner)
         except Exception as exc:
             exc.stage = name
             raise
         wall_s = time.perf_counter() - t0
         stages.append({"name": name, "wall_s": wall_s})
+        if diagnostics is not None:
+            stages[-1]["diagnostics"] = diagnostics
         logger.debug("stage %r: %.3f s", name, wall_s)
     passed = all(c["passed"] for c in runner.checks)
     manifest = {

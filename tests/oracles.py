@@ -6,7 +6,9 @@ on balls/intervals (exit law, Green function) or from generic numerics
 paths under test. The one exception is ``first_exit_per_step``, the plain
 one-step-at-a-time jump-Euler loop that the chunked first-exit sampler is
 checked against. ``nullvector_reference_checks`` certifies a stationary
-vector of a generator by a full SVD and matrix exponentials. The last three
+vector of a generator by a full SVD and matrix exponentials.
+``dobrushin_dense`` is the O(n^3) pairwise scan of a chain's two-step rows
+that the factored contraction coefficient is checked against. The last three
 functions read or check simulator records directly from their definitions:
 region inclusion, the invariants of a ladder path and each path's first
 reflection record.
@@ -158,6 +160,28 @@ def nullvector_reference_checks(A_entries, kappa):
     sv = np.linalg.svd(A_entries, compute_uv=False)
     tvs = [0.5 * np.abs(kappa @ expm(t * A_entries) - kappa).sum() for t in (0.5, 2.0)]
     return sv[-2:], tvs
+
+
+def dobrushin_dense(op):
+    """Two-step contraction coefficient by a pairwise scan of the rows of C^2.
+
+    Returns (beta, min_overlap) as ``stationary.dobrushin_coefficient``:
+    min_overlap is the least ``sum_k min(P[i, k], P[j, k])`` over pairs
+    i != j of rows of ``P = C @ C`` (inf on one cell), beta = 1 - min_overlap
+    clamped at 0. Rows are taken in blocks whose pairwise minima hold at
+    most 2**19 values (4 MB).
+    """
+    P = op.entries @ op.entries
+    n = P.shape[0]
+    min_overlap = np.inf
+    block = max(1, 2 ** 19 // (n * n))
+    for i0 in range(0, n, block):
+        ov = np.minimum(P[i0 : i0 + block][:, None, :], P[None, :, :]).sum(axis=2)
+        # exclude self-pairs
+        for r in range(ov.shape[0]):
+            ov[r, i0 + r] = np.inf
+        min_overlap = min(min_overlap, float(ov.min()))
+    return max(0.0, 1.0 - min_overlap), min_overlap
 
 
 def is_subset(small, big):

@@ -121,6 +121,13 @@ def test_run_stationary_kind(tmp_path):
     assert code == 0
     tri = json.loads((tmp_path / "triangulation.json").read_text())
     assert "pairwise_tv" in tri and tri["dobrushin_two_step"] < 1.0
+    # the contraction stage records its coefficient, overlap and direction
+    # count (one direction for a constant law); other stages only their time
+    stages = {s["name"]: s for s in manifest["stages"]}
+    entry = stages.pop(cli_report._contraction.__doc__)
+    assert entry["diagnostics"] == {"beta": tri["dobrushin_two_step"],
+                                    "min_overlap": tri["min_row_overlap"], "m": 1}
+    assert all(set(s) == {"name", "wall_s"} for s in stages.values())
 
 
 def test_run_simulate_and_chain(tmp_path):
@@ -246,8 +253,10 @@ def test_identical_chain_rows_give_zero_contraction(tmp_path):
                             out_dir=str(tmp_path)))
     code, _ = run(cfg)
     assert code == 0
-    beta = json.loads((tmp_path / "triangulation.json").read_text())["dobrushin_two_step"]
-    assert 0.0 <= beta < 1e-12
+    tri = json.loads((tmp_path / "triangulation.json").read_text())
+    # the overlap passed 1 here, so the clamp ran
+    assert tri["min_row_overlap"] > 1.0
+    assert 0.0 <= tri["dobrushin_two_step"] < 1e-12
 
 
 def test_union_start_law_lies_in_domain():

@@ -1,17 +1,19 @@
+import functools
 import logging
 
 import numpy as np
 import pytest
 
 from reflected_stable.geometry import Interval, IntervalUnion, build_grid
-from reflected_stable.killed_kernels import GridOperator, assemble_dirichlet_generator
+from reflected_stable.killed_kernels import (GridOperator, assemble_dirichlet_generator,
+                                             default_operators)
 from reflected_stable.pathsim import reflection_chain, simulate_ensemble_blocks, stream
 from reflected_stable.perturbation import full_generator, perturbation_matrix
 from reflected_stable.reflection import (AtomMeasure, UniformMeasure, make_constant_kernel,
                                          make_projection_kernel)
 from reflected_stable.stable_core import StableParams
-from reflected_stable.stationary import (GridMeasure, StationaryError, chain_kernel,
-                                         dobrushin_coefficient, kappa_closed_form,
+from reflected_stable.stationary import (GridMeasure, StationaryError, chain_directions,
+                                         chain_kernel, dobrushin_coefficient, kappa_closed_form,
                                          kappa_ergodic, kappa_generator_nullvector,
                                          stationary_p, total_variation,
                                          triangulation_report)
@@ -67,6 +69,61 @@ def test_chain_two_step_dobrushin_bound(wb):
     assert worst_l1 <= 2.0 * (1.0 - overlap) + 1e-12
     assert beta == pytest.approx(1.0 - overlap)
     assert beta < 1.0
+
+
+DOBRUSHIN_DOMAINS = {"interval": Interval(-1.0, 1.0),
+                     "union": IntervalUnion([[-1.0, -0.2], [0.1, 1.0]])}
+
+
+@functools.lru_cache(maxsize=None)
+def harmonic_400(alpha, domain_name):
+    return default_operators(StableParams(1, alpha), DOBRUSHIN_DOMAINS[domain_name], 400)[3]
+
+
+@pytest.mark.parametrize("domain_name", sorted(DOBRUSHIN_DOMAINS))
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
+def test_dobrushin_matches_dense_scan(alpha, domain_name):
+    # the factored coefficient equals the pairwise scan of C^2 for every
+    # family; a constant law has one row direction, a projection kernel two
+    # per interval
+    domain = DOBRUSHIN_DOMAINS[domain_name]
+    H = harmonic_400(alpha, domain_name)
+    laws = [(1, make_constant_kernel(domain, UniformMeasure(0.3, 0.8))),
+            (1, make_constant_kernel(domain, AtomMeasure([0.5]))),
+            (2 * len(domain.intervals), make_projection_kernel(domain, 0.2, 0.1))]
+    for m, mu in laws:
+        C = chain_kernel(H, mu)
+        beta, overlap = dobrushin_coefficient(C)
+        beta_ref, overlap_ref = oracles.dobrushin_dense(C)
+        assert abs(beta - beta_ref) <= 1e-12 and abs(overlap - overlap_ref) <= 1e-12
+        assert chain_directions(C).shape[1] == m
+
+
+def test_dobrushin_on_one_cell():
+    # no pair of rows: no overlap to take a minimum of
+    grid, _, _, H = default_operators(StableParams(1, 1.0), Interval(-1.0, 1.0), 1)
+    C = chain_kernel(H, make_constant_kernel(grid.domain, UniformMeasure(-0.5, 0.5)))
+    assert dobrushin_coefficient(C) == oracles.dobrushin_dense(C) == (0.0, np.inf)
+
+
+def test_dobrushin_of_identical_rows_is_zero():
+    # every row is the law v; its dyadic masses make each sum exact
+    grid = build_grid(Interval(-1.0, 1.0), 4)
+    B, V = np.ones((4, 1)), np.array([[0.5], [0.25], [0.125], [0.125]])
+    C = GridOperator(grid=grid, entries=B @ V.T, kind="chain-kernel", factors=(B, V))
+    assert dobrushin_coefficient(C) == oracles.dobrushin_dense(C) == (0.0, 1.0)
+
+
+def test_dobrushin_rejects_unfactored_or_many_directions(wb):
+    C = chain_kernel(wb.ops(1.0)["H"], wb.mu("projection"))
+    with pytest.raises(ValueError, match="factors"):
+        dobrushin_coefficient(GridOperator(grid=C.grid, entries=C.entries, kind="chain-kernel"))
+    # eleven rows of V each in their own direction
+    grid = build_grid(Interval(-1.0, 1.0), 12)
+    B, V = np.full((12, 11), 1.0 / 11), np.eye(12, 11)
+    many = GridOperator(grid=grid, entries=B @ V.T, kind="chain-kernel", factors=(B, V))
+    with pytest.raises(StationaryError, match="m=11"):
+        dobrushin_coefficient(many)
 
 
 def test_stationary_p_constant_families(wb):
