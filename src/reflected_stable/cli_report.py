@@ -14,6 +14,7 @@ times, so it is excluded from byte comparisons).
 """
 
 import argparse
+import copy
 import dataclasses
 import functools
 import hashlib
@@ -40,10 +41,10 @@ from .reflection import (AtomMeasure, UniformMeasure, default_probes,
                          make_constant_kernel, make_projection_kernel,
                          validate_concentration)
 from .stable_core import StableParams
-from .stationary import (_ERGODIC_REFLECTIONS, GridMeasure, chain_directions,
-                         chain_kernel, dobrushin_coefficient, kappa_closed_form,
-                         kappa_ergodic, kappa_generator_nullvector, stationary_p,
-                         total_variation, triangulation_report)
+from .stationary import (_ERGODIC_REFLECTIONS, _MAX_DIRECTIONS, GridMeasure,
+                         chain_directions, chain_kernel, dobrushin_coefficient,
+                         kappa_closed_form, kappa_ergodic, kappa_generator_nullvector,
+                         stationary_p, total_variation, triangulation_report)
 
 logger = logging.getLogger(__name__)
 
@@ -91,157 +92,6 @@ class ExperimentConfig:
     def hash(self):
         payload = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(payload.encode()).hexdigest()
-
-
-def default_config():
-    return {
-        "kind": "full-triangulation",
-        "seed": 20240801,
-        "params": {"d": 1, "alpha": 1.0},
-        "domain": {"kind": "interval", "a": -1.0, "b": 1.0},
-        "mu": {"family": "constant-uniform", "a": -0.5, "b": 0.5},
-        "n_cells": 400,
-        "dt": 1e-3,
-        "horizon": 200.0,
-        "replicas": 200,
-        "lambda_list": [0.1, 1.0],
-        "t_list": [0.1, 0.5, 2.0],
-        "out_dir": "out",
-        "threads": 1,
-        "chain_steps": 3,
-        "chain_samples": 20000,
-    }
-
-
-def _is_number(value):
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and math.isfinite(value))
-
-
-def _is_int(value):
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_numbers(value):
-    return all(map(_is_numbers, value)) if isinstance(value, list) else _is_number(value)
-
-
-# (test, description) of the value a domain or law key takes
-_NUMBER = (_is_number, "a finite number")
-_NUMBERS = (_is_numbers, "a finite number or a list (of lists) of finite numbers")
-# keys each domain kind and return-law family takes besides "kind"/"family"
-DOMAIN_KEYS = {"interval": {"a": _NUMBER, "b": _NUMBER},
-               "ball": {"center": _NUMBERS, "radius": _NUMBER},
-               "grid1d": {"intervals": _NUMBERS}}
-MU_KEYS = {"constant-uniform": {"a": _NUMBER, "b": _NUMBER}, "dirac": {"point": _NUMBER},
-           "projection": {"depth": _NUMBER, "width": _NUMBER}}
-
-
-def parse_config(raw):
-    """Validate a raw config dict; raises ConfigError naming bad fields."""
-    if not isinstance(raw, dict):
-        raise ConfigError("config", "must be a JSON object")
-    base = default_config()
-    unknown = set(raw) - set(base)
-    if unknown:
-        raise ConfigError(sorted(unknown)[0], "unknown field")
-    cfg = dict(base, **raw)
-    if "seed" not in raw:
-        raise ConfigError("seed", "mandatory field is missing")
-    if not _is_int(cfg["seed"]):
-        raise ConfigError("seed", "must be an integer")
-    if cfg["kind"] not in KINDS:
-        raise ConfigError("kind", "must be one of %s" % (KINDS,))
-    pr = cfg["params"]
-    if not isinstance(pr, dict) or "d" not in pr or "alpha" not in pr:
-        raise ConfigError("params", "need d and alpha")
-    unknown = set(pr) - {"d", "alpha"}
-    if unknown:
-        raise ConfigError("params.%s" % sorted(unknown)[0], "unknown field")
-    if not (_is_int(pr["d"]) and pr["d"] == 1):
-        raise ConfigError("params.d", "the CLI runs d = 1")
-    if not (_is_number(pr["alpha"]) and 0.0 < pr["alpha"] < 2.0):
-        raise ConfigError("params.alpha", "stability index must be a number in (0, 2)")
-    dom, mu = cfg["domain"], cfg["mu"]
-    for field, spec, tag, table in (("domain", dom, "kind", DOMAIN_KEYS),
-                                    ("mu", mu, "family", MU_KEYS)):
-        if not isinstance(spec, dict) or tag not in spec:
-            raise ConfigError(field, "need a %s" % tag)
-        if not isinstance(spec[tag], str) or spec[tag] not in table:
-            raise ConfigError("%s.%s" % (field, tag), "must be one of %s" % (tuple(table),))
-        unknown = set(spec) - {tag} - set(table[spec[tag]])
-        if unknown:
-            raise ConfigError("%s.%s" % (field, sorted(unknown)[0]), "unknown field")
-        for key, (valid, what) in table[spec[tag]].items():
-            if not valid(spec.get(key)):
-                raise ConfigError("%s.%s" % (field, key), "must be %s" % what)
-    # chain_samples: on the chain check's 20 bins E TV <= sqrt(20 / N) / 2,
-    # which stays within its 0.05 tolerance from N = 2000 on
-    for field, low in (("n_cells", 4), ("replicas", 0),
-                       ("threads", 1), ("chain_steps", 1), ("chain_samples", 2000)):
-        if not _is_int(cfg[field]) or cfg[field] < low:
-            raise ConfigError(field, "must be an integer >= %d" % low)
-    for field in ("dt", "horizon"):
-        if not (_is_number(cfg[field]) and cfg[field] > 0):
-            raise ConfigError(field, "must be a positive finite number")
-    for field in ("lambda_list", "t_list"):
-        vals = cfg[field]
-        if not (isinstance(vals, list) and vals
-                and all(_is_number(v) and v > 0 for v in vals)):
-            raise ConfigError(field, "must be a nonempty list of positive finite numbers")
-    if not isinstance(cfg["out_dir"], str) or not cfg["out_dir"]:
-        raise ConfigError("out_dir", "must be a nonempty string")
-    config = ExperimentConfig(
-        d=pr["d"], alpha=float(pr["alpha"]), domain_spec=dom, mu_spec=mu,
-        dt=float(cfg["dt"]), horizon=float(cfg["horizon"]),
-        lambda_list=[float(v) for v in cfg["lambda_list"]],
-        t_list=[float(v) for v in cfg["t_list"]],
-        **{k: cfg[k] for k in ("kind", "seed", "n_cells", "replicas", "out_dir", "threads",
-                               "chain_steps", "chain_samples")})
-    # build the domain, return kernel and grid here, once, so that a value only
-    # they reject fails at parse time as it would under run, before cross-field checks
-    config.mu  # reading it builds the domain and the kernel, or raises ConfigError
-    if cfg["kind"] == "simulate" and max(cfg["t_list"]) > cfg["horizon"]:
-        raise ConfigError("t_list", "simulate marks must not exceed the horizon")
-    if cfg["kind"] == "simulate" and cfg["replicas"] < 1:
-        raise ConfigError("replicas", "simulate needs at least one replica")
-    simulates = cfg["kind"] == "simulate" or (
-        cfg["kind"] == "full-triangulation" and cfg["replicas"] > 0)
-    if simulates and cfg["dt"] > cfg["horizon"] / 2:
-        # one step would fall wholly in the burn-in and leave no occupation
-        raise ConfigError("dt", "must be at most horizon / 2, so paths take two steps")
-    try:
-        config.grid
-    except ValueError as exc:
-        raise ConfigError("n_cells", str(exc)) from exc
-    return config
-
-
-def build_domain(spec):
-    kind = spec["kind"]
-    try:
-        if kind == "interval":
-            return Interval(spec["a"], spec["b"])
-        if kind == "ball":
-            center = np.atleast_1d(np.asarray(spec["center"], dtype=float))
-            if center.shape != (1,):
-                raise DomainError("the CLI runs d=1: a ball center needs one coordinate")
-            return Interval(center[0] - spec["radius"], center[0] + spec["radius"])
-        return IntervalUnion(spec["intervals"])
-    except ValueError as exc:
-        raise ConfigError("domain", str(exc)) from exc
-
-
-def build_mu(spec, domain):
-    fam = spec["family"]
-    try:
-        if fam == "constant-uniform":
-            return make_constant_kernel(domain, UniformMeasure(spec["a"], spec["b"]))
-        if fam == "dirac":
-            return make_constant_kernel(domain, AtomMeasure([spec["point"]]))
-        return make_projection_kernel(domain, spec["depth"], spec["width"])
-    except ValueError as exc:
-        raise ConfigError("mu", str(exc)) from exc
 
 
 class _Run:
@@ -411,7 +261,7 @@ def _contraction(run):
     run.beta, run.overlap = dobrushin_coefficient(run.C)
     run.check("dobrushin-two-step", run.beta < 1.0, run.beta, 1.0)
     return {"beta": run.beta, "min_overlap": run.overlap,
-            "m": chain_directions(run.C).shape[1]}
+            "m": chain_directions(run.C.factors[1]).shape[1]}
 
 
 def _chain_samples(run):
@@ -485,6 +335,156 @@ KIND_STAGES = {
                            _ergodic_triangulation),
 }
 KINDS = tuple(KIND_STAGES)
+
+
+def _is_number(value):
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_numbers(value):
+    return all(map(_is_numbers, value)) if isinstance(value, list) else _is_number(value)
+
+
+def _integer_from(low):
+    return (lambda v: _is_int(v) and v >= low), "an integer >= %d" % low
+
+
+def _ball(spec):
+    center = np.atleast_1d(np.asarray(spec["center"], dtype=float))
+    if center.shape != (1,):
+        raise DomainError("the CLI runs d=1: a ball center needs one coordinate")
+    return Interval(center[0] - spec["radius"], center[0] + spec["radius"])
+
+
+# A rule is (test, text[, cast]): v passes if test(v), else it "must be <text>";
+# a real-valued field holds cast(v), so a JSON integer is recorded as a float.
+# A section (a JSON object) is (tag, kinds): kinds maps each value of the tag to
+# (its keys' rules, the builder of what it describes), or with no tag, keys to rules.
+_NUMBER = (_is_number, "a finite number")
+_NUMBERS = (_is_numbers, "a finite number or a list (of lists) of finite numbers")
+_POSITIVE = (lambda v: _is_number(v) and v > 0, "a positive finite number", float)
+# checks and result files are named by "%g" % entry, so entries must differ under %g
+_POSITIVES = (lambda v: (isinstance(v, list) and len(v) > 0 and all(map(_POSITIVE[0], v))
+                         and len({"%g" % x for x in v}) == len(v)),
+              "a nonempty list of positive finite numbers, distinct under %g",
+              lambda v: [float(x) for x in v])
+
+# field -> (default, rule or section), in the order parse_config checks them
+SCHEMA = {
+    "seed": (20240801, (_is_int, "an integer")),
+    "kind": ("full-triangulation", (lambda v: v in KINDS, "one of %s" % (KINDS,))),
+    "params": ({"d": 1, "alpha": 1.0}, (None, {
+        "d": (lambda v: _is_int(v) and v == 1, "1: the CLI runs d = 1"),
+        "alpha": (lambda v: _is_number(v) and 0 < v < 2, "a stability index in (0, 2)",
+                  float)})),
+    "domain": ({"kind": "interval", "a": -1.0, "b": 1.0}, ("kind", {
+        "interval": ({"a": _NUMBER, "b": _NUMBER}, lambda s: Interval(s["a"], s["b"])),
+        "ball": ({"center": _NUMBERS, "radius": _NUMBER}, _ball),
+        "grid1d": ({"intervals": _NUMBERS}, lambda s: IntervalUnion(s["intervals"]))})),
+    "mu": ({"family": "constant-uniform", "a": -0.5, "b": 0.5}, ("family", {
+        "constant-uniform": ({"a": _NUMBER, "b": _NUMBER}, lambda s, dom: (
+            make_constant_kernel(dom, UniformMeasure(s["a"], s["b"])))),
+        "dirac": ({"point": _NUMBER}, lambda s, dom: (
+            make_constant_kernel(dom, AtomMeasure([s["point"]])))),
+        "projection": ({"depth": _NUMBER, "width": _NUMBER}, lambda s, dom: (
+            make_projection_kernel(dom, s["depth"], s["width"])))})),
+    "n_cells": (400, _integer_from(4)),
+    "replicas": (200, _integer_from(0)),
+    "threads": (1, _integer_from(1)),
+    "chain_steps": (3, _integer_from(1)),
+    # on the chain check's 20 bins E TV <= sqrt(20 / N) / 2, which stays
+    # within its 0.05 tolerance from N = 2000 on
+    "chain_samples": (20000, _integer_from(2000)),
+    "dt": (1e-3, _POSITIVE),
+    "horizon": (200.0, _POSITIVE),
+    "lambda_list": ([0.1, 1.0], _POSITIVES),
+    "t_list": ([0.1, 0.5, 2.0], _POSITIVES),
+    "out_dir": ("out", (lambda v: isinstance(v, str) and v != "", "a nonempty string")),
+}
+
+
+def default_config():
+    return copy.deepcopy({field: default for field, (default, _) in SCHEMA.items()})
+
+
+def _check(field, value, rule):
+    """``value`` as ``rule`` takes it; raises ConfigError naming its first bad part."""
+    if callable(rule[0]):
+        if not rule[0](value):
+            raise ConfigError(field, "must be " + rule[1])
+        return rule[2](value) if len(rule) == 3 else value
+    tag, kinds = rule
+    need = [tag] if tag else list(kinds)
+    if not isinstance(value, dict) or not set(need) <= set(value):
+        raise ConfigError(field, "must be an object with " + " and ".join(need))
+    if tag and (not isinstance(value[tag], str) or value[tag] not in kinds):
+        raise ConfigError("%s.%s" % (field, tag), "must be one of %s" % (tuple(kinds),))
+    keys = kinds[value[tag]][0] if tag else kinds
+    unknown = set(value) - {tag} - set(keys)
+    if unknown:
+        raise ConfigError("%s.%s" % (field, sorted(unknown)[0]), "unknown field")
+    return dict(value, **{key: _check("%s.%s" % (field, key), value.get(key), key_rule)
+                          for key, key_rule in keys.items()})
+
+
+def parse_config(raw):
+    """Validate a raw config dict; raises ConfigError naming bad fields."""
+    if not isinstance(raw, dict):
+        raise ConfigError("config", "must be a JSON object")
+    unknown = set(raw) - set(SCHEMA)
+    if unknown:
+        raise ConfigError(sorted(unknown)[0], "unknown field")
+    if "seed" not in raw:
+        raise ConfigError("seed", "mandatory field is missing")
+    cfg = dict(default_config(), **raw)
+    cfg = {field: _check(field, cfg[field], rule) for field, (_, rule) in SCHEMA.items()}
+    config = ExperimentConfig(domain_spec=cfg.pop("domain"), mu_spec=cfg.pop("mu"),
+                              **cfg.pop("params"), **cfg)
+    # build the domain, return kernel and grid here, once, so that a value only
+    # they reject fails at parse time as it would under run, before cross-field checks
+    config.mu  # reading it builds the domain and the kernel, or raises ConfigError
+    simulate = config.kind == "simulate"
+    if simulate and max(config.t_list) > config.horizon:
+        raise ConfigError("t_list", "simulate marks must not exceed the horizon")
+    if simulate and config.replicas < 1:
+        raise ConfigError("replicas", "simulate needs at least one replica")
+    simulates = simulate or (config.kind == "full-triangulation" and config.replicas > 0)
+    if simulates and config.dt > config.horizon / 2:
+        # one step would fall wholly in the burn-in and leave no occupation
+        raise ConfigError("dt", "must be at most horizon / 2, so paths take two steps")
+    try:
+        config.grid
+    except ValueError as exc:
+        raise ConfigError("n_cells", str(exc)) from exc
+    if _contraction in KIND_STAGES[config.kind]:
+        # the contraction stage enumerates the subsets of the law's row directions
+        m = chain_directions(config.mu.reentry_columns(config.grid)).shape[1]
+        if m > _MAX_DIRECTIONS:
+            raise ConfigError("mu", "the return law has m=%d row directions, more than "
+                              "the %d that the contraction takes" % (m, _MAX_DIRECTIONS))
+    return config
+
+
+def _build(field, spec, *args):
+    """What a ``domain`` or ``mu`` spec describes, made by its kind's builder."""
+    tag, kinds = SCHEMA[field][1]
+    try:
+        return kinds[spec[tag]][1](spec, *args)
+    except ValueError as exc:
+        raise ConfigError(field, str(exc)) from exc
+
+
+def build_domain(spec):
+    return _build("domain", spec)
+
+
+def build_mu(spec, domain):
+    return _build("mu", spec, domain)
 
 
 def describe(config):
@@ -576,7 +576,7 @@ def main(argv=None):
     parser.add_argument("--config", help="path to the JSON config file")
     parser.add_argument("--kind", help="override the experiment kind", choices=KINDS)
     parser.add_argument("--seed", type=int, help="override the seed")
-    parser.add_argument("--out", help="override the output directory")
+    parser.add_argument("--out", dest="out_dir", help="override the output directory")
     parser.add_argument("--threads", type=int, help="override the worker count")
     parser.add_argument("--describe", action="store_true",
                         help="print the resolved plan and exit")
@@ -592,9 +592,8 @@ def main(argv=None):
                 raw = json.load(fh)
         else:
             raw = default_config()
-        overrides = {field: val for field, val in (
-            ("kind", args.kind), ("seed", args.seed), ("out_dir", args.out),
-            ("threads", args.threads)) if val is not None}
+        overrides = {name: getattr(args, name) for name in ("kind", "seed", "out_dir", "threads")
+                     if getattr(args, name) is not None}
         # parse_config rejects a config that is not an object
         config = parse_config(dict(raw, **overrides) if isinstance(raw, dict) else raw)
     except (ConfigError, OSError, json.JSONDecodeError) as exc:

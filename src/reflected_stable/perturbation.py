@@ -56,7 +56,7 @@ def perturbation_matrix(grid, params, mu):
     for k, (piece, _) in enumerate(pieces):
         for a, b in piece.pieces:
             U[:, k] += levy_interval_mass(params, nodes, a, b)
-    V = np.column_stack([mu.cell_masses(z_rep, grid) for _, z_rep in pieces])
+    V = mu.reentry_columns(grid)
     M = U @ V.T
     kappa = killing_intensity(params, grid.domain, nodes)
     err = np.abs(M.sum(axis=1) - kappa)

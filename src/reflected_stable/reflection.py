@@ -148,6 +148,10 @@ class ReflectionKernel:
         """
         raise NotImplementedError
 
+    def reentry_columns(self, grid):
+        """Cell masses of mu(z, .) for z in each of ``z_pieces``, one column per piece."""
+        return np.column_stack([self.cell_masses(z, grid) for _, z in self.z_pieces()])
+
 
 class ConstantKernel(ReflectionKernel):
     """Kernel ignoring the exit point: mu(z, .) = m for every z."""

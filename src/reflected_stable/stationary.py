@@ -85,19 +85,16 @@ def chain_kernel(harmonic, mu):
     return GridOperator(grid=grid, entries=C, kind="chain-kernel", factors=(GU, V))
 
 
-def chain_directions(chain):
+def chain_directions(V):
     """Group sums of the rows of V, one column per exact row direction.
 
-    ``chain`` carries factors ``(B, V)`` with entries ``B V^T``. Rows of V
-    that are positive multiples of one direction form a group (rows are
-    compared after division by their largest entry; zero rows are dropped)
-    and column g of the result is the sum of group g's rows, an r x m
-    matrix. There is m = 1 direction for a constant law, 2 for a
-    projection kernel on an interval and 4 on a two-interval union.
+    V is the return law's ``reentry_columns``, the factor of a chain kernel
+    ``B V^T``. Rows of V that are positive multiples of one direction form
+    a group (rows are compared after division by their largest entry; zero
+    rows are dropped) and column g of the result is the sum of group g's
+    rows, an r x m matrix. There is m = 1 direction for a constant law, 2
+    for a projection kernel on an interval and 4 on a two-interval union.
     """
-    if chain.factors is None:
-        raise ValueError("the operator carries no factors; build it with chain_kernel")
-    V = chain.factors[1]
     scale = V.max(axis=1)
     rows = scale > 0
     directions, group = np.unique(V[rows] / scale[rows, None], axis=0, return_inverse=True)
@@ -125,13 +122,15 @@ def dobrushin_coefficient(op):
     (10) directions raises StationaryError; an operator without factors
     raises ValueError.
     """
-    W = chain_directions(op)
+    if op.factors is None:
+        raise ValueError("the operator carries no factors; build it with chain_kernel")
+    B, V = op.factors
+    W = chain_directions(V)
     m = W.shape[1]
     if m > _MAX_DIRECTIONS:
         raise StationaryError(
             "return kernel has m=%d row directions, more than the %d the two-step "
             "contraction enumerates" % (m, _MAX_DIRECTIONS))
-    B, V = op.factors
     A = B @ ((V.T @ B) @ W)
     if A.shape[0] < 2:
         min_overlap = np.inf

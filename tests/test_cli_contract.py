@@ -4,7 +4,10 @@ Every run of ``main`` must exit 0, exit 1 with a FAIL line for a named
 check, or exit 2 with a ConfigError naming a field; exit 3 (a stage
 raised) fails the test. Configs are tiny, and at most one field is
 replaced by an invalid value, joined by an unknown key, or (a numeric
-field) replaced by a boolean or a string, which must exit 2 naming it.
+field) replaced by a boolean or a string, which must exit 2 naming it. An
+invalid value must exit 2 naming its field when the field is top-level;
+inside a section a number can still give a valid domain or law. The menu
+of numeric fields is read from the parser's schema.
 """
 
 import contextlib
@@ -16,7 +19,7 @@ import tempfile
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reflected_stable.cli_report import DOMAIN_KEYS, KINDS, MU_KEYS, default_config, main
+from reflected_stable.cli_report import KINDS, SCHEMA, default_config, main
 
 # each domain with an in-domain law of every family
 DOMAINS = {
@@ -49,14 +52,11 @@ NOT_NUMBERS = (True, False, "x")
 
 def numeric_keys(raw, owner):
     """The keys of a config (owner None) or of one of its sections that hold numbers."""
-    if owner == "params":
-        return ["alpha", "d"]
-    if owner == "domain":
-        return sorted(DOMAIN_KEYS[raw["domain"]["kind"]])
-    if owner == "mu":
-        return sorted(MU_KEYS[raw["mu"]["family"]])
-    return sorted(k for k, v in raw.items()
-                  if isinstance(v, (int, float)) and not isinstance(v, bool))
+    if owner is None:
+        return sorted(field for field, (default, _) in SCHEMA.items()
+                      if isinstance(default, (int, float)) and not isinstance(default, bool))
+    tag, kinds = SCHEMA[owner][1]
+    return sorted(kinds if tag is None else kinds[raw[owner][tag]][0])
 
 
 @st.composite
@@ -71,10 +71,11 @@ def configs(draw):
         n_cells=draw(st.integers(4, 40)), dt=draw(st.sampled_from([1e-3, 1e-2, 0.1])),
         horizon=draw(st.sampled_from([0.5, 2.0, 5.0])),
         replicas=draw(st.sampled_from([0, 1, 3, 20])),
+        # repeats are invalid values, so each list draws distinct ones
         t_list=draw(st.lists(st.sampled_from([1e-6, 0.01, 0.3, 1.0, 20.0, 50.0]),
-                             min_size=1, max_size=2)),
+                             min_size=1, max_size=2, unique=True)),
         lambda_list=draw(st.lists(st.sampled_from([1e-6, 0.1, 1.0, 100.0]),
-                                  min_size=1, max_size=2)),
+                                  min_size=1, max_size=2, unique=True)),
         threads=draw(st.sampled_from([1, 2])), chain_samples=2000)
     expected = "domain" if domain is DOMAINS["touching"][0] else None
     change = draw(st.sampled_from(["none", "value", "unknown key", "not a number"]))
@@ -93,7 +94,7 @@ def configs(draw):
     # out_dir stays valid: any string names a directory to write in
     field = draw(st.sampled_from(sorted(set(target) - {"out_dir"})))
     target[field] = draw(st.sampled_from(INVALID))
-    return raw, None
+    return raw, field if owner is None else None
 
 
 @settings(max_examples=60, derandomize=True, deadline=None, database=None)

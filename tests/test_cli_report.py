@@ -1,12 +1,14 @@
 import json
 import logging
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from reflected_stable import cli_report, pathsim
-from reflected_stable.cli_report import (KINDS, ConfigError, _Run, _start_law,
+from reflected_stable.cli_report import (KINDS, SCHEMA, ConfigError, _Run, _start_law,
                                          build_domain, build_mu, default_config,
                                          describe, main, parse_config, run)
 
@@ -371,6 +373,17 @@ def test_main_default_config_print(capsys):
     assert payload["kind"] == "full-triangulation"
 
 
+def test_readme_config_section_matches_schema():
+    # the README's default config, and its table of rules: one row per field,
+    # in the schema's order, with the field's default
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("Config schema", 1)[1].split("Notes on the rules", 1)[0]
+    assert json.loads(section.split("```json", 1)[1].split("```", 1)[0]) == default_config()
+    rows = re.findall(r"^\| `(\w+)` \| `([^`]*)` \|", section, re.M)
+    assert [field for field, _ in rows] == list(SCHEMA)
+    assert {field: json.loads(default) for field, default in rows} == default_config()
+
+
 @pytest.mark.parametrize("over, field", [
     ({"domain": {"kind": "interval", "a": "x", "b": 1.0}}, "domain.a"),
     ({"params": {"d": 1, "alpha": "x"}}, "params.alpha"),
@@ -415,6 +428,14 @@ def test_main_default_config_print(capsys):
     ({"mu": {"family": "constant-uniform", "a": False, "b": 0.5}}, "mu.a"),
     ({"domain": {"kind": "interval", "a": 0.0, "b": 2.0},
       "mu": {"family": "dirac", "point": True}}, "mu.point"),
+    # a projection law with 12 row directions, more than the contraction enumerates
+    ({"seed": 1, "kind": "chain", "n_cells": 60, "domain": {"kind": "grid1d", "intervals": [
+        [0, 1], [2, 3], [4, 5], [6, 7], [8, 9], [10, 11]]},
+      "mu": {"family": "projection", "depth": 0.2, "width": 0.1}}, "mu"),
+    # entries alike under %g would write the same result files
+    ({"seed": 1, "kind": "excessive", "n_cells": 40, "lambda_list": [0.1, 0.1000001]},
+     "lambda_list"),
+    ({"t_list": [0.1, 0.1]}, "t_list"),
 ], ids=["domain.a", "alpha-str", "alpha-null", "d-2", "lambda_list", "mu.a", "ball.radius",
         "horizon-inf", "dt-inf", "t_list-inf", "lambda_list-inf", "n_time",
         "t_list-past-horizon", "simulate-replicas-0", "simulate-dt-past-horizon",
@@ -422,7 +443,8 @@ def test_main_default_config_print(capsys):
         "cells-below-intervals", "domain-unknown-key", "ball-interval-key",
         "touching-union", "seed-bool", "d-bool", "replicas-bool", "threads-bool",
         "chain_steps-bool", "domain-kind-list", "mu-family-object", "intervals-bool",
-        "radius-bool", "center-bool", "mu.a-bool", "point-bool"])
+        "radius-bool", "center-bool", "mu.a-bool", "point-bool", "projection-six-intervals",
+        "lambda_list-alike-under-g", "t_list-repeat"])
 def test_non_numeric_fields_exit_2(over, field, tmp_path, capsys):
     # parse_config builds the domain and the return kernel, so --describe
     # rejects every one of these as run does

@@ -96,7 +96,7 @@ def test_dobrushin_matches_dense_scan(alpha, domain_name):
         beta, overlap = dobrushin_coefficient(C)
         beta_ref, overlap_ref = oracles.dobrushin_dense(C)
         assert abs(beta - beta_ref) <= 1e-12 and abs(overlap - overlap_ref) <= 1e-12
-        assert chain_directions(C).shape[1] == m
+        assert chain_directions(C.factors[1]).shape[1] == m
 
 
 def test_dobrushin_on_one_cell():
