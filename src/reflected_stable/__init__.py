@@ -20,8 +20,9 @@ from .perturbation import (DuhamelSeries, LadderKernel, build_excessive,
                            ladder_lift, perturbation_matrix, reflected_kernel,
                            supermedian_v)
 from .pathsim import (LadderPath, excursion_statistics, reflection_chain,
-                      sample_first_exit, simulate_ensemble, simulate_killed_excursion,
-                      simulate_ladder, stream, walk_on_spheres_exit)
+                      renewal_occupation, sample_first_exit, simulate_ensemble,
+                      simulate_killed_excursion, simulate_ladder, stream,
+                      walk_on_spheres_exit)
 from .stationary import (GridMeasure, chain_kernel, dobrushin_coefficient,
                          kappa_closed_form, kappa_ergodic, kappa_generator_nullvector,
                          stationary_p, total_variation)

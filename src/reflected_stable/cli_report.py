@@ -34,7 +34,7 @@ from .geometry import DomainError, Interval, IntervalUnion, build_grid
 from .killed_kernels import assemble_dirichlet_generator, green_operator, \
     harmonic_kernel
 from .pathsim import excursion_statistics, ladder_paths, reflection_chain, \
-    simulate_ensemble_blocks, stream
+    renewal_occupation, simulate_ensemble_blocks, stream
 from .perturbation import (SeriesError, build_excessive, duhamel_series, full_generator,
                            perturbation_matrix, series_diagnostics, supermedian_violation)
 from .reflection import (AtomMeasure, UniformMeasure, default_probes,
@@ -296,6 +296,8 @@ def _densities(run):
     run.write_measure("p_chain.csv", p_chain)
     run.write_measure("kappa_closed_form.csv", run.measures["closed-form"])
     run.write_measure("kappa_null_vector.csv", run.measures["null-vector"])
+    return {"chain_law": p_chain.diagnostics,
+            "null_vector": run.measures["null-vector"].diagnostics}
 
 
 def _triangulation(run):
@@ -310,19 +312,24 @@ def _triangulation(run):
 def _ergodic_triangulation(run):
     """ergodic Monte Carlo (when replicas > 0) and triangulation report"""
     config = run.config
+    diagnostics = None
     if config.replicas > 0:
-        ens = simulate_ensemble_blocks(
+        burn_in = min(2.0, config.horizon / 10)
+        occ = renewal_occupation(
             run.params, run.domain, run.mu, _start_law(run.mu, run.domain),
-            config.horizon, config.dt, config.seed, config.replicas, grid=run.grid,
-            burn_in=min(2.0, config.horizon / 10), workers=config.threads)
-        reflections = ens.total_reflections.mean()
+            config.horizon, burn_in, config.seed, config.replicas, run.grid)
+        reflections = occ.total_reflections.mean()
+        diagnostics = {"chains": config.replicas, "reflections_per_chain": reflections,
+                       "balls_per_reflection": occ.balls / occ.total_reflections.sum(),
+                       "occupation_draws": occ.draws, "burn_in": burn_in}
         if reflections < _ERGODIC_REFLECTIONS:
             # too short a horizon: fail a check and triangulate the grid legs
             run.check("ergodic-reflections", False, reflections, _ERGODIC_REFLECTIONS)
         else:
-            run.measures["ergodic"] = kappa_ergodic(ens, run.grid)
+            run.measures["ergodic"] = kappa_ergodic(occ, run.grid)
             run.write_measure("kappa_ergodic.csv", run.measures["ergodic"])
     _triangulation(run)
+    return diagnostics
 
 
 KIND_STAGES = {
@@ -394,13 +401,17 @@ SCHEMA = {
         "projection": ({"depth": _NUMBER, "width": _NUMBER}, lambda s, dom: (
             make_projection_kernel(dom, s["depth"], s["width"])))})),
     "n_cells": (400, _integer_from(4)),
+    # paths of the simulate ensemble; chains of full-triangulation's ergodic leg
     "replicas": (200, _integer_from(0)),
+    # workers of the simulate ensemble's blocks
     "threads": (1, _integer_from(1)),
     "chain_steps": (3, _integer_from(1)),
     # on the chain check's 20 bins E TV <= sqrt(20 / N) / 2, which stays
     # within its 0.05 tolerance from N = 2000 on
     "chain_samples": (20000, _integer_from(2000)),
+    # the jump-Euler time step, read by simulate only
     "dt": (1e-3, _POSITIVE),
+    # simulate: the paths' time span; full-triangulation: each chain's clock
     "horizon": (200.0, _POSITIVE),
     "lambda_list": ([0.1, 1.0], _POSITIVES),
     "t_list": ([0.1, 0.5, 2.0], _POSITIVES),
@@ -453,8 +464,7 @@ def parse_config(raw):
         raise ConfigError("t_list", "simulate marks must not exceed the horizon")
     if simulate and config.replicas < 1:
         raise ConfigError("replicas", "simulate needs at least one replica")
-    simulates = simulate or (config.kind == "full-triangulation" and config.replicas > 0)
-    if simulates and config.dt > config.horizon / 2:
+    if simulate and config.dt > config.horizon / 2:
         # one step would fall wholly in the burn-in and leave no occupation
         raise ConfigError("dt", "must be at most horizon / 2, so paths take two steps")
     try:

@@ -7,22 +7,26 @@ excursions and first-exit batches differ only in their chunk sizes and in
 what they do at an exit. Reflected paths have one simulator, the lockstep
 ensemble: it records every reflection of every path, and ladder paths are
 cut from those records. Exact exit positions come from walk-on-spheres
-(``stable_core.walk_on_spheres_exit``, re-exported here).
+(``stable_core.walk_on_spheres_exit``, re-exported here); reflection chains
+are built from them with no time step, and ``renewal_occupation`` bins the
+occupation of their walk-on-spheres balls.
 
 Random streams are counter-based (Philox; Salmon et al., SC'11) and keyed
 by tuples of integers. The lockstep ensemble cuts time into chunks of at
 most 1024 steps and 2**20 path positions, and keys each chunk's increments
 and re-entries by (seed, stream id, chunk): ladder paths use stream id 0,
-the blocks of ``simulate_ensemble_blocks`` ids 1, 2, .... Every result is
-thus a deterministic function of its seed, its sizes, the time step and
-the horizon, whatever the worker or thread count.
+the blocks of ``simulate_ensemble_blocks`` ids 1, 2, .... The renewal
+chains draw from the one stream keyed (seed, 0xB0). Every result is thus
+a deterministic function of its seed, its sizes, the time step and the
+horizon, whatever the worker or thread count.
 """
 
 import dataclasses
 
 import numpy as np
 
-from .stable_core import sample_stable_increment, walk_on_spheres_exit
+from .stable_core import (ball_mean_exit_time, sample_ball_occupation_radius,
+                          sample_stable_increment, walk_on_spheres, walk_on_spheres_exit)
 
 
 _MASK = (1 << 64) - 1
@@ -31,6 +35,8 @@ _CHUNK_STEPS = 1024
 _CHUNK_POSITIONS = 2 ** 20
 # a killed path still in D after this many steps raises
 _MAX_STEPS = 10 ** 8
+# occupation draws per walk-on-spheres ball of the renewal leg, in +- pairs
+_BALL_DRAWS = 64
 
 
 def _splitmix(x):
@@ -185,6 +191,74 @@ def reflection_chain(params, domain, mu, start, n_steps, rng, size):
         x = mu.sample(z, rng, size=n)
         out[:, k] = x
     return out
+
+
+@dataclasses.dataclass
+class RenewalResult:
+    """Occupation of a renewal run over exact reflection chains.
+
+    ``occupancy`` holds the cell masses of the occupation after the burn-in
+    (summing to 1, or zeros when nothing was counted), ``total_reflections``
+    each chain's reflection count, ``balls`` the walk-on-spheres balls of
+    all chains and ``draws`` the occupation draws binned.
+    """
+
+    occupancy: np.ndarray
+    total_reflections: np.ndarray
+    balls: int
+    draws: int
+
+
+def renewal_occupation(params, domain, mu, start, horizon, burn_in, seed, n_chains, grid):
+    """Stationary occupation by renewal-reward over exact reflection chains (d=1).
+
+    The stationary law is the occupation of one excursion started from the
+    chain's stationary re-entry law, so no time grid is needed.
+    ``n_chains`` chains start from the start law and run in lockstep, one
+    excursion per round: walk-on-spheres to the exit (``walk_on_spheres``),
+    then re-entry through the return kernel. Each ball B(c, r) adds its
+    mean occupation time w = r**alpha / Gamma(1+alpha) to its chain's
+    clock. An excursion that starts once its chain's clock has reached
+    ``burn_in`` adds the occupation law of each of its balls to the
+    histogram: 64 draws c +- r * ``sample_ball_occupation_radius``, in
+    pairs, each weighing w / 64, binned by one ``np.bincount`` per round.
+    A chain stops at its first reflection with its clock at ``horizon`` or
+    past it. All draws (start law first, then per round the walk, the
+    occupation and the re-entries) come from the stream keyed (seed,
+    0xB0), so the result is a deterministic function of its arguments.
+    """
+    if params.d != 1:
+        raise NotImplementedError("the renewal occupation is implemented for d=1")
+    rng = stream(seed, 0xB0)
+    n, half = int(n_chains), _BALL_DRAWS // 2
+    x = _start_positions(params, domain, start, n, rng)
+    chain = np.arange(n)            # the chains still running, in order
+    clock = np.zeros(n)
+    reflections = np.zeros(n, dtype=np.int64)
+    hist = np.zeros(grid.n)
+    balls = draws = 0
+    while True:
+        z, rounds = walk_on_spheres(params, domain, x, rng)
+        idx, centre, radius = (np.concatenate(col) for col in zip(*rounds))
+        w = ball_mean_exit_time(params, radius, 0.0)
+        kept = np.flatnonzero(clock[chain[idx]] >= burn_in)
+        dist = radius[kept, None] * sample_ball_occupation_radius(
+            params, rng, size=kept.size * half).reshape(kept.size, half)
+        cells = grid.cell_index(np.hstack((centre[kept, None] + dist,
+                                           centre[kept, None] - dist)))
+        hist += np.bincount(cells.ravel(), weights=np.repeat(w[kept] / _BALL_DRAWS,
+                                                             _BALL_DRAWS), minlength=grid.n)
+        clock[chain] += np.bincount(idx, weights=w, minlength=chain.size)
+        reflections[chain] += 1
+        balls, draws = balls + idx.size, draws + cells.size
+        going = clock[chain] < horizon
+        chain = chain[going]
+        if not chain.size:
+            break
+        x = mu.sample(z[going], rng, size=chain.size)
+    total = hist.sum()
+    return RenewalResult(occupancy=hist / total if total > 0 else hist,
+                         total_reflections=reflections, balls=balls, draws=draws)
 
 
 @dataclasses.dataclass

@@ -1,10 +1,11 @@
 """Parameters, jump kernel, and exact samplers for the isotropic stable process.
 
-Exit positions are sampled exactly by walk-on-spheres:
-``walk_on_spheres_exit`` is the one iterated ball-exit loop, for any domain,
-and ``ball_exit_position`` runs it on a ball. All samplers take an explicit
-``numpy.random.Generator`` and are pure given that stream, so callers may
-run many workers as long as each worker owns its own generator.
+Exit positions are sampled exactly by walk-on-spheres: ``walk_on_spheres``
+is the one iterated ball-exit loop, for any domain, and records its balls;
+``walk_on_spheres_exit`` runs it from one start and ``ball_exit_position``
+on a ball. All samplers take an explicit ``numpy.random.Generator`` and
+are pure given that stream, so callers may run many workers as long as
+each worker owns its own generator.
 """
 
 import dataclasses
@@ -146,6 +147,26 @@ def sample_ball_exit_radius(params, rng, size):
     return 1.0 / np.sqrt(t)
 
 
+def sample_ball_occupation_radius(params, rng, size):
+    """Distances from the centre, in units of the ball radius, of draws from the
+    occupation law of a ball started at its centre (d=1).
+
+    The Green function of (-1, 1) from 0 (Blumenthal, Getoor and Ray, Trans.
+    AMS 1961) is ``k |y|**(alpha-1) * int_0^(1-y**2) t**(alpha/2-1)
+    (1-t)**(-(1+alpha)/2) dt``; integrating in the other order, the distance
+    is ``sqrt(S) * V**(1/alpha)`` with S ~ Beta(1/2, alpha/2) and V uniform,
+    independent. At alpha=1, S has the arcsine law: sqrt(S) = sin(pi u / 2)
+    for a uniform u. The law's total mass is the mean exit time
+    1/Gamma(1+alpha).
+    """
+    al, n = params.alpha, int(size)
+    if al == 1.0:
+        root_s = np.sin(0.5 * np.pi * rng.random(size=n))
+    else:
+        root_s = np.sqrt(rng.beta(0.5, al / 2.0, size=n))
+    return root_s * rng.random(size=n) ** (1.0 / al)
+
+
 def _unit_direction(d, rng, n):
     if d == 1:
         return rng.integers(0, 2, size=n) * 2.0 - 1.0
@@ -153,29 +174,27 @@ def _unit_direction(d, rng, n):
     return g / np.linalg.norm(g, axis=1, keepdims=True)
 
 
-def walk_on_spheres_exit(params, domain, start, rng, size, return_iterations=False):
-    """Exact exit-position sampling by iterated maximal-ball exits.
+def walk_on_spheres(params, domain, pos, rng):
+    """The walk-on-spheres loop: move the points ``pos`` in D until each has left D.
 
-    From the current point, sample the exit of the maximal inscribed
-    centered ball; continue while the landing point is still in D (it may
-    land in another component of D). Terminates almost surely. Returns
-    ``size`` exit points, shape (size,) for d=1 and (size, d) otherwise, and
-    with ``return_iterations`` each point's number of ball exits.
+    Each round moves every point still in D by the exit of the maximal ball
+    inscribed in D and centred on it, drawing the exit radii, then the
+    directions, for the whole round in two calls; a point stops at its
+    first landing outside D (it may land in another component of D and go
+    on). Terminates almost surely. Returns ``pos``, moved in place to the
+    exit points, and the balls: one (indices into ``pos``, centres, radii)
+    triple per round.
     """
     d = params.d
-    n = int(size)
-    shape = (n,) if d == 1 else (n, d)
-    pos = np.array(np.broadcast_to(np.asarray(start, dtype=float), shape))
-    if not np.all(domain.contains(pos)):
-        raise ValueError("start must lie in D")
-    iters = np.zeros(n, dtype=np.int64)
-    active = np.ones(n, dtype=bool)
+    active = np.ones(len(pos), dtype=bool)
+    balls = []
     for _ in range(_MAX_WOS_ITER):
         idx = np.flatnonzero(active)
         if idx.size == 0:
-            break
+            return pos, balls
         cur = pos[idx]
         radius = domain.boundary_distance(cur)
+        balls.append((idx, cur, radius))
         rho = sample_ball_exit_radius(params, rng, size=idx.size)
         direction = _unit_direction(d, rng, idx.size)
         if d == 1:
@@ -183,11 +202,27 @@ def walk_on_spheres_exit(params, domain, start, rng, size, return_iterations=Fal
         else:
             cur = cur + (radius * rho)[:, None] * direction
         pos[idx] = cur
-        iters[idx] += 1
         active[idx] = domain.contains(cur)
-    else:
-        raise RuntimeError("walk-on-spheres iteration cap exceeded (geometry bug?)")
+    raise RuntimeError("walk-on-spheres iteration cap exceeded (geometry bug?)")
+
+
+def walk_on_spheres_exit(params, domain, start, rng, size, return_iterations=False):
+    """Exact exit-position sampling by iterated maximal-ball exits.
+
+    Runs ``walk_on_spheres`` from ``size`` copies of ``start``. Returns the
+    exit points, shape (size,) for d=1 and (size, d) otherwise, and with
+    ``return_iterations`` each point's number of ball exits.
+    """
+    n = int(size)
+    shape = (n,) if params.d == 1 else (n, params.d)
+    pos = np.array(np.broadcast_to(np.asarray(start, dtype=float), shape))
+    if not np.all(domain.contains(pos)):
+        raise ValueError("start must lie in D")
+    pos, balls = walk_on_spheres(params, domain, pos, rng)
     if return_iterations:
+        iters = np.zeros(n, dtype=np.int64)
+        for idx, _, _ in balls:
+            iters[idx] += 1
         return pos, iters
     return pos
 

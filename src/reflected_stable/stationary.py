@@ -30,10 +30,14 @@ class StationaryError(RuntimeError):
 
 @dataclasses.dataclass
 class GridMeasure:
-    """Probability measure given by nonnegative cell masses on a grid."""
+    """Probability measure given by nonnegative cell masses on a grid.
+
+    ``diagnostics`` holds the numbers that the solver which made it observed.
+    """
 
     grid: object
     masses: np.ndarray
+    diagnostics: dict = dataclasses.field(default_factory=dict)
 
     def __post_init__(self):
         self.masses = np.asarray(self.masses, dtype=float)
@@ -158,7 +162,8 @@ def stationary_p(chain, beta=None):
     and that the empirical per-step rate does not exceed the square root of
     the two-step contraction coefficient ``beta`` (with slack). ``beta`` is
     measured here when the caller has not already done so. Logs, at DEBUG,
-    the iteration count and the rate (median of the last 20 step ratios).
+    and keeps as the law's diagnostics the iteration count and the rate
+    (median of the last 20 positive step ratios; None when none is positive).
     """
     if beta is None:
         beta, _ = dobrushin_coefficient(chain)
@@ -185,15 +190,16 @@ def stationary_p(chain, beta=None):
     if fixed_err > 2e-12:
         raise StationaryError("fixed point violated: TV=%.3g > 2e-12" % fixed_err)
     tail_rates = [r for r in rates[-20:] if r > 0]
-    rate = float(np.median(tail_rates)) if tail_rates else np.nan
-    logger.debug("chain law: %d power iterations, tail rate %.4g", iterations, rate)
-    if rate > np.sqrt(beta) + 0.05:
+    rate = float(np.median(tail_rates)) if tail_rates else None
+    logger.debug("chain law: %d power iterations, tail rate %s", iterations, rate)
+    if rate is not None and rate > np.sqrt(beta) + 0.05:
         raise StationaryError(
             "empirical rate %.4g exceeds sqrt(two-step contraction) %.4g + 0.05"
             % (rate, np.sqrt(beta))
         )
     p = np.maximum(p, 0.0)
-    return GridMeasure(grid=chain.grid, masses=p / p.sum())
+    return GridMeasure(grid=chain.grid, masses=p / p.sum(),
+                       diagnostics={"iterations": iterations, "tail_rate": rate})
 
 
 def kappa_closed_form(p_or_m, green):
@@ -221,7 +227,8 @@ def kappa_generator_nullvector(A):
     first (a clear spectral gap) and ||kappa A||_1 <= 1e-6. A is Metzler with
     rows summing to 0 within a round-off d (below 2e-11 up to 1600 cells), so
     TV(kappa exp(tA), kappa) <= (t/2) ||kappa A||_1 exp(t d): invariance to
-    1e-6 up to t = 2. Logs the step count and the three numbers at DEBUG.
+    1e-6 up to t = 2. Logs the step count and the three numbers at DEBUG,
+    and keeps them as the measure's diagnostics.
     """
     if A.kind != "full-generator":
         raise ValueError("expected the full generator")
@@ -252,15 +259,18 @@ def kappa_generator_nullvector(A):
         raise StationaryError("no clear spectral gap: step ratio %.3g > 1e-3" % ratio)
     if not residual <= 1e-6:
         raise StationaryError("null vector residual ||kappa A||_1 = %.3g > 1e-6" % residual)
-    return GridMeasure(grid=A.grid, masses=kappa)
+    return GridMeasure(grid=A.grid, masses=kappa, diagnostics={
+        "steps": len(steps), "step_ratio": ratio, "min_off_diagonal": off_min,
+        "residual": residual})
 
 
 def kappa_ergodic(ens, grid):
-    """Stationary density from the time-averaged occupation of an ensemble.
+    """Stationary density from the occupation of simulated paths.
 
     ``ens`` is an EnsembleResult run with an occupation histogram on the
-    right grid (its burn-in was applied by the simulation). Requires at
-    least 50 reflections per path on average, for the averages to mix.
+    right grid, or a RenewalResult (each applied its own burn-in).
+    Requires at least 50 reflections per path on average, for the averages
+    to mix.
     """
     if ens.occupancy is None:
         raise ValueError("ensemble was run without a grid/occupancy")

@@ -17,7 +17,7 @@ reflection record.
 import numpy as np
 from scipy.integrate import quad
 from scipy.linalg import eigh, expm
-from scipy.special import gammaln, hyp2f1
+from scipy.special import beta, betainc, gammaln, hyp2f1
 
 from reflected_stable.stable_core import sample_stable_increment
 
@@ -61,6 +61,38 @@ def interval_green(alpha, x, y):
         inc = r0 ** a / a * hyp2f1(0.5, a, a + 1.0, -r0)
         B = 1.0 / (2.0 ** alpha * np.exp(2.0 * gammaln(a)))
         return B * np.abs(x - y) ** (alpha - 1.0) * inc
+
+
+def ball_occupation_cdf(alpha, u):
+    """H(u) - H(0): the occupation of (0, u) by the stable process started at
+    0 and killed on leaving (-1, 1), for u in [-1, 1] (odd in u).
+
+    Integrating the Green function G(0, y) = k |y|^(alpha-1) int_0^(1-y^2)
+    t^(alpha/2-1) (1-t)^(-(1+alpha)/2) dt over y in the other order gives
+    (k/alpha) [u^alpha B(1-u^2; alpha/2, (1-alpha)/2)
+    + B(alpha/2, 1/2) I_{u^2}(1/2, alpha/2)], k = 1/(2^alpha Gamma(alpha/2)^2),
+    with B(x; a, b) the incomplete beta function. For alpha > 1 (b < 0) it
+    takes B(x; a, b) = ((a+b)/b) B(x; a, b+1) - x^a (1-x)^b / b, which
+    cancels near alpha = 1; at alpha = 1 the closed form is
+    (u arcsech(u) + arcsin(u)) / pi.
+    """
+    u = np.asarray(u, dtype=float)
+    x = np.abs(u)
+    a, b = alpha / 2.0, (1.0 - alpha) / 2.0
+    z = 1.0 - x ** 2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if alpha == 1.0:
+            near = np.where(x > 0, x * np.arccosh(1.0 / x), 0.0)
+            return np.sign(u) * (near + np.arcsin(x)) / np.pi
+        if b > 0:
+            low = betainc(a, b, z) * beta(a, b)
+        else:
+            low = (a + b) / b * betainc(a, b + 1.0, z) * beta(a, b + 1.0) \
+                - z ** a * (1.0 - z) ** b / b
+        # u^alpha B(1 - u^2; ...) tends to 0 with u
+        near = np.where(x > 0, x ** alpha * low, 0.0)
+    k = 1.0 / (2.0 ** alpha * np.exp(2.0 * gammaln(a)))
+    return np.sign(u) * k / alpha * (near + beta(a, 0.5) * betainc(0.5, a, x ** 2))
 
 
 def interval_mean_exit_time_quad(alpha, x):

@@ -129,7 +129,39 @@ def test_run_stationary_kind(tmp_path):
     entry = stages.pop(cli_report._contraction.__doc__)
     assert entry["diagnostics"] == {"beta": tri["dobrushin_two_step"],
                                     "min_overlap": tri["min_row_overlap"], "m": 1}
+    # the densities stage records what its two solvers observed: a constant
+    # law's chain is exact after one step, so its second step is round-off
+    diag = stages.pop(cli_report._densities.__doc__)["diagnostics"]
+    assert diag["chain_law"]["iterations"] == 2
+    assert diag["chain_law"]["tail_rate"] is None or diag["chain_law"]["tail_rate"] < 1e-9
+    null = diag["null_vector"]
+    assert set(null) == {"steps", "step_ratio", "min_off_diagonal", "residual"}
+    assert 2 <= null["steps"] <= 200 and 0 <= null["step_ratio"] <= 1e-3
+    assert null["min_off_diagonal"] > 0 and 0 <= null["residual"] <= 1e-6
     assert all(set(s) == {"name", "wall_s"} for s in stages.values())
+
+
+def test_full_triangulation_stage_diagnostics(tmp_path):
+    cfg = parse_config(small_config(kind="full-triangulation", horizon=60.0,
+                                    mu=INTERVAL_MUS["projection"], out_dir=str(tmp_path)))
+    code, manifest = run(cfg)
+    assert code == 0
+    stages = {s["name"]: s.get("diagnostics") for s in manifest["stages"]}
+    # the chain law converges within the rate that its contraction allows
+    beta = stages[cli_report._contraction.__doc__]["beta"]
+    law = stages[cli_report._densities.__doc__]["chain_law"]
+    assert 2 <= law["iterations"] <= 100000
+    assert law["tail_rate"] is None or 0 < law["tail_rate"] <= beta ** 0.5 + 0.05
+    assert set(stages[cli_report._densities.__doc__]["null_vector"]) == {
+        "steps", "step_ratio", "min_off_diagonal", "residual"}
+    ergodic = stages[cli_report._ergodic_triangulation.__doc__]
+    assert ergodic["chains"] == 40 and ergodic["burn_in"] == 2.0
+    assert ergodic["reflections_per_chain"] >= 50
+    assert ergodic["balls_per_reflection"] >= 1
+    # 64 draws per ball, from the balls of the excursions after the burn-in
+    balls = ergodic["chains"] * ergodic["reflections_per_chain"] * ergodic["balls_per_reflection"]
+    assert ergodic["occupation_draws"] % 64 == 0
+    assert 0 < ergodic["occupation_draws"] <= 64 * round(balls)
 
 
 def test_run_simulate_and_chain(tmp_path):
@@ -402,7 +434,6 @@ def test_readme_config_section_matches_schema():
     ({"kind": "simulate", "replicas": 0}, "replicas"),
     ({"kind": "simulate", "n_cells": 24, "dt": 5.0, "horizon": 2.0, "t_list": [0.5],
       "replicas": 10}, "dt"),   # no step left after the burn-in
-    ({"kind": "full-triangulation", "dt": 20.0, "horizon": 30.0}, "dt"),
     ({"mu": {"family": "dirac", "point": 0.0, "bogus": 1}}, "mu.bogus"),
     ({"params": {"d": 1, "alpha": 1.0, "bogus": 1}}, "params.bogus"),
     ({"n_cells": 4, "mu": {"family": "dirac", "point": 0.5}, "domain": {
@@ -439,7 +470,7 @@ def test_readme_config_section_matches_schema():
 ], ids=["domain.a", "alpha-str", "alpha-null", "d-2", "lambda_list", "mu.a", "ball.radius",
         "horizon-inf", "dt-inf", "t_list-inf", "lambda_list-inf", "n_time",
         "t_list-past-horizon", "simulate-replicas-0", "simulate-dt-past-horizon",
-        "triangulation-dt-past-half-horizon", "mu-unknown-key", "params-unknown-key",
+        "mu-unknown-key", "params-unknown-key",
         "cells-below-intervals", "domain-unknown-key", "ball-interval-key",
         "touching-union", "seed-bool", "d-bool", "replicas-bool", "threads-bool",
         "chain_steps-bool", "domain-kind-list", "mu-family-object", "intervals-bool",
@@ -455,6 +486,16 @@ def test_non_numeric_fields_exit_2(over, field, tmp_path, capsys):
         err = json.loads(capsys.readouterr().err.strip())
         assert err["type"] == "ConfigError"
         assert err["error"].startswith("config field '%s'" % field), err
+
+
+def test_full_triangulation_reads_no_dt(tmp_path, capsys):
+    # its ergodic leg has no time step, so a dt past half the horizon is
+    # accepted there; simulate still rejects it (the row above)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(small_config(kind="full-triangulation", dt=20.0,
+                                                horizon=30.0, out_dir=str(tmp_path / "o"))))
+    assert main(["--config", str(cfg_path), "--describe"]) == 0
+    assert parse_config(json.loads(cfg_path.read_text())).dt == 20.0
 
 
 @pytest.mark.parametrize("text", ["5", "null", "[[1]]", '"abc"'])

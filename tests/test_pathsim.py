@@ -7,8 +7,8 @@ from reflected_stable.killed_kernels import (assemble_dirichlet_generator,
                                              default_operators, green_operator,
                                              harmonic_kernel, heat_kernel)
 from reflected_stable.pathsim import (excursion_statistics, reflection_chain,
-                                      sample_first_exit, simulate_ensemble,
-                                      simulate_ensemble_blocks,
+                                      renewal_occupation, sample_first_exit,
+                                      simulate_ensemble, simulate_ensemble_blocks,
                                       simulate_killed_excursion, simulate_ladder,
                                       stream, walk_on_spheres_exit)
 from reflected_stable.reflection import (UniformMeasure, make_constant_kernel,
@@ -401,12 +401,13 @@ _union_ops = {}
 
 def _ergodic_case(wb, alpha, mu_name):
     """(params, domain, return kernel, start law, grid, closed-form kappa)."""
-    if mu_name == "union-projection":
-        if not _union_ops:
-            p = StableParams(1, 1.0)
-            _union_ops.update(zip(("grid", "L", "G", "H"), default_operators(p, UNION, 400)))
-        ops, domain = _union_ops, UNION
-        mu, start = make_projection_kernel(UNION, 0.2, 0.1), UniformMeasure(0.3, 0.8)
+    if mu_name.startswith("union-"):
+        if alpha not in _union_ops:
+            _union_ops[alpha] = dict(zip(("grid", "L", "G", "H"),
+                                         default_operators(StableParams(1, alpha), UNION, 400)))
+        ops, domain, start = _union_ops[alpha], UNION, UniformMeasure(0.3, 0.8)
+        mu = (make_projection_kernel(UNION, 0.2, 0.1) if mu_name == "union-projection"
+              else make_constant_kernel(UNION, start))
     else:
         ops, domain, mu = wb.ops(alpha), wb.domain, wb.mu(mu_name)
         start = mu.m if hasattr(mu, "m") else UniformMeasure(-0.5, 0.5)
@@ -428,6 +429,25 @@ def test_chunked_ensemble_occupation_matches_closed_form(wb, alpha, mu_name):
     ref = np.array([k_cf.masses[g].sum() for g in groups])
     assert emp.sum() == pytest.approx(1.0, abs=1e-12)
     assert total_variation(emp, ref) <= 0.06
+
+
+@pytest.mark.parametrize("alpha, mu_name", [
+    (a, m) for a in (0.5, 1.0, 1.5)
+    for m in ("uniform", "dirac", "projection", "union-uniform", "union-projection")])
+def test_renewal_occupation_matches_closed_form_and_euler(wb, alpha, mu_name):
+    # the renewal leg against the closed-form stationary density on the full
+    # 400-cell grid, and against the Euler ensemble's time average on 20
+    # merged bins, each within the CLI's triangulation tolerance of 0.06
+    p, domain, mu, start, grid, k_cf = _ergodic_case(wb, alpha, mu_name)
+    occ = renewal_occupation(p, domain, mu, start, 100.0, 2.0, 2027, 200, grid)
+    assert occ.occupancy.sum() == pytest.approx(1.0, abs=1e-12)
+    assert total_variation(occ.occupancy, k_cf.masses) <= 0.06
+    ens = simulate_ensemble_blocks(p, domain, mu, start, 30.0, 1e-3, 2028, 100,
+                                   grid=grid, burn_in=2.0)
+    groups = np.array_split(np.arange(grid.n), 20)
+    renewal = np.array([occ.occupancy[g].sum() for g in groups])
+    euler = np.array([ens.occupancy[g].sum() for g in groups])
+    assert total_variation(renewal, euler) <= 0.06
 
 
 def test_chunked_ensemble_invariants(wb):
