@@ -199,6 +199,16 @@ class Grid:
     nodes: np.ndarray
     widths: np.ndarray
     h: float
+    # per component: a_c, cell-count origin, cells per length, last cell; next cell starts
+    _index: tuple = dataclasses.field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        ivs, starts = self.domain.intervals, self.cells[:, 0]
+        first = np.searchsorted(starts, ivs[:, 0])
+        last = np.append(first[1:], self.n) - 1
+        scale = (last - first + 1) / (ivs[:, 1] - ivs[:, 0])
+        object.__setattr__(self, "_index", (ivs[:, 0], ivs[:, 0] - first / scale, scale, last,
+                                            np.append(starts[1:], np.inf)))
 
     @property
     def n(self):
@@ -208,28 +218,27 @@ class Grid:
         """Index of the cell containing each point (nearest cell if outside).
 
         Always equals ``searchsorted(cells[:, 0], x, side="right") - 1``
-        clipped to ``[0, n - 1]``, so nan and +inf land in the last cell and
-        -inf in the first. On a one-interval grid the cells share one width
-        h, and the index is ``floor((x - a) / h)`` corrected by at most one
-        cell against the cell edges, O(1) per point; an interval union keeps
-        the binary search.
+        clipped to ``[0, n - 1]``: nan and +inf land in the last cell, -inf
+        in the first, a point between components in the last cell on its
+        left. Component c's cells share one width h_c, so the index is
+        ``floor((x - a_c) / h_c)`` plus c's first cell, capped at c's last
+        cell and corrected by at most one cell against the cell edges: O(1)
+        per point after a search over the component ends.
         """
         x = np.asarray(x, dtype=float)
-        if len(self.domain.intervals) > 1:
-            idx = np.searchsorted(self.cells[:, 0], x, side="right") - 1
-            return np.clip(idx, 0, self.n - 1)
-        a, b = self.domain.intervals[0]
-        guess = np.subtract(x, a, out=np.empty(x.shape))
+        left, origin, scale, last, next_start = self._index
+        c = 0 if len(left) == 1 else np.maximum(np.searchsorted(left, x, "right") - 1, 0)
+        guess = np.subtract(x, origin[c], out=np.empty(x.shape))
         with np.errstate(over="ignore"):
-            guess *= self.n / (b - a)
+            guess *= scale[c]
         # fmin sends nan to the last cell, as the binary search does; the
         # clamped guess is >= 0, so the integer cast is its floor
-        np.fmin(guess, self.n - 1, out=guess)
+        np.fmin(guess, last[c], out=guess)
         np.maximum(guess, 0, out=guess)
         idx = guess.astype(np.intp)
         idx -= self.cells[:, 0].take(idx) > x
-        # idx is -1 only for x < a, and cells[-1, 1] = b > x keeps it there
-        idx += self.cells[:, 1].take(idx) <= x
+        # idx is -1 only for x < a_0, and next_start[-1] = inf keeps it there
+        idx += next_start.take(idx) <= x
         return np.clip(idx, 0, self.n - 1)
 
 

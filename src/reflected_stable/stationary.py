@@ -4,6 +4,8 @@ Three routes to the stationary density are provided: the closed form
 (chain stationary measure composed with the Green operator), the left null
 vector of the full generator, and ergodic time averages of simulated
 paths. Their triangulation is the main validation artifact.
+The reflection chain C = (G U) V^T is used in factored form only: its
+contraction, stationary law and exact rate come from n x r factors.
 """
 
 import dataclasses
@@ -73,19 +75,18 @@ def chain_kernel(harmonic, mu):
     ``C = (G U) V^T`` in O(n^2 r), r the number of exterior pieces, and
     keeps the factors ``(G U, V)``: ``dobrushin_coefficient`` reads the
     two-step contraction from them exactly, in O(2^(m-1) n m) for a return
-    law of m <= 10 row directions, and a law of the chain steps as
-    ``(law G U) V^T`` in O(n r). The dense entries serve the power
-    iteration of ``stationary_p``.
+    law of m <= 10 row directions, ``stationary_p`` the stationary law from
+    the r x r matrix ``V^T G U``, and a law of the chain steps as
+    ``(law G U) V^T`` in O(n r). Only the tests read the dense entries, as
+    the reference for the factored routes.
     """
     grid = harmonic.grid
     U, V = perturbation_matrix(grid, harmonic.params, mu).factors
     GU = harmonic.green.entries @ U
     C = GU @ V.T
-    rs = C.sum(axis=1)
-    if np.abs(rs - 1.0).max() > 1e-6:
-        raise StationaryError(
-            "chain kernel row sums deviate from 1 by %.3g" % np.abs(rs - 1.0).max()
-        )
+    deviation = np.abs(C.sum(axis=1) - 1.0).max()
+    if deviation > 1e-6:
+        raise StationaryError("chain kernel row sums deviate from 1 by %.3g" % deviation)
     return GridOperator(grid=grid, entries=C, kind="chain-kernel", factors=(GU, V))
 
 
@@ -155,51 +156,39 @@ def dobrushin_coefficient(op):
 
 
 def stationary_p(chain, beta=None):
-    """Stationary law of the reflection chain by power iteration.
+    """Stationary law of the reflection chain from its r x r reduction.
 
-    Iterates from the uniform start, at most 100000 times, until successive
-    total variation drops below 1e-12; verifies the fixed point within 2e-12
-    and that the empirical per-step rate does not exceed the square root of
-    the two-step contraction coefficient ``beta`` (with slack). ``beta`` is
-    measured here when the caller has not already done so. Logs, at DEBUG,
-    and keeps as the law's diagnostics the iteration count and the rate
-    (median of the last 20 positive step ratios; None when none is positive).
+    With ``chain.factors = (B, V)``, K = V^T B is r x r stochastic, and p = pC
+    iff q = pB has qK = q and p = qV^T: q is K's left eigenvector for the
+    eigenvalue nearest 1, and p = qV^T is clipped at 0 and normalized. K has
+    C's nonzero eigenvalues, so |lambda2(K)| is the chain's exact rate.
+    Raises StationaryError when it is >= 1 (the law is not unique), when its
+    square exceeds the two-step contraction ``beta`` (measured here unless
+    given) by 1e-9, or when TV((pB)V^T, p) > max(2e-12, the largest row-sum
+    deviation of C, which no vector beats). Logs, at DEBUG, and keeps as
+    diagnostics r, lambda2 and that TV.
     """
     if beta is None:
         beta, _ = dobrushin_coefficient(chain)
-    C = chain.entries
-    n = chain.grid.n
-    p = np.full(n, 1.0 / n)
-    rates = []
-    prev_delta = None
-    for iterations in range(1, 100001):
-        nxt = p @ C
-        delta = total_variation(nxt, p)
-        if prev_delta and prev_delta > 0:
-            rates.append(delta / prev_delta)
-        prev_delta = delta
-        p = nxt
-        if delta < 1e-12:
-            break
-    else:
-        raise StationaryError(
-            "power iteration did not converge (last delta %.3g, two-step "
-            "contraction %.4g)" % (delta, beta)
-        )
-    fixed_err = total_variation(p @ C, p)
-    if fixed_err > 2e-12:
-        raise StationaryError("fixed point violated: TV=%.3g > 2e-12" % fixed_err)
-    tail_rates = [r for r in rates[-20:] if r > 0]
-    rate = float(np.median(tail_rates)) if tail_rates else None
-    logger.debug("chain law: %d power iterations, tail rate %s", iterations, rate)
-    if rate is not None and rate > np.sqrt(beta) + 0.05:
-        raise StationaryError(
-            "empirical rate %.4g exceeds sqrt(two-step contraction) %.4g + 0.05"
-            % (rate, np.sqrt(beta))
-        )
-    p = np.maximum(p, 0.0)
-    return GridMeasure(grid=chain.grid, masses=p / p.sum(),
-                       diagnostics={"iterations": iterations, "tail_rate": rate})
+    B, V = chain.factors
+    evals, left = np.linalg.eig((V.T @ B).T)
+    order = np.argsort(np.abs(evals - 1.0))
+    lambda2 = float(np.abs(evals[order[1:]]).max(initial=0.0))
+    p = V @ left[:, order[0]].real
+    p = np.maximum(p / p.sum(), 0.0)
+    p /= p.sum()
+    fixed_tv = total_variation((p @ B) @ V.T, p)
+    tol = max(2e-12, float(np.abs(B @ V.sum(axis=0) - 1.0).max()))
+    logger.debug("chain law: r=%d, lambda2 %.4g, fixed-point TV %.3g", B.shape[1], lambda2,
+                 fixed_tv)
+    if not lambda2 < 1.0:
+        raise StationaryError("second eigenvalue %.4g: the law is not unique" % lambda2)
+    if lambda2 ** 2 > beta + 1e-9:
+        raise StationaryError("chain rate %.4g exceeds sqrt(beta) %.4g" % (lambda2, beta ** 0.5))
+    if not fixed_tv <= tol:
+        raise StationaryError("fixed point violated: TV=%.3g > %.3g" % (fixed_tv, tol))
+    return GridMeasure(grid=chain.grid, masses=p, diagnostics={
+        "r": B.shape[1], "lambda2": lambda2, "fixed_point_tv": fixed_tv})
 
 
 def kappa_closed_form(p_or_m, green):
@@ -219,7 +208,8 @@ def kappa_closed_form(p_or_m, green):
 
 def kappa_generator_nullvector(A):
     """Stationary density as the normalized left null vector of the full
-    generator, by shifted inverse iteration (to 1e-12 in total variation).
+    generator, by inverse iteration with the shift 1e-10 max|diag A|, which
+    scales with A (to 1e-12 in total variation).
 
     Raises StationaryError unless every off-diagonal entry of A is positive
     (A is irreducible, so by Perron-Frobenius its null space is
@@ -234,7 +224,7 @@ def kappa_generator_nullvector(A):
         raise ValueError("expected the full generator")
     n = A.grid.n
     At = A.entries.T
-    shift = 1e-10 * max(1.0, np.abs(np.diag(At)).max())
+    shift = 1e-10 * np.abs(np.diag(At)).max()
     lu = scipy.linalg.lu_factor(At + shift * np.eye(n))
     v = np.full(n, 1.0 / n)
     steps = []

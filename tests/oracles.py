@@ -8,10 +8,11 @@ one-step-at-a-time jump-Euler loop that the chunked first-exit sampler is
 checked against. ``nullvector_reference_checks`` certifies a stationary
 vector of a generator by a full SVD and matrix exponentials.
 ``dobrushin_dense`` is the O(n^3) pairwise scan of a chain's two-step rows
-that the factored contraction coefficient is checked against. The last three
-functions read or check simulator records directly from their definitions:
-region inclusion, the invariants of a ladder path and each path's first
-reflection record.
+that the factored contraction coefficient is checked against, and
+``stationary_power`` the power iteration that the chain law from its r x r
+reduction is checked against. The last three functions read or check
+simulator records directly from their definitions: region inclusion, the
+invariants of a ladder path and each path's first reflection record.
 """
 
 import numpy as np
@@ -214,6 +215,25 @@ def dobrushin_dense(op):
             ov[r, i0 + r] = np.inf
         min_overlap = min(min_overlap, float(ov.min()))
     return max(0.0, 1.0 - min_overlap), min_overlap
+
+
+def stationary_power(op):
+    """Stationary law of a chain kernel by power iteration on its dense entries.
+
+    Iterates p <- pC from the uniform start, at most 100000 times, until the
+    total variation of a step drops below 1e-12, and returns p clipped at 0
+    and normalized; raises ValueError when it does not converge.
+    """
+    C = op.entries
+    p = np.full(C.shape[0], 1.0 / C.shape[0])
+    for _ in range(100000):
+        nxt = p @ C
+        delta = 0.5 * np.abs(nxt - p).sum()
+        p = nxt
+        if delta < 1e-12:
+            p = np.maximum(p, 0.0)
+            return p / p.sum()
+    raise ValueError("power iteration did not converge (last step %.3g)" % delta)
 
 
 def is_subset(small, big):

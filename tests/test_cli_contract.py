@@ -16,6 +16,7 @@ import json
 import os
 import tempfile
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -35,6 +36,17 @@ DOMAINS = {
         {"family": "constant-uniform", "a": 0.0, "b": 1.0},
         {"family": "dirac", "point": 0.5},
         {"family": "projection", "depth": 0.5, "width": 0.4})),
+    # a domain of diameter 2e9, where the generator's entries are 1e9**-alpha
+    # times those on (-1, 1)
+    "huge": ({"kind": "interval", "a": -1e9, "b": 1e9}, (
+        {"family": "constant-uniform", "a": -1e8, "b": 1e8},
+        {"family": "dirac", "point": 3e8},
+        {"family": "projection", "depth": 3e8, "width": 2e8})),
+    # laws much narrower than a cell
+    "narrow": ({"kind": "interval", "a": -1.0, "b": 1.0}, (
+        {"family": "constant-uniform", "a": 0.3, "b": 0.300001},
+        {"family": "dirac", "point": 0.3},
+        {"family": "projection", "depth": 1e-6, "width": 1e-6})),
     "union": ({"kind": "grid1d", "intervals": [[-1.0, -0.2], [0.1, 1.0]]}, (
         {"family": "constant-uniform", "a": 0.3, "b": 0.8},
         {"family": "dirac", "point": 0.5},
@@ -97,29 +109,54 @@ def configs(draw):
     return raw, field if owner is None else None
 
 
-@settings(max_examples=60, derandomize=True, deadline=None, database=None)
-@given(configs())
-def test_cli_runs_fails_a_check_or_names_a_field(drawn):
-    raw, named = drawn
+def run_main(raw):
+    """(exit code, stdout, stderr) of ``main`` on the config ``raw``, written
+    to a temporary directory with its outputs."""
     with tempfile.TemporaryDirectory() as tmp:
-        raw["out_dir"] = os.path.join(tmp, "out")
+        raw = dict(raw, out_dir=os.path.join(tmp, "out"))
         cfg_path = os.path.join(tmp, "cfg.json")
         with open(cfg_path, "w") as fh:
             json.dump(raw, fh)
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(["--config", cfg_path])
-    lines = [line.split() for line in out.getvalue().splitlines()]
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(configs())
+def test_cli_runs_fails_a_check_or_names_a_field(drawn):
+    raw, named = drawn
+    code, out, err = run_main(raw)
+    lines = [line.split() for line in out.splitlines()]
     if named is not None:
         assert code == 2
     if code == 0:
-        assert err.getvalue() == "" and ["status:", "pass"] in [line[:2] for line in lines]
+        assert err == "" and ["status:", "pass"] in [line[:2] for line in lines]
     elif code == 1:
-        assert err.getvalue() == ""
-        assert any(len(line) == 2 and line[1] == "FAIL" for line in lines), out.getvalue()
+        assert err == ""
+        assert any(len(line) == 2 and line[1] == "FAIL" for line in lines), out
     else:
-        assert code == 2, err.getvalue()
-        payload = json.loads(err.getvalue())
+        assert code == 2, err
+        payload = json.loads(err)
         assert payload["type"] == "ConfigError", payload
         prefix = "config field '%s'" % named if named else "config field '"
         assert payload["error"].startswith(prefix), payload
+
+
+# full-triangulation runs at the extremes of scale: a projection law of
+# width 1e-6, a component of length 1e-7 and a domain of diameter 2e9
+SCALE_BASE = {"kind": "full-triangulation", "seed": 1, "n_cells": 100, "replicas": 20,
+              "horizon": 20.0, "chain_samples": 2000, "t_list": [0.5], "lambda_list": [1.0]}
+
+
+@pytest.mark.parametrize("change", [
+    {"mu": {"family": "projection", "depth": 1e-6, "width": 1e-6}},
+    {"domain": {"kind": "grid1d", "intervals": [[-1.0, 0.5], [0.6, 0.6000001]]}},
+    {"domain": {"kind": "interval", "a": -1e9, "b": 1e9},
+     "mu": {"family": "constant-uniform", "a": -1e8, "b": 1e8}},
+], ids=["narrow-projection", "thin-union", "huge-interval"])
+def test_scale_extremes_run_or_fail_a_check(change):
+    code, _, err = run_main(dict(default_config(), **SCALE_BASE, **change))
+    assert code in (0, 1), err
+    assert err == ""

@@ -198,3 +198,25 @@ def test_cell_index_matches_binary_search(n):
     x = np.concatenate([rng.uniform(-1.5, 1.5, 5000), g.cells.ravel(),
                         np.nextafter(g.cells.ravel(), np.inf), [np.inf, -np.inf, np.nan]])
     assert np.array_equal(g.cell_index(x), _reference_cell_index(g, x))
+
+
+@pytest.mark.parametrize("intervals", [
+    [[-1.0, 1.0]],
+    [[-1.0, -0.2], [0.1, 1.0]],
+    [[-3.0, -2.9], [-1.0, 0.5], [0.6, 4.0]],
+], ids=["interval", "two-piece", "three-piece"])
+def test_cell_index_matches_binary_search_on_a_million_points(intervals):
+    # one index for every grid: each point's component, then the affine floor
+    # within it; points in the gaps between components land in the last
+    # cell on their left
+    g = build_grid(IntervalUnion(intervals), 400)
+    ivs = g.domain.intervals
+    rng = np.random.default_rng(len(ivs))
+    edges = g.cells.ravel()
+    gaps = rng.uniform(ivs[:-1, 1], ivs[1:, 0], (1000, len(ivs) - 1)).ravel()
+    special = np.concatenate([edges, np.nextafter(edges, np.inf), np.nextafter(edges, -np.inf),
+                              gaps, ivs[1:, 0] - 0.5 * (ivs[1:, 0] - ivs[:-1, 1]),
+                              [np.inf, -np.inf, np.nan, 1e308, -1e308]])
+    x = np.concatenate([special, rng.uniform(ivs[0, 0] - 1.0, ivs[-1, 1] + 1.0,
+                                             10 ** 6 - special.size)])
+    assert np.array_equal(g.cell_index(x), _reference_cell_index(g, x))

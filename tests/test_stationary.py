@@ -80,6 +80,14 @@ def harmonic_400(alpha, domain_name):
     return default_operators(StableParams(1, alpha), DOBRUSHIN_DOMAINS[domain_name], 400)[3]
 
 
+def laws_of_every_family(domain):
+    """(row directions, return kernel) for a constant-uniform, a dirac and a
+    projection law on ``domain``."""
+    return [(1, make_constant_kernel(domain, UniformMeasure(0.3, 0.8))),
+            (1, make_constant_kernel(domain, AtomMeasure([0.5]))),
+            (2 * len(domain.intervals), make_projection_kernel(domain, 0.2, 0.1))]
+
+
 @pytest.mark.parametrize("domain_name", sorted(DOBRUSHIN_DOMAINS))
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
 def test_dobrushin_matches_dense_scan(alpha, domain_name):
@@ -88,15 +96,55 @@ def test_dobrushin_matches_dense_scan(alpha, domain_name):
     # per interval
     domain = DOBRUSHIN_DOMAINS[domain_name]
     H = harmonic_400(alpha, domain_name)
-    laws = [(1, make_constant_kernel(domain, UniformMeasure(0.3, 0.8))),
-            (1, make_constant_kernel(domain, AtomMeasure([0.5]))),
-            (2 * len(domain.intervals), make_projection_kernel(domain, 0.2, 0.1))]
-    for m, mu in laws:
+    for m, mu in laws_of_every_family(domain):
         C = chain_kernel(H, mu)
         beta, overlap = dobrushin_coefficient(C)
         beta_ref, overlap_ref = oracles.dobrushin_dense(C)
         assert abs(beta - beta_ref) <= 1e-12 and abs(overlap - overlap_ref) <= 1e-12
         assert chain_directions(C.factors[1]).shape[1] == m
+
+
+@pytest.mark.parametrize("domain_name", sorted(DOBRUSHIN_DOMAINS))
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
+def test_stationary_p_matches_power_iteration(alpha, domain_name):
+    # the law from the r x r reduction equals the power iteration on the
+    # dense chain for every family, is a fixed point to round-off, and its
+    # exact rate is within the two-step contraction
+    domain = DOBRUSHIN_DOMAINS[domain_name]
+    H = harmonic_400(alpha, domain_name)
+    for _, mu in laws_of_every_family(domain):
+        C = chain_kernel(H, mu)
+        beta, _ = dobrushin_coefficient(C)
+        p = stationary_p(C, beta)
+        assert total_variation(p.masses, oracles.stationary_power(C)) <= 1e-11
+        assert total_variation(p.masses @ C.entries, p.masses) <= 2e-12
+        assert p.diagnostics["r"] == C.factors[0].shape[1]
+        assert p.diagnostics["lambda2"] ** 2 <= beta + 1e-9
+
+
+def test_stationary_p_certifies_the_exact_rate():
+    # on the interval the projection chain's second eigenvalue, 0.590 at
+    # alpha = 1, is within sqrt(beta) = 0.746 but not within sqrt(0.1). The
+    # uniform start is symmetric here, so a power iteration stops after two
+    # steps and observes no rate at all
+    domain = DOBRUSHIN_DOMAINS["interval"]
+    C = chain_kernel(harmonic_400(1.0, "interval"), make_projection_kernel(domain, 0.2, 0.1))
+    assert stationary_p(C).diagnostics["lambda2"] == pytest.approx(0.590, abs=1e-3)
+    with pytest.raises(StationaryError, match="rate"):
+        stationary_p(C, beta=0.1)
+
+
+@pytest.mark.parametrize("K", [[[1.0, 0.0], [0.0, 1.0]], [[0.0, 1.0], [1.0, 0.0]]],
+                         ids=["reducible", "periodic"])
+def test_stationary_p_rejects_a_second_unit_eigenvalue(K):
+    # V's columns a = 0, 1 are laws on cells {2a, 2a + 1}, and B's rows for
+    # those cells are row a of K, so V^T B = K: a second eigenvalue of
+    # modulus 1 leaves the stationary law not unique
+    grid = build_grid(Interval(-1.0, 1.0), 4)
+    B, V = np.repeat(K, 2, axis=0), np.kron(np.eye(2), [[0.5], [0.5]])
+    C = GridOperator(grid=grid, entries=B @ V.T, kind="chain-kernel", factors=(B, V))
+    with pytest.raises(StationaryError, match="not unique"):
+        stationary_p(C)
 
 
 def test_dobrushin_on_one_cell():
