@@ -13,8 +13,10 @@ For each n in CELLS the child times, REPEATS times each:
 ``assemble_dirichlet_generator``, ``duhamel_series``, ``heat_kernel``,
 ``green_operator``, ``chain_kernel`` (the reflection chain C = (G U) V^T,
 the Green solve's harmonic kernel composed with the return kernel
-M = U V^T), ``dobrushin_coefficient`` of C and ``kappa_generator_nullvector`` of the
-full generator L + M (its assembly included). The JSON file holds the
+M = U V^T), ``dobrushin_coefficient`` of C, ``kappa_generator_nullvector`` of the
+full generator L + M (its assembly included) and ``supermedian_violation`` of
+h = 1 under that generator at lambda = 1 and t = 0.1, 1, 10 (its assembly
+included, h built outside the timing). The JSON file holds the
 median of each, and the run record: core count, BLAS thread count and
 library versions.
 Sides run in the order given, one after the other.
@@ -30,7 +32,7 @@ import sys
 import time
 
 LAYERS = ("assemble", "series", "heat_kernel", "green", "chain_kernel", "dobrushin",
-          "nullvector")
+          "nullvector", "supermedian")
 CELLS = (400, 800, 1600)
 REPEATS = 3
 
@@ -47,7 +49,7 @@ def child(root):
                                                  green_operator, harmonic_kernel,
                                                  heat_kernel)
     from reflected_stable.perturbation import (duhamel_series, full_generator,
-                                               perturbation_matrix)
+                                               perturbation_matrix, supermedian_violation)
     from reflected_stable.reflection import make_projection_kernel
     from reflected_stable.stationary import (chain_kernel, dobrushin_coefficient,
                                              kappa_generator_nullvector)
@@ -59,6 +61,7 @@ def child(root):
     for n in CELLS:
         grid = build_grid(domain, n)
         M = perturbation_matrix(grid, params, mu)
+        ones = np.ones(grid.n)
         runs = {layer: [] for layer in LAYERS}
         for _ in range(REPEATS):
             ops = {}    # the outputs that later layers read
@@ -70,7 +73,9 @@ def child(root):
                       lambda: chain_kernel(harmonic_kernel(ops["green"], params), mu)),
                      ("dobrushin", lambda: dobrushin_coefficient(ops["chain_kernel"])),
                      ("nullvector", lambda: kappa_generator_nullvector(
-                         full_generator(ops["assemble"], M))))
+                         full_generator(ops["assemble"], M))),
+                     ("supermedian", lambda: supermedian_violation(
+                         full_generator(ops["assemble"], M), 1.0, ones, (0.1, 1.0, 10.0))))
             for layer, fn in steps:
                 start = time.perf_counter()
                 out = fn()

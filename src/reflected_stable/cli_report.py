@@ -40,7 +40,7 @@ from .perturbation import (SeriesError, build_excessive, duhamel_series, full_ge
 from .reflection import (AtomMeasure, UniformMeasure, default_probes,
                          make_constant_kernel, make_projection_kernel,
                          validate_concentration)
-from .stable_core import StableParams
+from .stable_core import _MIN_INCREMENT_ALPHA, StableParams
 from .stationary import (_ERGODIC_REFLECTIONS, _MAX_DIRECTIONS, GridMeasure,
                          chain_directions, chain_kernel, dobrushin_coefficient,
                          kappa_closed_form, kappa_ergodic, kappa_generator_nullvector,
@@ -202,6 +202,7 @@ def _series(run):
 def _excessive(run):
     """shell-sum supermedian construction at each lambda"""
     grid, A = run.grid, run.A
+    diagnostics = []
     for lam in run.config.lambda_list:
         try:
             exc = build_excessive(A, lam, run.params, n_max=6)
@@ -209,13 +210,18 @@ def _excessive(run):
             logger.debug("excessive construction at lambda=%g failed: %s", lam, err)
             run.check("excessive-lam%g" % lam, False)
             continue
+        t0 = time.perf_counter()
         viol = supermedian_violation(A, lam, exc.values, [0.1, 1.0, 10.0])
+        diagnostics.append({"lambda": lam, "shell_levels": len(exc.radii),
+                            "supermedian_violation": viol,
+                            "check_s": time.perf_counter() - t0})
         run.check("supermedian-lam%g" % lam, viol <= 1e-8, viol, 1e-8)
         run.check("positive-lam%g" % lam, exc.values.min() > 0, exc.values.min())
         run.write_csv("excessive_lam%g.csv" % lam, ["x", "boundary_distance", "v"],
                       [grid.nodes, run.domain.boundary_distance(grid.nodes), exc.values])
         run.write_json("excessive_radii_lam%g.json" % lam, {
             "lambda": lam, "radii": exc.radii.tolist(), "thresholds": exc.thresholds.tolist()})
+    return diagnostics
 
 
 def _ensemble(run):
@@ -459,6 +465,10 @@ def parse_config(raw):
     # build the domain, return kernel and grid here, once, so that a value only
     # they reject fails at parse time as it would under run, before cross-field checks
     config.mu  # reading it builds the domain and the kernel, or raises ConfigError
+    if _ensemble in KIND_STAGES[config.kind] and config.alpha < _MIN_INCREMENT_ALPHA:
+        # below it the jump-Euler increments come out nan (sample_stable_increment)
+        raise ConfigError("params.alpha", "must be at least %g for the jump-Euler "
+                          "ensemble" % _MIN_INCREMENT_ALPHA)
     simulate = config.kind == "simulate"
     if simulate and max(config.t_list) > config.horizon:
         raise ConfigError("t_list", "simulate marks must not exceed the horizon")

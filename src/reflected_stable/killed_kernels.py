@@ -31,6 +31,10 @@ class GridOperator:
     diagonal of cell widths and Q orthogonal; ``of`` is the read-only array
     the spectrum was taken of, and the spectrum is used only while it is
     still ``entries`` (so ``dataclasses.replace(L, entries=...)`` drops it).
+    ``parts``, set on a full generator, is a triple (L, M, of) with
+    ``of == L.entries + M.entries``: the killed generator, the return
+    operator and the read-only array they were summed into, used on the same
+    terms as ``spectrum``.
     """
 
     grid: object
@@ -38,6 +42,7 @@ class GridOperator:
     kind: str
     factors: tuple = None
     spectrum: tuple = None
+    parts: tuple = None
 
     @property
     def n(self):

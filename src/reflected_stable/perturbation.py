@@ -7,6 +7,12 @@ with the low-rank jump-and-return operator, integrated against the killed
 kernel; each level is inverted from its Laplace transform on a contour.
 The series sum is conservative; its levels satisfy their own
 Chapman-Kolmogorov system, which is what the ladder operator exposes.
+
+The same contour applies the reflected semigroup to one function: exp(tA) h
+for the full generator A = L + U V^T comes from L's spectrum and the
+Woodbury form of the resolvent of A (``semigroup_apply``). The supermedian
+checks (``supermedian_violation`` and the input check of ``ladder_lift``)
+use it, so they form no matrix exponential.
 """
 
 import dataclasses
@@ -69,10 +75,17 @@ def perturbation_matrix(grid, params, mu):
 
 
 def full_generator(L, M):
-    """Generator of the reflected process: killed generator plus returns."""
+    """Generator of the reflected process: killed generator plus returns.
+
+    The two summands are kept on the result as ``parts`` (see GridOperator),
+    and the entries are read-only: ``semigroup_apply`` takes exp(tA) h from
+    L's spectrum and M's factors, with no matrix exponential.
+    """
     if L.entries.shape != M.entries.shape:
         raise ValueError("shape mismatch between generator and perturbation")
-    return GridOperator(grid=L.grid, entries=L.entries + M.entries, kind="full-generator")
+    A = L.entries + M.entries
+    A.setflags(write=False)
+    return GridOperator(grid=L.grid, entries=A, kind="full-generator", parts=(L, M, A))
 
 
 @dataclasses.dataclass
@@ -99,23 +112,22 @@ class DuhamelSeries:
         return np.sum(self.terms, axis=0)
 
 
-def _talbot_levels(L, U, V, t):
-    """Levels 1, 2, ... of the series at time t, by fixed-Talbot inversion.
+def _talbot_contour(L, U, V, t):
+    """The fixed Talbot rule at time t, in the spectral basis of L.
 
-    The Laplace transform of level n is ``R U F**(n-1) V^T R`` with
-    ``R = (s - L)^-1`` and ``F = V^T R U`` (r x r). It is summed over the
-    nodes ``s(theta) = rho theta (cot theta + i)``, ``rho = 2J / (5t)``, of the
-    fixed Talbot rule (Abate & Valko 2004); conjugate nodes are folded into
-    the real part. The generator's spectrum gives
-    ``R = W^-1/2 Q diag(1/(s - lam)) Q^T W^1/2``, so with ``Ut = Q^T W^1/2 U``
-    and ``Vt = Q^T W^-1/2 V`` taken once, ``F = Vt^T diag(1/(s - lam)) Ut``
-    costs O(nr^2) per node, and ``R U`` and ``V^T R`` at every node come
-    from one real product with Q. Each level then costs one
-    ``(n x 2rJ) @ (2rJ x n)`` product.
+    The rule (Abate & Valko 2004) sums ``w_k g(s_k)`` over the nodes
+    ``s(theta) = rho theta (cot theta + i)``, ``rho = 2J / (5t)``, with
+    ``J = _TALBOT_NODES``; conjugate nodes are folded into the real part.
+    The generator's spectrum gives
+    ``R = (s - L)^-1 = W^-1/2 Q diag(1/(s - lam)) Q^T W^1/2``, so with
+    ``Ut = Q^T W^1/2 U`` and ``Vt = Q^T W^-1/2 V`` taken once, the r x r
+    matrix ``F_k = V^T R U = Vt^T D_k Ut`` at node k costs O(nr^2).
+
+    Returns ``(Q, sqrt(w), weights (J,), D (n, J), Ut, Vt, F (J, r, r))``,
+    where column k of D is the diagonal ``1/(s_k - lam)``.
     """
     J = _TALBOT_NODES
     lam, Q, sw = generator_spectrum(L)
-    n, r = U.shape
     rho = 2.0 * J / (5.0 * t)
     theta = np.pi * np.arange(1, J) / J
     cot = 1.0 / np.tan(theta)
@@ -127,6 +139,21 @@ def _talbot_levels(L, U, V, t):
     Vt = Q.T @ (V / sw[:, None])
     D = 1.0 / (s[None, :] - lam[:, None])  # (n, J): diag of Q^T W^1/2 R W^-1/2 Q
     F = np.einsum("ia,ik,ib->kab", Vt, D, Ut)
+    return Q, sw, w, D, Ut, Vt, F
+
+
+def _talbot_levels(L, U, V, t):
+    """Levels 1, 2, ... of the series at time t, by fixed-Talbot inversion.
+
+    The Laplace transform of level n is ``R U F**(n-1) V^T R`` with
+    ``R = (s - L)^-1`` and ``F = V^T R U`` (r x r), summed over the nodes of
+    ``_talbot_contour``. ``R U`` and ``V^T R`` at every node come from one
+    real product with Q, and each level then costs one
+    ``(n x 2rJ) @ (2rJ x n)`` product.
+    """
+    Q, sw, w, D, Ut, Vt, F = _talbot_contour(L, U, V, t)
+    n, r = U.shape
+    J = len(w)
     # column (k, a) of Q @ (D_k UVt): R U (first r) and (V^T R)^T (last r)
     UVt = D[:, :, None] * np.concatenate([Ut, Vt], axis=1)[:, None, :]
     QUV = (Q @ UVt.reshape(n, -1).view(np.float64)).view(np.complex128)
@@ -138,6 +165,33 @@ def _talbot_levels(L, U, V, t):
         flat = P.transpose(1, 0, 2).reshape(n, -1)
         yield np.concatenate([flat.real, -flat.imag], axis=1) @ right
         P = P @ F
+
+
+def semigroup_apply(A, h, t):
+    """exp(tA) h for a full generator A = L + U V^T, on the Talbot contour.
+
+    By Woodbury, ``(s - A)^-1 h = R h + R U (I - F)^-1 V^T R h`` with
+    ``R = (s - L)^-1`` and ``F = V^T R U``. In the spectral basis of
+    ``_talbot_contour``, with ``hh = Q^T W^1/2 h``, node k contributes
+    ``y_k = D_k hh + D_k Ut (I - F_k)^-1 Vt^T D_k hh``, and
+    ``exp(tA) h = W^-1/2 Q Re sum_k w_k y_k``: one product with Q^T, one
+    with Q and J solves of size r x r, to about 1e-11 of ``expm(tA) @ h``.
+    A without the parts of ``full_generator`` (or whose return operator
+    carries no factors) raises ValueError.
+    """
+    if t <= 0:
+        raise ValueError("time must be positive")
+    if A.parts is None or A.parts[2] is not A.entries or A.parts[1].factors is None:
+        raise ValueError("expected a full generator from full_generator, with the "
+                         "factored return operator of perturbation_matrix")
+    L, M, _ = A.parts
+    U, V = M.factors
+    Q, sw, w, D, Ut, Vt, F = _talbot_contour(L, U, V, t)
+    Dh = D * (Q.T @ (sw * h))[:, None]                  # column k: D_k hh
+    z = np.einsum("ia,ik->ka", Vt, Dh)[:, :, None]      # Vt^T D_k hh, (J, r, 1)
+    x = np.linalg.solve(np.eye(U.shape[1]) - F, z)[:, :, 0]
+    y = Dh + D * (Ut @ x.T)
+    return (Q @ (y @ w).real) / sw
 
 
 def duhamel_series(L, M, t, max_levels=128):
@@ -310,11 +364,15 @@ def supermedian_v(A, lam, g, params):
 
 
 def supermedian_violation(A, lam, h, times):
-    """Worst violation of exp(-lam t) exp(tA) h <= h over the given times."""
+    """Worst violation of exp(-lam t) exp(tA) h <= h over the given times.
+
+    A is a full generator from ``full_generator``; exp(tA) h comes from
+    ``semigroup_apply``, so no matrix exponential is formed.
+    """
     worst = -np.inf
     for t in times:
-        P = scipy.linalg.expm(t * A.entries)
-        worst = max(worst, float(np.max(np.exp(-lam * t) * (P @ h) - h)))
+        Ph = semigroup_apply(A, h, t)
+        worst = max(worst, float(np.max(np.exp(-lam * t) * Ph - h)))
     return worst
 
 
@@ -394,9 +452,10 @@ def ladder_lift(h, alpha_lift, m_levels, A=None, lam=None):
     """Geometric lift of a grid function to the ladder: level m carries
     ``alpha_lift**m`` times the function.
 
-    When the full generator is supplied, the input is first verified to
-    satisfy the discounted-domination inequality at t = 0.1, 1 and 10 (rate
-    ``lam``, default 0) to within 1e-8; a failing input raises.
+    When the full generator (from ``full_generator``) is supplied, the input
+    is first verified to satisfy the discounted-domination inequality at
+    t = 0.1, 1 and 10 (rate ``lam``, default 0) to within 1e-8, by
+    ``supermedian_violation``; a failing input raises.
     """
     if not (0.0 < alpha_lift <= 1.0):
         raise ValueError("alpha_lift must lie in (0, 1]")

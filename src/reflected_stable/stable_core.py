@@ -17,6 +17,8 @@ from .geometry import Ball, Interval
 
 # a walk-on-spheres batch still in D after this many ball exits raises
 _MAX_WOS_ITER = 10 ** 6
+# least alpha of sample_stable_increment: below it draws come out nan (see there)
+_MIN_INCREMENT_ALPHA = 0.05
 
 
 class StableParamsError(ValueError):
@@ -106,12 +108,21 @@ def sample_stable_increment(params, dt, rng, size):
     used (with a dedicated Cauchy branch at alpha=1); for d>=2 the increment
     is built as Brownian motion subordinated by a one-sided stable time.
 
+    alpha below ``_MIN_INCREMENT_ALPHA`` = 0.05 raises ValueError. There
+    ``dt**(1/alpha)`` underflows to 0 and the Chambers-Mallows-Stuck power
+    ``(1 - alpha)/alpha`` overflows to inf, so draws come out nan (0 * inf).
+    From alpha = 0.05 that power is at most 19, and an inf would need an
+    exponential draw below about 1e-16.
+
     Returns a (size,) array for d=1, a (size, d) array otherwise.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     n = int(size)
     al = params.alpha
+    if al < _MIN_INCREMENT_ALPHA:
+        raise ValueError("alpha=%g is below the sampler's least alpha %g"
+                         % (al, _MIN_INCREMENT_ALPHA))
     if params.d == 1:
         u = rng.uniform(-np.pi / 2.0, np.pi / 2.0, size=n)
         if al == 1.0:

@@ -6,7 +6,9 @@ on balls/intervals (exit law, Green function) or from generic numerics
 paths under test. The one exception is ``first_exit_per_step``, the plain
 one-step-at-a-time jump-Euler loop that the chunked first-exit sampler is
 checked against. ``nullvector_reference_checks`` certifies a stationary
-vector of a generator by a full SVD and matrix exponentials.
+vector of a generator by a full SVD and matrix exponentials, and
+``supermedian_violation_expm`` checks a supermedian inequality by dense
+matrix exponentials of the full generator.
 ``dobrushin_dense`` is the O(n^3) pairwise scan of a chain's two-step rows
 that the factored contraction coefficient is checked against, and
 ``stationary_power`` the power iteration that the chain law from its r x r
@@ -193,6 +195,15 @@ def nullvector_reference_checks(A_entries, kappa):
     sv = np.linalg.svd(A_entries, compute_uv=False)
     tvs = [0.5 * np.abs(kappa @ expm(t * A_entries) - kappa).sum() for t in (0.5, 2.0)]
     return sv[-2:], tvs
+
+
+def supermedian_violation_expm(A_entries, lam, h, times):
+    """Worst violation of exp(-lam t) exp(tA) h <= h, with exp(tA) by ``expm``."""
+    worst = -np.inf
+    for t in times:
+        P = expm(t * A_entries)
+        worst = max(worst, float(np.max(np.exp(-lam * t) * (P @ h) - h)))
+    return worst
 
 
 def dobrushin_dense(op):

@@ -204,6 +204,13 @@ def test_run_excessive(tmp_path):
     assert "excessive_lam1.csv" in manifest["outputs"]
     radii = json.loads((tmp_path / "excessive_radii_lam1.json").read_text())
     assert len(radii["radii"]) == 6
+    # the stage's diagnostics: per lambda, the shell levels and the check's value and time
+    stage, = [s for s in manifest["stages"] if s["name"] == cli_report._excessive.__doc__]
+    diag, = stage["diagnostics"]
+    check, = [c for c in manifest["checks"] if c["name"] == "supermedian-lam1"]
+    assert diag["lambda"] == 1.0 and diag["shell_levels"] == 6
+    assert diag["supermedian_violation"] == check["value"] <= 1e-8
+    assert 0 < diag["check_s"] < stage["wall_s"]
 
 
 def test_byte_identical_reruns_and_threads(tmp_path):
@@ -467,6 +474,10 @@ def test_readme_config_section_matches_schema():
     ({"seed": 1, "kind": "excessive", "n_cells": 40, "lambda_list": [0.1, 0.1000001]},
      "lambda_list"),
     ({"t_list": [0.1, 0.1]}, "t_list"),
+    # the jump-Euler sampler's least alpha is 0.05: below it increments are nan
+    ({"seed": 1, "kind": "simulate", "params": {"d": 1, "alpha": 1e-3}, "n_cells": 100,
+      "replicas": 20, "horizon": 20, "chain_samples": 2000, "t_list": [0.5],
+      "lambda_list": [1.0]}, "params.alpha"),
 ], ids=["domain.a", "alpha-str", "alpha-null", "d-2", "lambda_list", "mu.a", "ball.radius",
         "horizon-inf", "dt-inf", "t_list-inf", "lambda_list-inf", "n_time",
         "t_list-past-horizon", "simulate-replicas-0", "simulate-dt-past-horizon",
@@ -475,7 +486,7 @@ def test_readme_config_section_matches_schema():
         "touching-union", "seed-bool", "d-bool", "replicas-bool", "threads-bool",
         "chain_steps-bool", "domain-kind-list", "mu-family-object", "intervals-bool",
         "radius-bool", "center-bool", "mu.a-bool", "point-bool", "projection-six-intervals",
-        "lambda_list-alike-under-g", "t_list-repeat"])
+        "lambda_list-alike-under-g", "t_list-repeat", "simulate-alpha-below-sampler"])
 def test_non_numeric_fields_exit_2(over, field, tmp_path, capsys):
     # parse_config builds the domain and the return kernel, so --describe
     # rejects every one of these as run does

@@ -1,21 +1,26 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from reflected_stable.geometry import IntervalUnion, build_grid, exterior_shell
+from reflected_stable import perturbation
+from reflected_stable.geometry import Interval, IntervalUnion, build_grid, exterior_shell
 from reflected_stable.killed_kernels import (GridOperator, assemble_dirichlet_generator,
                                              green_operator, harmonic_kernel, heat_kernel,
                                              killing_intensity, resolvent_u)
 from reflected_stable.perturbation import (ConservationError, SeriesError,
                                            build_excessive, duhamel_series,
-                                           ladder_kernel, ladder_lift,
+                                           full_generator, ladder_kernel, ladder_lift,
                                            ladder_supermedian_violation,
                                            perturbation_matrix, reflected_kernel,
-                                           supermedian_v, supermedian_violation)
-from reflected_stable.reflection import (ReflectionKernel, UniformMeasure, default_probes,
-                                         make_constant_kernel, make_projection_kernel)
+                                           semigroup_apply, supermedian_v,
+                                           supermedian_violation)
+from reflected_stable.reflection import (AtomMeasure, ReflectionKernel, UniformMeasure,
+                                         default_probes, make_constant_kernel,
+                                         make_projection_kernel)
+from reflected_stable.stable_core import StableParams
 from reflected_stable.stationary import chain_kernel
 
 import oracles
@@ -294,6 +299,67 @@ def test_supermedian_inequality(wb):
     for lam in (0.1, 1.0):
         v = supermedian_v(A, lam, 1.0, wb.params(1.0))
         assert supermedian_violation(A, lam, v, (0.1, 1.0, 10.0)) <= 1e-8
+
+
+SUPERMEDIAN_TIMES = (0.1, 1.0, 10.0)
+GATE_INTERVAL = Interval(-1.0, 1.0)
+GATE_UNION = IntervalUnion([[-1.0, -0.2], [0.1, 1.0]])
+GATE_LAWS = {
+    "interval-uniform": (GATE_INTERVAL, lambda d: make_constant_kernel(
+        d, UniformMeasure(-0.5, 0.5))),
+    "interval-projection": (GATE_INTERVAL, lambda d: make_projection_kernel(d, 0.2, 0.1)),
+    "interval-dirac": (GATE_INTERVAL, lambda d: make_constant_kernel(d, AtomMeasure([0.3]))),
+    "union-projection": (GATE_UNION, lambda d: make_projection_kernel(d, 0.2, 0.1)),
+}
+
+
+def gate_case(alpha, case, n_cells):
+    """Full generator of one gate case and the boundary-exploding h = build_excessive(A, 1)."""
+    domain, law = GATE_LAWS[case]
+    params = StableParams(1, alpha)
+    grid = build_grid(domain, n_cells)
+    A = full_generator(assemble_dirichlet_generator(grid, params),
+                       perturbation_matrix(grid, params, law(domain)))
+    return A, build_excessive(A, 1.0, params).values
+
+
+@pytest.mark.parametrize("case", sorted(GATE_LAWS))
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
+def test_semigroup_apply_matches_expm(alpha, case):
+    # exp(tA) h on the Talbot contour against the dense exponential, and the
+    # supermedian check against its expm oracle
+    A, h = gate_case(alpha, case, 400)
+    for t in SUPERMEDIAN_TIMES:
+        exact = scipy.linalg.expm(t * A.entries) @ h
+        assert np.abs(semigroup_apply(A, h, t) - exact).max() <= 1e-10 * np.abs(exact).max()
+    for lam in (0.1, 1.0):
+        viol = supermedian_violation(A, lam, h, SUPERMEDIAN_TIMES)
+        ref = oracles.supermedian_violation_expm(A.entries, lam, h, SUPERMEDIAN_TIMES)
+        assert abs(viol - ref) <= 1e-10
+
+
+def test_semigroup_apply_converged_in_the_node_count(monkeypatch):
+    # at 1600 cells and alpha = 1.5, expm itself is about 5e-10 off, so the
+    # reference is the same contour with 32 nodes
+    A, h = gate_case(1.5, "interval-uniform", 1600)
+    ours = [semigroup_apply(A, h, t) for t in SUPERMEDIAN_TIMES]
+    monkeypatch.setattr(perturbation, "_TALBOT_NODES", 32)
+    for t, mine in zip(SUPERMEDIAN_TIMES, ours):
+        ref = semigroup_apply(A, h, t)
+        assert not np.array_equal(mine, ref)    # the 32 nodes were used
+        assert np.abs(mine - ref).max() <= 1e-10 * np.abs(ref).max()
+
+
+def test_semigroup_apply_needs_the_parts_of_full_generator(wb):
+    A = wb.A(1.0, "uniform")
+    h = np.ones(A.n)
+    assert not A.entries.flags.writeable
+    for bad in (GridOperator(grid=A.grid, entries=A.entries, kind="full-generator"),
+                dataclasses.replace(A, entries=A.entries.copy())):
+        with pytest.raises(ValueError, match="full_generator"):
+            supermedian_violation(bad, 1.0, h, SUPERMEDIAN_TIMES)
+    with pytest.raises(ValueError, match="time"):
+        semigroup_apply(A, h, 0.0)
 
 
 def test_supermedian_v_with_shell_payoff(wb):

@@ -71,6 +71,17 @@ def test_cauchy_increments_ks():
     assert res.statistic < 1.6276 / np.sqrt(len(x))  # 1% critical value
 
 
+def test_increments_finite_from_the_least_alpha():
+    # below alpha = 0.05 dt**(1/alpha) underflows while the transform's power
+    # overflows, and draws are nan: the sampler refuses; at 0.05 all are finite
+    rng = np.random.default_rng(7)
+    with pytest.raises(ValueError, match="least alpha"):
+        sample_stable_increment(StableParams(1, 0.049), 1e-3, rng, size=10)
+    for dt in (1e-3, 0.5):
+        x = sample_stable_increment(StableParams(1, 0.05), dt, rng, size=10 ** 6)
+        assert np.isfinite(x).all()
+
+
 def test_increment_median_symmetry():
     from scipy.special import gamma as _g
     p = StableParams(1, 1.5)
