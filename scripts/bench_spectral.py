@@ -14,9 +14,10 @@ For each n in CELLS the child times, REPEATS times each:
 ``green_operator``, ``chain_kernel`` (the reflection chain C = (G U) V^T,
 the Green solve's harmonic kernel composed with the return kernel
 M = U V^T), ``dobrushin_coefficient`` of C, ``kappa_generator_nullvector`` of the
-full generator L + M (its assembly included) and ``supermedian_violation`` of
+full generator L + M (its assembly included), ``supermedian_violation`` of
 h = 1 under that generator at lambda = 1 and t = 0.1, 1, 10 (its assembly
-included, h built outside the timing). The JSON file holds the
+included, h built outside the timing) and ``build_excessive`` at lambda = 1
+(the full generator built outside the timing). The JSON file holds the
 median of each, and the run record: core count, BLAS thread count and
 library versions.
 Sides run in the order given, one after the other.
@@ -32,7 +33,7 @@ import sys
 import time
 
 LAYERS = ("assemble", "series", "heat_kernel", "green", "chain_kernel", "dobrushin",
-          "nullvector", "supermedian")
+          "nullvector", "supermedian", "excessive")
 CELLS = (400, 800, 1600)
 REPEATS = 3
 
@@ -48,8 +49,9 @@ def child(root):
     from reflected_stable.killed_kernels import (assemble_dirichlet_generator,
                                                  green_operator, harmonic_kernel,
                                                  heat_kernel)
-    from reflected_stable.perturbation import (duhamel_series, full_generator,
-                                               perturbation_matrix, supermedian_violation)
+    from reflected_stable.perturbation import (build_excessive, duhamel_series,
+                                               full_generator, perturbation_matrix,
+                                               supermedian_violation)
     from reflected_stable.reflection import make_projection_kernel
     from reflected_stable.stationary import (chain_kernel, dobrushin_coefficient,
                                              kappa_generator_nullvector)
@@ -75,8 +77,11 @@ def child(root):
                      ("nullvector", lambda: kappa_generator_nullvector(
                          full_generator(ops["assemble"], M))),
                      ("supermedian", lambda: supermedian_violation(
-                         full_generator(ops["assemble"], M), 1.0, ones, (0.1, 1.0, 10.0))))
+                         full_generator(ops["assemble"], M), 1.0, ones, (0.1, 1.0, 10.0))),
+                     ("excessive", lambda: build_excessive(ops["A"], 1.0, params)))
             for layer, fn in steps:
+                if layer == "excessive":
+                    ops["A"] = full_generator(ops["assemble"], M)
                 start = time.perf_counter()
                 out = fn()
                 runs[layer].append(time.perf_counter() - start)

@@ -41,10 +41,10 @@ from .reflection import (AtomMeasure, UniformMeasure, default_probes,
                          make_constant_kernel, make_projection_kernel,
                          validate_concentration)
 from .stable_core import _MIN_INCREMENT_ALPHA, StableParams
-from .stationary import (_ERGODIC_REFLECTIONS, _MAX_DIRECTIONS, GridMeasure,
-                         chain_directions, chain_kernel, dobrushin_coefficient,
-                         kappa_closed_form, kappa_ergodic, kappa_generator_nullvector,
-                         stationary_p, total_variation, triangulation_report)
+from .stationary import (_ERGODIC_REFLECTIONS, GridMeasure, chain_directions, chain_kernel,
+                         dobrushin_coefficient, kappa_closed_form, kappa_ergodic,
+                         kappa_generator_nullvector, stationary_p, total_variation,
+                         triangulation_report)
 
 logger = logging.getLogger(__name__)
 
@@ -481,12 +481,6 @@ def parse_config(raw):
         config.grid
     except ValueError as exc:
         raise ConfigError("n_cells", str(exc)) from exc
-    if _contraction in KIND_STAGES[config.kind]:
-        # the contraction stage enumerates the subsets of the law's row directions
-        m = chain_directions(config.mu.reentry_columns(config.grid)).shape[1]
-        if m > _MAX_DIRECTIONS:
-            raise ConfigError("mu", "the return law has m=%d row directions, more than "
-                              "the %d that the contraction takes" % (m, _MAX_DIRECTIONS))
     return config
 
 

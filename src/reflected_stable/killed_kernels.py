@@ -44,10 +44,6 @@ class GridOperator:
     spectrum: tuple = None
     parts: tuple = None
 
-    @property
-    def n(self):
-        return self.grid.n
-
     def row_sums(self):
         return self.entries.sum(axis=1)
 

@@ -8,17 +8,16 @@ kernel; each level is inverted from its Laplace transform on a contour.
 The series sum is conservative; its levels satisfy their own
 Chapman-Kolmogorov system, which is what the ladder operator exposes.
 
-The same contour applies the reflected semigroup to one function: exp(tA) h
-for the full generator A = L + U V^T comes from L's spectrum and the
-Woodbury form of the resolvent of A (``semigroup_apply``). The supermedian
-checks (``supermedian_violation`` and the input check of ``ladder_lift``)
-use it, so they form no matrix exponential.
+The full generator A = L + U V^T has one resolvent, from L's spectrum by
+Woodbury. Summed over the contour it applies exp(tA) to one function
+(``semigroup_apply``, which the supermedian checks use), and at one real
+node lam it is the discounted solve of ``build_excessive``: no step
+exponentiates or factors A.
 """
 
 import dataclasses
 
 import numpy as np
-import scipy.linalg
 
 from .geometry import exterior_shell
 from .killed_kernels import (GridOperator, clip_nonnegative, exterior_nu_vector,
@@ -112,22 +111,14 @@ class DuhamelSeries:
         return np.sum(self.terms, axis=0)
 
 
-def _talbot_contour(L, U, V, t):
-    """The fixed Talbot rule at time t, in the spectral basis of L.
+def _talbot_nodes(t):
+    """Nodes s and weights w (J each) of the fixed Talbot rule at time t.
 
     The rule (Abate & Valko 2004) sums ``w_k g(s_k)`` over the nodes
     ``s(theta) = rho theta (cot theta + i)``, ``rho = 2J / (5t)``, with
     ``J = _TALBOT_NODES``; conjugate nodes are folded into the real part.
-    The generator's spectrum gives
-    ``R = (s - L)^-1 = W^-1/2 Q diag(1/(s - lam)) Q^T W^1/2``, so with
-    ``Ut = Q^T W^1/2 U`` and ``Vt = Q^T W^-1/2 V`` taken once, the r x r
-    matrix ``F_k = V^T R U = Vt^T D_k Ut`` at node k costs O(nr^2).
-
-    Returns ``(Q, sqrt(w), weights (J,), D (n, J), Ut, Vt, F (J, r, r))``,
-    where column k of D is the diagonal ``1/(s_k - lam)``.
     """
     J = _TALBOT_NODES
-    lam, Q, sw = generator_spectrum(L)
     rho = 2.0 * J / (5.0 * t)
     theta = np.pi * np.arange(1, J) / J
     cot = 1.0 / np.tan(theta)
@@ -135,11 +126,46 @@ def _talbot_contour(L, U, V, t):
     sigma = np.concatenate([[0.0], theta + (theta * cot - 1.0) * cot])
     w = (rho / J) * np.exp(t * s) * (1.0 + 1j * sigma)
     w[0] *= 0.5
+    return s, w
+
+
+def _resolvent_basis(L, U, V, s):
+    """L's resolvents at the nodes s, in L's spectral basis.
+
+    ``R = (s - L)^-1 = W^-1/2 Q diag(1/(s - lam)) Q^T W^1/2``, so with
+    ``Ut = Q^T W^1/2 U`` and ``Vt = Q^T W^-1/2 V`` the r x r matrix
+    ``F_k = V^T R U = Vt^T D_k Ut`` at node k costs O(nr^2). Returns
+    ``(Q, sqrt(w), D, Ut, Vt, F)``; column k of D is ``1/(s_k - lam)``.
+    """
+    lam, Q, sw = generator_spectrum(L)
     Ut = Q.T @ (sw[:, None] * U)
     Vt = Q.T @ (V / sw[:, None])
-    D = 1.0 / (s[None, :] - lam[:, None])  # (n, J): diag of Q^T W^1/2 R W^-1/2 Q
+    D = 1.0 / (s[None, :] - lam[:, None])  # (n, K): diag of Q^T W^1/2 R W^-1/2 Q
     F = np.einsum("ia,ik,ib->kab", Vt, D, Ut)
-    return Q, sw, w, D, Ut, Vt, F
+    return Q, sw, D, Ut, Vt, F
+
+
+def _generator_basis(A, s):
+    """``_resolvent_basis`` of a full generator A = L + U V^T; an A without
+    the parts of ``full_generator`` or the factors of M raises ValueError."""
+    if A.parts is None or A.parts[2] is not A.entries or A.parts[1].factors is None:
+        raise ValueError("expected a full generator from full_generator, with the "
+                         "factored return operator of perturbation_matrix")
+    L, M, _ = A.parts
+    return _resolvent_basis(L, *M.factors, s)
+
+
+def _woodbury(basis, h):
+    """Columns y_k with ``(s_k - A)^-1 h = W^-1/2 Q y_k`` at the basis' nodes.
+
+    By Woodbury, ``(s - A)^-1 h = R h + R U (I - F)^-1 V^T R h``; with
+    ``hh = Q^T W^1/2 h``, ``y_k = D_k hh + D_k Ut (I - F_k)^-1 Vt^T D_k hh``.
+    """
+    Q, sw, D, Ut, Vt, F = basis
+    Dh = D * (Q.T @ (sw * h))[:, None]                  # column k: D_k hh
+    z = np.einsum("ia,ik->ka", Vt, Dh)[:, :, None]      # Vt^T D_k hh, (K, r, 1)
+    x = np.linalg.solve(np.eye(Ut.shape[1]) - F, z)[:, :, 0]
+    return Dh + D * (Ut @ x.T)
 
 
 def _talbot_levels(L, U, V, t):
@@ -147,11 +173,12 @@ def _talbot_levels(L, U, V, t):
 
     The Laplace transform of level n is ``R U F**(n-1) V^T R`` with
     ``R = (s - L)^-1`` and ``F = V^T R U`` (r x r), summed over the nodes of
-    ``_talbot_contour``. ``R U`` and ``V^T R`` at every node come from one
-    real product with Q, and each level then costs one
-    ``(n x 2rJ) @ (2rJ x n)`` product.
+    ``_talbot_nodes`` in the basis of ``_resolvent_basis``. ``R U`` and
+    ``V^T R`` at every node come from one real product with Q, and each
+    level then costs one ``(n x 2rJ) @ (2rJ x n)`` product.
     """
-    Q, sw, w, D, Ut, Vt, F = _talbot_contour(L, U, V, t)
+    s, w = _talbot_nodes(t)
+    Q, sw, D, Ut, Vt, F = _resolvent_basis(L, U, V, s)
     n, r = U.shape
     J = len(w)
     # column (k, a) of Q @ (D_k UVt): R U (first r) and (V^T R)^T (last r)
@@ -170,28 +197,17 @@ def _talbot_levels(L, U, V, t):
 def semigroup_apply(A, h, t):
     """exp(tA) h for a full generator A = L + U V^T, on the Talbot contour.
 
-    By Woodbury, ``(s - A)^-1 h = R h + R U (I - F)^-1 V^T R h`` with
-    ``R = (s - L)^-1`` and ``F = V^T R U``. In the spectral basis of
-    ``_talbot_contour``, with ``hh = Q^T W^1/2 h``, node k contributes
-    ``y_k = D_k hh + D_k Ut (I - F_k)^-1 Vt^T D_k hh``, and
-    ``exp(tA) h = W^-1/2 Q Re sum_k w_k y_k``: one product with Q^T, one
-    with Q and J solves of size r x r, to about 1e-11 of ``expm(tA) @ h``.
-    A without the parts of ``full_generator`` (or whose return operator
-    carries no factors) raises ValueError.
+    ``exp(tA) h = W^-1/2 Q Re sum_k w_k y_k`` over ``_talbot_nodes``, y_k
+    from ``_woodbury``: one product with Q^T, one with Q and J solves of
+    size r x r, to about 1e-11 of ``expm(tA) @ h``. An A not from
+    ``full_generator`` raises ValueError.
     """
     if t <= 0:
         raise ValueError("time must be positive")
-    if A.parts is None or A.parts[2] is not A.entries or A.parts[1].factors is None:
-        raise ValueError("expected a full generator from full_generator, with the "
-                         "factored return operator of perturbation_matrix")
-    L, M, _ = A.parts
-    U, V = M.factors
-    Q, sw, w, D, Ut, Vt, F = _talbot_contour(L, U, V, t)
-    Dh = D * (Q.T @ (sw * h))[:, None]                  # column k: D_k hh
-    z = np.einsum("ia,ik->ka", Vt, Dh)[:, :, None]      # Vt^T D_k hh, (J, r, 1)
-    x = np.linalg.solve(np.eye(U.shape[1]) - F, z)[:, :, 0]
-    y = Dh + D * (Ut @ x.T)
-    return (Q @ (y @ w).real) / sw
+    s, w = _talbot_nodes(t)
+    basis = _generator_basis(A, s)
+    Q, sw = basis[:2]
+    return (Q @ (_woodbury(basis, h) @ w).real) / sw
 
 
 def duhamel_series(L, M, t, max_levels=128):
@@ -346,19 +362,22 @@ def ladder_kernel(series, m_levels):
 
 def _discounted_solver(A, lam, params):
     """Map g to the solution of ``(lam I - A) v = b``, b the jump-kernel
-    integral of g over the complement; ``lam I - A`` is factored once."""
+    integral of g over the complement: ``_woodbury`` at the one real node
+    lam, one product with Q^T and one with Q per solve."""
     if lam <= 0:
         raise ValueError("lambda must be positive")
-    lu = scipy.linalg.lu_factor(lam * np.eye(A.n) - A.entries)
-    return lambda g: scipy.linalg.lu_solve(lu, exterior_nu_vector(params, A.grid, g))
+    basis = _generator_basis(A, np.array([float(lam)]))
+    Q, sw = basis[:2]
+    return lambda g: (Q @ _woodbury(basis, exterior_nu_vector(params, A.grid, g))[:, 0]) / sw
 
 
 def supermedian_v(A, lam, g, params):
     """Discounted occupation of the boundary payoff under the reflected flow.
 
-    Solves ``(lam I - A) v = b`` with b the jump-kernel integral of g over
-    the complement; v dominates the killed analogue and is lam-supermedian
-    for the reflected kernel.
+    Solves ``(lam I - A) v = b``, A from ``full_generator``, with b the
+    jump-kernel integral of g over the complement, by A's Woodbury
+    resolvent; v dominates the killed analogue and is lam-supermedian for
+    the reflected kernel.
     """
     return _discounted_solver(A, lam, params)(g)
 

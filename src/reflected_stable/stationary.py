@@ -4,8 +4,8 @@ Three routes to the stationary density are provided: the closed form
 (chain stationary measure composed with the Green operator), the left null
 vector of the full generator, and ergodic time averages of simulated
 paths. Their triangulation is the main validation artifact.
-The reflection chain C = (G U) V^T is used in factored form only: its
-contraction, stationary law and exact rate come from n x r factors.
+The reflection chain C = (G U) V^T is used in factored form only: its row
+sums, contraction, stationary law and exact rate come from n x r factors.
 """
 
 import dataclasses
@@ -21,9 +21,6 @@ logger = logging.getLogger(__name__)
 
 # mean reflections per path for an ensemble's time average to mix
 _ERGODIC_REFLECTIONS = 50
-# most row directions of the return law whose 2^(m-1) subsets the
-# two-step contraction enumerates (a projection kernel has two per interval)
-_MAX_DIRECTIONS = 10
 
 
 class StationaryError(RuntimeError):
@@ -65,29 +62,33 @@ def total_variation(p, q):
     return 0.5 * float(np.abs(np.asarray(p) - np.asarray(q)).sum())
 
 
+def _row_sum_deviation(B, V):
+    """Largest |row sum - 1| of the chain kernel B V^T, from its factors."""
+    return float(np.abs(B @ V.sum(axis=0) - 1.0).max())
+
+
 def chain_kernel(harmonic, mu):
     """Transition matrix of the post-reflection chain: exit then re-enter.
 
     Composes the exit-position kernel with the return kernel; with the
     Green-operator representation of the exit law this is the Green matrix
     times the jump-and-return operator ``M = U V^T``, so row sums inherit
-    the exactness of the killing-intensity identity. It is built as
-    ``C = (G U) V^T`` in O(n^2 r), r the number of exterior pieces, and
-    keeps the factors ``(G U, V)``: ``dobrushin_coefficient`` reads the
-    two-step contraction from them exactly, in O(2^(m-1) n m) for a return
-    law of m <= 10 row directions, ``stationary_p`` the stationary law from
-    the r x r matrix ``V^T G U``, and a law of the chain steps as
-    ``(law G U) V^T`` in O(n r). Only the tests read the dense entries, as
-    the reference for the factored routes.
+    the exactness of the killing-intensity identity (checked to 1e-6 from
+    the factors). It is built as ``C = (G U) V^T`` in O(n^2 r), r the number
+    of exterior pieces, and keeps the factors ``(G U, V)``:
+    ``dobrushin_coefficient`` reads the two-step contraction from them in
+    O(n^2 m) for a return law of m row directions, ``stationary_p`` the
+    stationary law from the r x r matrix ``V^T G U``, and a law of the chain
+    steps as ``(law G U) V^T`` in O(n r). Only the tests read the dense
+    entries, as the reference for the factored routes.
     """
     grid = harmonic.grid
     U, V = perturbation_matrix(grid, harmonic.params, mu).factors
     GU = harmonic.green.entries @ U
-    C = GU @ V.T
-    deviation = np.abs(C.sum(axis=1) - 1.0).max()
+    deviation = _row_sum_deviation(GU, V)
     if deviation > 1e-6:
         raise StationaryError("chain kernel row sums deviate from 1 by %.3g" % deviation)
-    return GridOperator(grid=grid, entries=C, kind="chain-kernel", factors=(GU, V))
+    return GridOperator(grid=grid, entries=GU @ V.T, kind="chain-kernel", factors=(GU, V))
 
 
 def chain_directions(V):
@@ -118,38 +119,20 @@ def dobrushin_coefficient(op):
     two-step matrix is ``a V^T`` with ``a = B (V^T B)``. Rows of V in one
     direction share their minima, so with ``A = a W`` (W from
     ``chain_directions``, m columns) the overlap of rows i and j is
-    ``sum_g min(A[i, g], A[j, g])``, the minimum over subsets S of the m
-    directions of ``A[i, S].sum() + A[j, not S].sum()``. For each S the
-    minimum over i != j splits into one minimum per side (the second-best
-    index where both pick the same row), and S and its complement give the
-    same value: O(2^(m-1) n m) after the O(n r^2) product, against the
-    O(n^3) of a pairwise scan. A kernel with more than ``_MAX_DIRECTIONS``
-    (10) directions raises StationaryError; an operator without factors
-    raises ValueError.
+    ``sum_g min(A[i, g], A[j, g])``, taken over all pairs i != j: O(n^2 m)
+    after the O(n r^2) product, against the O(n^3) of a scan of the dense
+    two-step rows. An operator without factors raises ValueError.
     """
     if op.factors is None:
         raise ValueError("the operator carries no factors; build it with chain_kernel")
     B, V = op.factors
-    W = chain_directions(V)
-    m = W.shape[1]
-    if m > _MAX_DIRECTIONS:
-        raise StationaryError(
-            "return kernel has m=%d row directions, more than the %d the two-step "
-            "contraction enumerates" % (m, _MAX_DIRECTIONS))
-    A = B @ ((V.T @ B) @ W)
+    A = B @ ((V.T @ B) @ chain_directions(V))
     if A.shape[0] < 2:
         min_overlap = np.inf
     else:
-        # subsets S holding the last direction, as 0/1 rows over the m directions
-        S = np.ones((2 ** (m - 1), m))
-        S[:, :-1] = (np.arange(2 ** (m - 1))[:, None] >> np.arange(m - 1)) & 1
-        X, Y = A @ S.T, A @ (1.0 - S).T
-        cols = np.arange(S.shape[0])
-        ix, iy = X.argmin(axis=0), Y.argmin(axis=0)
-        x1, y1 = X[ix, cols], Y[iy, cols]
-        x2, y2 = np.partition(X, 1, axis=0)[1], np.partition(Y, 1, axis=0)[1]
-        best = np.where(ix == iy, np.minimum(x1 + y2, x2 + y1), x1 + y1)
-        min_overlap = float(best.min())
+        overlap = sum(np.minimum.outer(a, a) for a in A.T)
+        np.fill_diagonal(overlap, np.inf)
+        min_overlap = float(overlap.min())
     # round-off can push the overlap of identical rows just past 1
     beta = max(0.0, 1.0 - min_overlap)
     return beta, min_overlap
@@ -178,7 +161,7 @@ def stationary_p(chain, beta=None):
     p = np.maximum(p / p.sum(), 0.0)
     p /= p.sum()
     fixed_tv = total_variation((p @ B) @ V.T, p)
-    tol = max(2e-12, float(np.abs(B @ V.sum(axis=0) - 1.0).max()))
+    tol = max(2e-12, _row_sum_deviation(B, V))
     logger.debug("chain law: r=%d, lambda2 %.4g, fixed-point TV %.3g", B.shape[1], lambda2,
                  fixed_tv)
     if not lambda2 < 1.0:

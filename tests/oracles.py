@@ -8,7 +8,8 @@ one-step-at-a-time jump-Euler loop that the chunked first-exit sampler is
 checked against. ``nullvector_reference_checks`` certifies a stationary
 vector of a generator by a full SVD and matrix exponentials, and
 ``supermedian_violation_expm`` checks a supermedian inequality by dense
-matrix exponentials of the full generator.
+matrix exponentials of the full generator, and ``discounted_solver_lu``
+solves with its discounted resolvent by a dense LU factorization.
 ``dobrushin_dense`` is the O(n^3) pairwise scan of a chain's two-step rows
 that the factored contraction coefficient is checked against, and
 ``stationary_power`` the power iteration that the chain law from its r x r
@@ -19,7 +20,7 @@ invariants of a ladder path and each path's first reflection record.
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.linalg import eigh, expm
+from scipy.linalg import eigh, expm, lu_factor, lu_solve
 from scipy.special import beta, betainc, gammaln, hyp2f1
 
 from reflected_stable.stable_core import sample_stable_increment
@@ -204,6 +205,13 @@ def supermedian_violation_expm(A_entries, lam, h, times):
         P = expm(t * A_entries)
         worst = max(worst, float(np.max(np.exp(-lam * t) * (P @ h) - h)))
     return worst
+
+
+def discounted_solver_lu(A_entries, lam):
+    """Map b to the solution of ``(lam I - A) v = b``; ``lam I - A`` is
+    factored once, by a dense LU factorization."""
+    lu = lu_factor(lam * np.eye(A_entries.shape[0]) - A_entries)
+    return lambda b: lu_solve(lu, b)
 
 
 def dobrushin_dense(op):

@@ -160,3 +160,14 @@ def test_scale_extremes_run_or_fail_a_check(change):
     code, _, err = run_main(dict(default_config(), **SCALE_BASE, **change))
     assert code in (0, 1), err
     assert err == ""
+
+
+@pytest.mark.parametrize("kind", ["chain", "stationary", "full-triangulation"])
+def test_six_interval_projection_runs_or_fails_a_check(kind):
+    # a projection law with m = 12 row directions, two per interval
+    six = [[2 * k, 2 * k + 1] for k in range(6)]
+    code, _, err = run_main(dict(default_config(), **dict(
+        SCALE_BASE, kind=kind, n_cells=60, domain={"kind": "grid1d", "intervals": six},
+        mu={"family": "projection", "depth": 0.2, "width": 0.1})))
+    assert code in (0, 1), err
+    assert err == ""

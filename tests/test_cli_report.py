@@ -466,10 +466,6 @@ def test_readme_config_section_matches_schema():
     ({"mu": {"family": "constant-uniform", "a": False, "b": 0.5}}, "mu.a"),
     ({"domain": {"kind": "interval", "a": 0.0, "b": 2.0},
       "mu": {"family": "dirac", "point": True}}, "mu.point"),
-    # a projection law with 12 row directions, more than the contraction enumerates
-    ({"seed": 1, "kind": "chain", "n_cells": 60, "domain": {"kind": "grid1d", "intervals": [
-        [0, 1], [2, 3], [4, 5], [6, 7], [8, 9], [10, 11]]},
-      "mu": {"family": "projection", "depth": 0.2, "width": 0.1}}, "mu"),
     # entries alike under %g would write the same result files
     ({"seed": 1, "kind": "excessive", "n_cells": 40, "lambda_list": [0.1, 0.1000001]},
      "lambda_list"),
@@ -485,7 +481,7 @@ def test_readme_config_section_matches_schema():
         "cells-below-intervals", "domain-unknown-key", "ball-interval-key",
         "touching-union", "seed-bool", "d-bool", "replicas-bool", "threads-bool",
         "chain_steps-bool", "domain-kind-list", "mu-family-object", "intervals-bool",
-        "radius-bool", "center-bool", "mu.a-bool", "point-bool", "projection-six-intervals",
+        "radius-bool", "center-bool", "mu.a-bool", "point-bool",
         "lambda_list-alike-under-g", "t_list-repeat", "simulate-alpha-below-sampler"])
 def test_non_numeric_fields_exit_2(over, field, tmp_path, capsys):
     # parse_config builds the domain and the return kernel, so --describe

@@ -249,13 +249,13 @@ def test_spectral_kernels_match_expm_and_solve(wb, domain, alpha):
         P = heat_kernel(L, t)
         assert np.abs(P.entries - scipy.linalg.expm(t * L.entries)).max() < 1e-10
     G = green_operator(L)
-    exact = scipy.linalg.solve(L.entries, -np.eye(L.n))
+    exact = scipy.linalg.solve(L.entries, -np.eye(L.grid.n))
     assert np.abs(G.entries - exact).max() < 1e-10 * np.abs(exact).max()
     params, shell = wb.params(alpha), exterior_shell(L.grid.domain, 0.5)
     b = exterior_nu_vector(params, L.grid, shell)
     for lam in (0.1, 1.0):
         u = resolvent_u(L, lam, shell, params)
-        exact = scipy.linalg.solve(lam * np.eye(L.n) - L.entries, b)
+        exact = scipy.linalg.solve(lam * np.eye(L.grid.n) - L.entries, b)
         assert np.abs(u - exact).max() < 1e-10 * np.abs(exact).max()
 
 

@@ -8,8 +8,9 @@ import scipy.linalg
 from reflected_stable import perturbation
 from reflected_stable.geometry import Interval, IntervalUnion, build_grid, exterior_shell
 from reflected_stable.killed_kernels import (GridOperator, assemble_dirichlet_generator,
-                                             green_operator, harmonic_kernel, heat_kernel,
-                                             killing_intensity, resolvent_u)
+                                             exterior_nu_vector, green_operator,
+                                             harmonic_kernel, heat_kernel, killing_intensity,
+                                             resolvent_u)
 from reflected_stable.perturbation import (ConservationError, SeriesError,
                                            build_excessive, duhamel_series,
                                            full_generator, ladder_kernel, ladder_lift,
@@ -313,13 +314,18 @@ GATE_LAWS = {
 }
 
 
-def gate_case(alpha, case, n_cells):
-    """Full generator of one gate case and the boundary-exploding h = build_excessive(A, 1)."""
+def gate_generator(alpha, case, n_cells):
+    """Full generator of one gate case and its StableParams."""
     domain, law = GATE_LAWS[case]
     params = StableParams(1, alpha)
     grid = build_grid(domain, n_cells)
-    A = full_generator(assemble_dirichlet_generator(grid, params),
-                       perturbation_matrix(grid, params, law(domain)))
+    return full_generator(assemble_dirichlet_generator(grid, params),
+                          perturbation_matrix(grid, params, law(domain))), params
+
+
+def gate_case(alpha, case, n_cells):
+    """Full generator of one gate case and the boundary-exploding h = build_excessive(A, 1)."""
+    A, params = gate_generator(alpha, case, n_cells)
     return A, build_excessive(A, 1.0, params).values
 
 
@@ -338,6 +344,27 @@ def test_semigroup_apply_matches_expm(alpha, case):
         assert abs(viol - ref) <= 1e-10
 
 
+def lu_discounted_solver(A, lam, params):
+    """The dense-LU route of ``perturbation._discounted_solver``."""
+    solve = oracles.discounted_solver_lu(A.entries, lam)
+    return lambda g: solve(exterior_nu_vector(params, A.grid, g))
+
+
+@pytest.mark.parametrize("case", sorted(GATE_LAWS))
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
+def test_discounted_solve_matches_lu(alpha, case, monkeypatch):
+    # the Woodbury resolvent at the real node lam against a dense LU of
+    # lam - A: v to 1e-10 and the same shell radii from build_excessive
+    A, params = gate_generator(alpha, case, 400)
+    for lam in (0.1, 1.0):
+        ref = lu_discounted_solver(A, lam, params)(1.0)
+        assert np.abs(supermedian_v(A, lam, 1.0, params) - ref).max() <= 1e-10 * np.abs(ref).max()
+        radii = build_excessive(A, lam, params).radii
+        with monkeypatch.context() as patch:
+            patch.setattr(perturbation, "_discounted_solver", lu_discounted_solver)
+            assert np.array_equal(build_excessive(A, lam, params).radii, radii)
+
+
 def test_semigroup_apply_converged_in_the_node_count(monkeypatch):
     # at 1600 cells and alpha = 1.5, expm itself is about 5e-10 off, so the
     # reference is the same contour with 32 nodes
@@ -352,12 +379,14 @@ def test_semigroup_apply_converged_in_the_node_count(monkeypatch):
 
 def test_semigroup_apply_needs_the_parts_of_full_generator(wb):
     A = wb.A(1.0, "uniform")
-    h = np.ones(A.n)
+    h = np.ones(A.grid.n)
     assert not A.entries.flags.writeable
     for bad in (GridOperator(grid=A.grid, entries=A.entries, kind="full-generator"),
                 dataclasses.replace(A, entries=A.entries.copy())):
         with pytest.raises(ValueError, match="full_generator"):
             supermedian_violation(bad, 1.0, h, SUPERMEDIAN_TIMES)
+        with pytest.raises(ValueError, match="full_generator"):
+            supermedian_v(bad, 1.0, 1.0, wb.params(1.0))
     with pytest.raises(ValueError, match="time"):
         semigroup_apply(A, h, 0.0)
 

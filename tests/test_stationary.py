@@ -88,6 +88,13 @@ def laws_of_every_family(domain):
             (2 * len(domain.intervals), make_projection_kernel(domain, 0.2, 0.1))]
 
 
+def assert_matches_dense_scan(C):
+    """dobrushin_coefficient(C) equals the pairwise scan of C^2 to 1e-12."""
+    beta, overlap = dobrushin_coefficient(C)
+    beta_ref, overlap_ref = oracles.dobrushin_dense(C)
+    assert abs(beta - beta_ref) <= 1e-12 and abs(overlap - overlap_ref) <= 1e-12
+
+
 @pytest.mark.parametrize("domain_name", sorted(DOBRUSHIN_DOMAINS))
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
 def test_dobrushin_matches_dense_scan(alpha, domain_name):
@@ -98,9 +105,7 @@ def test_dobrushin_matches_dense_scan(alpha, domain_name):
     H = harmonic_400(alpha, domain_name)
     for m, mu in laws_of_every_family(domain):
         C = chain_kernel(H, mu)
-        beta, overlap = dobrushin_coefficient(C)
-        beta_ref, overlap_ref = oracles.dobrushin_dense(C)
-        assert abs(beta - beta_ref) <= 1e-12 and abs(overlap - overlap_ref) <= 1e-12
+        assert_matches_dense_scan(C)
         assert chain_directions(C.factors[1]).shape[1] == m
 
 
@@ -162,7 +167,7 @@ def test_dobrushin_of_identical_rows_is_zero():
     assert dobrushin_coefficient(C) == oracles.dobrushin_dense(C) == (0.0, 1.0)
 
 
-def test_dobrushin_rejects_unfactored_or_many_directions(wb):
+def test_dobrushin_rejects_unfactored_and_takes_many_directions(wb):
     C = chain_kernel(wb.ops(1.0)["H"], wb.mu("projection"))
     with pytest.raises(ValueError, match="factors"):
         dobrushin_coefficient(GridOperator(grid=C.grid, entries=C.entries, kind="chain-kernel"))
@@ -170,8 +175,21 @@ def test_dobrushin_rejects_unfactored_or_many_directions(wb):
     grid = build_grid(Interval(-1.0, 1.0), 12)
     B, V = np.full((12, 11), 1.0 / 11), np.eye(12, 11)
     many = GridOperator(grid=grid, entries=B @ V.T, kind="chain-kernel", factors=(B, V))
-    with pytest.raises(StationaryError, match="m=11"):
-        dobrushin_coefficient(many)
+    assert chain_directions(V).shape[1] == 11
+    assert_matches_dense_scan(many)
+
+
+SIX_INTERVALS = IntervalUnion([[2.0 * k, 2.0 * k + 1.0] for k in range(6)])
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
+def test_dobrushin_matches_dense_scan_on_six_intervals(alpha):
+    # a projection law there has m = 12 row directions, two per interval
+    H = default_operators(StableParams(1, alpha), SIX_INTERVALS, 60)[3]
+    for m, mu in laws_of_every_family(SIX_INTERVALS):
+        C = chain_kernel(H, mu)
+        assert chain_directions(C.factors[1]).shape[1] == m
+        assert_matches_dense_scan(C)
 
 
 def test_stationary_p_constant_families(wb):
