@@ -1,6 +1,8 @@
 """Grid numerics for the stable process killed outside a 1-D domain.
 
-The generator is assembled from exact cell integrals of the jump kernel;
+The generator is assembled from exact cell integrals of the jump kernel,
+all taken in one array pass from the signed potential of
+``stable_core.levy_potential``, the formula of every exterior integral too;
 the self-cell principal value is dropped (it cancels against constants and
 linear functions by symmetry), giving consistency order ``h**(2-alpha)``
 with a provably Metzler sign structure. The assembled generator is
@@ -16,7 +18,7 @@ import dataclasses
 import numpy as np
 
 from .geometry import Region1D, build_grid, exterior_complement
-from .stable_core import levy_interval_mass
+from .stable_core import levy_interval_mass, levy_potential
 
 
 @dataclasses.dataclass
@@ -48,20 +50,32 @@ class GridOperator:
         return self.entries.sum(axis=1)
 
 
+def region_mass(params, x, region):
+    """Jump-kernel mass of a Region1D from each point of the 1-D array x: one
+    ``levy_interval_mass`` call, its columns summed in piece order."""
+    pieces = region.pieces
+    out = np.zeros(x.shape)
+    for col in levy_interval_mass(params, x[:, None], pieces[:, 0], pieces[:, 1]).T:
+        out += col
+    return out
+
+
 def killing_intensity(params, domain, x):
     """Exact rate of jumping from x in D to the complement of D (d=1), as an array."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.zeros_like(x)
-    for a, b in exterior_complement(domain).pieces:
-        out += levy_interval_mass(params, x, a, b)
-    return out
+    return region_mass(params, x, exterior_complement(domain))
 
 
 def assemble_dirichlet_generator(grid, params):
     """Generator of the killed process on the grid, with its spectrum.
 
     Off-diagonal entries are exact cell integrals of the jump kernel from
-    each node, with each pair averaged so that ``w_i L[i, j] == w_j L[j, i]``
+    each node, ``(c/alpha) (P(x_i, a_j) - P(x_i, b_j))`` over cell
+    (a_j, b_j) with P the signed potential of ``levy_potential``: two n x n
+    powers in one array pass, equal float for float to n calls of
+    ``levy_interval_mass``. The cells must be sorted and disjoint with each
+    node strictly inside its own (ValueError otherwise), so no other cell
+    holds a node. Each pair is averaged so that ``w_i L[i, j] == w_j L[j, i]``
     (w the cell widths; this moves entries only at round-off on equal cells,
     and by less than 1e-7 of the row's largest entry on an interval union,
     where widths differ between components); the diagonal
@@ -73,17 +87,25 @@ def assemble_dirichlet_generator(grid, params):
     if grid.domain.d != 1:
         raise ValueError("grid generators are implemented for d=1 only")
     nodes, cells, w = grid.nodes, grid.cells, grid.widths
-    n = grid.n
-    B = np.zeros((n, n))  # B[i, j] = w_i * L[i, j], symmetrized below
-    for i in range(n):
-        mask = np.arange(n) != i
-        B[i, mask] = w[i] * levy_interval_mass(params, nodes[i], cells[mask, 0],
-                                               cells[mask, 1])
-    B = 0.5 * (B + B.T)
-    L = B / w[:, None]
+    a, b = cells[:, 0], cells[:, 1]
+    if not (np.all((a < nodes) & (nodes < b)) and np.all(b[:-1] <= a[1:])):
+        raise ValueError("grid cells must be sorted and disjoint, each holding its "
+                         "node strictly inside")
+    # raw[i, j] = (c/alpha) w_i (P(x_i, a_j) + (-P(x_i, b_j))), w_i L[i, j] before the pair average
+    raw = levy_potential(params, a - nodes[:, None])
+    raw += levy_potential(params, nodes[:, None] - b)
+    raw *= params.c_levy / params.alpha
+    raw *= w[:, None]
+    np.fill_diagonal(raw, 0.0)
+    B = np.add(raw, raw.T)
+    B *= 0.5
+    L = np.divide(B, w[:, None], out=raw)
     diag = -L.sum(axis=1) - killing_intensity(params, grid.domain, nodes)
     np.fill_diagonal(L, diag)
-    S = B / np.sqrt(np.outer(w, w))
+    S = np.outer(w, w)
+    np.sqrt(S, out=S)
+    np.divide(B, S, out=S)
+    del B   # before the eigh, L and S are the only n x n arrays held
     np.fill_diagonal(S, diag)
     L.setflags(write=False)
     return GridOperator(grid=grid, entries=L, kind="generator",
@@ -202,10 +224,7 @@ def exterior_nu_vector(params, grid, g):
         return killing_intensity(params, domain, nodes)
     if not isinstance(g, Region1D):
         raise TypeError("g must be 1 or a Region1D")
-    out = np.zeros(grid.n)
-    for a, b in g.intersect(exterior_complement(domain)).pieces:
-        out += levy_interval_mass(params, nodes, a, b)
-    return out
+    return region_mass(params, nodes, g.intersect(exterior_complement(domain)))
 
 
 def resolvent_u(L, lam, g, params):

@@ -21,8 +21,8 @@ import numpy as np
 
 from .geometry import exterior_shell
 from .killed_kernels import (GridOperator, clip_nonnegative, exterior_nu_vector,
-                             generator_spectrum, heat_kernel, killing_intensity)
-from .stable_core import levy_interval_mass
+                             generator_spectrum, heat_kernel, killing_intensity,
+                             region_mass)
 
 # nodes of the fixed Talbot contour; its round-off grows like exp(2J/5) eps
 _TALBOT_NODES = 20
@@ -59,8 +59,7 @@ def perturbation_matrix(grid, params, mu):
     nodes = grid.nodes
     U = np.zeros((grid.n, len(pieces)))
     for k, (piece, _) in enumerate(pieces):
-        for a, b in piece.pieces:
-            U[:, k] += levy_interval_mass(params, nodes, a, b)
+        U[:, k] = region_mass(params, nodes, piece)
     V = mu.reentry_columns(grid)
     M = U @ V.T
     kappa = killing_intensity(params, grid.domain, nodes)

@@ -70,33 +70,37 @@ def levy_constant(d, alpha):
     )
 
 
+def levy_potential(params, u):
+    """``sign(u) |u|**(-alpha)`` in place on the float array u (0 at +-inf, +inf at +-0); d=1 only.
+
+    With u = e - x this is the jump kernel's signed potential P(x, e): the
+    mass of (a, b) off x is ``(c/alpha) (P(x, a) - P(x, b))``.
+    """
+    if params.d != 1:
+        raise ValueError("closed-form interval masses are d=1 only")
+    neg = u < 0
+    np.abs(u, out=u)
+    u **= -params.alpha
+    return np.negative(u, out=u, where=neg)
+
+
 def levy_interval_mass(params, x, a, b):
     """Exact ``integral of c|x-z|**(-1-alpha) dz`` over (a, b), d=1 only.
 
     The interval may be unbounded (``a=-inf`` or ``b=inf``) but must not
-    contain ``x``. Inputs broadcast; vectorised over ``x``.
+    contain ``x``; x at an endpoint gives +inf. Inputs broadcast. The mass
+    is ``(c/alpha) (P(x, a) + (-P(x, b)))`` with P from ``levy_potential``:
+    near - far right of x, and (-far) + near, the same float, left of it.
     """
-    if params.d != 1:
-        raise ValueError("closed-form interval masses are d=1 only")
     x = np.asarray(x, dtype=float)
     a, b = np.broadcast_arrays(np.asarray(a, float), np.asarray(b, float))
     if np.any(b < a):
         raise ValueError("empty interval: b < a")
     if np.any((np.minimum(a, b) - x < 0) & (np.maximum(a, b) - x > 0)):
         raise ValueError("interval must not contain the base point x")
-    al = params.alpha
-    scale = params.c_levy / al
-
-    def _pot(u):
-        # antiderivative magnitude |u|**(-alpha) with the convention inf -> 0
-        out = np.where(np.isinf(u), 0.0, np.abs(np.where(np.isinf(u), 1.0, u)) ** (-al))
-        return out
-
-    lo = np.abs(np.where(a >= x, a - x, b - x))   # distance of the near endpoint
-    hi_arg = np.where(a >= x, b - x, a - x)
-    near = np.where(lo == 0.0, np.inf, lo ** (-al))
-    far = _pot(hi_arg)
-    return scale * (near - far)
+    # -P(x, b) is read off x - b, so that x == b gives +inf as x == a does
+    mass = levy_potential(params, np.asarray(a - x)) + levy_potential(params, np.asarray(x - b))
+    return params.c_levy / params.alpha * mass
 
 
 def sample_stable_increment(params, dt, rng, size):

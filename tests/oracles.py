@@ -5,7 +5,10 @@ on balls/intervals (exit law, Green function) or from generic numerics
 (spectral heat kernels, adaptive quadrature), independently of the code
 paths under test. The one exception is ``first_exit_per_step``, the plain
 one-step-at-a-time jump-Euler loop that the chunked first-exit sampler is
-checked against. ``nullvector_reference_checks`` certifies a stationary
+checked against, and ``dirichlet_generator_rows``, the row-by-row assembly
+of the killed generator (near minus far endpoint of each cell, one row at a
+time) that the one-pass assembly is checked against float for float.
+``nullvector_reference_checks`` certifies a stationary
 vector of a generator by a full SVD and matrix exponentials, and
 ``supermedian_violation_expm`` checks a supermedian inequality by dense
 matrix exponentials of the full generator, and ``discounted_solver_lu``
@@ -23,6 +26,7 @@ from scipy.integrate import quad
 from scipy.linalg import eigh, expm, lu_factor, lu_solve
 from scipy.special import beta, betainc, gammaln, hyp2f1
 
+from reflected_stable.geometry import exterior_complement
 from reflected_stable.stable_core import sample_stable_increment
 
 
@@ -183,6 +187,46 @@ def first_exit_per_step(params, domain, start, dt, rng, n_paths):
         pos[alive] = newpos[~out]
         k += 1
     return exit_time, pre_exit, exit_point
+
+
+def _interval_mass_near_far(params, x, a, b):
+    """(c/alpha) (near - far) over (a, b) from x: the distances to the near and
+    the far endpoint, raised to -alpha (+inf at 0, 0 at inf)."""
+    al = params.alpha
+    lo = np.abs(np.where(a >= x, a - x, b - x))
+    far_arg = np.where(a >= x, b - x, a - x)
+    near = np.where(lo == 0.0, np.inf, lo ** (-al))
+    inf = np.isinf(far_arg)
+    far = np.where(inf, 0.0, np.abs(np.where(inf, 1.0, far_arg)) ** (-al))
+    return params.c_levy / al * (near - far)
+
+
+def dirichlet_generator_rows(grid, params):
+    """(entries, eigenvalues) of the killed generator, assembled one row at a time.
+
+    Row i holds the jump-kernel masses of the other cells from node i, taken
+    as near minus far endpoint; each pair is averaged in the cell-width
+    inner product, the diagonal is minus the killing intensity minus the
+    row, and the eigenvalues are those of ``W^1/2 L W^-1/2`` by
+    ``numpy.linalg.eigh``, as ``assemble_dirichlet_generator`` takes them.
+    """
+    nodes, cells, w = grid.nodes, grid.cells, grid.widths
+    n = grid.n
+    B = np.zeros((n, n))
+    for i in range(n):
+        mask = np.arange(n) != i
+        B[i, mask] = w[i] * _interval_mass_near_far(params, nodes[i], cells[mask, 0],
+                                                    cells[mask, 1])
+    B = 0.5 * (B + B.T)
+    L = B / w[:, None]
+    kappa = np.zeros(n)
+    for a, b in exterior_complement(grid.domain).pieces:
+        kappa += _interval_mass_near_far(params, nodes, a, b)
+    diag = -L.sum(axis=1) - kappa
+    np.fill_diagonal(L, diag)
+    S = B / np.sqrt(np.outer(w, w))
+    np.fill_diagonal(S, diag)
+    return L, np.linalg.eigh(S)[0]
 
 
 def nullvector_reference_checks(A_entries, kappa):

@@ -279,6 +279,44 @@ def test_union_generator_stays_near_cell_integrals(wb):
             assert np.abs(L.entries[i, mask] - raw).max() <= 1e-7 * raw.max(), (alpha, i)
 
 
+GATE_DOMAINS = {"interval": IntervalUnion([[-1.0, 1.0]]), "union": UNION,
+                "thin-union": IntervalUnion([[-1.0, 0.5], [0.6, 0.6000001]]),
+                "six-intervals": IntervalUnion([[2.0 * k, 2.0 * k + 1.0] for k in range(6)])}
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 1.95])
+@pytest.mark.parametrize("name", list(GATE_DOMAINS))
+def test_generator_equals_row_by_row_assembly(alpha, name):
+    # the one-pass cell integrals give the same floats as one row at a time
+    p = StableParams(1, alpha)
+    for n in (6, 100, 400):
+        grid = build_grid(GATE_DOMAINS[name], n)
+        L = assemble_dirichlet_generator(grid, p)
+        entries, lam = oracles.dirichlet_generator_rows(grid, p)
+        assert np.array_equal(L.entries, entries), n
+        assert np.array_equal(L.spectrum[0], lam), n
+
+
+def test_exterior_masses_add_pieces_in_order():
+    # one broadcast call over the pieces, summed as one call per piece would be
+    p = StableParams(1, 1.5)
+    grid = build_grid(GATE_DOMAINS["six-intervals"], 60)
+    for depth in (0.05, 0.3, 5.0):
+        region = exterior_shell(grid.domain, depth)
+        expected = np.zeros(grid.n)
+        for a, b in region.pieces:
+            expected += levy_interval_mass(p, grid.nodes, a, b)
+        assert np.array_equal(exterior_nu_vector(p, grid, region), expected), depth
+
+
+def test_generator_rejects_a_node_outside_its_cell():
+    grid = build_grid(IntervalUnion([[-1.0, 1.0]]), 10)
+    nodes = grid.nodes.copy()
+    nodes[3] = grid.cells[4].mean()
+    with pytest.raises(ValueError):
+        assemble_dirichlet_generator(dataclasses.replace(grid, nodes=nodes), StableParams(1, 1.0))
+
+
 def test_spectrum_is_tied_to_the_entries(wb):
     L = wb.ops(1.0)["L"]
     with pytest.raises(ValueError):

@@ -63,6 +63,33 @@ def test_levy_interval_mass_rejects_straddling():
         levy_interval_mass(p, 0.5, 0.0, 1.0)
 
 
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
+def test_levy_interval_mass_edges(alpha):
+    p = StableParams(1, alpha)
+    scale = p.c_levy / alpha
+    # x at the near endpoint, on either side, is an infinite positive mass
+    with np.errstate(divide="ignore"):
+        assert levy_interval_mass(p, 0.3, 0.3, 1.0) == np.inf
+        assert levy_interval_mass(p, 0.3, -1.0, 0.3) == np.inf
+        assert levy_interval_mass(p, 0.0, -0.0, 1.0) == np.inf
+        assert levy_interval_mass(p, -0.0, -1.0, 0.0) == np.inf
+    # an unbounded piece has no far term
+    right = levy_interval_mass(p, 0.25, 0.75, np.inf)
+    assert right == pytest.approx(scale * 0.5 ** -alpha, rel=1e-15)
+    assert levy_interval_mass(p, 0.25, -np.inf, -0.25) == right
+    left = levy_interval_mass(p, 0.25, -np.inf, -0.75)
+    assert left == levy_interval_mass(p, -0.25, 0.75, np.inf)
+    # a broadcast (n, k) call is k scalar calls, bit for bit
+    x = np.linspace(-0.95, 0.95, 9)
+    a = np.array([-np.inf, -3.0, 1.0, 1.5])
+    b = np.array([-1.0, -2.0, 1.5, np.inf])
+    table = levy_interval_mass(p, x[:, None], a, b)
+    assert table.shape == (9, 4)
+    for i, xi in enumerate(x):
+        for k in range(4):
+            assert table[i, k] == levy_interval_mass(p, xi, a[k], b[k]), (i, k)
+
+
 def test_cauchy_increments_ks():
     p = StableParams(1, 1.0)
     rng = np.random.default_rng(101)
