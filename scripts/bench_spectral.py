@@ -17,9 +17,11 @@ M = U V^T), ``dobrushin_coefficient`` of C, ``kappa_generator_nullvector`` of th
 full generator L + M (its assembly included), ``supermedian_violation`` of
 h = 1 under that generator at lambda = 1 and t = 0.1, 1, 10 (its assembly
 included, h built outside the timing) and ``build_excessive`` at lambda = 1
-(the full generator built outside the timing). The JSON file holds the
-median of each, and the run record: core count, BLAS thread count and
-library versions.
+(the full generator built outside the timing). After the timed runs it
+takes ``series_peak_mb``, the tracemalloc peak of ``duhamel_series`` and
+its ``sum()`` in MB of 2**20 bytes, once per n (the figure repeats exactly).
+The JSON file holds the median of each time, the peaks, and the run
+record: core count, BLAS thread count and library versions.
 Sides run in the order given, one after the other.
 """
 
@@ -31,6 +33,7 @@ import statistics
 import subprocess
 import sys
 import time
+import tracemalloc
 
 LAYERS = ("assemble", "series", "heat_kernel", "green", "chain_kernel", "dobrushin",
           "nullvector", "supermedian", "excessive")
@@ -59,7 +62,7 @@ def child(root):
     params = StableParams(1, 1.0)
     domain = Interval(-1.0, 1.0)
     mu = make_projection_kernel(domain, 0.2, 0.1)
-    times = {}
+    times, peaks = {}, {}
     for n in CELLS:
         grid = build_grid(domain, n)
         M = perturbation_matrix(grid, params, mu)
@@ -89,7 +92,11 @@ def child(root):
                     ops[layer] = out
                 del out
         times[str(n)] = {layer: statistics.median(v) for layer, v in runs.items()}
-    print(json.dumps({"times_s": times, "numpy": np.__version__,
+        tracemalloc.start()
+        duhamel_series(ops["assemble"], M, 0.1).sum()
+        peaks[str(n)] = tracemalloc.get_traced_memory()[1] / 2 ** 20
+        tracemalloc.stop()
+    print(json.dumps({"times_s": times, "series_peak_mb": peaks, "numpy": np.__version__,
                       "scipy": scipy.__version__,
                       "blas": np.__config__.CONFIG["Build Dependencies"]["blas"]["name"]}))
 
@@ -113,10 +120,12 @@ def main():
                "--child", os.path.abspath(root)]
         out = subprocess.run(cmd, env=env, check=True, capture_output=True, text=True)
         sides[label] = json.loads(out.stdout.strip().splitlines()[-1])
-        print(label, json.dumps(sides[label]["times_s"]), flush=True)
+        print(label, json.dumps(sides[label]["times_s"]),
+              json.dumps(sides[label]["series_peak_mb"]), flush=True)
     record = {
         "setup": "interval(-1, 1), alpha 1, projection(0.2, 0.1), t = 0.1",
-        "statistic": "median of %d runs, seconds" % REPEATS,
+        "statistic": "times_s: median of %d runs, seconds; series_peak_mb: one "
+                     "traced run, MB of 2**20 bytes" % REPEATS,
         "nproc": os.cpu_count(),
         "blas_threads": 1,
         "python": platform.python_version(),

@@ -113,11 +113,13 @@ def assemble_dirichlet_generator(grid, params):
 
 
 def clip_nonnegative(P, what):
-    """Clip a kernel matrix at zero in place; a clip beyond 1e-9 means ``what`` failed."""
+    """Clip a kernel matrix at zero in place and return whether an entry moved;
+    a clip beyond 1e-9 means ``what`` failed."""
     low = P.min()
     if low < -1e-9:
         raise FloatingPointError("%s produced entries below -1e-9 (%g)" % (what, low))
-    return np.clip(P, 0.0, None, out=P)
+    np.clip(P, 0.0, None, out=P)
+    return bool(low < 0)
 
 
 def generator_spectrum(L):
@@ -131,7 +133,11 @@ def generator_spectrum(L):
 def _spectral_function(L, f_half, kind):
     """``W^-1/2 Q diag(f) Q^T W^1/2`` with ``f = f_half**2``, as X X^T for X = Q diag(f_half)."""
     lam, Q, sw = generator_spectrum(L)
-    X = Q * f_half(lam)
+    f = f_half(lam)
+    # a weight whose square is below the least normal float adds only
+    # subnormal products to X X^T: slow, and no entry moves on the grids tested
+    f[f * f < np.finfo(float).tiny] = 0.0
+    X = Q * f
     P = X @ X.T
     P *= sw[None, :]
     P /= sw[:, None]

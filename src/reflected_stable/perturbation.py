@@ -88,26 +88,41 @@ def full_generator(L, M):
 
 @dataclasses.dataclass
 class DuhamelSeries:
-    """Level terms of the reflected kernel at a fixed time.
+    """The reflected kernel at a fixed time, summed over reflection counts.
 
-    ``terms[n]`` is the operator carrying mass that has reflected exactly n
-    times by time t. ``tail_bound`` estimates the total mass of all dropped
-    levels; ``fit_c``/``fit_gamma`` are the fitted geometric envelope of the
-    per-level masses. All three are None when the level masses give no
-    decay profile to fit.
+    ``total`` is the sum of levels 0..N (read-only), level n the operator
+    carrying mass that has reflected exactly n times by time t; the levels
+    themselves are not kept, and ``levels()`` replays them from the killed
+    generator ``L`` and the return operator ``M``. ``level_masses[n]`` is
+    level n's largest row mass. ``tail_bound`` estimates the total mass of
+    all dropped levels; ``fit_c``/``fit_gamma`` are the fitted geometric
+    envelope of the per-level masses. All three are None when the level
+    masses give no decay profile to fit.
     """
 
-    grid: object
+    L: object
+    M: object
     t: float
-    terms: list
+    total: np.ndarray
     level_masses: np.ndarray
     truncation_N: int
     tail_bound: float
     fit_c: float
     fit_gamma: float
 
+    @property
+    def grid(self):
+        return self.L.grid
+
     def sum(self):
-        return np.sum(self.terms, axis=0)
+        return self.total
+
+    def levels(self):
+        """Levels 0..N as a list, replayed by the recursion that built the
+        series: each equal, float for float, to the level summed into
+        ``total``. Costs one more build of the series and N + 1 n x n arrays."""
+        return [level for level, _ in
+                _series_levels(self.L, self.M, self.t, self.truncation_N + 1)]
 
 
 def _talbot_nodes(t):
@@ -209,8 +224,33 @@ def semigroup_apply(A, h, t):
     return (Q @ (_woodbury(basis, h) @ w).real) / sw
 
 
+def _series_levels(L, M, t, max_levels):
+    """Levels 0, 1, ... of the series at time t, each with its largest row mass.
+
+    Level 0 is the killed heat kernel, the next ones come from
+    ``_talbot_levels``. A level's entries are clipped at zero (a clip
+    beyond 1e-9 raises), and its row sums are taken once before the clip,
+    again only if the clip moved an entry. The stream ends before level
+    ``max_levels`` or before the first level whose row mass (before the
+    clip) is below 1e-14. The stream drops each level before it forms the
+    next, so a consumer that does the same holds one level at a time.
+    """
+    level = heat_kernel(L, t).entries
+    yield level, level.sum(axis=1).max()
+    talbot = _talbot_levels(L, *M.factors, t)
+    for n in range(1, max_levels):
+        del level   # dropped before the next level is formed
+        level = next(talbot)
+        rows = level.sum(axis=1)
+        if rows.max() < 1e-14:
+            return
+        if clip_nonnegative(level, "level %d of the series" % n):
+            rows = level.sum(axis=1)
+        yield level, rows.max()
+
+
 def duhamel_series(L, M, t, max_levels=128):
-    """Build the series level terms at time t on a Laplace contour.
+    """Sum the series levels at time t, built on a Laplace contour.
 
     Level 0 is the killed heat kernel ``exp(tL)``. With the return operator
     factored as ``M = U V^T`` (see ``perturbation_matrix``), every level
@@ -223,21 +263,25 @@ def duhamel_series(L, M, t, max_levels=128):
     most ``max_levels`` levels); a last kept level above 1e-6 at the cap, or
     a non-decaying level profile, raises. With fewer than two positive level
     masses past level 0 there is no decay profile to fit: the envelope and
-    the tail are then not estimated (None).
+    the tail are then not estimated (None). The levels stream into one
+    running sum in level order, one level alive at a time, so the build's
+    memory does not grow with N; ``DuhamelSeries.levels`` replays them.
     """
     if t <= 0:
         raise ValueError("time must be positive")
     if M.factors is None:
         raise SeriesError("the return operator carries no low-rank factors; "
                           "build it with perturbation_matrix")
-    grid = L.grid
-    terms = [heat_kernel(L, t).entries]
-    for term in _talbot_levels(L, *M.factors, t):
-        if len(terms) >= max_levels or term.sum(axis=1).max() < 1e-14:
-            break
-        terms.append(clip_nonnegative(term, "level %d of the series" % len(terms)))
-    masses = np.array([term.sum(axis=1).max() for term in terms])
-    N = len(terms) - 1
+    levels = _series_levels(L, M, t, max_levels)
+    total, mass = next(levels)
+    masses = [mass]
+    for level, mass in levels:
+        total += level
+        masses.append(mass)
+        del level   # not held while the stream forms the next level
+    total.setflags(write=False)
+    masses = np.array(masses)
+    N = len(masses) - 1
     if N >= max_levels - 1 and masses[-1] > 1e-6:
         raise SeriesError(
             "level masses did not decay below tolerance within %d levels; "
@@ -258,9 +302,10 @@ def duhamel_series(L, M, t, max_levels=128):
         gamma_loc = min(gamma_loc, 0.999)
         tail = float(masses[-1] * gamma_loc / (1.0 - gamma_loc))
     return DuhamelSeries(
-        grid=grid,
+        L=L,
+        M=M,
         t=t,
-        terms=terms,
+        total=total,
         level_masses=masses,
         truncation_N=N,
         tail_bound=tail,
@@ -311,13 +356,15 @@ def series_diagnostics(series):
 class LadderKernel:
     """Upper-triangular block operator over reflection-count levels.
 
-    ``apply`` moves mass from level m to level n >= m by the series term of
-    order n - m; levels beyond ``m_levels`` are truncated and their mass is
-    covered by the recorded tail bound.
+    ``apply`` moves mass from level m to level n >= m by the series level of
+    order n - m; ``levels`` holds the series levels 0..N, replayed once by
+    ``ladder_kernel``. Levels beyond ``m_levels`` are truncated and their
+    mass is covered by the recorded tail bound.
     """
 
     series: DuhamelSeries
     m_levels: int
+    levels: list
 
     @property
     def t(self):
@@ -336,12 +383,12 @@ class LadderKernel:
         for m in range(self.m_levels + 1):
             top = min(self.m_levels - m, self.series.truncation_N)
             for j in range(top + 1):
-                out[m] += self.series.terms[j] @ F[m + j]
+                out[m] += self.levels[j] @ F[m + j]
         return out
 
     def counts_law(self, start_index):
         """Distribution of the level at time t from (0, node): truncated."""
-        return np.array([term[start_index].sum() for term in self.series.terms])
+        return np.array([level[start_index].sum() for level in self.levels])
 
 
 def ladder_kernel(series, m_levels):
@@ -353,7 +400,7 @@ def ladder_kernel(series, m_levels):
             "m_levels=%d too small for the series truncation N=%d"
             % (m_levels, series.truncation_N)
         )
-    return LadderKernel(series=series, m_levels=m_levels)
+    return LadderKernel(series=series, m_levels=m_levels, levels=series.levels())
 
 
 # ---------------------------------------------------------------------------

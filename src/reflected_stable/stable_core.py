@@ -80,7 +80,8 @@ def levy_potential(params, u):
         raise ValueError("closed-form interval masses are d=1 only")
     neg = u < 0
     np.abs(u, out=u)
-    u **= -params.alpha
+    with np.errstate(divide="ignore"):   # 0 ** -alpha is the documented +inf
+        u **= -params.alpha
     return np.negative(u, out=u, where=neg)
 
 

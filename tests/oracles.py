@@ -16,7 +16,11 @@ solves with its discounted resolvent by a dense LU factorization.
 ``dobrushin_dense`` is the O(n^3) pairwise scan of a chain's two-step rows
 that the factored contraction coefficient is checked against, and
 ``stationary_power`` the power iteration that the chain law from its r x r
-reduction is checked against. The last three functions read or check
+reduction is checked against. ``duhamel_terms`` keeps every level of the
+perturbation series in a list, the reference for the streamed running sum
+and the replayed levels, and ``heat_kernel_all_weights`` takes exp(tL) with
+every spectral weight, subnormal squares included, the reference for the
+heat kernel that zeroes them. The last three functions read or check
 simulator records directly from their definitions: region inclusion, the
 invariants of a ladder path and each path's first reflection record.
 """
@@ -27,6 +31,8 @@ from scipy.linalg import eigh, expm, lu_factor, lu_solve
 from scipy.special import beta, betainc, gammaln, hyp2f1
 
 from reflected_stable.geometry import exterior_complement
+from reflected_stable.killed_kernels import clip_nonnegative, heat_kernel
+from reflected_stable.perturbation import _talbot_levels
 from reflected_stable.stable_core import sample_stable_increment
 
 
@@ -139,6 +145,34 @@ def series_levels_by_block_expm(L_entries, M_entries, t, levels):
             big[b * n:(b + 1) * n, (b + 1) * n:(b + 2) * n] = M_entries
     top = expm(t * big)[:n]
     return [top[:, k * n:(k + 1) * n] for k in range(levels)]
+
+
+def duhamel_terms(L, M, t):
+    """Levels 0..N of the series at time t as a list, kept one by one.
+
+    Level 0 is ``heat_kernel``, the next ones ``_talbot_levels``, each
+    clipped at zero; the list stops before level 128 or before the first
+    level whose row mass is below 1e-14, as ``duhamel_series`` stops.
+    """
+    terms = [heat_kernel(L, t).entries]
+    for term in _talbot_levels(L, *M.factors, t):
+        if len(terms) >= 128 or term.sum(axis=1).max() < 1e-14:
+            break
+        clip_nonnegative(term, "level %d of the series" % len(terms))
+        terms.append(term)
+    return terms
+
+
+def heat_kernel_all_weights(L, t):
+    """exp(tL) as ``W^-1/2 X X^T W^1/2`` with X = Q diag(exp(t lam / 2)) over
+    every eigenvalue of the generator's spectrum, clipped at zero."""
+    lam, Q, _ = L.spectrum
+    sw = np.sqrt(L.grid.widths)
+    X = Q * np.exp(0.5 * t * lam)
+    P = X @ X.T
+    P *= sw[None, :]
+    P /= sw[:, None]
+    return np.clip(P, 0.0, None, out=P)
 
 
 def chi2_merge(observed, probs, min_expected=5.0):

@@ -73,12 +73,12 @@ def test_criterion_02_series_vs_exponential(wb):
 def test_criterion_03_level_chapman_kolmogorov(wb):
     worst = 0.0
     for (s, t) in ((0.1, 0.1), (0.1, 0.5), (0.5, 0.5)):
-        sa, sb, sab = (wb.series(1.0, "uniform", u) for u in (s, t, s + t))
+        la, lb, lab = (wb.series(1.0, "uniform", u).levels() for u in (s, t, s + t))
         for n in range(5):
-            acc = sum(sa.terms[m] @ sb.terms[n - m]
+            acc = sum(la[m] @ lb[n - m]
                       for m in range(n + 1)
-                      if m < len(sa.terms) and n - m < len(sb.terms))
-            worst = max(worst, float(np.abs(acc - sab.terms[n]).max()))
+                      if m < len(la) and n - m < len(lb))
+            worst = max(worst, float(np.abs(acc - lab[n]).max()))
     criterion(3, "level-chapman-kolmogorov", worst <= 1e-4, "max residual %.2e" % worst)
 
 
@@ -221,7 +221,7 @@ def test_criterion_10_ladder_law(wb):
     pvals = []
     for k, t in enumerate((0.5, 2.0)):
         ser = wb.series(1.0, "uniform", t)
-        probs = np.array([term[i0].sum() for term in ser.terms])
+        probs = np.array([level[i0].sum() for level in ser.levels()])
         counts = ens.counts_at_marks[:, k]
         obs = np.bincount(counts, minlength=len(probs)).astype(float)
         if len(obs) > len(probs):

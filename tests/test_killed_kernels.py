@@ -259,6 +259,20 @@ def test_spectral_kernels_match_expm_and_solve(wb, domain, alpha):
         assert np.abs(u - exact).max() < 1e-10 * np.abs(exact).max()
 
 
+@pytest.mark.parametrize("n_cells", [400, 600])
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
+def test_heat_kernel_drops_only_subnormal_weights(wb, alpha, n_cells):
+    # zeroing the half-weights whose square is subnormal moves no entry; at
+    # alpha >= 1 the largest times zero some (at alpha = 0.5 none is that small)
+    L = wb.ops(alpha, n_cells)["L"]
+    zeroed = 0
+    for t in (0.1, 0.5, 2.0, 10.0):
+        assert np.array_equal(heat_kernel(L, t).entries,
+                              oracles.heat_kernel_all_weights(L, t)), t
+        zeroed += np.count_nonzero(np.exp(t * L.spectrum[0]) < np.finfo(float).tiny)
+    assert zeroed > 0 or alpha < 1.0
+
+
 @pytest.mark.parametrize("domain", [None, UNION], ids=["interval", "union"])
 def test_generator_is_width_symmetric(wb, domain):
     for alpha in (0.5, 1.0, 1.5):

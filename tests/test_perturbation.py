@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -100,17 +101,62 @@ def test_series_levels_match_block_exponential(wb, alpha):
         assert np.abs(U.sum(axis=1) - killing_intensity(params, domain, grid.nodes)).max() \
             <= 1e-12 * U.max()
         for t in (0.1, 2.0):
-            ser = duhamel_series(L, M, t)
+            levels = duhamel_series(L, M, t).levels()
             exact = oracles.series_levels_by_block_expm(L.entries, M.entries, t, 5)
             for n in range(5):
-                gap = np.abs(ser.terms[n] - exact[n]).max()
+                gap = np.abs(levels[n] - exact[n]).max()
                 assert gap <= 1e-10, (domain, type(mu).__name__, t, n, gap)
+
+
+SERIES_LAWS = {
+    "constant-uniform": lambda d: make_constant_kernel(d, UniformMeasure(0.3, 0.8)),
+    "projection": lambda d: make_projection_kernel(d, 0.2, 0.1),
+    "dirac": lambda d: make_constant_kernel(d, AtomMeasure([0.3])),
+}
+
+
+@pytest.mark.parametrize("domain", [Interval(-1.0, 1.0), UNION], ids=["interval", "union"])
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
+def test_streamed_series_equals_the_level_list(alpha, domain):
+    # the running sum, the masses and N against the list of every level, and
+    # the replayed levels against that list, float for float
+    params = StableParams(1, alpha)
+    grid = build_grid(domain, 400)
+    L = assemble_dirichlet_generator(grid, params)
+    for family, law in SERIES_LAWS.items():
+        M = perturbation_matrix(grid, params, law(domain))
+        for t in (0.1, 2.0):
+            case = (family, t)
+            ser = duhamel_series(L, M, t)
+            terms = oracles.duhamel_terms(L, M, t)
+            assert np.array_equal(ser.sum(), np.sum(terms, axis=0)), case
+            assert np.array_equal(ser.level_masses,
+                                  [term.sum(axis=1).max() for term in terms]), case
+            assert ser.truncation_N == len(terms) - 1, case
+            levels = ser.levels()
+            assert len(levels) == len(terms), case
+            for n, (level, term) in enumerate(zip(levels, terms)):
+                assert np.array_equal(level, term), (case, n)
+
+
+def test_series_memory_does_not_grow_with_its_levels(wb):
+    # 21 levels (N = 20) stream into one sum: the build's peak stays below
+    # six n x n arrays, where keeping every level would take about 2N of them
+    L, M = wb.ops(1.0)["L"], wb.M(1.0, "uniform")
+    tracemalloc.start()
+    try:
+        ser = duhamel_series(L, M, 2.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ser.truncation_N >= 20
+    assert peak < 6 * L.grid.n ** 2 * 8, peak
 
 
 def test_series_level_zero_is_heat_kernel(wb):
     ser = wb.series(1.0, "uniform", 0.5)
     P = heat_kernel(wb.ops(1.0)["L"], 0.5)
-    assert np.abs(ser.terms[0] - P.entries).max() < 1e-10
+    assert np.abs(ser.levels()[0] - P.entries).max() < 1e-10
 
 
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
@@ -144,12 +190,12 @@ def test_level_chapman_kolmogorov(wb):
     # sum_m K_m(s) K_{n-m}(t) = K_n(s+t); the mixed pair (0.1, 0.5) uses
     # unrelated panel grids, so the check is a genuine cross-build test
     for (s, t) in ((0.1, 0.1), (0.1, 0.5), (0.5, 0.5)):
-        sa, sb, sab = (wb.series(1.0, "uniform", u) for u in (s, t, s + t))
+        la, lb, lab = (wb.series(1.0, "uniform", u).levels() for u in (s, t, s + t))
         for n in range(5):
-            acc = sum(sa.terms[m] @ sb.terms[n - m]
+            acc = sum(la[m] @ lb[n - m]
                       for m in range(n + 1)
-                      if m < len(sa.terms) and n - m < len(sb.terms))
-            assert np.abs(acc - sab.terms[n]).max() < 1e-4, (s, t, n)
+                      if m < len(la) and n - m < len(lb))
+            assert np.abs(acc - lab[n]).max() < 1e-4, (s, t, n)
 
 
 def test_level_one_dirac_two_factor_quadrature(wb):
@@ -174,7 +220,7 @@ def test_level_one_dirac_two_factor_quadrature(wb):
     w = np.ones(m + 1)
     w[1:-1:2], w[2:-1:2] = 4.0, 2.0
     oracle_mass = (t / m / 3.0) * (w[:, None] * fvals).sum(axis=0)
-    assert np.abs(ser.terms[1].sum(axis=1) - oracle_mass).max() < 1e-4
+    assert np.abs(ser.levels()[1].sum(axis=1) - oracle_mass).max() < 1e-4
 
 
 def test_series_geometric_decay_fit(wb):
@@ -192,7 +238,7 @@ def test_series_exit_bound(wb):
     # mass of all reflected levels is bounded by the exit probability
     ser = wb.series(1.0, "uniform", 0.5)
     P = heat_kernel(wb.ops(1.0)["L"], 0.5)
-    lhs = sum(term.sum(axis=1) for term in ser.terms[1:])
+    lhs = sum(level.sum(axis=1) for level in ser.levels()[1:])
     rhs = 1.0 - P.row_sums()
     assert (lhs - rhs).max() < 1e-6
 
@@ -220,8 +266,7 @@ def test_series_without_decay_profile_leaves_envelope_unfitted(wb):
 
 def test_reflected_kernel_conservation_error_report(wb):
     ser = wb.series(1.0, "uniform", 0.5)
-    import dataclasses
-    broken = dataclasses.replace(ser, terms=[0.9 * ser.terms[0]] + ser.terms[1:])
+    broken = dataclasses.replace(ser, total=0.9 * ser.total)
     with pytest.raises(ConservationError) as exc:
         reflected_kernel(broken)
     assert "row_sum_min" in exc.value.report
