@@ -2,9 +2,9 @@
 
 A path alternates killed excursions with re-entries drawn from the return
 kernel; the pair (reflection count, position) is the natural state. One
-lockstep ensemble simulates every path and records each reflection; ladder
-paths are cut from those records, and the ensemble's aggregates give fast
-laws.
+lockstep ensemble simulates every path and records each reflection; the
+ladder paths, the reflection counts at any time and the excursion
+statistics are all read from those records.
 """
 
 import numpy as np
@@ -20,11 +20,11 @@ m = UniformMeasure(-0.5, 0.5)
 mu = make_constant_kernel(D, m)
 
 print("== one path ==")
-path = simulate_ladder(p, D, mu, 0.0, 10.0, 1e-3, seed=11, n_paths=1)[0]
+path = simulate_ladder(p, D, mu, 0.0, 10.0, 1e-3, seed=11, n_paths=1)
 print("horizon 10: %d reflections; first few reflection times:" % len(path.tau))
 print("  ", np.round(path.tau[:5], 3))
-print("  re-entry points:", np.round(path.R[:5], 3))
-print("reflection count at t=5: %d" % path.count_at(5.0))
+print("  re-entry points:", np.round(path.entry[:5], 3))
+print("reflection count at t=5: %d" % path.counts_at([5.0])[0, 0])
 
 print()
 print("== excursion statistics (constant return law) ==")
@@ -37,10 +37,10 @@ print("lag-1 duration autocorrelation: %+.4f (independent excursions)"
 
 print()
 print("== ensemble reflection counts ==")
-ens = simulate_ensemble_blocks(p, D, mu, m, 2.0, 1e-3, 2029, 20000,
-                               t_marks=[0.5, 2.0])
+ens = simulate_ensemble_blocks(p, D, mu, m, 2.0, 1e-3, 2029, 20000)
+counts = ens.counts_at([0.5, 2.0])
 for k, t in enumerate((0.5, 2.0)):
-    hist = np.bincount(ens.counts_at_marks[:, k], minlength=5)[:5] / ens.n_paths
+    hist = np.bincount(counts[:, k], minlength=5)[:5] / ens.n_paths
     print("  t=%.1f: P(N_t = 0..4) =" % t, np.round(hist, 3))
 
 print()

@@ -19,7 +19,7 @@ from .perturbation import (DuhamelSeries, LadderKernel, build_excessive,
                            duhamel_series, full_generator, ladder_kernel,
                            ladder_lift, perturbation_matrix, reflected_kernel,
                            supermedian_v)
-from .pathsim import (LadderPath, excursion_statistics, reflection_chain,
+from .pathsim import (excursion_statistics, reflection_chain,
                       renewal_occupation, sample_first_exit, simulate_ensemble,
                       simulate_killed_excursion, simulate_ladder, stream,
                       walk_on_spheres_exit)

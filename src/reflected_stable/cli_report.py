@@ -33,8 +33,8 @@ from . import __version__
 from .geometry import DomainError, Interval, IntervalUnion, build_grid
 from .killed_kernels import assemble_dirichlet_generator, green_operator, \
     harmonic_kernel
-from .pathsim import excursion_statistics, ladder_paths, reflection_chain, \
-    renewal_occupation, simulate_ensemble_blocks, stream
+from .pathsim import excursion_statistics, reflection_chain, renewal_occupation, \
+    simulate_ensemble_blocks, stream
 from .perturbation import (SeriesError, build_excessive, duhamel_series, full_generator,
                            perturbation_matrix, series_diagnostics, supermedian_violation)
 from .reflection import (AtomMeasure, UniformMeasure, default_probes,
@@ -199,6 +199,7 @@ def _series(run):
             run.write_csv("reflected_kernel_nodes.csv", ["x", "width"],
                           [run.grid.nodes, run.grid.widths])
     run.write_json("series_diagnostics.json", {"series": diagnostics})
+    return diagnostics
 
 
 def _excessive(run):
@@ -230,38 +231,45 @@ def _ensemble(run):
     """ensemble simulation: reflection counts and occupation"""
     config, grid = run.config, run.grid
     marks = sorted(set(config.t_list))
+    t0 = time.perf_counter()
     ens = simulate_ensemble_blocks(
         run.params, run.domain, run.mu, _start_law(run.mu, run.domain), config.horizon,
-        config.dt, config.seed, config.replicas, t_marks=marks, grid=grid,
+        config.dt, config.seed, config.replicas, grid=grid,
         burn_in=min(1.0, config.horizon / 10), workers=config.threads)
-    top = int(ens.counts_at_marks.max()) + 1
-    hists = [np.bincount(counts, minlength=top) for counts in ens.counts_at_marks.T]
+    sim_s = time.perf_counter() - t0
+    counts = ens.counts_at(marks)
+    top = int(counts.max()) + 1
+    hists = [np.bincount(c, minlength=top) for c in counts.T]
     run.write_csv("reflection_counts.csv", ["t", "n", "paths"],
                   [np.repeat(marks, top), np.tile(np.arange(top), len(marks)),
                    np.concatenate(hists)])
     occ = GridMeasure(grid, np.maximum(ens.occupancy, 0) / ens.occupancy.sum())
     run.write_measure("occupation.csv", occ)
     run.ens = ens
+    path_steps = ens.n_paths * int(np.round(config.horizon / config.dt))
+    return {"paths": ens.n_paths, "path_steps": path_steps,
+            "reflections_per_path": float(ens.total_reflections.mean()),
+            "path_steps_per_s": path_steps / sim_s}
 
 
 def _excursions(run):
     """ladder paths: excursion statistics and path dump"""
-    paths = ladder_paths(run.ens)
-    n_completed = sum(len(path.tau) for path in paths)
+    ens = run.ens
+    n_completed = int(ens.offsets[-1])
     run.check("excursions-completed", n_completed >= 20, n_completed, 20)
     if n_completed >= 20:
-        stats = excursion_statistics(paths, min_completed=20)
+        stats = excursion_statistics(ens, min_completed=20)
         run.write_json("excursion_stats.json", {
             "n_paths": stats.n_paths, "n_completed": stats.n_completed,
             "lag1_autocorrelation": stats.lag1_autocorrelation,
             "mean_duration": stats.mean_duration})
     # path dump of the first 10 paths: reflection times and re-entry points
-    dump = paths[:10]
+    per_path = ens.total_reflections[:10]
+    n = int(per_path.sum())
     run.write_csv("path_dump.csv", ["replica", "reflection", "tau", "R"], [
-        np.repeat(np.arange(len(dump)), [len(path.tau) for path in dump]),
-        np.concatenate([np.arange(1, len(path.tau) + 1) for path in dump]),
-        np.concatenate([path.tau for path in dump]),
-        np.concatenate([path.R for path in dump])])
+        np.repeat(np.arange(len(per_path)), per_path),
+        np.arange(n) - np.repeat(ens.offsets[:len(per_path)], per_path) + 1,
+        ens.tau[:n], ens.entry[:n]])
 
 
 def _contraction(run):

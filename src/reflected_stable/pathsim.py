@@ -5,8 +5,9 @@ draws a chunk of increments for many paths in one call, sums them along
 time and finds each path's first exit. The lockstep ensemble, single
 excursions and first-exit batches differ only in their chunk sizes and in
 what they do at an exit. Reflected paths have one simulator, the lockstep
-ensemble: it records every reflection of every path, and ladder paths are
-cut from those records. Exact exit positions come from walk-on-spheres
+ensemble, and one representation: its records, one per reflection with its
+integer step, from which counts, durations and ladder paths are read. Exact
+exit positions come from walk-on-spheres
 (``stable_core.walk_on_spheres_exit``, re-exported here); reflection chains
 are built from them with no time step, and ``renewal_occupation`` bins the
 occupation of their walk-on-spheres balls.
@@ -72,26 +73,6 @@ class Excursion:
     pre_exit: float
     exit_point: float
     positions: np.ndarray = None
-
-
-@dataclasses.dataclass
-class LadderPath:
-    """The reflections of one simulated path of the reflected process.
-
-    Reflection k happens at time ``tau[k]``: ``pre_exit[k]`` is the last
-    position in D before it, ``exit_point[k]`` the first outside D and
-    ``R[k]`` the re-entry point. The reflection count at time t is the
-    number of entries of ``tau`` not exceeding t.
-    """
-
-    horizon: float
-    tau: np.ndarray
-    pre_exit: np.ndarray
-    exit_point: np.ndarray
-    R: np.ndarray
-
-    def count_at(self, t):
-        return int(np.searchsorted(self.tau, t, side="right"))
 
 
 def _start_positions(params, domain, start, n, rng):
@@ -160,18 +141,9 @@ def simulate_ladder(params, domain, mu, start, horizon, dt, seed, n_paths):
     """n_paths ladder paths of the reflected process up to the horizon.
 
     One ``simulate_ensemble`` run on stream id 0 (``start`` is a point or a
-    start law), cut into paths by ``ladder_paths``.
+    start law): path j's reflections are its records offsets[j]:offsets[j+1].
     """
-    return ladder_paths(simulate_ensemble(params, domain, mu, start, horizon, dt, seed,
-                                          n_paths, stream_id=0))
-
-
-def ladder_paths(ens):
-    """The paths of an EnsembleResult as LadderPaths, cut from its reflection records."""
-    cuts = ens.offsets
-    return [LadderPath(horizon=ens.horizon, tau=ens.tau[a:b], pre_exit=ens.pre_exit[a:b],
-                       exit_point=ens.exit_point[a:b], R=ens.entry[a:b])
-            for a, b in zip(cuts[:-1].tolist(), cuts[1:].tolist())]
+    return simulate_ensemble(params, domain, mu, start, horizon, dt, seed, n_paths)
 
 
 def reflection_chain(params, domain, mu, start, n_steps, rng, size):
@@ -263,32 +235,51 @@ def renewal_occupation(params, domain, mu, start, horizon, burn_in, seed, n_chai
 
 @dataclasses.dataclass
 class EnsembleResult:
-    """Aggregates and reflection records from a lockstep batch of reflected paths.
+    """Reflection records and occupation of a lockstep batch of reflected paths.
 
-    The records are grouped by path: reflection k of path j is record
-    ``offsets[j] + k``, with its time ``tau``, the last position in D before
-    it ``pre_exit``, the first position outside D ``exit_point`` and the
-    re-entry point ``entry``.
+    One record per reflection, grouped by path: reflection k of path j is
+    record ``offsets[j] + k``, with its jump-Euler step ``steps`` (time
+    ``tau = steps * dt``), the last position in D before it ``pre_exit``,
+    the first outside D ``exit_point`` and the re-entry point ``entry``.
     """
 
     n_paths: int
     dt: float
     horizon: float
-    counts_at_marks: np.ndarray      # (n_paths, marks) reflection counts at sorted marks
     occupancy: np.ndarray            # cell masses of the time average, or None
     offsets: np.ndarray              # (n_paths + 1,) record index of each path's start
-    tau: np.ndarray
+    steps: np.ndarray
     pre_exit: np.ndarray
     exit_point: np.ndarray
     entry: np.ndarray
 
     @property
+    def tau(self):
+        return self.steps * self.dt
+
+    @property
     def total_reflections(self):
         return np.diff(self.offsets)
 
+    def counts_at(self, marks):
+        """Each path's reflection count at each mark, shape (n_paths, len(marks)).
+
+        A reflection counts at t when its step is at most round(t / dt), the
+        step of the path at t. A mark outside [0, horizon] raises ValueError.
+        """
+        n_steps = int(np.round(self.horizon / self.dt))
+        mark_steps = np.round(np.asarray(marks, dtype=float) / self.dt).astype(np.int64)
+        if np.any((mark_steps < 0) | (mark_steps > n_steps)):
+            raise ValueError("marks must lie in [0, horizon]")
+        # steps lie in 1..n_steps and increase along a path, so the keys increase
+        paths = np.arange(self.n_paths)
+        keys = np.repeat(paths, self.total_reflections) * (n_steps + 1) + self.steps
+        ends = np.searchsorted(keys, paths[:, None] * (n_steps + 1) + mark_steps, side="right")
+        return ends - self.offsets[:-1, None]
+
 
 def simulate_ensemble(params, domain, mu, start, horizon, dt, seed, n_paths,
-                      t_marks=(), grid=None, burn_in=0.0, stream_id=0):
+                      grid=None, burn_in=0.0, stream_id=0):
     """Advance many reflected paths in lockstep and aggregate statistics.
 
     Time is cut into chunks of at most 1024 steps and at most 2**20 path
@@ -301,23 +292,16 @@ def simulate_ensemble(params, domain, mu, start, horizon, dt, seed, n_paths,
     stream keyed (seed, 0xE5, stream_id), so the result is a deterministic
     function of (seed, stream_id, n_paths, dt, horizon).
 
-    Records every reflection of every path (time, pre-exit, exit and
-    re-entry point; no extra draws), reflection counts at the requested
-    marks (a mark past the horizon raises ValueError), and (when a grid is
-    given) the occupation histogram of the time average after ``burn_in``.
+    Records every reflection of every path (step, pre-exit, exit and
+    re-entry point; no extra draws) and, when a grid is given, the
+    occupation histogram of the time average after ``burn_in``.
     """
     n = int(n_paths)
     tail = () if params.d == 1 else (params.d,)
     n_steps = int(np.round(horizon / dt))
-    t_marks = np.asarray(sorted(t_marks), dtype=float)
-    mark_steps = np.round(t_marks / dt).astype(np.int64)
-    if np.any(mark_steps > n_steps):
-        raise ValueError("t_marks must not lie past the horizon")
     pos = _start_positions(params, domain, start, n, stream(seed, 0xE5, stream_id))
     # occupation counts the positions at steps k with k * dt >= burn_in
     n_skip = int(np.count_nonzero(np.arange(n_steps) * dt < burn_in))
-    counts = np.zeros(n, dtype=np.int64)
-    counts_at = np.zeros((n, len(t_marks)), dtype=np.int64)
     hist = np.zeros(grid.n, dtype=np.int64) if grid is not None else None
     # one entry per round: (paths, exit steps, pre-exit, exit and entry points)
     empty = np.empty((0,) + tail)
@@ -328,20 +312,15 @@ def simulate_ensemble(params, domain, mu, start, horizon, dt, seed, n_paths,
         crng = stream(seed, 0xE5, stream_id, c)
         # path[j, s] is path j after step k0 + s; path[:, 0] is the chunk start
         path, exits = _advance(params, domain, pos, dt, crng, steps)
-        marks = np.flatnonzero((mark_steps > k0) & (mark_steps <= k0 + steps))
-        counts_at[:, marks] = counts[:, None]
         live = np.flatnonzero(exits)
         step = exits[live]
         while live.size:
             z = path[live, step]
             entry = np.asarray(mu.sample(z, crng, size=live.size), dtype=float)
             rounds.append((live, k0 + step, path[live, step - 1], z, entry))
-            counts[live] += 1
             for j, s, shift in zip(live.tolist(), step.tolist(), entry - z):
                 path[j, s:] += shift
             path[live, step] = entry
-            for i in marks:
-                counts_at[live[step <= mark_steps[i] - k0], i] += 1
             # re-test only the steps after each path's last exit
             lo = int(step.min()) + 1
             if lo > steps:
@@ -356,23 +335,21 @@ def simulate_ensemble(params, domain, mu, start, horizon, dt, seed, n_paths,
                                 minlength=grid.n)
         pos = path[:, steps].copy()
         del path    # free the chunk before the next one is drawn
-    n_kept = n_steps - n_skip
-    occupancy = None
-    if hist is not None:
-        occupancy = hist / (n_kept * n) if n_kept else np.zeros(grid.n)
+    # a histogram with no kept step is all zeros
+    occupancy = None if hist is None else hist / max((n_steps - n_skip) * n, 1)
     # rounds come in time order, so a stable sort by path keeps each path's
     # reflections in time order
     who, steps_at, pre, z, entry = (np.concatenate(col) for col in zip(*rounds))
     order = np.argsort(who, kind="stable")
     return EnsembleResult(
-        n_paths=n, dt=dt, horizon=horizon, counts_at_marks=counts_at, occupancy=occupancy,
-        offsets=np.concatenate(([0], np.cumsum(counts))), tau=steps_at[order] * dt,
-        pre_exit=pre[order], exit_point=z[order], entry=entry[order],
+        n_paths=n, dt=dt, horizon=horizon, occupancy=occupancy,
+        offsets=np.concatenate(([0], np.cumsum(np.bincount(who, minlength=n)))),
+        steps=steps_at[order], pre_exit=pre[order], exit_point=z[order], entry=entry[order],
     )
 
 
 def simulate_ensemble_blocks(params, domain, mu, start, horizon, dt, seed, n_paths,
-                             t_marks=(), grid=None, burn_in=0.0, block=50, workers=1):
+                             grid=None, burn_in=0.0, block=50, workers=1):
     """Block-decomposed ensemble with deterministic merging.
 
     Replicas are grouped into fixed-size blocks, each driven by its own
@@ -383,14 +360,12 @@ def simulate_ensemble_blocks(params, domain, mu, start, horizon, dt, seed, n_pat
     default ensemble (200 paths, horizon 200, 2 cores) 2 workers took
     1.71-2.03 s against 2.14-2.38 s for 1.
     """
-    sizes = [block] * (int(n_paths) // block)
-    if int(n_paths) % block:
-        sizes.append(int(n_paths) % block)
+    n = int(n_paths)
+    sizes = [block] * (n // block) + ([n % block] if n % block else [])
 
     def run(b):
         return simulate_ensemble(params, domain, mu, start, horizon, dt, seed,
-                                 sizes[b], t_marks=t_marks, grid=grid,
-                                 burn_in=burn_in, stream_id=b + 1)
+                                 sizes[b], grid=grid, burn_in=burn_in, stream_id=b + 1)
 
     if workers and workers > 1:
         from concurrent.futures import ThreadPoolExecutor
@@ -398,16 +373,13 @@ def simulate_ensemble_blocks(params, domain, mu, start, horizon, dt, seed, n_pat
             results = list(ex.map(run, range(len(sizes))))
     else:
         results = [run(b) for b in range(len(sizes))]
-    counts_at = np.concatenate([r.counts_at_marks for r in results], axis=0)
     total = np.concatenate([r.total_reflections for r in results])
     records = {name: np.concatenate([getattr(r, name) for r in results])
-               for name in ("tau", "pre_exit", "exit_point", "entry")}
-    occupancy = None
-    if grid is not None:
-        occupancy = sum(r.occupancy * r.n_paths for r in results) / int(n_paths)
+               for name in ("steps", "pre_exit", "exit_point", "entry")}
+    occupancy = None if grid is None else sum(r.occupancy * r.n_paths for r in results) / n
     return EnsembleResult(
-        n_paths=int(n_paths), dt=dt, horizon=horizon, counts_at_marks=counts_at,
-        occupancy=occupancy, offsets=np.concatenate(([0], np.cumsum(total))), **records,
+        n_paths=n, dt=dt, horizon=horizon, occupancy=occupancy,
+        offsets=np.concatenate(([0], np.cumsum(total))), **records,
     )
 
 
@@ -455,38 +427,31 @@ class ExcursionStats:
         return self.durations_by_index[index - 1]
 
 
-def excursion_statistics(paths, min_completed=100):
-    """Duration statistics of the excursions of many paths.
+def excursion_statistics(ens, min_completed=100):
+    """Duration statistics of the excursions of an EnsembleResult's paths.
 
     Reports the pooled lag-1 autocorrelation of consecutive durations within
     paths and the duration samples per excursion index; under a constant
     return law these are uncorrelated and identically distributed. A pair
     of consecutive durations is kept only when the second excursion began
-    by half the path's horizon: a fixed window, so a long first excursion
-    does not shorten the time left for the second, which would bias the
-    correlation negative. ``lag1_pairs`` counts the kept pairs.
+    by half the horizon: a fixed window, so a long first excursion does not
+    shorten the time left for the second, which would bias the correlation
+    negative. ``lag1_pairs`` counts the kept pairs.
     """
-    per_path = [np.diff(p.tau, prepend=0.0) for p in paths]
-    # pair k is (d[k], d[k + 1]); the second excursion began at tau[k]
-    kept = [p.tau[:-1] <= 0.5 * p.horizon for p in paths]
-    total = int(sum(len(d) for d in per_path))
+    tau, total = ens.tau, int(ens.offsets[-1])
     if total < min_completed:
         raise ValueError("insufficient data: %d completed excursions < %d" % (total, min_completed))
-    max_len = max(len(d) for d in per_path)
-    by_index = [np.concatenate([d[i:i + 1] for d in per_path if len(d) > i])
-                for i in range(max_len)]
-    first = np.concatenate([d[:-1][k] for d, k in zip(per_path, kept)])
-    second = np.concatenate([d[1:][k] for d, k in zip(per_path, kept)])
-    if len(first) >= 2 and first.std() > 0 and second.std() > 0:
-        ac = float(np.corrcoef(first, second)[0, 1])
-    else:
-        ac = 0.0
-    alldur = np.concatenate(per_path)
-    return ExcursionStats(
-        n_paths=len(per_path),
-        n_completed=total,
-        durations_by_index=by_index,
-        lag1_autocorrelation=ac,
-        lag1_pairs=len(first),
-        mean_duration=float(alldur.mean()),
-    )
+    # index of each record within its path; excursion 1 lasts from 0 to tau
+    index = np.arange(total) - np.repeat(ens.offsets[:-1], ens.total_reflections)
+    durations = np.where(index == 0, tau, np.diff(tau, prepend=0.0))
+    order = np.argsort(index, kind="stable")
+    by_index = np.split(durations[order], np.cumsum(np.bincount(index))[:-1])
+    # pair (r, r + 1) lies in one path when r + 1 starts no path; the
+    # second excursion began at tau[r]
+    pairs = np.flatnonzero((index[1:] > 0) & (tau[:-1] <= 0.5 * ens.horizon))
+    first, second = durations[pairs], durations[pairs + 1]
+    ok = len(first) >= 2 and first.std() > 0 and second.std() > 0
+    ac = float(np.corrcoef(first, second)[0, 1]) if ok else 0.0
+    return ExcursionStats(n_paths=ens.n_paths, n_completed=total, durations_by_index=by_index,
+                          lag1_autocorrelation=ac, lag1_pairs=len(first),
+                          mean_duration=float(durations.mean()))

@@ -20,9 +20,11 @@ reduction is checked against. ``duhamel_terms`` keeps every level of the
 perturbation series in a list, the reference for the streamed running sum
 and the replayed levels, and ``heat_kernel_all_weights`` takes exp(tL) with
 every spectral weight, subnormal squares included, the reference for the
-heat kernel that zeroes them. The last three functions read or check
+heat kernel that zeroes them. The last five functions read or check
 simulator records directly from their definitions: region inclusion, the
-invariants of a ladder path and each path's first reflection record.
+invariants of an ensemble's reflection records, each path's first
+reflection record, the reflection counts at marks path by path, and the
+excursion statistics path by path (the reference for the array version).
 """
 
 import numpy as np
@@ -344,15 +346,26 @@ def _require(ok, message):
         raise ValueError(message)
 
 
-def validate_ladder(path, domain):
-    """Check a LadderPath's structural invariants; raises ValueError on failure."""
-    _require(np.all(np.diff(path.tau) > 0), "reflection times must increase strictly")
-    _require(np.all(np.isfinite(path.tau)), "recorded reflection times must be finite")
-    _require(len(path.tau) == len(path.pre_exit) == len(path.exit_point) == len(path.R),
-             "one pre-exit, exit and re-entry point is needed per reflection")
-    _require(np.all(domain.contains(path.pre_exit)), "pre-exit points must lie in D")
-    _require(not np.any(domain.contains(path.exit_point)), "exit points must lie outside D")
-    _require(np.all(domain.contains(path.R)), "re-entry points must lie in D")
+def _paths(ens):
+    """(start, end) record bounds of each path of an EnsembleResult."""
+    return zip(ens.offsets[:-1].tolist(), ens.offsets[1:].tolist())
+
+
+def validate_ladder(ens, domain):
+    """Check the invariants of an EnsembleResult's reflection records path by
+    path; raises ValueError on failure."""
+    n = ens.offsets[-1]
+    _require(len(ens.steps) == len(ens.pre_exit) == len(ens.exit_point) == len(ens.entry) == n,
+             "one step, pre-exit, exit and re-entry point is needed per reflection")
+    tau = ens.tau
+    _require(np.all(np.isfinite(tau)), "recorded reflection times must be finite")
+    _require(np.all((ens.steps >= 1) & (ens.steps <= round(ens.horizon / ens.dt))),
+             "reflection steps must lie within the horizon")
+    _require(all(np.all(np.diff(tau[a:b]) > 0) for a, b in _paths(ens)),
+             "reflection times must increase strictly along each path")
+    _require(np.all(domain.contains(ens.pre_exit)), "pre-exit points must lie in D")
+    _require(not np.any(domain.contains(ens.exit_point)), "exit points must lie outside D")
+    _require(np.all(domain.contains(ens.entry)), "re-entry points must lie in D")
     return True
 
 
@@ -363,3 +376,36 @@ def first_records(ens, records):
     hit = ens.total_reflections > 0
     out[hit] = records[ens.offsets[:-1][hit]]
     return out
+
+
+def counts_per_path(ens, marks):
+    """Each path's reflection count at each mark: its records whose step
+    rint(tau / dt) is at most rint(t / dt), found path by path."""
+    steps = np.rint(ens.tau / ens.dt)
+    mark_steps = np.rint(np.asarray(marks, dtype=float) / ens.dt)
+    return np.array([np.searchsorted(steps[a:b], mark_steps, side="right")
+                     for a, b in _paths(ens)]).reshape(ens.n_paths, len(mark_steps))
+
+
+def excursion_statistics_per_path(ens, min_completed):
+    """``pathsim.excursion_statistics`` computed path by path from each
+    path's reflection times, as (n_paths, n_completed, durations_by_index,
+    lag1_autocorrelation, lag1_pairs, mean_duration)."""
+    taus = [ens.tau[a:b] for a, b in _paths(ens)]
+    per_path = [np.diff(tau, prepend=0.0) for tau in taus]
+    # pair k is (d[k], d[k + 1]); the second excursion began at tau[k]
+    kept = [tau[:-1] <= 0.5 * ens.horizon for tau in taus]
+    total = int(sum(len(d) for d in per_path))
+    if total < min_completed:
+        raise ValueError("insufficient data: %d completed excursions < %d" % (total, min_completed))
+    max_len = max(len(d) for d in per_path)
+    by_index = [np.concatenate([d[i:i + 1] for d in per_path if len(d) > i])
+                for i in range(max_len)]
+    first = np.concatenate([d[:-1][k] for d, k in zip(per_path, kept)])
+    second = np.concatenate([d[1:][k] for d, k in zip(per_path, kept)])
+    if len(first) >= 2 and first.std() > 0 and second.std() > 0:
+        ac = float(np.corrcoef(first, second)[0, 1])
+    else:
+        ac = 0.0
+    return (len(per_path), total, by_index, ac, len(first),
+            float(np.concatenate(per_path).mean()))

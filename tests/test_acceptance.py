@@ -216,13 +216,13 @@ def test_criterion_10_ladder_law(wb):
     mu = wb.mu("uniform")
     grid = wb.ops(1.0)["grid"]
     ens = simulate_ensemble_blocks(p, wb.domain, mu, 0.0, 2.0, 1e-3, 77001,
-                                   10 ** 5, t_marks=[0.5, 2.0], block=10 ** 5)
+                                   10 ** 5, block=10 ** 5)
     i0 = np.argmin(np.abs(grid.nodes))
     pvals = []
     for k, t in enumerate((0.5, 2.0)):
         ser = wb.series(1.0, "uniform", t)
         probs = np.array([level[i0].sum() for level in ser.levels()])
-        counts = ens.counts_at_marks[:, k]
+        counts = ens.counts_at([0.5, 2.0])[:, k]
         obs = np.bincount(counts, minlength=len(probs)).astype(float)
         if len(obs) > len(probs):
             probs = np.concatenate([probs, np.full(len(obs) - len(probs), 1e-12)])
@@ -258,8 +258,8 @@ def test_criterion_12_independence(wb):
     p = wb.params(1.0)
     m = UniformMeasure(-0.5, 0.5)
     mu = make_constant_kernel(wb.domain, m)
-    paths = simulate_ladder(p, wb.domain, mu, m, 8.0, 1e-3, seed=661, n_paths=1500)
-    st_ = excursion_statistics(paths)
+    ens = simulate_ladder(p, wb.domain, mu, m, 8.0, 1e-3, seed=661, n_paths=1500)
+    st_ = excursion_statistics(ens)
     ac_ok = abs(st_.lag1_autocorrelation) < 4.0 / np.sqrt(st_.lag1_pairs)
     d1, d5 = st_.duration_sample(1), st_.duration_sample(5)
     res = stats.ks_2samp(d1, d5)

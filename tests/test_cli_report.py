@@ -115,6 +115,11 @@ def test_run_semigroup_check(tmp_path):
     assert (tmp_path / "manifest.json").exists()
     # every output is referenced exactly once
     assert len(manifest["outputs"]) == len(set(manifest["outputs"]))
+    # the series stage records in the manifest the diagnostics it writes
+    written = json.loads((tmp_path / "manifest.json").read_text())
+    stage, = [s for s in written["stages"] if s["name"] == cli_report._series.__doc__]
+    series = json.loads((tmp_path / "series_diagnostics.json").read_text())["series"]
+    assert stage["diagnostics"] == series and len(series) == 1
 
 
 def test_run_stationary_kind(tmp_path):
@@ -170,6 +175,11 @@ def test_run_simulate_and_chain(tmp_path):
     code, manifest = run(cfg)
     assert code == 0
     assert "reflection_counts.csv" in manifest["outputs"]
+    # the ensemble stage records its size, reflection rate and throughput
+    stage, = [s for s in manifest["stages"] if s["name"] == cli_report._ensemble.__doc__]
+    diag = stage["diagnostics"]
+    assert diag["paths"] == 30 and diag["path_steps"] == 30 * 20000
+    assert diag["reflections_per_path"] > 1 and diag["path_steps_per_s"] > 0
     cfg2 = parse_config(small_config(kind="chain", out_dir=str(tmp_path / "chain")))
     code2, man2 = run(cfg2)
     assert code2 == 0

@@ -137,12 +137,12 @@ def test_exact_vs_euler_exit_laws(wb):
 def test_ladder_counts_and_invariants(wb):
     p = wb.params(1.0)
     mu = wb.mu("uniform")
-    path = simulate_ladder(p, wb.domain, mu, 0.0, 30.0, 1e-3, seed=8, n_paths=1)[0]
-    assert oracles.validate_ladder(path, wb.domain)
-    assert path.count_at(0.0) == 0
-    counts = [path.count_at(t) for t in np.linspace(0.0, 30.0, 50)]
-    assert all(b >= a for a, b in zip(counts, counts[1:]))
-    assert len(path.tau) > 10
+    ens = simulate_ladder(p, wb.domain, mu, 0.0, 30.0, 1e-3, seed=8, n_paths=1)
+    assert oracles.validate_ladder(ens, wb.domain)
+    assert ens.counts_at([0.0])[0, 0] == 0
+    counts = ens.counts_at(np.linspace(0.0, 30.0, 50))[0]
+    assert np.all(np.diff(counts) >= 0)
+    assert len(ens.tau) > 10
     with pytest.raises(ValueError):
         simulate_ladder(p, wb.domain, mu, 1.5, 1.0, 1e-3, seed=8, n_paths=2)
     with pytest.raises(ValueError):
@@ -151,23 +151,25 @@ def test_ladder_counts_and_invariants(wb):
 
 def test_ladder_validate_raises_on_corrupted_paths(wb):
     import dataclasses
-    path = simulate_ladder(wb.params(1.0), wb.domain, wb.mu("uniform"), 0.0, 10.0, 1e-3,
-                           seed=8, n_paths=2)[1]
-    assert len(path.tau) > 3
-    assert oracles.validate_ladder(path, wb.domain)
-    first = np.arange(len(path.tau)) == 0
+    ens = simulate_ladder(wb.params(1.0), wb.domain, wb.mu("uniform"), 0.0, 10.0, 1e-3,
+                          seed=8, n_paths=2)
+    assert ens.total_reflections[1] > 3
+    assert oracles.validate_ladder(ens, wb.domain)
+    first = np.arange(len(ens.steps)) == 0
+    last = np.arange(len(ens.steps)) == len(ens.steps) - 1
     corrupt = [
-        dict(tau=path.tau[::-1]),
-        dict(tau=np.where(np.arange(len(path.tau)) == 1, np.inf, path.tau)),
-        dict(R=path.R[:-1]),
-        dict(R=np.where(first, 5.0, path.R)),
-        dict(exit_point=np.where(first, 0.0, path.exit_point)),
-        dict(pre_exit=np.where(first, 5.0, path.pre_exit)),
-        dict(pre_exit=path.pre_exit[:-1]),
+        dict(steps=ens.steps[::-1]),
+        dict(steps=np.where(last, round(ens.horizon / ens.dt) + 1, ens.steps)),
+        dict(dt=np.inf),
+        dict(entry=ens.entry[:-1]),
+        dict(entry=np.where(first, 5.0, ens.entry)),
+        dict(exit_point=np.where(first, 0.0, ens.exit_point)),
+        dict(pre_exit=np.where(first, 5.0, ens.pre_exit)),
+        dict(pre_exit=ens.pre_exit[:-1]),
     ]
     for change in corrupt:
         with pytest.raises(ValueError):
-            oracles.validate_ladder(dataclasses.replace(path, **change), wb.domain)
+            oracles.validate_ladder(dataclasses.replace(ens, **change), wb.domain)
 
 
 def test_ladder_reproducibility(wb):
@@ -175,9 +177,10 @@ def test_ladder_reproducibility(wb):
     mu = wb.mu("projection")
     a = simulate_ladder(p, wb.domain, mu, 0.1, 10.0, 1e-3, seed=4, n_paths=9)
     b = simulate_ladder(p, wb.domain, mu, 0.1, 10.0, 1e-3, seed=4, n_paths=9)
-    for pa, pb in zip(a, b):
-        assert np.array_equal(pa.tau, pb.tau) and np.array_equal(pa.R, pb.R)
-    assert not np.array_equal(a[7].tau, a[8].tau)
+    for name in ("offsets", "steps", "entry"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    tau7, tau8 = (a.tau[a.offsets[j]:a.offsets[j + 1]] for j in (7, 8))
+    assert not np.array_equal(tau7, tau8)
 
 
 def test_first_entry_histogram_matches_chain_kernel(wb):
@@ -209,8 +212,8 @@ def test_no_reflection_probability_matches_heat_kernel(wb):
     mu = wb.mu("uniform")
     ops = wb.ops(1.0)
     t = 0.5
-    ens = simulate_ensemble(p, wb.domain, mu, 0.0, t, 1e-3, 13, 20000, t_marks=[t])
-    emp = np.mean(ens.counts_at_marks[:, 0] == 0)
+    ens = simulate_ensemble(p, wb.domain, mu, 0.0, t, 1e-3, 13, 20000)
+    emp = np.mean(ens.counts_at([t])[:, 0] == 0)
     i0 = np.argmin(np.abs(ops["grid"].nodes))
     target = heat_kernel(ops["L"], t).row_sums()[i0]
     se = np.sqrt(target * (1 - target) / ens.n_paths)
@@ -323,8 +326,8 @@ def test_excursion_statistics_independence(wb):
     p = wb.params(1.0)
     m = UniformMeasure(-0.5, 0.5)
     mu = make_constant_kernel(wb.domain, m)
-    paths = simulate_ladder(p, wb.domain, mu, m, 8.0, 1e-3, seed=2000, n_paths=1200)
-    st_ = excursion_statistics(paths)
+    ens = simulate_ladder(p, wb.domain, mu, m, 8.0, 1e-3, seed=2000, n_paths=1200)
+    st_ = excursion_statistics(ens)
     assert st_.n_completed > 5000
     bound = 4.0 / np.sqrt(st_.lag1_pairs)
     assert abs(st_.lag1_autocorrelation) < bound
@@ -333,7 +336,7 @@ def test_excursion_statistics_independence(wb):
     res = stats.ks_2samp(d1, d5)
     assert res.pvalue > 0.01
     with pytest.raises(ValueError):
-        excursion_statistics(paths[:1], min_completed=100000)
+        excursion_statistics(ens, min_completed=100000)
 
 
 def test_occupation_identity(wb):
@@ -362,17 +365,17 @@ def test_ensemble_blocks_worker_invariance(wb):
     p = wb.params(1.0)
     mu = wb.mu("uniform")
     grid = wb.ops(1.0)["grid"]
-    kw = dict(t_marks=[0.5], grid=grid, burn_in=0.5)
+    kw = dict(grid=grid, burn_in=0.5)
     a = simulate_ensemble_blocks(p, wb.domain, mu, 0.0, 2.0, 1e-3, 5, 120,
                                  workers=1, **kw)
     b = simulate_ensemble_blocks(p, wb.domain, mu, 0.0, 2.0, 1e-3, 5, 120,
                                  workers=3, **kw)
-    assert np.array_equal(a.counts_at_marks, b.counts_at_marks)
+    assert np.array_equal(a.counts_at([0.5]), b.counts_at([0.5]))
     assert np.array_equal(a.occupancy, b.occupancy)
     assert np.array_equal(oracles.first_records(a, a.entry), oracles.first_records(b, b.entry),
                           equal_nan=True)
     assert np.array_equal(a.offsets, b.offsets)
-    for name in ("tau", "pre_exit", "exit_point", "entry"):
+    for name in ("steps", "pre_exit", "exit_point", "entry"):
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
 
@@ -458,10 +461,10 @@ def test_chunked_ensemble_invariants(wb):
     chunk = 1024    # steps per chunk for 200 paths
     edge1, edge2 = chunk * dt, 2 * chunk * dt
     marks = [0.5, edge1, edge2, 3.0]
-    ens = simulate_ensemble(p, wb.domain, mu, 0.2, 3.0, dt, 31, n, t_marks=marks,
-                            grid=grid, burn_in=0.7)
-    assert np.array_equal(ens.counts_at_marks[:, -1], ens.total_reflections)
-    assert np.all(np.diff(ens.counts_at_marks, axis=1) >= 0)
+    ens = simulate_ensemble(p, wb.domain, mu, 0.2, 3.0, dt, 31, n, grid=grid, burn_in=0.7)
+    counts = ens.counts_at(marks)
+    assert np.array_equal(counts[:, -1], ens.total_reflections)
+    assert np.all(np.diff(counts, axis=1) >= 0)
     assert ens.total_reflections.mean() > 1.0
     assert ens.occupancy.sum() == pytest.approx(1.0, abs=1e-12)
     done = ens.total_reflections > 0
@@ -478,7 +481,7 @@ def test_chunked_ensemble_invariants(wb):
     # the counts at the chunk-edge marks of the longer run
     for k, edge in ((1, edge1), (2, edge2)):
         short = simulate_ensemble(p, wb.domain, mu, 0.2, edge, dt, 31, n)
-        assert np.array_equal(short.total_reflections, ens.counts_at_marks[:, k])
+        assert np.array_equal(short.total_reflections, counts[:, k])
         hit = short.total_reflections > 0
         assert np.array_equal(oracles.first_records(short, short.entry)[hit], entry[hit])
 
@@ -489,8 +492,8 @@ def test_chunked_ensemble_marks_every_step(wb):
     dt, n, n_steps = 1e-3, 2 ** 14, 150
     marks = dt * np.arange(1, n_steps + 1)
     ens = simulate_ensemble(wb.params(1.0), wb.domain, wb.mu("projection"), 0.8,
-                            n_steps * dt, dt, 41, n, t_marks=marks)
-    counts = ens.counts_at_marks
+                            n_steps * dt, dt, 41, n)
+    counts = ens.counts_at(marks)
     assert np.array_equal(counts[:, -1], ens.total_reflections)
     assert np.all(np.diff(counts, axis=1) >= 0)
     done = ens.total_reflections > 0
@@ -501,11 +504,55 @@ def test_chunked_ensemble_marks_every_step(wb):
 
 def test_ensemble_rejects_marks_past_the_horizon(wb):
     # a mark past the horizon has no count to report
-    args = (wb.params(1.0), wb.domain, wb.mu("uniform"), 0.0, 2.0, 1e-3, 3, 20)
+    ens = simulate_ensemble(wb.params(1.0), wb.domain, wb.mu("uniform"), 0.0, 2.0, 1e-3, 3, 20)
     with pytest.raises(ValueError):
-        simulate_ensemble(*args, t_marks=[1.0, 5.0])
-    ens = simulate_ensemble(*args, t_marks=[1.0, 2.0])
-    assert np.array_equal(ens.counts_at_marks[:, 1], ens.total_reflections)
+        ens.counts_at([1.0, 5.0])
+    # nor has a mark before time 0
+    with pytest.raises(ValueError):
+        ens.counts_at([-1.0])
+    assert np.array_equal(ens.counts_at([1.0, 2.0])[:, 1], ens.total_reflections)
+
+
+def test_counts_at_counts_a_reflection_on_the_marks_step(wb):
+    # at dt = 1e-3 the steps of t = 0.7 and 1.4 times dt exceed t in floats;
+    # the path at time t is the path after step round(t / dt), so a
+    # reflection on that step counts at t
+    ens = simulate_ensemble(wb.params(1.0), wb.domain, wb.mu("uniform"), 0.0, 2.0, 1e-3, 7,
+                            4000)
+    marks = [0.7, 1.4]
+    counts = ens.counts_at(marks)
+    assert np.array_equal(counts, oracles.counts_per_path(ens, marks))
+    for k, t in enumerate(marks):
+        on_mark = np.flatnonzero(ens.steps == round(t / ens.dt))
+        assert on_mark.size > 0 and np.all(ens.tau[on_mark] > t)
+        path = np.searchsorted(ens.offsets, on_mark, side="right") - 1
+        assert np.array_equal(counts[path, k], on_mark - ens.offsets[path] + 1)
+
+
+_RECORD_CASES = [(alpha, domain, seed) for alpha in (0.5, 1.0, 1.5)
+                 for domain in ("interval", "union") for seed in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("alpha, domain, seed", _RECORD_CASES,
+                         ids=["a%g-%s-%d" % case for case in _RECORD_CASES])
+def test_counts_and_excursions_match_per_path_oracles(wb, alpha, domain, seed):
+    # the counts and the excursion statistics read from the flat records
+    # equal their path-by-path definitions, float for float
+    if domain == "interval":
+        D, mu, start = wb.domain, wb.mu("uniform"), 0.0
+    else:
+        D = IntervalUnion([[-1.0, -0.2], [0.1, 1.0]])
+        mu, start = make_projection_kernel(D, 0.2, 0.1), 0.5
+    ens = simulate_ensemble(wb.params(alpha), D, mu, start, 2.0, 1e-3, seed, 200)
+    marks = [0.1, 0.5, 0.7, 1.4, 2.0]
+    assert np.array_equal(ens.counts_at(marks), oracles.counts_per_path(ens, marks))
+    st_ = excursion_statistics(ens, min_completed=1)
+    n_paths, n_completed, by_index, ac, pairs, mean = \
+        oracles.excursion_statistics_per_path(ens, min_completed=1)
+    assert (st_.n_paths, st_.n_completed, st_.lag1_pairs) == (n_paths, n_completed, pairs)
+    assert st_.lag1_autocorrelation == ac and st_.mean_duration == mean
+    assert len(st_.durations_by_index) == len(by_index)
+    assert all(np.array_equal(a, b) for a, b in zip(st_.durations_by_index, by_index))
 
 
 def test_chunked_ensemble_ball():
@@ -514,7 +561,7 @@ def test_chunked_ensemble_ball():
     p = StableParams(2, 1.0)
     B = Ball([0.0, 0.0], 1.0)
     mu = make_constant_kernel(B, BallUniformMeasure([0.0, 0.0], 0.5))
-    ens = simulate_ensemble(p, B, mu, np.zeros(2), 2.0, 1e-3, 5, 40, t_marks=[2.0])
+    ens = simulate_ensemble(p, B, mu, np.zeros(2), 2.0, 1e-3, 5, 40)
     done = ens.total_reflections > 0
     assert done.mean() > 0.5
     pre, ex, entry = (oracles.first_records(ens, r)
@@ -523,7 +570,7 @@ def test_chunked_ensemble_ball():
     assert not np.any(B.contains(ex[done]))
     assert np.all(B.contains(pre[done]))
     assert np.all(np.linalg.norm(entry[done], axis=1) < 0.5)
-    assert np.array_equal(ens.counts_at_marks[:, 0], ens.total_reflections)
+    assert np.array_equal(ens.counts_at([2.0])[:, 0], ens.total_reflections)
 
 
 @pytest.mark.parametrize("alpha, sampler", [
