@@ -34,7 +34,7 @@ print("  supermedian violation over t in {0.1, 1, 10}: %.2e"
       % supermedian_violation(A, lam, v, (0.1, 1.0, 10.0)))
 
 print()
-exc = build_excessive(A, 1.0, p, n_max=6)
+exc = build_excessive(A, 1.0, p)
 print("shell-sum construction (lambda=1): shell depths per stage")
 for k, (r, thr) in enumerate(zip(exc.radii, exc.thresholds), start=1):
     print("  stage %d: target 2^-%d on {dist >= %.4f}  ->  depth %.5f"

@@ -11,8 +11,9 @@ import numpy as np
 
 from reflected_stable import Interval, StableParams, UniformMeasure, \
     make_constant_kernel, make_projection_kernel, reflection_chain, simulate_ladder, \
-    stream, walk_on_spheres_exit
+    stream
 from reflected_stable.pathsim import excursion_statistics, simulate_ensemble_blocks
+from reflected_stable.stable_core import walk_on_spheres
 
 p = StableParams(1, 1.0)
 D = Interval(-1.0, 1.0)
@@ -56,6 +57,7 @@ print()
 print("== walk on spheres on a two-component domain ==")
 from reflected_stable import IntervalUnion
 U = IntervalUnion([[-1.0, -0.2], [0.2, 1.0]])
-z, iters = walk_on_spheres_exit(p, U, 0.6, rng, size=20000, return_iterations=True)
+z, balls = walk_on_spheres(p, U, np.full(20000, 0.6), rng)
+iters = np.bincount(np.concatenate([idx for idx, _, _ in balls]), minlength=20000)
 print("exits from x=0.6: mean iterations %.2f; fraction landing in the gap %.3f"
       % (iters.mean(), np.mean((z > -0.2) & (z < 0.2))))

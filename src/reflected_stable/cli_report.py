@@ -208,7 +208,7 @@ def _excessive(run):
     diagnostics = []
     for lam in run.config.lambda_list:
         try:
-            exc = build_excessive(A, lam, run.params, n_max=6)
+            exc = build_excessive(A, lam, run.params)
         except (SeriesError, FloatingPointError) as err:
             logger.debug("excessive construction at lambda=%g failed: %s", lam, err)
             run.check("excessive-lam%g" % lam, False)

@@ -254,20 +254,17 @@ def build_grid(domain, n_cells):
     ivs = _intervals_of(domain)
     lengths = ivs[:, 1] - ivs[:, 0]
     total = lengths.sum()
-    if len(ivs) == 1:
-        counts = np.array([n_cells])
-    else:
-        if n_cells < len(ivs):
-            raise ValueError("need at least one cell per component")
-        raw = lengths / total * n_cells
-        counts = np.maximum(1, np.floor(raw).astype(int))
-        # largest-remainder fixup so the counts sum exactly to n_cells
-        while counts.sum() < n_cells:
-            counts[np.argmax(raw - counts)] += 1
-        while counts.sum() > n_cells:
-            adjustable = counts > 1
-            k = np.argmin(np.where(adjustable, raw - counts, np.inf))
-            counts[k] -= 1
+    if n_cells < len(ivs):
+        raise ValueError("need at least one cell per component")
+    raw = lengths / total * n_cells
+    counts = np.maximum(1, np.floor(raw).astype(int))
+    # largest-remainder fixup so the counts sum exactly to n_cells
+    while counts.sum() < n_cells:
+        counts[np.argmax(raw - counts)] += 1
+    while counts.sum() > n_cells:
+        adjustable = counts > 1
+        k = np.argmin(np.where(adjustable, raw - counts, np.inf))
+        counts[k] -= 1
     cells = []
     for (a, b), m in zip(ivs, counts):
         edges = np.linspace(a, b, m + 1)

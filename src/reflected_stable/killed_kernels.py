@@ -181,10 +181,6 @@ class HarmonicKernel:
         self.green = green
         self.params = params
 
-    def nu_vector(self, region):
-        """Exact jump-kernel masses nu(x_v, region) at all nodes."""
-        return exterior_nu_vector(self.params, self.grid, region)
-
     def masses(self, region):
         """Vector over nodes of the exit probability into the region.
 
@@ -197,7 +193,7 @@ class HarmonicKernel:
                     if min(b, db) - max(a, da) > 0:
                         raise ValueError(
                             "region piece (%g, %g) enters the domain" % (a, b))
-        return self.green.entries @ self.nu_vector(region)
+        return self.green.entries @ exterior_nu_vector(self.params, self.grid, region)
 
     def mass(self, i, region):
         return float(self.masses(region)[i])

@@ -63,16 +63,17 @@ def stream(seed, *ids):
 
 @dataclasses.dataclass
 class Excursion:
-    """One killed excursion: exit data.
+    """One killed excursion: exit data and the path.
 
-    ``duration`` is the jump-Euler exit time.
+    ``duration`` is the jump-Euler exit time; ``positions`` holds the start
+    and the position after each of the ``n_steps`` steps, the exit point last.
     """
 
     duration: float
     n_steps: int
     pre_exit: float
     exit_point: float
-    positions: np.ndarray = None
+    positions: np.ndarray
 
 
 def _start_positions(params, domain, start, n, rng):
@@ -107,31 +108,31 @@ def _advance(params, domain, pos, dt, rng, steps):
     return path, np.where(out[np.arange(n), hit], hit + 1, 0)
 
 
-def simulate_killed_excursion(params, domain, start, dt, rng, store_positions=False):
+def simulate_killed_excursion(params, domain, start, dt, rng):
     """One excursion of the process killed at the first exit from D.
 
     Increments over ``dt`` are added, 1024 steps per draw, until the path
     leaves D; the recorded exit time overshoots the true one by at most one
-    step and the pre-exit position stands in for the left limit.
+    step and the pre-exit position stands in for the left limit. Returns
+    the excursion with its positions up to and including the exit point.
     """
     if not np.all(domain.contains(np.atleast_1d(start))):
         raise ValueError("start must lie in D")
     if dt <= 0:
         raise ValueError("dt must be positive")
     pos = np.asarray(start, dtype=float)[None]
-    stored = [pos] if store_positions else None
+    stored = [pos]
     for k0 in range(0, _MAX_STEPS, _CHUNK_STEPS):
         path, hit = _advance(params, domain, pos, dt, rng, _CHUNK_STEPS)
         path, hit = path[0], int(hit[0])
-        if store_positions:
-            stored.append(path[1:hit + 1] if hit else path[1:])
+        stored.append(path[1:hit + 1] if hit else path[1:])
         if hit:
             return Excursion(
                 duration=(k0 + hit) * dt,
                 n_steps=k0 + hit,
                 pre_exit=path[hit - 1],
                 exit_point=path[hit],
-                positions=np.concatenate(stored) if store_positions else None,
+                positions=np.concatenate(stored),
             )
         pos = path[None, -1]
     raise RuntimeError("excursion did not exit within %d steps" % _MAX_STEPS)

@@ -26,6 +26,8 @@ from .killed_kernels import (GridOperator, clip_nonnegative, exterior_nu_vector,
 
 # nodes of the fixed Talbot contour; its round-off grows like exp(2J/5) eps
 _TALBOT_NODES = 20
+# the series' level cap: a level mass still above 1e-6 here raises
+_MAX_LEVELS = 128
 
 
 class SeriesError(RuntimeError):
@@ -249,7 +251,7 @@ def _series_levels(L, M, t, max_levels):
         yield level, rows.max()
 
 
-def duhamel_series(L, M, t, max_levels=128):
+def duhamel_series(L, M, t):
     """Sum the series levels at time t, built on a Laplace contour.
 
     Level 0 is the killed heat kernel ``exp(tL)``. With the return operator
@@ -260,7 +262,7 @@ def duhamel_series(L, M, t, max_levels=128):
     carries (see ``assemble_dirichlet_generator``), so no step factors or
     exponentiates a matrix. Entries are clipped at zero, and a clip beyond
     1e-9 raises. Levels are kept until their row mass drops below 1e-14 (at
-    most ``max_levels`` levels); a last kept level above 1e-6 at the cap, or
+    most 128 levels); a last kept level above 1e-6 at the cap, or
     a non-decaying level profile, raises. With fewer than two positive level
     masses past level 0 there is no decay profile to fit: the envelope and
     the tail are then not estimated (None). The levels stream into one
@@ -272,7 +274,7 @@ def duhamel_series(L, M, t, max_levels=128):
     if M.factors is None:
         raise SeriesError("the return operator carries no low-rank factors; "
                           "build it with perturbation_matrix")
-    levels = _series_levels(L, M, t, max_levels)
+    levels = _series_levels(L, M, t, _MAX_LEVELS)
     total, mass = next(levels)
     masses = [mass]
     for level, mass in levels:
@@ -282,10 +284,10 @@ def duhamel_series(L, M, t, max_levels=128):
     total.setflags(write=False)
     masses = np.array(masses)
     N = len(masses) - 1
-    if N >= max_levels - 1 and masses[-1] > 1e-6:
+    if N >= _MAX_LEVELS - 1 and masses[-1] > 1e-6:
         raise SeriesError(
             "level masses did not decay below tolerance within %d levels; "
-            "the return kernel may lack uniform concentration, or the discretization failed" % max_levels
+            "the return kernel may lack uniform concentration, or the discretization failed" % _MAX_LEVELS
         )
     decaying = masses[1:] < masses[:-1]
     if N >= 2 and not decaying[-1]:
@@ -451,14 +453,15 @@ class ExcessiveFunction:
     thresholds: np.ndarray
 
 
-def build_excessive(A, lam, params, n_max=6, r_floor_factor=1e-9):
+def build_excessive(A, lam, params):
     """Construct the boundary-exploding supermedian function.
 
-    For an exhaustion of the grid by boundary-distance thresholds, find
+    For an exhaustion of the grid by six boundary-distance thresholds, find
     decreasing shell depths so the shell payoff is at most 2**-n on the n-th
     compact (bisected to 1e-3 relative), then sum the shell indicators. The
     result is strictly positive, finite, lam-supermedian, and largest near
-    the boundary.
+    the boundary. A shell depth is sought no lower than 1e-9 times the
+    domain's diameter; a level that needs a thinner shell raises.
     """
     grid = A.grid
     domain = grid.domain
@@ -471,25 +474,22 @@ def build_excessive(A, lam, params, n_max=6, r_floor_factor=1e-9):
 
     lo_b, hi_b = domain.bounding_box
     diam = hi_b - lo_b
-    r_floor = r_floor_factor * diam
     radii = []
     summands = []
     thresholds = []
     r_hi = diam
-    for nlev in range(1, n_max + 1):
+    for nlev in range(1, 7):
         thr = dmax * 2.0 ** (-nlev)
         on_set = delta >= thr
         target = 2.0 ** (-nlev)
-        lo, hi = r_floor, r_hi
+        lo, hi = 1e-9 * diam, r_hi
 
         def worst(r):
             return float(v_of(r)[on_set].max())
 
         if worst(lo) > target:
             raise SeriesError(
-                "shell radius not found above the resolution floor at level %d; "
-                "reduce n_max" % nlev
-            )
+                "shell radius not found above the resolution floor at level %d" % nlev)
         if worst(hi) <= target:
             r_n = hi
         else:

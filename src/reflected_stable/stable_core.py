@@ -222,25 +222,18 @@ def walk_on_spheres(params, domain, pos, rng):
     raise RuntimeError("walk-on-spheres iteration cap exceeded (geometry bug?)")
 
 
-def walk_on_spheres_exit(params, domain, start, rng, size, return_iterations=False):
+def walk_on_spheres_exit(params, domain, start, rng, size):
     """Exact exit-position sampling by iterated maximal-ball exits.
 
     Runs ``walk_on_spheres`` from ``size`` copies of ``start``. Returns the
-    exit points, shape (size,) for d=1 and (size, d) otherwise, and with
-    ``return_iterations`` each point's number of ball exits.
+    exit points, shape (size,) for d=1 and (size, d) otherwise.
     """
     n = int(size)
     shape = (n,) if params.d == 1 else (n, params.d)
     pos = np.array(np.broadcast_to(np.asarray(start, dtype=float), shape))
     if not np.all(domain.contains(pos)):
         raise ValueError("start must lie in D")
-    pos, balls = walk_on_spheres(params, domain, pos, rng)
-    if return_iterations:
-        iters = np.zeros(n, dtype=np.int64)
-        for idx, _, _ in balls:
-            iters[idx] += 1
-        return pos, iters
-    return pos
+    return walk_on_spheres(params, domain, pos, rng)[0]
 
 
 def ball_exit_position(params, center, radius, start, rng, size):

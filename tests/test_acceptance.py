@@ -179,7 +179,7 @@ def test_criterion_08_excessive_construction(wb):
     ok = True
     for n_cells in (400, 800):
         A = wb.A(1.0, "uniform", n_cells=n_cells)
-        exc = build_excessive(A, 1.0, wb.params(1.0), n_max=6)
+        exc = build_excessive(A, 1.0, wb.params(1.0))
         grid = wb.ops(1.0, n_cells)["grid"]
         i0 = np.argmin(np.abs(grid.nodes))
         ratios[n_cells] = exc.values[0] / exc.values[i0]
@@ -197,7 +197,7 @@ def test_criterion_09_ladder_lift(wb):
     lad = ladder_kernel(ser, m_levels=max(20, ser.truncation_N))
     A = wb.A(1.0, "uniform")
     grid = wb.ops(1.0)["grid"]
-    v = build_excessive(A, 1.0, wb.params(1.0), n_max=6).values
+    v = build_excessive(A, 1.0, wb.params(1.0)).values
     H1 = ladder_lift(np.ones(grid.n), 0.5, lad.m_levels)
     Hv = ladder_lift(v, 1.0, lad.m_levels, A=A, lam=1.0)
     viol1 = ladder_supermedian_violation(lad, 0.0, H1)

@@ -135,6 +135,17 @@ def test_build_grid_uniform():
     assert g2.h == pytest.approx(g.h / 2.0)
 
 
+@pytest.mark.parametrize("a, b", [(-1.0, 1.0), (0.0, 1.0), (0.1, 0.7), (-3.7, 12.1),
+                                  (0.0, 1e-9), (1e5, 1e5 + 3.7)])
+def test_build_grid_interval_is_one_linspace(a, b):
+    # an interval takes all n cells by the union's proportional rule:
+    # n * (l / l) is n exactly, so no cell moves
+    for n in (1, 2, 3, 4, 7, 100, 400, 600, 1600, 10007):
+        edges = np.linspace(a, b, n + 1)
+        expected = np.stack([edges[:-1], edges[1:]], axis=1)
+        assert np.array_equal(build_grid(Interval(a, b), n).cells, expected), n
+
+
 def test_build_grid_union_tiles_exactly():
     U = IntervalUnion([[-1.0, -0.2], [0.2, 1.4]])
     g = build_grid(U, 33)

@@ -15,7 +15,7 @@ from reflected_stable.reflection import (UniformMeasure, make_constant_kernel,
                                          make_projection_kernel)
 from reflected_stable.stationary import (chain_kernel, kappa_closed_form, stationary_p,
                                          total_variation)
-from reflected_stable.stable_core import StableParams, ball_exit_position
+from reflected_stable.stable_core import StableParams, ball_exit_position, walk_on_spheres
 
 import oracles
 
@@ -31,7 +31,7 @@ def test_stream_independence_and_determinism():
 def test_killed_excursion_records(wb):
     p = wb.params(1.0)
     rng = stream(5, 0)
-    exc = simulate_killed_excursion(p, wb.domain, 0.2, 1e-3, rng, store_positions=True)
+    exc = simulate_killed_excursion(p, wb.domain, 0.2, 1e-3, rng)
     assert not wb.domain.contains(exc.exit_point)
     assert wb.domain.contains(exc.pre_exit)
     assert exc.duration == pytest.approx(exc.n_steps * 1e-3)
@@ -240,8 +240,7 @@ def test_pre_reflection_joint_law(wb):
     hits = 0
     rng = stream(777, 0)
     for _ in range(n):
-        exc = simulate_killed_excursion(p, wb.domain, 0.0, 1e-3, rng,
-                                        store_positions=True)
+        exc = simulate_killed_excursion(p, wb.domain, 0.0, 1e-3, rng)
         if exc.n_steps <= k:
             continue
         r1 = mu.sample(exc.exit_point, rng, size=1)[0]
@@ -290,8 +289,8 @@ def test_reflection_chain_matches_matrix_power(wb):
 def test_walk_on_spheres_interval_center_single_step(wb):
     p = wb.params(1.2)
     rng = stream(3, 3)
-    z, iters = walk_on_spheres_exit(p, wb.domain, 0.0, rng, size=2000,
-                                    return_iterations=True)
+    z, balls = walk_on_spheres(p, wb.domain, np.full(2000, 0.0), rng)
+    iters = np.bincount(np.concatenate([idx for idx, _, _ in balls]), minlength=2000)
     # the maximal ball centered at 0 is the whole interval: many exits need
     # a single step, and all exits land outside
     assert np.all(~wb.domain.contains(z))
@@ -304,8 +303,8 @@ def test_walk_on_spheres_two_component_domain():
     p = StableParams(1, 1.0)
     U = IntervalUnion([[-1.0, -0.2], [0.2, 1.0]])
     rng = stream(17, 1)
-    z, iters = walk_on_spheres_exit(p, U, 0.6, rng, size=4 * 10 ** 4,
-                                    return_iterations=True)
+    z, balls = walk_on_spheres(p, U, np.full(4 * 10 ** 4, 0.6), rng)
+    iters = np.bincount(np.concatenate([idx for idx, _, _ in balls]), minlength=4 * 10 ** 4)
     assert np.all(~U.contains(z))
     assert iters.mean() > 1.0  # some walks hop into the other component
     grid = build_grid(U, 160)
@@ -350,8 +349,7 @@ def test_occupation_identity(wb):
     n = 4000
     acc = 0.0
     for _ in range(n):
-        exc = simulate_killed_excursion(p, wb.domain, m.sample(rng, size=1)[0], 1e-3,
-                                        rng, store_positions=True)
+        exc = simulate_killed_excursion(p, wb.domain, m.sample(rng, size=1)[0], 1e-3, rng)
         inside = (exc.positions[:-1] >= 0.0) & (exc.positions[:-1] <= 0.5)
         acc += inside.sum() * 1e-3
     emp = acc / n

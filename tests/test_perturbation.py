@@ -248,8 +248,14 @@ def test_series_rejects_bad_inputs(wb):
     M = wb.M(1.0, "uniform")
     with pytest.raises(ValueError):
         duhamel_series(ops["L"], M, -0.5)
-    with pytest.raises(SeriesError):
-        duhamel_series(ops["L"], M, 2.0, max_levels=6)
+    # the CLI's no-decay-in-128-levels row: at t = 50, with re-entry 0.01
+    # inside the boundary, the level masses are still above 1e-6 at the cap
+    p = StableParams(1, 1.9)
+    dom = IntervalUnion([[0.0, 0.1], [0.2, 5.0]])
+    grid = build_grid(dom, 16)
+    M = perturbation_matrix(grid, p, make_projection_kernel(dom, 0.01, 0.01))
+    with pytest.raises(SeriesError, match="128 levels"):
+        duhamel_series(assemble_dirichlet_generator(grid, p), M, 50.0)
 
 
 def test_series_without_decay_profile_leaves_envelope_unfitted(wb):
@@ -448,7 +454,7 @@ def test_supermedian_v_with_shell_payoff(wb):
 
 def test_build_excessive_structure(wb):
     A = wb.A(1.0, "uniform")
-    exc = build_excessive(A, 1.0, wb.params(1.0), n_max=6)
+    exc = build_excessive(A, 1.0, wb.params(1.0))
     grid = wb.ops(1.0)["grid"]
     assert np.all(np.diff(exc.radii) <= 0)
     assert exc.values.min() > 0
@@ -469,8 +475,10 @@ def test_build_excessive_summand_continuity(wb):
     # boundary together with the function itself)
     A4 = wb.A(1.0, "uniform", n_cells=400)
     A8 = wb.A(1.0, "uniform", n_cells=800)
-    e4 = build_excessive(A4, 1.0, wb.params(1.0), n_max=4)
-    e8 = build_excessive(A8, 1.0, wb.params(1.0), n_max=4)
+    # summands 0-3 of the six-shell construction: the bisection for shell k
+    # does not look at later shells
+    e4 = build_excessive(A4, 1.0, wb.params(1.0))
+    e8 = build_excessive(A8, 1.0, wb.params(1.0))
     g4, g8 = wb.ops(1.0, 400)["grid"], wb.ops(1.0, 800)["grid"]
 
     def bulk_jump(exc, grid, k):
@@ -486,8 +494,8 @@ def test_build_excessive_summand_continuity(wb):
 def test_build_excessive_refinement_strengthens_dominance(wb):
     A4 = wb.A(1.0, "uniform", n_cells=400)
     A8 = wb.A(1.0, "uniform", n_cells=800)
-    e4 = build_excessive(A4, 1.0, wb.params(1.0), n_max=6)
-    e8 = build_excessive(A8, 1.0, wb.params(1.0), n_max=6)
+    e4 = build_excessive(A4, 1.0, wb.params(1.0))
+    e8 = build_excessive(A8, 1.0, wb.params(1.0))
     g4, g8 = wb.ops(1.0, 400)["grid"], wb.ops(1.0, 800)["grid"]
     r4 = e4.values[0] / e4.values[np.argmin(np.abs(g4.nodes))]
     r8 = e8.values[0] / e8.values[np.argmin(np.abs(g8.nodes))]
@@ -495,9 +503,11 @@ def test_build_excessive_refinement_strengthens_dominance(wb):
 
 
 def test_build_excessive_floor_error(wb):
+    # the CLI's shell-below-floor row: at lambda = 1e-6 even the shell at the
+    # 1e-9 * diam floor pays more than its level's target
     A = wb.A(1.0, "uniform")
-    with pytest.raises(SeriesError):
-        build_excessive(A, 1.0, wb.params(1.0), n_max=6, r_floor_factor=0.5)
+    with pytest.raises(SeriesError, match="resolution floor"):
+        build_excessive(A, 1e-6, wb.params(1.0))
 
 
 def test_ladder_lift_checks_input(wb):
@@ -523,7 +533,7 @@ def test_ladder_lift_supermedian_on_ladder(wb):
     lev = 0.5 ** np.arange(lad.m_levels + 1)
     assert np.all(out <= lev[:, None] + lad.tail_bound + 1e-12)
     assert ladder_supermedian_violation(lad, 0.0, H1) <= 1e-8
-    v = build_excessive(A, 1.0, wb.params(1.0), n_max=6).values
+    v = build_excessive(A, 1.0, wb.params(1.0)).values
     Hv = ladder_lift(v, 1.0, lad.m_levels, A=A, lam=1.0)
     assert ladder_supermedian_violation(lad, 1.0, Hv) <= 1e-8
 
@@ -533,7 +543,7 @@ def test_ladder_lift_separation_ratio(wb):
     # function decreases in the level and toward the boundary
     A = wb.A(1.0, "uniform")
     grid = wb.ops(1.0)["grid"]
-    v = build_excessive(A, 1.0, wb.params(1.0), n_max=6).values
+    v = build_excessive(A, 1.0, wb.params(1.0)).values
     num = ladder_lift(np.ones(grid.n), 0.5, 8)
     den = ladder_lift(v, 1.0, 8)
     ratio = num / den
