@@ -16,8 +16,13 @@ the Green solve's harmonic kernel composed with the return kernel
 M = U V^T), ``dobrushin_coefficient`` of C, ``kappa_generator_nullvector`` of the
 full generator L + M (its assembly included), ``supermedian_violation`` of
 h = 1 under that generator at lambda = 1 and t = 0.1, 1, 10 (its assembly
-included, h built outside the timing) and ``build_excessive`` at lambda = 1
-(the full generator built outside the timing). After the timed runs it
+included, h built outside the timing), ``build_excessive`` at lambda = 1,
+and two forms of the series check's reference exp(tA) of the full generator
+at each t of REFERENCE_TIMES: ``expm_per_t``, one ``scipy.linalg.expm`` per t,
+and ``reference``, the CLI's form (one ``expm`` at the smallest t, the others
+by ``cli_report._exponential``'s powers); a checkout without that function
+has no ``reference`` column. The full generator of the last three is built
+outside the timing. After the timed runs it
 takes ``series_peak_mb``, the tracemalloc peak of ``duhamel_series`` and
 its ``sum()`` in MB of 2**20 bytes, once per n (the figure repeats exactly).
 The JSON file holds the median of each time, the peaks, and the run
@@ -36,7 +41,8 @@ import time
 import tracemalloc
 
 LAYERS = ("assemble", "series", "heat_kernel", "green", "chain_kernel", "dobrushin",
-          "nullvector", "supermedian", "excessive")
+          "nullvector", "supermedian", "excessive", "expm_per_t", "reference")
+REFERENCE_TIMES = (0.1, 0.5, 2.0)
 CELLS = (400, 800, 1600)
 REPEATS = 3
 
@@ -46,8 +52,9 @@ def child(root):
     sys.path.insert(0, os.path.join(root, "src"))
     import numpy as np
     import scipy
+    import scipy.linalg
 
-    from reflected_stable import StableParams
+    from reflected_stable import StableParams, cli_report
     from reflected_stable.geometry import Interval, build_grid
     from reflected_stable.killed_kernels import (assemble_dirichlet_generator,
                                                  green_operator, harmonic_kernel,
@@ -59,6 +66,12 @@ def child(root):
     from reflected_stable.stationary import (chain_kernel, dobrushin_coefficient,
                                              kappa_generator_nullvector)
 
+    def reference(A):
+        t1 = min(REFERENCE_TIMES)
+        E1 = scipy.linalg.expm(t1 * A)
+        return [cli_report._exponential(A, t, t1, E1) for t in REFERENCE_TIMES]
+
+    layers = LAYERS if hasattr(cli_report, "_exponential") else LAYERS[:-1]
     params = StableParams(1, 1.0)
     domain = Interval(-1.0, 1.0)
     mu = make_projection_kernel(domain, 0.2, 0.1)
@@ -67,7 +80,7 @@ def child(root):
         grid = build_grid(domain, n)
         M = perturbation_matrix(grid, params, mu)
         ones = np.ones(grid.n)
-        runs = {layer: [] for layer in LAYERS}
+        runs = {layer: [] for layer in layers}
         for _ in range(REPEATS):
             ops = {}    # the outputs that later layers read
             steps = (("assemble", lambda: assemble_dirichlet_generator(grid, params)),
@@ -81,7 +94,10 @@ def child(root):
                          full_generator(ops["assemble"], M))),
                      ("supermedian", lambda: supermedian_violation(
                          full_generator(ops["assemble"], M), 1.0, ones, (0.1, 1.0, 10.0))),
-                     ("excessive", lambda: build_excessive(ops["A"], 1.0, params)))
+                     ("excessive", lambda: build_excessive(ops["A"], 1.0, params)),
+                     ("expm_per_t", lambda: [scipy.linalg.expm(t * ops["A"].entries)
+                                             for t in REFERENCE_TIMES]),
+                     ("reference", lambda: reference(ops["A"].entries)))[:len(layers)]
             for layer, fn in steps:
                 if layer == "excessive":
                     ops["A"] = full_generator(ops["assemble"], M)
@@ -123,7 +139,8 @@ def main():
         print(label, json.dumps(sides[label]["times_s"]),
               json.dumps(sides[label]["series_peak_mb"]), flush=True)
     record = {
-        "setup": "interval(-1, 1), alpha 1, projection(0.2, 0.1), t = 0.1",
+        "setup": "interval(-1, 1), alpha 1, projection(0.2, 0.1), t = 0.1; "
+                 "expm_per_t and reference at t = %s" % ", ".join(map(str, REFERENCE_TIMES)),
         "statistic": "times_s: median of %d runs, seconds; series_peak_mb: one "
                      "traced run, MB of 2**20 bytes" % REPEATS,
         "nproc": os.cpu_count(),

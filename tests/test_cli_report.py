@@ -6,11 +6,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from reflected_stable import cli_report, pathsim
 from reflected_stable.cli_report import (KINDS, SCHEMA, ConfigError, _Run, _start_law,
                                          build_domain, build_mu, default_config,
                                          describe, main, parse_config, run)
+from reflected_stable.perturbation import duhamel_series
 
 
 def small_config(**over):
@@ -296,11 +298,80 @@ def test_unrunnable_domain_or_law_exits_2(domain, mu, field, tmp_path, capsys):
         assert err["error"].startswith("config field '%s'" % field), err
 
 
+def _set_up_run(config, out_dir):
+    runner = _Run(config, str(out_dir))
+    cli_report._setup(runner)
+    return runner
+
+
+def _stage_references(A, t_list):
+    """exp(tA) at each t as the series stage forms it: expm at the smallest t, powered."""
+    t1 = min(t_list)
+    E1 = scipy.linalg.expm(t1 * A)
+    return [cli_report._exponential(A, t, t1, E1) for t in t_list]
+
+
+@pytest.mark.parametrize("family", sorted(INTERVAL_MUS))
+@pytest.mark.parametrize("domain", ["interval", "grid1d"])
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
+def test_series_reference_matches_per_t_expm(alpha, domain, family, tmp_path):
+    spec, mus = SWEEP[domain]
+    cfg = parse_config(dict(default_config(), params={"d": 1, "alpha": alpha}, domain=spec,
+                            mu=mus[family], out_dir=str(tmp_path)))
+    A = _set_up_run(cfg, tmp_path).A.entries
+    t_list = cfg.t_list
+    assert t_list == [0.1, 0.5, 2.0] and cfg.n_cells == 400
+    for t, E in zip(t_list, _stage_references(A, t_list)):
+        assert np.abs(E - scipy.linalg.expm(t * A)).max() < 1e-13, t
+
+
+@pytest.mark.parametrize("t_list, tol", [
+    ([0.3, 0.7], 1e-13),     # 0.7 = 2 * 0.3 + 0.1: the remainder factor
+    ([2.0, 0.1], 1e-13),     # unsorted: E(0.1) is reused after E(2) = E(0.1)^20
+    # E(0.0001)^20480: the error of storing E(0.0001), powered, is about k eps
+    ([1e-4, 2.048], 20480 * np.finfo(float).eps),
+])
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
+def test_series_reference_remainder_order_and_long_powers(alpha, t_list, tol, tmp_path):
+    cfg = parse_config(dict(default_config(), params={"d": 1, "alpha": alpha},
+                            out_dir=str(tmp_path)))
+    A = _set_up_run(cfg, tmp_path).A.entries
+    for t, E in zip(t_list, _stage_references(A, t_list)):
+        assert np.abs(E - scipy.linalg.expm(t * A)).max() < tol, t
+    # a single t is one expm, exactly
+    E, = _stage_references(A, [0.7])
+    assert np.array_equal(E, scipy.linalg.expm(0.7 * A))
+
+
+@pytest.mark.parametrize("t_list, expm_calls", [
+    ([0.1, 0.5, 2.0], 1), ([2.0, 0.1], 1), ([0.3, 0.7], 2), ([0.5], 1)])
+def test_series_stage_gaps_from_one_expm(t_list, expm_calls, tmp_path, monkeypatch):
+    # the stage calls expm once at the smallest t (and once per remainder), leaves
+    # E(t1) intact for later t's, and reports the gaps that per-t expm gives
+    cfg = parse_config(small_config(kind="semigroup-check", t_list=t_list,
+                                    out_dir=str(tmp_path / "o")))
+    expm, calls = scipy.linalg.expm, []
+    monkeypatch.setattr(scipy.linalg, "expm", lambda X: calls.append(X) or expm(X))
+    code, manifest = run(cfg)
+    assert code == 0 and len(calls) == expm_calls
+    gaps = {c["name"]: c["value"] for c in manifest["checks"]}
+    runner = _set_up_run(cfg, tmp_path)
+    for t in t_list:
+        K = duhamel_series(runner.L, runner.M, t).sum()
+        gap = np.abs(expm(t * runner.A.entries) - K).max()
+        stage_gap = gaps["series-vs-exponential-t%g" % t]
+        if len(t_list) == 1:
+            assert stage_gap == gap
+        assert abs(stage_gap - gap) < 1e-13, t
+
+
 def test_identical_chain_rows_give_zero_contraction(tmp_path):
     # a constant return law makes all chain rows one law, so round-off can
     # push the two-step overlap past 1; beta must stay >= 0 and stationary_p
-    # must not take the square root of a negative number
-    cfg = parse_config(dict(default_config(), kind="stationary", seed=1, n_cells=40,
+    # must not take the square root of a negative number. At 80 cells the
+    # overlap exceeds 1 by about 1.2e-14, well clear of the last bit of the
+    # gamma function the kernels read (at 40 cells it was 9e-15 either side)
+    cfg = parse_config(dict(default_config(), kind="stationary", seed=1, n_cells=80,
                             out_dir=str(tmp_path)))
     code, _ = run(cfg)
     assert code == 0
