@@ -19,10 +19,11 @@ h = 1 under that generator at lambda = 1 and t = 0.1, 1, 10 (its assembly
 included, h built outside the timing), ``build_excessive`` at lambda = 1,
 and two forms of the series check's reference exp(tA) of the full generator
 at each t of REFERENCE_TIMES: ``expm_per_t``, one ``scipy.linalg.expm`` per t,
-and ``reference``, the CLI's form (one ``expm`` at the smallest t, the others
-by ``cli_report._exponential``'s powers); a checkout without that function
-has no ``reference`` column. The full generator of the last three is built
-outside the timing. After the timed runs it
+and ``reference``, the CLI's form (one exponential at the smallest t, by
+``cli_report._expm`` where the checkout has it and ``scipy.linalg.expm``
+before, the others by ``cli_report._exponential``'s powers); a checkout
+without ``_exponential`` has no ``reference`` column. The full generator
+of the last three is built outside the timing. After the timed runs it
 takes ``series_peak_mb``, the tracemalloc peak of ``duhamel_series`` and
 its ``sum()`` in MB of 2**20 bytes, once per n (the figure repeats exactly).
 The JSON file holds the median of each time, the peaks, and the run
@@ -68,7 +69,7 @@ def child(root):
 
     def reference(A):
         t1 = min(REFERENCE_TIMES)
-        E1 = scipy.linalg.expm(t1 * A)
+        E1 = getattr(cli_report, "_expm", scipy.linalg.expm)(t1 * A)
         return [cli_report._exponential(A, t, t1, E1) for t in REFERENCE_TIMES]
 
     layers = LAYERS if hasattr(cli_report, "_exponential") else LAYERS[:-1]

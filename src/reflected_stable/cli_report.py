@@ -26,8 +26,6 @@ import sys
 import time
 
 import numpy as np
-import scipy
-import scipy.linalg
 
 from . import __version__
 from .geometry import DomainError, Interval, IntervalUnion, build_grid
@@ -172,13 +170,71 @@ def _concentration(run):
     run.check("concentration-witness", rep.passed, rep.theta_hat)
 
 
+# numerator coefficients b_k / b_0, k = 0, ..., 13, of the [13/13] Pade approximant
+# to exp (b_0 = 1, so exp(0) is I exactly), and the largest ||A||_1 at which it is
+# accurate to double precision unscaled
+_PADE13 = tuple(b / 64764752532480000.0 for b in (
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0, 1187353796428800.0,
+    129060195264000.0, 10559470521600.0, 670442572800.0, 33522128640.0, 1323241920.0,
+    40840800.0, 960960.0, 16380.0, 182.0, 1.0))
+_THETA13 = 5.371920351148152
+
+
+def _combine(out, tmp, c6, c4, c2, A6, A4, A2):
+    """out = c6 A6 + c4 A4 + c2 A2, with ``tmp`` as scratch."""
+    np.multiply(A6, c6, out=out)
+    out += np.multiply(A4, c4, out=tmp)
+    out += np.multiply(A2, c2, out=tmp)
+    return out
+
+
+def _expm(A):
+    """exp(A) of a square matrix by scaling and squaring with the [13/13] Pade
+    approximant (Higham, SIAM J. Matrix Anal. Appl. 26, 2005).
+
+    With s = max(0, ceil(log2(||A||_1 / theta_13))), the approximant
+    r(X) = (V - U)^-1 (V + U) of X = A / 2^s, U odd and V even in X, is squared
+    s times. Seven n x n buffers are reused through ``out=``, each b I is
+    added on the diagonal in place, and all but two are freed before the
+    solve. A is not written.
+    """
+    n = A.shape[0]
+    b = _PADE13
+    X, Y, T = np.empty_like(A), np.empty_like(A), np.empty_like(A)
+    norm = np.abs(A, out=X).sum(axis=0).max()
+    s = max(0, math.ceil(math.log2(norm / _THETA13))) if norm > _THETA13 else 0
+    As = A * 2.0 ** -s if s else A
+    A2 = As @ As
+    A4 = A2 @ A2
+    A6 = A4 @ A2
+    # U = As (A6 (b13 A6 + b11 A4 + b9 A2) + b7 A6 + b5 A4 + b3 A2 + b1 I)
+    np.matmul(A6, _combine(X, T, b[13], b[11], b[9], A6, A4, A2), out=Y)
+    Y += _combine(X, T, b[7], b[5], b[3], A6, A4, A2)
+    Y.flat[::n + 1] += b[1]
+    # V = A6 (b12 A6 + b10 A4 + b8 A2) + b6 A6 + b4 A4 + b2 A2 + b0 I, in T;
+    # the last combination scales A4 and A2 in place, as nothing reads them after
+    np.matmul(A6, _combine(X, T, b[12], b[10], b[8], A6, A4, A2), out=T)
+    np.multiply(A6, b[6], out=X)
+    X += np.multiply(A4, b[4], out=A4)
+    X += np.multiply(A2, b[2], out=A2)
+    T += X
+    T.flat[::n + 1] += b[0]
+    U = np.matmul(As, Y, out=X)
+    P, Q = np.add(T, U, out=Y), np.subtract(T, U, out=T)
+    del As, A2, A4, A6, X, U   # the solve and the squarings need only P and Q
+    E = np.linalg.solve(Q, P)
+    for _ in range(s):
+        E, Q = np.matmul(E, E, out=Q), E
+    return E
+
+
 def _exponential(A, t, t1, E1):
     """exp(tA) from E1 = exp(t1 A), for 0 < t1 <= t.
 
     Write t = k t1 + rho, with k = round(t / t1) and rho = 0 when k t1 lies
     within a few ulps of t, else k = floor(t / t1). The result is E1^k by
     binary powering (the squaring phase of scaling and squaring; Higham,
-    SIAM J. Matrix Anal. Appl. 26, 2005), times ``expm(rho A)`` only when
+    SIAM J. Matrix Anal. Appl. 26, 2005), times ``_expm(rho A)`` only when
     rho is not 0. Powering carries the error of storing E1 to about k eps.
     It is E1 itself when k = 1 and rho = 0, else a new array: E1 is never
     written.
@@ -195,7 +251,7 @@ def _exponential(A, t, t1, E1):
         if not k:
             break
         power = power @ power
-    return E @ scipy.linalg.expm(rho * A) if rho else E
+    return E @ _expm(rho * A) if rho else E
 
 
 # Three checks per t: the reflected kernel's row sums (conservation), its
@@ -219,7 +275,7 @@ def _series(run):
         dev = float(np.abs(K.sum(axis=1) - 1.0).max())
         run.check("conservation-t%g" % t, dev <= 1e-4, dev, 1e-4)
         if E1 is None:
-            E1 = scipy.linalg.expm(t1 * run.A.entries)
+            E1 = _expm(t1 * run.A.entries)
         E = _exponential(run.A.entries, t, t1, E1)
         if E is E1 and t != t_list[-1]:
             E = E1.copy()   # later t's power E1, and the gap below is taken in E
@@ -394,6 +450,10 @@ KIND_STAGES = {
                            _ergodic_triangulation),
 }
 KINDS = tuple(KIND_STAGES)
+# the stages that draw from the Monte Carlo samplers; below their least alpha the
+# jump-Euler increments come out nan (sample_stable_increment) and some
+# walk-on-spheres exit radii inf (sample_ball_exit_radius)
+_SAMPLING_STAGES = {_ensemble, _chain_samples, _ergodic_triangulation}
 
 
 def _is_number(value):
@@ -511,10 +571,9 @@ def parse_config(raw):
     # build the domain, return kernel and grid here, once, so that a value only
     # they reject fails at parse time as it would under run, before cross-field checks
     config.mu  # reading it builds the domain and the kernel, or raises ConfigError
-    if _ensemble in KIND_STAGES[config.kind] and config.alpha < _MIN_INCREMENT_ALPHA:
-        # below it the jump-Euler increments come out nan (sample_stable_increment)
-        raise ConfigError("params.alpha", "must be at least %g for the jump-Euler "
-                          "ensemble" % _MIN_INCREMENT_ALPHA)
+    if config.alpha < _MIN_INCREMENT_ALPHA and _SAMPLING_STAGES & set(KIND_STAGES[config.kind]):
+        raise ConfigError("params.alpha", "must be at least %g for the Monte Carlo "
+                          "samplers" % _MIN_INCREMENT_ALPHA)
     simulate = config.kind == "simulate"
     if simulate and max(config.t_list) > config.horizon:
         raise ConfigError("t_list", "simulate marks must not exceed the horizon")
@@ -596,7 +655,6 @@ def run(config):
         "versions": {
             "reflected_stable": __version__,
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
         },
         "outputs": runner.outputs,
         "checks": runner.checks,

@@ -1,5 +1,6 @@
 import json
 import logging
+import math
 import os
 import re
 from pathlib import Path
@@ -305,9 +306,9 @@ def _set_up_run(config, out_dir):
 
 
 def _stage_references(A, t_list):
-    """exp(tA) at each t as the series stage forms it: expm at the smallest t, powered."""
+    """exp(tA) at each t as the series stage forms it: _expm at the smallest t, powered."""
     t1 = min(t_list)
-    E1 = scipy.linalg.expm(t1 * A)
+    E1 = cli_report._expm(t1 * A)
     return [cli_report._exponential(A, t, t1, E1) for t in t_list]
 
 
@@ -338,20 +339,20 @@ def test_series_reference_remainder_order_and_long_powers(alpha, t_list, tol, tm
     A = _set_up_run(cfg, tmp_path).A.entries
     for t, E in zip(t_list, _stage_references(A, t_list)):
         assert np.abs(E - scipy.linalg.expm(t * A)).max() < tol, t
-    # a single t is one expm, exactly
+    # a single t is one _expm, exactly
     E, = _stage_references(A, [0.7])
-    assert np.array_equal(E, scipy.linalg.expm(0.7 * A))
+    assert np.array_equal(E, cli_report._expm(0.7 * A))
 
 
 @pytest.mark.parametrize("t_list, expm_calls", [
     ([0.1, 0.5, 2.0], 1), ([2.0, 0.1], 1), ([0.3, 0.7], 2), ([0.5], 1)])
 def test_series_stage_gaps_from_one_expm(t_list, expm_calls, tmp_path, monkeypatch):
-    # the stage calls expm once at the smallest t (and once per remainder), leaves
-    # E(t1) intact for later t's, and reports the gaps that per-t expm gives
+    # the stage calls _expm once at the smallest t (and once per remainder), leaves
+    # E(t1) intact for later t's, and reports the gaps that per-t _expm gives
     cfg = parse_config(small_config(kind="semigroup-check", t_list=t_list,
                                     out_dir=str(tmp_path / "o")))
-    expm, calls = scipy.linalg.expm, []
-    monkeypatch.setattr(scipy.linalg, "expm", lambda X: calls.append(X) or expm(X))
+    expm, calls = cli_report._expm, []
+    monkeypatch.setattr(cli_report, "_expm", lambda X: calls.append(X) or expm(X))
     code, manifest = run(cfg)
     assert code == 0 and len(calls) == expm_calls
     gaps = {c["name"]: c["value"] for c in manifest["checks"]}
@@ -363,6 +364,17 @@ def test_series_stage_gaps_from_one_expm(t_list, expm_calls, tmp_path, monkeypat
         if len(t_list) == 1:
             assert stage_gap == gap
         assert abs(stage_gap - gap) < 1e-13, t
+
+
+def test_expm_of_zero_and_of_scalars():
+    # exp(0) = I exactly (the Pade denominator's constant term is 1), and a
+    # 1 x 1 exponential is within 2 eps of math.exp: absolute below 1, relative
+    # above (the squarings at x = -50 carry the scaled value's relative error)
+    assert np.array_equal(cli_report._expm(np.zeros((5, 5))), np.eye(5))
+    eps = np.finfo(float).eps
+    for x in (-50.0, -1.0, 0.5):
+        e = math.exp(x)
+        assert abs(cli_report._expm(np.array([[x]]))[0, 0] - e) <= 2 * eps * max(1.0, e), x
 
 
 def test_identical_chain_rows_give_zero_contraction(tmp_path):
@@ -555,6 +567,14 @@ def test_readme_config_section_matches_schema():
     ({"seed": 1, "kind": "simulate", "params": {"d": 1, "alpha": 1e-3}, "n_cells": 100,
       "replicas": 20, "horizon": 20, "chain_samples": 2000, "t_list": [0.5],
       "lambda_list": [1.0]}, "params.alpha"),
+    # walk-on-spheres shares that least alpha: below it some Beta exit-radius
+    # draws underflow to 0 (2.4 % at alpha = 0.01) and the radius is inf
+    ({"seed": 1, "kind": "chain", "params": {"d": 1, "alpha": 0.01}, "n_cells": 100,
+      "chain_samples": 2000, "mu": {"family": "projection", "depth": 0.3, "width": 0.2}},
+     "params.alpha"),
+    ({"seed": 1, "kind": "full-triangulation", "params": {"d": 1, "alpha": 0.049},
+      "n_cells": 100, "replicas": 20, "horizon": 20, "chain_samples": 2000,
+      "t_list": [0.5], "lambda_list": [1.0]}, "params.alpha"),
 ], ids=["domain.a", "alpha-str", "alpha-null", "d-2", "lambda_list", "mu.a", "ball.radius",
         "horizon-inf", "dt-inf", "t_list-inf", "lambda_list-inf", "n_time",
         "t_list-past-horizon", "simulate-replicas-0", "simulate-dt-past-horizon",
@@ -563,7 +583,8 @@ def test_readme_config_section_matches_schema():
         "touching-union", "seed-bool", "d-bool", "replicas-bool", "threads-bool",
         "chain_steps-bool", "domain-kind-list", "mu-family-object", "intervals-bool",
         "radius-bool", "center-bool", "mu.a-bool", "point-bool",
-        "lambda_list-alike-under-g", "t_list-repeat", "simulate-alpha-below-sampler"])
+        "lambda_list-alike-under-g", "t_list-repeat", "simulate-alpha-below-sampler",
+        "chain-alpha-below-sampler", "full-triangulation-alpha-below-sampler"])
 def test_non_numeric_fields_exit_2(over, field, tmp_path, capsys):
     # parse_config builds the domain and the return kernel, so --describe
     # rejects every one of these as run does
@@ -574,6 +595,14 @@ def test_non_numeric_fields_exit_2(over, field, tmp_path, capsys):
         err = json.loads(capsys.readouterr().err.strip())
         assert err["type"] == "ConfigError"
         assert err["error"].startswith("config field '%s'" % field), err
+
+
+def test_grid_only_kinds_accept_alpha_below_the_sampler_floor(tmp_path):
+    # they draw nothing, so the samplers' least alpha (rows above) does not bind them
+    for kind in ("semigroup-check", "excessive", "stationary"):
+        raw = small_config(kind=kind, params={"d": 1, "alpha": 0.01},
+                           out_dir=str(tmp_path))
+        assert parse_config(raw).alpha == 0.01
 
 
 def test_full_triangulation_reads_no_dt(tmp_path, capsys):
