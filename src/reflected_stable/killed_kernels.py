@@ -216,13 +216,12 @@ def harmonic_kernel(green, params):
 def exterior_nu_vector(params, grid, g):
     """Vector of integrals of nu(x_i, z) g(z) over the complement of D.
 
-    ``g`` is 1 (or None) for the constant function or a Region1D for an
-    indicator; both use exact antiderivatives. Anything else raises
-    TypeError.
+    ``g`` is 1 for the constant function or a Region1D for an indicator;
+    both use exact antiderivatives. Anything else raises TypeError.
     """
     nodes = grid.nodes
     domain = grid.domain
-    if g is None or (isinstance(g, (int, float)) and float(g) == 1.0):
+    if isinstance(g, (int, float)) and float(g) == 1.0:
         return killing_intensity(params, domain, nodes)
     if not isinstance(g, Region1D):
         raise TypeError("g must be 1 or a Region1D")

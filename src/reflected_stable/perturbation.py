@@ -19,7 +19,7 @@ import dataclasses
 
 import numpy as np
 
-from .geometry import exterior_shell
+from .geometry import Region1D, exterior_complement, exterior_shell
 from .killed_kernels import (GridOperator, clip_nonnegative, exterior_nu_vector,
                              generator_spectrum, heat_kernel, killing_intensity,
                              region_mass)
@@ -46,22 +46,19 @@ def perturbation_matrix(grid, params, mu):
     """Jump-and-return operator: integrate the jump kernel against mu.
 
     Entry (i, j) is the rate of jumping from node i out of D and re-entering
-    into cell j. The kernel is constant on finitely many exterior pieces, so
-    the operator is exactly ``U @ V.T``: each piece contributes a column of
-    U (the jump mass from every node into the piece) and the matching
-    column of V (the re-entry law from the piece). The factors are kept on
-    the result. Row sums must match the exact killing intensity to 1e-6.
+    into cell j. The operator is exactly ``U @ V.T`` with one column per
+    re-entry law of ``mu`` (see ReflectionKernel): column k of U is the jump
+    mass from every node into the complement between the law's cuts, and
+    column k of V the law's cell masses, so M's rank is the number of laws.
+    The factors are kept on the result. Row sums must match the exact
+    killing intensity to 1e-6.
     """
-    try:
-        pieces = mu.z_pieces()
-    except NotImplementedError:
-        raise SeriesError(
-            "%s has no finite partition of the exterior (z_pieces); the "
-            "perturbation operator needs one" % type(mu).__name__) from None
     nodes = grid.nodes
-    U = np.zeros((grid.n, len(pieces)))
-    for k, (piece, _) in enumerate(pieces):
-        U[:, k] = region_mass(params, nodes, piece)
+    ext = exterior_complement(grid.domain)
+    edges = np.concatenate(([-np.inf], mu.cuts, [np.inf]))
+    U = np.empty((grid.n, len(mu.laws)))
+    for k in range(len(mu.laws)):
+        U[:, k] = region_mass(params, nodes, ext.intersect(Region1D([edges[k:k + 2]])))
     V = mu.reentry_columns(grid)
     M = U @ V.T
     kappa = killing_intensity(params, grid.domain, nodes)

@@ -1,9 +1,11 @@
 """Return kernels from the exterior into the domain, and their admissibility check.
 
 A return kernel prescribes, for every exterior point z, the probability law
-of the re-entry point in D. Admissibility (the concentration bound)
-requires a compact witness set H in D whose mass is bounded below uniformly
-over all exterior points; each built-in family carries such a witness.
+of the re-entry point in D; each kernel here is finitely many re-entry laws
+and the cut points between them (see ReflectionKernel). Admissibility (the
+concentration bound) requires a compact witness set H in D whose mass is
+bounded below uniformly over all exterior points; each built-in family
+carries such a witness.
 """
 
 import dataclasses
@@ -114,51 +116,58 @@ class BallUniformMeasure:
 class ReflectionKernel:
     """Markov kernel mapping exterior points to re-entry laws on D.
 
+    A kernel is its re-entry laws in line order and the cut points between
+    them: law k governs the exterior points z with cuts[k-1] < z <= cuts[k]
+    (``np.searchsorted(cuts, z)``), so z -> mu(z, .) is constant on the
+    part of the complement between two consecutive cuts.
+
     Attributes
     ----------
     domain : IntervalUnion or Ball
+    laws : list of measures on D, one per law
+    cuts : ndarray, one fewer than the laws, increasing
     witness_H : Region1D
         Compact witness set for the concentration bound.
     witness_theta : float
         Claimed uniform lower bound for the witness mass.
     """
 
-    domain = None
-    witness_H = None
-    witness_theta = None
+    def __init__(self, domain, laws, cuts, witness_H, witness_theta):
+        self.domain = domain
+        self.laws = laws
+        self.cuts = np.asarray(cuts, dtype=float)
+        self.witness_H, self.witness_theta = witness_H, witness_theta
+        if self.witness_theta <= 0:
+            raise KernelError("witness mass must be positive")
+
+    def _law_index(self, z):
+        return np.searchsorted(self.cuts, z)
+
+    def law(self, z):
+        """The re-entry law mu(z, .) of one exterior point z (ValueError for z in open D)."""
+        if self.domain.contains(z):
+            raise ValueError("z = %r lies in the open domain %r" % (float(z), self.domain))
+        return self.laws[self._law_index(z)]
 
     def mass(self, z, region):
-        raise NotImplementedError
+        return self.law(z).mass(region)
 
     def cell_masses(self, z, grid):
-        raise NotImplementedError
-
-    def sample(self, z, rng, size):
-        raise NotImplementedError
+        return self.law(z).cell_masses(grid)
 
     def average(self, z, grid, values):
         """Integral of a grid function against mu(z, .) (cellwise-constant)."""
         return float(np.dot(self.cell_masses(z, grid), values))
 
-    def z_pieces(self):
-        """Partition of the exterior on which z -> mu(z, .) is constant.
-
-        Returns a list of (piece, representative z) with pieces covering the
-        complement. The perturbation operator requires it.
-        """
-        raise NotImplementedError
-
     def reentry_columns(self, grid):
-        """Cell masses of mu(z, .) for z in each of ``z_pieces``, one column per piece."""
-        return np.column_stack([self.cell_masses(z, grid) for _, z in self.z_pieces()])
+        """Cell masses of each law, one column per law."""
+        return np.column_stack([law.cell_masses(grid) for law in self.laws])
 
 
 class ConstantKernel(ReflectionKernel):
     """Kernel ignoring the exit point: mu(z, .) = m for every z."""
 
     def __init__(self, domain, m):
-        self.domain = domain
-        self.m = m
         total = m.total_mass()
         if abs(total - 1.0) > 1e-10:
             raise KernelError("measure not normalized: total mass %.12g" % total)
@@ -168,23 +177,11 @@ class ConstantKernel(ReflectionKernel):
             if outside > 0:
                 raise KernelError("law puts mass %.6g outside the open domain %r"
                                   % (outside, domain))
-        self.witness_H, self.witness_theta = m.default_witness()
-        if self.witness_theta <= 0:
-            raise KernelError("witness mass must be positive")
-
-    def mass(self, z, region):
-        return self.m.mass(region)
-
-    def cell_masses(self, z, grid):
-        return self.m.cell_masses(grid)
+        super().__init__(domain, [m], [], *m.default_witness())
+        self.m = m
 
     def sample(self, z, rng, size):
         return self.m.sample(rng, size=size)
-
-    def z_pieces(self):
-        ext = exterior_complement(self.domain)
-        rep = ext.pieces[-1][0] + 1.0
-        return [(Region1D([p]) , rep) for p in ext.pieces]
 
 
 class ProjectionKernel(ReflectionKernel):
@@ -192,16 +189,14 @@ class ProjectionKernel(ReflectionKernel):
     nearest to the exit point (1-D domains).
 
     The re-entry interval has length ``width`` and is centered ``depth``
-    inside D, measured from the nearest boundary point; it depends on z only
-    through that nearest boundary point, so the kernel is constant on
-    finitely many exterior pieces.
+    inside D, measured from the nearest boundary point: one uniform law per
+    endpoint, cut at the midpoints of consecutive endpoints.
     """
 
     def __init__(self, domain, depth, width):
         if domain.d != 1:
             raise KernelError("projection kernel is implemented for 1-D domains")
-        self.domain = domain
-        self.depth, self.width = float(depth), float(width)
+        depth, width = float(depth), float(width)
         ivs = domain.intervals
         min_len = np.min(ivs[:, 1] - ivs[:, 0])
         if not (0 < width and width / 2.0 < depth and depth + width / 2.0 < min_len / 2.0):
@@ -210,62 +205,23 @@ class ProjectionKernel(ReflectionKernel):
                 "component length (depth=%g, width=%g, min component=%g)"
                 % (depth, width, min_len)
             )
-        self.intervals = ivs
+        endpoints = ivs.ravel()
+        # inward direction: +1 at left endpoints, -1 at right endpoints
+        center = endpoints + np.tile([1.0, -1.0], len(ivs)) * depth
+        self.lo, self.hi = center - width / 2.0, center + width / 2.0
+        laws = [UniformMeasure(a, b) for a, b in zip(self.lo, self.hi)]
         lo, hi = depth - width / 4.0, depth + width / 4.0
         pieces = []
         for a, b in ivs:
             pieces.append((a + lo, a + hi))
             pieces.append((b - hi, b - lo))
-        self.witness_H = Region1D(pieces)
-        self.witness_theta = min(
-            self.mass(z, self.witness_H) for _, z in self.z_pieces()
-        )
-        if self.witness_theta <= 0:
-            raise KernelError("projection kernel witness failed (geometry bug)")
-
-    def _insertion(self, z):
-        """Insertion interval (lo, hi) for each exterior point z."""
-        z = np.atleast_1d(np.asarray(z, dtype=float))
-        endpoints = self.intervals.ravel()
-        # inward direction: +1 at left endpoints, -1 at right endpoints
-        inward = np.tile([1.0, -1.0], len(self.intervals))
-        k = np.argmin(np.abs(z[:, None] - endpoints), axis=1)
-        center = endpoints[k] + inward[k] * self.depth
-        return center - self.width / 2.0, center + self.width / 2.0
-
-    def mass(self, z, region):
-        lo, hi = self._insertion(z)
-        total = np.zeros_like(lo)
-        for a, b in region.pieces:
-            total += np.maximum(np.minimum(hi, b) - np.maximum(lo, a), 0.0)
-        out = total / self.width
-        return float(out[0]) if np.ndim(z) == 0 else out
-
-    def cell_masses(self, z, grid):
-        lo, hi = self._insertion(z)
-        cover = np.maximum(
-            np.minimum(hi[:, None], grid.cells[:, 1]) - np.maximum(lo[:, None], grid.cells[:, 0]),
-            0.0,
-        ) / self.width
-        return cover[0] if np.ndim(z) == 0 else cover
+        H = Region1D(pieces)
+        super().__init__(domain, laws, 0.5 * (endpoints[:-1] + endpoints[1:]), H,
+                         min(law.mass(H) for law in laws))
 
     def sample(self, z, rng, size):
-        lo, hi = self._insertion(z)
-        return rng.uniform(lo, hi, size=size)
-
-    def z_pieces(self):
-        ext = exterior_complement(self.domain)
-        out = []
-        for a, b in ext.pieces:
-            if np.isinf(a):
-                out.append((Region1D([(a, b)]), b - 1.0))
-            elif np.isinf(b):
-                out.append((Region1D([(a, b)]), a + 1.0))
-            else:
-                mid = 0.5 * (a + b)
-                out.append((Region1D([(a, mid)]), 0.5 * (a + mid)))
-                out.append((Region1D([(mid, b)]), 0.5 * (mid + b)))
-        return out
+        k = self._law_index(z)
+        return rng.uniform(self.lo[k], self.hi[k], size=size)
 
 
 def make_constant_kernel(domain, m):
@@ -320,16 +276,13 @@ def validate_concentration(kernel, probes):
     """Check the witness mass bound at every probe.
 
     Passes when the minimum probe mass of the witness set is at least the
-    claimed bound (within 1e-9); for the built-in families the kernel is
-    piecewise constant in z, so a probe per piece makes the finite check
-    exhaustive.
+    claimed bound (within 1e-9); the kernel is constant between consecutive
+    cuts, so a probe per law makes the finite check exhaustive. A probe in
+    open D raises ValueError, as the law lookup does.
     """
     probes = np.atleast_1d(np.asarray(probes, dtype=float))
     if probes.size == 0:
         raise ValueError("probe set must be nonempty")
-    ext = exterior_complement(kernel.domain)
-    if not np.all(ext.contains(probes)):
-        raise ValueError("all probes must lie in the complement of D")
     values = np.array([kernel.mass(z, kernel.witness_H) for z in probes])
     theta_hat = float(values.min())
     return ConcentrationReport(theta_hat=theta_hat,

@@ -74,7 +74,7 @@ def chain_kernel(harmonic, mu):
     times the jump-and-return operator ``M = U V^T``, so row sums inherit
     the exactness of the killing-intensity identity (checked to 1e-6 from
     the factors). It is built as ``C = (G U) V^T`` in O(n^2 r), r the number
-    of exterior pieces, and keeps the factors ``(G U, V)``:
+    of the return kernel's re-entry laws, and keeps the factors ``(G U, V)``:
     ``dobrushin_coefficient`` reads the two-step contraction from them in
     O(n^2 m) for a return law of m row directions, ``stationary_p`` the
     stationary law from the r x r matrix ``V^T G U``, and a law of the chain
@@ -97,8 +97,9 @@ def chain_directions(V):
     ``B V^T``. Rows of V that are positive multiples of one direction form
     a group (rows are compared after division by their largest entry; zero
     rows are dropped) and column g of the result is the sum of group g's
-    rows, an r x m matrix. There is m = 1 direction for a constant law, 2
-    for a projection kernel on an interval and 4 on a two-interval union.
+    rows, an r x m matrix. Every built-in family has m = r, one direction
+    per law, when no cell meets two of its laws: one for a constant law,
+    one per endpoint (2 per interval) for a projection kernel.
     """
     scale = V.max(axis=1)
     rows = scale > 0
@@ -140,7 +141,8 @@ def dobrushin_coefficient(op):
 def stationary_p(chain, beta=None):
     """Stationary law of the reflection chain from its r x r reduction.
 
-    With ``chain.factors = (B, V)``, K = V^T B is r x r stochastic, and p = pC
+    With ``chain.factors = (B, V)``, r the number of the return kernel's
+    re-entry laws, K = V^T B is r x r stochastic, and p = pC
     iff q = pB has qK = q and p = qV^T: q is K's left eigenvector for the
     eigenvalue nearest 1, and p = qV^T is clipped at 0 and normalized. K has
     C's nonzero eigenvalues, so |lambda2(K)| is the chain's exact rate.

@@ -141,7 +141,7 @@ def test_run_stationary_kind(tmp_path):
     # law's chain is exact after one step, so its second eigenvalue is round-off
     diag = stages.pop(cli_report._densities.__doc__)["diagnostics"]
     assert set(diag["chain_law"]) == {"r", "lambda2", "fixed_point_tv"}
-    assert diag["chain_law"]["r"] == 2 and diag["chain_law"]["lambda2"] < 1e-9
+    assert diag["chain_law"]["r"] == 1 and diag["chain_law"]["lambda2"] < 1e-9
     assert diag["chain_law"]["fixed_point_tv"] <= 2e-12
     null = diag["null_vector"]
     assert set(null) == {"steps", "step_ratio", "min_off_diagonal", "residual"}

@@ -19,7 +19,7 @@ from reflected_stable.perturbation import (ConservationError, SeriesError,
                                            perturbation_matrix, reflected_kernel,
                                            semigroup_apply, supermedian_v,
                                            supermedian_violation)
-from reflected_stable.reflection import (AtomMeasure, ReflectionKernel, UniformMeasure,
+from reflected_stable.reflection import (AtomMeasure, UniformMeasure,
                                          default_probes, make_constant_kernel,
                                          make_projection_kernel)
 from reflected_stable.stable_core import StableParams
@@ -49,17 +49,30 @@ def test_perturbation_matrix_dirac_single_column(wb):
     assert np.array_equal(nz, [j0])
 
 
-def test_perturbation_matrix_requires_z_pieces(wb):
-    class SmoothReturn(ReflectionKernel):
-        domain = wb.domain
-
+def test_duhamel_series_requires_factors(wb):
     ops = wb.ops(1.0)
-    with pytest.raises(SeriesError, match="SmoothReturn"):
-        perturbation_matrix(ops["grid"], ops["params"], SmoothReturn())
     M = wb.M(1.0, "uniform")
     bare = GridOperator(grid=M.grid, entries=M.entries, kind="perturbation")
     with pytest.raises(SeriesError):
         duhamel_series(ops["L"], bare, 0.5)
+
+
+@pytest.mark.parametrize("domain", [Interval(-1.0, 1.0),
+                                    IntervalUnion([[-1.0, -0.2], [0.1, 1.0]])],
+                         ids=["interval", "union"])
+def test_perturbation_matrix_has_one_column_per_law(domain):
+    # M's rank is the number of re-entry laws: one for a constant law, whose
+    # U column is the killing intensity, and one per endpoint for projection
+    p = StableParams(1, 1.0)
+    grid = build_grid(domain, 60)
+    kappa = killing_intensity(p, domain, grid.nodes)
+    for mu, r in ((make_constant_kernel(domain, UniformMeasure(0.3, 0.8)), 1),
+                  (make_constant_kernel(domain, AtomMeasure([0.5])), 1),
+                  (make_projection_kernel(domain, 0.2, 0.1), 2 * len(domain.intervals))):
+        U, V = perturbation_matrix(grid, p, mu).factors
+        assert U.shape[1] == V.shape[1] == r
+        if r == 1:
+            assert np.array_equal(U[:, 0], kappa)
 
 
 def test_one_cell_grid_builds_operators_and_series(wb):

@@ -86,10 +86,10 @@ def test_normalization_at_probes():
 
 def test_projection_kernel_geometry():
     mu = make_projection_kernel(D, 0.3, 0.2)
-    lo, hi = mu._insertion(2.0)
-    assert (lo[0], hi[0]) == pytest.approx((0.6, 0.8))
-    lo, hi = mu._insertion(-5.0)
-    assert (lo[0], hi[0]) == pytest.approx((-0.8, -0.6))
+    law = mu.law(2.0)
+    assert (law.a, law.b) == pytest.approx((0.6, 0.8))
+    law = mu.law(-5.0)
+    assert (law.a, law.b) == pytest.approx((-0.8, -0.6))
     rng = np.random.default_rng(1)
     x = mu.sample(2.0, rng, size=2000)
     assert x.min() >= 0.6 and x.max() <= 0.8
@@ -109,11 +109,11 @@ def test_projection_kernel_on_union_gap_sides():
     U = IntervalUnion([[-1.0, -0.2], [0.2, 1.0]])
     mu = make_projection_kernel(U, 0.15, 0.1)
     # z just right of the gap midpoint projects inward from +0.2
-    lo, hi = mu._insertion(0.11)
-    assert (lo[0], hi[0]) == pytest.approx((0.3, 0.4))
+    law = mu.law(0.11)
+    assert (law.a, law.b) == pytest.approx((0.3, 0.4))
     # z just left of the gap midpoint projects inward from -0.2
-    lo, hi = mu._insertion(-0.11)
-    assert (lo[0], hi[0]) == pytest.approx((-0.4, -0.3))
+    law = mu.law(-0.11)
+    assert (law.a, law.b) == pytest.approx((-0.4, -0.3))
     rep = validate_concentration(mu, default_probes(U))
     assert rep.passed
 
@@ -139,3 +139,58 @@ def test_validate_concentration_rejects_interior_probes():
         validate_concentration(mu, np.array([0.0]))
     with pytest.raises(ValueError):
         validate_concentration(mu, np.array([]))
+
+
+GAP_UNION = IntervalUnion([[-1.0, -0.2], [0.1, 1.0]])
+SIX_INTERVALS = IntervalUnion([[2.0 * k, 2.0 * k + 1.0] for k in range(6)])
+
+
+def nearest_insertion(domain, depth, width, z):
+    """Insertion interval inward from the endpoint nearest to z, by direct search."""
+    ends = domain.intervals.ravel()
+    k = int(np.argmin(np.abs(ends - z)))
+    center = ends[k] + (depth if k % 2 == 0 else -depth)
+    return center - width / 2.0, center + width / 2.0
+
+
+@pytest.mark.parametrize("domain", [GAP_UNION, SIX_INTERVALS], ids=["gap", "six"])
+def test_projection_law_of_z_is_the_nearest_endpoint_insertion(domain):
+    # one lookup serves the law, its cell masses and the sampler: on both
+    # sides of every gap midpoint, at the boundary and far out, all three
+    # follow the insertion interval of the nearest endpoint
+    mu = make_projection_kernel(domain, 0.2, 0.1)
+    grid = build_grid(domain, 120)
+    ivs = domain.intervals
+    zs = list(ivs.ravel()) + [ivs[0, 0] - f for f in (1e-9, 0.5, 1e3)] \
+        + [ivs[-1, 1] + f for f in (1e-9, 0.5, 1e3)]
+    for a, b in zip(ivs[:-1, 1], ivs[1:, 0]):
+        mid = 0.5 * (a + b)
+        zs += [mid + s * f * (b - a) for s in (-1, 1) for f in (1e-9, 1e-3, 0.25, 0.49)]
+    rng = np.random.default_rng(7)
+    for z in zs:
+        lo, hi = nearest_insertion(domain, 0.2, 0.1, z)
+        law = mu.law(z)
+        assert (law.a, law.b) == (lo, hi), z
+        x = mu.sample(z, rng, size=200)
+        assert lo <= x.min() and x.max() <= hi, z
+        assert np.array_equal(mu.cell_masses(z, grid), UniformMeasure(lo, hi).cell_masses(grid)), z
+
+
+def test_law_lookup_rejects_interior_z():
+    # z in open D has no re-entry law; the complement is closed, so a
+    # boundary point has one
+    grid = build_grid(GAP_UNION, 40)
+    whole = Region1D(GAP_UNION.intervals)
+    for mu in (make_constant_kernel(GAP_UNION, UniformMeasure(0.3, 0.8)),
+               make_projection_kernel(GAP_UNION, 0.2, 0.1)):
+        for z in (-0.5, 0.5, -0.2 - 1e-12, 0.1 + 1e-12):
+            with pytest.raises(ValueError, match="z = %r" % z):
+                mu.mass(z, whole)
+            with pytest.raises(ValueError, match="open domain"):
+                mu.cell_masses(z, grid)
+            with pytest.raises(ValueError, match="open domain"):
+                mu.average(z, grid, np.ones(grid.n))
+        for z in (-1.0, -0.2, 0.1, 1.0, 0.0):
+            assert mu.mass(z, whole) == pytest.approx(1.0, abs=1e-12)
+    with pytest.raises(ValueError, match="z = 0.0"):
+        make_projection_kernel(D, 0.3, 0.2).mass(0.0, Region1D([(-1.0, 1.0)]))
