@@ -20,24 +20,30 @@ included, h built outside the timing), ``build_excessive`` at lambda = 1,
 and two forms of the series check's reference exp(tA) of the full generator
 at each t of REFERENCE_TIMES: ``expm_per_t``, one ``scipy.linalg.expm`` per t,
 and ``reference``, the CLI's form (one exponential at the smallest t, by
-``cli_report._expm`` where the checkout has it and ``scipy.linalg.expm``
-before, the others by ``cli_report._exponential``'s powers); a checkout
-without ``_exponential`` has no ``reference`` column. The full generator
-of the last three is built outside the timing. After the timed runs it
-takes ``series_peak_mb``, the tracemalloc peak of ``duhamel_series`` and
-its ``sum()`` in MB of 2**20 bytes, once per n (the figure repeats exactly).
-The JSON file holds the median of each time, the peaks, and the run
-record: core count, BLAS thread count and library versions.
+``cli_report._expm`` where the checkout has it, in whichever of its forms
+``_expm(A, t)`` or ``_expm(t * A)`` the checkout has, and
+``scipy.linalg.expm`` before, the others by ``cli_report._exponential``'s
+powers); a checkout without ``_exponential`` has no ``reference`` column.
+The full generator of the last three is built outside the timing. After the
+timed runs it takes two tracemalloc peaks per n, in MB of 2**20 bytes, from
+one traced run each: ``series_peak_mb``, of
+``duhamel_series`` and its ``sum()``, and ``stage_peak_mb``, of a whole
+``semigroup-check`` CLI run (``cli_report.run``) of the same setup at the t
+of REFERENCE_TIMES, the series stage with its reference check. The JSON
+file holds the median of each time, the peaks, and the run record: core
+count, BLAS thread count and library versions.
 Sides run in the order given, one after the other.
 """
 
 import argparse
+import inspect
 import json
 import os
 import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 
@@ -67,16 +73,37 @@ def child(root):
     from reflected_stable.stationary import (chain_kernel, dobrushin_coefficient,
                                              kappa_generator_nullvector)
 
+    expm = getattr(cli_report, "_expm", scipy.linalg.expm)
+    takes_t = len(inspect.signature(expm).parameters) == 2
+
     def reference(A):
         t1 = min(REFERENCE_TIMES)
-        E1 = getattr(cli_report, "_expm", scipy.linalg.expm)(t1 * A)
+        E1 = expm(A, t1) if takes_t else expm(t1 * A)
         return [cli_report._exponential(A, t, t1, E1) for t in REFERENCE_TIMES]
+
+    def traced_peak_mb(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1] / 2 ** 20
+        finally:
+            tracemalloc.stop()
+
+    def stage_run(n, out_dir):
+        raw = dict(cli_report.default_config(), kind="semigroup-check", n_cells=n,
+                   params={"d": 1, "alpha": 1.0},
+                   domain={"kind": "interval", "a": -1.0, "b": 1.0},
+                   mu={"family": "projection", "depth": 0.2, "width": 0.1},
+                   t_list=list(REFERENCE_TIMES), out_dir=out_dir)
+        code, _ = cli_report.run(cli_report.parse_config(raw))
+        if code != 0:
+            raise RuntimeError("semigroup-check run at n = %d exited %d" % (n, code))
 
     layers = LAYERS if hasattr(cli_report, "_exponential") else LAYERS[:-1]
     params = StableParams(1, 1.0)
     domain = Interval(-1.0, 1.0)
     mu = make_projection_kernel(domain, 0.2, 0.1)
-    times, peaks = {}, {}
+    times, peaks, stage_peaks = {}, {}, {}
     for n in CELLS:
         grid = build_grid(domain, n)
         M = perturbation_matrix(grid, params, mu)
@@ -109,11 +136,11 @@ def child(root):
                     ops[layer] = out
                 del out
         times[str(n)] = {layer: statistics.median(v) for layer, v in runs.items()}
-        tracemalloc.start()
-        duhamel_series(ops["assemble"], M, 0.1).sum()
-        peaks[str(n)] = tracemalloc.get_traced_memory()[1] / 2 ** 20
-        tracemalloc.stop()
-    print(json.dumps({"times_s": times, "series_peak_mb": peaks, "numpy": np.__version__,
+        peaks[str(n)] = traced_peak_mb(lambda: duhamel_series(ops["assemble"], M, 0.1).sum())
+        with tempfile.TemporaryDirectory() as out_dir:
+            stage_peaks[str(n)] = traced_peak_mb(lambda: stage_run(n, out_dir))
+    print(json.dumps({"times_s": times, "series_peak_mb": peaks,
+                      "stage_peak_mb": stage_peaks, "numpy": np.__version__,
                       "scipy": scipy.__version__,
                       "blas": np.__config__.CONFIG["Build Dependencies"]["blas"]["name"]}))
 
@@ -138,12 +165,14 @@ def main():
         out = subprocess.run(cmd, env=env, check=True, capture_output=True, text=True)
         sides[label] = json.loads(out.stdout.strip().splitlines()[-1])
         print(label, json.dumps(sides[label]["times_s"]),
-              json.dumps(sides[label]["series_peak_mb"]), flush=True)
+              json.dumps(sides[label]["series_peak_mb"]),
+              json.dumps(sides[label]["stage_peak_mb"]), flush=True)
     record = {
         "setup": "interval(-1, 1), alpha 1, projection(0.2, 0.1), t = 0.1; "
-                 "expm_per_t and reference at t = %s" % ", ".join(map(str, REFERENCE_TIMES)),
-        "statistic": "times_s: median of %d runs, seconds; series_peak_mb: one "
-                     "traced run, MB of 2**20 bytes" % REPEATS,
+                 "expm_per_t, reference and stage_peak_mb at t = %s"
+                 % ", ".join(map(str, REFERENCE_TIMES)),
+        "statistic": "times_s: median of %d runs, seconds; series_peak_mb and "
+                     "stage_peak_mb: one traced run each, MB of 2**20 bytes" % REPEATS,
         "nproc": os.cpu_count(),
         "blas_threads": 1,
         "python": platform.python_version(),

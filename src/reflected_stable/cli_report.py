@@ -188,41 +188,48 @@ def _combine(out, tmp, c6, c4, c2, A6, A4, A2):
     return out
 
 
-def _expm(A):
-    """exp(A) of a square matrix by scaling and squaring with the [13/13] Pade
+def _expm(A, t):
+    """exp(tA) of a square matrix by scaling and squaring with the [13/13] Pade
     approximant (Higham, SIAM J. Matrix Anal. Appl. 26, 2005).
 
-    With s = max(0, ceil(log2(||A||_1 / theta_13))), the approximant
-    r(X) = (V - U)^-1 (V + U) of X = A / 2^s, U odd and V even in X, is squared
-    s times. Seven n x n buffers are reused through ``out=``, each b I is
-    added on the diagonal in place, and all but two are freed before the
-    solve. A is not written.
+    With s = max(0, ceil(log2(||tA||_1 / theta_13))), the approximant
+    r(X) = (V - U)^-1 (V + U) of X = t A / 2^s, U odd and V even in X, is
+    squared s times. Six n x n buffers (X, its powers A2, A4, A6, and two
+    more) are reused through ``out=``, each b I is added on the diagonal in
+    place, and all but two are freed before the solve, so the call holds at
+    most six n x n arrays beyond A. A is not written.
     """
     n = A.shape[0]
     b = _PADE13
-    X, Y, T = np.empty_like(A), np.empty_like(A), np.empty_like(A)
-    norm = np.abs(A, out=X).sum(axis=0).max()
+    X = np.multiply(A, t)
+    Y = np.abs(X)
+    norm = Y.sum(axis=0).max()
     s = max(0, math.ceil(math.log2(norm / _THETA13))) if norm > _THETA13 else 0
-    As = A * 2.0 ** -s if s else A
-    A2 = As @ As
+    if s:
+        X *= 2.0 ** -s
+    A2 = X @ X
     A4 = A2 @ A2
     A6 = A4 @ A2
-    # U = As (A6 (b13 A6 + b11 A4 + b9 A2) + b7 A6 + b5 A4 + b3 A2 + b1 I)
-    np.matmul(A6, _combine(X, T, b[13], b[11], b[9], A6, A4, A2), out=Y)
-    Y += _combine(X, T, b[7], b[5], b[3], A6, A4, A2)
+    T = np.empty_like(X)
+    # U = X (A6 (b13 A6 + b11 A4 + b9 A2) + b7 A6 + b5 A4 + b3 A2 + b1 I), in T
+    np.matmul(A6, _combine(T, Y, b[13], b[11], b[9], A6, A4, A2), out=Y)
+    Y += np.multiply(A6, b[7], out=T)
+    Y += np.multiply(A4, b[5], out=T)
+    Y += np.multiply(A2, b[3], out=T)
     Y.flat[::n + 1] += b[1]
-    # V = A6 (b12 A6 + b10 A4 + b8 A2) + b6 A6 + b4 A4 + b2 A2 + b0 I, in T;
+    U = np.matmul(X, Y, out=T)
+    # V = A6 (b12 A6 + b10 A4 + b8 A2) + b6 A6 + b4 A4 + b2 A2 + b0 I, in Y;
     # the last combination scales A4 and A2 in place, as nothing reads them after
-    np.matmul(A6, _combine(X, T, b[12], b[10], b[8], A6, A4, A2), out=T)
+    V = np.matmul(A6, _combine(X, Y, b[12], b[10], b[8], A6, A4, A2), out=Y)
     np.multiply(A6, b[6], out=X)
     X += np.multiply(A4, b[4], out=A4)
     X += np.multiply(A2, b[2], out=A2)
-    T += X
-    T.flat[::n + 1] += b[0]
-    U = np.matmul(As, Y, out=X)
-    P, Q = np.add(T, U, out=Y), np.subtract(T, U, out=T)
-    del As, A2, A4, A6, X, U   # the solve and the squarings need only P and Q
+    V += X
+    V.flat[::n + 1] += b[0]
+    P, Q = np.add(V, U, out=X), np.subtract(V, U, out=Y)
+    del A2, A4, A6, T, U, V   # the solve and the squarings need only P and Q
     E = np.linalg.solve(Q, P)
+    del P, X
     for _ in range(s):
         E, Q = np.matmul(E, E, out=Q), E
     return E
@@ -234,7 +241,7 @@ def _exponential(A, t, t1, E1):
     Write t = k t1 + rho, with k = round(t / t1) and rho = 0 when k t1 lies
     within a few ulps of t, else k = floor(t / t1). The result is E1^k by
     binary powering (the squaring phase of scaling and squaring; Higham,
-    SIAM J. Matrix Anal. Appl. 26, 2005), times ``_expm(rho A)`` only when
+    SIAM J. Matrix Anal. Appl. 26, 2005), times ``_expm(A, rho)`` only when
     rho is not 0. Powering carries the error of storing E1 to about k eps.
     It is E1 itself when k = 1 and rho = 0, else a new array: E1 is never
     written.
@@ -251,19 +258,23 @@ def _exponential(A, t, t1, E1):
         if not k:
             break
         power = power @ power
-    return E @ _expm(rho * A) if rho else E
+    return E @ _expm(A, rho) if rho else E
 
 
 # Three checks per t: the reflected kernel's row sums (conservation), its
 # entrywise gap to exp(tA) of the full generator A, and a fitted level-mass
 # decay rate below 1. The reference exp(tA) takes one ``expm`` at the smallest
 # t and reaches every other t by ``_exponential``'s powers, so it uses neither
-# L's spectrum nor the Talbot contour that the series is built on.
+# L's spectrum nor the Talbot contour that the series is built on. That expm
+# runs before the first series, and each t's series, sum and gap are dropped
+# before the next t's series is built, so no series array is alive at the
+# expm and at most one t's arrays are alive at a time.
 def _series(run):
     """perturbation series at each t: conservation, exponential match, level decay"""
     diagnostics = []
     L, M, t_list = run.L, run.M, run.config.t_list
-    t1, E1 = min(t_list), None
+    t1 = min(t_list)
+    E1 = _expm(run.A.entries, t1)
     for t in t_list:
         try:
             ser = duhamel_series(L, M, t)
@@ -274,8 +285,6 @@ def _series(run):
         K = ser.sum()
         dev = float(np.abs(K.sum(axis=1) - 1.0).max())
         run.check("conservation-t%g" % t, dev <= 1e-4, dev, 1e-4)
-        if E1 is None:
-            E1 = _expm(t1 * run.A.entries)
         E = _exponential(run.A.entries, t, t1, E1)
         if E is E1 and t != t_list[-1]:
             E = E1.copy()   # later t's power E1, and the gap below is taken in E
@@ -290,6 +299,7 @@ def _series(run):
             run.write_npy("reflected_kernel_t%g.npy" % t, K / run.grid.widths)
             run.write_csv("reflected_kernel_nodes.csv", ["x", "width"],
                           [run.grid.nodes, run.grid.widths])
+        del ser, K, E
     run.write_json("series_diagnostics.json", {"series": diagnostics})
     return diagnostics
 

@@ -87,8 +87,11 @@ class IntervalUnion:
     def boundary_distance(self, x):
         """Euclidean distance from x to the boundary: zero exactly on it, positive elsewhere."""
         x = np.asarray(x, dtype=float)
-        endpoints = self.intervals.ravel()
-        return np.min(np.abs(x[..., None] - endpoints), axis=-1)
+        a, *rest = self.intervals.ravel()
+        d = np.abs(x - a)
+        for e in rest:
+            d = np.minimum(d, np.abs(x - e))
+        return d
 
     def __repr__(self):
         return "IntervalUnion(%s)" % (self.intervals.tolist(),)

@@ -23,20 +23,22 @@ from .stable_core import levy_interval_mass, levy_potential
 
 @dataclasses.dataclass
 class GridOperator:
-    """Dense operator on grid functions, with its cell geometry attached.
+    """Operator on grid functions, dense or factored, with its cell geometry attached.
 
     ``entries[i, j]`` maps a grid function f to ``sum_j entries[i, j] f[j]``;
     for kernel-type operators the matrix entry equals the kernel density
-    integrated over cell j. ``factors``, when set, is a pair (U, V) with
-    ``entries == U @ V.T``. ``spectrum``, set on an assembled generator, is
+    integrated over cell j. ``factors``, when set, is a pair (U, V) of n x r
+    arrays and the operator is ``U @ V.T``, carried only in that form: a
+    factored operator has ``entries`` None, and ``row_sums`` reads it from
+    the factors. ``spectrum``, set on an assembled generator, is
     a triple (lam, Q, of) with ``W^1/2 of W^-1/2 == Q diag(lam) Q^T``, W the
     diagonal of cell widths and Q orthogonal; ``of`` is the read-only array
     the spectrum was taken of, and the spectrum is used only while it is
     still ``entries`` (so ``dataclasses.replace(L, entries=...)`` drops it).
     ``parts``, set on a full generator, is a triple (L, M, of) with
-    ``of == L.entries + M.entries``: the killed generator, the return
-    operator and the read-only array they were summed into, used on the same
-    terms as ``spectrum``.
+    ``of == U @ V.T + L.entries``, (U, V) the factors of M: the killed
+    generator, the return operator and the read-only array they were summed
+    into, used on the same terms as ``spectrum``.
     """
 
     grid: object
@@ -47,6 +49,9 @@ class GridOperator:
     parts: tuple = None
 
     def row_sums(self):
+        if self.factors is not None:
+            U, V = self.factors
+            return U @ V.sum(axis=0)
         return self.entries.sum(axis=1)
 
 

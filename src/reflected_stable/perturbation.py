@@ -50,8 +50,9 @@ def perturbation_matrix(grid, params, mu):
     re-entry law of ``mu`` (see ReflectionKernel): column k of U is the jump
     mass from every node into the complement between the law's cuts, and
     column k of V the law's cell masses, so M's rank is the number of laws.
-    The factors are kept on the result. Row sums must match the exact
-    killing intensity to 1e-6.
+    The result carries only the factors (U, V) and no dense entries (see
+    GridOperator). Row sums, ``U @ V.sum(0)``, must match the exact killing
+    intensity to 1e-6.
     """
     nodes = grid.nodes
     ext = exterior_complement(grid.domain)
@@ -60,27 +61,33 @@ def perturbation_matrix(grid, params, mu):
     for k in range(len(mu.laws)):
         U[:, k] = region_mass(params, nodes, ext.intersect(Region1D([edges[k:k + 2]])))
     V = mu.reentry_columns(grid)
-    M = U @ V.T
+    M = GridOperator(grid=grid, entries=None, kind="perturbation", factors=(U, V))
     kappa = killing_intensity(params, grid.domain, nodes)
-    err = np.abs(M.sum(axis=1) - kappa)
+    err = np.abs(M.row_sums() - kappa)
     if err.max() > 1e-6 * max(1.0, kappa.max()):
         raise SeriesError(
             "perturbation matrix row sums deviate from the killing intensity "
             "by %.3g (tail tolerance unmet)" % err.max()
         )
-    return GridOperator(grid=grid, entries=M, kind="perturbation", factors=(U, V))
+    return M
 
 
 def full_generator(L, M):
     """Generator of the reflected process: killed generator plus returns.
 
-    The two summands are kept on the result as ``parts`` (see GridOperator),
-    and the entries are read-only: ``semigroup_apply`` takes exp(tA) h from
-    L's spectrum and M's factors, with no matrix exponential.
+    M is the factored ``U V^T`` of ``perturbation_matrix`` (an M without
+    factors raises ValueError), and A is formed as ``U @ V.T + L`` in one
+    n x n array. The two summands are kept on the result as ``parts`` (see
+    GridOperator), and the entries are read-only: ``semigroup_apply`` takes
+    exp(tA) h from L's spectrum and M's factors, with no matrix exponential.
     """
-    if L.entries.shape != M.entries.shape:
+    if M.factors is None:
+        raise ValueError("expected the factored return operator of perturbation_matrix")
+    U, V = M.factors
+    if L.entries.shape != (len(U), len(V)):
         raise ValueError("shape mismatch between generator and perturbation")
-    A = L.entries + M.entries
+    A = U @ V.T
+    A += L.entries
     A.setflags(write=False)
     return GridOperator(grid=L.grid, entries=A, kind="full-generator", parts=(L, M, A))
 
@@ -160,10 +167,9 @@ def _resolvent_basis(L, U, V, s):
 
 def _generator_basis(A, s):
     """``_resolvent_basis`` of a full generator A = L + U V^T; an A without
-    the parts of ``full_generator`` or the factors of M raises ValueError."""
-    if A.parts is None or A.parts[2] is not A.entries or A.parts[1].factors is None:
-        raise ValueError("expected a full generator from full_generator, with the "
-                         "factored return operator of perturbation_matrix")
+    the parts of ``full_generator`` raises ValueError."""
+    if A.parts is None or A.parts[2] is not A.entries:
+        raise ValueError("expected a full generator from full_generator")
     L, M, _ = A.parts
     return _resolvent_basis(L, *M.factors, s)
 

@@ -61,9 +61,9 @@ def total_variation(p, q):
     return 0.5 * float(np.abs(np.asarray(p) - np.asarray(q)).sum())
 
 
-def _row_sum_deviation(B, V):
-    """Largest |row sum - 1| of the chain kernel B V^T, from its factors."""
-    return float(np.abs(B @ V.sum(axis=0) - 1.0).max())
+def _row_sum_deviation(chain):
+    """Largest |row sum - 1| of a chain kernel, from its factors."""
+    return float(np.abs(chain.row_sums() - 1.0).max())
 
 
 def chain_kernel(harmonic, mu):
@@ -78,16 +78,17 @@ def chain_kernel(harmonic, mu):
     ``dobrushin_coefficient`` reads the two-step contraction from them in
     O(n^2 m) for a return law of m row directions, ``stationary_p`` the
     stationary law from the r x r matrix ``V^T G U``, and a law of the chain
-    steps as ``(law G U) V^T`` in O(n r). Only the tests read the dense
-    entries, as the reference for the factored routes.
+    steps as ``(law G U) V^T`` in O(n r). The result carries only the
+    factors and no dense entries (see GridOperator).
     """
     grid = harmonic.grid
     U, V = perturbation_matrix(grid, harmonic.params, mu).factors
-    GU = harmonic.green.entries @ U
-    deviation = _row_sum_deviation(GU, V)
+    C = GridOperator(grid=grid, entries=None, kind="chain-kernel",
+                     factors=(harmonic.green.entries @ U, V))
+    deviation = _row_sum_deviation(C)
     if deviation > 1e-6:
         raise StationaryError("chain kernel row sums deviate from 1 by %.3g" % deviation)
-    return GridOperator(grid=grid, entries=GU @ V.T, kind="chain-kernel", factors=(GU, V))
+    return C
 
 
 def chain_directions(V):
@@ -162,7 +163,7 @@ def stationary_p(chain, beta=None):
     p = np.maximum(p / p.sum(), 0.0)
     p /= p.sum()
     fixed_tv = total_variation((p @ B) @ V.T, p)
-    tol = max(2e-12, _row_sum_deviation(B, V))
+    tol = max(2e-12, _row_sum_deviation(chain))
     logger.debug("chain law: r=%d, lambda2 %.4g, fixed-point TV %.3g", B.shape[1], lambda2,
                  fixed_tv)
     if not lambda2 < 1.0:

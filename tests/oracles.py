@@ -25,6 +25,8 @@ simulator records directly from their definitions: region inclusion, the
 invariants of an ensemble's reflection records, each path's first
 reflection record, the reflection counts at marks path by path, and the
 excursion statistics path by path (the reference for the array version).
+``dense`` gives the n x n matrix of any grid operator, the factored ones
+(which carry no dense entries) included.
 """
 
 import numpy as np
@@ -287,6 +289,15 @@ def supermedian_violation_expm(A_entries, lam, h, times):
     return worst
 
 
+def dense(op):
+    """The n x n matrix of a GridOperator: ``U @ V.T`` from its factors when it
+    carries them (a factored operator keeps no dense entries), else its entries."""
+    if op.factors is None:
+        return op.entries
+    U, V = op.factors
+    return U @ V.T
+
+
 def discounted_solver_lu(A_entries, lam):
     """Map b to the solution of ``(lam I - A) v = b``; ``lam I - A`` is
     factored once, by a dense LU factorization."""
@@ -303,7 +314,8 @@ def dobrushin_dense(op):
     clamped at 0. Rows are taken in blocks whose pairwise minima hold at
     most 2**19 values (4 MB).
     """
-    P = op.entries @ op.entries
+    C = dense(op)
+    P = C @ C
     n = P.shape[0]
     min_overlap = np.inf
     block = max(1, 2 ** 19 // (n * n))
@@ -323,7 +335,7 @@ def stationary_power(op):
     total variation of a step drops below 1e-12, and returns p clipped at 0
     and normalized; raises ValueError when it does not converge.
     """
-    C = op.entries
+    C = dense(op)
     p = np.full(C.shape[0], 1.0 / C.shape[0])
     for _ in range(100000):
         nxt = p @ C

@@ -165,7 +165,7 @@ def test_criterion_07_supermedian_suite(wb):
         eps = 1.0 - max(mu.average(z, grid, u) for z in default_probes(wb.domain))
         viol = supermedian_violation(A, lam, v, (0.1, 1.0, 10.0))
         rhs = u + scipy.linalg.solve(lam * np.eye(grid.n) - A.entries,
-                                     wb.M(1.0, "uniform").entries @ u)
+                                     oracles.dense(wb.M(1.0, "uniform")) @ u)
         resid = float(np.abs(v - rhs).max())
         ok = ok and u.max() < 1.0 and eps > 0 and v.max() <= 1.0 / eps \
             and viol <= 1e-8 and resid <= 1e-8
@@ -244,7 +244,7 @@ def test_criterion_11_reflection_chain(wb):
     law = np.zeros(grid.n)
     law[grid.cell_index(np.array([x0]))[0]] = 1.0
     for _ in range(3):
-        law = law @ C.entries
+        law = law @ oracles.dense(C)
     groups = np.array_split(np.arange(grid.n), 25)
     probs = np.array([law[g].sum() for g in groups])
     counts = np.bincount(grid.cell_index(chains[:, -1]), minlength=grid.n)
@@ -286,7 +286,7 @@ def test_criterion_13_dobrushin(wb):
         rate = np.sqrt(beta) + 0.05
         tvs = {}
         for n in range(1, 9):
-            law = law @ C.entries
+            law = law @ oracles.dense(C)
             tvs[n] = total_variation(law, p_hat.masses)
         for n in (4, 6, 8):
             ok = ok and tvs[n] <= tvs[2] * rate ** (n - 2) + 1e-12

@@ -3,6 +3,7 @@ import logging
 import math
 import os
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -308,7 +309,7 @@ def _set_up_run(config, out_dir):
 def _stage_references(A, t_list):
     """exp(tA) at each t as the series stage forms it: _expm at the smallest t, powered."""
     t1 = min(t_list)
-    E1 = cli_report._expm(t1 * A)
+    E1 = cli_report._expm(A, t1)
     return [cli_report._exponential(A, t, t1, E1) for t in t_list]
 
 
@@ -341,7 +342,7 @@ def test_series_reference_remainder_order_and_long_powers(alpha, t_list, tol, tm
         assert np.abs(E - scipy.linalg.expm(t * A)).max() < tol, t
     # a single t is one _expm, exactly
     E, = _stage_references(A, [0.7])
-    assert np.array_equal(E, cli_report._expm(0.7 * A))
+    assert np.array_equal(E, cli_report._expm(A, 0.7))
 
 
 @pytest.mark.parametrize("t_list, expm_calls", [
@@ -352,29 +353,79 @@ def test_series_stage_gaps_from_one_expm(t_list, expm_calls, tmp_path, monkeypat
     cfg = parse_config(small_config(kind="semigroup-check", t_list=t_list,
                                     out_dir=str(tmp_path / "o")))
     expm, calls = cli_report._expm, []
-    monkeypatch.setattr(cli_report, "_expm", lambda X: calls.append(X) or expm(X))
+    monkeypatch.setattr(cli_report, "_expm", lambda A, t: calls.append(t) or expm(A, t))
     code, manifest = run(cfg)
     assert code == 0 and len(calls) == expm_calls
     gaps = {c["name"]: c["value"] for c in manifest["checks"]}
     runner = _set_up_run(cfg, tmp_path)
     for t in t_list:
         K = duhamel_series(runner.L, runner.M, t).sum()
-        gap = np.abs(expm(t * runner.A.entries) - K).max()
+        gap = np.abs(expm(runner.A.entries, t) - K).max()
         stage_gap = gaps["series-vs-exponential-t%g" % t]
         if len(t_list) == 1:
             assert stage_gap == gap
         assert abs(stage_gap - gap) < 1e-13, t
 
 
+def test_series_stage_takes_the_reference_before_any_series(tmp_path, monkeypatch):
+    # E(t1) is taken once, before the first series, so that no series array is
+    # alive at the expm; a run whose every series fails still pays that one expm
+    cfg = parse_config(small_config(kind="semigroup-check", t_list=[0.5, 0.1],
+                                    out_dir=str(tmp_path / "o")))
+    events, expm = [], cli_report._expm
+
+    def failing_series(L, M, t):
+        events.append(("series", t))
+        raise cli_report.SeriesError("no series at t=%g" % t)
+
+    monkeypatch.setattr(cli_report, "_expm", lambda A, t: events.append(("expm", t)) or expm(A, t))
+    monkeypatch.setattr(cli_report, "duhamel_series", failing_series)
+    code, manifest = run(cfg)
+    assert code == 1
+    assert events == [("expm", 0.1), ("series", 0.5), ("series", 0.1)]
+    failed = {c["name"] for c in manifest["checks"] if not c["passed"]}
+    assert {"series-t0.5", "series-t0.1"} <= failed
+
+
 def test_expm_of_zero_and_of_scalars():
     # exp(0) = I exactly (the Pade denominator's constant term is 1), and a
     # 1 x 1 exponential is within 2 eps of math.exp: absolute below 1, relative
     # above (the squarings at x = -50 carry the scaled value's relative error)
-    assert np.array_equal(cli_report._expm(np.zeros((5, 5))), np.eye(5))
+    assert np.array_equal(cli_report._expm(np.zeros((5, 5)), 1.0), np.eye(5))
     eps = np.finfo(float).eps
     for x in (-50.0, -1.0, 0.5):
         e = math.exp(x)
-        assert abs(cli_report._expm(np.array([[x]]))[0, 0] - e) <= 2 * eps * max(1.0, e), x
+        assert abs(cli_report._expm(np.array([[x]]), 1.0)[0, 0] - e) <= 2 * eps * max(1.0, e), x
+
+
+def _traced_peak(fn, *args):
+    """fn(*args) and the tracemalloc peak of the call, in bytes."""
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_series_stage_working_set(tmp_path):
+    # a whole 400-cell semigroup-check run holds at most about nine n x n arrays
+    # at once: L, its eigenvectors, A and _expm's six buffers, with no series
+    # array alive at the expm and one t's series, sum and gap at a time after it
+    cfg = parse_config(dict(default_config(), kind="semigroup-check", t_list=[0.1, 0.5, 2.0],
+                            mu=INTERVAL_MUS["projection"], out_dir=str(tmp_path / "o")))
+    n = cfg.n_cells
+    assert n == 400
+    (code, _), peak = _traced_peak(run, cfg)
+    assert code == 0
+    assert peak <= 9.5 * n * n * 8, peak / (n * n * 8)
+    # _expm itself allocates at most six n x n arrays beyond its input. tracemalloc
+    # sees numpy's buffers only: the work copies that LAPACK makes inside
+    # np.linalg.solve are not traced, so the solve phase is checked by the max RSS
+    # of a 1600-cell full-triangulation run (recorded with each change to it)
+    A = _set_up_run(cfg, tmp_path).A.entries
+    _, peak = _traced_peak(cli_report._expm, A, 0.1)
+    assert peak <= 6.05 * n * n * 8, peak / (n * n * 8)
 
 
 def test_identical_chain_rows_give_zero_contraction(tmp_path):

@@ -63,6 +63,24 @@ def test_interval_is_the_one_piece_union():
         assert "contains" in cls.__dict__
 
 
+def test_boundary_distance_is_the_min_over_endpoints():
+    # the running minimum over the endpoints against one min over a (..., 2k)
+    # array of distances, inside, outside, on the boundary, at signed zeros and
+    # at non-finite points, for one interval and for a three-piece union
+    x = np.array([-0.999, -0.25, 0.0, -0.0, 0.3, 0.4999, -1.0, 0.5, -1.0 - 1e-12,
+                  0.5 + 1e-12, -7.0, 3.0, np.inf, -np.inf, np.nan, 5e-324])
+    for D in (Interval(-1.0, 0.5), IntervalUnion([[-1.0, 0.5], [0.7, 1.2], [2.0, 2.5]])):
+        endpoints = D.intervals.ravel()
+        d = D.boundary_distance(x)
+        assert np.array_equal(d, np.min(np.abs(x[:, None] - endpoints), axis=-1),
+                              equal_nan=True)
+        assert np.isnan(d[-2]) and np.isinf(d[-4:-2]).all()
+        assert np.array_equal(D.boundary_distance(x.reshape(4, 4)), d.reshape(4, 4),
+                              equal_nan=True)
+        for v, dv in zip(x, d):
+            assert np.array_equal(D.boundary_distance(v), dv, equal_nan=True)
+
+
 def test_ball_needs_two_or_more_dimensions():
     for center in ([0.0], 0.0):
         with pytest.raises(DomainError, match=r"Interval\(c - r, c \+ r\)"):

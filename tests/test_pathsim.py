@@ -196,7 +196,7 @@ def test_first_entry_histogram_matches_chain_kernel(wb):
     assert (~finite).mean() < 5e-3
     r1 = r1[finite]
     i0 = np.argmin(np.abs(grid.nodes))
-    law = C.entries[i0]
+    law = oracles.dense(C)[i0]
     # bin the grid cells into 20 groups for the chi2
     groups = np.array_split(np.arange(grid.n), 20)
     probs = np.array([law[g].sum() for g in groups])
@@ -234,7 +234,7 @@ def test_pre_reflection_joint_law(wb):
     C = chain_kernel(ops["H"], mu)
     in_a = (grid.nodes >= -0.5) & (grid.nodes <= 0.0)
     in_b = (grid.nodes >= 0.0) & (grid.nodes <= 0.5)
-    target = float(pt_row[in_a] @ C.entries[np.ix_(in_a, in_b)].sum(axis=1))
+    target = float(pt_row[in_a] @ oracles.dense(C)[np.ix_(in_a, in_b)].sum(axis=1))
     n = 10 ** 4
     k = int(round(t / 1e-3))
     hits = 0
@@ -277,7 +277,7 @@ def test_reflection_chain_matches_matrix_power(wb):
     law = np.zeros(grid.n)
     law[grid.cell_index(np.array([x0]))[0]] = 1.0
     for _ in range(3):
-        law = law @ C.entries
+        law = law @ oracles.dense(C)
     groups = np.array_split(np.arange(grid.n), 25)
     probs = np.array([law[g].sum() for g in groups])
     counts = np.bincount(grid.cell_index(chains[:, -1]), minlength=grid.n)

@@ -39,22 +39,24 @@ def test_perturbation_matrix_constant_separable(wb):
     M = wb.M(1.0, "uniform")
     kappa = killing_intensity(wb.params(1.0), wb.domain, M.grid.nodes)
     mcells = wb.mu("uniform").cell_masses(2.0, M.grid)
-    assert np.abs(M.entries - np.outer(kappa, mcells)).max() < 1e-12 * kappa.max()
+    assert np.abs(oracles.dense(M) - np.outer(kappa, mcells)).max() < 1e-12 * kappa.max()
 
 
 def test_perturbation_matrix_dirac_single_column(wb):
     M = wb.M(1.0, "dirac")
     j0 = M.grid.cell_index(np.array([0.3]))[0]
-    nz = np.flatnonzero(M.entries.sum(axis=0))
+    nz = np.flatnonzero(oracles.dense(M).sum(axis=0))
     assert np.array_equal(nz, [j0])
 
 
 def test_duhamel_series_requires_factors(wb):
     ops = wb.ops(1.0)
     M = wb.M(1.0, "uniform")
-    bare = GridOperator(grid=M.grid, entries=M.entries, kind="perturbation")
+    bare = GridOperator(grid=M.grid, entries=oracles.dense(M), kind="perturbation")
     with pytest.raises(SeriesError):
         duhamel_series(ops["L"], bare, 0.5)
+    with pytest.raises(ValueError, match="perturbation_matrix"):
+        full_generator(ops["L"], bare)
 
 
 @pytest.mark.parametrize("domain", [Interval(-1.0, 1.0),
@@ -85,9 +87,9 @@ def test_one_cell_grid_builds_operators_and_series(wb):
     for mu in (make_projection_kernel(D, 0.2, 0.1),
                make_constant_kernel(D, UniformMeasure(-0.5, 0.5))):
         M = perturbation_matrix(grid, p, mu)
-        assert M.entries[0, 0] == pytest.approx(kappa[0], rel=1e-13)
+        assert oracles.dense(M)[0, 0] == pytest.approx(kappa[0], rel=1e-13)
         C = chain_kernel(harmonic_kernel(green_operator(L), p), mu)
-        assert C.entries[0, 0] == pytest.approx(1.0, rel=1e-12)
+        assert oracles.dense(C)[0, 0] == pytest.approx(1.0, rel=1e-12)
         series = duhamel_series(L, M, 0.5)
         rate = 0.5 * kappa[0]
         poisson = [np.exp(-rate) * rate ** k / math.factorial(k)
@@ -110,12 +112,11 @@ def test_series_levels_match_block_exponential(wb, alpha):
         L = assemble_dirichlet_generator(grid, params)
         M = perturbation_matrix(grid, params, mu)
         U, V = M.factors
-        assert np.abs(U @ V.T - M.entries).max() <= 1e-12 * M.entries.max()
         assert np.abs(U.sum(axis=1) - killing_intensity(params, domain, grid.nodes)).max() \
             <= 1e-12 * U.max()
         for t in (0.1, 2.0):
             levels = duhamel_series(L, M, t).levels()
-            exact = oracles.series_levels_by_block_expm(L.entries, M.entries, t, 5)
+            exact = oracles.series_levels_by_block_expm(L.entries, oracles.dense(M), t, 5)
             for n in range(5):
                 gap = np.abs(levels[n] - exact[n]).max()
                 assert gap <= 1e-10, (domain, type(mu).__name__, t, n, gap)
@@ -355,7 +356,7 @@ def test_supermedian_v_identity(wb):
     u = resolvent_u(ops["L"], lam, 1.0, ops["params"])
     v = supermedian_v(A, lam, 1.0, ops["params"])
     rhs = u + scipy.linalg.solve(lam * np.eye(ops["grid"].n) - A.entries,
-                                 M.entries @ u)
+                                 oracles.dense(M) @ u)
     assert np.abs(v - rhs).max() < 1e-8
 
 

@@ -48,12 +48,12 @@ def test_chain_kernel_rows(wb):
     assert np.abs(C_u.row_sums() - 1.0).max() < 1e-6
     # constant law: every row equals the cell masses of the measure
     mcells = wb.mu("uniform").cell_masses(2.0, grid)
-    assert np.abs(C_u.entries - mcells[None, :]).max() < 1e-10
+    assert np.abs(oracles.dense(C_u) - mcells[None, :]).max() < 1e-10
     C_d = chain_kernel(ops["H"], wb.mu("dirac"))
     j0 = grid.cell_index(np.array([0.3]))[0]
     expect = np.zeros(grid.n)
     expect[j0] = 1.0
-    assert np.abs(C_d.entries - expect[None, :]).max() < 1e-10
+    assert np.abs(oracles.dense(C_d) - expect[None, :]).max() < 1e-10
 
 
 def test_chain_two_step_dobrushin_bound(wb):
@@ -62,7 +62,8 @@ def test_chain_two_step_dobrushin_bound(wb):
     ops = wb.ops(1.0)
     C = chain_kernel(ops["H"], wb.mu("projection"))
     beta, overlap = dobrushin_coefficient(C)
-    P2 = C.entries @ C.entries
+    P = oracles.dense(C)
+    P2 = P @ P
     worst_l1 = 0.0
     for i in range(0, P2.shape[0], 37):
         worst_l1 = max(worst_l1, np.abs(P2[i][None, :] - P2).sum(axis=1).max())
@@ -122,7 +123,7 @@ def test_stationary_p_matches_power_iteration(alpha, domain_name):
         beta, _ = dobrushin_coefficient(C)
         p = stationary_p(C, beta)
         assert total_variation(p.masses, oracles.stationary_power(C)) <= 1e-11
-        assert total_variation(p.masses @ C.entries, p.masses) <= 2e-12
+        assert total_variation(p.masses @ oracles.dense(C), p.masses) <= 2e-12
         assert p.diagnostics["r"] == C.factors[0].shape[1]
         assert p.diagnostics["lambda2"] ** 2 <= beta + 1e-9
 
@@ -147,7 +148,7 @@ def test_stationary_p_rejects_a_second_unit_eigenvalue(K):
     # modulus 1 leaves the stationary law not unique
     grid = build_grid(Interval(-1.0, 1.0), 4)
     B, V = np.repeat(K, 2, axis=0), np.kron(np.eye(2), [[0.5], [0.5]])
-    C = GridOperator(grid=grid, entries=B @ V.T, kind="chain-kernel", factors=(B, V))
+    C = GridOperator(grid=grid, entries=None, kind="chain-kernel", factors=(B, V))
     with pytest.raises(StationaryError, match="not unique"):
         stationary_p(C)
 
@@ -163,18 +164,19 @@ def test_dobrushin_of_identical_rows_is_zero():
     # every row is the law v; its dyadic masses make each sum exact
     grid = build_grid(Interval(-1.0, 1.0), 4)
     B, V = np.ones((4, 1)), np.array([[0.5], [0.25], [0.125], [0.125]])
-    C = GridOperator(grid=grid, entries=B @ V.T, kind="chain-kernel", factors=(B, V))
+    C = GridOperator(grid=grid, entries=None, kind="chain-kernel", factors=(B, V))
     assert dobrushin_coefficient(C) == oracles.dobrushin_dense(C) == (0.0, 1.0)
 
 
 def test_dobrushin_rejects_unfactored_and_takes_many_directions(wb):
     C = chain_kernel(wb.ops(1.0)["H"], wb.mu("projection"))
     with pytest.raises(ValueError, match="factors"):
-        dobrushin_coefficient(GridOperator(grid=C.grid, entries=C.entries, kind="chain-kernel"))
+        dobrushin_coefficient(GridOperator(grid=C.grid, entries=oracles.dense(C),
+                                           kind="chain-kernel"))
     # eleven rows of V each in their own direction
     grid = build_grid(Interval(-1.0, 1.0), 12)
     B, V = np.full((12, 11), 1.0 / 11), np.eye(12, 11)
-    many = GridOperator(grid=grid, entries=B @ V.T, kind="chain-kernel", factors=(B, V))
+    many = GridOperator(grid=grid, entries=None, kind="chain-kernel", factors=(B, V))
     assert chain_directions(V).shape[1] == 11
     assert_matches_dense_scan(many)
 
@@ -369,7 +371,7 @@ def test_geometric_chain_convergence(wb):
     law[0] = 1.0
     laws = {}
     for n in range(1, 9):
-        law = law @ C.entries
+        law = law @ oracles.dense(C)
         laws[n] = law.copy()
     tv2 = total_variation(laws[2], p_hat.masses)
     for n in (4, 6, 8):
