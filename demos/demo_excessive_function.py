@@ -23,18 +23,18 @@ A = full_generator(L, perturbation_matrix(grid, p, mu))
 i0 = np.argmin(np.abs(grid.nodes))
 
 lam = 0.1
-u = resolvent_u(L, lam, 1.0, p)
-v = supermedian_v(A, lam, 1.0, p)
+u = resolvent_u(L, lam, 1.0)
+v = supermedian_v(A, lam, 1.0)
 eps = 1.0 - max(mu.average(z, grid, u) for z in default_probes(D))
 print("discounted payoffs at lambda=%.1f:" % lam)
 print("  killed   u: max %.4f (< 1)" % u.max())
 print("  reflected v: max %.4f  vs the concentration bound 1/eps = %.4f"
       % (v.max(), 1.0 / eps))
 print("  supermedian violation over t in {0.1, 1, 10}: %.2e"
-      % supermedian_violation(A, lam, v, (0.1, 1.0, 10.0)))
+      % supermedian_violation(A, lam, v))
 
 print()
-exc = build_excessive(A, 1.0, p)
+exc = build_excessive(A, 1.0)
 print("shell-sum construction (lambda=1): shell depths per stage")
 for k, (r, thr) in enumerate(zip(exc.radii, exc.thresholds), start=1):
     print("  stage %d: target 2^-%d on {dist >= %.4f}  ->  depth %.5f"

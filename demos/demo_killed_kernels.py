@@ -44,9 +44,9 @@ print("P(|exit| > 2) from center: %.4f (1/3 expected)"
 
 print()
 print("== discounted payoffs ==")
-u = resolvent_u(L, 0.1, 1.0, p)
+u = resolvent_u(L, 0.1, 1.0)
 print("E e^{-0.1 tau}: center %.4f, near boundary %.4f (both < 1)"
       % (u[i0], u[0]))
-ush = resolvent_u(L, 0.1, exterior_shell(D, 0.5), p)
+ush = resolvent_u(L, 0.1, exterior_shell(D, 0.5))
 print("shell payoff (depth 0.5): center %.4f, near boundary %.4f"
       % (ush[i0], ush[0]))

@@ -101,6 +101,11 @@ def child(root):
 
     layers = LAYERS if hasattr(cli_report, "_exponential") else LAYERS[:-1]
     params = StableParams(1, 1.0)
+    # a checkout whose build_excessive takes the process beside the generator, and
+    # whose supermedian_violation takes the times, gets them as trailing arguments
+    takes = lambda fn, name: name in inspect.signature(fn).parameters  # noqa: E731
+    excessive_args = (params,) if takes(build_excessive, "params") else ()
+    violation_args = ((0.1, 1.0, 10.0),) if takes(supermedian_violation, "times") else ()
     domain = Interval(-1.0, 1.0)
     mu = make_projection_kernel(domain, 0.2, 0.1)
     times, peaks, stage_peaks = {}, {}, {}
@@ -121,8 +126,8 @@ def child(root):
                      ("nullvector", lambda: kappa_generator_nullvector(
                          full_generator(ops["assemble"], M))),
                      ("supermedian", lambda: supermedian_violation(
-                         full_generator(ops["assemble"], M), 1.0, ones, (0.1, 1.0, 10.0))),
-                     ("excessive", lambda: build_excessive(ops["A"], 1.0, params)),
+                         full_generator(ops["assemble"], M), 1.0, ones, *violation_args)),
+                     ("excessive", lambda: build_excessive(ops["A"], 1.0, *excessive_args)),
                      ("expm_per_t", lambda: [scipy.linalg.expm(t * ops["A"].entries)
                                              for t in REFERENCE_TIMES]),
                      ("reference", lambda: reference(ops["A"].entries)))[:len(layers)]

@@ -33,8 +33,9 @@ from .killed_kernels import assemble_dirichlet_generator, green_operator, \
     harmonic_kernel
 from .pathsim import excursion_statistics, reflection_chain, renewal_occupation, \
     simulate_ensemble_blocks, stream
-from .perturbation import (SeriesError, build_excessive, duhamel_series, full_generator,
-                           perturbation_matrix, series_diagnostics, supermedian_violation)
+from .perturbation import (_SUPERMEDIAN_TOL, SeriesError, build_excessive, duhamel_series,
+                           full_generator, perturbation_matrix, series_diagnostics,
+                           supermedian_violation)
 from .reflection import (AtomMeasure, UniformMeasure, default_probes,
                          make_constant_kernel, make_projection_kernel,
                          validate_concentration)
@@ -76,7 +77,8 @@ class ExperimentConfig:
     chain_steps: int
     chain_samples: int
 
-    # derived from the specs on first read, never set: the JSON form holds the specs
+    # derived from the fields on first read, never set: the JSON form holds the fields
+    params = functools.cached_property(lambda c: StableParams(c.d, c.alpha))
     domain = functools.cached_property(lambda c: build_domain(c.domain_spec))
     mu = functools.cached_property(lambda c: build_mu(c.mu_spec, c.domain))
     grid = functools.cached_property(lambda c: build_grid(c.domain, c.n_cells))
@@ -95,13 +97,13 @@ class ExperimentConfig:
 class _Run:
     """One experiment run: its config, checks, output files and grid operators."""
 
-    def __init__(self, config, out_dir):
-        self.config = config
-        self.out_dir = out_dir
+    def __init__(self, config):
+        self.config, self.params, self.domain = config, config.params, config.domain
+        self.mu, self.grid, self.out_dir = config.mu, config.grid, config.out_dir
         self.checks = []
         self.outputs = []
         try:
-            os.makedirs(out_dir, exist_ok=True)
+            os.makedirs(self.out_dir, exist_ok=True)
         except OSError as exc:
             raise ConfigError("out_dir", "cannot be made a directory: %s" % exc) from exc
 
@@ -139,9 +141,8 @@ class _Run:
 
     def write_measure(self, name, measure):
         """Write a grid measure's nodes, cell masses and densities."""
-        grid = measure.grid
         return self.write_csv(name, ["x", "mass", "density"],
-                              [grid.nodes, measure.masses, measure.masses / grid.widths])
+                              [measure.grid.nodes, measure.masses, measure.density()])
 
     def write_npy(self, name, array):
         """Write one array in NumPy's binary .npy format (load it with np.load)."""
@@ -156,13 +157,6 @@ class _Run:
 # Stages: each takes the _Run and leaves what a later stage reads as an attribute
 # of it; a stage's one-line docstring is its name. A stage may return a dict of
 # diagnostics, which its manifest entry records.
-
-def _setup(run):
-    """domain, return kernel and grid"""
-    config = run.config
-    run.params = StableParams(config.d, config.alpha)
-    run.domain, run.mu, run.grid = config.domain, config.mu, config.grid
-
 
 def _concentration(run):
     """concentration bound of the return kernel"""
@@ -310,17 +304,17 @@ def _excessive(run):
     diagnostics = []
     for lam in run.config.lambda_list:
         try:
-            exc = build_excessive(A, lam, run.params)
+            exc = build_excessive(A, lam)
         except (SeriesError, FloatingPointError) as err:
             logger.debug("excessive construction at lambda=%g failed: %s", lam, err)
             run.check("excessive-lam%g" % lam, False)
             continue
         t0 = time.perf_counter()
-        viol = supermedian_violation(A, lam, exc.values, [0.1, 1.0, 10.0])
+        viol = supermedian_violation(A, lam, exc.values)
         diagnostics.append({"lambda": lam, "shell_levels": len(exc.radii),
                             "supermedian_violation": viol,
                             "check_s": time.perf_counter() - t0})
-        run.check("supermedian-lam%g" % lam, viol <= 1e-8, viol, 1e-8)
+        run.check("supermedian-lam%g" % lam, viol <= _SUPERMEDIAN_TOL, viol, _SUPERMEDIAN_TOL)
         run.check("positive-lam%g" % lam, exc.values.min() > 0, exc.values.min())
         run.write_csv("excessive_lam%g.csv" % lam, ["x", "boundary_distance", "v"],
                       [grid.nodes, run.domain.boundary_distance(grid.nodes), exc.values])
@@ -451,12 +445,12 @@ def _ergodic_triangulation(run):
 
 
 KIND_STAGES = {
-    "semigroup-check": (_setup, _concentration, _series),
-    "excessive": (_setup, _excessive),
-    "simulate": (_setup, _ensemble, _excursions),
-    "chain": (_setup, _contraction, _chain_samples),
-    "stationary": (_setup, _contraction, _densities, _triangulation),
-    "full-triangulation": (_setup, _concentration, _series, _contraction, _densities,
+    "semigroup-check": (_concentration, _series),
+    "excessive": (_excessive,),
+    "simulate": (_ensemble, _excursions),
+    "chain": (_contraction, _chain_samples),
+    "stationary": (_contraction, _densities, _triangulation),
+    "full-triangulation": (_concentration, _series, _contraction, _densities,
                            _ergodic_triangulation),
 }
 KINDS = tuple(KIND_STAGES)
@@ -641,7 +635,7 @@ def run(config):
     code 0 when all checks pass, 1 otherwise.
     """
     t_start = time.perf_counter()
-    runner = _Run(config, config.out_dir)
+    runner = _Run(config)
     stages = []
     for stage in KIND_STAGES[config.kind]:
         name = stage.__doc__

@@ -36,9 +36,10 @@ class GridOperator:
     the spectrum was taken of, and the spectrum is used only while it is
     still ``entries`` (so ``dataclasses.replace(L, entries=...)`` drops it).
     ``parts``, set on a full generator, is a triple (L, M, of) with
-    ``of == U @ V.T + L.entries``, (U, V) the factors of M: the killed
-    generator, the return operator and the read-only array they were summed
-    into, used on the same terms as ``spectrum``.
+    ``of == U @ V.T + L.entries``, (U, V) the factors of M: the killed generator,
+    the return operator and the read-only array they were summed into, used on
+    the same terms as ``spectrum``. ``params``, set only by
+    ``assemble_dirichlet_generator``, is the StableParams of the process.
     """
 
     grid: object
@@ -47,6 +48,7 @@ class GridOperator:
     factors: tuple = None
     spectrum: tuple = None
     parts: tuple = None
+    params: object = None
 
     def row_sums(self):
         if self.factors is not None:
@@ -87,7 +89,7 @@ def assemble_dirichlet_generator(grid, params):
     makes every row sum to minus the (exact) killing intensity at the node.
     L is thus self-adjoint for the inner product weighted by W = diag(w),
     and one ``eigh`` of the symmetric ``W^1/2 L W^-1/2`` is kept on the
-    result as ``spectrum`` (see GridOperator); the entries are read-only.
+    result as ``spectrum`` (see GridOperator), with ``params``; the entries are read-only.
     """
     if grid.domain.d != 1:
         raise ValueError("grid generators are implemented for d=1 only")
@@ -114,7 +116,7 @@ def assemble_dirichlet_generator(grid, params):
     np.fill_diagonal(S, diag)
     L.setflags(write=False)
     return GridOperator(grid=grid, entries=L, kind="generator",
-                        spectrum=(*np.linalg.eigh(S), L))
+                        spectrum=(*np.linalg.eigh(S), L), params=params)
 
 
 def clip_nonnegative(P, what):
@@ -233,18 +235,18 @@ def exterior_nu_vector(params, grid, g):
     return region_mass(params, nodes, g.intersect(exterior_complement(domain)))
 
 
-def resolvent_u(L, lam, g, params):
+def resolvent_u(L, lam, g):
     """Expected discounted boundary payoff of the killed process.
 
-    Solves ``(lam I - L) u = b`` where b integrates the jump kernel against
-    g over the complement; u approximates the expectation of
-    ``exp(-lam tau) g(exit point)``. Read off the generator's spectrum:
+    Solves ``(lam I - L) u = b`` where b integrates the jump kernel of
+    ``L.params`` against g over the complement; u approximates the expectation
+    of ``exp(-lam tau) g(exit point)``. Read off the generator's spectrum:
     ``u = W^-1/2 Q diag(1/(lam - lam_k)) Q^T W^1/2 b``.
     """
     if lam <= 0:
         raise ValueError("lambda must be positive")
     lam_k, Q, sw = generator_spectrum(L)
-    b = exterior_nu_vector(params, L.grid, g)
+    b = exterior_nu_vector(L.params, L.grid, g)
     return Q @ ((Q.T @ (sw * b)) / (lam - lam_k)) / sw
 
 

@@ -28,6 +28,9 @@ from .killed_kernels import (GridOperator, clip_nonnegative, exterior_nu_vector,
 _TALBOT_NODES = 20
 # the series' level cap: a level mass still above 1e-6 here raises
 _MAX_LEVELS = 128
+# supermedian_violation's times, and the largest violation a supermedian check passes
+_SUPERMEDIAN_TIMES = (0.1, 1.0, 10.0)
+_SUPERMEDIAN_TOL = 1e-8
 
 
 class SeriesError(RuntimeError):
@@ -411,36 +414,37 @@ def ladder_kernel(series, m_levels):
 # ---------------------------------------------------------------------------
 # supermedian machinery
 
-def _discounted_solver(A, lam, params):
-    """Map g to the solution of ``(lam I - A) v = b``, b the jump-kernel
-    integral of g over the complement: ``_woodbury`` at the one real node
-    lam, one product with Q^T and one with Q per solve."""
+def _discounted_solver(A, lam):
+    """Map g to the solution of ``(lam I - A) v = b``, b the jump-kernel integral
+    of g over the complement for A's process (its killed generator's ``params``):
+    ``_woodbury`` at the one real node lam, one product with Q^T and one with Q."""
     if lam <= 0:
         raise ValueError("lambda must be positive")
     basis = _generator_basis(A, np.array([float(lam)]))
     Q, sw = basis[:2]
+    params = A.parts[0].params
     return lambda g: (Q @ _woodbury(basis, exterior_nu_vector(params, A.grid, g))[:, 0]) / sw
 
 
-def supermedian_v(A, lam, g, params):
+def supermedian_v(A, lam, g):
     """Discounted occupation of the boundary payoff under the reflected flow.
 
-    Solves ``(lam I - A) v = b``, A from ``full_generator``, with b the
-    jump-kernel integral of g over the complement, by A's Woodbury
+    Solves ``(lam I - A) v = b``, A from ``full_generator``, with b the jump-kernel
+    integral of g over the complement for A's process, by A's Woodbury
     resolvent; v dominates the killed analogue and is lam-supermedian for
     the reflected kernel.
     """
-    return _discounted_solver(A, lam, params)(g)
+    return _discounted_solver(A, lam)(g)
 
 
-def supermedian_violation(A, lam, h, times):
-    """Worst violation of exp(-lam t) exp(tA) h <= h over the given times.
+def supermedian_violation(A, lam, h):
+    """Worst violation of exp(-lam t) exp(tA) h <= h at t = 0.1, 1 and 10.
 
     A is a full generator from ``full_generator``; exp(tA) h comes from
     ``semigroup_apply``, so no matrix exponential is formed.
     """
     worst = -np.inf
-    for t in times:
+    for t in _SUPERMEDIAN_TIMES:
         Ph = semigroup_apply(A, h, t)
         worst = max(worst, float(np.max(np.exp(-lam * t) * Ph - h)))
     return worst
@@ -456,21 +460,21 @@ class ExcessiveFunction:
     thresholds: np.ndarray
 
 
-def build_excessive(A, lam, params):
+def build_excessive(A, lam):
     """Construct the boundary-exploding supermedian function.
 
     For an exhaustion of the grid by six boundary-distance thresholds, find
-    decreasing shell depths so the shell payoff is at most 2**-n on the n-th
-    compact (bisected to 1e-3 relative), then sum the shell indicators. The
-    result is strictly positive, finite, lam-supermedian, and largest near
-    the boundary. A shell depth is sought no lower than 1e-9 times the
-    domain's diameter; a level that needs a thinner shell raises.
+    decreasing shell depths so the payoff of ``supermedian_v(A, lam, shell)``
+    is at most 2**-n on the n-th compact (bisected to 1e-3 relative), then sum
+    those payoffs. The result is strictly positive, finite, lam-supermedian,
+    and largest near the boundary. A shell depth is sought no lower than 1e-9
+    times the domain's diameter; a level that needs a thinner shell raises.
     """
     grid = A.grid
     domain = grid.domain
     delta = domain.boundary_distance(grid.nodes)
     dmax = delta.max()
-    solve = _discounted_solver(A, lam, params)
+    solve = _discounted_solver(A, lam)
 
     def v_of(r):
         return solve(exterior_shell(domain, r))
@@ -521,16 +525,16 @@ def ladder_lift(h, alpha_lift, m_levels, A=None, lam=None):
     ``alpha_lift**m`` times the function.
 
     When the full generator (from ``full_generator``) is supplied, the input
-    is first verified to satisfy the discounted-domination inequality at
-    t = 0.1, 1 and 10 (rate ``lam``, default 0) to within 1e-8, by
-    ``supermedian_violation``; a failing input raises.
+    is first verified to satisfy the discounted-domination inequality (rate
+    ``lam``, default 0) by ``supermedian_violation``; an input whose
+    violation exceeds ``_SUPERMEDIAN_TOL`` raises.
     """
     if not (0.0 < alpha_lift <= 1.0):
         raise ValueError("alpha_lift must lie in (0, 1]")
     h = np.asarray(h, dtype=float)
     if A is not None:
-        viol = supermedian_violation(A, 0.0 if lam is None else lam, h, (0.1, 1.0, 10.0))
-        if viol > 1e-8:
+        viol = supermedian_violation(A, 0.0 if lam is None else lam, h)
+        if viol > _SUPERMEDIAN_TOL:
             raise ValueError(
                 "input fails its supermedian check (violation %.3g)" % viol)
     return alpha_lift ** np.arange(m_levels + 1)[:, None] * h[None, :]

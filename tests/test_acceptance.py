@@ -160,10 +160,10 @@ def test_criterion_07_supermedian_suite(wb):
     ok = True
     details = []
     for lam in (0.1, 1.0):
-        u = resolvent_u(ops["L"], lam, 1.0, ops["params"])
-        v = supermedian_v(A, lam, 1.0, ops["params"])
+        u = resolvent_u(ops["L"], lam, 1.0)
+        v = supermedian_v(A, lam, 1.0)
         eps = 1.0 - max(mu.average(z, grid, u) for z in default_probes(wb.domain))
-        viol = supermedian_violation(A, lam, v, (0.1, 1.0, 10.0))
+        viol = supermedian_violation(A, lam, v)
         rhs = u + scipy.linalg.solve(lam * np.eye(grid.n) - A.entries,
                                      oracles.dense(wb.M(1.0, "uniform")) @ u)
         resid = float(np.abs(v - rhs).max())
@@ -179,12 +179,12 @@ def test_criterion_08_excessive_construction(wb):
     ok = True
     for n_cells in (400, 800):
         A = wb.A(1.0, "uniform", n_cells=n_cells)
-        exc = build_excessive(A, 1.0, wb.params(1.0))
+        exc = build_excessive(A, 1.0)
         grid = wb.ops(1.0, n_cells)["grid"]
         i0 = np.argmin(np.abs(grid.nodes))
         ratios[n_cells] = exc.values[0] / exc.values[i0]
         ok = ok and exc.values.min() > 0
-        ok = ok and supermedian_violation(A, 1.0, exc.values, (0.1, 1.0, 10.0)) <= 1e-8
+        ok = ok and supermedian_violation(A, 1.0, exc.values) <= 1e-8
         ok = ok and ratios[n_cells] >= 2.0
     ok = ok and ratios[800] > ratios[400]
     criterion(8, "excessive-construction", ok,
@@ -197,7 +197,7 @@ def test_criterion_09_ladder_lift(wb):
     lad = ladder_kernel(ser, m_levels=max(20, ser.truncation_N))
     A = wb.A(1.0, "uniform")
     grid = wb.ops(1.0)["grid"]
-    v = build_excessive(A, 1.0, wb.params(1.0)).values
+    v = build_excessive(A, 1.0).values
     H1 = ladder_lift(np.ones(grid.n), 0.5, lad.m_levels)
     Hv = ladder_lift(v, 1.0, lad.m_levels, A=A, lam=1.0)
     viol1 = ladder_supermedian_violation(lad, 0.0, H1)

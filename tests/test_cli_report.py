@@ -62,10 +62,10 @@ def test_validation_errors_name_fields():
 def test_describe_lists_stages():
     cfg = parse_config(default_config())
     text = describe(cfg)
-    assert "stages (6):" in text
-    assert text.count("\n  ") == 6
+    assert "stages (5):" in text
+    assert text.count("\n  ") == 5
     cfg2 = parse_config(dict(default_config(), kind="chain"))
-    assert "stages (3):" in describe(cfg2)
+    assert "stages (2):" in describe(cfg2)
 
 
 def _described_stages(config):
@@ -98,7 +98,7 @@ def test_write_csv_matches_per_value_format(tmp_path):
                        floats[::-1]]),
         "empty.csv": (["step", "x"], [np.arange(0), np.zeros(0)]),
     }
-    runner = _Run(parse_config(default_config()), str(tmp_path))
+    runner = _Run(parse_config(dict(default_config(), out_dir=str(tmp_path))))
     for name, (header, columns) in tables.items():
         path = runner.write_csv(name, header, columns)
         with open(path, "rb") as fh:
@@ -300,12 +300,6 @@ def test_unrunnable_domain_or_law_exits_2(domain, mu, field, tmp_path, capsys):
         assert err["error"].startswith("config field '%s'" % field), err
 
 
-def _set_up_run(config, out_dir):
-    runner = _Run(config, str(out_dir))
-    cli_report._setup(runner)
-    return runner
-
-
 def _stage_references(A, t_list):
     """exp(tA) at each t as the series stage forms it: _expm at the smallest t, powered."""
     t1 = min(t_list)
@@ -320,7 +314,7 @@ def test_series_reference_matches_per_t_expm(alpha, domain, family, tmp_path):
     spec, mus = SWEEP[domain]
     cfg = parse_config(dict(default_config(), params={"d": 1, "alpha": alpha}, domain=spec,
                             mu=mus[family], out_dir=str(tmp_path)))
-    A = _set_up_run(cfg, tmp_path).A.entries
+    A = _Run(cfg).A.entries
     t_list = cfg.t_list
     assert t_list == [0.1, 0.5, 2.0] and cfg.n_cells == 400
     for t, E in zip(t_list, _stage_references(A, t_list)):
@@ -337,7 +331,7 @@ def test_series_reference_matches_per_t_expm(alpha, domain, family, tmp_path):
 def test_series_reference_remainder_order_and_long_powers(alpha, t_list, tol, tmp_path):
     cfg = parse_config(dict(default_config(), params={"d": 1, "alpha": alpha},
                             out_dir=str(tmp_path)))
-    A = _set_up_run(cfg, tmp_path).A.entries
+    A = _Run(cfg).A.entries
     for t, E in zip(t_list, _stage_references(A, t_list)):
         assert np.abs(E - scipy.linalg.expm(t * A)).max() < tol, t
     # a single t is one _expm, exactly
@@ -357,7 +351,7 @@ def test_series_stage_gaps_from_one_expm(t_list, expm_calls, tmp_path, monkeypat
     code, manifest = run(cfg)
     assert code == 0 and len(calls) == expm_calls
     gaps = {c["name"]: c["value"] for c in manifest["checks"]}
-    runner = _set_up_run(cfg, tmp_path)
+    runner = _Run(cfg)
     for t in t_list:
         K = duhamel_series(runner.L, runner.M, t).sum()
         gap = np.abs(expm(runner.A.entries, t) - K).max()
@@ -423,7 +417,7 @@ def test_series_stage_working_set(tmp_path):
     # sees numpy's buffers only: the work copies that LAPACK makes inside
     # np.linalg.solve are not traced, so the solve phase is checked by the max RSS
     # of a 1600-cell full-triangulation run (recorded with each change to it)
-    A = _set_up_run(cfg, tmp_path).A.entries
+    A = _Run(cfg).A.entries
     _, peak = _traced_peak(cli_report._expm, A, 0.1)
     assert peak <= 6.05 * n * n * 8, peak / (n * n * 8)
 
@@ -457,7 +451,7 @@ def test_main_cli_flags(tmp_path, capsys):
                                                 out_dir=str(tmp_path / "o"))))
     assert main(["--config", str(cfg_path), "--describe"]) == 0
     out = capsys.readouterr().out
-    assert "stages (4):" in out
+    assert "stages (3):" in out
     code = main(["--config", str(cfg_path)])
     assert code == 0
     out = capsys.readouterr().out

@@ -156,40 +156,40 @@ def test_harmonic_rejects_interior_region(wb):
 def test_resolvent_u_discount_below_one(wb):
     ops = wb.ops(1.0)
     for lam in (0.1, 1.0):
-        u = resolvent_u(ops["L"], lam, 1.0, ops["params"])
+        u = resolvent_u(ops["L"], lam, 1.0)
         assert u.max() < 1.0
         assert u.min() > 0.0
 
 
 def test_resolvent_u_small_lambda_limit(wb):
     ops = wb.ops(1.0)
-    u = resolvent_u(ops["L"], 1e-7, 1.0, ops["params"])
+    u = resolvent_u(ops["L"], 1e-7, 1.0)
     assert np.abs(u - 1.0).max() < 1e-6
 
 
 def test_resolvent_u_shell_boundary_trend(wb):
     ops = wb.ops(1.0)
     sh = exterior_shell(wb.domain, 0.5)
-    u = resolvent_u(ops["L"], 0.1, sh, ops["params"])
+    u = resolvent_u(ops["L"], 0.1, sh)
     i0 = np.argmin(np.abs(ops["grid"].nodes))
     assert u[0] > u[i0]
     assert u[0] >= 0.9
     # trend toward 1 under refinement
     ops8 = wb.ops(1.0, n_cells=800)
-    u8 = resolvent_u(ops8["L"], 0.1, sh, ops8["params"])
+    u8 = resolvent_u(ops8["L"], 0.1, sh)
     assert u8[0] > u[0]
     with pytest.raises(ValueError):
-        resolvent_u(ops["L"], -1.0, sh, ops["params"])
+        resolvent_u(ops["L"], -1.0, sh)
     # payoffs are 1 or a Region1D; a callable raises
     with pytest.raises(TypeError):
-        resolvent_u(ops["L"], 0.1, lambda z: 1.0, ops["params"])
+        resolvent_u(ops["L"], 0.1, lambda z: 1.0)
 
 
 def test_resolvent_matches_monte_carlo_discount(wb):
     # E e^{-lam tau} by jump-Euler paths vs the linear solve
     ops = wb.ops(1.0)
     lam = 0.5
-    u = resolvent_u(ops["L"], lam, 1.0, ops["params"])
+    u = resolvent_u(ops["L"], lam, 1.0)
     et, _, _ = sample_first_exit(ops["params"], wb.domain, 0.0, 1e-3, 77, 10 ** 5)
     disc = np.exp(-lam * et)
     i0 = np.argmin(np.abs(ops["grid"].nodes))
@@ -254,7 +254,7 @@ def test_spectral_kernels_match_expm_and_solve(wb, domain, alpha):
     params, shell = wb.params(alpha), exterior_shell(L.grid.domain, 0.5)
     b = exterior_nu_vector(params, L.grid, shell)
     for lam in (0.1, 1.0):
-        u = resolvent_u(L, lam, shell, params)
+        u = resolvent_u(L, lam, shell)
         exact = scipy.linalg.solve(lam * np.eye(L.grid.n) - L.entries, b)
         assert np.abs(u - exact).max() < 1e-10 * np.abs(exact).max()
 

@@ -338,8 +338,8 @@ def test_supermedian_v_dominates_and_bounds(wb):
     A = wb.A(1.0, "uniform")
     mu = wb.mu("uniform")
     for lam in (0.1, 1.0):
-        u = resolvent_u(ops["L"], lam, 1.0, ops["params"])
-        v = supermedian_v(A, lam, 1.0, ops["params"])
+        u = resolvent_u(ops["L"], lam, 1.0)
+        v = supermedian_v(A, lam, 1.0)
         assert (v - u).min() > -1e-12
         probes = default_probes(wb.domain)
         eps = 1.0 - max(mu.average(z, ops["grid"], u) for z in probes)
@@ -353,8 +353,8 @@ def test_supermedian_v_identity(wb):
     A = wb.A(1.0, "projection")
     M = wb.M(1.0, "projection")
     lam = 0.1
-    u = resolvent_u(ops["L"], lam, 1.0, ops["params"])
-    v = supermedian_v(A, lam, 1.0, ops["params"])
+    u = resolvent_u(ops["L"], lam, 1.0)
+    v = supermedian_v(A, lam, 1.0)
     rhs = u + scipy.linalg.solve(lam * np.eye(ops["grid"].n) - A.entries,
                                  oracles.dense(M) @ u)
     assert np.abs(v - rhs).max() < 1e-8
@@ -363,8 +363,8 @@ def test_supermedian_v_identity(wb):
 def test_supermedian_inequality(wb):
     A = wb.A(1.0, "uniform")
     for lam in (0.1, 1.0):
-        v = supermedian_v(A, lam, 1.0, wb.params(1.0))
-        assert supermedian_violation(A, lam, v, (0.1, 1.0, 10.0)) <= 1e-8
+        v = supermedian_v(A, lam, 1.0)
+        assert supermedian_violation(A, lam, v) <= 1e-8
 
 
 SUPERMEDIAN_TIMES = (0.1, 1.0, 10.0)
@@ -380,18 +380,18 @@ GATE_LAWS = {
 
 
 def gate_generator(alpha, case, n_cells):
-    """Full generator of one gate case and its StableParams."""
+    """Full generator of one gate case."""
     domain, law = GATE_LAWS[case]
     params = StableParams(1, alpha)
     grid = build_grid(domain, n_cells)
     return full_generator(assemble_dirichlet_generator(grid, params),
-                          perturbation_matrix(grid, params, law(domain))), params
+                          perturbation_matrix(grid, params, law(domain)))
 
 
 def gate_case(alpha, case, n_cells):
     """Full generator of one gate case and the boundary-exploding h = build_excessive(A, 1)."""
-    A, params = gate_generator(alpha, case, n_cells)
-    return A, build_excessive(A, 1.0, params).values
+    A = gate_generator(alpha, case, n_cells)
+    return A, build_excessive(A, 1.0).values
 
 
 @pytest.mark.parametrize("case", sorted(GATE_LAWS))
@@ -404,15 +404,15 @@ def test_semigroup_apply_matches_expm(alpha, case):
         exact = scipy.linalg.expm(t * A.entries) @ h
         assert np.abs(semigroup_apply(A, h, t) - exact).max() <= 1e-10 * np.abs(exact).max()
     for lam in (0.1, 1.0):
-        viol = supermedian_violation(A, lam, h, SUPERMEDIAN_TIMES)
+        viol = supermedian_violation(A, lam, h)
         ref = oracles.supermedian_violation_expm(A.entries, lam, h, SUPERMEDIAN_TIMES)
         assert abs(viol - ref) <= 1e-10
 
 
-def lu_discounted_solver(A, lam, params):
+def lu_discounted_solver(A, lam):
     """The dense-LU route of ``perturbation._discounted_solver``."""
     solve = oracles.discounted_solver_lu(A.entries, lam)
-    return lambda g: solve(exterior_nu_vector(params, A.grid, g))
+    return lambda g: solve(exterior_nu_vector(A.parts[0].params, A.grid, g))
 
 
 @pytest.mark.parametrize("case", sorted(GATE_LAWS))
@@ -420,14 +420,40 @@ def lu_discounted_solver(A, lam, params):
 def test_discounted_solve_matches_lu(alpha, case, monkeypatch):
     # the Woodbury resolvent at the real node lam against a dense LU of
     # lam - A: v to 1e-10 and the same shell radii from build_excessive
-    A, params = gate_generator(alpha, case, 400)
+    A = gate_generator(alpha, case, 400)
     for lam in (0.1, 1.0):
-        ref = lu_discounted_solver(A, lam, params)(1.0)
-        assert np.abs(supermedian_v(A, lam, 1.0, params) - ref).max() <= 1e-10 * np.abs(ref).max()
-        radii = build_excessive(A, lam, params).radii
+        ref = lu_discounted_solver(A, lam)(1.0)
+        assert np.abs(supermedian_v(A, lam, 1.0) - ref).max() <= 1e-10 * np.abs(ref).max()
+        radii = build_excessive(A, lam).radii
         with monkeypatch.context() as patch:
             patch.setattr(perturbation, "_discounted_solver", lu_discounted_solver)
-            assert np.array_equal(build_excessive(A, lam, params).radii, radii)
+            assert np.array_equal(build_excessive(A, lam).radii, radii)
+
+
+def test_discounted_solves_read_the_process_from_the_generator():
+    # two processes on one grid: each solve integrates the payoff against the jump
+    # kernel of the generator it is given, matching a dense solve with that
+    # generator's own exterior vector
+    grid = build_grid(GATE_INTERVAL, 200)
+    mu = make_constant_kernel(GATE_INTERVAL, UniformMeasure(-0.5, 0.5))
+    shell = exterior_shell(GATE_INTERVAL, 0.1)
+    eye = np.eye(grid.n)
+
+    def close(x, ref):
+        return np.abs(x - ref).max() <= 1e-10 * np.abs(ref).max()
+
+    for alpha in (0.5, 1.5):
+        params = StableParams(1, alpha)
+        L = assemble_dirichlet_generator(grid, params)
+        A = full_generator(L, perturbation_matrix(grid, params, mu))
+        assert A.parts[0].params is params
+        b = exterior_nu_vector(params, grid, shell)
+        assert close(resolvent_u(L, 1.0, shell), np.linalg.solve(eye - L.entries, b))
+        assert close(supermedian_v(A, 1.0, shell), np.linalg.solve(eye - A.entries, b))
+        exc = build_excessive(A, 1.0)
+        for r, summand in zip(exc.radii, exc.summands):
+            b = exterior_nu_vector(params, grid, exterior_shell(GATE_INTERVAL, r))
+            assert close(summand, np.linalg.solve(eye - A.entries, b)), (alpha, r)
 
 
 def test_semigroup_apply_converged_in_the_node_count(monkeypatch):
@@ -449,9 +475,9 @@ def test_semigroup_apply_needs_the_parts_of_full_generator(wb):
     for bad in (GridOperator(grid=A.grid, entries=A.entries, kind="full-generator"),
                 dataclasses.replace(A, entries=A.entries.copy())):
         with pytest.raises(ValueError, match="full_generator"):
-            supermedian_violation(bad, 1.0, h, SUPERMEDIAN_TIMES)
+            supermedian_violation(bad, 1.0, h)
         with pytest.raises(ValueError, match="full_generator"):
-            supermedian_v(bad, 1.0, 1.0, wb.params(1.0))
+            supermedian_v(bad, 1.0, 1.0)
     with pytest.raises(ValueError, match="time"):
         semigroup_apply(A, h, 0.0)
 
@@ -459,23 +485,23 @@ def test_semigroup_apply_needs_the_parts_of_full_generator(wb):
 def test_supermedian_v_with_shell_payoff(wb):
     A = wb.A(1.0, "uniform")
     sh = exterior_shell(wb.domain, 0.25)
-    v = supermedian_v(A, 0.5, sh, wb.params(1.0))
-    u = resolvent_u(wb.ops(1.0)["L"], 0.5, sh, wb.params(1.0))
+    v = supermedian_v(A, 0.5, sh)
+    u = resolvent_u(wb.ops(1.0)["L"], 0.5, sh)
     assert (v - u).min() > -1e-12
     with pytest.raises(ValueError):
-        supermedian_v(A, 0.0, sh, wb.params(1.0))
+        supermedian_v(A, 0.0, sh)
 
 
 def test_build_excessive_structure(wb):
     A = wb.A(1.0, "uniform")
-    exc = build_excessive(A, 1.0, wb.params(1.0))
+    exc = build_excessive(A, 1.0)
     grid = wb.ops(1.0)["grid"]
     assert np.all(np.diff(exc.radii) <= 0)
     assert exc.values.min() > 0
     i0 = np.argmin(np.abs(grid.nodes))
     assert exc.values[0] > 2.0 * exc.values[i0]
     assert exc.values[-1] > 2.0 * exc.values[i0]
-    assert supermedian_violation(A, 1.0, exc.values, (0.1, 1.0, 10.0)) <= 1e-8
+    assert supermedian_violation(A, 1.0, exc.values) <= 1e-8
     # shell targets hold on the exhaustion sets
     delta = wb.domain.boundary_distance(grid.nodes)
     for nlev, (r, thr) in enumerate(zip(exc.radii, exc.thresholds), start=1):
@@ -491,8 +517,8 @@ def test_build_excessive_summand_continuity(wb):
     A8 = wb.A(1.0, "uniform", n_cells=800)
     # summands 0-3 of the six-shell construction: the bisection for shell k
     # does not look at later shells
-    e4 = build_excessive(A4, 1.0, wb.params(1.0))
-    e8 = build_excessive(A8, 1.0, wb.params(1.0))
+    e4 = build_excessive(A4, 1.0)
+    e8 = build_excessive(A8, 1.0)
     g4, g8 = wb.ops(1.0, 400)["grid"], wb.ops(1.0, 800)["grid"]
 
     def bulk_jump(exc, grid, k):
@@ -508,8 +534,8 @@ def test_build_excessive_summand_continuity(wb):
 def test_build_excessive_refinement_strengthens_dominance(wb):
     A4 = wb.A(1.0, "uniform", n_cells=400)
     A8 = wb.A(1.0, "uniform", n_cells=800)
-    e4 = build_excessive(A4, 1.0, wb.params(1.0))
-    e8 = build_excessive(A8, 1.0, wb.params(1.0))
+    e4 = build_excessive(A4, 1.0)
+    e8 = build_excessive(A8, 1.0)
     g4, g8 = wb.ops(1.0, 400)["grid"], wb.ops(1.0, 800)["grid"]
     r4 = e4.values[0] / e4.values[np.argmin(np.abs(g4.nodes))]
     r8 = e8.values[0] / e8.values[np.argmin(np.abs(g8.nodes))]
@@ -521,7 +547,7 @@ def test_build_excessive_floor_error(wb):
     # 1e-9 * diam floor pays more than its level's target
     A = wb.A(1.0, "uniform")
     with pytest.raises(SeriesError, match="resolution floor"):
-        build_excessive(A, 1e-6, wb.params(1.0))
+        build_excessive(A, 1e-6)
 
 
 def test_ladder_lift_checks_input(wb):
@@ -547,7 +573,7 @@ def test_ladder_lift_supermedian_on_ladder(wb):
     lev = 0.5 ** np.arange(lad.m_levels + 1)
     assert np.all(out <= lev[:, None] + lad.tail_bound + 1e-12)
     assert ladder_supermedian_violation(lad, 0.0, H1) <= 1e-8
-    v = build_excessive(A, 1.0, wb.params(1.0)).values
+    v = build_excessive(A, 1.0).values
     Hv = ladder_lift(v, 1.0, lad.m_levels, A=A, lam=1.0)
     assert ladder_supermedian_violation(lad, 1.0, Hv) <= 1e-8
 
@@ -557,7 +583,7 @@ def test_ladder_lift_separation_ratio(wb):
     # function decreases in the level and toward the boundary
     A = wb.A(1.0, "uniform")
     grid = wb.ops(1.0)["grid"]
-    v = build_excessive(A, 1.0, wb.params(1.0)).values
+    v = build_excessive(A, 1.0).values
     num = ladder_lift(np.ones(grid.n), 0.5, 8)
     den = ladder_lift(v, 1.0, 8)
     ratio = num / den
