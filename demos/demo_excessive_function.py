@@ -9,8 +9,8 @@ separating the reflected process from its Brownian counterpart.
 
 import numpy as np
 
-from reflected_stable import Interval, StableParams, UniformMeasure, build_excessive, \
-    default_probes, full_generator, make_constant_kernel, perturbation_matrix, \
+from reflected_stable import ConstantKernel, Interval, StableParams, UniformMeasure, \
+    build_excessive, default_probes, full_generator, perturbation_matrix, \
     resolvent_u, supermedian_v
 from reflected_stable.killed_kernels import default_operators
 from reflected_stable.perturbation import supermedian_violation
@@ -18,14 +18,14 @@ from reflected_stable.perturbation import supermedian_violation
 p = StableParams(1, 1.0)
 D = Interval(-1.0, 1.0)
 grid, L, G, H = default_operators(p, D, 400)
-mu = make_constant_kernel(D, UniformMeasure(-0.5, 0.5))
+mu = ConstantKernel(D, UniformMeasure(-0.5, 0.5))
 A = full_generator(L, perturbation_matrix(grid, p, mu))
 i0 = np.argmin(np.abs(grid.nodes))
 
 lam = 0.1
 u = resolvent_u(L, lam, 1.0)
 v = supermedian_v(A, lam, 1.0)
-eps = 1.0 - max(mu.average(z, grid, u) for z in default_probes(D))
+eps = 1.0 - max(mu.law(z).cell_masses(grid) @ u for z in default_probes(D))
 print("discounted payoffs at lambda=%.1f:" % lam)
 print("  killed   u: max %.4f (< 1)" % u.max())
 print("  reflected v: max %.4f  vs the concentration bound 1/eps = %.4f"

@@ -38,9 +38,9 @@ print("mean exit time at center: grid %.5f vs closed form %.5f"
 print()
 print("== exit-position kernel ==")
 print("total exit mass (should be 1): %.12f" % H.total_masses()[i0])
-print("P(exit right of 1) from center: %.4f" % H.mass(i0, Region1D([(1.0, np.inf)])))
+print("P(exit right of 1) from center: %.4f" % H.masses(Region1D([(1.0, np.inf)]))[i0])
 print("P(|exit| > 2) from center: %.4f (1/3 expected)"
-      % H.mass(i0, Region1D([(-np.inf, -2.0), (2.0, np.inf)])))
+      % H.masses(Region1D([(-np.inf, -2.0), (2.0, np.inf)]))[i0])
 
 print()
 print("== discounted payoffs ==")

@@ -9,16 +9,15 @@ statistics are all read from those records.
 
 import numpy as np
 
-from reflected_stable import Interval, StableParams, UniformMeasure, \
-    make_constant_kernel, make_projection_kernel, reflection_chain, simulate_ladder, \
-    stream
+from reflected_stable import ConstantKernel, Interval, ProjectionKernel, StableParams, \
+    UniformMeasure, reflection_chain, simulate_ladder, stream
 from reflected_stable.pathsim import excursion_statistics, simulate_ensemble_blocks
 from reflected_stable.stable_core import walk_on_spheres
 
 p = StableParams(1, 1.0)
 D = Interval(-1.0, 1.0)
 m = UniformMeasure(-0.5, 0.5)
-mu = make_constant_kernel(D, m)
+mu = ConstantKernel(D, m)
 
 print("== one path ==")
 path = simulate_ladder(p, D, mu, 0.0, 10.0, 1e-3, seed=11, n_paths=1)
@@ -46,7 +45,7 @@ for k, t in enumerate((0.5, 2.0)):
 
 print()
 print("== exact reflection chain (no time discretization) ==")
-mu_proj = make_projection_kernel(D, 0.3, 0.2)
+mu_proj = ProjectionKernel(D, 0.3, 0.2)
 rng = stream(5, 0)
 chains = reflection_chain(p, D, mu_proj, 0.0, 5, rng, size=20000)
 print("projection return law: post-reflection positions concentrate at")

@@ -9,15 +9,15 @@ the levels to the ladder operator and reads off the reflection-count law.
 import numpy as np
 import scipy.linalg
 
-from reflected_stable import Interval, StableParams, UniformMeasure, \
-    duhamel_series, full_generator, ladder_kernel, make_constant_kernel, \
-    perturbation_matrix, reflected_kernel
+from reflected_stable import ConstantKernel, Interval, StableParams, UniformMeasure, \
+    duhamel_series, full_generator, ladder_kernel, perturbation_matrix, \
+    reflected_kernel
 from reflected_stable.killed_kernels import default_operators
 
 p = StableParams(1, 1.0)
 D = Interval(-1.0, 1.0)
 grid, L, G, H = default_operators(p, D, 400)
-mu = make_constant_kernel(D, UniformMeasure(-0.5, 0.5))
+mu = ConstantKernel(D, UniformMeasure(-0.5, 0.5))
 M = perturbation_matrix(grid, p, mu)
 A = full_generator(L, M)
 print("full generator row sums: max |.| = %.2e" % np.abs(A.row_sums()).max())
@@ -46,4 +46,4 @@ print()
 print("reflection-count law from the center at t=%.1f:" % t)
 for n, q in enumerate(law[:6]):
     print("  P(N_t = %d) = %.4f" % (n, q))
-print("  (total %.6f + tail %.1e)" % (law.sum(), lad.tail_bound))
+print("  (total %.6f + tail %.1e)" % (law.sum(), lad.series.tail_bound))

@@ -8,10 +8,10 @@ triangulates all three and writes the profiles to CSV.
 
 import os
 
-from reflected_stable import Interval, StableParams, UniformMeasure, \
-    chain_kernel, dobrushin_coefficient, full_generator, kappa_closed_form, \
-    kappa_ergodic, kappa_generator_nullvector, make_constant_kernel, \
-    make_projection_kernel, perturbation_matrix, stationary_p
+from reflected_stable import ConstantKernel, Interval, ProjectionKernel, StableParams, \
+    UniformMeasure, chain_kernel, dobrushin_coefficient, full_generator, \
+    kappa_closed_form, kappa_ergodic, kappa_generator_nullvector, \
+    perturbation_matrix, stationary_p
 from reflected_stable.killed_kernels import default_operators
 from reflected_stable.pathsim import simulate_ensemble_blocks
 
@@ -22,8 +22,8 @@ grid, L, G, H = default_operators(p, D, 400)
 out_dir = os.path.join(os.path.dirname(__file__), "output")
 os.makedirs(out_dir, exist_ok=True)
 
-for name, mu in (("uniform", make_constant_kernel(D, UniformMeasure(-0.5, 0.5))),
-                 ("projection", make_projection_kernel(D, 0.3, 0.2))):
+for name, mu in (("uniform", ConstantKernel(D, UniformMeasure(-0.5, 0.5))),
+                 ("projection", ProjectionKernel(D, 0.3, 0.2))):
     print("== return law: %s ==" % name)
     C = chain_kernel(H, mu)
     beta, overlap = dobrushin_coefficient(C)
@@ -33,7 +33,7 @@ for name, mu in (("uniform", make_constant_kernel(D, UniformMeasure(-0.5, 0.5)))
     k_cf = kappa_closed_form(p_hat, G)
     A = full_generator(L, perturbation_matrix(grid, p, mu))
     k_nv = kappa_generator_nullvector(A)
-    start = mu.m if hasattr(mu, "m") else UniformMeasure(-0.5, 0.5)
+    start = mu.laws[0] if len(mu.laws) == 1 else UniformMeasure(-0.5, 0.5)
     ens = simulate_ensemble_blocks(p, D, mu, start, 120.0, 1e-3, 31, 120,
                                    grid=grid, burn_in=2.0)
     k_er = kappa_ergodic(ens, grid)

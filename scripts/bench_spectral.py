@@ -19,24 +19,22 @@ h = 1 under that generator at lambda = 1 and t = 0.1, 1, 10 (its assembly
 included, h built outside the timing), ``build_excessive`` at lambda = 1,
 and two forms of the series check's reference exp(tA) of the full generator
 at each t of REFERENCE_TIMES: ``expm_per_t``, one ``scipy.linalg.expm`` per t,
-and ``reference``, the CLI's form (one exponential at the smallest t, by
-``cli_report._expm`` where the checkout has it, in whichever of its forms
-``_expm(A, t)`` or ``_expm(t * A)`` the checkout has, and
-``scipy.linalg.expm`` before, the others by ``cli_report._exponential``'s
-powers); a checkout without ``_exponential`` has no ``reference`` column.
+and ``reference``, the CLI's form (one ``cli_report._expm(A, t)`` at the
+smallest t, the others by ``cli_report._exponential``'s powers).
 The full generator of the last three is built outside the timing. After the
 timed runs it takes two tracemalloc peaks per n, in MB of 2**20 bytes, from
 one traced run each: ``series_peak_mb``, of
-``duhamel_series`` and its ``sum()``, and ``stage_peak_mb``, of a whole
+``duhamel_series`` and its ``total``, and ``stage_peak_mb``, of a whole
 ``semigroup-check`` CLI run (``cli_report.run``) of the same setup at the t
 of REFERENCE_TIMES, the series stage with its reference check. The JSON
 file holds the median of each time, the peaks, and the run record: core
 count, BLAS thread count and library versions.
-Sides run in the order given, one after the other.
+Sides run in the order given, one after the other. Each checkout must have
+the current API: ``ProjectionKernel``, ``DuhamelSeries.total``,
+``cli_report._expm(A, t)`` and the generator-only supermedian calls.
 """
 
 import argparse
-import inspect
 import json
 import os
 import platform
@@ -69,16 +67,13 @@ def child(root):
     from reflected_stable.perturbation import (build_excessive, duhamel_series,
                                                full_generator, perturbation_matrix,
                                                supermedian_violation)
-    from reflected_stable.reflection import make_projection_kernel
+    from reflected_stable.reflection import ProjectionKernel
     from reflected_stable.stationary import (chain_kernel, dobrushin_coefficient,
                                              kappa_generator_nullvector)
 
-    expm = getattr(cli_report, "_expm", scipy.linalg.expm)
-    takes_t = len(inspect.signature(expm).parameters) == 2
-
     def reference(A):
         t1 = min(REFERENCE_TIMES)
-        E1 = expm(A, t1) if takes_t else expm(t1 * A)
+        E1 = cli_report._expm(A, t1)
         return [cli_report._exponential(A, t, t1, E1) for t in REFERENCE_TIMES]
 
     def traced_peak_mb(fn):
@@ -99,21 +94,15 @@ def child(root):
         if code != 0:
             raise RuntimeError("semigroup-check run at n = %d exited %d" % (n, code))
 
-    layers = LAYERS if hasattr(cli_report, "_exponential") else LAYERS[:-1]
     params = StableParams(1, 1.0)
-    # a checkout whose build_excessive takes the process beside the generator, and
-    # whose supermedian_violation takes the times, gets them as trailing arguments
-    takes = lambda fn, name: name in inspect.signature(fn).parameters  # noqa: E731
-    excessive_args = (params,) if takes(build_excessive, "params") else ()
-    violation_args = ((0.1, 1.0, 10.0),) if takes(supermedian_violation, "times") else ()
     domain = Interval(-1.0, 1.0)
-    mu = make_projection_kernel(domain, 0.2, 0.1)
+    mu = ProjectionKernel(domain, 0.2, 0.1)
     times, peaks, stage_peaks = {}, {}, {}
     for n in CELLS:
         grid = build_grid(domain, n)
         M = perturbation_matrix(grid, params, mu)
         ones = np.ones(grid.n)
-        runs = {layer: [] for layer in layers}
+        runs = {layer: [] for layer in LAYERS}
         for _ in range(REPEATS):
             ops = {}    # the outputs that later layers read
             steps = (("assemble", lambda: assemble_dirichlet_generator(grid, params)),
@@ -126,11 +115,11 @@ def child(root):
                      ("nullvector", lambda: kappa_generator_nullvector(
                          full_generator(ops["assemble"], M))),
                      ("supermedian", lambda: supermedian_violation(
-                         full_generator(ops["assemble"], M), 1.0, ones, *violation_args)),
-                     ("excessive", lambda: build_excessive(ops["A"], 1.0, *excessive_args)),
+                         full_generator(ops["assemble"], M), 1.0, ones)),
+                     ("excessive", lambda: build_excessive(ops["A"], 1.0)),
                      ("expm_per_t", lambda: [scipy.linalg.expm(t * ops["A"].entries)
                                              for t in REFERENCE_TIMES]),
-                     ("reference", lambda: reference(ops["A"].entries)))[:len(layers)]
+                     ("reference", lambda: reference(ops["A"].entries)))
             for layer, fn in steps:
                 if layer == "excessive":
                     ops["A"] = full_generator(ops["assemble"], M)
@@ -141,7 +130,7 @@ def child(root):
                     ops[layer] = out
                 del out
         times[str(n)] = {layer: statistics.median(v) for layer, v in runs.items()}
-        peaks[str(n)] = traced_peak_mb(lambda: duhamel_series(ops["assemble"], M, 0.1).sum())
+        peaks[str(n)] = traced_peak_mb(lambda: duhamel_series(ops["assemble"], M, 0.1).total)
         with tempfile.TemporaryDirectory() as out_dir:
             stage_peaks[str(n)] = traced_peak_mb(lambda: stage_run(n, out_dir))
     print(json.dumps({"times_s": times, "series_peak_mb": peaks,

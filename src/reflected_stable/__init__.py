@@ -9,9 +9,9 @@ from .stable_core import (StableParams, ball_exit_position, ball_mean_exit_time,
                           levy_constant, sample_stable_increment)
 from .geometry import (Ball, Grid, Interval, IntervalUnion, Region1D,
                        build_grid, exterior_shell)
-from .reflection import (AtomMeasure, ReflectionKernel, UniformMeasure,
-                         default_probes, make_constant_kernel,
-                         make_projection_kernel, validate_concentration)
+from .reflection import (AtomMeasure, ConstantKernel, ProjectionKernel,
+                         ReflectionKernel, UniformMeasure, default_probes,
+                         validate_concentration)
 from .killed_kernels import (GridOperator, assemble_dirichlet_generator,
                              green_operator, harmonic_kernel, heat_kernel,
                              killing_intensity, resolvent_u)

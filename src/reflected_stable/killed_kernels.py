@@ -202,9 +202,6 @@ class HarmonicKernel:
                             "region piece (%g, %g) enters the domain" % (a, b))
         return self.green.entries @ exterior_nu_vector(self.params, self.grid, region)
 
-    def mass(self, i, region):
-        return float(self.masses(region)[i])
-
     def total_masses(self):
         """Exit probabilities into the whole complement (should be ~1)."""
         return self.green.entries @ killing_intensity(self.params, self.grid.domain, self.grid.nodes)

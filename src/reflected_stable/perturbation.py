@@ -99,11 +99,11 @@ def full_generator(L, M):
 class DuhamelSeries:
     """The reflected kernel at a fixed time, summed over reflection counts.
 
-    ``total`` is the sum of levels 0..N (read-only), level n the operator
-    carrying mass that has reflected exactly n times by time t; the levels
-    themselves are not kept, and ``levels()`` replays them from the killed
-    generator ``L`` and the return operator ``M``. ``level_masses[n]`` is
-    level n's largest row mass. ``tail_bound`` estimates the total mass of
+    ``total`` is the sum of levels 0..N (read-only) on the grid ``L.grid``,
+    level n the operator carrying mass that has reflected exactly n times by
+    time t; the levels themselves are not kept, and ``levels()`` replays them
+    from the killed generator ``L`` and the return operator ``M``.
+    ``level_masses[n]`` is level n's largest row mass. ``tail_bound`` estimates the total mass of
     all dropped levels; ``fit_c``/``fit_gamma`` are the fitted geometric
     envelope of the per-level masses. All three are None when the level
     masses give no decay profile to fit.
@@ -118,13 +118,6 @@ class DuhamelSeries:
     tail_bound: float
     fit_c: float
     fit_gamma: float
-
-    @property
-    def grid(self):
-        return self.L.grid
-
-    def sum(self):
-        return self.total
 
     def levels(self):
         """Levels 0..N as a list, replayed by the recursion that built the
@@ -329,7 +322,7 @@ def reflected_kernel(series):
     tail (none when the tail was not estimated); a violation raises with a
     diagnostic report attached.
     """
-    K = series.sum()
+    K = series.total
     rs = K.sum(axis=1)
     low = 1.0 - 1e-4 - (series.tail_bound or 0.0)
     high = 1.0 + 1e-4
@@ -345,7 +338,7 @@ def reflected_kernel(series):
             "conservation violated: row sums in [%.6g, %.6g]" % (rs.min(), rs.max()),
             report,
         )
-    return GridOperator(grid=series.grid, entries=K, kind="reflected")
+    return GridOperator(grid=series.L.grid, entries=K, kind="reflected")
 
 
 def series_diagnostics(series):
@@ -366,21 +359,14 @@ class LadderKernel:
 
     ``apply`` moves mass from level m to level n >= m by the series level of
     order n - m; ``levels`` holds the series levels 0..N, replayed once by
-    ``ladder_kernel``. Levels beyond ``m_levels`` are truncated and their
-    mass is covered by the recorded tail bound.
+    ``ladder_kernel``. The time and the tail bound are the series'
+    (``series.t``, ``series.tail_bound``). Levels beyond ``m_levels`` are
+    truncated and their mass is covered by that tail bound.
     """
 
     series: DuhamelSeries
     m_levels: int
     levels: list
-
-    @property
-    def t(self):
-        return self.series.t
-
-    @property
-    def tail_bound(self):
-        return self.series.tail_bound
 
     def apply(self, ladder_values):
         """Apply the operator to a ladder function given as (m_levels+1, n)."""
@@ -520,23 +506,16 @@ def build_excessive(A, lam):
     )
 
 
-def ladder_lift(h, alpha_lift, m_levels, A=None, lam=None):
+def ladder_lift(h, alpha_lift, m_levels):
     """Geometric lift of a grid function to the ladder: level m carries
     ``alpha_lift**m`` times the function.
 
-    When the full generator (from ``full_generator``) is supplied, the input
-    is first verified to satisfy the discounted-domination inequality (rate
-    ``lam``, default 0) by ``supermedian_violation``; an input whose
-    violation exceeds ``_SUPERMEDIAN_TOL`` raises.
+    The lift does not check that h is supermedian; a caller that needs it
+    checks ``supermedian_violation(A, lam, h) <= _SUPERMEDIAN_TOL`` first.
     """
     if not (0.0 < alpha_lift <= 1.0):
         raise ValueError("alpha_lift must lie in (0, 1]")
     h = np.asarray(h, dtype=float)
-    if A is not None:
-        viol = supermedian_violation(A, 0.0 if lam is None else lam, h)
-        if viol > _SUPERMEDIAN_TOL:
-            raise ValueError(
-                "input fails its supermedian check (violation %.3g)" % viol)
     return alpha_lift ** np.arange(m_levels + 1)[:, None] * h[None, :]
 
 
@@ -549,6 +528,6 @@ def ladder_supermedian_violation(ladder, lam, lifted):
     """
     F = np.asarray(lifted, dtype=float)
     out = ladder.apply(F)
-    slack = ladder.tail_bound * float(np.abs(F).max())
-    viol = np.exp(-lam * ladder.t) * out - F
+    slack = ladder.series.tail_bound * float(np.abs(F).max())
+    viol = np.exp(-lam * ladder.series.t) * out - F
     return float(viol.max()) - slack

@@ -119,7 +119,10 @@ class ReflectionKernel:
     A kernel is its re-entry laws in line order and the cut points between
     them: law k governs the exterior points z with cuts[k-1] < z <= cuts[k]
     (``np.searchsorted(cuts, z)``), so z -> mu(z, .) is constant on the
-    part of the complement between two consecutive cuts.
+    part of the complement between two consecutive cuts. Everything about
+    one exit point is read off its law: ``mu.law(z).mass(region)``,
+    ``mu.law(z).cell_masses(grid)``, and a grid function's integral
+    ``mu.law(z).cell_masses(grid) @ values``.
 
     Attributes
     ----------
@@ -149,23 +152,19 @@ class ReflectionKernel:
             raise ValueError("z = %r lies in the open domain %r" % (float(z), self.domain))
         return self.laws[self._law_index(z)]
 
-    def mass(self, z, region):
-        return self.law(z).mass(region)
-
-    def cell_masses(self, z, grid):
-        return self.law(z).cell_masses(grid)
-
-    def average(self, z, grid, values):
-        """Integral of a grid function against mu(z, .) (cellwise-constant)."""
-        return float(np.dot(self.cell_masses(z, grid), values))
-
     def reentry_columns(self, grid):
         """Cell masses of each law, one column per law."""
         return np.column_stack([law.cell_masses(grid) for law in self.laws])
 
 
 class ConstantKernel(ReflectionKernel):
-    """Kernel ignoring the exit point: mu(z, .) = m for every z."""
+    """Return kernel with law ``m`` regardless of the exit point: one law, no cuts.
+
+    ``m`` may be a UniformMeasure, AtomMeasure or BallUniformMeasure. On a
+    1-D domain ``m`` must carry no mass outside open D (boundary atoms
+    included), else KernelError. The witness is the measure's own: a
+    compact set carrying at least half of the mass of ``m``.
+    """
 
     def __init__(self, domain, m):
         total = m.total_mass()
@@ -178,10 +177,9 @@ class ConstantKernel(ReflectionKernel):
                 raise KernelError("law puts mass %.6g outside the open domain %r"
                                   % (outside, domain))
         super().__init__(domain, [m], [], *m.default_witness())
-        self.m = m
 
     def sample(self, z, rng, size):
-        return self.m.sample(rng, size=size)
+        return self.laws[0].sample(rng, size=size)
 
 
 class ProjectionKernel(ReflectionKernel):
@@ -222,23 +220,6 @@ class ProjectionKernel(ReflectionKernel):
     def sample(self, z, rng, size):
         k = self._law_index(z)
         return rng.uniform(self.lo[k], self.hi[k], size=size)
-
-
-def make_constant_kernel(domain, m):
-    """Constant return kernel with law ``m`` regardless of the exit point.
-
-    ``m`` may be a UniformMeasure, AtomMeasure or BallUniformMeasure. On a
-    1-D domain ``m`` must carry no mass outside open D (boundary atoms
-    included), else KernelError. The witness is the measure's own: a
-    compact set carrying at least half of the mass of ``m``.
-    """
-    return ConstantKernel(domain, m)
-
-
-def make_projection_kernel(domain, depth, width):
-    """Return kernel inserting uniformly at a fixed depth inward from the
-    boundary point nearest to the exit point."""
-    return ProjectionKernel(domain, depth, width)
 
 
 @dataclasses.dataclass
@@ -283,7 +264,7 @@ def validate_concentration(kernel, probes):
     probes = np.atleast_1d(np.asarray(probes, dtype=float))
     if probes.size == 0:
         raise ValueError("probe set must be nonempty")
-    values = np.array([kernel.mass(z, kernel.witness_H) for z in probes])
+    values = np.array([kernel.law(z).mass(kernel.witness_H) for z in probes])
     theta_hat = float(values.min())
     return ConcentrationReport(theta_hat=theta_hat,
                                passed=theta_hat >= kernel.witness_theta - 1e-9)

@@ -9,8 +9,8 @@ sys.path.insert(0, str(Path(__file__).parent))
 from reflected_stable.geometry import Interval
 from reflected_stable.killed_kernels import default_operators
 from reflected_stable.perturbation import duhamel_series, full_generator, perturbation_matrix
-from reflected_stable.reflection import (AtomMeasure, UniformMeasure,
-                                         make_constant_kernel, make_projection_kernel)
+from reflected_stable.reflection import (AtomMeasure, ConstantKernel, ProjectionKernel,
+                                         UniformMeasure)
 from reflected_stable.stable_core import StableParams
 
 DOMAIN = Interval(-1.0, 1.0)
@@ -38,11 +38,11 @@ class Workbench:
 
     def mu(self, name, alpha=None, n_cells=N_CELLS):
         if name == "uniform":
-            return make_constant_kernel(DOMAIN, UniformMeasure(-0.5, 0.5))
+            return ConstantKernel(DOMAIN, UniformMeasure(-0.5, 0.5))
         if name == "dirac":
-            return make_constant_kernel(DOMAIN, AtomMeasure([0.3]))
+            return ConstantKernel(DOMAIN, AtomMeasure([0.3]))
         if name == "projection":
-            return make_projection_kernel(DOMAIN, 0.3, 0.2)
+            return ProjectionKernel(DOMAIN, 0.3, 0.2)
         raise KeyError(name)
 
     def M(self, alpha, mu_name, n_cells=N_CELLS):

@@ -353,7 +353,7 @@ def test_series_stage_gaps_from_one_expm(t_list, expm_calls, tmp_path, monkeypat
     gaps = {c["name"]: c["value"] for c in manifest["checks"]}
     runner = _Run(cfg)
     for t in t_list:
-        K = duhamel_series(runner.L, runner.M, t).sum()
+        K = duhamel_series(runner.L, runner.M, t).total
         gap = np.abs(expm(runner.A.entries, t) - K).max()
         stage_gap = gaps["series-vs-exponential-t%g" % t]
         if len(t_list) == 1:
@@ -439,10 +439,15 @@ def test_identical_chain_rows_give_zero_contraction(tmp_path):
 
 
 def test_union_start_law_lies_in_domain():
+    # a one-law kernel starts at its law; a projection kernel (one law per
+    # endpoint) starts uniformly in the middle of the start point's component
     domain = build_domain(UNION)
-    mu = build_mu(SWEEP["grid1d"][1]["projection"], domain)
-    starts = _start_law(mu, domain).sample(np.random.default_rng(3), size=10000)
-    assert domain.contains(starts).all()
+    for family, raw in sorted(SWEEP["grid1d"][1].items()):
+        mu = build_mu(raw, domain)
+        law = _start_law(mu, domain)
+        assert (law is mu.laws[0]) == (family != "projection"), family
+        starts = law.sample(np.random.default_rng(3), size=10000)
+        assert domain.contains(starts).all(), family
 
 
 def test_main_cli_flags(tmp_path, capsys):
@@ -698,12 +703,29 @@ def test_series_with_no_level_above_drop_tol_fails_its_check(tmp_path, capsys):
                                                for line in captured.out.splitlines()]
     manifest = json.loads((out / "manifest.json").read_text())
     failed = {c["name"] for c in manifest["checks"] if not c["passed"]}
-    assert {"conservation-t1e+06", "gamma-below-1-t1e+06"} <= failed
+    assert {"conservation-t1e+06", "series-vs-exponential-t1e+06"} <= failed
+    # no fitted decay rate is no failed one: the rate check passes with value null
+    gamma = next(c for c in manifest["checks"] if c["name"] == "gamma-below-1-t1e+06")
+    assert gamma["passed"] and gamma["value"] is None
     for name in manifest["outputs"]:
         assert (out / name).is_file()
     # an envelope that was not fitted is reported as null, not made up
     diag = json.loads((out / "series_diagnostics.json").read_text())["series"][0]
     assert diag["fit_c"] is None and diag["fit_gamma"] is None and diag["tail_bound"] is None
+
+
+@pytest.mark.parametrize("t", [1e-18, 1e-16, 1e-10])
+def test_series_with_no_fitted_rate_passes_at_tiny_t(t, tmp_path, capsys):
+    # at a tiny t the series converges with fewer than two positive level
+    # masses past level 0: there is no rate to fit, and no check fails
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(dict(default_config(), kind="semigroup-check", t_list=[t],
+                                        out_dir=str(tmp_path / "o"))))
+    assert main(["--config", str(cfg_path)]) == 0
+    capsys.readouterr()
+    manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+    gamma = next(c for c in manifest["checks"] if c["name"].startswith("gamma-below-1"))
+    assert gamma["passed"] and gamma["value"] is None
 
 
 @pytest.mark.parametrize("over, check", [

@@ -137,9 +137,9 @@ def test_harmonic_symmetry_and_tail(wb):
     ops = wb.ops(1.0)
     grid = ops["grid"]
     i0 = np.argmin(np.abs(grid.nodes))
-    right = ops["H"].mass(i0, Region1D([(1.0, np.inf)]))
+    right = ops["H"].masses(Region1D([(1.0, np.inf)]))[i0]
     assert right == pytest.approx(0.5, abs=5e-3)
-    far = ops["H"].mass(i0, Region1D([(-np.inf, -2.0), (2.0, np.inf)]))
+    far = ops["H"].masses(Region1D([(-np.inf, -2.0), (2.0, np.inf)]))[i0]
     assert far == pytest.approx(1.0 - 2.0 / np.pi * np.arctan(np.sqrt(3.0)), abs=0.01)
 
 
@@ -210,7 +210,7 @@ def test_exit_position_histogram_matches_harmonic(wb):
     regs += [Region1D([(a, b)]) for a, b in zip(right[:-1], right[1:])]
     regs += [Region1D([(right[-1], np.inf)])]
     i0 = np.argmin(np.abs(grid.nodes))
-    probs = np.array([ops["H"].mass(i0, r) for r in regs])
+    probs = np.array([ops["H"].masses(r)[i0] for r in regs])
     obs = np.array([np.sum(r.contains(z)) for r in regs], dtype=float)
     obs_m, exp_m = oracles.chi2_merge(obs, probs)
     res = stats.chisquare(obs_m, exp_m)

@@ -92,8 +92,6 @@ def test_defaults_only_tests_set_are_the_known_ones():
     known = {
         "main.argv",                       # the CLI entry point reads sys.argv by default
         "simulate_ensemble_blocks.block",  # criterion 10 draws its paths as one block
-        "ladder_lift.A",                   # opt-in supermedian check on the input
-        "ladder_lift.lam",                 # the discount rate of that check
         "AtomMeasure.weights",             # weighted atoms; equal weights by default
     }
     unset = _unset("src")

@@ -11,8 +11,8 @@ from reflected_stable.pathsim import (excursion_statistics, reflection_chain,
                                       simulate_ensemble, simulate_ensemble_blocks,
                                       simulate_killed_excursion, simulate_ladder,
                                       stream, walk_on_spheres_exit)
-from reflected_stable.reflection import (UniformMeasure, make_constant_kernel,
-                                         make_projection_kernel)
+from reflected_stable.reflection import (ConstantKernel, ProjectionKernel,
+                                         UniformMeasure)
 from reflected_stable.stationary import (chain_kernel, kappa_closed_form, stationary_p,
                                          total_variation)
 from reflected_stable.stable_core import StableParams, ball_exit_position, walk_on_spheres
@@ -316,7 +316,7 @@ def test_walk_on_spheres_two_component_domain():
             Region1D([(-0.2, 0.0)]), Region1D([(0.0, 0.2)]),
             Region1D([(1.0, 1.2)]), Region1D([(1.2, 1.5)]), Region1D([(1.5, 2.5)]),
             Region1D([(2.5, np.inf)])]
-    probs = np.array([H.mass(i0, r) for r in regs])
+    probs = np.array([H.masses(r)[i0] for r in regs])
     obs = np.array([np.sum(r.contains(z)) for r in regs], dtype=float)
     obs_m, exp_m = oracles.chi2_merge(obs, probs / probs.sum())
     assert stats.chisquare(obs_m, f_exp=exp_m * obs_m.sum() / exp_m.sum()).pvalue > 0.01
@@ -325,7 +325,7 @@ def test_walk_on_spheres_two_component_domain():
 def test_excursion_statistics_independence(wb):
     p = wb.params(1.0)
     m = UniformMeasure(-0.5, 0.5)
-    mu = make_constant_kernel(wb.domain, m)
+    mu = ConstantKernel(wb.domain, m)
     ens = simulate_ladder(p, wb.domain, mu, m, 8.0, 1e-3, seed=2000, n_paths=1200)
     st_ = excursion_statistics(ens)
     assert st_.n_completed > 5000
@@ -408,11 +408,11 @@ def _ergodic_case(wb, alpha, mu_name):
             _union_ops[alpha] = dict(zip(("grid", "L", "G", "H"),
                                          default_operators(StableParams(1, alpha), UNION, 400)))
         ops, domain, start = _union_ops[alpha], UNION, UniformMeasure(0.3, 0.8)
-        mu = (make_projection_kernel(UNION, 0.2, 0.1) if mu_name == "union-projection"
-              else make_constant_kernel(UNION, start))
+        mu = (ProjectionKernel(UNION, 0.2, 0.1) if mu_name == "union-projection"
+              else ConstantKernel(UNION, start))
     else:
         ops, domain, mu = wb.ops(alpha), wb.domain, wb.mu(mu_name)
-        start = mu.m if hasattr(mu, "m") else UniformMeasure(-0.5, 0.5)
+        start = mu.laws[0] if len(mu.laws) == 1 else UniformMeasure(-0.5, 0.5)
     k_cf = kappa_closed_form(stationary_p(chain_kernel(ops["H"], mu)), ops["G"])
     return StableParams(1, alpha), domain, mu, start, ops["grid"], k_cf
 
@@ -541,7 +541,7 @@ def test_counts_and_excursions_match_per_path_oracles(wb, alpha, domain, seed):
         D, mu, start = wb.domain, wb.mu("uniform"), 0.0
     else:
         D = IntervalUnion([[-1.0, -0.2], [0.1, 1.0]])
-        mu, start = make_projection_kernel(D, 0.2, 0.1), 0.5
+        mu, start = ProjectionKernel(D, 0.2, 0.1), 0.5
     ens = simulate_ensemble(wb.params(alpha), D, mu, start, 2.0, 1e-3, seed, 200)
     marks = [0.1, 0.5, 0.7, 1.4, 2.0]
     assert np.array_equal(ens.counts_at(marks), oracles.counts_per_path(ens, marks))
@@ -559,7 +559,7 @@ def test_chunked_ensemble_ball():
     from reflected_stable.reflection import BallUniformMeasure
     p = StableParams(2, 1.0)
     B = Ball([0.0, 0.0], 1.0)
-    mu = make_constant_kernel(B, BallUniformMeasure([0.0, 0.0], 0.5))
+    mu = ConstantKernel(B, BallUniformMeasure([0.0, 0.0], 0.5))
     ens = simulate_ensemble(p, B, mu, np.zeros(2), 2.0, 1e-3, 5, 40)
     done = ens.total_reflections > 0
     assert done.mean() > 0.5

@@ -19,9 +19,8 @@ from reflected_stable.perturbation import (ConservationError, SeriesError,
                                            perturbation_matrix, reflected_kernel,
                                            semigroup_apply, supermedian_v,
                                            supermedian_violation)
-from reflected_stable.reflection import (AtomMeasure, UniformMeasure,
-                                         default_probes, make_constant_kernel,
-                                         make_projection_kernel)
+from reflected_stable.reflection import (AtomMeasure, ConstantKernel, ProjectionKernel,
+                                         UniformMeasure, default_probes)
 from reflected_stable.stable_core import StableParams
 from reflected_stable.stationary import chain_kernel
 
@@ -38,7 +37,7 @@ def test_perturbation_matrix_row_sums(wb):
 def test_perturbation_matrix_constant_separable(wb):
     M = wb.M(1.0, "uniform")
     kappa = killing_intensity(wb.params(1.0), wb.domain, M.grid.nodes)
-    mcells = wb.mu("uniform").cell_masses(2.0, M.grid)
+    mcells = wb.mu("uniform").law(2.0).cell_masses(M.grid)
     assert np.abs(oracles.dense(M) - np.outer(kappa, mcells)).max() < 1e-12 * kappa.max()
 
 
@@ -68,9 +67,9 @@ def test_perturbation_matrix_has_one_column_per_law(domain):
     p = StableParams(1, 1.0)
     grid = build_grid(domain, 60)
     kappa = killing_intensity(p, domain, grid.nodes)
-    for mu, r in ((make_constant_kernel(domain, UniformMeasure(0.3, 0.8)), 1),
-                  (make_constant_kernel(domain, AtomMeasure([0.5])), 1),
-                  (make_projection_kernel(domain, 0.2, 0.1), 2 * len(domain.intervals))):
+    for mu, r in ((ConstantKernel(domain, UniformMeasure(0.3, 0.8)), 1),
+                  (ConstantKernel(domain, AtomMeasure([0.5])), 1),
+                  (ProjectionKernel(domain, 0.2, 0.1), 2 * len(domain.intervals))):
         U, V = perturbation_matrix(grid, p, mu).factors
         assert U.shape[1] == V.shape[1] == r
         if r == 1:
@@ -84,8 +83,8 @@ def test_one_cell_grid_builds_operators_and_series(wb):
     grid = build_grid(D, 1)
     L = assemble_dirichlet_generator(grid, p)
     kappa = killing_intensity(p, D, grid.nodes)
-    for mu in (make_projection_kernel(D, 0.2, 0.1),
-               make_constant_kernel(D, UniformMeasure(-0.5, 0.5))):
+    for mu in (ProjectionKernel(D, 0.2, 0.1),
+               ConstantKernel(D, UniformMeasure(-0.5, 0.5))):
         M = perturbation_matrix(grid, p, mu)
         assert oracles.dense(M)[0, 0] == pytest.approx(kappa[0], rel=1e-13)
         C = chain_kernel(harmonic_kernel(green_operator(L), p), mu)
@@ -106,7 +105,7 @@ def test_series_levels_match_block_exponential(wb, alpha):
     # the interval with every return family and on a two-interval union
     params = wb.params(alpha)
     cases = [(wb.domain, wb.mu(name)) for name in ("uniform", "dirac", "projection")]
-    cases.append((UNION, make_projection_kernel(UNION, 0.2, 0.1)))
+    cases.append((UNION, ProjectionKernel(UNION, 0.2, 0.1)))
     for domain, mu in cases:
         grid = build_grid(domain, 120)
         L = assemble_dirichlet_generator(grid, params)
@@ -123,9 +122,9 @@ def test_series_levels_match_block_exponential(wb, alpha):
 
 
 SERIES_LAWS = {
-    "constant-uniform": lambda d: make_constant_kernel(d, UniformMeasure(0.3, 0.8)),
-    "projection": lambda d: make_projection_kernel(d, 0.2, 0.1),
-    "dirac": lambda d: make_constant_kernel(d, AtomMeasure([0.3])),
+    "constant-uniform": lambda d: ConstantKernel(d, UniformMeasure(0.3, 0.8)),
+    "projection": lambda d: ProjectionKernel(d, 0.2, 0.1),
+    "dirac": lambda d: ConstantKernel(d, AtomMeasure([0.3])),
 }
 
 
@@ -143,7 +142,7 @@ def test_streamed_series_equals_the_level_list(alpha, domain):
             case = (family, t)
             ser = duhamel_series(L, M, t)
             terms = oracles.duhamel_terms(L, M, t)
-            assert np.array_equal(ser.sum(), np.sum(terms, axis=0)), case
+            assert np.array_equal(ser.total, np.sum(terms, axis=0)), case
             assert np.array_equal(ser.level_masses,
                                   [term.sum(axis=1).max() for term in terms]), case
             assert ser.truncation_N == len(terms) - 1, case
@@ -190,7 +189,7 @@ def test_series_matches_full_generator_exponential(wb):
         A = wb.A(1.0, name)
         ser = wb.series(1.0, name, 0.5)
         expA = scipy.linalg.expm(0.5 * A.entries)
-        assert np.abs(ser.sum() - expA).max() < 1e-3
+        assert np.abs(ser.total - expA).max() < 1e-3
 
 
 def test_series_dominates_heat_kernel(wb):
@@ -267,7 +266,7 @@ def test_series_rejects_bad_inputs(wb):
     p = StableParams(1, 1.9)
     dom = IntervalUnion([[0.0, 0.1], [0.2, 5.0]])
     grid = build_grid(dom, 16)
-    M = perturbation_matrix(grid, p, make_projection_kernel(dom, 0.01, 0.01))
+    M = perturbation_matrix(grid, p, ProjectionKernel(dom, 0.01, 0.01))
     with pytest.raises(SeriesError, match="128 levels"):
         duhamel_series(assemble_dirichlet_generator(grid, p), M, 50.0)
 
@@ -311,20 +310,20 @@ def test_ladder_kernel_blocks_and_recovery(wb):
     ser = wb.series(1.0, "uniform", 0.5)
     lad = ladder_kernel(ser, m_levels=ser.truncation_N + 5)
     # level-constant function recovers the flat kernel at level 0
-    f = np.cos(ser.grid.nodes)
+    f = np.cos(ser.L.grid.nodes)
     F = np.tile(f, (lad.m_levels + 1, 1))
     out = lad.apply(F)
-    target = ser.sum() @ f
-    assert np.abs(out[0] - target).max() < 1e-6 + lad.tail_bound * np.abs(f).max()
+    target = ser.total @ f
+    assert np.abs(out[0] - target).max() < 1e-6 + lad.series.tail_bound * np.abs(f).max()
 
 
 def test_ladder_kernel_total_mass_with_tail(wb):
     ser = wb.series(1.0, "uniform", 0.5)
     lad = ladder_kernel(ser, m_levels=ser.truncation_N + 3)
     # row m of apply(1) is the mass carried from level m, over every reachable level
-    for mass in lad.apply(np.ones((lad.m_levels + 1, ser.grid.n)))[:3]:
+    for mass in lad.apply(np.ones((lad.m_levels + 1, ser.L.grid.n)))[:3]:
         assert mass.max() <= 1.0 + 1e-6
-        assert mass.min() >= 1.0 - 1e-6 - lad.tail_bound
+        assert mass.min() >= 1.0 - 1e-6 - lad.series.tail_bound
 
 
 def test_ladder_kernel_rejects_small_m(wb):
@@ -342,7 +341,7 @@ def test_supermedian_v_dominates_and_bounds(wb):
         v = supermedian_v(A, lam, 1.0)
         assert (v - u).min() > -1e-12
         probes = default_probes(wb.domain)
-        eps = 1.0 - max(mu.average(z, ops["grid"], u) for z in probes)
+        eps = 1.0 - max(mu.law(z).cell_masses(ops["grid"]) @ u for z in probes)
         assert eps > 0
         assert v.max() <= 1.0 / eps
 
@@ -371,11 +370,11 @@ SUPERMEDIAN_TIMES = (0.1, 1.0, 10.0)
 GATE_INTERVAL = Interval(-1.0, 1.0)
 GATE_UNION = IntervalUnion([[-1.0, -0.2], [0.1, 1.0]])
 GATE_LAWS = {
-    "interval-uniform": (GATE_INTERVAL, lambda d: make_constant_kernel(
+    "interval-uniform": (GATE_INTERVAL, lambda d: ConstantKernel(
         d, UniformMeasure(-0.5, 0.5))),
-    "interval-projection": (GATE_INTERVAL, lambda d: make_projection_kernel(d, 0.2, 0.1)),
-    "interval-dirac": (GATE_INTERVAL, lambda d: make_constant_kernel(d, AtomMeasure([0.3]))),
-    "union-projection": (GATE_UNION, lambda d: make_projection_kernel(d, 0.2, 0.1)),
+    "interval-projection": (GATE_INTERVAL, lambda d: ProjectionKernel(d, 0.2, 0.1)),
+    "interval-dirac": (GATE_INTERVAL, lambda d: ConstantKernel(d, AtomMeasure([0.3]))),
+    "union-projection": (GATE_UNION, lambda d: ProjectionKernel(d, 0.2, 0.1)),
 }
 
 
@@ -435,7 +434,7 @@ def test_discounted_solves_read_the_process_from_the_generator():
     # kernel of the generator it is given, matching a dense solve with that
     # generator's own exterior vector
     grid = build_grid(GATE_INTERVAL, 200)
-    mu = make_constant_kernel(GATE_INTERVAL, UniformMeasure(-0.5, 0.5))
+    mu = ConstantKernel(GATE_INTERVAL, UniformMeasure(-0.5, 0.5))
     shell = exterior_shell(GATE_INTERVAL, 0.1)
     eye = np.eye(grid.n)
 
@@ -553,28 +552,29 @@ def test_build_excessive_floor_error(wb):
 def test_ladder_lift_checks_input(wb):
     A = wb.A(1.0, "uniform")
     ones = np.ones(wb.ops(1.0)["grid"].n)
-    lifted = ladder_lift(ones, 0.5, 10, A=A, lam=0.0)
+    assert supermedian_violation(A, 0.0, ones) <= 1e-8
+    lifted = ladder_lift(ones, 0.5, 10)
     assert np.allclose(lifted[3], 0.125)
     with pytest.raises(ValueError):
         ladder_lift(ones, 1.5, 10)
     bad = np.linspace(0.0, 1.0, len(ones))  # not supermedian: mass flows up
-    with pytest.raises(ValueError):
-        ladder_lift(bad, 1.0, 10, A=A, lam=0.0)
+    assert supermedian_violation(A, 0.0, bad) > 1e-8
 
 
 def test_ladder_lift_supermedian_on_ladder(wb):
     ser = wb.series(1.0, "uniform", 0.5)
     lad = ladder_kernel(ser, m_levels=max(20, ser.truncation_N))
     A = wb.A(1.0, "uniform")
-    ones = np.ones(ser.grid.n)
+    ones = np.ones(ser.L.grid.n)
     # alpha=1/2 halves each level: the ladder image stays below 2^-m
     H1 = ladder_lift(ones, 0.5, lad.m_levels)
     out = lad.apply(H1)
     lev = 0.5 ** np.arange(lad.m_levels + 1)
-    assert np.all(out <= lev[:, None] + lad.tail_bound + 1e-12)
+    assert np.all(out <= lev[:, None] + lad.series.tail_bound + 1e-12)
     assert ladder_supermedian_violation(lad, 0.0, H1) <= 1e-8
     v = build_excessive(A, 1.0).values
-    Hv = ladder_lift(v, 1.0, lad.m_levels, A=A, lam=1.0)
+    assert supermedian_violation(A, 1.0, v) <= 1e-8
+    Hv = ladder_lift(v, 1.0, lad.m_levels)
     assert ladder_supermedian_violation(lad, 1.0, Hv) <= 1e-8
 
 

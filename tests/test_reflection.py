@@ -3,23 +3,23 @@ import pytest
 from scipy import stats
 
 from reflected_stable.geometry import Interval, IntervalUnion, Region1D, build_grid
-from reflected_stable.reflection import (AtomMeasure, KernelError, UniformMeasure,
-                                         default_probes, make_constant_kernel,
-                                         make_projection_kernel, validate_concentration)
+from reflected_stable.reflection import (AtomMeasure, ConstantKernel, KernelError,
+                                         ProjectionKernel, UniformMeasure,
+                                         default_probes, validate_concentration)
 
 D = Interval(-1.0, 1.0)
 
 
 def test_constant_kernel_masses_ignore_z():
-    mu = make_constant_kernel(D, UniformMeasure(-0.5, 0.5))
+    mu = ConstantKernel(D, UniformMeasure(-0.5, 0.5))
     reg = Region1D([(0.0, 0.5)])
     for z in (1.5, -40.0, 1.0001):
-        assert mu.mass(z, reg) == pytest.approx(0.5)
+        assert mu.law(z).mass(reg) == pytest.approx(0.5)
 
 
 def test_constant_kernel_rejects_unnormalized():
     with pytest.raises(KernelError):
-        make_constant_kernel(D, AtomMeasure([0.1, 0.2], [0.45, 0.45]))  # sums to 0.9
+        ConstantKernel(D, AtomMeasure([0.1, 0.2], [0.45, 0.45]))  # sums to 0.9
 
 
 def test_constant_kernel_rejects_mass_outside_open_domain():
@@ -30,26 +30,26 @@ def test_constant_kernel_rejects_mass_outside_open_domain():
                    (D, AtomMeasure([1.0])),          # atom on the boundary
                    (D, AtomMeasure([0.0, -1.0], [0.5, 0.5]))):
         with pytest.raises(KernelError, match="outside the open domain"):
-            make_constant_kernel(dom, m)
+            ConstantKernel(dom, m)
     with pytest.raises(KernelError):
         UniformMeasure(-np.inf, 0.5)
     with pytest.raises(KernelError):
         AtomMeasure([np.nan])
     # boundary contact of measure zero is admissible
-    make_constant_kernel(D, UniformMeasure(-1.0, 1.0))
-    make_constant_kernel(U, UniformMeasure(0.1, 1.0))
+    ConstantKernel(D, UniformMeasure(-1.0, 1.0))
+    ConstantKernel(U, UniformMeasure(0.1, 1.0))
 
 
 def test_dirac_kernel():
-    mu = make_constant_kernel(D, AtomMeasure([0.3]))
-    assert mu.mass(2.0, Region1D([(0.3, 0.3)])) == 1.0
+    mu = ConstantKernel(D, AtomMeasure([0.3]))
+    assert mu.law(2.0).mass(Region1D([(0.3, 0.3)])) == 1.0
     assert mu.witness_theta == 1.0
     rep = validate_concentration(mu, default_probes(D))
     assert rep.passed and rep.theta_hat == 1.0
 
 
 def test_constant_kernel_z_independent_histograms():
-    mu = make_constant_kernel(D, UniformMeasure(-0.5, 0.5))
+    mu = ConstantKernel(D, UniformMeasure(-0.5, 0.5))
     rng = np.random.default_rng(42)
     a = mu.sample(1.5, rng, size=10 ** 5)
     b = mu.sample(-9.0, rng, size=10 ** 5)
@@ -63,12 +63,12 @@ def test_sampler_matches_evaluator_chi2():
     grid = build_grid(D, 40)
     rng = np.random.default_rng(3)
     for name, mu in [
-        ("uniform", make_constant_kernel(D, UniformMeasure(-0.5, 0.5))),
-        ("projection", make_projection_kernel(D, 0.3, 0.2)),
+        ("uniform", ConstantKernel(D, UniformMeasure(-0.5, 0.5))),
+        ("projection", ProjectionKernel(D, 0.3, 0.2)),
     ]:
         for z in (1.0, 1.2, -1.7, 5.0, -50.0):
             x = mu.sample(z, rng, size=10 ** 5)
-            masses = mu.cell_masses(z, grid)
+            masses = mu.law(z).cell_masses(grid)
             obs = np.bincount(grid.cell_index(x), minlength=grid.n)
             keep = masses > 0
             assert obs[~keep].sum() == 0, (name, z)
@@ -78,14 +78,14 @@ def test_sampler_matches_evaluator_chi2():
 
 def test_normalization_at_probes():
     whole = Region1D([(-1.0, 1.0)])
-    for mu in (make_constant_kernel(D, UniformMeasure(-0.5, 0.5)),
-               make_projection_kernel(D, 0.3, 0.2)):
+    for mu in (ConstantKernel(D, UniformMeasure(-0.5, 0.5)),
+               ProjectionKernel(D, 0.3, 0.2)):
         for z in default_probes(D):
-            assert mu.mass(z, whole) == pytest.approx(1.0, abs=1e-10)
+            assert mu.law(z).mass(whole) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_projection_kernel_geometry():
-    mu = make_projection_kernel(D, 0.3, 0.2)
+    mu = ProjectionKernel(D, 0.3, 0.2)
     law = mu.law(2.0)
     assert (law.a, law.b) == pytest.approx((0.6, 0.8))
     law = mu.law(-5.0)
@@ -98,7 +98,7 @@ def test_projection_kernel_geometry():
 
 
 def test_projection_kernel_witness_positive():
-    mu = make_projection_kernel(D, 0.3, 0.2)
+    mu = ProjectionKernel(D, 0.3, 0.2)
     assert mu.witness_theta == pytest.approx(0.5)
     rep = validate_concentration(mu, default_probes(D))
     assert rep.passed
@@ -107,7 +107,7 @@ def test_projection_kernel_witness_positive():
 
 def test_projection_kernel_on_union_gap_sides():
     U = IntervalUnion([[-1.0, -0.2], [0.2, 1.0]])
-    mu = make_projection_kernel(U, 0.15, 0.1)
+    mu = ProjectionKernel(U, 0.15, 0.1)
     # z just right of the gap midpoint projects inward from +0.2
     law = mu.law(0.11)
     assert (law.a, law.b) == pytest.approx((0.3, 0.4))
@@ -120,21 +120,21 @@ def test_projection_kernel_on_union_gap_sides():
 
 def test_projection_kernel_precondition():
     with pytest.raises(KernelError):
-        make_projection_kernel(D, 0.9, 0.4)  # depth + width/2 >= half length
+        ProjectionKernel(D, 0.9, 0.4)  # depth + width/2 >= half length
     with pytest.raises(KernelError):
-        make_projection_kernel(D, 0.05, 0.2)  # sticks out of D
+        ProjectionKernel(D, 0.05, 0.2)  # sticks out of D
 
 
 def test_validate_concentration_brute_force_min():
-    mu = make_projection_kernel(D, 0.3, 0.2)
+    mu = ProjectionKernel(D, 0.3, 0.2)
     probes = np.array([-10.0, -1.5, -1.01, 1.01, 1.5, 10.0])
     rep = validate_concentration(mu, probes)
-    direct = min(mu.mass(z, mu.witness_H) for z in probes)
+    direct = min(mu.law(z).mass(mu.witness_H) for z in probes)
     assert rep.theta_hat == pytest.approx(direct)
 
 
 def test_validate_concentration_rejects_interior_probes():
-    mu = make_constant_kernel(D, UniformMeasure(-0.5, 0.5))
+    mu = ConstantKernel(D, UniformMeasure(-0.5, 0.5))
     with pytest.raises(ValueError):
         validate_concentration(mu, np.array([0.0]))
     with pytest.raises(ValueError):
@@ -158,7 +158,7 @@ def test_projection_law_of_z_is_the_nearest_endpoint_insertion(domain):
     # one lookup serves the law, its cell masses and the sampler: on both
     # sides of every gap midpoint, at the boundary and far out, all three
     # follow the insertion interval of the nearest endpoint
-    mu = make_projection_kernel(domain, 0.2, 0.1)
+    mu = ProjectionKernel(domain, 0.2, 0.1)
     grid = build_grid(domain, 120)
     ivs = domain.intervals
     zs = list(ivs.ravel()) + [ivs[0, 0] - f for f in (1e-9, 0.5, 1e3)] \
@@ -173,7 +173,7 @@ def test_projection_law_of_z_is_the_nearest_endpoint_insertion(domain):
         assert (law.a, law.b) == (lo, hi), z
         x = mu.sample(z, rng, size=200)
         assert lo <= x.min() and x.max() <= hi, z
-        assert np.array_equal(mu.cell_masses(z, grid), UniformMeasure(lo, hi).cell_masses(grid)), z
+        assert np.array_equal(mu.law(z).cell_masses(grid), UniformMeasure(lo, hi).cell_masses(grid)), z
 
 
 def test_law_lookup_rejects_interior_z():
@@ -181,16 +181,14 @@ def test_law_lookup_rejects_interior_z():
     # boundary point has one
     grid = build_grid(GAP_UNION, 40)
     whole = Region1D(GAP_UNION.intervals)
-    for mu in (make_constant_kernel(GAP_UNION, UniformMeasure(0.3, 0.8)),
-               make_projection_kernel(GAP_UNION, 0.2, 0.1)):
+    for mu in (ConstantKernel(GAP_UNION, UniformMeasure(0.3, 0.8)),
+               ProjectionKernel(GAP_UNION, 0.2, 0.1)):
         for z in (-0.5, 0.5, -0.2 - 1e-12, 0.1 + 1e-12):
             with pytest.raises(ValueError, match="z = %r" % z):
-                mu.mass(z, whole)
+                mu.law(z).mass(whole)
             with pytest.raises(ValueError, match="open domain"):
-                mu.cell_masses(z, grid)
-            with pytest.raises(ValueError, match="open domain"):
-                mu.average(z, grid, np.ones(grid.n))
+                mu.law(z).cell_masses(grid)
         for z in (-1.0, -0.2, 0.1, 1.0, 0.0):
-            assert mu.mass(z, whole) == pytest.approx(1.0, abs=1e-12)
+            assert mu.law(z).mass(whole) == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(ValueError, match="z = 0.0"):
-        make_projection_kernel(D, 0.3, 0.2).mass(0.0, Region1D([(-1.0, 1.0)]))
+        ProjectionKernel(D, 0.3, 0.2).law(0.0).mass(Region1D([(-1.0, 1.0)]))

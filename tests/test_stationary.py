@@ -9,8 +9,8 @@ from reflected_stable.killed_kernels import (GridOperator, assemble_dirichlet_ge
                                              default_operators)
 from reflected_stable.pathsim import reflection_chain, simulate_ensemble_blocks, stream
 from reflected_stable.perturbation import full_generator, perturbation_matrix
-from reflected_stable.reflection import (AtomMeasure, UniformMeasure, make_constant_kernel,
-                                         make_projection_kernel)
+from reflected_stable.reflection import (AtomMeasure, ConstantKernel, ProjectionKernel,
+                                         UniformMeasure)
 from reflected_stable.stable_core import StableParams
 from reflected_stable.stationary import (GridMeasure, StationaryError, chain_directions,
                                          chain_kernel, dobrushin_coefficient, kappa_closed_form,
@@ -47,7 +47,7 @@ def test_chain_kernel_rows(wb):
     C_u = chain_kernel(ops["H"], wb.mu("uniform"))
     assert np.abs(C_u.row_sums() - 1.0).max() < 1e-6
     # constant law: every row equals the cell masses of the measure
-    mcells = wb.mu("uniform").cell_masses(2.0, grid)
+    mcells = wb.mu("uniform").law(2.0).cell_masses(grid)
     assert np.abs(oracles.dense(C_u) - mcells[None, :]).max() < 1e-10
     C_d = chain_kernel(ops["H"], wb.mu("dirac"))
     j0 = grid.cell_index(np.array([0.3]))[0]
@@ -84,9 +84,9 @@ def harmonic_400(alpha, domain_name):
 def laws_of_every_family(domain):
     """(row directions, return kernel) for a constant-uniform, a dirac and a
     projection law on ``domain``."""
-    return [(1, make_constant_kernel(domain, UniformMeasure(0.3, 0.8))),
-            (1, make_constant_kernel(domain, AtomMeasure([0.5]))),
-            (2 * len(domain.intervals), make_projection_kernel(domain, 0.2, 0.1))]
+    return [(1, ConstantKernel(domain, UniformMeasure(0.3, 0.8))),
+            (1, ConstantKernel(domain, AtomMeasure([0.5]))),
+            (2 * len(domain.intervals), ProjectionKernel(domain, 0.2, 0.1))]
 
 
 def assert_matches_dense_scan(C):
@@ -134,7 +134,7 @@ def test_stationary_p_certifies_the_exact_rate():
     # uniform start is symmetric here, so a power iteration stops after two
     # steps and observes no rate at all
     domain = DOBRUSHIN_DOMAINS["interval"]
-    C = chain_kernel(harmonic_400(1.0, "interval"), make_projection_kernel(domain, 0.2, 0.1))
+    C = chain_kernel(harmonic_400(1.0, "interval"), ProjectionKernel(domain, 0.2, 0.1))
     assert stationary_p(C).diagnostics["lambda2"] == pytest.approx(0.590, abs=1e-3)
     with pytest.raises(StationaryError, match="rate"):
         stationary_p(C, beta=0.1)
@@ -156,7 +156,7 @@ def test_stationary_p_rejects_a_second_unit_eigenvalue(K):
 def test_dobrushin_on_one_cell():
     # no pair of rows: no overlap to take a minimum of
     grid, _, _, H = default_operators(StableParams(1, 1.0), Interval(-1.0, 1.0), 1)
-    C = chain_kernel(H, make_constant_kernel(grid.domain, UniformMeasure(-0.5, 0.5)))
+    C = chain_kernel(H, ConstantKernel(grid.domain, UniformMeasure(-0.5, 0.5)))
     assert dobrushin_coefficient(C) == oracles.dobrushin_dense(C) == (0.0, np.inf)
 
 
@@ -198,7 +198,7 @@ def test_stationary_p_constant_families(wb):
     ops = wb.ops(1.0)
     grid = ops["grid"]
     p_u = stationary_p(chain_kernel(ops["H"], wb.mu("uniform")))
-    mcells = wb.mu("uniform").cell_masses(2.0, grid)
+    mcells = wb.mu("uniform").law(2.0).cell_masses(grid)
     assert total_variation(p_u.masses, mcells) < 1e-10
     p_d = stationary_p(chain_kernel(ops["H"], wb.mu("dirac")))
     j0 = grid.cell_index(np.array([0.3]))[0]
@@ -264,8 +264,8 @@ NULLVECTOR_DOMAINS = {
 def small_full_generator(alpha, domain_name, law_index, n_cells=60):
     domain, laws = NULLVECTOR_DOMAINS[domain_name]
     law = laws[law_index]
-    mu = (make_projection_kernel(domain, *law) if isinstance(law, tuple)
-          else make_constant_kernel(domain, law))
+    mu = (ProjectionKernel(domain, *law) if isinstance(law, tuple)
+          else ConstantKernel(domain, law))
     params = StableParams(1, alpha)
     grid = build_grid(domain, n_cells)
     return full_generator(assemble_dirichlet_generator(grid, params),
