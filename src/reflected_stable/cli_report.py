@@ -33,7 +33,8 @@ from .killed_kernels import assemble_dirichlet_generator, green_operator, \
     harmonic_kernel
 from .pathsim import excursion_statistics, reflection_chain, renewal_occupation, \
     simulate_ensemble_blocks, stream
-from .perturbation import (_SUPERMEDIAN_TOL, SeriesError, build_excessive, duhamel_series,
+from .perturbation import (_CONSERVATION_TOL, _SUPERMEDIAN_TOL, SeriesError,
+                           _conservation_defect, build_excessive, duhamel_series,
                            full_generator, perturbation_matrix, series_diagnostics,
                            supermedian_violation)
 from .reflection import (AtomMeasure, ConstantKernel, ProjectionKernel, UniformMeasure,
@@ -278,8 +279,8 @@ def _series(run):
             run.check("series-t%g" % t, False)
             continue
         K = ser.total
-        dev = float(np.abs(K.sum(axis=1) - 1.0).max())
-        run.check("conservation-t%g" % t, dev <= 1e-4, dev, 1e-4)
+        dev = _conservation_defect(K)
+        run.check("conservation-t%g" % t, dev <= _CONSERVATION_TOL, dev, _CONSERVATION_TOL)
         E = _exponential(run.A.entries, t, t1, E1)
         if E is E1 and t != t_list[-1]:
             E = E1.copy()   # later t's power E1, and the gap below is taken in E
@@ -349,13 +350,17 @@ def _ensemble(run):
             "path_steps_per_s": path_steps / sim_s}
 
 
+# completed excursions that the excursion statistics need
+_MIN_EXCURSIONS = 20
+
+
 def _excursions(run):
     """ladder paths: excursion statistics and path dump"""
     ens = run.ens
     n_completed = int(ens.offsets[-1])
-    run.check("excursions-completed", n_completed >= 20, n_completed, 20)
-    if n_completed >= 20:
-        stats = excursion_statistics(ens, min_completed=20)
+    run.check("excursions-completed", n_completed >= _MIN_EXCURSIONS, n_completed, _MIN_EXCURSIONS)
+    if n_completed >= _MIN_EXCURSIONS:
+        stats = excursion_statistics(ens, min_completed=_MIN_EXCURSIONS)
         run.write_json("excursion_stats.json", {
             "n_paths": stats.n_paths, "n_completed": stats.n_completed,
             "lag1_autocorrelation": stats.lag1_autocorrelation,

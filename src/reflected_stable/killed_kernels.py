@@ -91,8 +91,6 @@ def assemble_dirichlet_generator(grid, params):
     and one ``eigh`` of the symmetric ``W^1/2 L W^-1/2`` is kept on the
     result as ``spectrum`` (see GridOperator), with ``params``; the entries are read-only.
     """
-    if grid.domain.d != 1:
-        raise ValueError("grid generators are implemented for d=1 only")
     nodes, cells, w = grid.nodes, grid.cells, grid.widths
     a, b = cells[:, 0], cells[:, 1]
     if not (np.all((a < nodes) & (nodes < b)) and np.all(b[:-1] <= a[1:])):

@@ -116,11 +116,7 @@ def simulate_killed_excursion(params, domain, start, dt, rng):
     step and the pre-exit position stands in for the left limit. Returns
     the excursion with its positions up to and including the exit point.
     """
-    if not np.all(domain.contains(np.atleast_1d(start))):
-        raise ValueError("start must lie in D")
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    pos = np.asarray(start, dtype=float)[None]
+    pos = _start_positions(params, domain, start, 1, rng)
     stored = [pos]
     for k0 in range(0, _MAX_STEPS, _CHUNK_STEPS):
         path, hit = _advance(params, domain, pos, dt, rng, _CHUNK_STEPS)
@@ -157,7 +153,7 @@ def reflection_chain(params, domain, mu, start, n_steps, rng, size):
     n = int(size)
     if params.d != 1:
         raise NotImplementedError("reflection chains are implemented for d=1")
-    x = np.array(np.broadcast_to(np.asarray(start, float), (n,)), dtype=float)
+    x = start   # walk_on_spheres_exit broadcasts it to the n chains
     out = np.empty((n, int(n_steps)))
     for k in range(int(n_steps)):
         z = walk_on_spheres_exit(params, domain, x, rng, size=n)

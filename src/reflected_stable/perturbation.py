@@ -31,6 +31,8 @@ _MAX_LEVELS = 128
 # supermedian_violation's times, and the largest violation a supermedian check passes
 _SUPERMEDIAN_TIMES = (0.1, 1.0, 10.0)
 _SUPERMEDIAN_TOL = 1e-8
+# the largest |row sum - 1| of a conservative series sum, on every row
+_CONSERVATION_TOL = 1e-4
 
 
 class SeriesError(RuntimeError):
@@ -268,13 +270,11 @@ def duhamel_series(L, M, t):
     running sum in level order, one level alive at a time, so the build's
     memory does not grow with N; ``DuhamelSeries.levels`` replays them.
     """
-    if t <= 0:
-        raise ValueError("time must be positive")
+    levels = _series_levels(L, M, t, _MAX_LEVELS)
+    total, mass = next(levels)   # level 0: heat_kernel rejects t <= 0
     if M.factors is None:
         raise SeriesError("the return operator carries no low-rank factors; "
                           "build it with perturbation_matrix")
-    levels = _series_levels(L, M, t, _MAX_LEVELS)
-    total, mass = next(levels)
     masses = [mass]
     for level, mass in levels:
         total += level
@@ -315,29 +315,29 @@ def duhamel_series(L, M, t):
     )
 
 
-def reflected_kernel(series):
-    """Sum the series levels into the reflected transition operator.
+def _conservation_defect(K):
+    """The largest |row sum - 1| of a series sum K: conservative when it is
+    at most ``_CONSERVATION_TOL``."""
+    return float(np.abs(K.sum(axis=1) - 1.0).max())
 
-    Row sums must equal one within 1e-4 plus the recorded truncation
-    tail (none when the tail was not estimated); a violation raises with a
-    diagnostic report attached.
+
+def reflected_kernel(series):
+    """The series sum as the reflected transition operator.
+
+    Every row sum must equal one within ``_CONSERVATION_TOL`` = 1e-4
+    (``_conservation_defect``), with no credit for the truncation tail; a
+    violation raises with a diagnostic report attached.
     """
     K = series.total
-    rs = K.sum(axis=1)
-    low = 1.0 - 1e-4 - (series.tail_bound or 0.0)
-    high = 1.0 + 1e-4
-    if rs.min() < low or rs.max() > high:
-        report = {
-            "row_sum_min": float(rs.min()),
-            "row_sum_max": float(rs.max()),
-            "tail_bound": series.tail_bound,
-            "tolerance": 1e-4,
-            "worst_rows": np.argsort(np.abs(rs - 1.0))[-5:].tolist(),
-        }
-        raise ConservationError(
-            "conservation violated: row sums in [%.6g, %.6g]" % (rs.min(), rs.max()),
-            report,
-        )
+    defect = _conservation_defect(K)
+    if not defect <= _CONSERVATION_TOL:
+        rs = K.sum(axis=1)
+        report = {"row_sum_min": float(rs.min()), "row_sum_max": float(rs.max()),
+                  "defect": defect, "tolerance": _CONSERVATION_TOL,
+                  "worst_rows": np.argsort(np.abs(rs - 1.0))[-5:].tolist()}
+        raise ConservationError("conservation violated: |row sum - 1| up to %.3g > %g "
+                                "(row sums in [%.6g, %.6g])"
+                                % (defect, _CONSERVATION_TOL, rs.min(), rs.max()), report)
     return GridOperator(grid=series.L.grid, entries=K, kind="reflected")
 
 

@@ -49,8 +49,7 @@ class StableParams:
     def __post_init__(self):
         if not (isinstance(self.d, (int, np.integer)) and self.d >= 1):
             raise StableParamsError("dimension d must be a positive integer, got %r" % (self.d,))
-        if not (0.0 < self.alpha < 2.0):
-            raise StableParamsError("stability index alpha must lie in (0, 2), got %r" % (self.alpha,))
+        # levy_constant rejects an alpha outside (0, 2)
         object.__setattr__(self, "c_levy", levy_constant(self.d, self.alpha))
 
 
@@ -250,16 +249,12 @@ def ball_exit_position(params, center, radius, start, rng, size):
     with the closed-form radial law and a uniform direction. For other
     interior starts the exit law is realised by walk-on-spheres on the ball
     (the interval ``(c - r, c + r)`` when d=1), which terminates almost
-    surely. The returned points lie strictly outside the closed ball.
+    surely. The returned points lie strictly outside the closed ball. A
+    radius <= 0 raises DomainError, a start outside the open ball ValueError.
     """
     center = np.atleast_1d(np.asarray(center, dtype=float))
-    start = np.atleast_1d(np.asarray(start, dtype=float))
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    if radius - np.linalg.norm(start - center) <= 0:
-        raise ValueError("start must lie strictly inside the ball")
     if params.d == 1:
-        domain, start = Interval(center[0] - radius, center[0] + radius), start[0]
+        domain = Interval(center[0] - radius, center[0] + radius)
     else:
         domain = Ball(center, radius)
     return walk_on_spheres_exit(params, domain, start, rng, size=size)

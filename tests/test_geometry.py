@@ -17,8 +17,9 @@ def test_interval_basics():
     assert D.boundary_distance(0.9) == pytest.approx(0.1)
     assert D.boundary_distance(-3.0) == 2.0
     assert D.contains(0.999) and not D.contains(1.0)
-    with pytest.raises(DomainError):
-        Interval(1.0, 1.0)
+    for a, b in ((1.0, 1.0), (1.0, 0.0), (0.0, np.inf), (np.nan, 1.0)):
+        with pytest.raises(DomainError):
+            Interval(a, b)
 
 
 def test_ball_distance_d2():
@@ -162,6 +163,14 @@ def test_build_grid_interval_is_one_linspace(a, b):
         edges = np.linspace(a, b, n + 1)
         expected = np.stack([edges[:-1], edges[1:]], axis=1)
         assert np.array_equal(build_grid(Interval(a, b), n).cells, expected), n
+
+
+def test_build_grid_needs_a_cell_per_component():
+    for n_cells in (0, -1):
+        with pytest.raises(ValueError):
+            build_grid(Interval(-1.0, 1.0), n_cells)
+    with pytest.raises(ValueError):
+        build_grid(IntervalUnion([[-1.0, -0.2], [0.2, 1.0]]), 1)
 
 
 def test_build_grid_union_tiles_exactly():

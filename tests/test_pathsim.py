@@ -39,6 +39,9 @@ def test_killed_excursion_records(wb):
     assert np.all(wb.domain.contains(exc.positions[:-1]))
     with pytest.raises(ValueError):
         simulate_killed_excursion(p, wb.domain, 1.5, 1e-3, rng)
+    for dt in (0.0, -1e-3):   # the increment sampler rejects the time step
+        with pytest.raises(ValueError):
+            simulate_killed_excursion(p, wb.domain, 0.2, dt, rng)
 
 
 def test_killed_excursion_chunk_invariance(wb):
@@ -263,6 +266,14 @@ def test_reflection_chain_constant_mu_exact(wb):
     mu_d = wb.mu("dirac")
     chains_d = reflection_chain(p, wb.domain, mu_d, 0.9, 3, rng, size=100)
     assert np.all(chains_d == 0.3)
+
+
+def test_reflection_chain_rejects_bad_starts(wb):
+    # walk_on_spheres_exit broadcasts the start to the chains and checks it
+    p, mu, rng = wb.params(1.0), wb.mu("uniform"), stream(12, 1)
+    for start in (1.5, -1.0, [0.1, 0.2]):
+        with pytest.raises(ValueError):
+            reflection_chain(p, wb.domain, mu, start, 2, rng, size=3)
 
 
 def test_reflection_chain_matches_matrix_power(wb):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from reflected_stable import perturbation
+from reflected_stable import cli_report, perturbation
 from reflected_stable.geometry import Interval, IntervalUnion, build_grid, exterior_shell
 from reflected_stable.killed_kernels import (GridOperator, assemble_dirichlet_generator,
                                              exterior_nu_vector, green_operator,
@@ -259,8 +259,9 @@ def test_series_exit_bound(wb):
 def test_series_rejects_bad_inputs(wb):
     ops = wb.ops(1.0)
     M = wb.M(1.0, "uniform")
-    with pytest.raises(ValueError):
-        duhamel_series(ops["L"], M, -0.5)
+    for t in (-0.5, 0.0):
+        with pytest.raises(ValueError):
+            duhamel_series(ops["L"], M, t)
     # the CLI's no-decay-in-128-levels row: at t = 50, with re-entry 0.01
     # inside the boundary, the level masses are still above 1e-6 at the cap
     p = StableParams(1, 1.9)
@@ -289,6 +290,24 @@ def test_reflected_kernel_conservation_error_report(wb):
     with pytest.raises(ConservationError) as exc:
         reflected_kernel(broken)
     assert "row_sum_min" in exc.value.report
+
+
+def test_library_and_cli_share_one_conservation_rule(wb, tmp_path, monkeypatch):
+    # every row 5e-4 short of 1 beside a tail bound of 1e-3: the tail buys no
+    # slack, so reflected_kernel and the CLI's conservation check both fail it
+    ser = wb.series(1.0, "uniform", 0.5)
+    short = dataclasses.replace(
+        ser, total=ser.total * ((1.0 - 5e-4) / ser.total.sum(axis=1))[:, None], tail_bound=1e-3)
+    with pytest.raises(ConservationError) as exc:
+        reflected_kernel(short)
+    assert exc.value.report["defect"] == pytest.approx(5e-4)
+    monkeypatch.setattr(cli_report, "duhamel_series", lambda L, M, t: short)
+    code, manifest = cli_report.run(cli_report.parse_config(dict(
+        cli_report.default_config(), kind="semigroup-check", t_list=[0.5],
+        out_dir=str(tmp_path))))
+    check, = [c for c in manifest["checks"] if c["name"] == "conservation-t0.5"]
+    assert code == 1 and not check["passed"]
+    assert check["value"] == exc.value.report["defect"]
 
 
 def test_full_generator_row_sums_and_nonnegativity(wb):
@@ -321,9 +340,13 @@ def test_ladder_kernel_total_mass_with_tail(wb):
     ser = wb.series(1.0, "uniform", 0.5)
     lad = ladder_kernel(ser, m_levels=ser.truncation_N + 3)
     # row m of apply(1) is the mass carried from level m, over every reachable level
-    for mass in lad.apply(np.ones((lad.m_levels + 1, ser.L.grid.n)))[:3]:
+    masses = lad.apply(np.ones((lad.m_levels + 1, ser.L.grid.n)))
+    for mass in masses[:3]:
         assert mass.max() <= 1.0 + 1e-6
         assert mass.min() >= 1.0 - 1e-6 - lad.series.tail_bound
+    # the law of the reflection count from (0, node i) carries level 0's mass
+    for i in (0, 137, ser.L.grid.n - 1):
+        assert abs(lad.counts_law(i).sum() - masses[0][i]) <= 1e-12
 
 
 def test_ladder_kernel_rejects_small_m(wb):

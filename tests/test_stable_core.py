@@ -40,8 +40,9 @@ def test_levy_constant_rejects_bad_alpha():
     for bad in (0.0, 2.0, -0.3, 2.5):
         with pytest.raises(StableParamsError):
             levy_constant(1, bad)
-    with pytest.raises(StableParamsError):
-        StableParams(1, 2.0)
+    for bad in (0.0, 2.0, -0.3, 2.5, float("nan")):
+        with pytest.raises(StableParamsError, match=r"alpha must lie in \(0, 2\)"):
+            StableParams(1, bad)
 
 
 @pytest.mark.parametrize("alpha,rho", [(0.5, 1.0), (1.0, 0.7), (1.5, 2.0)])
@@ -214,6 +215,15 @@ def test_ball_exit_rejects_outside_start():
     for bad in (1.0, 1.5):
         with pytest.raises(ValueError):
             ball_exit_position(p, 0.0, 1.0, bad, rng, size=1)
+    # the interval or ball rejects the radius (DomainError is a ValueError)
+    for radius in (0.0, -1.0):
+        with pytest.raises(ValueError):
+            ball_exit_position(p, 0.0, radius, 0.0, rng, size=1)
+        with pytest.raises(ValueError):
+            ball_exit_position(StableParams(2, 1.0), np.zeros(2), radius, np.zeros(2), rng,
+                               size=1)
+    with pytest.raises(ValueError):
+        ball_exit_position(StableParams(2, 1.0), np.zeros(2), 1.0, [0.6, 0.8], rng, size=1)
 
 
 def test_mean_exit_time_closed_values():
