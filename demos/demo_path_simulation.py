@@ -20,7 +20,7 @@ m = UniformMeasure(-0.5, 0.5)
 mu = ConstantKernel(D, m)
 
 print("== one path ==")
-path = simulate_ladder(p, D, mu, 0.0, 10.0, 1e-3, seed=11, n_paths=1)
+path = simulate_ladder(p, mu, 0.0, 10.0, 1e-3, seed=11, n_paths=1)
 print("horizon 10: %d reflections; first few reflection times:" % len(path.tau))
 print("  ", np.round(path.tau[:5], 3))
 print("  re-entry points:", np.round(path.entry[:5], 3))
@@ -28,7 +28,7 @@ print("reflection count at t=5: %d" % path.counts_at([5.0])[0, 0])
 
 print()
 print("== excursion statistics (constant return law) ==")
-paths = simulate_ladder(p, D, mu, m, 8.0, 1e-3, seed=101, n_paths=400)
+paths = simulate_ladder(p, mu, m, 8.0, 1e-3, seed=101, n_paths=400)
 st = excursion_statistics(paths)
 print("%d completed excursions; mean duration %.3f" % (st.n_completed,
                                                        st.mean_duration))
@@ -37,7 +37,7 @@ print("lag-1 duration autocorrelation: %+.4f (independent excursions)"
 
 print()
 print("== ensemble reflection counts ==")
-ens = simulate_ensemble_blocks(p, D, mu, m, 2.0, 1e-3, 2029, 20000)
+ens = simulate_ensemble_blocks(p, mu, m, 2.0, 1e-3, 2029, 20000)
 counts = ens.counts_at([0.5, 2.0])
 for k, t in enumerate((0.5, 2.0)):
     hist = np.bincount(counts[:, k], minlength=5)[:5] / ens.n_paths
@@ -47,7 +47,7 @@ print()
 print("== exact reflection chain (no time discretization) ==")
 mu_proj = ProjectionKernel(D, 0.3, 0.2)
 rng = stream(5, 0)
-chains = reflection_chain(p, D, mu_proj, 0.0, 5, rng, size=20000)
+chains = reflection_chain(p, mu_proj, 0.0, 5, rng, size=20000)
 print("projection return law: post-reflection positions concentrate at")
 print("  depth 0.3 from either boundary; mean |R_n|:",
       np.round(np.mean(np.abs(chains), axis=0), 3))

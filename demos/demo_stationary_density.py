@@ -34,7 +34,7 @@ for name, mu in (("uniform", ConstantKernel(D, UniformMeasure(-0.5, 0.5))),
     A = full_generator(L, perturbation_matrix(grid, p, mu))
     k_nv = kappa_generator_nullvector(A)
     start = mu.laws[0] if len(mu.laws) == 1 else UniformMeasure(-0.5, 0.5)
-    ens = simulate_ensemble_blocks(p, D, mu, start, 120.0, 1e-3, 31, 120,
+    ens = simulate_ensemble_blocks(p, mu, start, 120.0, 1e-3, 31, 120,
                                    grid=grid, burn_in=2.0)
     k_er = kappa_ergodic(ens, grid)
     print("pairwise total variation:")

@@ -71,9 +71,9 @@ def bench(seed):
             G = green_operator(assemble_dirichlet_generator(grid, params))
             closed = kappa_closed_form(stationary_p(chain_kernel(harmonic_kernel(G, params),
                                                                  config.mu)), G)
-            start = cli_report._start_law(config.mu, config.domain)
+            start = cli_report._start_law(config.mu)
             burn_in = min(2.0, config.horizon / 10)
-            args = (params, config.domain, config.mu, start, config.horizon)
+            args = (params, config.mu, start, config.horizon)
             euler_s, euler = _median_time(lambda: kappa_ergodic(simulate_ensemble_blocks(
                 *args, config.dt, seed, config.replicas, grid=grid, burn_in=burn_in,
                 workers=1), grid))

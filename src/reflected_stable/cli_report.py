@@ -279,7 +279,7 @@ def _series(run):
             run.check("series-t%g" % t, False)
             continue
         K = ser.total
-        dev = _conservation_defect(K)
+        dev = _conservation_defect(K.sum(axis=1))
         run.check("conservation-t%g" % t, dev <= _CONSERVATION_TOL, dev, _CONSERVATION_TOL)
         E = _exponential(run.A.entries, t, t1, E1)
         if E is E1 and t != t_list[-1]:
@@ -331,7 +331,7 @@ def _ensemble(run):
     marks = sorted(set(config.t_list))
     t0 = time.perf_counter()
     ens = simulate_ensemble_blocks(
-        run.params, run.domain, run.mu, _start_law(run.mu, run.domain), config.horizon,
+        run.params, run.mu, _start_law(run.mu), config.horizon,
         config.dt, config.seed, config.replicas, grid=grid,
         burn_in=min(1.0, config.horizon / 10), workers=config.threads)
     sim_s = time.perf_counter() - t0
@@ -386,7 +386,7 @@ def _chain_samples(run):
     """exact reflection chain sampling and matrix-law comparison"""
     config, grid = run.config, run.grid
     x0 = _start_point(run.domain)
-    chains = reflection_chain(run.params, run.domain, run.mu, x0, config.chain_steps,
+    chains = reflection_chain(run.params, run.mu, x0, config.chain_steps,
                               stream(config.seed, 0xC4), size=config.chain_samples)
     law = np.zeros(grid.n)
     law[grid.cell_index(np.atleast_1d(x0))[0]] = 1.0
@@ -433,9 +433,8 @@ def _ergodic_triangulation(run):
     diagnostics = None
     if config.replicas > 0:
         burn_in = min(2.0, config.horizon / 10)
-        occ = renewal_occupation(
-            run.params, run.domain, run.mu, _start_law(run.mu, run.domain),
-            config.horizon, burn_in, config.seed, config.replicas, run.grid)
+        occ = renewal_occupation(run.params, run.mu, _start_law(run.mu), config.horizon,
+                                 burn_in, config.seed, config.replicas, run.grid)
         reflections = occ.total_reflections.mean()
         diagnostics = {"chains": config.replicas, "reflections_per_chain": reflections,
                        "balls_per_reflection": occ.balls / occ.total_reflections.sum(),
@@ -678,12 +677,12 @@ def run(config):
     return (0 if passed else 1), manifest
 
 
-def _start_law(mu, domain):
+def _start_law(mu):
     """The kernel's fixed law, else uniform on the middle half of the start point's component."""
     if len(mu.laws) == 1:
         return mu.laws[0]
-    x0 = _start_point(domain)
-    a, b = next(iv for iv in domain.intervals if iv[0] < x0 < iv[1])
+    x0 = _start_point(mu.domain)
+    a, b = next(iv for iv in mu.domain.intervals if iv[0] < x0 < iv[1])
     return UniformMeasure(a + 0.25 * (b - a), b - 0.25 * (b - a))
 
 

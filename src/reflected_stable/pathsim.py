@@ -1,16 +1,20 @@
 """Monte Carlo simulation of the reflected process and its reflection chain.
 
+The return kernel carries D (``mu.domain``), so a call that takes ``mu``
+takes no domain, and a grid handed to it must have the intervals of D.
+
 Every killed path is stepped by one jump-Euler routine, ``_advance``: it
 draws a chunk of increments for many paths in one call, sums them along
-time and finds each path's first exit. The lockstep ensemble, single
-excursions and first-exit batches differ only in their chunk sizes and in
-what they do at an exit. Reflected paths have one simulator, the lockstep
-ensemble, and one representation: its records, one per reflection with its
-integer step, from which counts, durations and ladder paths are read. Exact
-exit positions come from walk-on-spheres
-(``stable_core.walk_on_spheres_exit``, re-exported here); reflection chains
-are built from them with no time step, and ``renewal_occupation`` bins the
-occupation of their walk-on-spheres balls.
+time and finds each path's first exit. Single excursions and first-exit
+batches share one first-exit loop, ``_killed_chunks``; the lockstep
+ensemble differs in its chunk sizes and in what it does at an exit.
+Reflected paths have one simulator, the lockstep ensemble, and one
+representation: its records, one per reflection with its integer step,
+from which counts, durations and ladder paths are read. Exact exit
+positions come from walk-on-spheres (``stable_core.walk_on_spheres_exit``,
+re-exported here); reflection chains are built from them with no time
+step, and ``renewal_occupation`` bins the occupation of their
+walk-on-spheres balls.
 
 Random streams are counter-based (Philox; Salmon et al., SC'11) and keyed
 by tuples of integers. The lockstep ensemble cuts time into chunks of at
@@ -26,8 +30,9 @@ import dataclasses
 
 import numpy as np
 
-from .stable_core import (ball_mean_exit_time, sample_ball_occupation_radius,
-                          sample_stable_increment, walk_on_spheres, walk_on_spheres_exit)
+from .stable_core import (_start_positions, ball_mean_exit_time,
+                          sample_ball_occupation_radius, sample_stable_increment,
+                          walk_on_spheres, walk_on_spheres_exit)
 
 
 _MASK = (1 << 64) - 1
@@ -63,29 +68,19 @@ def stream(seed, *ids):
 
 @dataclasses.dataclass
 class Excursion:
-    """One killed excursion: exit data and the path.
+    """One killed excursion: the path and its time step.
 
-    ``duration`` is the jump-Euler exit time; ``positions`` holds the start
-    and the position after each of the ``n_steps`` steps, the exit point last.
+    ``positions`` holds the start and the position after each of the
+    ``n_steps`` steps, the exit point last; ``duration`` is the jump-Euler
+    exit time.
     """
 
-    duration: float
-    n_steps: int
-    pre_exit: float
-    exit_point: float
     positions: np.ndarray
-
-
-def _start_positions(params, domain, start, n, rng):
-    """n start positions in D: draws from a start law, else copies of one point."""
-    if hasattr(start, "sample"):
-        pos = start.sample(rng, size=n).astype(float)
-    else:
-        tail = () if params.d == 1 else (params.d,)
-        pos = np.array(np.broadcast_to(np.asarray(start, float), (n,) + tail), dtype=float)
-    if not np.all(domain.contains(pos)):
-        raise ValueError("start must lie in D")
-    return pos
+    dt: float
+    n_steps = property(lambda e: len(e.positions) - 1)
+    duration = property(lambda e: e.n_steps * e.dt)
+    pre_exit = property(lambda e: e.positions[-2])
+    exit_point = property(lambda e: e.positions[-1])
 
 
 def _advance(params, domain, pos, dt, rng, steps):
@@ -108,6 +103,23 @@ def _advance(params, domain, pos, dt, rng, steps):
     return path, np.where(out[np.arange(n), hit], hit + 1, 0)
 
 
+def _killed_chunks(params, domain, pos, dt, rng):
+    """The first-exit loop: the killed paths from ``pos`` advance together, in
+    chunks of at most 1024 steps and 2**20 path positions drawn from ``rng``,
+    and a path leaves the batch at its first exit. Yields, per chunk, the
+    batch's path indices, the steps before the chunk and ``_advance``'s output.
+    """
+    alive, k0 = np.arange(len(pos)), 0
+    while alive.size:
+        if k0 >= _MAX_STEPS:
+            raise RuntimeError("some paths did not exit within %d steps" % _MAX_STEPS)
+        steps = min(_CHUNK_STEPS, max(1, _CHUNK_POSITIONS // alive.size))
+        path, hit = _advance(params, domain, pos, dt, rng, steps)
+        yield alive, k0, path, hit
+        alive, pos = alive[hit == 0], path[hit == 0, -1]
+        k0 += steps
+
+
 def simulate_killed_excursion(params, domain, start, dt, rng):
     """One excursion of the process killed at the first exit from D.
 
@@ -118,45 +130,40 @@ def simulate_killed_excursion(params, domain, start, dt, rng):
     """
     pos = _start_positions(params, domain, start, 1, rng)
     stored = [pos]
-    for k0 in range(0, _MAX_STEPS, _CHUNK_STEPS):
-        path, hit = _advance(params, domain, pos, dt, rng, _CHUNK_STEPS)
-        path, hit = path[0], int(hit[0])
-        stored.append(path[1:hit + 1] if hit else path[1:])
-        if hit:
-            return Excursion(
-                duration=(k0 + hit) * dt,
-                n_steps=k0 + hit,
-                pre_exit=path[hit - 1],
-                exit_point=path[hit],
-                positions=np.concatenate(stored),
-            )
-        pos = path[None, -1]
-    raise RuntimeError("excursion did not exit within %d steps" % _MAX_STEPS)
+    for _, _, path, hit in _killed_chunks(params, domain, pos, dt, rng):
+        stored.append(path[0, 1:hit[0] + 1] if hit[0] else path[0, 1:])
+    return Excursion(positions=np.concatenate(stored), dt=dt)
 
 
-def simulate_ladder(params, domain, mu, start, horizon, dt, seed, n_paths):
+def _check_grid(mu, grid):
+    """ValueError unless the grid has the intervals of D = ``mu.domain`` (a ball has none)."""
+    if not np.array_equal(grid.domain.intervals, getattr(mu.domain, "intervals", None)):
+        raise ValueError("the grid's domain %r is not the kernel's %r" % (grid.domain, mu.domain))
+
+
+def simulate_ladder(params, mu, start, horizon, dt, seed, n_paths):
     """n_paths ladder paths of the reflected process up to the horizon.
 
     One ``simulate_ensemble`` run on stream id 0 (``start`` is a point or a
     start law): path j's reflections are its records offsets[j]:offsets[j+1].
     """
-    return simulate_ensemble(params, domain, mu, start, horizon, dt, seed, n_paths)
+    return simulate_ensemble(params, mu, start, horizon, dt, seed, n_paths)
 
 
-def reflection_chain(params, domain, mu, start, n_steps, rng, size):
+def reflection_chain(params, mu, start, n_steps, rng, size):
     """``size`` Markov chains of post-reflection positions, free of time discretization.
 
-    Each step exits D exactly (walk-on-spheres composed of closed-form ball
-    exits) and re-enters through the return kernel. Returns the positions
-    after reflections 1..n_steps, shape (size, n_steps).
+    Each step exits D = ``mu.domain`` exactly (walk-on-spheres composed of
+    closed-form ball exits) and re-enters through the return kernel. Returns
+    the positions after reflections 1..n_steps, shape (size, n_steps).
     """
     n = int(size)
     if params.d != 1:
         raise NotImplementedError("reflection chains are implemented for d=1")
-    x = start   # walk_on_spheres_exit broadcasts it to the n chains
+    x = start   # walk_on_spheres_exit places the n chains' starts
     out = np.empty((n, int(n_steps)))
     for k in range(int(n_steps)):
-        z = walk_on_spheres_exit(params, domain, x, rng, size=n)
+        z = walk_on_spheres_exit(params, mu.domain, x, rng, size=n)
         x = mu.sample(z, rng, size=n)
         out[:, k] = x
     return out
@@ -178,7 +185,7 @@ class RenewalResult:
     draws: int
 
 
-def renewal_occupation(params, domain, mu, start, horizon, burn_in, seed, n_chains, grid):
+def renewal_occupation(params, mu, start, horizon, burn_in, seed, n_chains, grid):
     """Stationary occupation by renewal-reward over exact reflection chains (d=1).
 
     The stationary law is the occupation of one excursion started from the
@@ -194,20 +201,22 @@ def renewal_occupation(params, domain, mu, start, horizon, burn_in, seed, n_chai
     A chain stops at its first reflection with its clock at ``horizon`` or
     past it. All draws (start law first, then per round the walk, the
     occupation and the re-entries) come from the stream keyed (seed,
-    0xB0), so the result is a deterministic function of its arguments.
+    0xB0), so the result is a deterministic function of its arguments. The
+    grid lies on D = ``mu.domain``.
     """
     if params.d != 1:
         raise NotImplementedError("the renewal occupation is implemented for d=1")
+    _check_grid(mu, grid)
     rng = stream(seed, 0xB0)
     n, half = int(n_chains), _BALL_DRAWS // 2
-    x = _start_positions(params, domain, start, n, rng)
+    x = _start_positions(params, mu.domain, start, n, rng)
     chain = np.arange(n)            # the chains still running, in order
     clock = np.zeros(n)
     reflections = np.zeros(n, dtype=np.int64)
     hist = np.zeros(grid.n)
     balls = draws = 0
     while True:
-        z, rounds = walk_on_spheres(params, domain, x, rng)
+        z, rounds = walk_on_spheres(params, mu.domain, x, rng)
         idx, centre, radius = (np.concatenate(col) for col in zip(*rounds))
         w = ball_mean_exit_time(params, radius, 0.0)
         kept = np.flatnonzero(clock[chain[idx]] >= burn_in)
@@ -240,7 +249,6 @@ class EnsembleResult:
     the first outside D ``exit_point`` and the re-entry point ``entry``.
     """
 
-    n_paths: int
     dt: float
     horizon: float
     occupancy: np.ndarray            # cell masses of the time average, or None
@@ -250,13 +258,9 @@ class EnsembleResult:
     exit_point: np.ndarray
     entry: np.ndarray
 
-    @property
-    def tau(self):
-        return self.steps * self.dt
-
-    @property
-    def total_reflections(self):
-        return np.diff(self.offsets)
+    n_paths = property(lambda r: len(r.offsets) - 1)
+    tau = property(lambda r: r.steps * r.dt)
+    total_reflections = property(lambda r: np.diff(r.offsets))
 
     def counts_at(self, marks):
         """Each path's reflection count at each mark, shape (n_paths, len(marks)).
@@ -275,7 +279,7 @@ class EnsembleResult:
         return ends - self.offsets[:-1, None]
 
 
-def simulate_ensemble(params, domain, mu, start, horizon, dt, seed, n_paths,
+def simulate_ensemble(params, mu, start, horizon, dt, seed, n_paths,
                       grid=None, burn_in=0.0, stream_id=0):
     """Advance many reflected paths in lockstep and aggregate statistics.
 
@@ -290,18 +294,19 @@ def simulate_ensemble(params, domain, mu, start, horizon, dt, seed, n_paths,
     function of (seed, stream_id, n_paths, dt, horizon).
 
     Records every reflection of every path (step, pre-exit, exit and
-    re-entry point; no extra draws) and, when a grid is given, the
-    occupation histogram of the time average after ``burn_in``.
+    re-entry point; no extra draws) and, given a grid on D = ``mu.domain``,
+    the occupation histogram of the time average after ``burn_in``.
     """
-    n = int(n_paths)
-    tail = () if params.d == 1 else (params.d,)
+    if grid is not None:
+        _check_grid(mu, grid)
+    domain, n = mu.domain, int(n_paths)
     n_steps = int(np.round(horizon / dt))
     pos = _start_positions(params, domain, start, n, stream(seed, 0xE5, stream_id))
     # occupation counts the positions at steps k with k * dt >= burn_in
     n_skip = int(np.count_nonzero(np.arange(n_steps) * dt < burn_in))
     hist = np.zeros(grid.n, dtype=np.int64) if grid is not None else None
     # one entry per round: (paths, exit steps, pre-exit, exit and entry points)
-    empty = np.empty((0,) + tail)
+    empty = np.empty((0,) + pos.shape[1:])
     rounds = [(np.empty(0, np.int64), np.empty(0, np.int64), empty, empty, empty)]
     chunk_len = min(_CHUNK_STEPS, max(1, _CHUNK_POSITIONS // max(n, 1)))
     for c, k0 in enumerate(range(0, n_steps, chunk_len)):
@@ -339,13 +344,13 @@ def simulate_ensemble(params, domain, mu, start, horizon, dt, seed, n_paths,
     who, steps_at, pre, z, entry = (np.concatenate(col) for col in zip(*rounds))
     order = np.argsort(who, kind="stable")
     return EnsembleResult(
-        n_paths=n, dt=dt, horizon=horizon, occupancy=occupancy,
+        dt=dt, horizon=horizon, occupancy=occupancy,
         offsets=np.concatenate(([0], np.cumsum(np.bincount(who, minlength=n)))),
         steps=steps_at[order], pre_exit=pre[order], exit_point=z[order], entry=entry[order],
     )
 
 
-def simulate_ensemble_blocks(params, domain, mu, start, horizon, dt, seed, n_paths,
+def simulate_ensemble_blocks(params, mu, start, horizon, dt, seed, n_paths,
                              grid=None, burn_in=0.0, block=50, workers=1):
     """Block-decomposed ensemble with deterministic merging.
 
@@ -361,7 +366,7 @@ def simulate_ensemble_blocks(params, domain, mu, start, horizon, dt, seed, n_pat
     sizes = [block] * (n // block) + ([n % block] if n % block else [])
 
     def run(b):
-        return simulate_ensemble(params, domain, mu, start, horizon, dt, seed,
+        return simulate_ensemble(params, mu, start, horizon, dt, seed,
                                  sizes[b], grid=grid, burn_in=burn_in, stream_id=b + 1)
 
     if workers and workers > 1:
@@ -375,7 +380,7 @@ def simulate_ensemble_blocks(params, domain, mu, start, horizon, dt, seed, n_pat
                for name in ("steps", "pre_exit", "exit_point", "entry")}
     occupancy = None if grid is None else sum(r.occupancy * r.n_paths for r in results) / n
     return EnsembleResult(
-        n_paths=n, dt=dt, horizon=horizon, occupancy=occupancy,
+        dt=dt, horizon=horizon, occupancy=occupancy,
         offsets=np.concatenate(([0], np.cumsum(total))), **records,
     )
 
@@ -383,28 +388,19 @@ def simulate_ensemble_blocks(params, domain, mu, start, horizon, dt, seed, n_pat
 def sample_first_exit(params, domain, start, dt, seed, n_paths):
     """First-exit data (time, pre-exit, exit point) for a batch of killed paths.
 
-    The surviving paths advance together in chunks of at most 1024 steps and
-    2**20 path positions, all drawn after the start law from the stream
-    keyed (seed, 0xF1, 0); a path leaves the batch at its first exit.
+    The paths run through ``_killed_chunks``, all drawn after the start law
+    from the stream keyed (seed, 0xF1, 0).
     """
     rng = stream(seed, 0xF1, 0)
-    n = int(n_paths)
-    pos = _start_positions(params, domain, start, n, rng)
-    exit_time = np.empty(n)
+    pos = _start_positions(params, domain, start, int(n_paths), rng)
+    exit_time = np.empty(len(pos))
     pre_exit, exit_point = np.empty_like(pos), np.empty_like(pos)
-    alive, k0 = np.arange(n), 0
-    while alive.size:
-        if k0 >= _MAX_STEPS:
-            raise RuntimeError("some paths did not exit within %d steps" % _MAX_STEPS)
-        steps = min(_CHUNK_STEPS, max(1, _CHUNK_POSITIONS // alive.size))
-        path, hit = _advance(params, domain, pos, dt, rng, steps)
+    for alive, k0, path, hit in _killed_chunks(params, domain, pos, dt, rng):
         rows = np.flatnonzero(hit)
         done, step = alive[rows], hit[rows]
         exit_time[done] = (k0 + step) * dt
         pre_exit[done] = path[rows, step - 1]
         exit_point[done] = path[rows, step]
-        alive, pos = alive[hit == 0], path[hit == 0, -1]
-        k0 += steps
     return exit_time, pre_exit, exit_point
 
 

@@ -315,10 +315,10 @@ def duhamel_series(L, M, t):
     )
 
 
-def _conservation_defect(K):
-    """The largest |row sum - 1| of a series sum K: conservative when it is
-    at most ``_CONSERVATION_TOL``."""
-    return float(np.abs(K.sum(axis=1) - 1.0).max())
+def _conservation_defect(row_sums):
+    """The largest |row sum - 1| of a kernel, given its row sums: a series sum
+    is conservative when it is at most ``_CONSERVATION_TOL``."""
+    return float(np.abs(row_sums - 1.0).max())
 
 
 def reflected_kernel(series):
@@ -329,9 +329,9 @@ def reflected_kernel(series):
     violation raises with a diagnostic report attached.
     """
     K = series.total
-    defect = _conservation_defect(K)
+    rs = K.sum(axis=1)
+    defect = _conservation_defect(rs)
     if not defect <= _CONSERVATION_TOL:
-        rs = K.sum(axis=1)
         report = {"row_sum_min": float(rs.min()), "row_sum_max": float(rs.max()),
                   "defect": defect, "tolerance": _CONSERVATION_TOL,
                   "worst_rows": np.argsort(np.abs(rs - 1.0))[-5:].tolist()}

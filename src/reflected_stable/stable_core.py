@@ -228,17 +228,25 @@ def walk_on_spheres(params, domain, pos, rng):
     raise RuntimeError("walk-on-spheres iteration cap exceeded (geometry bug?)")
 
 
+def _start_positions(params, domain, start, n, rng):
+    """n start positions in D: draws from a start law, else copies of one point."""
+    if hasattr(start, "sample"):
+        pos = start.sample(rng, size=n).astype(float)
+    else:
+        tail = () if params.d == 1 else (params.d,)
+        pos = np.array(np.broadcast_to(np.asarray(start, float), (n,) + tail), dtype=float)
+    if not np.all(domain.contains(pos)):
+        raise ValueError("start must lie in D")
+    return pos
+
+
 def walk_on_spheres_exit(params, domain, start, rng, size):
     """Exact exit-position sampling by iterated maximal-ball exits.
 
-    Runs ``walk_on_spheres`` from ``size`` copies of ``start``. Returns the
-    exit points, shape (size,) for d=1 and (size, d) otherwise.
+    Runs ``walk_on_spheres`` from ``size`` starts placed by ``_start_positions``.
+    Returns the exit points, shape (size,) for d=1 and (size, d) otherwise.
     """
-    n = int(size)
-    shape = (n,) if params.d == 1 else (n, params.d)
-    pos = np.array(np.broadcast_to(np.asarray(start, dtype=float), shape))
-    if not np.all(domain.contains(pos)):
-        raise ValueError("start must lie in D")
+    pos = _start_positions(params, domain, start, int(size), rng)
     return walk_on_spheres(params, domain, pos, rng)[0]
 
 

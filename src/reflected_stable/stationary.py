@@ -14,7 +14,7 @@ import logging
 import numpy as np
 
 from .killed_kernels import GridOperator
-from .perturbation import perturbation_matrix
+from .perturbation import _conservation_defect, perturbation_matrix
 
 logger = logging.getLogger(__name__)
 
@@ -61,11 +61,6 @@ def total_variation(p, q):
     return 0.5 * float(np.abs(np.asarray(p) - np.asarray(q)).sum())
 
 
-def _row_sum_deviation(chain):
-    """Largest |row sum - 1| of a chain kernel, from its factors."""
-    return float(np.abs(chain.row_sums() - 1.0).max())
-
-
 def chain_kernel(harmonic, mu):
     """Transition matrix of the post-reflection chain: exit then re-enter.
 
@@ -85,7 +80,7 @@ def chain_kernel(harmonic, mu):
     U, V = perturbation_matrix(grid, harmonic.params, mu).factors
     C = GridOperator(grid=grid, entries=None, kind="chain-kernel",
                      factors=(harmonic.green.entries @ U, V))
-    deviation = _row_sum_deviation(C)
+    deviation = _conservation_defect(C.row_sums())
     if deviation > 1e-6:
         raise StationaryError("chain kernel row sums deviate from 1 by %.3g" % deviation)
     return C
@@ -163,7 +158,7 @@ def stationary_p(chain, beta=None):
     p = np.maximum(p / p.sum(), 0.0)
     p /= p.sum()
     fixed_tv = total_variation((p @ B) @ V.T, p)
-    tol = max(2e-12, _row_sum_deviation(chain))
+    tol = max(2e-12, _conservation_defect(chain.row_sums()))
     logger.debug("chain law: r=%d, lambda2 %.4g, fixed-point TV %.3g", B.shape[1], lambda2,
                  fixed_tv)
     if not lambda2 < 1.0:

@@ -217,7 +217,7 @@ def test_criterion_10_ladder_law(wb):
     p = wb.params(1.0)
     mu = wb.mu("uniform")
     grid = wb.ops(1.0)["grid"]
-    ens = simulate_ensemble_blocks(p, wb.domain, mu, 0.0, 2.0, 1e-3, 77001,
+    ens = simulate_ensemble_blocks(p, mu, 0.0, 2.0, 1e-3, 77001,
                                    10 ** 5, block=10 ** 5)
     i0 = np.argmin(np.abs(grid.nodes))
     pvals = []
@@ -242,7 +242,7 @@ def test_criterion_11_reflection_chain(wb):
     C = chain_kernel(ops["H"], mu)
     rng = stream(424242, 0)
     x0 = 0.25
-    chains = reflection_chain(p, wb.domain, mu, x0, 3, rng, size=10 ** 5)
+    chains = reflection_chain(p, mu, x0, 3, rng, size=10 ** 5)
     law = np.zeros(grid.n)
     law[grid.cell_index(np.array([x0]))[0]] = 1.0
     for _ in range(3):
@@ -260,7 +260,7 @@ def test_criterion_12_independence(wb):
     p = wb.params(1.0)
     m = UniformMeasure(-0.5, 0.5)
     mu = ConstantKernel(wb.domain, m)
-    ens = simulate_ladder(p, wb.domain, mu, m, 8.0, 1e-3, seed=661, n_paths=1500)
+    ens = simulate_ladder(p, mu, m, 8.0, 1e-3, seed=661, n_paths=1500)
     st_ = excursion_statistics(ens)
     ac_ok = abs(st_.lag1_autocorrelation) < 4.0 / np.sqrt(st_.lag1_pairs)
     d1, d5 = st_.duration_sample(1), st_.duration_sample(5)
@@ -310,7 +310,7 @@ def test_criterion_14_stationary_triangulation(wb):
         k_cf = kappa_closed_form(p_hat, ops["G"])
         k_nv = kappa_generator_nullvector(wb.A(1.0, name))
         start = mu.laws[0] if len(mu.laws) == 1 else UniformMeasure(-0.5, 0.5)
-        ens = simulate_ensemble_blocks(p, wb.domain, mu, start, 200.0, 1e-3,
+        ens = simulate_ensemble_blocks(p, mu, start, 200.0, 1e-3,
                                        5150 + seed_off, 200,
                                        grid=grid, burn_in=2.0)
         k_er = kappa_ergodic(ens, grid)

@@ -444,7 +444,7 @@ def test_union_start_law_lies_in_domain():
     domain = build_domain(UNION)
     for family, raw in sorted(SWEEP["grid1d"][1].items()):
         mu = build_mu(raw, domain)
-        law = _start_law(mu, domain)
+        law = _start_law(mu)
         assert (law is mu.laws[0]) == (family != "projection"), family
         starts = law.sample(np.random.default_rng(3), size=10000)
         assert domain.contains(starts).all(), family

@@ -140,21 +140,21 @@ def test_exact_vs_euler_exit_laws(wb):
 def test_ladder_counts_and_invariants(wb):
     p = wb.params(1.0)
     mu = wb.mu("uniform")
-    ens = simulate_ladder(p, wb.domain, mu, 0.0, 30.0, 1e-3, seed=8, n_paths=1)
+    ens = simulate_ladder(p, mu, 0.0, 30.0, 1e-3, seed=8, n_paths=1)
     assert oracles.validate_ladder(ens, wb.domain)
     assert ens.counts_at([0.0])[0, 0] == 0
     counts = ens.counts_at(np.linspace(0.0, 30.0, 50))[0]
     assert np.all(np.diff(counts) >= 0)
     assert len(ens.tau) > 10
     with pytest.raises(ValueError):
-        simulate_ladder(p, wb.domain, mu, 1.5, 1.0, 1e-3, seed=8, n_paths=2)
+        simulate_ladder(p, mu, 1.5, 1.0, 1e-3, seed=8, n_paths=2)
     with pytest.raises(ValueError):
-        simulate_ensemble(p, wb.domain, mu, UniformMeasure(0.5, 1.5), 1.0, 1e-3, 8, 20)
+        simulate_ensemble(p, mu, UniformMeasure(0.5, 1.5), 1.0, 1e-3, 8, 20)
 
 
 def test_ladder_validate_raises_on_corrupted_paths(wb):
     import dataclasses
-    ens = simulate_ladder(wb.params(1.0), wb.domain, wb.mu("uniform"), 0.0, 10.0, 1e-3,
+    ens = simulate_ladder(wb.params(1.0), wb.mu("uniform"), 0.0, 10.0, 1e-3,
                           seed=8, n_paths=2)
     assert ens.total_reflections[1] > 3
     assert oracles.validate_ladder(ens, wb.domain)
@@ -178,8 +178,8 @@ def test_ladder_validate_raises_on_corrupted_paths(wb):
 def test_ladder_reproducibility(wb):
     p = wb.params(1.0)
     mu = wb.mu("projection")
-    a = simulate_ladder(p, wb.domain, mu, 0.1, 10.0, 1e-3, seed=4, n_paths=9)
-    b = simulate_ladder(p, wb.domain, mu, 0.1, 10.0, 1e-3, seed=4, n_paths=9)
+    a = simulate_ladder(p, mu, 0.1, 10.0, 1e-3, seed=4, n_paths=9)
+    b = simulate_ladder(p, mu, 0.1, 10.0, 1e-3, seed=4, n_paths=9)
     for name in ("offsets", "steps", "entry"):
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
     tau7, tau8 = (a.tau[a.offsets[j]:a.offsets[j + 1]] for j in (7, 8))
@@ -192,7 +192,7 @@ def test_first_entry_histogram_matches_chain_kernel(wb):
     mu = wb.mu("uniform")
     grid = wb.ops(1.0)["grid"]
     C = chain_kernel(wb.ops(1.0)["H"], mu)
-    ens = simulate_ensemble(p, wb.domain, mu, 0.0, 6.0, 1e-3, 21, 20000)
+    ens = simulate_ensemble(p, mu, 0.0, 6.0, 1e-3, 21, 20000)
     r1 = oracles.first_records(ens, ens.entry)
     # a handful of paths may not reflect within the horizon (P ~ 1e-3)
     finite = np.isfinite(r1)
@@ -215,7 +215,7 @@ def test_no_reflection_probability_matches_heat_kernel(wb):
     mu = wb.mu("uniform")
     ops = wb.ops(1.0)
     t = 0.5
-    ens = simulate_ensemble(p, wb.domain, mu, 0.0, t, 1e-3, 13, 20000)
+    ens = simulate_ensemble(p, mu, 0.0, t, 1e-3, 13, 20000)
     emp = np.mean(ens.counts_at([t])[:, 0] == 0)
     i0 = np.argmin(np.abs(ops["grid"].nodes))
     target = heat_kernel(ops["L"], t).row_sums()[i0]
@@ -258,13 +258,13 @@ def test_reflection_chain_constant_mu_exact(wb):
     p = wb.params(1.0)
     mu = wb.mu("uniform")
     rng = stream(12, 0)
-    chains = reflection_chain(p, wb.domain, mu, 0.9, 4, rng, size=5000)
+    chains = reflection_chain(p, mu, 0.9, 4, rng, size=5000)
     # every step is an independent uniform draw on (-0.5, 0.5)
     for k in range(4):
         ks = stats.kstest(chains[:, k], stats.uniform(loc=-0.5, scale=1.0).cdf)
         assert ks.pvalue > 0.005
     mu_d = wb.mu("dirac")
-    chains_d = reflection_chain(p, wb.domain, mu_d, 0.9, 3, rng, size=100)
+    chains_d = reflection_chain(p, mu_d, 0.9, 3, rng, size=100)
     assert np.all(chains_d == 0.3)
 
 
@@ -273,7 +273,7 @@ def test_reflection_chain_rejects_bad_starts(wb):
     p, mu, rng = wb.params(1.0), wb.mu("uniform"), stream(12, 1)
     for start in (1.5, -1.0, [0.1, 0.2]):
         with pytest.raises(ValueError):
-            reflection_chain(p, wb.domain, mu, start, 2, rng, size=3)
+            reflection_chain(p, mu, start, 2, rng, size=3)
 
 
 def test_reflection_chain_matches_matrix_power(wb):
@@ -284,7 +284,7 @@ def test_reflection_chain_matches_matrix_power(wb):
     C = chain_kernel(ops["H"], mu)
     rng = stream(2024, 5)
     x0 = 0.25
-    chains = reflection_chain(p, wb.domain, mu, x0, 3, rng, size=3 * 10 ** 4)
+    chains = reflection_chain(p, mu, x0, 3, rng, size=3 * 10 ** 4)
     law = np.zeros(grid.n)
     law[grid.cell_index(np.array([x0]))[0]] = 1.0
     for _ in range(3):
@@ -337,7 +337,7 @@ def test_excursion_statistics_independence(wb):
     p = wb.params(1.0)
     m = UniformMeasure(-0.5, 0.5)
     mu = ConstantKernel(wb.domain, m)
-    ens = simulate_ladder(p, wb.domain, mu, m, 8.0, 1e-3, seed=2000, n_paths=1200)
+    ens = simulate_ladder(p, mu, m, 8.0, 1e-3, seed=2000, n_paths=1200)
     st_ = excursion_statistics(ens)
     assert st_.n_completed > 5000
     bound = 4.0 / np.sqrt(st_.lag1_pairs)
@@ -376,9 +376,9 @@ def test_ensemble_blocks_worker_invariance(wb):
     mu = wb.mu("uniform")
     grid = wb.ops(1.0)["grid"]
     kw = dict(grid=grid, burn_in=0.5)
-    a = simulate_ensemble_blocks(p, wb.domain, mu, 0.0, 2.0, 1e-3, 5, 120,
+    a = simulate_ensemble_blocks(p, mu, 0.0, 2.0, 1e-3, 5, 120,
                                  workers=1, **kw)
-    b = simulate_ensemble_blocks(p, wb.domain, mu, 0.0, 2.0, 1e-3, 5, 120,
+    b = simulate_ensemble_blocks(p, mu, 0.0, 2.0, 1e-3, 5, 120,
                                  workers=3, **kw)
     assert np.array_equal(a.counts_at([0.5]), b.counts_at([0.5]))
     assert np.array_equal(a.occupancy, b.occupancy)
@@ -413,19 +413,19 @@ _union_ops = {}
 
 
 def _ergodic_case(wb, alpha, mu_name):
-    """(params, domain, return kernel, start law, grid, closed-form kappa)."""
+    """(params, return kernel, start law, grid, closed-form kappa)."""
     if mu_name.startswith("union-"):
         if alpha not in _union_ops:
             _union_ops[alpha] = dict(zip(("grid", "L", "G", "H"),
                                          default_operators(StableParams(1, alpha), UNION, 400)))
-        ops, domain, start = _union_ops[alpha], UNION, UniformMeasure(0.3, 0.8)
+        ops, start = _union_ops[alpha], UniformMeasure(0.3, 0.8)
         mu = (ProjectionKernel(UNION, 0.2, 0.1) if mu_name == "union-projection"
               else ConstantKernel(UNION, start))
     else:
-        ops, domain, mu = wb.ops(alpha), wb.domain, wb.mu(mu_name)
+        ops, mu = wb.ops(alpha), wb.mu(mu_name)
         start = mu.laws[0] if len(mu.laws) == 1 else UniformMeasure(-0.5, 0.5)
     k_cf = kappa_closed_form(stationary_p(chain_kernel(ops["H"], mu)), ops["G"])
-    return StableParams(1, alpha), domain, mu, start, ops["grid"], k_cf
+    return StableParams(1, alpha), mu, start, ops["grid"], k_cf
 
 
 @pytest.mark.parametrize("alpha, mu_name", [
@@ -434,8 +434,8 @@ def _ergodic_case(wb, alpha, mu_name):
 def test_chunked_ensemble_occupation_matches_closed_form(wb, alpha, mu_name):
     # the lockstep ensemble's time average against the closed-form
     # stationary density, on 20 merged bins, within the CLI's tolerance
-    p, domain, mu, start, grid, k_cf = _ergodic_case(wb, alpha, mu_name)
-    ens = simulate_ensemble_blocks(p, domain, mu, start, 100.0, 1e-3, 2026, 200,
+    p, mu, start, grid, k_cf = _ergodic_case(wb, alpha, mu_name)
+    ens = simulate_ensemble_blocks(p, mu, start, 100.0, 1e-3, 2026, 200,
                                    grid=grid, burn_in=2.0)
     groups = np.array_split(np.arange(grid.n), 20)
     emp = np.array([ens.occupancy[g].sum() for g in groups])
@@ -451,11 +451,11 @@ def test_renewal_occupation_matches_closed_form_and_euler(wb, alpha, mu_name):
     # the renewal leg against the closed-form stationary density on the full
     # 400-cell grid, and against the Euler ensemble's time average on 20
     # merged bins, each within the CLI's triangulation tolerance of 0.06
-    p, domain, mu, start, grid, k_cf = _ergodic_case(wb, alpha, mu_name)
-    occ = renewal_occupation(p, domain, mu, start, 100.0, 2.0, 2027, 200, grid)
+    p, mu, start, grid, k_cf = _ergodic_case(wb, alpha, mu_name)
+    occ = renewal_occupation(p, mu, start, 100.0, 2.0, 2027, 200, grid)
     assert occ.occupancy.sum() == pytest.approx(1.0, abs=1e-12)
     assert total_variation(occ.occupancy, k_cf.masses) <= 0.06
-    ens = simulate_ensemble_blocks(p, domain, mu, start, 30.0, 1e-3, 2028, 100,
+    ens = simulate_ensemble_blocks(p, mu, start, 30.0, 1e-3, 2028, 100,
                                    grid=grid, burn_in=2.0)
     groups = np.array_split(np.arange(grid.n), 20)
     renewal = np.array([occ.occupancy[g].sum() for g in groups])
@@ -471,7 +471,7 @@ def test_chunked_ensemble_invariants(wb):
     chunk = 1024    # steps per chunk for 200 paths
     edge1, edge2 = chunk * dt, 2 * chunk * dt
     marks = [0.5, edge1, edge2, 3.0]
-    ens = simulate_ensemble(p, wb.domain, mu, 0.2, 3.0, dt, 31, n, grid=grid, burn_in=0.7)
+    ens = simulate_ensemble(p, mu, 0.2, 3.0, dt, 31, n, grid=grid, burn_in=0.7)
     counts = ens.counts_at(marks)
     assert np.array_equal(counts[:, -1], ens.total_reflections)
     assert np.all(np.diff(counts, axis=1) >= 0)
@@ -490,7 +490,7 @@ def test_chunked_ensemble_invariants(wb):
     # horizons of whole chunks replay the same draws, so their totals are
     # the counts at the chunk-edge marks of the longer run
     for k, edge in ((1, edge1), (2, edge2)):
-        short = simulate_ensemble(p, wb.domain, mu, 0.2, edge, dt, 31, n)
+        short = simulate_ensemble(p, mu, 0.2, edge, dt, 31, n)
         assert np.array_equal(short.total_reflections, counts[:, k])
         hit = short.total_reflections > 0
         assert np.array_equal(oracles.first_records(short, short.entry)[hit], entry[hit])
@@ -501,7 +501,7 @@ def test_chunked_ensemble_marks_every_step(wb):
     # path's count first turns positive at its first exit step
     dt, n, n_steps = 1e-3, 2 ** 14, 150
     marks = dt * np.arange(1, n_steps + 1)
-    ens = simulate_ensemble(wb.params(1.0), wb.domain, wb.mu("projection"), 0.8,
+    ens = simulate_ensemble(wb.params(1.0), wb.mu("projection"), 0.8,
                             n_steps * dt, dt, 41, n)
     counts = ens.counts_at(marks)
     assert np.array_equal(counts[:, -1], ens.total_reflections)
@@ -512,9 +512,34 @@ def test_chunked_ensemble_marks_every_step(wb):
     assert np.any(first_step == 64) and np.any(first_step == 65)
 
 
+def test_grid_must_partition_the_kernels_domain(wb):
+    # D is read off the return kernel, and a grid is compared with it by its
+    # intervals: a grid on another domain raises, one on an equal but
+    # distinct domain runs
+    from reflected_stable.geometry import Ball, Interval
+    from reflected_stable.reflection import BallUniformMeasure
+    p, mu = wb.params(1.0), wb.mu("uniform")
+    for other in (Interval(0.0, 3.0), Interval(-1.0, 0.9), UNION):
+        grid = build_grid(other, 40)
+        with pytest.raises(ValueError):
+            simulate_ensemble(p, mu, 0.0, 0.1, 1e-3, 1, 4, grid=grid)
+        with pytest.raises(ValueError):
+            renewal_occupation(p, mu, 0.0, 1.0, 0.0, 1, 4, grid)
+    ball_mu = ConstantKernel(Ball([0.0, 0.0], 1.0), BallUniformMeasure([0.0, 0.0], 0.5))
+    with pytest.raises(ValueError):
+        simulate_ensemble(StableParams(2, 1.0), ball_mu, np.zeros(2), 0.1, 1e-3, 1, 4,
+                          grid=build_grid(Interval(-1.0, 1.0), 40))
+    twin = build_grid(Interval(-1.0, 1.0), 40)
+    assert twin.domain is not mu.domain
+    ens = simulate_ensemble(p, mu, 0.0, 0.1, 1e-3, 1, 4, grid=twin)
+    assert ens.occupancy.sum() == pytest.approx(1.0, abs=1e-12)
+    occ = renewal_occupation(p, mu, 0.0, 1.0, 0.0, 1, 4, twin)
+    assert occ.occupancy.sum() == pytest.approx(1.0, abs=1e-12)
+
+
 def test_ensemble_rejects_marks_past_the_horizon(wb):
     # a mark past the horizon has no count to report
-    ens = simulate_ensemble(wb.params(1.0), wb.domain, wb.mu("uniform"), 0.0, 2.0, 1e-3, 3, 20)
+    ens = simulate_ensemble(wb.params(1.0), wb.mu("uniform"), 0.0, 2.0, 1e-3, 3, 20)
     with pytest.raises(ValueError):
         ens.counts_at([1.0, 5.0])
     # nor has a mark before time 0
@@ -527,7 +552,7 @@ def test_counts_at_counts_a_reflection_on_the_marks_step(wb):
     # at dt = 1e-3 the steps of t = 0.7 and 1.4 times dt exceed t in floats;
     # the path at time t is the path after step round(t / dt), so a
     # reflection on that step counts at t
-    ens = simulate_ensemble(wb.params(1.0), wb.domain, wb.mu("uniform"), 0.0, 2.0, 1e-3, 7,
+    ens = simulate_ensemble(wb.params(1.0), wb.mu("uniform"), 0.0, 2.0, 1e-3, 7,
                             4000)
     marks = [0.7, 1.4]
     counts = ens.counts_at(marks)
@@ -549,11 +574,10 @@ def test_counts_and_excursions_match_per_path_oracles(wb, alpha, domain, seed):
     # the counts and the excursion statistics read from the flat records
     # equal their path-by-path definitions, float for float
     if domain == "interval":
-        D, mu, start = wb.domain, wb.mu("uniform"), 0.0
+        mu, start = wb.mu("uniform"), 0.0
     else:
-        D = IntervalUnion([[-1.0, -0.2], [0.1, 1.0]])
-        mu, start = ProjectionKernel(D, 0.2, 0.1), 0.5
-    ens = simulate_ensemble(wb.params(alpha), D, mu, start, 2.0, 1e-3, seed, 200)
+        mu, start = ProjectionKernel(IntervalUnion([[-1.0, -0.2], [0.1, 1.0]]), 0.2, 0.1), 0.5
+    ens = simulate_ensemble(wb.params(alpha), mu, start, 2.0, 1e-3, seed, 200)
     marks = [0.1, 0.5, 0.7, 1.4, 2.0]
     assert np.array_equal(ens.counts_at(marks), oracles.counts_per_path(ens, marks))
     st_ = excursion_statistics(ens, min_completed=1)
@@ -571,7 +595,7 @@ def test_chunked_ensemble_ball():
     p = StableParams(2, 1.0)
     B = Ball([0.0, 0.0], 1.0)
     mu = ConstantKernel(B, BallUniformMeasure([0.0, 0.0], 0.5))
-    ens = simulate_ensemble(p, B, mu, np.zeros(2), 2.0, 1e-3, 5, 40)
+    ens = simulate_ensemble(p, mu, np.zeros(2), 2.0, 1e-3, 5, 40)
     done = ens.total_reflections > 0
     assert done.mean() > 0.5
     pre, ex, entry = (oracles.first_records(ens, r)
@@ -596,7 +620,7 @@ def test_chunked_ensemble_memory_is_bounded(wb, alpha, sampler):
     tracemalloc.start()
     try:
         if sampler == "ensemble":
-            ens = simulate_ensemble(wb.params(alpha), wb.domain, wb.mu("uniform"), 0.0,
+            ens = simulate_ensemble(wb.params(alpha), wb.mu("uniform"), 0.0,
                                     0.1, 1e-3, 17, 10 ** 5, grid=grid)
             exited = ens.total_reflections.sum() > 0
         else:

@@ -214,7 +214,7 @@ def test_stationary_p_projection_vs_monte_carlo(wb):
     p_hat = stationary_p(chain_kernel(ops["H"], mu))
     rng = stream(515, 0)
     burn, keep = 100, 1000
-    chains = reflection_chain(wb.params(1.0), wb.domain, mu, 0.0, burn + keep,
+    chains = reflection_chain(wb.params(1.0), mu, 0.0, burn + keep,
                               rng, size=100)
     samples = chains[:, burn:].ravel()
     emp = np.bincount(grid.cell_index(samples), minlength=grid.n).astype(float)
@@ -344,7 +344,7 @@ def test_kappa_ergodic_uniform(wb):
     grid = ops["grid"]
     mu = wb.mu("uniform")
     m = UniformMeasure(-0.5, 0.5)
-    ens = simulate_ensemble_blocks(wb.params(1.0), wb.domain, mu, m, 200.0, 1e-3,
+    ens = simulate_ensemble_blocks(wb.params(1.0), mu, m, 200.0, 1e-3,
                                    123, 200, grid=grid, burn_in=2.0)
     k_er = kappa_ergodic(ens, grid)
     p_hat = stationary_p(chain_kernel(ops["H"], mu))
@@ -357,9 +357,9 @@ def test_kappa_ergodic_initial_law_independence(wb):
     grid = ops["grid"]
     mu = wb.mu("uniform")
     common = dict(grid=grid, burn_in=2.0)
-    a = simulate_ensemble_blocks(wb.params(1.0), wb.domain, mu, 0.9, 120.0, 1e-3,
+    a = simulate_ensemble_blocks(wb.params(1.0), mu, 0.9, 120.0, 1e-3,
                                  7, 150, **common)
-    b = simulate_ensemble_blocks(wb.params(1.0), wb.domain, mu,
+    b = simulate_ensemble_blocks(wb.params(1.0), mu,
                                  UniformMeasure(-0.5, 0.5), 120.0, 1e-3,
                                  8, 150, **common)
     assert kappa_ergodic(a, grid).tv(kappa_ergodic(b, grid)) <= 0.05
@@ -368,7 +368,7 @@ def test_kappa_ergodic_initial_law_independence(wb):
 def test_kappa_ergodic_requires_enough_reflections(wb):
     grid = wb.ops(1.0)["grid"]
     mu = wb.mu("uniform")
-    ens = simulate_ensemble_blocks(wb.params(1.0), wb.domain, mu, 0.0, 2.0, 1e-3,
+    ens = simulate_ensemble_blocks(wb.params(1.0), mu, 0.0, 2.0, 1e-3,
                                    3, 20, grid=grid)
     with pytest.raises(StationaryError):
         kappa_ergodic(ens, grid)
@@ -378,7 +378,7 @@ def test_kappa_ergodic_from_paths(wb):
     ops = wb.ops(1.0)
     grid = ops["grid"]
     mu = wb.mu("uniform")
-    ens = simulate_ensemble_blocks(wb.params(1.0), wb.domain, mu, 0.0, 60.0, 1e-3,
+    ens = simulate_ensemble_blocks(wb.params(1.0), mu, 0.0, 60.0, 1e-3,
                                    909, 40, grid=grid, burn_in=1.0)
     k_er = kappa_ergodic(ens, grid)
     p_hat = stationary_p(chain_kernel(ops["H"], mu))
