@@ -12,12 +12,13 @@ chains, horizon 200, burn-in 2, dt 1e-3 for Euler) at one alpha in
 (-1, 1) with the constant-uniform law on (-0.5, 0.5) or the projection
 law (depth 0.3, width 0.2), and the union (-1, -0.2) U (0.1, 1) with the
 projection law (depth 0.2, width 0.1). Per case it times, REPEATS times
-each, the Euler leg (``simulate_ensemble_blocks`` on one worker, then
-``kappa_ergodic``) and the renewal leg (``renewal_occupation``, then
-``kappa_ergodic``), and records the median wall time of each and each
-leg's full-grid total variation distance to the closed-form density
-``kappa_closed_form``, with the run record: core count, BLAS thread count
-and library versions.
+each at the first seed, the Euler leg (``simulate_ensemble_blocks`` on one
+worker, then ``kappa_ergodic``) and the renewal leg (``renewal_occupation``,
+then ``kappa_ergodic``), and records the median wall time of each. It
+records each leg's full-grid total variation distance to the closed-form
+density ``kappa_closed_form`` as the mean and sample standard deviation
+over the seeds (1 to 5 by default), with the run record: core count, BLAS
+thread count and library versions.
 """
 
 import argparse
@@ -49,7 +50,7 @@ def _median_time(fn):
     return statistics.median(times), out
 
 
-def bench(seed):
+def bench(seeds):
     import numpy as np
     import scipy
 
@@ -65,7 +66,7 @@ def bench(seed):
     for alpha in ALPHAS:
         for name, (domain, mu) in SETUPS.items():
             config = cli_report.parse_config(dict(
-                cli_report.default_config(), seed=seed, params={"d": 1, "alpha": alpha},
+                cli_report.default_config(), seed=seeds[0], params={"d": 1, "alpha": alpha},
                 domain=domain, mu=mu))
             params, grid = StableParams(1, alpha), config.grid
             G = green_operator(assemble_dirichlet_generator(grid, params))
@@ -74,14 +75,20 @@ def bench(seed):
             start = cli_report._start_law(config.mu)
             burn_in = min(2.0, config.horizon / 10)
             args = (params, config.mu, start, config.horizon)
-            euler_s, euler = _median_time(lambda: kappa_ergodic(simulate_ensemble_blocks(
-                *args, config.dt, seed, config.replicas, grid=grid, burn_in=burn_in,
-                workers=1), grid))
-            renewal_s, renewal = _median_time(lambda: kappa_ergodic(renewal_occupation(
-                *args, burn_in, seed, config.replicas, grid), grid))
+            legs = {
+                "euler": lambda seed: kappa_ergodic(simulate_ensemble_blocks(
+                    *args, config.dt, seed, config.replicas, grid=grid, burn_in=burn_in,
+                    workers=1), grid),
+                "renewal": lambda seed: kappa_ergodic(renewal_occupation(
+                    *args, burn_in, seed, config.replicas, grid), grid),
+            }
             key = "a%g-%s" % (alpha, name)
-            cases[key] = {"euler_s": euler_s, "renewal_s": renewal_s,
-                          "euler_tv": euler.tv(closed), "renewal_tv": renewal.tv(closed)}
+            cases[key] = {}
+            for leg, run in legs.items():
+                seconds, first = _median_time(lambda: run(seeds[0]))
+                tv = [first.tv(closed)] + [run(seed).tv(closed) for seed in seeds[1:]]
+                cases[key].update({leg + "_s": seconds, leg + "_tv_mean": statistics.mean(tv),
+                                   leg + "_tv_sd": statistics.stdev(tv) if len(tv) > 1 else 0.0})
             print(key, json.dumps(cases[key]), flush=True)
     return cases, {"numpy": np.__version__, "scipy": scipy.__version__,
                    "blas": np.__config__.CONFIG["Build Dependencies"]["blas"]["name"]}
@@ -89,19 +96,22 @@ def bench(seed):
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--seeds", default="1,2,3,4,5",
+                        help="comma-separated seeds; the first is also timed")
     parser.add_argument("--out", default="BENCH_ergodic.json")
     args = parser.parse_args()
     # one BLAS thread, set before numpy loads
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = "1"
     sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
-    cases, versions = bench(args.seed)
+    seeds = [int(seed) for seed in args.seeds.split(",")]
+    cases, versions = bench(seeds)
     record = {
         "setup": "full-triangulation defaults: 400 cells, 200 paths or chains, horizon 200, "
-                 "burn-in 2, Euler dt 1e-3; seed %d" % args.seed,
-        "statistic": "median of %d runs, seconds; tv: full-grid total variation to "
-                     "kappa_closed_form" % REPEATS,
+                 "burn-in 2, Euler dt 1e-3; seeds %s" % args.seeds,
+        "statistic": "seconds: median of %d runs at seed %d; tv: full-grid total variation "
+                     "to kappa_closed_form, mean and sample sd over the seeds"
+                     % (REPEATS, seeds[0]),
         "nproc": os.cpu_count(),
         "blas_threads": 1,
         "python": platform.python_version(),

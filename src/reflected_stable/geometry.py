@@ -200,7 +200,8 @@ class Grid:
     nodes: np.ndarray
     widths: np.ndarray
     h: float
-    # per component: a_c, cell-count origin, cells per length, last cell; next cell starts
+    # per component: a_c, cell-count origin, cells per length, first and last
+    # cell; next cell starts
     _index: tuple = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -208,8 +209,8 @@ class Grid:
         first = np.searchsorted(starts, ivs[:, 0])
         last = np.append(first[1:], self.n) - 1
         scale = (last - first + 1) / (ivs[:, 1] - ivs[:, 0])
-        object.__setattr__(self, "_index", (ivs[:, 0], ivs[:, 0] - first / scale, scale, last,
-                                            np.append(starts[1:], np.inf)))
+        object.__setattr__(self, "_index", (ivs[:, 0], ivs[:, 0] - first / scale, scale, first,
+                                            last, np.append(starts[1:], np.inf)))
 
     @property
     def n(self):
@@ -227,7 +228,7 @@ class Grid:
         per point after a search over the component ends.
         """
         x = np.asarray(x, dtype=float)
-        left, origin, scale, last, next_start = self._index
+        left, origin, scale, _, last, next_start = self._index
         c = 0 if len(left) == 1 else np.maximum(np.searchsorted(left, x, "right") - 1, 0)
         guess = np.subtract(x, origin[c], out=np.empty(x.shape))
         with np.errstate(over="ignore"):
@@ -241,6 +242,18 @@ class Grid:
         # idx is -1 only for x < a_0, and next_start[-1] = inf keeps it there
         idx += next_start.take(idx) <= x
         return np.clip(idx, 0, self.n - 1)
+
+    def component_cell_index(self, x, comp):
+        """Cell of each point x of component ``comp`` of D (broadcast with x).
+
+        ``floor((x - a_c) / h_c)`` plus the component's first cell, clipped to
+        the component's cells, with no correction against the cell edges: a
+        point within rounding of an edge may get the cell on its other side,
+        and a point past an end of its component gets the end cell.
+        """
+        _, origin, scale, first, last, _ = self._index
+        idx = ((x - origin[comp]) * scale[comp]).astype(np.intp)
+        return np.clip(idx, first[comp], last[comp], out=idx)
 
 
 def build_grid(domain, n_cells):

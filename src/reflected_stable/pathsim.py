@@ -13,26 +13,28 @@ representation: its records, one per reflection with its integer step,
 from which counts, durations and ladder paths are read. Exact exit
 positions come from walk-on-spheres (``stable_core.walk_on_spheres_exit``,
 re-exported here); reflection chains are built from them with no time
-step, and ``renewal_occupation`` bins the occupation of their
-walk-on-spheres balls.
+step. ``renewal_occupation`` steps its chains one walk-on-spheres ball at a
+time (``stable_core._ball_step``) and adds each ball's occupation law as
+exact cell masses of an interpolant of its CDF (``_BallOccupation``), so it
+draws no occupation.
 
 Random streams are counter-based (Philox; Salmon et al., SC'11) and keyed
 by tuples of integers. The lockstep ensemble cuts time into chunks of at
 most 1024 steps and 2**20 path positions, and keys each chunk's increments
 and re-entries by (seed, stream id, chunk): ladder paths use stream id 0,
 the blocks of ``simulate_ensemble_blocks`` ids 1, 2, .... The renewal
-chains draw from the one stream keyed (seed, 0xB0). Every result is thus
-a deterministic function of its seed, its sizes, the time step and the
-horizon, whatever the worker or thread count.
+chains draw their steps and re-entries from the one stream keyed
+(seed, 0xB0). Every result is thus a deterministic function of its seed,
+its sizes, the time step and the horizon, whatever the worker or thread
+count.
 """
 
 import dataclasses
 
 import numpy as np
 
-from .stable_core import (_start_positions, ball_mean_exit_time,
-                          sample_ball_occupation_radius, sample_stable_increment,
-                          walk_on_spheres, walk_on_spheres_exit)
+from .stable_core import (_ball_step, _start_positions, ball_mean_exit_time,
+                          ball_occupation_cdf, sample_stable_increment, walk_on_spheres_exit)
 
 
 _MASK = (1 << 64) - 1
@@ -41,8 +43,6 @@ _CHUNK_STEPS = 1024
 _CHUNK_POSITIONS = 2 ** 20
 # a killed path still in D after this many steps raises
 _MAX_STEPS = 10 ** 8
-# occupation draws per walk-on-spheres ball of the renewal leg, in +- pairs
-_BALL_DRAWS = 64
 
 
 def _splitmix(x):
@@ -135,12 +135,6 @@ def simulate_killed_excursion(params, domain, start, dt, rng):
     return Excursion(positions=np.concatenate(stored), dt=dt)
 
 
-def _check_grid(mu, grid):
-    """ValueError unless the grid has the intervals of D = ``mu.domain`` (a ball has none)."""
-    if not np.array_equal(grid.domain.intervals, getattr(mu.domain, "intervals", None)):
-        raise ValueError("the grid's domain %r is not the kernel's %r" % (grid.domain, mu.domain))
-
-
 def simulate_ladder(params, mu, start, horizon, dt, seed, n_paths):
     """n_paths ladder paths of the reflected process up to the horizon.
 
@@ -169,6 +163,190 @@ def reflection_chain(params, mu, start, n_steps, rng, size):
     return out
 
 
+# knots of the occupation CDF's piecewise-quadratic interpolant (odd: one at
+# the ball's centre); kept balls are deposited in blocks of at most
+# _DEPOSIT_BLOCK; a ball's knots go to the moment sums when their rounding
+# bound is at most _MOMENT_TOL of its mass
+_OCCUPATION_KNOTS = 25
+_DEPOSIT_BLOCK = 2048
+_MOMENT_TOL = 1e-11
+
+
+class _BallOccupation:
+    """Cell masses of walk-on-spheres balls' occupation laws, added without draws (d=1).
+
+    A ball B(c, r) entered at c spends its mean exit time w in D, spread by
+    the law with CDF ``ball_occupation_cdf`` of (x - c) / r. That CDF is
+    replaced by P, its piecewise-quadratic interpolant through the
+    ``_OCCUPATION_KNOTS`` knots u_j = +-(1 - (1 - t**q)**2), t = i/12,
+    q = max(2, 2/alpha), and the segment midpoints: the knots are graded
+    toward the centre, where the density behaves like |u|**(alpha-1), and
+    toward the edges. Cell [e, e'] gets w (P(v(e')) - P(v(e))),
+    v(e) = (e - c) / r. Each ball places its knots x_j = c + r u_j and
+    finds their cells, each within the ball's component of D (c - r may
+    round past it, into the cells of another component). Then either:
+
+    - **moments**: P is the sum over the knots left of v of the jumps
+      between consecutive pieces, each a quadratic in v. The ball adds each
+      knot's jump, as a quadratic in x - o (o the centre of D's bounding
+      box), to three per-cell moment sums, one ``np.bincount`` each; in
+      ``masses`` one cumulative sum gives the sum of all jumps left of each
+      cell edge, evaluated there. The jumps of the centre pieces are of
+      size w |u|**(alpha-2) / r**2 and cancel far from the ball, so this
+      path is taken only when the rounding bound eps (sum |a_j| +
+      sum |b_j| R + sum |c_j| R**2), R = 2 max|e - o| / r, is at most
+      ``_MOMENT_TOL``: at alpha = 1 on (-1, 1) that is r >= 0.11.
+    - **segments**, exact for every r: segment j, from x_j to x_j+1, gives
+      the cell of x_j its mass up to that cell's right edge and the cell of
+      x_j+1 its mass from that cell's left edge. A cell strictly inside the
+      segment gets its width times P's density at its midpoint, linear in
+      the midpoint; the two coefficients are added to per-cell sums after
+      the segment's first cell and subtracted from its last, and spread by
+      one cumulative sum in ``masses``. No polynomial is used outside its
+      segment.
+
+    Balls are deposited in blocks of at most ``_DEPOSIT_BLOCK``. ``work``
+    counts the knot points placed.
+    """
+
+    def __init__(self, params, grid):
+        half = (_OCCUPATION_KNOTS - 1) // 2
+        power = (np.arange(half + 1) / half) ** max(2.0, 2.0 / params.alpha)
+        side = power * (2.0 - power)          # 1 - (1 - t**q)**2, without cancellation
+        self.knots = np.concatenate((-side[:0:-1], side))
+        at_knots = ball_occupation_cdf(params, self.knots)
+        at_mids = ball_occupation_cdf(params, 0.5 * (self.knots[1:] + self.knots[:-1]))
+        left, right = at_knots[:-1], at_knots[1:]
+        # segment j: P = Phi(u_j) + s (b + s c), s = (v - u_j) / (u_j+1 - u_j)
+        self.phi, self.inv_width = left, 1.0 / np.diff(self.knots)
+        self.b = 4.0 * at_mids - 3.0 * left - right
+        self.c = 2.0 * (left + right) - 4.0 * at_mids
+        # the same pieces as quadratics in v, with 0 before the first knot and
+        # 1 after the last, and the jumps between them at the knots
+        u, iw = self.knots[:-1], self.inv_width
+        pieces = np.zeros((3, _OCCUPATION_KNOTS + 1))
+        pieces[:, 1:-1] = (self.phi - u * iw * (self.b - u * iw * self.c),
+                           iw * (self.b - 2.0 * u * iw * self.c), iw * iw * self.c)
+        pieces[0, -1] = 1.0
+        self.jumps = np.diff(pieces, axis=1)
+        self.rounding = np.finfo(float).eps * np.abs(self.jumps).sum(axis=1)
+        self.grid, self.edges = grid, (grid.cells[:, 0].copy(), grid.cells[:, 1].copy())
+        self.origin = 0.5 * sum(grid.domain.bounding_box)
+        self.reach = 2.0 * np.abs(grid.cells - self.origin).max()
+        n = grid.n
+        self.mass = np.zeros(n)
+        self.moments = np.zeros((3, n))
+        # density constant and slope, added after a cell and subtracted from one
+        self.after, self.before = np.zeros((2, n)), np.zeros((2, n))
+        self.pending, self.n_pending, self.work = [], 0, 0
+
+    def add(self, centre, radius, weight):
+        """Queue balls B(centre, radius) of mass ``weight``; a full block is deposited."""
+        self.pending.append((centre, radius, weight))
+        self.n_pending += len(centre)
+        if self.n_pending >= _DEPOSIT_BLOCK:
+            self._flush()
+
+    def masses(self):
+        """Cell masses of all balls added."""
+        self._flush()
+        left, right = self.edges
+        sums = np.cumsum(self.moments, axis=1)
+        below = np.zeros_like(sums)
+        below[:, 1:] = sums[:, :-1]
+        y, z = right - self.origin, left - self.origin
+        mass = self.mass + sums[0] + y * (sums[1] + y * sums[2])
+        mass -= below[0] + z * (below[1] + z * below[2])
+        density = -np.cumsum(self.before, axis=1)
+        density[:, 1:] += np.cumsum(self.after, axis=1)[:, :-1]
+        return mass + self.grid.widths * (density[0] + density[1] * (self.grid.nodes - self.origin))
+
+    def _flush(self):
+        if self.pending:
+            balls = [np.concatenate(col) for col in zip(*self.pending)]
+            for i in range(0, len(balls[0]), _DEPOSIT_BLOCK):
+                self._deposit(*(col[i:i + _DEPOSIT_BLOCK] for col in balls))
+        self.pending, self.n_pending = [], 0
+
+    def _deposit(self, centre, radius, weight):
+        reach = self.reach / radius
+        safe = self.rounding[0] + reach * (self.rounding[1] + reach * self.rounding[2]) <= _MOMENT_TOL
+        self._moments(centre[safe, None], radius[safe, None], weight[safe, None])
+        self._segments(centre[~safe, None], radius[~safe, None], weight[~safe, None])
+        self.work += _OCCUPATION_KNOTS * len(centre)
+
+    def _knots(self, c, r):
+        """Each ball's knots x_j = c + r u_j and their cells in the ball's component
+        of D; a knot within rounding of a cell edge may take the cell past it."""
+        x = r * self.knots
+        x += c
+        comp = np.searchsorted(self.grid.domain.intervals[:, 0], c, "right") - 1
+        return x, self.grid.component_cell_index(x, comp)
+
+    def _moments(self, c, r, w):
+        # a knot on the wrong side of an edge moves a jump across it that is
+        # within the rounding bound
+        x, k = self._knots(c, r)
+        a, b, cc = self.jumps
+        g1 = w / r
+        g2 = g1 / r
+        t = c - self.origin
+        cells, n = k.ravel(), self.grid.n
+        for row, coef in zip(self.moments, (w * a - (g1 * t) * b + (g2 * t * t) * cc,
+                                            g1 * b - (2.0 * g2 * t) * cc, g2 * cc)):
+            row += np.bincount(cells, weights=coef.ravel(), minlength=n)
+
+    def _segments(self, c, r, w):
+        left, right = self.edges
+        x, k = self._knots(c, r)
+        # place the inner knots by v = (e - c) / r, as P is read: x_j, rounded,
+        # may fall on the wrong side of an edge that v puts it next to
+        inner, u = k[:, 1:-1], self.knots[1:-1]
+        inner -= (left.take(inner) - c) / r > u
+        inner += (right.take(inner) - c) / r <= u
+        steps = np.diff(k, axis=1)
+        u, inv = self.knots[:-1], self.inv_width
+        b, cc = self.b, self.c
+        # the mass up to the right edge of x_j's cell, and from the left edge of x_j+1's
+        s = (right.take(k[:, :-1]) - c) / r
+        s -= u
+        s *= inv
+        head = np.clip(s, 0.0, 1.0, out=s) * cc
+        head += b
+        head *= s
+        s = (left.take(k[:, 1:]) - c) / r
+        s -= u
+        s *= inv
+        tail = np.clip(s, 0.0, 1.0, out=s) * cc
+        tail += b
+        tail *= s
+        np.subtract(b + cc, tail, out=tail)
+        tail *= steps > 0
+        mass = np.zeros(k.shape)
+        mass[:, :-1] = head
+        mass[:, 1:] += tail
+        mass *= w
+        cells, n = k.ravel(), self.grid.n
+        self.mass += np.bincount(cells, weights=mass.ravel(), minlength=n)
+        # the cells between: density gain (b + 2 c s), linear in the midpoint
+        gain = w * inv / r
+        gain *= steps > 1
+        slope = (2.0 * cc / r) * inv
+        slope *= gain
+        x = x[:, :-1] - self.origin
+        x *= slope
+        const = b * gain
+        const -= x
+        coef = np.zeros(k.shape)
+        for j, part in enumerate((const, slope)):
+            coef[:, :-1] = part
+            coef[:, -1] = 0.0
+            self.after[j] += np.bincount(cells, weights=coef.ravel(), minlength=n)
+            coef[:, 1:] = part
+            coef[:, 0] = 0.0
+            self.before[j] += np.bincount(cells, weights=coef.ravel(), minlength=n)
+
+
 @dataclasses.dataclass
 class RenewalResult:
     """Occupation of a renewal run over exact reflection chains.
@@ -176,7 +354,8 @@ class RenewalResult:
     ``occupancy`` holds the cell masses of the occupation after the burn-in
     (summing to 1, or zeros when nothing was counted), ``total_reflections``
     each chain's reflection count, ``balls`` the walk-on-spheres balls of
-    all chains and ``draws`` the occupation draws binned.
+    all chains and ``draws`` the deposit's work, no draws: the knot points
+    placed, 25 per ball whose occupation is added (see ``_BallOccupation``).
     """
 
     occupancy: np.ndarray
@@ -190,53 +369,49 @@ def renewal_occupation(params, mu, start, horizon, burn_in, seed, n_chains, grid
 
     The stationary law is the occupation of one excursion started from the
     chain's stationary re-entry law, so no time grid is needed.
-    ``n_chains`` chains start from the start law and run in lockstep, one
-    excursion per round: walk-on-spheres to the exit (``walk_on_spheres``),
-    then re-entry through the return kernel. Each ball B(c, r) adds its
-    mean occupation time w = r**alpha / Gamma(1+alpha) to its chain's
-    clock. An excursion that starts once its chain's clock has reached
-    ``burn_in`` adds the occupation law of each of its balls to the
-    histogram: 64 draws c +- r * ``sample_ball_occupation_radius``, in
-    pairs, each weighing w / 64, binned by one ``np.bincount`` per round.
-    A chain stops at its first reflection with its clock at ``horizon`` or
-    past it. All draws (start law first, then per round the walk, the
-    occupation and the re-entries) come from the stream keyed (seed,
-    0xB0), so the result is a deterministic function of its arguments. The
-    grid lies on D = ``mu.domain``.
+    ``n_chains`` chains start from the start law and run in lockstep: in
+    each round every running chain takes one walk-on-spheres ball
+    (``stable_core._ball_step``), and a chain whose step leaves D
+    re-enters through the return kernel in the same round. Each ball
+    B(c, r) adds its mean exit time w = r**alpha / Gamma(1+alpha) to its
+    chain's clock. An excursion that starts once its chain's clock has
+    reached ``burn_in`` adds the occupation law of each of its balls to the
+    histogram as exact cell masses (``_BallOccupation``): no occupation is
+    drawn. A chain stops at its first reflection with its clock at
+    ``horizon`` or past it. All draws (the start law first, then per round
+    the steps and the re-entries) come from the stream keyed (seed, 0xB0),
+    so the result is a deterministic function of its arguments. The grid
+    lies on D = ``mu.domain``.
     """
     if params.d != 1:
         raise NotImplementedError("the renewal occupation is implemented for d=1")
-    _check_grid(mu, grid)
+    mu.check_grid(grid)
     rng = stream(seed, 0xB0)
-    n, half = int(n_chains), _BALL_DRAWS // 2
+    n = int(n_chains)
     x = _start_positions(params, mu.domain, start, n, rng)
     chain = np.arange(n)            # the chains still running, in order
     clock = np.zeros(n)
+    counting = clock >= burn_in     # whether each running chain's excursion counts
     reflections = np.zeros(n, dtype=np.int64)
-    hist = np.zeros(grid.n)
-    balls = draws = 0
-    while True:
-        z, rounds = walk_on_spheres(params, mu.domain, x, rng)
-        idx, centre, radius = (np.concatenate(col) for col in zip(*rounds))
+    occupation = _BallOccupation(params, grid)
+    balls = 0
+    while chain.size:
+        radius, z = _ball_step(params, mu.domain, x, rng)
         w = ball_mean_exit_time(params, radius, 0.0)
-        kept = np.flatnonzero(clock[chain[idx]] >= burn_in)
-        dist = radius[kept, None] * sample_ball_occupation_radius(
-            params, rng, size=kept.size * half).reshape(kept.size, half)
-        cells = grid.cell_index(np.hstack((centre[kept, None] + dist,
-                                           centre[kept, None] - dist)))
-        hist += np.bincount(cells.ravel(), weights=np.repeat(w[kept] / _BALL_DRAWS,
-                                                             _BALL_DRAWS), minlength=grid.n)
-        clock[chain] += np.bincount(idx, weights=w, minlength=chain.size)
-        reflections[chain] += 1
-        balls, draws = balls + idx.size, draws + cells.size
-        going = clock[chain] < horizon
-        chain = chain[going]
-        if not chain.size:
-            break
-        x = mu.sample(z[going], rng, size=chain.size)
-    total = hist.sum()
-    return RenewalResult(occupancy=hist / total if total > 0 else hist,
-                         total_reflections=reflections, balls=balls, draws=draws)
+        occupation.add(x[counting], radius[counting], w[counting])
+        clock[chain] += w
+        balls += chain.size
+        out = ~mu.domain.contains(z)
+        reflections[chain[out]] += 1
+        going = ~out | (clock[chain] < horizon)
+        chain, x, counting, out = chain[going], z[going], counting[going], out[going]
+        if out.any():
+            x[out] = mu.sample(x[out], rng, size=int(out.sum()))
+            counting[out] = clock[chain[out]] >= burn_in
+    masses = occupation.masses()
+    total = masses.sum()
+    return RenewalResult(occupancy=masses / total if total > 0 else masses,
+                         total_reflections=reflections, balls=balls, draws=occupation.work)
 
 
 @dataclasses.dataclass
@@ -298,7 +473,7 @@ def simulate_ensemble(params, mu, start, horizon, dt, seed, n_paths,
     the occupation histogram of the time average after ``burn_in``.
     """
     if grid is not None:
-        _check_grid(mu, grid)
+        mu.check_grid(grid)
     domain, n = mu.domain, int(n_paths)
     n_steps = int(np.round(horizon / dt))
     pos = _start_positions(params, domain, start, n, stream(seed, 0xE5, stream_id))

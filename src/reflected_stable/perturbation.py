@@ -57,8 +57,10 @@ def perturbation_matrix(grid, params, mu):
     column k of V the law's cell masses, so M's rank is the number of laws.
     The result carries only the factors (U, V) and no dense entries (see
     GridOperator). Row sums, ``U @ V.sum(0)``, must match the exact killing
-    intensity to 1e-6.
+    intensity to 1e-6. The grid must have the intervals of ``mu.domain``,
+    else ValueError.
     """
+    mu.check_grid(grid)
     nodes = grid.nodes
     ext = exterior_complement(grid.domain)
     edges = np.concatenate(([-np.inf], mu.cuts, [np.inf]))

@@ -156,6 +156,11 @@ class ReflectionKernel:
         """Cell masses of each law, one column per law."""
         return np.column_stack([law.cell_masses(grid) for law in self.laws])
 
+    def check_grid(self, grid):
+        """ValueError unless the grid has the intervals of D = ``domain`` (a ball has none)."""
+        if not np.array_equal(grid.domain.intervals, getattr(self.domain, "intervals", None)):
+            raise ValueError("the grid's domain %r is not the kernel's %r" % (grid.domain, self.domain))
+
 
 class ConstantKernel(ReflectionKernel):
     """Return kernel with law ``m`` regardless of the exit point: one law, no cuts.

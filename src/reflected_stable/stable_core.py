@@ -19,6 +19,8 @@ from .geometry import Ball, Interval
 _MAX_WOS_ITER = 10 ** 6
 # least alpha of sample_stable_increment: below it draws come out nan (see there)
 _MIN_INCREMENT_ALPHA = 0.05
+# terms of the incomplete beta series of ball_occupation_cdf
+_BETA_SERIES_TERMS = 60
 
 
 class StableParamsError(ValueError):
@@ -169,24 +171,54 @@ def sample_ball_exit_radius(params, rng, size):
     return 1.0 / np.sqrt(rng.beta(al / 2.0, 1.0 - al / 2.0, size=n))
 
 
-def sample_ball_occupation_radius(params, rng, size):
-    """Distances from the centre, in units of the ball radius, of draws from the
-    occupation law of a ball started at its centre (d=1).
+def _beta(p, q):
+    return math.gamma(p) * math.gamma(q) / math.gamma(p + q)
 
-    The Green function of (-1, 1) from 0 (Blumenthal, Getoor and Ray, Trans.
-    AMS 1961) is ``k |y|**(alpha-1) * int_0^(1-y**2) t**(alpha/2-1)
-    (1-t)**(-(1+alpha)/2) dt``; integrating in the other order, the distance
-    is ``sqrt(S) * V**(1/alpha)`` with S ~ Beta(1/2, alpha/2) and V uniform,
-    independent. At alpha=1, S has the arcsine law: sqrt(S) = sin(pi u / 2)
-    for a uniform u. The law's total mass is the mean exit time
-    1/Gamma(1+alpha).
+
+def _incomplete_beta_series(z, p, q):
+    """``z**(-p) B(z; p, q)`` for z <= 1/2: the sum over k of (1-q)_k z**k / (k! (p+k)).
+
+    Any real q; the terms fall like 2**-k, so ``_BETA_SERIES_TERMS`` reach
+    double precision.
     """
-    al, n = params.alpha, int(size)
+    k = np.arange(_BETA_SERIES_TERMS)
+    coef = np.cumprod(np.concatenate(([1.0], (k[1:] - q) / k[1:])))
+    return (z[:, None] ** k * (coef / (p + k))).sum(axis=1)
+
+
+def ball_occupation_cdf(params, u):
+    """CDF, at u in [-1, 1], of the occupation law of (-1, 1) by the process
+    started at 0 and killed on leaving, normalised to mass 1 (d=1).
+
+    The distance from the centre is ``sqrt(S) * V**(1/alpha)`` with
+    S ~ Beta(1/2, alpha/2) and V uniform (Blumenthal, Getoor and Ray, Trans.
+    AMS 1961), so P(|Y| <= x) = I_{x^2}(1/2, alpha/2) + x**alpha
+    B(1 - x^2; alpha/2, (1-alpha)/2) / B(1/2, alpha/2). Each incomplete beta
+    is the series of ``_incomplete_beta_series`` at argument x^2 or 1 - x^2,
+    whichever is at most 1/2; below x^2 = 1/2 the second one is the complete
+    beta minus its complement, whose pole at alpha = 1 cancels to about
+    1e-16 / |1 - alpha|. At alpha = 1 the closed form
+    (x arcsech x + arcsin x) * 2/pi is used. Returns 0 at u = -1, 1 at
+    u = 1, and 1/2 + sign(u) P(|Y| <= |u|) / 2, odd about 1/2, between.
+    """
+    u = np.asarray(u, dtype=float)
+    x = np.abs(u).ravel()
+    al = params.alpha
     if al == 1.0:
-        root_s = np.sin(0.5 * np.pi * rng.random(size=n))
+        inner = np.where(x > 0, x, 1.0)
+        F = 2.0 / np.pi * (np.where(x > 0, x * np.arccosh(1.0 / inner), 0.0) + np.arcsin(x))
     else:
-        root_s = np.sqrt(rng.beta(0.5, al / 2.0, size=n))
-    return root_s * rng.random(size=n) ** (1.0 / al)
+        a, b = al / 2.0, (1.0 - al) / 2.0
+        F = np.empty_like(x)
+        low = x * x <= 0.5
+        xl, xh = x[low], x[~low]
+        F[low] = (xl * (_incomplete_beta_series(xl * xl, 0.5, a)
+                        - _incomplete_beta_series(xl * xl, b, a))
+                  + xl ** al * _beta(a, b)) / _beta(0.5, a)
+        z = 1.0 - xh * xh
+        F[~low] = 1.0 - z ** a * (_incomplete_beta_series(z, a, 0.5)
+                                  - xh ** al * _incomplete_beta_series(z, a, b)) / _beta(0.5, a)
+    return 0.5 + np.sign(u) * F.reshape(u.shape) / 2.0
 
 
 def _unit_direction(d, rng, n):
@@ -196,18 +228,30 @@ def _unit_direction(d, rng, n):
     return g / np.linalg.norm(g, axis=1, keepdims=True)
 
 
+def _ball_step(params, domain, pos, rng):
+    """One walk-on-spheres step: each point of ``pos`` (all in D) moves to the exit
+    point of the maximal ball inscribed in D and centred on it.
+
+    Draws the exit radii, then the directions, in one call each. Returns the
+    balls' radii and the moved points.
+    """
+    radius = domain.boundary_distance(pos)
+    rho = sample_ball_exit_radius(params, rng, size=len(pos))
+    direction = _unit_direction(params.d, rng, len(pos))
+    if params.d == 1:
+        return radius, pos + radius * rho * direction
+    return radius, pos + (radius * rho)[:, None] * direction
+
+
 def walk_on_spheres(params, domain, pos, rng):
     """The walk-on-spheres loop: move the points ``pos`` in D until each has left D.
 
-    Each round moves every point still in D by the exit of the maximal ball
-    inscribed in D and centred on it, drawing the exit radii, then the
-    directions, for the whole round in two calls; a point stops at its
-    first landing outside D (it may land in another component of D and go
-    on). Terminates almost surely. Returns ``pos``, moved in place to the
-    exit points, and the balls: one (indices into ``pos``, centres, radii)
-    triple per round.
+    Each round moves every point still in D by one ``_ball_step``; a point
+    stops at its first landing outside D (it may land in another component
+    of D and go on). Terminates almost surely. Returns ``pos``, moved in
+    place to the exit points, and the balls: one (indices into ``pos``,
+    centres, radii) triple per round.
     """
-    d = params.d
     active = np.ones(len(pos), dtype=bool)
     balls = []
     for _ in range(_MAX_WOS_ITER):
@@ -215,16 +259,10 @@ def walk_on_spheres(params, domain, pos, rng):
         if idx.size == 0:
             return pos, balls
         cur = pos[idx]
-        radius = domain.boundary_distance(cur)
+        radius, moved = _ball_step(params, domain, cur, rng)
         balls.append((idx, cur, radius))
-        rho = sample_ball_exit_radius(params, rng, size=idx.size)
-        direction = _unit_direction(d, rng, idx.size)
-        if d == 1:
-            cur = cur + radius * rho * direction
-        else:
-            cur = cur + (radius * rho)[:, None] * direction
-        pos[idx] = cur
-        active[idx] = domain.contains(cur)
+        pos[idx] = moved
+        active[idx] = domain.contains(moved)
     raise RuntimeError("walk-on-spheres iteration cap exceeded (geometry bug?)")
 
 

@@ -167,10 +167,10 @@ def test_full_triangulation_stage_diagnostics(tmp_path):
     assert ergodic["chains"] == 40 and ergodic["burn_in"] == 2.0
     assert ergodic["reflections_per_chain"] >= 50
     assert ergodic["balls_per_reflection"] >= 1
-    # 64 draws per ball, from the balls of the excursions after the burn-in
+    # 25 knot points per ball, from the balls of the excursions after the burn-in
     balls = ergodic["chains"] * ergodic["reflections_per_chain"] * ergodic["balls_per_reflection"]
-    assert ergodic["occupation_draws"] % 64 == 0
-    assert 0 < ergodic["occupation_draws"] <= 64 * round(balls)
+    assert ergodic["occupation_draws"] % 25 == 0
+    assert 0 < ergodic["occupation_draws"] <= 25 * round(balls)
 
 
 def test_run_simulate_and_chain(tmp_path):

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from reflected_stable.geometry import IntervalUnion, Region1D, build_grid
+from reflected_stable.geometry import Interval, IntervalUnion, Region1D, build_grid
 from reflected_stable.killed_kernels import (assemble_dirichlet_generator,
                                              default_operators, green_operator,
                                              harmonic_kernel, heat_kernel)
+from reflected_stable import pathsim
 from reflected_stable.pathsim import (excursion_statistics, reflection_chain,
                                       renewal_occupation, sample_first_exit,
                                       simulate_ensemble, simulate_ensemble_blocks,
@@ -15,7 +16,8 @@ from reflected_stable.reflection import (ConstantKernel, ProjectionKernel,
                                          UniformMeasure)
 from reflected_stable.stationary import (chain_kernel, kappa_closed_form, stationary_p,
                                          total_variation)
-from reflected_stable.stable_core import StableParams, ball_exit_position, walk_on_spheres
+from reflected_stable.stable_core import (StableParams, ball_exit_position,
+                                          ball_occupation_cdf, walk_on_spheres)
 
 import oracles
 
@@ -461,6 +463,92 @@ def test_renewal_occupation_matches_closed_form_and_euler(wb, alpha, mu_name):
     renewal = np.array([occ.occupancy[g].sum() for g in groups])
     euler = np.array([ens.occupancy[g].sum() for g in groups])
     assert total_variation(renewal, euler) <= 0.06
+
+
+def _deposited(params, grid, centre, radius, weight):
+    """The renewal leg's cell masses of the given balls, and its deposit."""
+    occ = pathsim._BallOccupation(params, grid)
+    occ.add(np.asarray(centre, float), np.asarray(radius, float), np.asarray(weight, float))
+    return occ.masses(), occ
+
+
+def _interpolant(occ, v):
+    """P, the deposit's interpolant of the occupation CDF: 0 left of -1, 1 from 1 on."""
+    j = np.clip(np.searchsorted(occ.knots, v, side="right") - 1, 0, len(occ.knots) - 2)
+    s = np.clip((v - occ.knots[j]) * occ.inv_width[j], 0.0, 1.0)
+    return occ.phi[j] + s * (occ.b[j] + s * occ.c[j])
+
+
+def _interpolant_masses(occ, grid, c, r, w):
+    """w (P(v(e')) - P(v(e))) on every cell [e, e'], v(e) = (e - c) / r."""
+    return w * (_interpolant(occ, (grid.cells[:, 1] - c) / r)
+                - _interpolant(occ, (grid.cells[:, 0] - c) / r))
+
+
+@pytest.mark.parametrize("alpha, error", [(0.5, 1.2e-3), (1.0, 6e-4), (1.5, 4e-5)])
+def test_ball_interpolant_tracks_the_occupation_cdf(alpha, error):
+    # the piecewise quadratic through the 25 graded knots and the segment
+    # midpoints meets the CDF there, increases, and stays within its
+    # interpolation error of it in between (about 1e-3, 5e-4 and 3e-5)
+    p = StableParams(1, alpha)
+    occ = pathsim._BallOccupation(p, build_grid(Interval(-1.0, 1.0), 10))
+    assert occ.knots.size == 25
+    for v in (occ.knots, 0.5 * (occ.knots[1:] + occ.knots[:-1])):
+        assert np.abs(_interpolant(occ, v) - ball_occupation_cdf(p, v)).max() <= 1e-14
+    v = np.linspace(-1.0, 1.0, 20001)
+    P = _interpolant(occ, v)
+    assert np.all(np.diff(P) >= 0)
+    assert np.abs(P - ball_occupation_cdf(p, v)).max() <= error
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
+@pytest.mark.parametrize("domain", [Interval(-1.0, 1.0), UNION], ids=["interval", "union"])
+def test_ball_deposit_is_the_interpolant_at_every_edge(alpha, domain):
+    # each ball's cell masses against its interpolated occupation CDF read at
+    # every cell edge. The balls: radius 1e-7 straddling an edge; radius 1e-7
+    # with its knot u_13 left of an edge in v = (x - c) / r but c + r u_13
+    # rounded onto it; (0.5, 0.4), whose left end rounds below the union's
+    # component (0.1, 1); (-0.6, 0.4), which touches both ends of the
+    # union's (-1, -0.2); random balls with the radius of walk-on-spheres,
+    # their boundary distance, and random balls within it. Balls from
+    # r = 0.11 at alpha = 1 and r = 0.037 at alpha = 1.5 take the moment
+    # sums, the rest the segments.
+    p, grid = StableParams(1, alpha), build_grid(domain, 400)
+    edge, u13 = grid.cells[150, 0], pathsim._BallOccupation(p, grid).knots[13]
+    assert (edge - (edge - 1e-7 * u13)) / 1e-7 > u13 and edge - 1e-7 * u13 + 1e-7 * u13 >= edge
+    assert 0.5 - 0.4 < 0.1
+    rng = np.random.default_rng(7)
+    centre = rng.uniform(-0.95, 0.95, 400)
+    centre = centre[domain.contains(centre)]
+    radius = domain.boundary_distance(centre) * np.where(
+        np.arange(centre.size) % 2, 1.0, 10.0 ** rng.uniform(-7.0, 0.0, centre.size))
+    balls = [(edge + 3e-8, 1e-7), (edge - 1e-7 * u13, 1e-7), (0.5, 0.4), (-0.6, 0.4)]
+    balls += list(zip(centre, radius))
+    for c, r in balls:
+        w = rng.uniform(0.5, 2.0)
+        masses, occ = _deposited(p, grid, [c], [r], [w])
+        assert np.abs(masses - _interpolant_masses(occ, grid, c, r, w)).max() <= 1e-9 * w, (c, r)
+        assert occ.work == 25
+    # both paths are taken where the rounding bound says
+    reach = occ.reach / np.array([r for _, r in balls])
+    bound = occ.rounding[0] + reach * (occ.rounding[1] + reach * occ.rounding[2])
+    assert np.any(bound <= pathsim._MOMENT_TOL) == (alpha > 0.5)
+    assert np.any(bound > pathsim._MOMENT_TOL)
+
+
+def test_ball_deposit_adds_blocks_of_balls():
+    # 5000 balls, deposited in blocks of at most 2048, add up to the sum of
+    # their interpolated laws
+    p, grid = StableParams(1, 1.0), build_grid(UNION, 300)
+    rng = np.random.default_rng(8)
+    centre = rng.uniform(-1.0, 1.0, 9000)
+    centre = centre[UNION.contains(centre)][:5000]
+    radius = UNION.boundary_distance(centre) * rng.uniform(0.0, 1.0, centre.size) ** 2
+    weight = rng.uniform(0.5, 2.0, centre.size)
+    masses, occ = _deposited(p, grid, centre, radius, weight)
+    expected = sum(_interpolant_masses(occ, grid, *ball) for ball in zip(centre, radius, weight))
+    assert np.abs(masses - expected).max() <= 1e-9 * weight.sum()
+    assert occ.work == 25 * centre.size
 
 
 def test_chunked_ensemble_invariants(wb):

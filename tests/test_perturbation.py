@@ -9,7 +9,8 @@ import scipy.linalg
 from reflected_stable import cli_report, perturbation
 from reflected_stable.geometry import Interval, IntervalUnion, build_grid, exterior_shell
 from reflected_stable.killed_kernels import (GridOperator, assemble_dirichlet_generator,
-                                             exterior_nu_vector, green_operator,
+                                             default_operators, exterior_nu_vector,
+                                             green_operator,
                                              harmonic_kernel, heat_kernel, killing_intensity,
                                              resolvent_u)
 from reflected_stable.perturbation import (ConservationError, SeriesError,
@@ -46,6 +47,23 @@ def test_perturbation_matrix_dirac_single_column(wb):
     j0 = M.grid.cell_index(np.array([0.3]))[0]
     nz = np.flatnonzero(oracles.dense(M).sum(axis=0))
     assert np.array_equal(nz, [j0])
+
+
+def test_grid_must_have_the_kernels_domain():
+    # the grid side reads D off the return kernel too: operators built on
+    # (-1.1, 1.1) with a kernel on (-1, 1) raise, and a grid on an equal but
+    # distinct (-1, 1) runs
+    p = StableParams(1, 1.0)
+    mu = ProjectionKernel(Interval(-1.0, 1.0), 0.3, 0.2)
+    grid, _, _, H = default_operators(p, Interval(-1.1, 1.1), 100)
+    with pytest.raises(ValueError):
+        perturbation_matrix(grid, p, mu)
+    with pytest.raises(ValueError):
+        chain_kernel(H, mu)
+    grid, _, _, H = default_operators(p, Interval(-1.0, 1.0), 100)
+    assert grid.domain is not mu.domain
+    assert perturbation_matrix(grid, p, mu).factors[0].shape == (100, 2)
+    assert chain_kernel(H, mu).row_sums() == pytest.approx(np.ones(100), abs=1e-6)
 
 
 def test_duhamel_series_requires_factors(wb):

@@ -6,9 +6,8 @@ from scipy.special import gamma
 
 from reflected_stable.stable_core import (StableParams, StableParamsError,
                                           ball_exit_position, ball_mean_exit_time,
-                                          levy_constant, levy_interval_mass,
-                                          sample_ball_exit_radius,
-                                          sample_ball_occupation_radius,
+                                          ball_occupation_cdf, levy_constant,
+                                          levy_interval_mass, sample_ball_exit_radius,
                                           sample_stable_increment)
 
 import oracles
@@ -258,15 +257,16 @@ def test_ball_occupation_cdf_oracle(alpha):
 
 
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
-def test_ball_occupation_radius_matches_green_oracle(alpha):
-    # P(|Y| <= u) = 2 Gamma(1 + alpha) (H(u) - H(0)) at 15 points, within
-    # 4 standard errors of the empirical CDF of 4e6 draws
-    n = 4 * 10 ** 6
-    r = sample_ball_occupation_radius(StableParams(1, alpha), np.random.default_rng(43),
-                                      size=n)
-    assert r.min() >= 0.0 and r.max() < 1.0
-    u = np.linspace(0.0, 1.0, 17)[1:-1]
-    cdf = 2.0 * gamma(1.0 + alpha) * oracles.ball_occupation_cdf(alpha, u)
-    observed = np.bincount(np.searchsorted(u, r), minlength=u.size + 1).cumsum()[:-1] / n
-    z = (observed - cdf) / np.sqrt(cdf * (1.0 - cdf) / n)
-    assert np.abs(z).max() <= 4.0, z
+def test_ball_occupation_cdf_matches_green_oracle(alpha):
+    # the numpy-only CDF is 1/2 + Gamma(1 + alpha) (H(u) - H(0)) of the
+    # scipy oracle on a grid of [-1, 1], ends and centre included
+    p = StableParams(1, alpha)
+    u = np.linspace(-1.0, 1.0, 801)
+    cdf = ball_occupation_cdf(p, u)
+    assert np.abs(cdf - (0.5 + gamma(1.0 + alpha) * oracles.ball_occupation_cdf(alpha, u))
+                  ).max() <= 1e-10
+    assert ball_occupation_cdf(p, -1.0) == 0.0 and ball_occupation_cdf(p, 1.0) == 1.0
+    # odd about its value 1/2 at the centre, and increasing
+    assert ball_occupation_cdf(p, 0.0) == 0.5
+    assert np.abs(cdf + ball_occupation_cdf(p, -u) - 1.0).max() <= 1e-15
+    assert np.all(np.diff(cdf) > 0)
