@@ -216,6 +216,11 @@ class Grid:
     def n(self):
         return len(self.nodes)
 
+    @property
+    def component_cells(self):
+        """First and last cell index of each component of D, as two arrays."""
+        return self._index[3], self._index[4]
+
     def cell_index(self, x):
         """Index of the cell containing each point (nearest cell if outside).
 
@@ -242,18 +247,6 @@ class Grid:
         # idx is -1 only for x < a_0, and next_start[-1] = inf keeps it there
         idx += next_start.take(idx) <= x
         return np.clip(idx, 0, self.n - 1)
-
-    def component_cell_index(self, x, comp):
-        """Cell of each point x of component ``comp`` of D (broadcast with x).
-
-        ``floor((x - a_c) / h_c)`` plus the component's first cell, clipped to
-        the component's cells, with no correction against the cell edges: a
-        point within rounding of an edge may get the cell on its other side,
-        and a point past an end of its component gets the end cell.
-        """
-        _, origin, scale, first, last, _ = self._index
-        idx = ((x - origin[comp]) * scale[comp]).astype(np.intp)
-        return np.clip(idx, first[comp], last[comp], out=idx)
 
 
 def build_grid(domain, n_cells):

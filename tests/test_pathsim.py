@@ -465,6 +465,15 @@ def test_renewal_occupation_matches_closed_form_and_euler(wb, alpha, mu_name):
     assert total_variation(renewal, euler) <= 0.06
 
 
+def test_renewal_walk_past_the_cap_raises(wb, monkeypatch):
+    # a walk of more balls than walk_on_spheres allows raises, as it does
+    # there; with a cap of one ball, the first walk that stays in D does
+    p, mu, start, grid, _ = _ergodic_case(wb, 1.0, "uniform")
+    monkeypatch.setattr(pathsim, "_MAX_WOS_ITER", 1)
+    with pytest.raises(RuntimeError, match="iteration cap"):
+        renewal_occupation(p, mu, start, 10.0, 2.0, 2027, 20, grid)
+
+
 def _deposited(params, grid, centre, radius, weight):
     """The renewal leg's cell masses of the given balls, and its deposit."""
     occ = pathsim._BallOccupation(params, grid)
@@ -485,44 +494,57 @@ def _interpolant_masses(occ, grid, c, r, w):
                 - _interpolant(occ, (grid.cells[:, 0] - c) / r))
 
 
-@pytest.mark.parametrize("alpha, error", [(0.5, 1.2e-3), (1.0, 6e-4), (1.5, 4e-5)])
-def test_ball_interpolant_tracks_the_occupation_cdf(alpha, error):
-    # the piecewise quadratic through the 25 graded knots and the segment
-    # midpoints meets the CDF there, increases, and stays within its
-    # interpolation error of it in between (about 1e-3, 5e-4 and 3e-5)
+@pytest.mark.parametrize("alpha, largest, mean", [(0.05, 3e-2, 7e-4), (0.25, 6e-3, 2e-4),
+                                                 (0.5, 1.5e-3, 8e-5), (1.0, 6e-4, 3e-5),
+                                                 (1.5, 4e-5, 1e-5)])
+def test_ball_interpolant_tracks_the_occupation_cdf(alpha, largest, mean):
+    # the piecewise quadratic through the 25 graded knots meets the CDF
+    # there, and at the segment midpoints from alpha = 0.5 on (below, some
+    # segments take the nearest rising quadratic). It rises on every segment
+    # and stays within its interpolation error of the CDF: largest gaps
+    # about 2.7e-2, 5.1e-3, 1.4e-3, 4.8e-4 and 2.9e-5, near the centre;
+    # mean gaps over u about 6.0e-4, 1.5e-4, 6.7e-5, 2.5e-5 and 7.4e-6
     p = StableParams(1, alpha)
     occ = pathsim._BallOccupation(p, build_grid(Interval(-1.0, 1.0), 10))
     assert occ.knots.size == 25
-    for v in (occ.knots, 0.5 * (occ.knots[1:] + occ.knots[:-1])):
-        assert np.abs(_interpolant(occ, v) - ball_occupation_cdf(p, v)).max() <= 1e-14
-    v = np.linspace(-1.0, 1.0, 20001)
+    assert np.abs(_interpolant(occ, occ.knots) - ball_occupation_cdf(p, occ.knots)).max() <= 1e-14
+    mids = 0.5 * (occ.knots[1:] + occ.knots[:-1])
+    if alpha >= 0.5:
+        assert np.abs(_interpolant(occ, mids) - ball_occupation_cdf(p, mids)).max() <= 1e-14
+    assert np.all(occ.b >= 0) and np.all(occ.b + 2.0 * occ.c >= 0)
+    uniform, near = np.linspace(-1.0, 1.0, 20001), np.geomspace(1e-12, 1.0, 2001)
+    v = np.sort(np.concatenate((uniform, near, -near)))
     P = _interpolant(occ, v)
     assert np.all(np.diff(P) >= 0)
-    assert np.abs(P - ball_occupation_cdf(p, v)).max() <= error
+    assert np.abs(P - ball_occupation_cdf(p, v)).max() <= largest
+    assert np.abs(_interpolant(occ, uniform) - ball_occupation_cdf(p, uniform)).mean() <= mean
 
 
-@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
+@pytest.mark.parametrize("alpha", [0.05, 0.25, 0.5, 1.0, 1.5])
 @pytest.mark.parametrize("domain", [Interval(-1.0, 1.0), UNION], ids=["interval", "union"])
 def test_ball_deposit_is_the_interpolant_at_every_edge(alpha, domain):
     # each ball's cell masses against its interpolated occupation CDF read at
     # every cell edge. The balls: radius 1e-7 straddling an edge; radius 1e-7
-    # with its knot u_13 left of an edge in v = (x - c) / r but c + r u_13
-    # rounded onto it; (0.5, 0.4), whose left end rounds below the union's
+    # with its first knot u from the centre's on (u_13 from alpha = 0.5 on)
+    # that lies left of an edge in v = (x - c) / r while c + r u rounds onto
+    # it; (0.5, 0.4), whose left end rounds below the union's
     # component (0.1, 1); (-0.6, 0.4), which touches both ends of the
     # union's (-1, -0.2); random balls with the radius of walk-on-spheres,
     # their boundary distance, and random balls within it. Balls from
     # r = 0.11 at alpha = 1 and r = 0.037 at alpha = 1.5 take the moment
     # sums, the rest the segments.
     p, grid = StableParams(1, alpha), build_grid(domain, 400)
-    edge, u13 = grid.cells[150, 0], pathsim._BallOccupation(p, grid).knots[13]
-    assert (edge - (edge - 1e-7 * u13)) / 1e-7 > u13 and edge - 1e-7 * u13 + 1e-7 * u13 >= edge
+    edge, knots = grid.cells[150, 0], pathsim._BallOccupation(p, grid).knots
+    u = next(u for u in knots[13:]
+             if (edge - (edge - 1e-7 * u)) / 1e-7 > u and edge - 1e-7 * u + 1e-7 * u >= edge)
+    assert (u == knots[13]) == (alpha >= 0.5)
     assert 0.5 - 0.4 < 0.1
     rng = np.random.default_rng(7)
     centre = rng.uniform(-0.95, 0.95, 400)
     centre = centre[domain.contains(centre)]
     radius = domain.boundary_distance(centre) * np.where(
         np.arange(centre.size) % 2, 1.0, 10.0 ** rng.uniform(-7.0, 0.0, centre.size))
-    balls = [(edge + 3e-8, 1e-7), (edge - 1e-7 * u13, 1e-7), (0.5, 0.4), (-0.6, 0.4)]
+    balls = [(edge + 3e-8, 1e-7), (edge - 1e-7 * u, 1e-7), (0.5, 0.4), (-0.6, 0.4)]
     balls += list(zip(centre, radius))
     for c, r in balls:
         w = rng.uniform(0.5, 2.0)
