@@ -187,8 +187,8 @@ class _BallOccupation:
     0.5), P takes the nearest rising quadratic through the segment's ends
     instead, so P rises everywhere and no cell gets a negative mass. The
     mean of |P - CDF| over u in [-1, 1] is 2.5e-5 at alpha = 1, 7e-5 at
-    0.5, 1.5e-4 at 0.25 and 6e-4 at 0.05; the largest gap, within 1e-4 of
-    the centre, is 5e-4, 1.4e-3, 5e-3 and 3e-2: at small alpha the law
+    0.5, 1.5e-4 at 0.25 and 6e-4 at 0.05; the largest gap, near the
+    centre, is 5e-4, 1.4e-3, 5e-3 and 3e-2: at small alpha the law
     spreads over many decades of |u|, which 12 segments a side follow only
     coarsely. Cell [e, e'] gets w (P(v(e')) - P(v(e))),
     v(e) = (e - c) / r. Each ball places its knots x_j = c + r u_j and
