@@ -165,11 +165,11 @@ def reflection_chain(params, mu, start, n_steps, rng, size):
 
 # knots of the occupation CDF's piecewise-quadratic interpolant (odd: one at
 # the ball's centre); kept balls are deposited in blocks of at most
-# _DEPOSIT_BLOCK; a ball's knots go to the moment sums when their rounding
-# bound is at most _MOMENT_TOL of its mass
+# _DEPOSIT_BLOCK; a ball's knots are added as jumps when their rounding
+# bound is at most _JUMP_TOL of its mass
 _OCCUPATION_KNOTS = 25
 _DEPOSIT_BLOCK = 2048
-_MOMENT_TOL = 1e-11
+_JUMP_TOL = 1e-11
 
 
 class _BallOccupation:
@@ -190,28 +190,29 @@ class _BallOccupation:
     0.5, 1.5e-4 at 0.25 and 6e-4 at 0.05; the largest gap, near the
     centre, is 5e-4, 1.4e-3, 5e-3 and 3e-2: at small alpha the law
     spreads over many decades of |u|, which 12 segments a side follow only
-    coarsely. Cell [e, e'] gets w (P(v(e')) - P(v(e))),
-    v(e) = (e - c) / r. Each ball places its knots x_j = c + r u_j and
-    finds their cells, each within the ball's component of D (c - r may
-    round past it, into the cells of another component). Then either:
+    coarsely. Cell [y, y'] gets w (P(v(y')) - P(v(y))), v(y) = (y - c) / r.
+    Each ball places its knots x_j = c + r u_j and finds their cells k_j,
+    each within the ball's component of D (c - r may round past it, into
+    the cells of another component).
 
-    - **moments**: P is the sum over the knots left of v of the jumps
-      between consecutive pieces, each a quadratic in v. The ball adds each
-      knot's jump, as a quadratic in x - o (o the centre of D's bounding
-      box), to three per-cell moment sums, one ``np.bincount`` each; in
-      ``masses`` one cumulative sum gives the sum of all jumps left of each
-      cell edge, evaluated there. The jumps of the centre pieces are of
-      size w |u|**(alpha-2) / r**2 and cancel far from the ball, so this
-      path is taken only when the rounding bound eps (sum |a_j| +
-      sum |b_j| R + sum |c_j| R**2), R = 2 max|e - o| / r, is at most
-      ``_MOMENT_TOL``: at alpha = 1 on (-1, 1) that is r >= 0.11.
-    - **segments**, exact for every r: segment j, from x_j to x_j+1, gives
-      the cell of x_j its mass up to that cell's right edge and the cell of
-      x_j+1 its mass from that cell's left edge. A cell strictly inside the
-      segment gets its width times P's density at its midpoint, linear in
-      the midpoint; the two coefficients are added to per-cell sums after
-      the segment's first cell and subtracted from its last, and spread by
-      one cumulative sum in ``masses``. No polynomial is used outside its
+    Each ball adds point masses to ``mass`` and the changes, from one cell
+    to the next, of a density linear in x - o (o the centre of D's bounding
+    box) to ``density``; ``masses`` reads them with one cumulative sum. A
+    ball takes one of two paths:
+
+    - **jumps**: past u_j, P gains d_j (v - u_j) + e_j (v - u_j)**2, d_j
+      and e_j the jumps of its slope and half-curvature at u_j. The knot's
+      cell gets w s (d_j + e_j s), s = (y' - x_j) / r at its right edge y',
+      and the cells from k_j + 1 on the matching density. The centre
+      knots' densities, of size w |u|**(alpha-2) / r**2, cancel past the
+      ball, so this path is taken only when their rounding (``bound``) is
+      at most ``_JUMP_TOL`` of the mass: on (-1, 1) in 400 cells from
+      r = 0.031 at alpha = 1 and r = 0.0069 at 1.5, for no ball at
+      alpha <= 0.5.
+    - **segments**, exact for every r: segment j gives k_j its mass up to
+      that cell's right edge, k_j+1 its mass from that cell's left edge,
+      and the cells between P's density, linear in the node, added at
+      k_j + 1 and removed at k_j+1. No polynomial is used outside its
       segment.
 
     Balls are deposited in blocks of at most ``_DEPOSIT_BLOCK``. ``work``
@@ -232,24 +233,33 @@ class _BallOccupation:
         rise = right - left
         self.b = np.clip(4.0 * at_mids - 3.0 * left - right, 0.0, 2.0 * rise)
         self.c = rise - self.b
-        # the same pieces as quadratics in v, with 0 before the first knot and
-        # 1 after the last, and the jumps between them at the knots
-        u, iw = self.knots[:-1], self.inv_width
-        pieces = np.zeros((3, _OCCUPATION_KNOTS + 1))
-        pieces[:, 1:-1] = (self.phi - u * iw * (self.b - u * iw * self.c),
-                           iw * (self.b - 2.0 * u * iw * self.c), iw * iw * self.c)
-        pieces[0, -1] = 1.0
-        self.jumps = np.diff(pieces, axis=1)
-        self.rounding = np.finfo(float).eps * np.abs(self.jumps).sum(axis=1)
+        # the jumps d and e of P's slope and half-curvature in v at each knot
+        # (P is 0 before the first and 1 after the last), as columns
+        iw, zero = self.inv_width, [0.0]
+        d = np.append(iw * self.b, zero) - np.append(zero, iw * (self.b + 2.0 * self.c))
+        e = np.diff(np.concatenate((zero, iw * iw * self.c, zero)))
+        self.d, self.e, self.lead = (a[:, None] for a in (d, e, d - 2.0 * e * self.knots))
         self.grid, self.edges = grid, (grid.cells[:, 0].copy(), grid.cells[:, 1].copy())
         self.origin = 0.5 * sum(grid.domain.bounding_box)
-        self.reach = 2.0 * np.abs(grid.cells - self.origin).max()
-        n = grid.n
-        self.mass = np.zeros(n)
-        self.moments = np.zeros((3, n))
-        # density constant and slope, added after a cell and subtracted from one
-        self.after, self.before = np.zeros((2, n)), np.zeros((2, n))
+        # The jumps' rounding per unit of mass, for a ball of radius r: with
+        # L = max|y - o| + max|y| over the cell edges y and h the widest cell,
+        # a knot's density terms d / r, 2 e (x_j - o) / r**2 and 2 e (y - o) / r**2,
+        # which cancel past the ball, are each off by at most eps (|d| + 2 L |e| / r) / r,
+        # and rounding x_j (by 2 eps L) moves its jump by 2 eps L (|d| + 2 |e| s) / r.
+        # The cumulative sum rounds the ball's running density on the at most
+        # 2 r / h + 1 cells it spans, and the round-off persists to the grid's end:
+        # a cell gets at most eps (2 + 4 h / r) (sum|d| + 2 L (sum|d| + sum|e|) / r).
+        length = np.abs(grid.cells - self.origin).max() + np.abs(grid.cells).max()
+        d, e = np.abs(d).sum(), np.abs(e).sum()
+        self.rounding = (d, 2.0 * length * (d + e))
+        self.mass = np.zeros(grid.n)
+        self.density = np.zeros((2, grid.n + 1))    # changes of its constant and slope
         self.pending, self.n_pending, self.work = [], 0, 0
+
+    def bound(self, radius):
+        """The jumps' rounding bound, per unit of mass, for balls of these radii."""
+        d, e = self.rounding
+        return np.finfo(float).eps * (2.0 + 4.0 * self.grid.h / radius) * (d + e / radius)
 
     def add(self, centre, radius, weight):
         """Queue balls B(centre, radius) of mass ``weight``; a full block is deposited."""
@@ -261,16 +271,8 @@ class _BallOccupation:
     def masses(self):
         """Cell masses of all balls added."""
         self._flush()
-        left, right = self.edges
-        sums = np.cumsum(self.moments, axis=1)
-        below = np.zeros_like(sums)
-        below[:, 1:] = sums[:, :-1]
-        y, z = right - self.origin, left - self.origin
-        mass = self.mass + sums[0] + y * (sums[1] + y * sums[2])
-        mass -= below[0] + z * (below[1] + z * below[2])
-        density = -np.cumsum(self.before, axis=1)
-        density[:, 1:] += np.cumsum(self.after, axis=1)[:, :-1]
-        return mass + self.grid.widths * (density[0] + density[1] * (self.grid.nodes - self.origin))
+        const, slope = np.cumsum(self.density[:, :-1], axis=1)
+        return self.mass + self.grid.widths * (const + slope * (self.grid.nodes - self.origin))
 
     def _flush(self):
         if self.pending:
@@ -280,83 +282,74 @@ class _BallOccupation:
         self.pending, self.n_pending = [], 0
 
     def _deposit(self, centre, radius, weight):
-        reach = self.reach / radius
-        safe = self.rounding[0] + reach * (self.rounding[1] + reach * self.rounding[2]) <= _MOMENT_TOL
-        self._moments(centre[safe, None], radius[safe, None], weight[safe, None])
-        self._segments(centre[~safe, None], radius[~safe, None], weight[~safe, None])
+        jumps = self.bound(radius) <= _JUMP_TOL
+        self._jumps(centre[jumps], radius[jumps], weight[jumps])
+        self._segments(centre[~jumps], radius[~jumps], weight[~jumps])
         self.work += _OCCUPATION_KNOTS * len(centre)
 
     def _knots(self, c, r):
-        """Each ball's knots x_j = c + r u_j and their cells, clipped to the ball's
-        component of D."""
-        x = r * self.knots
+        """The knots x_j = c + r u_j of each ball, one column per ball, and their
+        cells, clipped to the ball's component of D."""
+        x = self.knots[:, None] * r
         x += c
         comp = np.searchsorted(self.grid.domain.intervals[:, 0], c, "right") - 1
         first, last = self.grid.component_cells
         return x, np.clip(self.grid.cell_index(x), first[comp], last[comp])
 
-    def _moments(self, c, r, w):
-        # a knot on the wrong side of an edge moves a jump across it that is
-        # within the rounding bound
+    def _add(self, cells, mass, at, const, slope):
+        """Point masses to ``cells``, and the density's changes (constant, slope) at ``at``."""
+        n = self.grid.n
+        self.mass += np.bincount(cells.ravel(), weights=mass.ravel(), minlength=n)
+        at = at.ravel()
+        for row, part in zip(self.density, (const, slope)):
+            row += np.bincount(at, weights=part.ravel(), minlength=n + 1)
+
+    def _jumps(self, c, r, w):
+        # in place where it can be: a fresh array of a block's size per step
+        # made the allocator return and refault its pages
         x, k = self._knots(c, r)
-        a, b, cc = self.jumps
-        g1 = w / r
-        g2 = g1 / r
-        t = c - self.origin
-        cells, n = k.ravel(), self.grid.n
-        for row, coef in zip(self.moments, (w * a - (g1 * t) * b + (g2 * t * t) * cc,
-                                            g1 * b - (2.0 * g2 * t) * cc, g2 * cc)):
-            row += np.bincount(cells, weights=coef.ravel(), minlength=n)
+        s = np.subtract(self.edges[1].take(k), x, out=x)
+        s /= r
+        mass = self.e * s
+        mass += self.d
+        mass *= s
+        mass *= w
+        # the density from k_j + 1 on: (w / r) (d + 2 e ((x - o) - (c - o) - r u_j) / r)
+        g = w / r
+        slope = self.e * (2.0 * g / r)
+        const = self.lead * g
+        const -= np.multiply(slope, c - self.origin, out=s)
+        self._add(k, mass, k + 1, const, slope)
 
     def _segments(self, c, r, w):
         left, right = self.edges
-        x, k = self._knots(c, r)
-        # place the inner knots by v = (e - c) / r, as P is read: x_j, rounded,
+        k = self._knots(c, r)[1]
+        # place the inner knots by v = (y - c) / r, as P is read: x_j, rounded,
         # may fall on the wrong side of an edge that v puts it next to
-        inner, u = k[:, 1:-1], self.knots[1:-1]
+        inner, u = k[1:-1], self.knots[1:-1, None]
         inner -= (left.take(inner) - c) / r > u
         inner += (right.take(inner) - c) / r <= u
-        steps = np.diff(k, axis=1)
-        u, inv = self.knots[:-1], self.inv_width
-        b, cc = self.b, self.c
-        # the mass up to the right edge of x_j's cell, and from the left edge of x_j+1's
-        s = (right.take(k[:, :-1]) - c) / r
-        s -= u
-        s *= inv
-        head = np.clip(s, 0.0, 1.0, out=s) * cc
-        head += b
-        head *= s
-        s = (left.take(k[:, 1:]) - c) / r
-        s -= u
-        s *= inv
-        tail = np.clip(s, 0.0, 1.0, out=s) * cc
-        tail += b
-        tail *= s
-        np.subtract(b + cc, tail, out=tail)
-        tail *= steps > 0
+        steps = np.diff(k, axis=0)
+        u, inv, b, cc = (a[:, None] for a in (self.knots[:-1], self.inv_width, self.b, self.c))
+
+        def rise(edge, cells):
+            """P's rise on each segment from its first knot to the cells' edges."""
+            s = np.clip(((edge.take(cells) - c) / r - u) * inv, 0.0, 1.0)
+            return s * (b + s * cc)
+
         mass = np.zeros(k.shape)
-        mass[:, :-1] = head
-        mass[:, 1:] += tail
-        mass *= w
-        cells, n = k.ravel(), self.grid.n
-        self.mass += np.bincount(cells, weights=mass.ravel(), minlength=n)
-        # the cells between: density gain (b + 2 c s), linear in the midpoint
-        gain = w * inv / r
+        mass[:-1] = rise(right, k[:-1])
+        mass[1:] += (b + cc - rise(left, k[1:])) * (steps > 0)
+        # the cells strictly between: density (b + 2 c s) w / (r (u_j+1 - u_j)),
+        # linear in x - o
+        gain = inv * (w / r)
         gain *= steps > 1
-        slope = (2.0 * cc / r) * inv
+        slope = (2.0 * cc * inv) / r
         slope *= gain
-        x = x[:, :-1] - self.origin
-        x *= slope
         const = b * gain
-        const -= x
-        coef = np.zeros(k.shape)
-        for j, part in enumerate((const, slope)):
-            coef[:, :-1] = part
-            coef[:, -1] = 0.0
-            self.after[j] += np.bincount(cells, weights=coef.ravel(), minlength=n)
-            coef[:, 1:] = part
-            coef[:, 0] = 0.0
-            self.before[j] += np.bincount(cells, weights=coef.ravel(), minlength=n)
+        const -= slope * ((c - self.origin) + u * r)
+        self._add(k, mass * w, np.concatenate((k[:-1] + 1, k[1:])),
+                  np.concatenate((const, -const)), np.concatenate((slope, -slope)))
 
 
 @dataclasses.dataclass
@@ -391,10 +384,11 @@ def renewal_occupation(params, mu, start, horizon, burn_in, seed, n_chains, grid
     histogram as the exact cell masses of an interpolant of its CDF
     (``_BallOccupation``): no occupation is drawn. A chain stops at its
     first reflection with its clock at ``horizon`` or past it; a walk of
-    more balls than ``walk_on_spheres`` takes raises RuntimeError. All draws (the start law first, then per round
-    the steps and the re-entries) come from the stream keyed (seed, 0xB0),
-    so the result is a deterministic function of its arguments. The grid
-    lies on D = ``mu.domain``.
+    more than ``_MAX_WOS_ITER`` balls since its chain's last entry raises
+    RuntimeError, as ``walk_on_spheres`` does. All draws (the start law
+    first, then per round the steps and the re-entries) come from the stream
+    keyed (seed, 0xB0), so the result is a deterministic function of its
+    arguments. The grid lies on D = ``mu.domain``.
     """
     if params.d != 1:
         raise NotImplementedError("the renewal occupation is implemented for d=1")

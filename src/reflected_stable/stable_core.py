@@ -1,7 +1,7 @@
 """Parameters, jump kernel, and exact samplers for the isotropic stable process.
 
 Exit positions are sampled exactly by walk-on-spheres: ``walk_on_spheres``
-is the one iterated ball-exit loop, for any domain, and records its balls;
+is the one iterated ball-exit loop, for any domain, and counts its balls;
 ``walk_on_spheres_exit`` runs it from one start and ``ball_exit_position``
 on a ball. All samplers take an explicit ``numpy.random.Generator`` and
 are pure given that stream, so callers may run many workers as long as
@@ -197,14 +197,16 @@ def ball_occupation_cdf(params, u):
     is the series of ``_incomplete_beta_series`` at argument x^2 or 1 - x^2,
     whichever is at most 1/2; below x^2 = 1/2 the second one is the complete
     beta minus its complement, whose pole at alpha = 1 cancels to about
-    1e-16 / |1 - alpha|. At alpha = 1 the closed form
-    (x arcsech x + arcsin x) * 2/pi is used. Returns 0 at u = -1, 1 at
-    u = 1, and 1/2 + sign(u) P(|Y| <= |u|) / 2, odd about 1/2, between.
+    1e-16 / |1 - alpha|. So within |1 - alpha| <= 3e-8 the closed form at
+    alpha = 1, (x arcsech x + arcsin x) * 2/pi, is used: the CDF moves by
+    about 0.08 |1 - alpha| with alpha, so on either side of the window edge
+    the error is at most about 3e-9. Returns 0 at u = -1, 1 at u = 1, and
+    1/2 + sign(u) P(|Y| <= |u|) / 2, odd about 1/2, between.
     """
     u = np.asarray(u, dtype=float)
     x = np.abs(u).ravel()
     al = params.alpha
-    if al == 1.0:
+    if abs(al - 1.0) <= 3e-8:
         inner = np.where(x > 0, x, 1.0)
         F = 2.0 / np.pi * (np.where(x > 0, x * np.arccosh(1.0 / inner), 0.0) + np.arcsin(x))
     else:
@@ -249,18 +251,16 @@ def walk_on_spheres(params, domain, pos, rng):
     Each round moves every point still in D by one ``_ball_step``; a point
     stops at its first landing outside D (it may land in another component
     of D and go on). Terminates almost surely. Returns ``pos``, moved in
-    place to the exit points, and the balls: one (indices into ``pos``,
-    centres, radii) triple per round.
+    place to the exit points, and the number of balls each point took.
     """
     active = np.ones(len(pos), dtype=bool)
-    balls = []
+    balls = np.zeros(len(pos), dtype=np.int64)
     for _ in range(_MAX_WOS_ITER):
         idx = np.flatnonzero(active)
         if idx.size == 0:
             return pos, balls
-        cur = pos[idx]
-        radius, moved = _ball_step(params, domain, cur, rng)
-        balls.append((idx, cur, radius))
+        moved = _ball_step(params, domain, pos[idx], rng)[1]
+        balls[idx] += 1
         pos[idx] = moved
         active[idx] = domain.contains(moved)
     raise RuntimeError("walk-on-spheres iteration cap exceeded (geometry bug?)")

@@ -302,8 +302,7 @@ def test_reflection_chain_matches_matrix_power(wb):
 def test_walk_on_spheres_interval_center_single_step(wb):
     p = wb.params(1.2)
     rng = stream(3, 3)
-    z, balls = walk_on_spheres(p, wb.domain, np.full(2000, 0.0), rng)
-    iters = np.bincount(np.concatenate([idx for idx, _, _ in balls]), minlength=2000)
+    z, iters = walk_on_spheres(p, wb.domain, np.full(2000, 0.0), rng)
     # the maximal ball centered at 0 is the whole interval: many exits need
     # a single step, and all exits land outside
     assert np.all(~wb.domain.contains(z))
@@ -316,8 +315,7 @@ def test_walk_on_spheres_two_component_domain():
     p = StableParams(1, 1.0)
     U = IntervalUnion([[-1.0, -0.2], [0.2, 1.0]])
     rng = stream(17, 1)
-    z, balls = walk_on_spheres(p, U, np.full(4 * 10 ** 4, 0.6), rng)
-    iters = np.bincount(np.concatenate([idx for idx, _, _ in balls]), minlength=4 * 10 ** 4)
+    z, iters = walk_on_spheres(p, U, np.full(4 * 10 ** 4, 0.6), rng)
     assert np.all(~U.contains(z))
     assert iters.mean() > 1.0  # some walks hop into the other component
     # a 640-cell reference: at 160 cells the grid's own bias shows at 4e4 draws
@@ -530,9 +528,9 @@ def test_ball_deposit_is_the_interpolant_at_every_edge(alpha, domain):
     # it; (0.5, 0.4), whose left end rounds below the union's
     # component (0.1, 1); (-0.6, 0.4), which touches both ends of the
     # union's (-1, -0.2); random balls with the radius of walk-on-spheres,
-    # their boundary distance, and random balls within it. Balls from
-    # r = 0.11 at alpha = 1 and r = 0.037 at alpha = 1.5 take the moment
-    # sums, the rest the segments.
+    # their boundary distance, and random balls within it. On the interval,
+    # balls from r = 0.031 at alpha = 1 and r = 0.0069 at alpha = 1.5 take
+    # the jumps, the rest the segments.
     p, grid = StableParams(1, alpha), build_grid(domain, 400)
     edge, knots = grid.cells[150, 0], pathsim._BallOccupation(p, grid).knots
     u = next(u for u in knots[13:]
@@ -552,10 +550,43 @@ def test_ball_deposit_is_the_interpolant_at_every_edge(alpha, domain):
         assert np.abs(masses - _interpolant_masses(occ, grid, c, r, w)).max() <= 1e-9 * w, (c, r)
         assert occ.work == 25
     # both paths are taken where the rounding bound says
-    reach = occ.reach / np.array([r for _, r in balls])
-    bound = occ.rounding[0] + reach * (occ.rounding[1] + reach * occ.rounding[2])
-    assert np.any(bound <= pathsim._MOMENT_TOL) == (alpha > 0.5)
-    assert np.any(bound > pathsim._MOMENT_TOL)
+    bound = occ.bound(np.array([r for _, r in balls]))
+    assert np.any(bound <= pathsim._JUMP_TOL) == (alpha > 0.5)
+    assert np.any(bound > pathsim._JUMP_TOL)
+
+
+def _forced(params, grid, path, centre, radius, weight):
+    """The cell masses of the given balls, all taken by one deposit path."""
+    occ = pathsim._BallOccupation(params, grid)
+    getattr(occ, path)(*(np.atleast_1d(np.asarray(a, float)) for a in (centre, radius, weight)))
+    return occ.masses()
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
+@pytest.mark.parametrize("domain", [Interval(-1.0, 1.0), UNION], ids=["interval", "union"])
+def test_ball_jumps_stay_within_their_rounding_bound(alpha, domain):
+    # each ball's jumps against its segments, both forced, at radii
+    # geometric from 1e-4 up to the boundary distance: the gap is at most
+    # the ball's own bound times w (the largest ratio here is 0.10), alone
+    # and summed over all the balls in one block, so every ball the bound
+    # admits is within _JUMP_TOL of its mass; it admits some from alpha = 1 on
+    p, grid = StableParams(1, alpha), build_grid(domain, 400)
+    rng = np.random.default_rng(9)
+    centre = rng.uniform(-0.95, 0.95, 30)
+    centre = centre[domain.contains(centre)]
+    radius = np.geomspace(1e-4, domain.boundary_distance(centre), 15, axis=1).ravel()
+    centre = np.repeat(centre, 15)
+    weight = rng.uniform(0.5, 2.0, centre.size)
+    bound = pathsim._BallOccupation(p, grid).bound(radius)
+    gap = np.array([np.abs(_forced(p, grid, "_jumps", *ball) - _forced(p, grid, "_segments", *ball)
+                           ).max() for ball in zip(centre, radius, weight)])
+    assert np.all(gap <= bound * weight)
+    admitted = bound <= pathsim._JUMP_TOL
+    assert admitted.any() == (alpha >= 1.0)
+    assert np.all(gap[admitted] <= pathsim._JUMP_TOL * weight[admitted])
+    block = _forced(p, grid, "_jumps", centre, radius, weight) - _forced(
+        p, grid, "_segments", centre, radius, weight)
+    assert np.abs(block).max() <= (bound * weight).sum()
 
 
 def test_ball_deposit_adds_blocks_of_balls():

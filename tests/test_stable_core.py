@@ -256,6 +256,19 @@ def test_ball_occupation_cdf_oracle(alpha):
                                   rel=1e-12)
 
 
+@pytest.mark.parametrize("gap", [1e-14, 1e-12, 1e-10, 5e-8])
+@pytest.mark.parametrize("side", [-1.0, 1.0])
+def test_ball_occupation_cdf_near_alpha_one(gap, side):
+    # the series' pole at alpha = 1 cancels to about 1e-16 / |1 - alpha|, so
+    # within 3e-8 of it the closed form at alpha = 1 is used, and at 5e-8
+    # the series is off it by its own change with alpha (0.08 |1 - alpha|)
+    # and its round-off: the CDF rises and stays within 1e-8 of that form
+    u = np.linspace(-1.0, 1.0, 20001)
+    cdf = ball_occupation_cdf(StableParams(1, 1.0 + side * gap), u)
+    assert np.all(np.diff(cdf) > 0)
+    assert np.abs(cdf - ball_occupation_cdf(StableParams(1, 1.0), u)).max() <= 1e-8
+
+
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
 def test_ball_occupation_cdf_matches_green_oracle(alpha):
     # the numpy-only CDF is 1/2 + Gamma(1 + alpha) (H(u) - H(0)) of the
