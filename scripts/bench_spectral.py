@@ -19,8 +19,12 @@ h = 1 under that generator at lambda = 1 and t = 0.1, 1, 10 (its assembly
 included, h built outside the timing), ``build_excessive`` at lambda = 1,
 and two forms of the series check's reference exp(tA) of the full generator
 at each t of REFERENCE_TIMES: ``expm_per_t``, one ``scipy.linalg.expm`` per t,
-and ``reference``, the CLI's form (one ``cli_report._expm(A, t)`` at the
-smallest t, the others by ``cli_report._exponential``'s powers).
+and ``reference``, the CLI's form: the series stage's helper
+``cli_report._Reference`` (one ``_expm`` at the smallest t, on A or on its two
+parity blocks when A commutes with the mirror, and powers), or on a checkout
+without that helper one ``cli_report._expm(A, t)`` at the smallest t and
+``cli_report._exponential``'s powers. ``reference_path`` records, per n, the
+helper's path (``mirror`` or ``full``), or ``full`` without the helper.
 The full generator of the last three is built outside the timing. After the
 timed runs it takes two tracemalloc peaks per n, in MB of 2**20 bytes, from
 one traced run each: ``series_peak_mb``, of
@@ -72,9 +76,14 @@ def child(root):
                                              kappa_generator_nullvector)
 
     def reference(A):
-        t1 = min(REFERENCE_TIMES)
-        E1 = cli_report._expm(A, t1)
-        return [cli_report._exponential(A, t, t1, E1) for t in REFERENCE_TIMES]
+        """exp(tA) at each of REFERENCE_TIMES as the CLI forms it, and its path."""
+        if not hasattr(cli_report, "_Reference"):
+            t1 = min(REFERENCE_TIMES)
+            E1 = cli_report._expm(A, t1)
+            return [cli_report._exponential(A, t, t1, E1) for t in REFERENCE_TIMES], "full"
+        helper = cli_report._Reference(A, REFERENCE_TIMES)
+        return ([helper.at(t) for t in REFERENCE_TIMES],
+                "mirror" if helper.mirror else "full")
 
     def traced_peak_mb(fn):
         tracemalloc.start()
@@ -97,7 +106,7 @@ def child(root):
     params = StableParams(1, 1.0)
     domain = Interval(-1.0, 1.0)
     mu = ProjectionKernel(domain, 0.2, 0.1)
-    times, peaks, stage_peaks = {}, {}, {}
+    times, peaks, stage_peaks, paths = {}, {}, {}, {}
     for n in CELLS:
         grid = build_grid(domain, n)
         M = perturbation_matrix(grid, params, mu)
@@ -128,13 +137,16 @@ def child(root):
                 runs[layer].append(time.perf_counter() - start)
                 if layer in ("assemble", "green", "chain_kernel"):
                     ops[layer] = out
+                if layer == "reference":
+                    paths[str(n)] = out[1]
                 del out
         times[str(n)] = {layer: statistics.median(v) for layer, v in runs.items()}
         peaks[str(n)] = traced_peak_mb(lambda: duhamel_series(ops["assemble"], M, 0.1).total)
         with tempfile.TemporaryDirectory() as out_dir:
             stage_peaks[str(n)] = traced_peak_mb(lambda: stage_run(n, out_dir))
     print(json.dumps({"times_s": times, "series_peak_mb": peaks,
-                      "stage_peak_mb": stage_peaks, "numpy": np.__version__,
+                      "stage_peak_mb": stage_peaks, "reference_path": paths,
+                      "numpy": np.__version__,
                       "scipy": scipy.__version__,
                       "blas": np.__config__.CONFIG["Build Dependencies"]["blas"]["name"]}))
 
@@ -160,7 +172,8 @@ def main():
         sides[label] = json.loads(out.stdout.strip().splitlines()[-1])
         print(label, json.dumps(sides[label]["times_s"]),
               json.dumps(sides[label]["series_peak_mb"]),
-              json.dumps(sides[label]["stage_peak_mb"]), flush=True)
+              json.dumps(sides[label]["stage_peak_mb"]),
+              json.dumps(sides[label]["reference_path"]), flush=True)
     record = {
         "setup": "interval(-1, 1), alpha 1, projection(0.2, 0.1), t = 0.1; "
                  "expm_per_t, reference and stage_peak_mb at t = %s"

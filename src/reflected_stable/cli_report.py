@@ -229,21 +229,26 @@ def _expm(A, t):
     return E
 
 
+def _split(t, t1):
+    """(k, rho) with t = k t1 + rho: k = round(t / t1) and rho = 0 when k t1
+    lies within a few ulps of t, else k = floor(t / t1)."""
+    k = round(t / t1)
+    if abs(t - k * t1) <= 4 * math.ulp(t):
+        return k, 0.0
+    k = math.floor(t / t1)
+    return k, t - k * t1
+
+
 def _exponential(A, t, t1, E1):
     """exp(tA) from E1 = exp(t1 A), for 0 < t1 <= t.
 
-    Write t = k t1 + rho, with k = round(t / t1) and rho = 0 when k t1 lies
-    within a few ulps of t, else k = floor(t / t1). The result is E1^k by
-    binary powering (the squaring phase of scaling and squaring; Higham,
-    SIAM J. Matrix Anal. Appl. 26, 2005), times ``_expm(A, rho)`` only when
-    rho is not 0. Powering carries the error of storing E1 to about k eps.
-    It is E1 itself when k = 1 and rho = 0, else a new array: E1 is never
-    written.
+    With (k, rho) = ``_split(t, t1)``, the result is E1^k by binary powering
+    (the squaring phase of scaling and squaring; Higham, SIAM J. Matrix
+    Anal. Appl. 26, 2005), times ``_expm(A, rho)`` only when rho is not 0.
+    Powering carries the error of storing E1 to about k eps. It is E1 itself
+    when k = 1 and rho = 0, else a new array: E1 is never written.
     """
-    k, rho = round(t / t1), 0.0
-    if abs(t - k * t1) > 4 * math.ulp(t):
-        k = math.floor(t / t1)
-        rho = t - k * t1
+    k, rho = _split(t, t1)
     E, power = None, E1
     while True:
         if k & 1:
@@ -255,22 +260,145 @@ def _exponential(A, t, t1, E1):
     return E @ _expm(A, rho) if rho else E
 
 
+def _parity_blocks(A):
+    """The even and odd blocks of (A + JAJ)/2, J the flip of the node order.
+
+    B = (A + JAJ)/2 commutes with J, so it is block diagonal in the
+    orthonormal basis of the even vectors (e_j + e_{n-1-j})/sqrt(2), j < n//2,
+    then e_m for the centre node m = n//2 of odd n, and the odd vectors
+    (e_j - e_{n-1-j})/sqrt(2) (Cantoni and Butler, Linear Algebra Appl. 13,
+    1976). The even block, of order n - n//2, holds B[i, j] + B[i, n-1-j]; the
+    odd block, of order n//2, B[i, j] - B[i, n-1-j]; the centre node's row
+    and column enter the even block scaled by sqrt(2), its diagonal entry
+    B[m, m] unscaled.
+    """
+    n = A.shape[0]
+    k, h = n // 2, n - n // 2
+    top = np.add(A[:h], A[::-1, ::-1][:h])
+    top *= 0.5   # rows i < h of B
+    near, far = top[:, :k], top[:, :h - 1:-1]   # columns j and n-1-j, j < k
+    even = np.empty((h, h))
+    np.add(near, far, out=even[:, :k])
+    odd = np.subtract(near[:k], far[:k])
+    if h > k:
+        even[k, :k] /= math.sqrt(2.0)
+        even[:k, k] = top[:k, k] * math.sqrt(2.0)
+        even[k, k] = top[k, k]
+    return even, odd
+
+
+def _from_parity_blocks(even, odd):
+    """The node-basis matrix with parity blocks ``even`` and ``odd`` (the
+    inverse of ``_parity_blocks``' change of basis), as a new array."""
+    k, h = len(odd), len(even)
+    n = h + k
+    E = np.empty((n, n))
+    F, left, right = even[:k, :k], E[:k, :k], E[:k, :h - 1:-1]
+    np.add(F, odd, out=left)
+    left *= 0.5
+    np.subtract(F, odd, out=right)
+    right *= 0.5
+    if h > k:
+        E[:k, k] = even[:k, k] / math.sqrt(2.0)
+        E[k, :k] = even[k, :k] / math.sqrt(2.0)
+        E[k, k] = even[k, k]
+        E[k, h:] = E[k, :k][::-1]
+    E[h:] = E[:k][::-1, ::-1]   # E commutes with J
+    return E
+
+
+# A is mirror-symmetric, A = JAJ with J the flip of the node order, when D and
+# the return kernel are unchanged by the mirror x -> a + b - x, as the jump
+# kernel depends on |x - y| only. The assembled entries still differ from
+# JAJ's by round-off that grows with n: a diagonal entry is minus its row's
+# sum, which the mirrored row takes in the other order. So A counts as
+# symmetric when ||A - JAJ||_inf <= _MIRROR_TOL n eps ||A||_inf. Symmetric
+# intervals read 0.17 to 1.7 on that scale (60 to 1600 cells, alpha 0.5 to
+# 1.9) and six symmetric pieces at 60 cells up to 3.1 (they then keep the full
+# path, which is only slower); a uniform law moved off centre by 2e-12 reads
+# 2.8 to 12, and an asymmetric D or law 1e12 or more.
+_MIRROR_TOL = 2.0
+
+
+class _Reference:
+    """exp(tA) at each t of ``t_list`` for the series check: one ``_expm`` at
+    the smallest t, t1, and binary powers, from neither L's spectrum nor the
+    Talbot contour that the series is built on.
+
+    Each t is powered from the largest E(t') formed at t1 or an earlier t'
+    of the list whose ratio t / t' is an integer under ``_split``'s rule,
+    else from E(t1) times the remainder's ``_expm`` (``_exponential``). An
+    E(t') is kept only while a later t powers from it, and E(t1) also while
+    such a t' is not yet formed (its series may fail).
+
+    When ||A - JAJ||_inf is within the round-off scale (``mirror``, see
+    ``_MIRROR_TOL``), the expm and the powers are taken on the two parity
+    blocks of (A + JAJ)/2 (``_parity_blocks``), a quarter of the flops, and
+    ``at`` assembles E in the node basis. As A and (A + JAJ)/2 both generate
+    substochastic semigroups, this moves E(t) by at most
+    t ||A - JAJ||_inf / 2 <= n eps ||tA||_inf. ``wall_s`` is the time spent
+    here, constructor and ``at`` calls together.
+    """
+
+    def __init__(self, A, t_list):
+        start = time.perf_counter()
+        n = A.shape[0]
+        h = n - n // 2
+        # row n-1-i of A - JAJ is row i reversed and negated
+        diff = np.subtract(A[:h], A[::-1, ::-1][:h])
+        self.asymmetry = float(np.abs(diff, out=diff).sum(axis=1).max())
+        del diff
+        self.threshold = _MIRROR_TOL * n * np.finfo(float).eps * float(np.linalg.norm(A, np.inf))
+        self.mirror = self.asymmetry <= self.threshold
+        self._blocks = _parity_blocks(A) if self.mirror else (A,)
+        self._t_list = list(t_list)
+        self.t1 = t1 = min(t_list)
+        # the E(t') that each t powers from
+        self._plan = [max((s for s in [t1, *t_list[:i]] if s <= t and _split(t, s)[1] == 0),
+                          default=t1) for i, t in enumerate(t_list)]
+        self._formed = {t1: [_expm(B, t1) for B in self._blocks]}
+        self.wall_s = time.perf_counter() - start
+
+    def at(self, t):
+        """exp(tA) in the node basis, as an array the caller may overwrite."""
+        start = time.perf_counter()
+        i = self._t_list.index(t)
+        base = self._plan[i] if self._plan[i] in self._formed else self.t1
+        blocks = [_exponential(B, t, base, E) for B, E in zip(self._blocks, self._formed[base])]
+        later = self._plan[i + 1:]
+        if t in later:
+            self._formed[t] = blocks
+        for s in list(self._formed):
+            if s not in later and (s != self.t1 or set(later) <= set(self._formed)):
+                del self._formed[s]
+        E = _from_parity_blocks(*blocks) if self.mirror else blocks[0]
+        if any(E is F for kept in self._formed.values() for F in kept):
+            E = E.copy()
+        self.wall_s += time.perf_counter() - start
+        return E
+
+    def diagnostics(self):
+        return {"path": "mirror" if self.mirror else "full", "mirror_asymmetry": self.asymmetry,
+                "mirror_threshold": self.threshold, "wall_s": self.wall_s}
+
+
 # Three checks per t: the reflected kernel's row sums (conservation), its
 # entrywise gap to exp(tA) of the full generator A, and a fitted level-mass
 # decay rate below 1 (with fewer than two positive level masses past level 0
 # there is no rate to fit, and the check passes with value null). The
-# reference exp(tA) takes one ``expm`` at the smallest t and reaches every
-# other t by ``_exponential``'s powers, so it uses neither L's spectrum nor
-# the Talbot contour that the series is built on. That expm runs before the
-# first series, and each t's series, sum and gap are dropped before the next
-# t's series is built, so no series array is alive at the expm and at most
-# one t's arrays are alive at a time.
+# reference exp(tA) is ``_Reference``'s: one ``_expm`` at the smallest t, on
+# A or on its two half-size parity blocks when A commutes with the mirror,
+# and powers for every other t. That expm runs before the first series, and
+# each t's series, sum and gap are dropped before the next t's series is
+# built, so no series array is alive at the expm and at most one t's arrays
+# (with the kept powers) are alive at a time. The manifest records the
+# reference's path, mirror asymmetry and time; series_diagnostics.json holds
+# nothing that depends on the clock.
 def _series(run):
     """perturbation series at each t: conservation, exponential match, level decay"""
     diagnostics = []
     L, M, t_list = run.L, run.M, run.config.t_list
-    t1 = min(t_list)
-    E1 = _expm(run.A.entries, t1)
+    reference = _Reference(run.A.entries, t_list)
     for t in t_list:
         try:
             ser = duhamel_series(L, M, t)
@@ -281,9 +409,7 @@ def _series(run):
         K = ser.total
         dev = _conservation_defect(K.sum(axis=1))
         run.check("conservation-t%g" % t, dev <= _CONSERVATION_TOL, dev, _CONSERVATION_TOL)
-        E = _exponential(run.A.entries, t, t1, E1)
-        if E is E1 and t != t_list[-1]:
-            E = E1.copy()   # later t's power E1, and the gap below is taken in E
+        E = reference.at(t)
         E -= K
         gap = float(np.abs(E, out=E).max())
         run.check("series-vs-exponential-t%g" % t, gap <= 1e-3, gap, 1e-3)
@@ -297,7 +423,7 @@ def _series(run):
                           [run.grid.nodes, run.grid.widths])
         del ser, K, E
     run.write_json("series_diagnostics.json", {"series": diagnostics})
-    return diagnostics
+    return {"series": diagnostics, "reference": reference.diagnostics()}
 
 
 def _excessive(run):

@@ -230,17 +230,23 @@ class Grid:
         left. Component c's cells share one width h_c, so the index is
         ``floor((x - a_c) / h_c)`` plus c's first cell, capped at c's last
         cell and corrected by at most one cell against the cell edges: O(1)
-        per point after a search over the component ends.
+        per point after one comparison per component start.
         """
         x = np.asarray(x, dtype=float)
         left, origin, scale, _, last, next_start = self._index
-        c = 0 if len(left) == 1 else np.maximum(np.searchsorted(left, x, "right") - 1, 0)
-        guess = np.subtract(x, origin[c], out=np.empty(x.shape))
+        c = 0
+        if len(left) > 1:
+            # count down from the last component, one step per start above x:
+            # nan compares false and stays in the last component
+            c = np.full(x.shape, len(left) - 1, dtype=np.intp)
+            for start in left[1:]:
+                c -= x < start
+        guess = np.subtract(x, origin.take(c), out=np.empty(x.shape))
         with np.errstate(over="ignore"):
-            guess *= scale[c]
+            guess *= scale.take(c)
         # fmin sends nan to the last cell, as the binary search does; the
         # clamped guess is >= 0, so the integer cast is its floor
-        np.fmin(guess, last[c], out=guess)
+        np.fmin(guess, last.take(c), out=guess)
         np.maximum(guess, 0, out=guess)
         idx = guess.astype(np.intp)
         idx -= self.cells[:, 0].take(idx) > x

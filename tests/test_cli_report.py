@@ -122,8 +122,16 @@ def test_run_semigroup_check(tmp_path):
     # the series stage records in the manifest the diagnostics it writes
     written = json.loads((tmp_path / "manifest.json").read_text())
     stage, = [s for s in written["stages"] if s["name"] == cli_report._series.__doc__]
-    series = json.loads((tmp_path / "series_diagnostics.json").read_text())["series"]
-    assert stage["diagnostics"] == series and len(series) == 1
+    diagnostics = json.loads((tmp_path / "series_diagnostics.json").read_text())
+    assert set(diagnostics) == {"series"}
+    series = diagnostics["series"]
+    assert stage["diagnostics"]["series"] == series and len(series) == 1
+    # and, in the manifest only, the reference's path, mirror asymmetry and time:
+    # (-1, 1) with uniform(-0.5, 0.5) is unchanged by the mirror
+    reference = stage["diagnostics"]["reference"]
+    assert reference["path"] == "mirror"
+    assert 0 <= reference["mirror_asymmetry"] <= reference["mirror_threshold"]
+    assert 0 < reference["wall_s"] < stage["wall_s"]
 
 
 def test_run_stationary_kind(tmp_path):
@@ -301,10 +309,9 @@ def test_unrunnable_domain_or_law_exits_2(domain, mu, field, tmp_path, capsys):
 
 
 def _stage_references(A, t_list):
-    """exp(tA) at each t as the series stage forms it: _expm at the smallest t, powered."""
-    t1 = min(t_list)
-    E1 = cli_report._expm(A, t1)
-    return [cli_report._exponential(A, t, t1, E1) for t in t_list]
+    """exp(tA) at each t as the series stage forms it, by the stage's helper."""
+    reference = cli_report._Reference(A, t_list)
+    return [reference.at(t) for t in t_list]
 
 
 @pytest.mark.parametrize("family", sorted(INTERVAL_MUS))
@@ -321,6 +328,78 @@ def test_series_reference_matches_per_t_expm(alpha, domain, family, tmp_path):
         assert np.abs(E - scipy.linalg.expm(t * A)).max() < 1e-13, t
 
 
+# at an odd cell count the centre node enters the even parity block, and an
+# atom at the centre is mirror-symmetric (at 400 cells it lies on a cell edge)
+MIRROR_401_MUS = dict(INTERVAL_MUS, dirac0={"family": "dirac", "point": 0.0})
+
+
+@pytest.mark.parametrize("family", sorted(MIRROR_401_MUS))
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
+def test_series_reference_matches_per_t_expm_at_401_cells(alpha, family, tmp_path):
+    cfg = parse_config(dict(default_config(), params={"d": 1, "alpha": alpha}, n_cells=401,
+                            mu=MIRROR_401_MUS[family], out_dir=str(tmp_path)))
+    A = _Run(cfg).A.entries
+    assert cli_report._Reference(A, cfg.t_list).mirror == (family != "dirac")
+    for t, E in zip(cfg.t_list, _stage_references(A, cfg.t_list)):
+        assert np.abs(E - scipy.linalg.expm(t * A)).max() < 1e-13, t
+
+
+@pytest.mark.parametrize("n_cells", [400, 401])
+def test_series_reference_takes_the_mirror_path_only_on_symmetric_configs(n_cells, tmp_path):
+    def reference(mu, domain=INTERVAL):
+        cfg = parse_config(dict(default_config(), domain=domain, mu=mu, n_cells=n_cells,
+                                out_dir=str(tmp_path)))
+        A = _Run(cfg).A.entries
+        return A, cli_report._Reference(A, [0.7])
+
+    for family in ("constant-uniform", "projection"):
+        _, ref = reference(INTERVAL_MUS[family])
+        assert ref.mirror and ref.asymmetry <= ref.threshold, family
+    # an atom off centre and the union are asymmetric by far more than round-off
+    for mu, domain in ((INTERVAL_MUS["dirac"], INTERVAL), (SWEEP["grid1d"][1]["projection"], UNION)):
+        A, ref = reference(mu, domain)
+        assert not ref.mirror and ref.asymmetry > 1e10 * ref.threshold
+        # the full path: a single t is one _expm of A, exactly
+        E, = _stage_references(A, [0.7])
+        assert np.array_equal(E, cli_report._expm(A, 0.7))
+    # a uniform law moved off centre by 2e-12 reads 2.85 to 12 times n eps ||A||_inf
+    _, ref = reference({"family": "constant-uniform", "a": -0.5, "b": 0.5 + 2e-12})
+    assert not ref.mirror and ref.asymmetry > ref.threshold
+
+
+def test_series_reference_powers_from_the_largest_integer_ratio():
+    # each t powers from the largest E(t') already formed whose ratio t / t' is an
+    # integer, else from E(t1) with a remainder; a power is kept only while a later
+    # t powers from it, and E(t1) while such a t' is still to be formed
+    rng = np.random.default_rng(3)
+    A = rng.random((7, 7))
+    A -= np.diag(A.sum(axis=1) + 0.5)
+    cases = [([0.1, 0.5, 2.0], [0.1, 0.1, 0.5], [{0.1}, {0.5}, set()]),
+             ([0.1, 2.0, 0.5], [0.1, 0.1, 0.1], [{0.1}, {0.1}, set()]),
+             ([0.5, 2.0, 0.3], [0.3, 0.5, 0.3], [{0.3, 0.5}, {0.3}, set()]),
+             ([0.3, 0.7, 1.4], [0.3, 0.3, 0.7], [{0.3}, {0.7}, set()]),
+             # 0.6 = 3 * 0.2: E(0.5) is larger, but 0.6 / 0.5 is no integer
+             ([0.2, 0.5, 0.6], [0.2, 0.2, 0.2], [{0.2}, {0.2}, set()])]
+    for t_list, plan, kept in cases:
+        reference = cli_report._Reference(A, t_list)
+        assert not reference.mirror and reference._plan == plan, t_list
+        for t, kept_after in zip(t_list, kept):
+            E = reference.at(t)
+            assert set(reference._formed) == kept_after, (t_list, t)
+            assert np.abs(E - scipy.linalg.expm(t * A)).max() < 1e-13, (t_list, t)
+            E[:] = np.nan   # the caller owns E: later t's read no array it wrote
+    # a failed series leaves its t unformed: E(t1) stays while a later t's
+    # E(t') is still to be formed, and that t powers from it instead
+    reference = cli_report._Reference(A, [0.1, 0.2, 0.4, 0.8])
+    assert reference._plan == [0.1, 0.1, 0.2, 0.4]
+    reference.at(0.1)
+    reference.at(0.2)
+    assert set(reference._formed) == {0.1, 0.2}
+    E = reference.at(0.8)   # no series at 0.4
+    assert set(reference._formed) == set()
+    assert np.abs(E - scipy.linalg.expm(0.8 * A)).max() < 1e-13
+
+
 @pytest.mark.parametrize("t_list, tol", [
     ([0.3, 0.7], 1e-13),     # 0.7 = 2 * 0.3 + 0.1: the remainder factor
     ([2.0, 0.1], 1e-13),     # unsorted: E(0.1) is reused after E(2) = E(0.1)^20
@@ -334,38 +413,50 @@ def test_series_reference_remainder_order_and_long_powers(alpha, t_list, tol, tm
     A = _Run(cfg).A.entries
     for t, E in zip(t_list, _stage_references(A, t_list)):
         assert np.abs(E - scipy.linalg.expm(t * A)).max() < tol, t
-    # a single t is one _expm, exactly
+    # the default config is mirror-symmetric: a single t is one _expm per
+    # parity block, exactly
+    assert cli_report._Reference(A, [0.7]).mirror
     E, = _stage_references(A, [0.7])
-    assert np.array_equal(E, cli_report._expm(A, 0.7))
+    blocks = [cli_report._expm(B, 0.7) for B in cli_report._parity_blocks(A)]
+    assert np.array_equal(E, cli_report._from_parity_blocks(*blocks))
+
+
+# (dirac(0.3) is not mirror-symmetric: one block, A; uniform(-0.5, 0.5) is: two)
+SERIES_STAGE_MUS = ((INTERVAL_MUS["dirac"], 1), (INTERVAL_MUS["constant-uniform"], 2))
 
 
 @pytest.mark.parametrize("t_list, expm_calls", [
     ([0.1, 0.5, 2.0], 1), ([2.0, 0.1], 1), ([0.3, 0.7], 2), ([0.5], 1)])
 def test_series_stage_gaps_from_one_expm(t_list, expm_calls, tmp_path, monkeypatch):
-    # the stage calls _expm once at the smallest t (and once per remainder), leaves
-    # E(t1) intact for later t's, and reports the gaps that per-t _expm gives
-    cfg = parse_config(small_config(kind="semigroup-check", t_list=t_list,
-                                    out_dir=str(tmp_path / "o")))
+    # the stage calls _expm once at the smallest t (and once per remainder) on each
+    # block it powers, leaves the kept powers intact for later t's, and reports
+    # the gaps that per-t _expm gives: exactly so for a single t on the full
+    # path, and exactly the helper's on the mirror path
     expm, calls = cli_report._expm, []
-    monkeypatch.setattr(cli_report, "_expm", lambda A, t: calls.append(t) or expm(A, t))
-    code, manifest = run(cfg)
-    assert code == 0 and len(calls) == expm_calls
-    gaps = {c["name"]: c["value"] for c in manifest["checks"]}
-    runner = _Run(cfg)
-    for t in t_list:
-        K = duhamel_series(runner.L, runner.M, t).total
-        gap = np.abs(expm(runner.A.entries, t) - K).max()
-        stage_gap = gaps["series-vs-exponential-t%g" % t]
-        if len(t_list) == 1:
-            assert stage_gap == gap
-        assert abs(stage_gap - gap) < 1e-13, t
+    monkeypatch.setattr(cli_report, "_expm", lambda A, t: calls.append(len(A)) or expm(A, t))
+    for mu, blocks in SERIES_STAGE_MUS:
+        cfg = parse_config(small_config(kind="semigroup-check", t_list=t_list, mu=mu,
+                                        out_dir=str(tmp_path / mu["family"])))
+        del calls[:]
+        code, manifest = run(cfg)
+        assert code == 0 and calls == [cfg.n_cells // blocks] * (blocks * expm_calls), mu
+        gaps = {c["name"]: c["value"] for c in manifest["checks"]}
+        runner = _Run(cfg)
+        A = runner.A.entries
+        for t, E in zip(t_list, _stage_references(A, t_list)):
+            K = duhamel_series(runner.L, runner.M, t).total
+            gap = np.abs(expm(A, t) - K).max()
+            stage_gap = gaps["series-vs-exponential-t%g" % t]
+            if blocks == 2:
+                assert stage_gap == np.abs(E - K).max()
+            elif len(t_list) == 1:
+                assert stage_gap == gap
+            assert abs(stage_gap - gap) < 1e-13, t
 
 
 def test_series_stage_takes_the_reference_before_any_series(tmp_path, monkeypatch):
-    # E(t1) is taken once, before the first series, so that no series array is
-    # alive at the expm; a run whose every series fails still pays that one expm
-    cfg = parse_config(small_config(kind="semigroup-check", t_list=[0.5, 0.1],
-                                    out_dir=str(tmp_path / "o")))
+    # E(t1) is taken once per block, before the first series, so that no series
+    # array is alive at the expm; a run whose every series fails still pays it
     events, expm = [], cli_report._expm
 
     def failing_series(L, M, t):
@@ -374,11 +465,15 @@ def test_series_stage_takes_the_reference_before_any_series(tmp_path, monkeypatc
 
     monkeypatch.setattr(cli_report, "_expm", lambda A, t: events.append(("expm", t)) or expm(A, t))
     monkeypatch.setattr(cli_report, "duhamel_series", failing_series)
-    code, manifest = run(cfg)
-    assert code == 1
-    assert events == [("expm", 0.1), ("series", 0.5), ("series", 0.1)]
-    failed = {c["name"] for c in manifest["checks"] if not c["passed"]}
-    assert {"series-t0.5", "series-t0.1"} <= failed
+    for mu, blocks in SERIES_STAGE_MUS:
+        cfg = parse_config(small_config(kind="semigroup-check", t_list=[0.5, 0.1], mu=mu,
+                                        out_dir=str(tmp_path / mu["family"])))
+        del events[:]
+        code, manifest = run(cfg)
+        assert code == 1
+        assert events == [("expm", 0.1)] * blocks + [("series", 0.5), ("series", 0.1)]
+        failed = {c["name"] for c in manifest["checks"] if not c["passed"]}
+        assert {"series-t0.5", "series-t0.1"} <= failed
 
 
 def test_expm_of_zero_and_of_scalars():
@@ -404,15 +499,20 @@ def _traced_peak(fn, *args):
 
 def test_series_stage_working_set(tmp_path):
     # a whole 400-cell semigroup-check run holds at most about nine n x n arrays
-    # at once: L, its eigenvectors, A and _expm's six buffers, with no series
-    # array alive at the expm and one t's series, sum and gap at a time after it
-    cfg = parse_config(dict(default_config(), kind="semigroup-check", t_list=[0.1, 0.5, 2.0],
-                            mu=INTERVAL_MUS["projection"], out_dir=str(tmp_path / "o")))
-    n = cfg.n_cells
-    assert n == 400
-    (code, _), peak = _traced_peak(run, cfg)
-    assert code == 0
-    assert peak <= 9.5 * n * n * 8, peak / (n * n * 8)
+    # at once: on the full path L, its eigenvectors, A and _expm's six buffers,
+    # with no series array alive at the expm and one t's series, sum and gap
+    # (with the power kept for a later t) at a time after it; the mirror path's
+    # expm holds six buffers of a quarter of that, and its peak is lower
+    for mu, path in ((INTERVAL_MUS["projection"], "mirror"), (INTERVAL_MUS["dirac"], "full")):
+        cfg = parse_config(dict(default_config(), kind="semigroup-check", t_list=[0.1, 0.5, 2.0],
+                                mu=mu, out_dir=str(tmp_path / mu["family"])))
+        n = cfg.n_cells
+        assert n == 400
+        (code, manifest), peak = _traced_peak(run, cfg)
+        assert code == 0
+        stage, = [s for s in manifest["stages"] if s["name"] == cli_report._series.__doc__]
+        assert stage["diagnostics"]["reference"]["path"] == path
+        assert peak <= 9.5 * n * n * 8, (mu, peak / (n * n * 8))
     # _expm itself allocates at most six n x n arrays beyond its input. tracemalloc
     # sees numpy's buffers only: the work copies that LAPACK makes inside
     # np.linalg.solve are not traced, so the solve phase is checked by the max RSS

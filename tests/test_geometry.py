@@ -231,11 +231,19 @@ def test_cell_index_matches_binary_search(n):
         x2 = np.stack([x, x[::-1]])
         assert np.array_equal(g.cell_index(x2), _reference_cell_index(g, x2))
         assert g.cell_index(np.float64(edges[n // 2])) == _reference_cell_index(g, edges[n // 2])
-    U = IntervalUnion([[-1.0, -0.2], [0.1, 1.0]])
-    g = build_grid(U, max(n, 2))
-    x = np.concatenate([rng.uniform(-1.5, 1.5, 5000), g.cells.ravel(),
-                        np.nextafter(g.cells.ravel(), np.inf), [np.inf, -np.inf, np.nan]])
-    assert np.array_equal(g.cell_index(x), _reference_cell_index(g, x))
+    # on a union each point's component comes from comparisons with the
+    # component starts, and nan still lands in the last cell
+    for ivs in ([[-1.0, -0.2], [0.1, 1.0]], [[-1.0, 0.5], [0.6, 0.6000001]],
+                [[2.0 * k, 2.0 * k + 1.0] for k in range(6)]):
+        g = build_grid(IntervalUnion(ivs), max(n, len(ivs)))
+        lo, hi = ivs[0][0], ivs[-1][1]
+        x = np.concatenate([rng.uniform(lo - 0.5, hi + 0.5, 5000), g.cells.ravel(),
+                            np.nextafter(g.cells.ravel(), np.inf),
+                            np.nextafter(g.cells.ravel(), -np.inf), [np.inf, -np.inf, np.nan]])
+        assert np.array_equal(g.cell_index(x), _reference_cell_index(g, x)), ivs
+        x2 = np.stack([x, x[::-1]])
+        assert np.array_equal(g.cell_index(x2), _reference_cell_index(g, x2)), ivs
+        assert g.cell_index(np.float64(np.nan)) == g.n - 1
 
 
 @pytest.mark.parametrize("intervals", [
