@@ -21,10 +21,8 @@ and two forms of the series check's reference exp(tA) of the full generator
 at each t of REFERENCE_TIMES: ``expm_per_t``, one ``scipy.linalg.expm`` per t,
 and ``reference``, the CLI's form: the series stage's helper
 ``cli_report._Reference`` (one ``_expm`` at the smallest t, on A or on its two
-parity blocks when A commutes with the mirror, and powers), or on a checkout
-without that helper one ``cli_report._expm(A, t)`` at the smallest t and
-``cli_report._exponential``'s powers. ``reference_path`` records, per n, the
-helper's path (``mirror`` or ``full``), or ``full`` without the helper.
+parity blocks when A commutes with the mirror, and powers).
+``reference_path`` records, per n, the helper's path (``mirror`` or ``full``).
 The full generator of the last three is built outside the timing. After the
 timed runs it takes two tracemalloc peaks per n, in MB of 2**20 bytes, from
 one traced run each: ``series_peak_mb``, of
@@ -35,7 +33,7 @@ file holds the median of each time, the peaks, and the run record: core
 count, BLAS thread count and library versions.
 Sides run in the order given, one after the other. Each checkout must have
 the current API: ``ProjectionKernel``, ``DuhamelSeries.total``,
-``cli_report._expm(A, t)`` and the generator-only supermedian calls.
+``cli_report._Reference`` and the generator-only supermedian calls.
 """
 
 import argparse
@@ -77,10 +75,6 @@ def child(root):
 
     def reference(A):
         """exp(tA) at each of REFERENCE_TIMES as the CLI forms it, and its path."""
-        if not hasattr(cli_report, "_Reference"):
-            t1 = min(REFERENCE_TIMES)
-            E1 = cli_report._expm(A, t1)
-            return [cli_report._exponential(A, t, t1, E1) for t in REFERENCE_TIMES], "full"
         helper = cli_report._Reference(A, REFERENCE_TIMES)
         return ([helper.at(t) for t in REFERENCE_TIMES],
                 "mirror" if helper.mirror else "full")

@@ -564,7 +564,7 @@ def _ergodic_triangulation(run):
         reflections = occ.total_reflections.mean()
         diagnostics = {"chains": config.replicas, "reflections_per_chain": reflections,
                        "balls_per_reflection": occ.balls / occ.total_reflections.sum(),
-                       "occupation_draws": occ.draws, "burn_in": burn_in}
+                       "knot_points": occ.knot_points, "burn_in": burn_in}
         if reflections < _ERGODIC_REFLECTIONS:
             # too short a horizon: fail a check and triangulate the grid legs
             run.check("ergodic-reflections", False, reflections, _ERGODIC_REFLECTIONS)

@@ -137,18 +137,6 @@ class Ball:
         return "Ball(%s, %g)" % (self.center.tolist(), self.radius)
 
 
-class AnnularShell:
-    """Exterior shell of a ball: radii in [r_inner, r_outer] about the center."""
-
-    def __init__(self, center, r_inner, r_outer):
-        self.center = np.atleast_1d(np.asarray(center, dtype=float))
-        self.r_inner, self.r_outer = float(r_inner), float(r_outer)
-
-    def contains(self, x):
-        r = np.linalg.norm(np.atleast_2d(np.asarray(x, float)) - self.center, axis=-1)
-        return (r >= self.r_inner) & (r <= self.r_outer)
-
-
 def exterior_complement(domain):
     """The complement of a 1-D domain as a Region1D (boundary included)."""
     ivs = _intervals_of(domain)
@@ -160,15 +148,10 @@ def exterior_complement(domain):
 
 
 def exterior_shell(domain, r):
-    """Exterior collar of depth ``r``: points of the complement within
-    boundary distance ``r``.
-
-    Returns a Region1D for 1-D domains and an AnnularShell for balls.
-    """
+    """Exterior collar of depth ``r`` of a 1-D domain, as a Region1D: points of
+    the complement within boundary distance ``r``."""
     if r <= 0:
         raise ValueError("shell depth r must be positive")
-    if isinstance(domain, Ball):
-        return AnnularShell(domain.center, domain.radius, domain.radius + r)
     ivs = _intervals_of(domain)
     near = Region1D([(e - r, e + r) for e in ivs.ravel()])
     return exterior_complement(domain).intersect(near)

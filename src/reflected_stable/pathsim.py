@@ -359,14 +359,14 @@ class RenewalResult:
     ``occupancy`` holds the cell masses of the occupation after the burn-in
     (summing to 1, or zeros when nothing was counted), ``total_reflections``
     each chain's reflection count, ``balls`` the walk-on-spheres balls of
-    all chains and ``draws`` the deposit's work, no draws: the knot points
-    placed, 25 per ball whose occupation is added (see ``_BallOccupation``).
+    all chains and ``knot_points`` the deposit's work, no draws: the knot
+    points placed, 25 per ball whose occupation is added (see ``_BallOccupation``).
     """
 
     occupancy: np.ndarray
     total_reflections: np.ndarray
     balls: int
-    draws: int
+    knot_points: int
 
 
 def renewal_occupation(params, mu, start, horizon, burn_in, seed, n_chains, grid):
@@ -422,7 +422,7 @@ def renewal_occupation(params, mu, start, horizon, burn_in, seed, n_chains, grid
     masses = occupation.masses()
     total = masses.sum()
     return RenewalResult(occupancy=masses / total if total > 0 else masses,
-                         total_reflections=reflections, balls=balls, draws=occupation.work)
+                         total_reflections=reflections, balls=balls, knot_points=occupation.work)
 
 
 @dataclasses.dataclass

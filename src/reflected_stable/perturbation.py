@@ -457,6 +457,9 @@ def build_excessive(A, lam):
     those payoffs. The result is strictly positive, finite, lam-supermedian,
     and largest near the boundary. A shell depth is sought no lower than 1e-9
     times the domain's diameter; a level that needs a thinner shell raises.
+    Each depth is solved once: the floor's payoff serves every level, and a
+    level's accepted (depth, payoff) is its summand and the next level's
+    upper bracket.
     """
     grid = A.grid
     domain = grid.domain
@@ -464,41 +467,34 @@ def build_excessive(A, lam):
     dmax = delta.max()
     solve = _discounted_solver(A, lam)
 
-    def v_of(r):
-        return solve(exterior_shell(domain, r))
+    def solved(r):
+        """The pair (depth, payoff) of the shell of depth r."""
+        return r, solve(exterior_shell(domain, r))
 
     lo_b, hi_b = domain.bounding_box
     diam = hi_b - lo_b
-    radii = []
-    summands = []
-    thresholds = []
-    r_hi = diam
+    floor = solved(1e-9 * diam)
+    accepted = solved(diam)
+    radii, summands, thresholds = [], [], []
     for nlev in range(1, 7):
         thr = dmax * 2.0 ** (-nlev)
         on_set = delta >= thr
         target = 2.0 ** (-nlev)
-        lo, hi = 1e-9 * diam, r_hi
-
-        def worst(r):
-            return float(v_of(r)[on_set].max())
-
-        if worst(lo) > target:
+        lo, hi = floor, accepted
+        if lo[1][on_set].max() > target:
             raise SeriesError(
                 "shell radius not found above the resolution floor at level %d" % nlev)
-        if worst(hi) <= target:
-            r_n = hi
-        else:
-            while hi - lo > 1e-3 * hi:
-                mid = 0.5 * (lo + hi)
-                if worst(mid) <= target:
+        if hi[1][on_set].max() > target:
+            while hi[0] - lo[0] > 1e-3 * hi[0]:
+                mid = solved(0.5 * (lo[0] + hi[0]))
+                if mid[1][on_set].max() <= target:
                     lo = mid
                 else:
                     hi = mid
-            r_n = lo
-        radii.append(r_n)
+            accepted = lo
+        radii.append(accepted[0])
+        summands.append(accepted[1])
         thresholds.append(thr)
-        summands.append(v_of(r_n))
-        r_hi = r_n
     summands = np.array(summands)
     return ExcessiveFunction(
         values=summands.sum(axis=0),

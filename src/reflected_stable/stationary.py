@@ -188,44 +188,45 @@ def kappa_closed_form(p_or_m, green):
 
 def kappa_generator_nullvector(A):
     """Stationary density as the normalized left null vector of the full
-    generator, by inverse iteration with the shift 1e-10 max|diag A|, which
-    scales with A (to 1e-12 in total variation). Each step is one
-    ``np.linalg.solve`` with the shifted transpose, which factors it anew:
-    numpy keeps no LU factors, and the iteration takes about three steps.
+    generator, by two steps of inverse iteration with the shift
+    1e-10 max|diag A|, which scales with A. Each step is one
+    ``np.linalg.solve`` with the shifted transpose (numpy keeps no LU
+    factors); kappa is the second iterate.
 
     Raises StationaryError unless every off-diagonal entry of A is positive
     (A is irreducible, so by Perron-Frobenius its null space is
-    one-dimensional), the iteration's second step is at most 1e-3 times its
-    first (a clear spectral gap) and ||kappa A||_1 <= 1e-6. A is Metzler with
-    rows summing to 0 within a round-off d (below 2e-11 up to 1600 cells), so
-    TV(kappa exp(tA), kappa) <= (t/2) ||kappa A||_1 exp(t d): invariance to
-    1e-6 up to t = 2. Logs the step count and the three numbers at DEBUG,
+    one-dimensional), the second step is at most 1e-3 times the first (a
+    clear spectral gap; a first step below 1e-12 reads ratio inf) and
+    ||kappa A||_1 <= 1e-6. A is Metzler with rows summing to 0 within a
+    round-off d (below 2e-11 up to 1600 cells), so TV(kappa exp(tA), kappa)
+    <= (t/2) ||kappa A||_1 exp(t d): invariance to 1e-6 up to t = 2. With rho
+    the step ratio, the later steps shrink geometrically, so kappa lies
+    about step2 rho / (1 - rho) from the null vector in total variation
+    (``error_estimate``). Logs that estimate and the three numbers at DEBUG,
     and keeps them as the measure's diagnostics.
     """
     if A.kind != "full-generator":
         raise ValueError("expected the full generator")
     n = A.grid.n
-    At = A.entries.T
-    shift = 1e-10 * np.abs(np.diag(At)).max()
-    B = At.copy()
-    B.flat[::n + 1] += shift
+    B = A.entries.T.copy()
+    B.flat[::n + 1] += 1e-10 * np.abs(np.diag(B)).max()
     v = np.full(n, 1.0 / n)
     steps = []
-    for _ in range(200):
+    for _ in range(2):
         w = np.linalg.solve(B, v)
         w = w / np.abs(w).sum()
         steps.append(total_variation(np.abs(w), np.abs(v)))
         v = w
-        if steps[-1] < 1e-12:
-            break
+    first, second = steps
+    ratio = second / first if first >= 1e-12 else np.inf
+    estimate = second * ratio / (1.0 - ratio) if ratio < 1.0 else np.inf
     kappa = np.abs(v)
     kappa = kappa / kappa.sum()
     # the off-diagonal entries are the flat matrix less every (n + 1)-th entry
-    ratio = steps[1] / steps[0] if len(steps) > 1 else np.inf
     off_min = float(np.ravel(A.entries)[1:].reshape(n - 1, n + 1)[:, :-1].min(initial=np.inf))
     residual = float(np.abs(kappa @ A.entries).sum())
-    logger.debug("null vector: %d steps, step ratio %.3g, smallest off-diagonal %.3g, "
-                 "residual %.3g", len(steps), ratio, off_min, residual)
+    logger.debug("null vector: error estimate %.3g, step ratio %.3g, smallest off-diagonal "
+                 "%.3g, residual %.3g", estimate, ratio, off_min, residual)
     if not off_min > 0:
         raise StationaryError("generator not irreducible: off-diagonal entry %.3g" % off_min)
     if not ratio <= 1e-3:
@@ -233,7 +234,7 @@ def kappa_generator_nullvector(A):
     if not residual <= 1e-6:
         raise StationaryError("null vector residual ||kappa A||_1 = %.3g > 1e-6" % residual)
     return GridMeasure(grid=A.grid, masses=kappa, diagnostics={
-        "steps": len(steps), "step_ratio": ratio, "min_off_diagonal": off_min,
+        "error_estimate": estimate, "step_ratio": ratio, "min_off_diagonal": off_min,
         "residual": residual})
 
 

@@ -13,6 +13,8 @@ vector of a generator by a full SVD and matrix exponentials, and
 ``supermedian_violation_expm`` checks a supermedian inequality by dense
 matrix exponentials of the full generator, and ``discounted_solver_lu``
 solves with its discounted resolvent by a dense LU factorization.
+``excessive_bisection`` is the shell-sum bisection of ``build_excessive``
+as first written, re-solving every depth it reads.
 ``dobrushin_dense`` is the O(n^3) pairwise scan of a chain's two-step rows
 that the factored contraction coefficient is checked against, and
 ``stationary_power`` the power iteration that the chain law from its r x r
@@ -303,6 +305,48 @@ def discounted_solver_lu(A_entries, lam):
     factored once, by a dense LU factorization."""
     lu = lu_factor(lam * np.eye(A_entries.shape[0]) - A_entries)
     return lambda b: lu_solve(lu, b)
+
+
+def excessive_bisection(payoff, delta, diam):
+    """The shell-sum construction of ``build_excessive`` with every depth re-solved.
+
+    ``payoff(r)`` is the discounted payoff of the exterior shell of depth r,
+    ``delta`` the grid nodes' boundary distances and ``diam`` the domain's
+    diameter. Each of six levels re-solves the floor 1e-9 diam and its upper
+    bracket (diam, then the last level's depth), bisects, and solves its
+    accepted depth again for its summand. Returns (values, radii, thresholds,
+    depths), ``depths`` every depth solved, in order and with repeats.
+    """
+    depths = []
+
+    def solved(r):
+        depths.append(r)
+        return payoff(r)
+
+    radii, summands, thresholds = [], [], []
+    r_hi = diam
+    for nlev in range(1, 7):
+        thr = delta.max() * 2.0 ** (-nlev)
+        on_set = delta >= thr
+        target = 2.0 ** (-nlev)
+        lo, hi = 1e-9 * diam, r_hi
+        if solved(lo)[on_set].max() > target:
+            raise ValueError("no shell depth above the floor at level %d" % nlev)
+        if solved(hi)[on_set].max() <= target:
+            r_n = hi
+        else:
+            while hi - lo > 1e-3 * hi:
+                mid = 0.5 * (lo + hi)
+                if solved(mid)[on_set].max() <= target:
+                    lo = mid
+                else:
+                    hi = mid
+            r_n = lo
+        radii.append(r_n)
+        thresholds.append(thr)
+        summands.append(solved(r_n))
+        r_hi = r_n
+    return np.sum(summands, axis=0), np.array(radii), np.array(thresholds), depths
 
 
 def dobrushin_dense(op):

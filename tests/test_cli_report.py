@@ -153,8 +153,8 @@ def test_run_stationary_kind(tmp_path):
     assert diag["chain_law"]["r"] == 1 and diag["chain_law"]["lambda2"] < 1e-9
     assert diag["chain_law"]["fixed_point_tv"] <= 2e-12
     null = diag["null_vector"]
-    assert set(null) == {"steps", "step_ratio", "min_off_diagonal", "residual"}
-    assert 2 <= null["steps"] <= 200 and 0 <= null["step_ratio"] <= 1e-3
+    assert set(null) == {"error_estimate", "step_ratio", "min_off_diagonal", "residual"}
+    assert 0 <= null["error_estimate"] <= 1e-14 and 0 <= null["step_ratio"] <= 1e-3
     assert null["min_off_diagonal"] > 0 and 0 <= null["residual"] <= 1e-6
     assert all(set(s) == {"name", "wall_s"} for s in stages.values())
 
@@ -170,15 +170,15 @@ def test_full_triangulation_stage_diagnostics(tmp_path):
     law = stages[cli_report._densities.__doc__]["chain_law"]
     assert 0 < law["lambda2"] and law["lambda2"] ** 2 <= beta + 1e-9
     assert set(stages[cli_report._densities.__doc__]["null_vector"]) == {
-        "steps", "step_ratio", "min_off_diagonal", "residual"}
+        "error_estimate", "step_ratio", "min_off_diagonal", "residual"}
     ergodic = stages[cli_report._ergodic_triangulation.__doc__]
     assert ergodic["chains"] == 40 and ergodic["burn_in"] == 2.0
     assert ergodic["reflections_per_chain"] >= 50
     assert ergodic["balls_per_reflection"] >= 1
     # 25 knot points per ball, from the balls of the excursions after the burn-in
     balls = ergodic["chains"] * ergodic["reflections_per_chain"] * ergodic["balls_per_reflection"]
-    assert ergodic["occupation_draws"] % 25 == 0
-    assert 0 < ergodic["occupation_draws"] <= 25 * round(balls)
+    assert ergodic["knot_points"] % 25 == 0
+    assert 0 < ergodic["knot_points"] <= 25 * round(balls)
 
 
 def test_run_simulate_and_chain(tmp_path):

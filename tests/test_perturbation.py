@@ -470,6 +470,41 @@ def test_discounted_solve_matches_lu(alpha, case, monkeypatch):
             assert np.array_equal(build_excessive(A, lam).radii, radii)
 
 
+@pytest.mark.parametrize("lam", [0.1, 1.0])
+@pytest.mark.parametrize("case", ["interval-projection", "union-projection"])
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
+def test_build_excessive_solves_each_depth_once(alpha, case, lam, monkeypatch):
+    # one discounted solve per distinct shell depth of the bisection, and the
+    # same function as the bisection that re-solves every depth it reads
+    A = gate_generator(alpha, case, 400)
+    domain = A.grid.domain
+    lo, hi = domain.bounding_box
+    solver = perturbation._discounted_solver(A, lam)
+    ref_values, ref_radii, ref_thresholds, ref_depths = oracles.excessive_bisection(
+        lambda r: solver(exterior_shell(domain, r)),
+        domain.boundary_distance(A.grid.nodes), hi - lo)
+    depths, solves = [], []
+
+    def recorded_shell(domain, r):
+        depths.append(r)
+        return exterior_shell(domain, r)
+
+    def counted_solver(A, lam):
+        def solve(g):
+            solves.append(g)
+            return solver(g)
+        return solve
+
+    monkeypatch.setattr(perturbation, "exterior_shell", recorded_shell)
+    monkeypatch.setattr(perturbation, "_discounted_solver", counted_solver)
+    exc = build_excessive(A, lam)
+    assert len(solves) == len(depths) == len(set(depths))
+    assert set(depths) == set(ref_depths) and len(ref_depths) > len(depths)
+    assert np.array_equal(exc.values, ref_values)
+    assert np.array_equal(exc.radii, ref_radii)
+    assert np.array_equal(exc.thresholds, ref_thresholds)
+
+
 def test_discounted_solves_read_the_process_from_the_generator():
     # two processes on one grid: each solve integrates the payoff against the jump
     # kernel of the generator it is given, matching a dense solve with that

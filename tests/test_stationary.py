@@ -278,15 +278,32 @@ def small_full_generator(alpha, domain_name, law_index, n_cells=60):
 @pytest.mark.parametrize("domain_name", sorted(NULLVECTOR_DOMAINS))
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
 def test_kappa_nullvector_checks_agree_with_dense_reference(alpha, domain_name, law_index,
-                                                            caplog):
+                                                            caplog, monkeypatch):
     # the three checks pass, and so does the dense certificate they replace:
     # a clear singular-value gap and invariance under exp(tA) at t = 0.5, 2
     A = small_full_generator(alpha, domain_name, law_index)
     caplog.set_level(logging.DEBUG, logger="reflected_stable")
+    solve, solves = np.linalg.solve, []
+
+    def counted_solve(*args):
+        solves.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(np.linalg, "solve", counted_solve)
     kappa = kappa_generator_nullvector(A).masses
-    (steps, ratio, off_min, residual), = [
+    monkeypatch.undo()
+    (estimate, ratio, off_min, residual), = [
         r.args for r in caplog.records if r.name == "reflected_stable.stationary"]
-    assert steps >= 2 and ratio <= 1e-3 and off_min > 0 and residual <= 1e-6
+    assert ratio <= 1e-3 and off_min > 0 and residual <= 1e-6
+    # two inverse-iteration steps: an error estimate of at most 1e-14, and
+    # within 1e-14 in TV of eight steps of the same shifted iteration
+    assert len(solves) == 2 and estimate <= 1e-14
+    B = A.entries.T + 1e-10 * np.abs(np.diag(A.entries)).max() * np.eye(A.grid.n)
+    v = np.full(A.grid.n, 1.0 / A.grid.n)
+    for _ in range(8):
+        v = np.linalg.solve(B, v)
+        v /= np.abs(v).sum()
+    assert total_variation(kappa, np.abs(v) / np.abs(v).sum()) <= 1e-14
     sv, tvs = oracles.nullvector_reference_checks(A.entries, kappa)
     assert sv[0] >= 1e3 * sv[1] + 1e-12
     assert max(tvs) <= 1e-6
