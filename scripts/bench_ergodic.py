@@ -14,7 +14,8 @@ law (depth 0.3, width 0.2), and the union (-1, -0.2) U (0.1, 1) with the
 projection law (depth 0.2, width 0.1). Per case it times, REPEATS times
 each at the first seed, the Euler leg (``simulate_ensemble_blocks`` on one
 worker, then ``kappa_ergodic``) and the renewal leg (``renewal_occupation``,
-then ``kappa_ergodic``), and records the median wall time of each. It
+then ``kappa_ergodic``), and records the median wall time of each with
+the least and the greatest of its REPEATS times (``_s_min``, ``_s_max``). It
 records each leg's full-grid total variation distance to the closed-form
 density ``kappa_closed_form`` as the mean and sample standard deviation
 over the seeds (1 to 5 by default), with the run record: core count, BLAS
@@ -41,13 +42,14 @@ SETUPS = {
 }
 
 
-def _median_time(fn):
+def _times(fn):
+    """REPEATS wall times of ``fn()``, and its last output."""
     times = []
     for _ in range(REPEATS):
         start = time.perf_counter()
         out = fn()
         times.append(time.perf_counter() - start)
-    return statistics.median(times), out
+    return times, out
 
 
 def bench(seeds):
@@ -85,9 +87,11 @@ def bench(seeds):
             key = "a%g-%s" % (alpha, name)
             cases[key] = {}
             for leg, run in legs.items():
-                seconds, first = _median_time(lambda: run(seeds[0]))
+                seconds, first = _times(lambda: run(seeds[0]))
                 tv = [first.tv(closed)] + [run(seed).tv(closed) for seed in seeds[1:]]
-                cases[key].update({leg + "_s": seconds, leg + "_tv_mean": statistics.mean(tv),
+                cases[key].update({leg + "_s": statistics.median(seconds),
+                                   leg + "_s_min": min(seconds), leg + "_s_max": max(seconds),
+                                   leg + "_tv_mean": statistics.mean(tv),
                                    leg + "_tv_sd": statistics.stdev(tv) if len(tv) > 1 else 0.0})
             print(key, json.dumps(cases[key]), flush=True)
     return cases, {"numpy": np.__version__, "scipy": scipy.__version__,
@@ -109,7 +113,8 @@ def main():
     record = {
         "setup": "full-triangulation defaults: 400 cells, 200 paths or chains, horizon 200, "
                  "burn-in 2, Euler dt 1e-3; seeds %s" % args.seeds,
-        "statistic": "seconds: median of %d runs at seed %d; tv: full-grid total variation "
+        "statistic": "seconds: median of %d runs at seed %d, with their min and max; "
+                     "tv: full-grid total variation "
                      "to kappa_closed_form, mean and sample sd over the seeds"
                      % (REPEATS, seeds[0]),
         "nproc": os.cpu_count(),

@@ -7,9 +7,10 @@ Usage, from the root of a checkout:
         --side change=. --out BENCH_spectral.json
 
 Each side is ``label=checkout_root``; its ``src/`` is imported in a fresh
-child process with one BLAS thread. The setup is the interval (-1, 1),
-alpha = 1, the projection return kernel (depth 0.2, width 0.1) and t = 0.1.
-For each n in CELLS the child times, REPEATS times each:
+child process with one BLAS thread, one child per side and n. The setup is
+the interval (-1, 1), alpha = 1, the projection return kernel (depth 0.2,
+width 0.1) and t = 0.1.
+For its n of CELLS the child times, REPEATS times each:
 ``assemble_dirichlet_generator``, ``duhamel_series``, ``heat_kernel``,
 ``green_operator``, ``chain_kernel`` (the reflection chain C = (G U) V^T,
 the Green solve's harmonic kernel composed with the return kernel
@@ -24,14 +25,17 @@ and ``reference``, the CLI's form: the series stage's helper
 parity blocks when A commutes with the mirror, and powers).
 ``reference_path`` records, per n, the helper's path (``mirror`` or ``full``).
 The full generator of the last three is built outside the timing. After the
-timed runs it takes two tracemalloc peaks per n, in MB of 2**20 bytes, from
+timed runs it takes two tracemalloc peaks, in MB of 2**20 bytes, from
 one traced run each: ``series_peak_mb``, of
 ``duhamel_series`` and its ``total``, and ``stage_peak_mb``, of a whole
 ``semigroup-check`` CLI run (``cli_report.run``) of the same setup at the t
 of REFERENCE_TIMES, the series stage with its reference check. The JSON
 file holds the median of each time, the peaks, and the run record: core
 count, BLAS thread count and library versions.
-Sides run in the order given, one after the other. Each checkout must have
+The runner takes the n of CELLS in turn and runs every side's child at that
+n before the next n; the side that goes first alternates with n (the order
+given at the first n, reversed at the second), so the sides' readings at
+one n are taken minutes, not a whole sweep, apart. Each checkout must have
 the current API: ``ProjectionKernel``, ``DuhamelSeries.total``,
 ``cli_report._Reference`` and the generator-only supermedian calls.
 """
@@ -52,10 +56,12 @@ LAYERS = ("assemble", "series", "heat_kernel", "green", "chain_kernel", "dobrush
 REFERENCE_TIMES = (0.1, 0.5, 2.0)
 CELLS = (400, 800, 1600)
 REPEATS = 3
+# the child's readings at its n; the runner keys each by n
+PER_N = ("times_s", "series_peak_mb", "stage_peak_mb", "reference_path")
 
 
-def child(root):
-    """Time the layers of one checkout; print one JSON object."""
+def child(root, n):
+    """Time the layers of one checkout at n cells; print one JSON object."""
     sys.path.insert(0, os.path.join(root, "src"))
     import numpy as np
     import scipy
@@ -100,46 +106,44 @@ def child(root):
     params = StableParams(1, 1.0)
     domain = Interval(-1.0, 1.0)
     mu = ProjectionKernel(domain, 0.2, 0.1)
-    times, peaks, stage_peaks, paths = {}, {}, {}, {}
-    for n in CELLS:
-        grid = build_grid(domain, n)
-        M = perturbation_matrix(grid, params, mu)
-        ones = np.ones(grid.n)
-        runs = {layer: [] for layer in LAYERS}
-        for _ in range(REPEATS):
-            ops = {}    # the outputs that later layers read
-            steps = (("assemble", lambda: assemble_dirichlet_generator(grid, params)),
-                     ("series", lambda: duhamel_series(ops["assemble"], M, 0.1)),
-                     ("heat_kernel", lambda: heat_kernel(ops["assemble"], 0.1)),
-                     ("green", lambda: green_operator(ops["assemble"])),
-                     ("chain_kernel",
-                      lambda: chain_kernel(harmonic_kernel(ops["green"], params), mu)),
-                     ("dobrushin", lambda: dobrushin_coefficient(ops["chain_kernel"])),
-                     ("nullvector", lambda: kappa_generator_nullvector(
-                         full_generator(ops["assemble"], M))),
-                     ("supermedian", lambda: supermedian_violation(
-                         full_generator(ops["assemble"], M), 1.0, ones)),
-                     ("excessive", lambda: build_excessive(ops["A"], 1.0)),
-                     ("expm_per_t", lambda: [scipy.linalg.expm(t * ops["A"].entries)
-                                             for t in REFERENCE_TIMES]),
-                     ("reference", lambda: reference(ops["A"].entries)))
-            for layer, fn in steps:
-                if layer == "excessive":
-                    ops["A"] = full_generator(ops["assemble"], M)
-                start = time.perf_counter()
-                out = fn()
-                runs[layer].append(time.perf_counter() - start)
-                if layer in ("assemble", "green", "chain_kernel"):
-                    ops[layer] = out
-                if layer == "reference":
-                    paths[str(n)] = out[1]
-                del out
-        times[str(n)] = {layer: statistics.median(v) for layer, v in runs.items()}
-        peaks[str(n)] = traced_peak_mb(lambda: duhamel_series(ops["assemble"], M, 0.1).total)
-        with tempfile.TemporaryDirectory() as out_dir:
-            stage_peaks[str(n)] = traced_peak_mb(lambda: stage_run(n, out_dir))
-    print(json.dumps({"times_s": times, "series_peak_mb": peaks,
-                      "stage_peak_mb": stage_peaks, "reference_path": paths,
+    grid = build_grid(domain, n)
+    M = perturbation_matrix(grid, params, mu)
+    ones = np.ones(grid.n)
+    runs = {layer: [] for layer in LAYERS}
+    for _ in range(REPEATS):
+        ops = {}    # the outputs that later layers read
+        steps = (("assemble", lambda: assemble_dirichlet_generator(grid, params)),
+                 ("series", lambda: duhamel_series(ops["assemble"], M, 0.1)),
+                 ("heat_kernel", lambda: heat_kernel(ops["assemble"], 0.1)),
+                 ("green", lambda: green_operator(ops["assemble"])),
+                 ("chain_kernel",
+                  lambda: chain_kernel(harmonic_kernel(ops["green"], params), mu)),
+                 ("dobrushin", lambda: dobrushin_coefficient(ops["chain_kernel"])),
+                 ("nullvector", lambda: kappa_generator_nullvector(
+                     full_generator(ops["assemble"], M))),
+                 ("supermedian", lambda: supermedian_violation(
+                     full_generator(ops["assemble"], M), 1.0, ones)),
+                 ("excessive", lambda: build_excessive(ops["A"], 1.0)),
+                 ("expm_per_t", lambda: [scipy.linalg.expm(t * ops["A"].entries)
+                                         for t in REFERENCE_TIMES]),
+                 ("reference", lambda: reference(ops["A"].entries)))
+        for layer, fn in steps:
+            if layer == "excessive":
+                ops["A"] = full_generator(ops["assemble"], M)
+            start = time.perf_counter()
+            out = fn()
+            runs[layer].append(time.perf_counter() - start)
+            if layer in ("assemble", "green", "chain_kernel"):
+                ops[layer] = out
+            if layer == "reference":
+                path = out[1]
+            del out
+    series_peak = traced_peak_mb(lambda: duhamel_series(ops["assemble"], M, 0.1).total)
+    with tempfile.TemporaryDirectory() as out_dir:
+        stage_peak = traced_peak_mb(lambda: stage_run(n, out_dir))
+    print(json.dumps({"times_s": {layer: statistics.median(v) for layer, v in runs.items()},
+                      "series_peak_mb": series_peak, "stage_peak_mb": stage_peak,
+                      "reference_path": path,
                       "numpy": np.__version__,
                       "scipy": scipy.__version__,
                       "blas": np.__config__.CONFIG["Build Dependencies"]["blas"]["name"]}))
@@ -150,24 +154,25 @@ def main():
     parser.add_argument("--side", action="append", required=True,
                         help="label=checkout_root; repeat for each side")
     parser.add_argument("--out", default="BENCH_spectral.json")
-    parser.add_argument("--child", help=argparse.SUPPRESS)
+    parser.add_argument("--child", nargs=2, help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.child:
-        child(args.child)
+        child(args.child[0], int(args.child[1]))
         return
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                MKL_NUM_THREADS="1")
-    sides = {}
-    for spec in args.side:
-        label, root = spec.split("=", 1)
-        cmd = [sys.executable, os.path.abspath(__file__), "--side", spec,
-               "--child", os.path.abspath(root)]
-        out = subprocess.run(cmd, env=env, check=True, capture_output=True, text=True)
-        sides[label] = json.loads(out.stdout.strip().splitlines()[-1])
-        print(label, json.dumps(sides[label]["times_s"]),
-              json.dumps(sides[label]["series_peak_mb"]),
-              json.dumps(sides[label]["stage_peak_mb"]),
-              json.dumps(sides[label]["reference_path"]), flush=True)
+    specs = [spec.split("=", 1) for spec in args.side]
+    sides = {label: {key: {} for key in PER_N} for label, _ in specs}
+    for i, n in enumerate(CELLS):
+        for label, root in (specs if i % 2 == 0 else specs[::-1]):
+            cmd = [sys.executable, os.path.abspath(__file__), "--side", "%s=%s" % (label, root),
+                   "--child", os.path.abspath(root), str(n)]
+            out = subprocess.run(cmd, env=env, check=True, capture_output=True, text=True)
+            reading = json.loads(out.stdout.strip().splitlines()[-1])
+            print(label, n, *(json.dumps(reading[key]) for key in PER_N), flush=True)
+            for key in PER_N:
+                sides[label][key][str(n)] = reading.pop(key)
+            sides[label].update(reading)    # the library versions
     record = {
         "setup": "interval(-1, 1), alpha 1, projection(0.2, 0.1), t = 0.1; "
                  "expm_per_t, reference and stage_peak_mb at t = %s"

@@ -28,7 +28,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .geometry import DomainError, Interval, IntervalUnion, build_grid
+from .geometry import Interval, IntervalUnion, build_grid
 from .killed_kernels import assemble_dirichlet_generator, green_operator, \
     harmonic_kernel
 from .pathsim import excursion_statistics, reflection_chain, renewal_occupation, \
@@ -553,26 +553,24 @@ def _triangulation(run):
         "pairwise_tv": tri, "dobrushin_two_step": run.beta, "min_row_overlap": run.overlap})
 
 
-def _ergodic_triangulation(run):
-    """ergodic Monte Carlo (when replicas > 0) and triangulation report"""
+def _ergodic(run):
+    """ergodic Monte Carlo (when replicas > 0)"""
     config = run.config
-    diagnostics = None
-    if config.replicas > 0:
-        burn_in = min(2.0, config.horizon / 10)
-        occ = renewal_occupation(run.params, run.mu, _start_law(run.mu), config.horizon,
-                                 burn_in, config.seed, config.replicas, run.grid)
-        reflections = occ.total_reflections.mean()
-        diagnostics = {"chains": config.replicas, "reflections_per_chain": reflections,
-                       "balls_per_reflection": occ.balls / occ.total_reflections.sum(),
-                       "knot_points": occ.knot_points, "burn_in": burn_in}
-        if reflections < _ERGODIC_REFLECTIONS:
-            # too short a horizon: fail a check and triangulate the grid legs
-            run.check("ergodic-reflections", False, reflections, _ERGODIC_REFLECTIONS)
-        else:
-            run.measures["ergodic"] = kappa_ergodic(occ, run.grid)
-            run.write_measure("kappa_ergodic.csv", run.measures["ergodic"])
-    _triangulation(run)
-    return diagnostics
+    if config.replicas == 0:
+        return None
+    burn_in = min(2.0, config.horizon / 10)
+    occ = renewal_occupation(run.params, run.mu, _start_law(run.mu), config.horizon,
+                             burn_in, config.seed, config.replicas, run.grid)
+    reflections = occ.total_reflections.mean()
+    if reflections < _ERGODIC_REFLECTIONS:
+        # too short a horizon: fail a check and triangulate the grid legs
+        run.check("ergodic-reflections", False, reflections, _ERGODIC_REFLECTIONS)
+    else:
+        run.measures["ergodic"] = kappa_ergodic(occ, run.grid)
+        run.write_measure("kappa_ergodic.csv", run.measures["ergodic"])
+    return {"chains": config.replicas, "reflections_per_chain": reflections,
+            "balls_per_reflection": occ.balls / occ.total_reflections.sum(),
+            "knot_points": occ.knot_points, "burn_in": burn_in}
 
 
 KIND_STAGES = {
@@ -582,13 +580,13 @@ KIND_STAGES = {
     "chain": (_contraction, _chain_samples),
     "stationary": (_contraction, _densities, _triangulation),
     "full-triangulation": (_concentration, _series, _contraction, _densities,
-                           _ergodic_triangulation),
+                           _ergodic, _triangulation),
 }
 KINDS = tuple(KIND_STAGES)
 # the stages that draw from the Monte Carlo samplers; below their least alpha the
 # jump-Euler increments come out nan (sample_stable_increment) and some
 # walk-on-spheres exit radii inf (sample_ball_exit_radius)
-_SAMPLING_STAGES = {_ensemble, _chain_samples, _ergodic_triangulation}
+_SAMPLING_STAGES = {_ensemble, _chain_samples, _ergodic}
 
 
 def _is_number(value):
@@ -606,13 +604,6 @@ def _is_numbers(value):
 
 def _integer_from(low):
     return (lambda v: _is_int(v) and v >= low), "an integer >= %d" % low
-
-
-def _ball(spec):
-    center = np.atleast_1d(np.asarray(spec["center"], dtype=float))
-    if center.shape != (1,):
-        raise DomainError("the CLI runs d=1: a ball center needs one coordinate")
-    return Interval(center[0] - spec["radius"], center[0] + spec["radius"])
 
 
 # A rule is (test, text[, cast]): v passes if test(v), else it "must be <text>";
@@ -638,7 +629,6 @@ SCHEMA = {
                   float)})),
     "domain": ({"kind": "interval", "a": -1.0, "b": 1.0}, ("kind", {
         "interval": ({"a": _NUMBER, "b": _NUMBER}, lambda s: Interval(s["a"], s["b"])),
-        "ball": ({"center": _NUMBERS, "radius": _NUMBER}, _ball),
         "grid1d": ({"intervals": _NUMBERS}, lambda s: IntervalUnion(s["intervals"]))})),
     "mu": ({"family": "constant-uniform", "a": -0.5, "b": 0.5}, ("family", {
         "constant-uniform": ({"a": _NUMBER, "b": _NUMBER}, lambda s, dom: (

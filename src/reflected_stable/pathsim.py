@@ -537,10 +537,10 @@ def simulate_ensemble(params, mu, start, horizon, dt, seed, n_paths,
 
 
 def simulate_ensemble_blocks(params, mu, start, horizon, dt, seed, n_paths,
-                             grid=None, burn_in=0.0, block=50, workers=1):
+                             grid=None, burn_in=0.0, workers=1):
     """Block-decomposed ensemble with deterministic merging.
 
-    Replicas are grouped into fixed-size blocks, each driven by its own
+    Replicas are grouped into blocks of 50, each driven by its own
     keyed stream (ids 1, 2, ...); blocks may run on any number of workers
     and the merged result, reflection records included, is bit-identical
     regardless of the worker count. The thread pool stays because numpy
@@ -549,7 +549,7 @@ def simulate_ensemble_blocks(params, mu, start, horizon, dt, seed, n_paths,
     1.71-2.03 s against 2.14-2.38 s for 1.
     """
     n = int(n_paths)
-    sizes = [block] * (n // block) + ([n % block] if n % block else [])
+    sizes = [50] * (n // 50) + ([n % 50] if n % 50 else [])
 
     def run(b):
         return simulate_ensemble(params, mu, start, horizon, dt, seed,

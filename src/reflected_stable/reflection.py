@@ -30,9 +30,6 @@ class UniformMeasure:
             raise KernelError("uniform measure needs finite a < b")
         self.a, self.b = float(a), float(b)
 
-    def total_mass(self):
-        return 1.0
-
     def mass(self, region):
         inter = region.intersect(Region1D([(self.a, self.b)]))
         return inter.length() / (self.b - self.a)
@@ -52,20 +49,13 @@ class UniformMeasure:
 
 
 class AtomMeasure:
-    """Finitely many atoms with given weights."""
+    """Finitely many atoms, each of mass 1/k for k atoms."""
 
-    def __init__(self, points, weights=None):
+    def __init__(self, points):
         self.points = np.atleast_1d(np.asarray(points, dtype=float))
         if not np.all(np.isfinite(self.points)):
             raise KernelError("atoms must be finite points")
-        if weights is None:
-            weights = np.full(self.points.shape[0], 1.0 / self.points.shape[0])
-        self.weights = np.asarray(weights, dtype=float)
-        if np.any(self.weights < 0):
-            raise KernelError("atom weights must be nonnegative")
-
-    def total_mass(self):
-        return float(self.weights.sum())
+        self.weights = np.full(self.points.shape[0], 1.0 / self.points.shape[0])
 
     def mass(self, region):
         return float(self.weights[region.contains(self.points)].sum())
@@ -90,9 +80,6 @@ class BallUniformMeasure:
         self.center = np.atleast_1d(np.asarray(center, dtype=float))
         self.radius = float(radius)
         self.d = self.center.size
-
-    def total_mass(self):
-        return 1.0
 
     def radial_band_mass(self, r_lo, r_hi):
         r_lo = max(0.0, min(r_lo, self.radius))
@@ -172,9 +159,6 @@ class ConstantKernel(ReflectionKernel):
     """
 
     def __init__(self, domain, m):
-        total = m.total_mass()
-        if abs(total - 1.0) > 1e-10:
-            raise KernelError("measure not normalized: total mass %.12g" % total)
         if domain.d == 1:
             # the complement is closed, so an atom on the boundary is outside
             outside = m.mass(exterior_complement(domain))

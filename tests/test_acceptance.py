@@ -16,8 +16,8 @@ from scipy.special import betaincinv
 
 from reflected_stable.killed_kernels import resolvent_u
 from reflected_stable.pathsim import (excursion_statistics, reflection_chain,
-                                      sample_first_exit, simulate_ensemble_blocks,
-                                      simulate_ladder, stream)
+                                      sample_first_exit, simulate_ensemble,
+                                      simulate_ensemble_blocks, simulate_ladder, stream)
 from reflected_stable.perturbation import (build_excessive, duhamel_series,
                                            ladder_kernel, ladder_lift,
                                            ladder_supermedian_violation,
@@ -217,8 +217,7 @@ def test_criterion_10_ladder_law(wb):
     p = wb.params(1.0)
     mu = wb.mu("uniform")
     grid = wb.ops(1.0)["grid"]
-    ens = simulate_ensemble_blocks(p, mu, 0.0, 2.0, 1e-3, 77001,
-                                   10 ** 5, block=10 ** 5)
+    ens = simulate_ensemble(p, mu, 0.0, 2.0, 1e-3, 77001, 10 ** 5, stream_id=1)
     i0 = np.argmin(np.abs(grid.nodes))
     pvals = []
     for k, t in enumerate((0.5, 2.0)):

@@ -32,7 +32,7 @@ DOMAINS = {
         {"family": "constant-uniform", "a": 0.1, "b": 0.2},
         {"family": "dirac", "point": 0.15},
         {"family": "projection", "depth": 0.05, "width": 0.04})),
-    "ball": ({"kind": "ball", "center": [0.5], "radius": 2.0}, (
+    "asymmetric": ({"kind": "interval", "a": -1.5, "b": 2.5}, (
         {"family": "constant-uniform", "a": 0.0, "b": 1.0},
         {"family": "dirac", "point": 0.5},
         {"family": "projection", "depth": 0.5, "width": 0.4})),

@@ -62,8 +62,8 @@ def test_validation_errors_name_fields():
 def test_describe_lists_stages():
     cfg = parse_config(default_config())
     text = describe(cfg)
-    assert "stages (5):" in text
-    assert text.count("\n  ") == 5
+    assert "stages (6):" in text
+    assert text.count("\n  ") == 6
     cfg2 = parse_config(dict(default_config(), kind="chain"))
     assert "stages (2):" in describe(cfg2)
 
@@ -171,7 +171,7 @@ def test_full_triangulation_stage_diagnostics(tmp_path):
     assert 0 < law["lambda2"] and law["lambda2"] ** 2 <= beta + 1e-9
     assert set(stages[cli_report._densities.__doc__]["null_vector"]) == {
         "error_estimate", "step_ratio", "min_off_diagonal", "residual"}
-    ergodic = stages[cli_report._ergodic_triangulation.__doc__]
+    ergodic = stages[cli_report._ergodic.__doc__]
     assert ergodic["chains"] == 40 and ergodic["burn_in"] == 2.0
     assert ergodic["reflections_per_chain"] >= 50
     assert ergodic["balls_per_reflection"] >= 1
@@ -268,7 +268,6 @@ INTERVAL_MUS = {
 }
 SWEEP = {
     "interval": (INTERVAL, INTERVAL_MUS),
-    "ball": ({"kind": "ball", "center": [0.0], "radius": 1.0}, INTERVAL_MUS),
     "grid1d": (UNION, {
         "constant-uniform": {"family": "constant-uniform", "a": 0.3, "b": 0.8},
         "dirac": {"family": "dirac", "point": 0.5},
@@ -296,7 +295,7 @@ def test_config_sweep_runs(domain, kind, family, tmp_path):
     (INTERVAL, {"family": "dirac", "point": 1.0}, "mu"),   # atom on the boundary
     (INTERVAL, {"family": "dirac", "point": None}, "mu.point"),
     ({"kind": "ball", "center": [0.0, 0.0], "radius": 1.0}, INTERVAL_MUS["dirac"],
-     "domain"),
+     "domain.kind"),   # ball is no CLI domain kind
 ])
 def test_unrunnable_domain_or_law_exits_2(domain, mu, field, tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
@@ -673,7 +672,7 @@ def test_readme_config_section_matches_schema():
     ({"params": {"d": 2, "alpha": 1.0}}, "params.d"),   # the CLI runs d = 1
     ({"lambda_list": ["a"]}, "lambda_list"),
     ({"mu": {"family": "constant-uniform", "a": "x", "b": 0.5}}, "mu.a"),
-    ({"domain": {"kind": "ball", "center": [0.0], "radius": "r"}}, "domain.radius"),
+    ({"domain": {"kind": "interval", "a": -1.0, "b": "r"}}, "domain.b"),
     ({"horizon": float("inf")}, "horizon"),
     ({"dt": float("inf")}, "dt"),
     ({"t_list": [0.1, float("inf")]}, "t_list"),
@@ -690,8 +689,8 @@ def test_readme_config_section_matches_schema():
         "kind": "grid1d", "intervals": [[0, 1], [2, 3], [4, 5], [6, 7], [8, 9]]}},
      "n_cells"),   # fewer cells than intervals
     ({"domain": {"kind": "interval", "a": -1.0, "b": 1.0, "bogus": 1}}, "domain.bogus"),
-    ({"domain": {"kind": "ball", "center": [0.0], "radius": 1.0, "a": 0.0}},
-     "domain.a"),   # a key of another domain kind
+    ({"domain": {"kind": "interval", "a": -1.0, "b": 1.0, "intervals": [[-1.0, 1.0]]}},
+     "domain.intervals"),   # a key of another domain kind
     ({"domain": {"kind": "grid1d", "intervals": [[-1.0, 0.0], [0.0, 1.0]]}},
      "domain"),   # pieces that share an endpoint: not a Lipschitz set
     ({"seed": True}, "seed"),
@@ -704,8 +703,8 @@ def test_readme_config_section_matches_schema():
     # booleans in float fields
     ({"domain": {"kind": "grid1d", "intervals": [[-1.0, True], [2.0, 3.0]]},
       "mu": {"family": "dirac", "point": 2.5}}, "domain.intervals"),
-    ({"domain": {"kind": "ball", "center": [0.0], "radius": True}}, "domain.radius"),
-    ({"domain": {"kind": "ball", "center": [False], "radius": 1.0}}, "domain.center"),
+    ({"domain": {"kind": "interval", "a": -1.0, "b": True}}, "domain.b"),
+    ({"domain": {"kind": "interval", "a": False, "b": 1.0}}, "domain.a"),
     ({"mu": {"family": "constant-uniform", "a": False, "b": 0.5}}, "mu.a"),
     ({"domain": {"kind": "interval", "a": 0.0, "b": 2.0},
       "mu": {"family": "dirac", "point": True}}, "mu.point"),
@@ -725,14 +724,14 @@ def test_readme_config_section_matches_schema():
     ({"seed": 1, "kind": "full-triangulation", "params": {"d": 1, "alpha": 0.049},
       "n_cells": 100, "replicas": 20, "horizon": 20, "chain_samples": 2000,
       "t_list": [0.5], "lambda_list": [1.0]}, "params.alpha"),
-], ids=["domain.a", "alpha-str", "alpha-null", "d-2", "lambda_list", "mu.a", "ball.radius",
+], ids=["domain.a", "alpha-str", "alpha-null", "d-2", "lambda_list", "mu.a", "b-str",
         "horizon-inf", "dt-inf", "t_list-inf", "lambda_list-inf", "n_time",
         "t_list-past-horizon", "simulate-replicas-0", "simulate-dt-past-horizon",
         "mu-unknown-key", "params-unknown-key",
-        "cells-below-intervals", "domain-unknown-key", "ball-interval-key",
+        "cells-below-intervals", "domain-unknown-key", "interval-union-key",
         "touching-union", "seed-bool", "d-bool", "replicas-bool", "threads-bool",
         "chain_steps-bool", "domain-kind-list", "mu-family-object", "intervals-bool",
-        "radius-bool", "center-bool", "mu.a-bool", "point-bool",
+        "b-bool", "a-bool", "mu.a-bool", "point-bool",
         "lambda_list-alike-under-g", "t_list-repeat", "simulate-alpha-below-sampler",
         "chain-alpha-below-sampler", "full-triangulation-alpha-below-sampler"])
 def test_non_numeric_fields_exit_2(over, field, tmp_path, capsys):
@@ -832,7 +831,7 @@ def test_series_with_no_fitted_rate_passes_at_tiny_t(t, tmp_path, capsys):
     ({"kind": "semigroup-check", "t_list": [20.0]}, "series-t20"),
     ({"kind": "excessive", "lambda_list": [1e-6]}, "excessive-lam1e-06"),
     ({"kind": "semigroup-check", "params": {"d": 1, "alpha": 0.5},
-      "domain": {"kind": "ball", "center": [0.5], "radius": 2.0}, "n_cells": 4,
+      "domain": {"kind": "interval", "a": -1.5, "b": 2.5}, "n_cells": 4,
       "mu": {"family": "projection", "depth": 0.05, "width": 0.02}, "t_list": [50.0]},
      "series-t50"),
     ({"kind": "semigroup-check", "params": {"d": 1, "alpha": 1.9},

@@ -89,10 +89,6 @@ def test_every_default_is_set_by_some_call():
 def test_defaults_only_tests_set_are_the_known_ones():
     # An option that no library call sets is one only tests, demos or users
     # set; each of these has a reason to stay an option.
-    known = {
-        "main.argv",                       # the CLI entry point reads sys.argv by default
-        "simulate_ensemble_blocks.block",  # criterion 10 draws its paths as one block
-        "AtomMeasure.weights",             # weighted atoms; equal weights by default
-    }
+    known = {"main.argv"}   # the CLI entry point reads sys.argv by default
     unset = _unset("src")
     assert {name for _, name in unset} == known, "\n".join("%s %s" % u for u in unset)

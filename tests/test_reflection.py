@@ -17,18 +17,13 @@ def test_constant_kernel_masses_ignore_z():
         assert mu.law(z).mass(reg) == pytest.approx(0.5)
 
 
-def test_constant_kernel_rejects_unnormalized():
-    with pytest.raises(KernelError):
-        ConstantKernel(D, AtomMeasure([0.1, 0.2], [0.45, 0.45]))  # sums to 0.9
-
-
 def test_constant_kernel_rejects_mass_outside_open_domain():
     U = IntervalUnion([[-1.0, -0.2], [0.1, 1.0]])
     for dom, m in ((U, UniformMeasure(-0.5, 0.5)),   # covers the gap
                    (D, UniformMeasure(0.5, 1.5)),
                    (D, AtomMeasure([5.0])),
                    (D, AtomMeasure([1.0])),          # atom on the boundary
-                   (D, AtomMeasure([0.0, -1.0], [0.5, 0.5]))):
+                   (D, AtomMeasure([0.0, -1.0]))):
         with pytest.raises(KernelError, match="outside the open domain"):
             ConstantKernel(dom, m)
     with pytest.raises(KernelError):
